@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet pkgdoc metricscheck docs test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck bench benchcheck benchbaseline benchall profile experiments experiments-diff section4 section5 clean
+.PHONY: all check build benchbuild vet pkgdoc metricscheck docs test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck bench benchcheck benchbaseline benchall profile experiments experiments-diff section4 section5 clean
 
 all: check
 
@@ -15,11 +15,18 @@ all: check
 # /metrics scrape), the trace-import gate (golden imports, round-trips
 # and worker-invariant replay of foreign traces, plus the runnable
 # pipeline example), and the perf-regression gate against the committed
-# benchmark baselines.
-check: build vet pkgdoc metricscheck test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck benchcheck
+# benchmark baselines. benchbuild extends the compile gate to the nested
+# bench/ module, which `go build ./...` at the root does not see.
+check: build benchbuild vet pkgdoc metricscheck test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck benchcheck
 
 build:
 	$(GO) build ./...
+
+# bench/ is its own module (spritebench) compiled against this one's
+# internal packages; vet and test it so an API change that breaks the
+# benchmark fails here rather than in the benchmark driver.
+benchbuild:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

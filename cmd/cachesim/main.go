@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,46 +28,45 @@ import (
 	"spritefs/internal/netsim"
 	"spritefs/internal/stats"
 	"spritefs/internal/vm"
-	"spritefs/internal/workload"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "cachesim:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("cachesim", flag.ContinueOnError)
 	var (
-		days   = flag.Float64("days", 1, "simulated days")
-		scale  = flag.Float64("scale", 1.0, "community scale factor")
-		seed   = flag.Int64("seed", 424242, "workload seed")
-		whatif = flag.String("whatif", "", "what-if analysis: localdisk, cachesize, delay, prefetch, consistency")
+		days   = fs.Float64("days", 1, "simulated days")
+		scale  = fs.Float64("scale", 1.0, "community scale factor")
+		seed   = fs.Int64("seed", 424242, "workload seed")
+		whatif = fs.String("whatif", "", "what-if analysis: localdisk, cachesize, delay, prefetch, consistency")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	switch *whatif {
 	case "":
 		r := core.RunCounterStudy(core.CounterOptions{Days: *days, Scale: *scale, Seed: *seed})
-		fmt.Println(core.CounterTables(r))
+		fmt.Fprintln(out, core.CounterTables(r))
 	case "localdisk":
-		localDisk(*days, *seed)
+		localDisk(out, *days, *seed)
 	case "cachesize":
-		cacheSizeSweep(*days, *seed)
+		cacheSizeSweep(out, *days, *seed)
 	case "delay":
-		delaySweep(*days, *seed)
+		delaySweep(out, *days, *seed)
 	case "prefetch":
-		prefetchSweep(*days, *seed)
+		prefetchSweep(out, *days, *seed)
 	case "consistency":
-		consistencyModes(*days, *seed)
+		consistencyModes(out, *days, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "cachesim: unknown what-if %q\n", *whatif)
-		os.Exit(2)
+		return fmt.Errorf("unknown what-if %q (want localdisk, cachesize, delay, prefetch or consistency)", *whatif)
 	}
-}
-
-// baseParams mirrors core.RunCounterStudy's workload.
-func baseParams(seed int64) workload.Params {
-	p := workload.Default(seed)
-	p.EmitBackupNoise = false
-	p.BigSimUsers = 1
-	p.SimInputMB = 6
-	p.SimOutputMB = 2
-	return p
+	return nil
 }
 
 func runCluster(cfg cluster.Config, days float64) *cluster.Cluster {
@@ -80,8 +80,8 @@ func runCluster(cfg cluster.Config, days float64) *cluster.Cluster {
 // disks would reduce server traffic by only ~20%, and would *hurt*
 // latency, since a 4 KB network fetch (6-7 ms) beats a 1991 local disk
 // access (20-30 ms).
-func localDisk(days float64, seed int64) {
-	cfg := cluster.DefaultConfig(baseParams(seed))
+func localDisk(out io.Writer, days float64, seed int64) {
+	cfg := cluster.DefaultConfig(core.CounterParams(seed))
 	c := runCluster(cfg, days)
 
 	total := c.Net.Total()
@@ -109,17 +109,17 @@ func localDisk(days float64, seed int64) {
 		verdict = "local disks would speed paging up"
 	}
 	t.AddRow("verdict", verdict, "agrees: \"we disagree\" with local disks")
-	fmt.Println(t)
+	fmt.Fprintln(out, t)
 }
 
 // cacheSizeSweep pins the client caches at fixed sizes and reports miss
 // ratios — the experiment behind the BSD study's (over-optimistic)
 // prediction that a 4 MB cache would miss only 10% of the time.
-func cacheSizeSweep(days float64, seed int64) {
+func cacheSizeSweep(out io.Writer, days float64, seed int64) {
 	t := stats.NewTable("What-if: fixed cache sizes (BSD-study prediction check)",
 		"Cache size", "File read miss %", "Read miss traffic %", "Server/raw bytes %")
 	for _, mb := range []int{1, 2, 4, 8, 16} {
-		cfg := cluster.DefaultConfig(baseParams(seed))
+		cfg := cluster.DefaultConfig(core.CounterParams(seed))
 		cfg.FixedCachePages = mb << 20 / vm.PageSize
 		c := runCluster(cfg, days)
 		t6 := c.Table6Report()
@@ -131,19 +131,19 @@ func cacheSizeSweep(days float64, seed int64) {
 			fmt.Sprintf("%.1f", t6.All.ReadMissTrafficPct),
 			fmt.Sprintf("%.1f", filter))
 	}
-	fmt.Println(t)
-	fmt.Println("Paper: the BSD study predicted ~10% misses at 4 MB; Sprite measured ~40%,")
-	fmt.Println("blamed on much larger files. The sweep shows the same large-file floor.")
+	fmt.Fprintln(out, t)
+	fmt.Fprintln(out, "Paper: the BSD study predicted ~10% misses at 4 MB; Sprite measured ~40%,")
+	fmt.Fprintln(out, "blamed on much larger files. The sweep shows the same large-file floor.")
 }
 
 // delaySweep varies the delayed-write interval — the paper's suggested
 // future direction once reads are fully absorbed ("longer writeback
 // intervals ... will become attractive").
-func delaySweep(days float64, seed int64) {
+func delaySweep(out io.Writer, days float64, seed int64) {
 	t := stats.NewTable("What-if: writeback delay sweep (Section 6 future work)",
 		"Delay", "Writeback traffic %", "Bytes saved by delete %")
 	for _, d := range []time.Duration{5 * time.Second, 30 * time.Second, 2 * time.Minute, 10 * time.Minute} {
-		cfg := cluster.DefaultConfig(baseParams(seed))
+		cfg := cluster.DefaultConfig(core.CounterParams(seed))
 		cfg.WritebackDelay = d
 		c := runCluster(cfg, days)
 		t6 := c.Table6Report()
@@ -151,15 +151,15 @@ func delaySweep(days float64, seed int64) {
 			fmt.Sprintf("%.1f", t6.All.WritebackPct),
 			fmt.Sprintf("%.1f", t6.BytesSavedByDeletePct))
 	}
-	fmt.Println(t)
-	fmt.Println("Paper: 30s lets ~10% of new bytes die in the cache; longer delays save more")
-	fmt.Println("but leave data more vulnerable to client crashes.")
+	fmt.Fprintln(out, t)
+	fmt.Fprintln(out, "Paper: 30s lets ~10% of new bytes die in the cache; longer delays save more")
+	fmt.Fprintln(out, "but leave data more vulnerable to client crashes.")
 }
 
 // consistencyModes runs the cluster live under Sprite's perfect
 // consistency and under NFS-style polling — the experiment behind the
 // paper's Table 11, which the authors could only estimate from traces.
-func consistencyModes(days float64, seed int64) {
+func consistencyModes(out io.Writer, days float64, seed int64) {
 	t := stats.NewTable("What-if: live consistency schemes (Table 11, measured directly)",
 		"Scheme", "Stale reads/hour", "Stale KB/hour", "Validation RPCs/hour")
 	hours := days * 24
@@ -173,7 +173,7 @@ func consistencyModes(days float64, seed int64) {
 		{"poll 3s", client.ConsistencyPoll, 3 * time.Second},
 	}
 	for _, m := range modes {
-		p := baseParams(seed)
+		p := core.CounterParams(seed)
 		p.AwaySessionProb = 0.3
 		p.SharedReadSoonP = 0.9
 		cfg := cluster.DefaultConfig(p)
@@ -186,18 +186,18 @@ func consistencyModes(days float64, seed int64) {
 			fmt.Sprintf("%.1f", float64(st.StaleBytes)/1024/hours),
 			fmt.Sprintf("%.0f", float64(st.PollRPCs)/hours))
 	}
-	fmt.Println(t)
-	fmt.Println("Paper (trace-driven estimate): 18 errors/hour at 60s, ~0.6 at 3s; Sprite: zero")
-	fmt.Println("by construction. The live run measures the same cliff directly.")
+	fmt.Fprintln(out, t)
+	fmt.Fprintln(out, "Paper (trace-driven estimate): 18 errors/hour at 60s, ~0.6 at 3s; Sprite: zero")
+	fmt.Fprintln(out, "by construction. The live run measures the same cliff directly.")
 }
 
 // prefetchSweep verifies the paper's §5.2 claim that prefetching cannot
 // reduce read-related server traffic (only latency).
-func prefetchSweep(days float64, seed int64) {
+func prefetchSweep(out io.Writer, days float64, seed int64) {
 	t := stats.NewTable("What-if: sequential prefetch (Section 5.2 claim check)",
 		"Prefetch blocks", "File read miss %", "Read miss traffic %", "Server read MB")
 	for _, n := range []int{0, 2, 8} {
-		cfg := cluster.DefaultConfig(baseParams(seed))
+		cfg := cluster.DefaultConfig(core.CounterParams(seed))
 		cfg.PrefetchBlocks = n
 		c := runCluster(cfg, days)
 		t6 := c.Table6Report()
@@ -207,7 +207,7 @@ func prefetchSweep(days float64, seed int64) {
 			fmt.Sprintf("%.1f", t6.All.ReadMissTrafficPct),
 			fmt.Sprintf("%.0f", float64(total.Bytes[netsim.FileRead]+total.Bytes[netsim.PagingRead])/(1<<20)))
 	}
-	fmt.Println(t)
-	fmt.Println("Paper: \"prefetching could reduce latencies, but it would not reduce the")
-	fmt.Println("read miss ratio['s] ... server traffic\" — miss ops fall, bytes do not.")
+	fmt.Fprintln(out, t)
+	fmt.Fprintln(out, "Paper: \"prefetching could reduce latencies, but it would not reduce the")
+	fmt.Fprintln(out, "read miss ratio['s] ... server traffic\" — miss ops fall, bytes do not.")
 }

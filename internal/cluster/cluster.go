@@ -4,10 +4,17 @@
 // community workload, the kernel tracing machinery (per-server trace
 // streams with nightly-backup noise), and the periodic counter sampler
 // behind the Section 5 tables. One Cluster is one experiment run.
+//
+// This is the only place the system is wired. NewSystem builds everything
+// but the user community; New adds the community for batch runs, scale
+// shards and the live service, and internal/replay drives a NewSystem
+// directly, adding workstations as its trace names them.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"spritefs/internal/client"
@@ -117,34 +124,42 @@ type Cluster struct {
 	// is set; nil otherwise.
 	MetricSampler *metrics.Sampler
 
+	// route is ServerFor bound once, so every client shares one func value.
+	route func(uint64) *server.Server
+
 	recs    []trace.Record
 	sink    func(trace.Record)
 	tracing bool
 
-	samples  []Sample
-	lastOps  map[int32]int64
-	sampler  *sim.Ticker
-	tickers  []*sim.Ticker
-	backupAt time.Duration
+	samples []Sample
+	lastOps map[int32]int64
+	sampler *sim.Ticker
+	tickers []*sim.Ticker
+	// running is set between StartDaemons and Finish: a workstation added
+	// in that window starts its own cleaner.
+	running bool
 }
 
-// New builds a cluster. The workload is bootstrapped (file population
-// created) but not started; call Run.
-func New(cfg Config) *Cluster {
+// NewSystem builds the measured system without a user community: the
+// simulator, the shared network, the file servers, the fault injector and
+// the metric registry, with no workstations yet. New adds the community on
+// top; the trace-replay engine instead adds workstations with AddClient as
+// the trace names them.
+func NewSystem(cfg Config) *Cluster {
 	if cfg.NumServers < 1 {
 		panic("cluster: need at least one server")
 	}
-	p := cfg.Params
 	ncfg := cfg.Net
 	if ncfg.BandwidthBps == 0 {
 		ncfg = netsim.DefaultConfig()
 	}
 	c := &Cluster{
 		Cfg:     cfg,
-		Sim:     sim.New(p.Seed),
+		Sim:     sim.New(cfg.Params.Seed),
 		Net:     netsim.New(ncfg),
 		lastOps: make(map[int32]int64),
 	}
+	c.route = c.ServerFor
 	c.tracing = cfg.CollectTrace
 	c.sink = cfg.TraceSink
 	for i := 0; i < cfg.NumServers; i++ {
@@ -158,51 +173,26 @@ func New(cfg Config) *Cluster {
 		}
 		c.Servers = append(c.Servers, srv)
 	}
-	route := func(file uint64) *server.Server {
-		idx := int(file >> 48)
-		if idx >= len(c.Servers) {
-			idx = 0
-		}
-		return c.Servers[idx]
-	}
-
-	bootRng := sim.NewRand(p.Seed ^ 0x5eed)
-	c.Registry = workload.Bootstrap(p, c.Servers, bootRng)
-
-	hosts := make(map[int32]workload.Host, p.NumClients)
-	for i := 0; i < p.NumClients; i++ {
-		ccfg := client.DefaultConfig(int32(i))
-		if cfg.MemoryPagesPerClient > 0 {
-			ccfg.MemoryPages = cfg.MemoryPagesPerClient
-		}
-		// Memory sizes vary 24-32 MB across the cluster, as in the paper.
-		if cfg.MemoryPagesPerClient == 0 && i%3 == 0 {
-			ccfg.MemoryPages = 32 << 20 / vm.PageSize
-		}
-		ccfg.FixedCachePages = cfg.FixedCachePages
-		ccfg.Consistency = cfg.Consistency
-		ccfg.PollInterval = cfg.PollInterval
-		// Most traffic lands on server 0; creations go there.
-		cl := client.New(ccfg, c.Sim, c.Net, route, c.Servers[0], c)
-		cl.SetCoordinator(c)
-		if cfg.WritebackDelay > 0 {
-			cl.Cache.SetWritebackDelay(cfg.WritebackDelay)
-		}
-		if cfg.PrefetchBlocks > 0 {
-			cl.Cache.SetPrefetch(cfg.PrefetchBlocks)
-		}
-		c.Clients = append(c.Clients, cl)
-		hosts[int32(i)] = cl
-	}
 	if !cfg.Faults.Empty() {
 		c.Injector = faults.Attach(c, cfg.Faults)
 	}
 	c.Reg = metrics.New()
-	regClients := c.Clients
-	if cfg.LeanMetrics {
-		regClients = nil
+	RegisterComponents(c.Reg, c.Sim, nil, c.Servers, c.Net, c.Injector)
+	return c
+}
+
+// New builds a cluster: the system plus its user community — the file
+// population, Params.NumClients workstations and the workload engine. The
+// workload is bootstrapped (file population created) but not started;
+// call Run.
+func New(cfg Config) *Cluster {
+	c := NewSystem(cfg)
+	p := cfg.Params
+	c.Registry = workload.Bootstrap(p, c.Servers, sim.NewRand(p.Seed^0x5eed))
+	hosts := make(map[int32]workload.Host, p.NumClients)
+	for i := 0; i < p.NumClients; i++ {
+		hosts[int32(i)] = c.AddClient(int32(i))
 	}
-	RegisterComponents(c.Reg, c.Sim, regClients, c.Servers, c.Net, c.Injector)
 	c.Engine = workload.NewEngine(c.Sim, p, c.Registry, hosts)
 	c.Engine.RegisterMetrics(c.Reg)
 	c.Engine.OnMigrate = func(user, pid, from, to int32) {
@@ -216,6 +206,88 @@ func New(cfg Config) *Cluster {
 		})
 	}
 	return c
+}
+
+// ServerFor maps a file id to the server that stores it: the server index
+// is baked into the id's top bits, and ids naming a server this cluster
+// does not have fall back to server 0.
+func (c *Cluster) ServerFor(file uint64) *server.Server {
+	idx := int(file >> 48)
+	if idx >= len(c.Servers) {
+		idx = 0
+	}
+	return c.Servers[idx]
+}
+
+// AddClient brings up the diskless workstation with the given id, wired to
+// the cluster's network, servers, consistency coordinator and registry.
+// Clients stays in ascending id order whatever order ids arrive in (the
+// common ascending case is a plain append). A workstation added while the
+// daemons are running starts its cleaner at once.
+func (c *Cluster) AddClient(id int32) *client.Client {
+	if id < 0 {
+		panic(fmt.Sprintf("cluster: negative client id %d", id))
+	}
+	cfg := &c.Cfg
+	ccfg := client.DefaultConfig(id)
+	if cfg.MemoryPagesPerClient > 0 {
+		ccfg.MemoryPages = cfg.MemoryPagesPerClient
+	} else if id%3 == 0 {
+		// Memory sizes vary 24-32 MB across the cluster, as in the paper.
+		ccfg.MemoryPages = 32 << 20 / vm.PageSize
+	}
+	ccfg.FixedCachePages = cfg.FixedCachePages
+	ccfg.Consistency = cfg.Consistency
+	ccfg.PollInterval = cfg.PollInterval
+	// Most traffic lands on server 0; creations go there.
+	cl := client.New(ccfg, c.Sim, c.Net, c.route, c.Servers[0], c)
+	cl.SetCoordinator(c)
+	if cfg.WritebackDelay > 0 {
+		cl.Cache.SetWritebackDelay(cfg.WritebackDelay)
+	}
+	if cfg.PrefetchBlocks > 0 {
+		cl.Cache.SetPrefetch(cfg.PrefetchBlocks)
+	}
+	if n := len(c.Clients); n == 0 || c.Clients[n-1].ID() < id {
+		c.Clients = append(c.Clients, cl)
+	} else {
+		i, found := c.clientIndex(id)
+		if found {
+			panic(fmt.Sprintf("cluster: client %d added twice", id))
+		}
+		c.Clients = slices.Insert(c.Clients, i, cl)
+	}
+	if !cfg.LeanMetrics {
+		cl.RegisterMetrics(c.Reg)
+	}
+	if c.running {
+		cl.StartCleaner()
+	}
+	return cl
+}
+
+// clientIndex binary-searches the id-ascending client slice.
+func (c *Cluster) clientIndex(id int32) (int, bool) {
+	return slices.BinarySearchFunc(c.Clients, id, func(cl *client.Client, id int32) int {
+		return cmp.Compare(cl.ID(), id)
+	})
+}
+
+// ClientByID returns the workstation with the given id, or nil when there
+// is none (negative ids — the scale gateways' pseudo-clients — included).
+// Dense communities (batch, scale shards, live) hit the Clients[id] fast
+// path; replay's sparse ids fall back to a binary search.
+func (c *Cluster) ClientByID(id int32) *client.Client {
+	if id < 0 {
+		return nil
+	}
+	if int(id) < len(c.Clients) && c.Clients[id].ID() == id {
+		return c.Clients[id]
+	}
+	if i, found := c.clientIndex(id); found {
+		return c.Clients[i]
+	}
+	return nil
 }
 
 // Emit implements client.Tracer: records flow to the sink or buffer while
@@ -233,16 +305,16 @@ func (c *Cluster) Emit(rec trace.Record) {
 
 // RecallFrom implements client.Coordinator.
 func (c *Cluster) RecallFrom(clientID int32, file uint64) {
-	if int(clientID) < len(c.Clients) {
-		c.Clients[clientID].FlushForRecall(file)
+	if cl := c.ClientByID(clientID); cl != nil {
+		cl.FlushForRecall(file)
 	}
 }
 
 // DisableCaching implements client.Coordinator.
 func (c *Cluster) DisableCaching(clients []int32, file uint64) {
 	for _, id := range clients {
-		if int(id) < len(c.Clients) {
-			c.Clients[id].DisableFor(file)
+		if cl := c.ClientByID(id); cl != nil {
+			cl.DisableFor(file)
 		}
 	}
 }
@@ -296,10 +368,13 @@ func (c *Cluster) Start(duration time.Duration) {
 // client and server cleaners, and the samplers — without the user
 // community or backups. The live-service frontend uses this: its agent
 // fleet replaces the synthetic community, but delayed writes, consistency
-// and the VM balance still need their daemons. The scheduling order is
-// exactly Start's (event sequence numbers, and so replay determinism,
-// depend on it).
+// and the VM balance still need their daemons. So does trace replay, on a
+// system that has no workstations yet: the server cleaners and samplers
+// start here, and AddClient starts each later workstation's cleaner. The
+// scheduling order is exactly Start's (event sequence numbers, and so
+// replay determinism, depend on it).
 func (c *Cluster) StartDaemons() {
+	c.running = true
 	c.startSystemProcs()
 	for _, cl := range c.Clients {
 		cl.StartCleaner()
@@ -328,6 +403,7 @@ func (c *Cluster) StartDaemons() {
 // then advances the clock (by DrainTime past the horizon) so in-flight
 // programs and final writebacks drain.
 func (c *Cluster) Finish() {
+	c.running = false
 	for _, cl := range c.Clients {
 		cl.StopCleaner()
 	}
@@ -346,8 +422,8 @@ func (c *Cluster) Finish() {
 // the file cache would swallow nearly all of memory, instead of the
 // quarter-to-third the paper measures (Table 4).
 func (c *Cluster) startSystemProcs() {
-	if len(c.Registry.Binaries) == 0 {
-		return
+	if c.Registry == nil || len(c.Registry.Binaries) == 0 {
+		return // no bootstrapped population (a community-less system)
 	}
 	rng := c.Sim.Rand()
 	for i, cl := range c.Clients {

@@ -9,11 +9,11 @@ import (
 	"spritefs/internal/sim"
 )
 
-// RegisterComponents registers a full component stack into one registry.
-// Both assemblers (the live Cluster and the replay Engine) call this — or,
-// for lazily materialized clients, its per-component pieces — so that any
-// run exposes the identical metric families and Report projections read
-// from one store regardless of who built the components.
+// RegisterComponents registers a component stack into one registry.
+// NewSystem calls it for the simulator, network, servers and injector
+// (AddClient then registers each workstation as it is brought up), and
+// Metrics.Registry calls it for hand-assembled views, so any run exposes
+// the identical metric families for Report projections to read.
 //
 // sm, when non-nil, also exposes the simulation core's scheduler gauges
 // (event-queue depth, event-pool occupancy, armed timer-wheel timers) so
@@ -48,9 +48,9 @@ func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Clie
 }
 
 // Registry returns the central metric registry behind this view. Views
-// built by a Cluster or replay Engine carry the registry those assemblers
-// populated at construction time; a hand-assembled Metrics (tests, ad-hoc
-// tools) gets one built on first use from its component slices.
+// built by a Cluster (replay's included) carry the registry it populated
+// at construction time; a hand-assembled Metrics (tests, ad-hoc tools)
+// gets one built on first use from its component slices.
 func (m *Metrics) Registry() *metrics.Registry {
 	if m.Reg == nil {
 		m.Reg = metrics.New()

@@ -14,12 +14,12 @@ import (
 // This file computes the Section 5 tables from kernel counters, mirroring
 // the paper's post-processing of the two-week counter files. The
 // computation lives on Metrics — a counter-bearing view over a set of
-// clients, servers and a network — so that anything that drives the same
-// component stack (the live Cluster, the trace-replay engine in
-// internal/replay) produces reports of identical shape.
+// clients, servers and a network — so that whatever drives a Cluster (the
+// workload engine, the trace-replay engine in internal/replay) gets
+// reports of identical shape.
 
-// Metrics is the counter-bearing view of an experiment: whatever assembled
-// the clients/servers/network (live cluster or trace replay), the Section 5
+// Metrics is the counter-bearing view of an experiment: whatever drove the
+// clients/servers/network (user community or trace replay), the Section 5
 // tables are computed the same way from the same counters.
 type Metrics struct {
 	Clients []*client.Client

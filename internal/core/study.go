@@ -138,6 +138,21 @@ type CounterOptions struct {
 	Seed  int64
 }
 
+// CounterParams is the counter study's full-scale community: the default
+// workload without backup noise, plus the big-file class projects. The
+// paper's two-week counter window spanned those projects too, and their
+// multi-megabyte inputs are what keep read miss ratios high even with
+// multi-megabyte caches (Section 5.2). cmd/cachesim's what-ifs start from
+// the same block.
+func CounterParams(seed int64) workload.Params {
+	p := workload.Default(seed)
+	p.EmitBackupNoise = false
+	p.BigSimUsers = 1
+	p.SimInputMB = 6
+	p.SimOutputMB = 2
+	return p
+}
+
 // RunCounterStudy reproduces the Section 5 measurement campaign: the
 // cluster runs with counters sampled periodically and no tracing, and the
 // tables are computed from the counters.
@@ -150,16 +165,7 @@ func RunCounterStudy(opts CounterOptions) *CounterResult {
 	if seed == 0 {
 		seed = 424242
 	}
-	p := workload.Default(seed)
-	p.EmitBackupNoise = false
-	// The paper's two-week counter window spanned the big-file class
-	// projects too; the counter study therefore includes them (their
-	// multi-megabyte inputs are what keep read miss ratios high even
-	// with multi-megabyte caches — Section 5.2).
-	p.BigSimUsers = 1
-	p.SimInputMB = 6
-	p.SimOutputMB = 2
-	p = scaleParams(p, opts.Scale)
+	p := scaleParams(CounterParams(seed), opts.Scale)
 
 	cfg := cluster.DefaultConfig(p)
 	cfg.CollectTrace = false

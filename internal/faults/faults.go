@@ -13,11 +13,11 @@ import (
 	"spritefs/internal/sim"
 )
 
-// System is the slice of a simulated cluster the injector needs. Both the
-// live cluster and the trace-replay engine satisfy it. Workstations is
-// consulted at event-fire time, not at attach time, because replay
-// materializes clients lazily as trace records mention them; it must
-// return a deterministic order.
+// System is the slice of a simulated cluster the injector needs;
+// cluster.Cluster satisfies it. Workstations is consulted at event-fire
+// time, not at attach time, because trace replay adds clients to its
+// cluster lazily as trace records mention them; it must return a
+// deterministic order.
 type System interface {
 	Clock() *sim.Sim
 	Wire() *netsim.Network

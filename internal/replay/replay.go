@@ -10,9 +10,18 @@
 // loop: every open/read/write/close/seek/create/delete/truncate is issued
 // to a real client kernel, flowing through the block cache, the shared
 // network, the servers and the consistency coordinator exactly as live
-// traffic does. Because the components and their counters are the same,
-// a replay produces a cluster.Report of identical shape to a live run, so
-// all downstream tables work unchanged.
+// traffic does.
+//
+// The engine is a driver over the cluster assembly, not a second one: it
+// holds a cluster.NewSystem — the same simulator, network, servers,
+// coordinator, injector, daemons and registry that batch runs, scale
+// shards and the live service use, minus the user community — and adds
+// workstations with AddClient as the trace names them. What is replay's
+// own is the stream handling: scrub and filter, time scaling, the
+// trace-handle map, bootstrapping files the trace references but never
+// created, and the drain rule. Because the system under test is the one
+// cluster.New wires, a replay produces a cluster.Report comparable field
+// by field with a live run's, and all downstream tables work unchanged.
 //
 // What replay cannot reproduce is traffic the paper's tracing never
 // logged: virtual-memory paging and the resident system processes. Their
@@ -26,7 +35,6 @@ package replay
 import (
 	"errors"
 	"io"
-	"slices"
 	"time"
 
 	"spritefs/internal/client"
@@ -36,9 +44,7 @@ import (
 	"spritefs/internal/metrics"
 	"spritefs/internal/netsim"
 	"spritefs/internal/server"
-	"spritefs/internal/sim"
 	"spritefs/internal/trace"
-	"spritefs/internal/vm"
 )
 
 // Config selects one replay experiment: the cluster shape the trace is
@@ -92,7 +98,7 @@ type Config struct {
 	Faults faults.Schedule
 	// MetricsSample enables the registry time-series sampler at this
 	// interval on the virtual clock (zero disables); the collected series
-	// are on Engine.MetricSampler after Run.
+	// are on Result.Series after Run.
 	MetricsSample time.Duration
 	// MetricsSampleCap bounds the sampler ring in rows; zero = default.
 	MetricsSampleCap int
@@ -140,30 +146,16 @@ type liveHandle struct {
 
 // Engine replays one trace stream against one cluster configuration.
 type Engine struct {
-	cfg     Config
-	Sim     *sim.Sim
-	Net     *netsim.Network
-	Servers []*server.Server
+	cfg Config
+	// C is the system under replay: a cluster.NewSystem with no user
+	// community, to which the engine adds workstations as the trace names
+	// them. Its simulator, network, servers, injector, registry and
+	// samplers are the ones every other driver runs against.
+	C *cluster.Cluster
 
-	clients map[int32]*client.Client
 	handles map[uint64]liveHandle
-
-	// Injector drives cfg.Faults; nil when the schedule is empty.
-	Injector *faults.Injector
-
-	// Reg is the central metric registry; servers and the network register
-	// at construction, clients as they materialize.
-	Reg *metrics.Registry
-	// MetricSampler holds the time series collected when
-	// Config.MetricsSample is set; nil otherwise.
-	MetricSampler *metrics.Sampler
-
-	samples []cluster.Sample
-	lastOps map[int32]int64
-	tickers []*sim.Ticker
-
-	stats Stats
-	ran   bool
+	stats   Stats
+	ran     bool
 }
 
 // New assembles an idle replay engine. Servers exist up front (their
@@ -177,31 +169,27 @@ func New(cfg Config) *Engine {
 	if cfg.Speed <= 0 {
 		cfg.Speed = 1
 	}
+	ccfg := cluster.Config{
+		NumServers:           cfg.NumServers,
+		SamplePeriod:         cfg.SamplePeriod,
+		MemoryPagesPerClient: cfg.MemoryPagesPerClient,
+		FixedCachePages:      cfg.FixedCachePages,
+		WritebackDelay:       cfg.WritebackDelay,
+		PrefetchBlocks:       cfg.PrefetchBlocks,
+		Consistency:          cfg.Consistency,
+		PollInterval:         cfg.PollInterval,
+		Faults:               cfg.Faults,
+		MetricsSample:        cfg.MetricsSample,
+		MetricsSampleCap:     cfg.MetricsSampleCap,
+		MetricsMatch:         cfg.MetricsMatch,
+	}
+	ccfg.Params.Seed = cfg.Seed
 	e := &Engine{
 		cfg:     cfg,
-		Sim:     sim.New(cfg.Seed),
-		Net:     netsim.New(netsim.DefaultConfig()),
-		clients: make(map[int32]*client.Client),
+		C:       cluster.NewSystem(ccfg),
 		handles: make(map[uint64]liveHandle),
-		lastOps: make(map[int32]int64),
 	}
-	for i := 0; i < cfg.NumServers; i++ {
-		srv := server.New(int16(i))
-		// Same storage split as the live cluster: the main Sun 4 with
-		// 128 MB of cache, smaller secondaries.
-		if i == 0 {
-			srv.AttachStorage(128 << 20 / 4096)
-		} else {
-			srv.AttachStorage(64 << 20 / 4096)
-		}
-		e.Servers = append(e.Servers, srv)
-	}
-	if !cfg.Faults.Empty() {
-		e.Injector = faults.Attach(e, cfg.Faults)
-	}
-	e.Reg = metrics.New()
-	cluster.RegisterComponents(e.Reg, e.Sim, nil, e.Servers, e.Net, e.Injector)
-	e.registerMetrics(e.Reg)
+	e.registerMetrics(e.C.Reg)
 	return e
 }
 
@@ -233,123 +221,19 @@ func (e *Engine) registerMetrics(r *metrics.Registry) {
 		"Process-migration markers seen (no file-system effect).", &e.stats.Migrations)
 }
 
-// Clock implements faults.System.
-func (e *Engine) Clock() *sim.Sim { return e.Sim }
-
-// Wire implements faults.System.
-func (e *Engine) Wire() *netsim.Network { return e.Net }
-
-// FileServers implements faults.System.
-func (e *Engine) FileServers() []*server.Server { return e.Servers }
-
-// Workstations implements faults.System: the clients materialized so far,
-// in id order. Consulted at fault-fire time, so a crash only ever hits
-// workstations the trace has already brought up.
-func (e *Engine) Workstations() []*client.Client {
-	ids := e.sortedIDs()
-	out := make([]*client.Client, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, e.clients[id])
-	}
-	return out
-}
-
-// route maps file ids to servers, identically to the live cluster.
-func (e *Engine) route(file uint64) *server.Server {
-	idx := int(file >> 48)
-	if idx >= len(e.Servers) {
-		idx = 0
-	}
-	return e.Servers[idx]
-}
-
-// clientFor returns the workstation with the given id, building it (and
-// starting its cleaner daemon) on first reference.
+// clientFor returns the workstation with the given id, bringing it up on
+// first reference (the running cluster starts its cleaner daemon then).
 func (e *Engine) clientFor(id int32) *client.Client {
-	if cl, ok := e.clients[id]; ok {
+	if cl := e.C.ClientByID(id); cl != nil {
 		return cl
 	}
-	ccfg := client.DefaultConfig(id)
-	if e.cfg.MemoryPagesPerClient > 0 {
-		ccfg.MemoryPages = e.cfg.MemoryPagesPerClient
-	} else if id%3 == 0 {
-		// Memory sizes vary 24-32 MB across the cluster, as in the live run.
-		ccfg.MemoryPages = 32 << 20 / vm.PageSize
-	}
-	ccfg.FixedCachePages = e.cfg.FixedCachePages
-	ccfg.Consistency = e.cfg.Consistency
-	ccfg.PollInterval = e.cfg.PollInterval
-	cl := client.New(ccfg, e.Sim, e.Net, e.route, e.Servers[0], client.NopTracer{})
-	cl.SetCoordinator(e)
-	if e.cfg.WritebackDelay > 0 {
-		cl.Cache.SetWritebackDelay(e.cfg.WritebackDelay)
-	}
-	if e.cfg.PrefetchBlocks > 0 {
-		cl.Cache.SetPrefetch(e.cfg.PrefetchBlocks)
-	}
-	cl.StartCleaner()
-	cl.RegisterMetrics(e.Reg)
-	e.clients[id] = cl
-	return cl
-}
-
-// RecallFrom implements client.Coordinator.
-func (e *Engine) RecallFrom(clientID int32, file uint64) {
-	if cl, ok := e.clients[clientID]; ok {
-		cl.FlushForRecall(file)
-	}
-}
-
-// DisableCaching implements client.Coordinator.
-func (e *Engine) DisableCaching(ids []int32, file uint64) {
-	for _, id := range ids {
-		if cl, ok := e.clients[id]; ok {
-			cl.DisableFor(file)
-		}
-	}
-}
-
-// sortedIDs returns the materialized client ids in ascending order, so
-// every aggregate over clients is deterministic.
-func (e *Engine) sortedIDs() []int32 {
-	ids := make([]int32, 0, len(e.clients))
-	for id := range e.clients {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-// Metrics returns the counter view of the replayed components; its Report
-// is shaped identically to a live cluster's.
-func (e *Engine) Metrics() *cluster.Metrics {
-	ids := e.sortedIDs()
-	cls := make([]*client.Client, 0, len(ids))
-	for _, id := range ids {
-		cls = append(cls, e.clients[id])
-	}
-	return &cluster.Metrics{Clients: cls, Servers: e.Servers, Net: e.Net, Samples: e.samples, Reg: e.Reg}
-}
-
-// sample records each client's cache size, as the live counter sampler does.
-func (e *Engine) sample() {
-	now := e.Sim.Now()
-	for _, id := range e.sortedIDs() {
-		cl := e.clients[id]
-		st := cl.Cache.Stats()
-		ops := st.All.ReadOps + st.All.WriteOps
-		active := ops != e.lastOps[id]
-		e.lastOps[id] = ops
-		e.samples = append(e.samples, cluster.Sample{
-			Time: now, Client: id, CacheSize: cl.Cache.SizeBytes(), Active: active,
-		})
-	}
+	return e.C.AddClient(id)
 }
 
 // scaledTime maps a record timestamp to replay virtual time.
 func (e *Engine) scaledTime(t time.Duration) time.Duration {
 	if e.cfg.AsFastAsPossible {
-		return e.Sim.Now()
+		return e.C.Sim.Now()
 	}
 	if e.cfg.Speed == 1 {
 		return t
@@ -365,23 +249,10 @@ func (e *Engine) Run(s trace.Stream) (*Result, error) {
 	}
 	e.ran = true
 
-	// Server-side cleaners, staggered as in the live cluster: writebacks
-	// reach the disk after the server's own 30-second delay.
-	for i, srv := range e.Servers {
-		srv := srv
-		e.tickers = append(e.tickers, e.Sim.Every(time.Duration(i)*time.Second, 5*time.Second, func() {
-			srv.Store.Clean(e.Sim.Now())
-		}))
-	}
-	if e.cfg.SamplePeriod > 0 {
-		e.tickers = append(e.tickers, e.Sim.Every(e.cfg.SamplePeriod, e.cfg.SamplePeriod, e.sample))
-	}
-	if e.cfg.MetricsSample > 0 {
-		e.MetricSampler = metrics.NewSampler(e.Reg, e.cfg.MetricsSampleCap, e.cfg.MetricsMatch)
-		e.tickers = append(e.tickers, e.Sim.Every(e.cfg.MetricsSample, e.cfg.MetricsSample, func() {
-			e.MetricSampler.Sample(e.Sim.Now())
-		}))
-	}
+	// Server cleaners and the samplers start now; each workstation's
+	// cleaner starts when the trace first names it.
+	c := e.C
+	c.StartDaemons()
 
 	for {
 		rec, err := s.Next()
@@ -405,42 +276,37 @@ func (e *Engine) Run(s trace.Stream) (*Result, error) {
 		// Advance the cluster (daemons, delayed writes, samplers) to the
 		// record's moment, then re-execute it. Out-of-order timestamps are
 		// tolerated by applying at the current clock.
-		if at := e.scaledTime(rec.Time); at > e.Sim.Now() {
-			e.Sim.RunUntil(at)
+		if at := e.scaledTime(rec.Time); at > c.Sim.Now() {
+			c.Sim.RunUntil(at)
 		}
 		e.apply(&rec)
 		e.stats.Applied++
 	}
-	horizon := e.Sim.Now()
+	horizon := c.Sim.Now()
 
 	// Drain: let the cleaner daemons age out and flush the delayed writes
 	// accumulated at the horizon, then stop all periodic machinery.
 	maxDelay := 30 * time.Second
-	for _, id := range e.sortedIDs() {
-		if d := e.clients[id].Cache.WriteDelay(); d > maxDelay {
+	for _, cl := range c.Clients {
+		if d := cl.Cache.WriteDelay(); d > maxDelay {
 			maxDelay = d
 		}
 	}
-	e.Sim.RunUntil(horizon + maxDelay + 2*fscache.CleanerPeriod + time.Minute)
-	for _, id := range e.sortedIDs() {
-		e.clients[id].StopCleaner()
-	}
-	for _, tk := range e.tickers {
-		tk.Stop()
-	}
+	c.Sim.RunUntil(horizon + maxDelay + 2*fscache.CleanerPeriod + time.Minute)
+	c.Finish()
 
-	m := e.Metrics()
+	m := c.Metrics()
 	res := &Result{
 		Config:  e.cfg,
 		Stats:   e.stats,
 		Report:  m.Report(),
 		Horizon: horizon,
-		End:     e.Sim.Now(),
+		End:     c.Sim.Now(),
 		Metrics: m,
-		Series:  e.MetricSampler,
+		Series:  c.MetricSampler,
 	}
-	if e.Injector != nil {
-		res.Faults = e.Injector.Stats()
+	if c.Injector != nil {
+		res.Faults = c.Injector.Stats()
 	}
 	return res, nil
 }
@@ -449,10 +315,10 @@ func (e *Engine) Run(s trace.Stream) (*Result, error) {
 // inside the captured window — the pre-existing population of the source
 // run. sizeHint is the best lower bound the referencing record implies.
 func (e *Engine) ensureFile(file uint64, sizeHint int64, directory bool) *server.File {
-	srv := e.route(file)
+	srv := e.C.ServerFor(file)
 	if f := srv.Lookup(file); f != nil {
 		if f.Size < sizeHint {
-			srv.Grow(file, sizeHint, e.Sim.Now())
+			srv.Grow(file, sizeHint, e.C.Sim.Now())
 		}
 		return f
 	}
@@ -460,7 +326,7 @@ func (e *Engine) ensureFile(file uint64, sizeHint int64, directory bool) *server
 	if sizeHint < 0 {
 		sizeHint = 0
 	}
-	return srv.Install(file, sizeHint, directory, e.Sim.Now())
+	return srv.Install(file, sizeHint, directory, e.C.Sim.Now())
 }
 
 // apply re-executes one record against the replayed cluster.
@@ -522,13 +388,13 @@ func (e *Engine) apply(rec *trace.Record) {
 		h.cl.Seek(h.hid, rec.Offset)
 
 	case trace.KindCreate:
-		srv := e.route(rec.File)
+		srv := e.C.ServerFor(rec.File)
 		if srv.Lookup(rec.File) == nil {
-			srv.Install(rec.File, 0, rec.IsDirectory(), e.Sim.Now())
+			srv.Install(rec.File, 0, rec.IsDirectory(), e.C.Sim.Now())
 		}
 		e.stats.Creates++
 		e.clientFor(rec.Client)
-		e.Net.RPC(rec.Client, netsim.Control, 0)
+		e.C.Net.RPC(rec.Client, netsim.Control, 0)
 
 	case trace.KindDelete:
 		cl := e.clientFor(rec.Client)

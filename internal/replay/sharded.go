@@ -10,7 +10,6 @@ package replay
 
 import (
 	"fmt"
-	"sync"
 
 	"spritefs/internal/stats"
 	"spritefs/internal/trace"
@@ -49,34 +48,9 @@ func RunSharded(recs []trace.Record, base Config, shards, workers int) ([]*Resul
 		cfgs[i].Name = fmt.Sprintf("%s/shard%d", name, i)
 	}
 
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > shards {
-		workers = shards
-	}
-	results := make([]*Result, shards)
-	errs := make([]error, shards)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = Run(cfgs[i], trace.NewSliceStream(parts[i]))
-			}
-		}()
-	}
-	for i := range cfgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("replay shard %d: %w", i, err)
-		}
+	results, i, err := runAll(cfgs, func(i int) []trace.Record { return parts[i] }, workers, nil)
+	if err != nil {
+		return nil, fmt.Errorf("replay shard %d: %w", i, err)
 	}
 	return results, nil
 }
