@@ -79,9 +79,12 @@ faultsmoke:
 # executor must produce identical reports and metric dumps at 1, 4 and 8
 # workers, under the race detector (TestParallelMatchesSequential runs
 # all three worker counts as subtests, and TestDetermFuzzSmoke replays
-# the fuzz corpus's smallest seed at the same worker counts).
+# the fuzz corpus's smallest seed at the same worker counts). The
+# TestRegistration tests hold the engine to one registration per
+# component: shards keep no registry, lean differs from full only by the
+# per-client instances, and the full registry is the sum of its shards.
 scalecheck:
-	$(GO) test -race -run 'TestParallelMatchesSequential|TestDeterministicAcrossRuns|TestDetermFuzzSmoke' -count=1 ./internal/scale
+	$(GO) test -race -run 'TestParallelMatchesSequential|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration' -count=1 ./internal/scale
 
 # The allocation-regression gate: testing.AllocsPerRun pins the
 # scheduler's After/Every steady state, the netsim RPC round-trip, the

@@ -79,13 +79,13 @@ type Config struct {
 	// MetricsMatch restricts sampling to metric families for which it
 	// returns true; nil samples every non-summary family.
 	MetricsMatch func(name string) bool
-	// LeanMetrics skips the per-client metric families in this cluster's
-	// registry: servers, the network, the simulator and the injector
-	// still register, but the client stacks do not. The scale-out
-	// topology sets this for very large communities, where per-client
-	// instances would dominate memory; Report tables that project client
-	// families read as zero in a lean run.
-	LeanMetrics bool
+	// ExternalRegistry marks this cluster as a part of a larger run whose
+	// assembler registers the components itself (a scale shard: the engine
+	// calls RegisterComponents into its own registry under shard="N").
+	// Nothing registers into Reg, so Report tables that project it (5, 7,
+	// 10, storage, staleness, recovery) read as zero, and MetricsSample —
+	// which would sample that empty registry — makes NewSystem panic.
+	ExternalRegistry bool
 }
 
 // DefaultConfig returns the paper's cluster: 4 servers, 40 clients.
@@ -117,8 +117,9 @@ type Cluster struct {
 	Registry *workload.Registry
 	// Injector drives Cfg.Faults; nil when the schedule is empty.
 	Injector *faults.Injector
-	// Reg is the central metric registry every component registered into
-	// at construction; Report reads its sum-shaped tables from here.
+	// Reg is the central metric registry every component registered into at
+	// construction (none under Cfg.ExternalRegistry); Report reads its
+	// sum-shaped tables from here.
 	Reg *metrics.Registry
 	// MetricSampler holds the time series collected when Cfg.MetricsSample
 	// is set; nil otherwise.
@@ -149,6 +150,9 @@ func NewSystem(cfg Config) *Cluster {
 	if cfg.NumServers < 1 {
 		panic("cluster: need at least one server")
 	}
+	if cfg.ExternalRegistry && cfg.MetricsSample > 0 {
+		panic("cluster: Config.MetricsSample would sample the empty registry Config.ExternalRegistry leaves; sample the assembler's registry instead")
+	}
 	ncfg := cfg.Net
 	if ncfg.BandwidthBps == 0 {
 		ncfg = netsim.DefaultConfig()
@@ -177,7 +181,9 @@ func NewSystem(cfg Config) *Cluster {
 		c.Injector = faults.Attach(c, cfg.Faults)
 	}
 	c.Reg = metrics.New()
-	RegisterComponents(c.Reg, c.Sim, nil, c.Servers, c.Net, c.Injector)
+	if !cfg.ExternalRegistry {
+		RegisterComponents(c.Reg, c.Sim, nil, c.Servers, c.Net, c.Injector)
+	}
 	return c
 }
 
@@ -194,7 +200,9 @@ func New(cfg Config) *Cluster {
 		hosts[int32(i)] = c.AddClient(int32(i))
 	}
 	c.Engine = workload.NewEngine(c.Sim, p, c.Registry, hosts)
-	c.Engine.RegisterMetrics(c.Reg)
+	if !cfg.ExternalRegistry {
+		c.Engine.RegisterMetrics(c.Reg)
+	}
 	c.Engine.OnMigrate = func(user, pid, from, to int32) {
 		c.Emit(trace.Record{
 			Time:   c.Sim.Now(),
@@ -257,7 +265,7 @@ func (c *Cluster) AddClient(id int32) *client.Client {
 		}
 		c.Clients = slices.Insert(c.Clients, i, cl)
 	}
-	if !cfg.LeanMetrics {
+	if !cfg.ExternalRegistry {
 		cl.RegisterMetrics(c.Reg)
 	}
 	if c.running {

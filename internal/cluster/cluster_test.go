@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -255,4 +256,28 @@ func TestClusterRejectsZeroServers(t *testing.T) {
 	cfg := DefaultConfig(shortParams(1))
 	cfg.NumServers = 0
 	New(cfg)
+}
+
+// TestExternalRegistryRegistersNothing: a cluster that is part of a larger
+// run leaves registration to that run's assembler — its own registry stays
+// empty through construction and late AddClient calls alike — and refuses
+// the sampler, which would sample that empty registry.
+func TestExternalRegistryRegistersNothing(t *testing.T) {
+	cfg := DefaultConfig(shortParams(1))
+	cfg.ExternalRegistry = true
+	c := New(cfg)
+	c.AddClient(int32(len(c.Clients)))
+	if n := c.Reg.Len(); n != 0 {
+		t.Errorf("ExternalRegistry cluster registered %d metric instances", n)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "MetricsSample") || !strings.Contains(msg, "ExternalRegistry") {
+			t.Errorf("panic %q does not name both fields", msg)
+		}
+	}()
+	cfg.MetricsSample = time.Minute
+	New(cfg)
+	t.Error("no panic for MetricsSample with ExternalRegistry")
 }

@@ -11,31 +11,28 @@ import (
 
 // RegisterComponents registers a component stack into one registry.
 // NewSystem calls it for the simulator, network, servers and injector
-// (AddClient then registers each workstation as it is brought up), and
-// Metrics.Registry calls it for hand-assembled views, so any run exposes
-// the identical metric families for Report projections to read.
+// (AddClient then registers each workstation as it is brought up), and the
+// scale engine calls it once per shard into its engine-wide registry, so
+// any run exposes the identical metric families for Report projections to
+// read.
 //
-// sm, when non-nil, also exposes the simulation core's scheduler gauges
-// (event-queue depth, event-pool occupancy, armed timer-wheel timers) so
-// profiling runs can watch scheduler pressure alongside the model metrics.
+// The simulation core's scheduler gauges (event-queue depth, event-pool
+// occupancy, armed timer-wheel timers) register alongside, so profiling
+// runs can watch scheduler pressure next to the model metrics.
 func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Client, servers []*server.Server, net *netsim.Network, inj *faults.Injector) {
-	if sm != nil {
-		r.Int(metrics.Desc{Name: "spritefs_sim_events_pending", Unit: "events",
-			Help: "Events currently scheduled on the simulator (one-shot events plus armed tickers).",
-			Kind: metrics.Gauge},
-			nil, func() int64 { return int64(sm.Pending()) })
-		r.Int(metrics.Desc{Name: "spritefs_sim_event_pool_free", Unit: "events",
-			Help: "Recycled one-shot event arena slots awaiting reuse; the steady-state allocation-free scheduler draws from this pool.",
-			Kind: metrics.Gauge},
-			nil, func() int64 { return int64(sm.EventPoolFree()) })
-		r.Int(metrics.Desc{Name: "spritefs_sim_wheel_timers", Unit: "timers",
-			Help: "Recurring timers armed on the hierarchical timer wheel (periodic daemons created via Every).",
-			Kind: metrics.Gauge},
-			nil, func() int64 { return int64(sm.WheelTimers()) })
-	}
-	if net != nil {
-		net.RegisterMetrics(r)
-	}
+	r.Int(metrics.Desc{Name: "spritefs_sim_events_pending", Unit: "events",
+		Help: "Events currently scheduled on the simulator (one-shot events plus armed tickers).",
+		Kind: metrics.Gauge},
+		nil, func() int64 { return int64(sm.Pending()) })
+	r.Int(metrics.Desc{Name: "spritefs_sim_event_pool_free", Unit: "events",
+		Help: "Recycled one-shot event arena slots awaiting reuse; the steady-state allocation-free scheduler draws from this pool.",
+		Kind: metrics.Gauge},
+		nil, func() int64 { return int64(sm.EventPoolFree()) })
+	r.Int(metrics.Desc{Name: "spritefs_sim_wheel_timers", Unit: "timers",
+		Help: "Recurring timers armed on the hierarchical timer wheel (periodic daemons created via Every).",
+		Kind: metrics.Gauge},
+		nil, func() int64 { return int64(sm.WheelTimers()) })
+	net.RegisterMetrics(r)
 	for _, s := range servers {
 		s.RegisterMetrics(r)
 	}
@@ -47,14 +44,6 @@ func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Clie
 	}
 }
 
-// Registry returns the central metric registry behind this view. Views
-// built by a Cluster (replay's included) carry the registry it populated
-// at construction time; a hand-assembled Metrics (tests, ad-hoc tools)
-// gets one built on first use from its component slices.
-func (m *Metrics) Registry() *metrics.Registry {
-	if m.Reg == nil {
-		m.Reg = metrics.New()
-		RegisterComponents(m.Reg, nil, m.Clients, m.Servers, m.Net, nil)
-	}
-	return m.Reg
-}
+// Registry returns the central metric registry behind this view: the one
+// the Cluster (replay's included) populated at construction time.
+func (m *Metrics) Registry() *metrics.Registry { return m.Reg }

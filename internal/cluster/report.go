@@ -28,7 +28,7 @@ type Metrics struct {
 	Samples []Sample
 	// Reg is the central metric registry the components registered into at
 	// construction time. Sum-shaped tables (5, 7, 10, staleness, storage,
-	// recovery) are projections of it — see Registry in metrics.go.
+	// recovery) are projections of it.
 	Reg *metrics.Registry
 }
 
@@ -121,17 +121,20 @@ func (m *Metrics) intervalChanges(width time.Duration) (sizes, changes []float64
 		win    int64
 	}
 	type agg struct {
+		win           int64
 		min, max, sum float64
 		n             int
 		active        bool
 	}
 	wins := make(map[key]*agg)
+	var order []*agg // first-seen: map order would move the caller's float sums in the low bits
 	for _, s := range m.Samples {
 		k := key{s.Client, int64(s.Time / width)}
 		a := wins[k]
 		if a == nil {
-			a = &agg{min: float64(s.CacheSize), max: float64(s.CacheSize)}
+			a = &agg{win: k.win, min: float64(s.CacheSize), max: float64(s.CacheSize)}
 			wins[k] = a
+			order = append(order, a)
 		}
 		v := float64(s.CacheSize)
 		if v < a.min {
@@ -146,10 +149,10 @@ func (m *Metrics) intervalChanges(width time.Duration) (sizes, changes []float64
 			a.active = true
 		}
 	}
-	for k, a := range wins {
+	for _, a := range order {
 		// Screen out the cold-start window (window 0 always begins at the
 		// minimum size and "almost always grows immediately").
-		if !a.active || k.win == 0 {
+		if !a.active || a.win == 0 {
 			continue
 		}
 		sizes = append(sizes, a.sum/float64(a.n))

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -31,16 +32,26 @@ func TestIntervalChangesAggregation(t *testing.T) {
 	if len(sizes) != 2 || len(changes) != 2 {
 		t.Fatalf("got %d sizes, %d changes, want 2 each", len(sizes), len(changes))
 	}
-	// Order over map iteration is unspecified; check as a set.
-	want := map[float64]float64{4 * mb: 4 * mb, 3 * mb: 0}
-	for i, s := range sizes {
-		ch, ok := want[s]
-		if !ok {
-			t.Errorf("unexpected mean size %g", s)
-			continue
-		}
-		if changes[i] != ch {
-			t.Errorf("size %g: change %g, want %g", s, changes[i], ch)
+	// Windows come out in first-seen order of their (client, window) key.
+	wantSizes, wantChanges := []float64{4 * mb, 3 * mb}, []float64{4 * mb, 0}
+	if !slices.Equal(sizes, wantSizes) || !slices.Equal(changes, wantChanges) {
+		t.Errorf("sizes %v changes %v, want %v and %v", sizes, changes, wantSizes, wantChanges)
+	}
+}
+
+// TestTable4ReportIsBitStable pins the fold order behind Table 4: the
+// Welford sums must see the windows in the same order on every call, or the
+// averages and deviations differ in their last bits from one call to the
+// next (they did while the windows came out of a map).
+func TestTable4ReportIsBitStable(t *testing.T) {
+	c := runShort(t, 11, 4*time.Hour)
+	want := c.Table4Report()
+	if want.ActiveIntervals15 < 20 {
+		t.Fatalf("only %d active intervals; the test needs many windows to be meaningful", want.ActiveIntervals15)
+	}
+	for i := 0; i < 20; i++ {
+		if got := c.Table4Report(); got != want {
+			t.Fatalf("call %d: Table 4 changed between calls on one finished cluster:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 }

@@ -33,10 +33,10 @@ type WANScaleOptions struct {
 	Sequential bool
 	// Workers bounds the parallel executor (0 = GOMAXPROCS).
 	Workers int
-	// Lean enables scale.Config.LeanMetrics: per-client metric families
-	// are skipped, which is what makes million-client configurations fit
-	// in memory. Reports are unaffected (cache ratios come from the
-	// client caches directly).
+	// Lean enables scale.Config.LeanMetrics: the engine's registry skips
+	// the per-client metric families, which is what makes million-client
+	// configurations fit in memory. Reports are unaffected (cache ratios
+	// come from the client caches directly).
 	Lean bool
 }
 

@@ -74,9 +74,9 @@ type Engine struct {
 	Placement *Placement
 	// topo is the shard grid (sites × segments-per-site).
 	topo Topology
-	// Reg is the topology-wide metric registry: every shard's component
-	// stack registered under a shard="N" label, plus the router and
-	// executor families.
+	// Reg is the run's one metric registry (the shard clusters keep none):
+	// every shard's component stack registered under a shard="N" label,
+	// plus the router and executor families.
 	Reg *metrics.Registry
 
 	exec    ExecStats
@@ -123,10 +123,10 @@ func New(cfg Config) (*Engine, error) {
 		ccfg.SamplePeriod = 0
 		ccfg.NumServers = cfg.ServersPerShard
 		ccfg.Net = cfg.Segment
-		ccfg.LeanMetrics = cfg.LeanMetrics
 		if cfg.Tune != nil {
 			cfg.Tune(i, &ccfg)
 		}
+		ccfg.ExternalRegistry = true // registerMetrics is the shard's one registration pass
 		sh := &Shard{
 			ID:  i,
 			C:   cluster.New(ccfg),
@@ -455,15 +455,18 @@ func (e *Engine) exchange() {
 	}
 }
 
-// registerMetrics builds the engine-wide registry: per-shard component
-// stacks under shard="N", per-shard remote-traffic counters, and the
-// router/executor families. With LeanMetrics the per-client families are
-// skipped — a million clients would register tens of millions of metric
-// instances nobody scrapes at that scale — while everything aggregated
-// (servers, networks, simulators, scale families) still registers.
+// registerMetrics builds the engine-wide registry, the only place a shard's
+// components register: per-shard component stacks under shard="N",
+// per-shard remote-traffic counters, and the router/executor families. With
+// LeanMetrics the per-client families are skipped — a million clients would
+// register tens of millions of metric instances nobody scrapes at that
+// scale — while everything aggregated (servers, networks, simulators, scale
+// families) still registers. The shards' workload engines never register.
 func (e *Engine) registerMetrics() {
+	ctr := func(r *metrics.Registry, name, unit, help string, v *int64) {
+		r.IntVar(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, v)
+	}
 	for i, sh := range e.Shards {
-		sh := sh
 		scoped := e.Reg.Scoped(metrics.L("shard", strconv.Itoa(i)))
 		clients := sh.C.Clients
 		if e.Cfg.LeanMetrics {
@@ -471,50 +474,44 @@ func (e *Engine) registerMetrics() {
 		}
 		cluster.RegisterComponents(scoped, sh.C.Sim, clients, sh.C.Servers, sh.C.Net, sh.C.Injector)
 
-		rctr := func(name, unit, help string, fn func() int64) {
-			scoped.Int(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, fn)
-		}
-		rctr("spritefs_scale_remote_ops_issued_total", "ops",
+		ctr(scoped, "spritefs_scale_remote_ops_issued_total", "ops",
 			"Cross-segment operations this shard's clients issued.",
-			func() int64 { return sh.remote.OpsIssued })
-		rctr("spritefs_scale_remote_ops_served_total", "ops",
+			&sh.remote.OpsIssued)
+		ctr(scoped, "spritefs_scale_remote_ops_served_total", "ops",
 			"Cross-segment operations this shard's servers answered.",
-			func() int64 { return sh.remote.OpsServed })
-		rctr("spritefs_scale_remote_replies_total", "ops",
+			&sh.remote.OpsServed)
+		ctr(scoped, "spritefs_scale_remote_replies_total", "ops",
 			"Remote-operation completions received back at this shard.",
-			func() int64 { return sh.remote.Replies })
-		rctr("spritefs_scale_remote_read_bytes_total", "bytes",
+			&sh.remote.Replies)
+		ctr(scoped, "spritefs_scale_remote_read_bytes_total", "bytes",
 			"Logical bytes read from remote shards by this shard's clients.",
-			func() int64 { return sh.remote.BytesIn })
-		rctr("spritefs_scale_remote_write_bytes_total", "bytes",
+			&sh.remote.BytesIn)
+		ctr(scoped, "spritefs_scale_remote_write_bytes_total", "bytes",
 			"Logical bytes written to remote shards by this shard's clients.",
-			func() int64 { return sh.remote.BytesOut })
-		scoped.HistSeconds(metrics.Desc{Name: "spritefs_scale_remote_latency_seconds",
+			&sh.remote.BytesOut)
+		scoped.HistSecondsVar(metrics.Desc{Name: "spritefs_scale_remote_latency_seconds",
 			Help: "End-to-end remote operation latency (request issue to reply arrival)."},
-			nil, func() stats.Welford { return sh.remote.Latency })
+			nil, &sh.remote.Latency)
 		if e.topo.Sites > 1 {
-			rctr("spritefs_scale_cross_site_ops_total", "ops",
+			ctr(scoped, "spritefs_scale_cross_site_ops_total", "ops",
 				"Cross-site operations this shard's clients issued (requests that traverse the WAN tier).",
-				func() int64 { return sh.remote.CrossSiteOps })
-			scoped.HistSeconds(metrics.Desc{Name: "spritefs_scale_wan_latency_seconds",
+				&sh.remote.CrossSiteOps)
+			scoped.HistSecondsVar(metrics.Desc{Name: "spritefs_scale_wan_latency_seconds",
 				Help: "End-to-end latency of remote operations whose replies crossed the WAN tier."},
-				nil, func() stats.Welford { return sh.remote.WANLatency })
+				nil, &sh.remote.WANLatency)
 		}
 	}
 
-	ctr := func(name, unit, help string, fn func() int64) {
-		e.Reg.Int(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, fn)
-	}
-	ctr("spritefs_scale_router_msgs_total", "msgs",
+	ctr(e.Reg, "spritefs_scale_router_msgs_total", "msgs",
 		"Messages carried by the inter-segment router.",
-		func() int64 { return e.Router.Msgs() })
-	ctr("spritefs_scale_router_bytes_total", "bytes",
+		&e.Router.msgs)
+	ctr(e.Reg, "spritefs_scale_router_bytes_total", "bytes",
 		"Payload bytes carried by the inter-segment router.",
-		func() int64 { return e.Router.Bytes() })
-	e.Reg.Seconds(metrics.Desc{Name: "spritefs_scale_router_busy_seconds",
+		&e.Router.bytes)
+	e.Reg.SecondsVar(metrics.Desc{Name: "spritefs_scale_router_busy_seconds",
 		Help: "Cumulative backbone transmission time; against elapsed virtual time it gives backbone utilization.",
 		Kind: metrics.Counter},
-		nil, func() time.Duration { return e.Router.Busy() })
+		nil, &e.Router.busy)
 	e.Reg.Int(metrics.Desc{Name: "spritefs_scale_sites", Unit: "sites",
 		Help: "Sites in the hierarchical topology (1 = flat single-site).",
 		Kind: metrics.Gauge},
@@ -523,7 +520,6 @@ func (e *Engine) registerMetrics() {
 		label string
 		wan   bool
 	}{{"site", false}, {"wan", true}} {
-		tier := tier
 		lbl := metrics.Labels{metrics.L("tier", tier.label)}
 		e.Reg.Int(metrics.Desc{Name: "spritefs_scale_tier_msgs_total", Unit: "msgs",
 			Help: "Messages carried per topology tier (site = intra-site backbone, wan = inter-site trunk).",
@@ -538,38 +534,39 @@ func (e *Engine) registerMetrics() {
 			Kind: metrics.Counter},
 			lbl, func() time.Duration { _, _, d := e.Router.TierTraffic(tier.wan); return d })
 	}
-	ctr("spritefs_scale_rounds_total", "rounds",
+	ctr(e.Reg, "spritefs_scale_rounds_total", "rounds",
 		"Channel-clock synchronization rounds the executor ran.",
-		func() int64 { return e.exec.Rounds })
-	ctr("spritefs_scale_exchange_msgs_total", "msgs",
+		&e.exec.Rounds)
+	ctr(e.Reg, "spritefs_scale_exchange_msgs_total", "msgs",
 		"Cross-shard messages exchanged at round boundaries.",
-		func() int64 { return e.exec.Routed })
-	ctr("spritefs_scale_exchange_bytes_total", "bytes",
+		&e.exec.Routed)
+	ctr(e.Reg, "spritefs_scale_exchange_bytes_total", "bytes",
 		"Backbone payload bytes exchanged at round boundaries.",
-		func() int64 { return e.exec.RoutedBytes })
-	ctr("spritefs_scale_null_advances_total", "advances",
+		&e.exec.RoutedBytes)
+	ctr(e.Reg, "spritefs_scale_null_advances_total", "advances",
 		"Per-link channel-clock advances that carried no payload message (null messages).",
-		func() int64 { return e.exec.NullAdvances })
-	ctr("spritefs_scale_rescues_total", "rounds",
+		&e.exec.NullAdvances)
+	ctr(e.Reg, "spritefs_scale_rescues_total", "rounds",
 		"Stall-breaker rounds serializing the earliest shard past a zero-lookahead link.",
-		func() int64 { return e.exec.Rescues })
-	ctr("spritefs_scale_msg_allocs_total", "msgs",
-		"Cross-shard message allocations that missed the per-shard free lists.",
-		func() int64 {
+		&e.exec.Rescues)
+	e.Reg.Int(metrics.Desc{Name: "spritefs_scale_msg_allocs_total", Unit: "msgs",
+		Help: "Cross-shard message allocations that missed the per-shard free lists.",
+		Kind: metrics.Counter},
+		nil, func() int64 {
 			var total int64
 			for _, sh := range e.Shards {
 				total += sh.msgAllocs
 			}
 			return total
 		})
-	ctr("spritefs_scale_undelivered_msgs_total", "msgs",
+	ctr(e.Reg, "spritefs_scale_undelivered_msgs_total", "msgs",
 		"Messages still in flight when the drain window closed.",
-		func() int64 { return e.exec.Undelivered })
-	e.Reg.Seconds(metrics.Desc{Name: "spritefs_scale_min_link_lookahead_seconds",
+		&e.exec.Undelivered)
+	e.Reg.SecondsVar(metrics.Desc{Name: "spritefs_scale_min_link_lookahead_seconds",
 		Help: "Smallest directed-link latency in the topology — the tightest lookahead the channel clocks work with.",
 		Kind: metrics.Gauge},
-		nil, func() time.Duration { return e.minLook })
-	e.Reg.HistSeconds(metrics.Desc{Name: "spritefs_scale_advance_seconds",
+		nil, &e.minLook)
+	e.Reg.HistSecondsVar(metrics.Desc{Name: "spritefs_scale_advance_seconds",
 		Help: "Virtual time a shard advanced per round it ran — how much lookahead the per-link channel clocks bought."},
-		nil, func() stats.Welford { return e.advance })
+		nil, &e.advance)
 }
