@@ -1,0 +1,73 @@
+package core
+
+import (
+	"testing"
+	"time"
+)
+
+// The two topology studies' printed tables, pinned on a small community
+// (80 clients; shards 1,2 / sites 1,2). Everything but the executor's
+// wall-clock is deterministic, so the tests overwrite Stats.Wall with
+// fixed values and compare whole renderings byte for byte.
+
+const scaleTablesGolden = `Throughput vs shards: 80 clients, 0.10h horizon
+shards  opens/s  recalls/h  maxnet%  maxdisk%  router%  remote-ops  rlat-ms
+---------------------------------------------------------------------------
+1          0.93       30.0     15.2       6.0     0.00           0     0.00
+2          2.79       40.0     13.2       7.6     0.01          39    30.81
+
+Executor wall-clock
+shards  workers  rounds  null-adv  msgs  wall  speedup
+------------------------------------------------------
+1             0       2         0     0  30ms    1.00x
+2             2     121       162    78  20ms    1.50x
+
+Wall-clock and speedup are host measurements: shards run on separate
+goroutines, so multi-shard speedup tracks the host's usable cores
+(GOMAXPROCS); on a single-core host expect ~1x.
+`
+
+const wanScaleTablesGolden = `Hierarchy vs flat: 80 clients over 2 segments, 0.10h horizon
+sites  segs/site   hit%  opens/s  maxdisk%  remote-ops  xsite-ops  wan%  rlat-ms  wanlat-ms
+-------------------------------------------------------------------------------------------
+1              2  17.30     2.79       7.6          39          0  0.00    30.81       0.00
+2              1  16.45     2.71       7.0          36         36  0.06   112.59     112.59
+
+Executor wall-clock
+sites  workers  rounds  null-adv  rescues  msgs  wall
+-----------------------------------------------------
+1            2     121       162        0    78  30ms
+2            2     112       150        0    72  20ms
+
+Wall-clock is a host measurement; everything else is deterministic.
+WAN links are also the executor's widest lookahead, so deeper
+hierarchies usually need fewer synchronization rounds per simulated hour.
+`
+
+func TestScaleTablesPinned(t *testing.T) {
+	r, err := RunScaleStudy(ScaleOptions{Clients: 80, Shards: []int{1, 2}, Hours: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Rows[0].Stats.Wall, r.Rows[1].Stats.Wall = 30*time.Millisecond, 20*time.Millisecond
+	if got := ScaleTables(r); got != scaleTablesGolden {
+		t.Errorf("ScaleTables drifted:\n--- got ---\n%s--- want ---\n%s", got, scaleTablesGolden)
+	}
+}
+
+func TestWANScaleTablesPinned(t *testing.T) {
+	r, err := RunWANScaleStudy(WANScaleOptions{Clients: 80, Segments: 2, Sites: []int{1, 2}, Hours: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Rows[0].Stats.Wall, r.Rows[1].Stats.Wall = 30*time.Millisecond, 20*time.Millisecond
+	if got := WANScaleTables(r); got != wanScaleTablesGolden {
+		t.Errorf("WANScaleTables drifted:\n--- got ---\n%s--- want ---\n%s", got, wanScaleTablesGolden)
+	}
+}
+
+func TestWANScaleRejectsIndivisibleSites(t *testing.T) {
+	if _, err := RunWANScaleStudy(WANScaleOptions{Clients: 80, Segments: 2, Sites: []int{3}, Hours: 0.01}); err == nil {
+		t.Fatal("sites=3 over 2 segments: want an error")
+	}
+}
