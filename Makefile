@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check build benchbuild vet pkgdoc metricscheck docs test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck bench benchcheck benchbaseline benchall profile experiments experiments-diff section4 section5 clean
+.PHONY: all check build benchbuild vet fmtcheck pkgdoc metricscheck docs test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck bench benchcheck benchbaseline benchall profile experiments experiments-diff section4 section5 clean
 
 all: check
 
-# The gate every change must pass: compile, static checks, package-doc
+# The gate every change must pass: compile, static checks, gofmt, package-doc
 # and metrics-doc drift gates, tests, the race detector over the full
 # module, the fault-injection suite (twice under race, plus a
 # randomized-schedule smoke with a fixed seed), the parallel-executor
@@ -17,7 +17,7 @@ all: check
 # pipeline example), and the perf-regression gate against the committed
 # benchmark baselines. benchbuild extends the compile gate to the nested
 # bench/ module, which `go build ./...` at the root does not see.
-check: build benchbuild vet pkgdoc metricscheck test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck benchcheck
+check: build benchbuild vet fmtcheck pkgdoc metricscheck test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck benchcheck
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,11 @@ vet:
 	else \
 		echo "shadow: tool not installed, skipping"; \
 	fi
+
+# Every Go file in the repository (bench/ included) is gofmt-clean;
+# offenders are listed on stderr.
+fmtcheck:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # Every package must carry a package comment (go doc has something to
 # say about every import path in the module).
@@ -109,11 +114,13 @@ soaksmoke:
 # of the sample CSV pipeline), the worker-invariance acceptance test
 # (imported-then-modernized traces replay byte-identically at 1/2/4/8
 # workers), the importer determinism tests, a pass over the fuzz seed
-# corpora, and the runnable end-to-end example.
+# corpora of the two importers and of the native reader every tool opens
+# trace files through, and the runnable end-to-end example.
 importcheck:
 	$(GO) test -run 'TestImportGolden|TestImportedTrace|TestImportCSVDeterministic|TestModernizeDeterministic' -count=1 ./internal/traceio
 	$(GO) test -run '^$$' -fuzz FuzzImportCSV -fuzztime 1x ./internal/traceio
 	$(GO) test -run '^$$' -fuzz FuzzImportStrace -fuzztime 1x ./internal/traceio
+	$(GO) test -run '^$$' -fuzz FuzzAutoReader -fuzztime 1x ./internal/trace
 	$(GO) run ./examples/trace-import >/dev/null
 	@echo "importcheck: ok"
 

@@ -24,7 +24,6 @@ import (
 	"spritefs/internal/core"
 	"spritefs/internal/prof"
 	"spritefs/internal/shutdown"
-	"spritefs/internal/stats"
 )
 
 // flagScope says which experiments each flag applies to; validateFlags
@@ -312,16 +311,8 @@ func writeCDFs(dir string, results []*core.TraceResult) error {
 		return err
 	}
 	for _, r := range results {
-		series := map[string]*stats.Hist{
-			"fig1-runs":  r.Access.RunsByCount,
-			"fig1-bytes": r.Access.RunsByBytes,
-			"fig2-files": r.Access.SizeByFiles,
-			"fig2-bytes": r.Access.SizeByBytes,
-			"fig3-opens": r.Access.OpenTimes,
-			"fig4-files": r.Lifetime.ByFiles,
-			"fig4-bytes": r.Lifetime.ByBytes,
-		}
-		for name, h := range series {
+		for _, fs := range r.FigureSeries() {
+			name, h := strings.ReplaceAll(fs.Name, ".", "-"), fs.Hist
 			path := filepath.Join(dir, fmt.Sprintf("%s.t%d.tsv", name, r.TraceNum))
 			f, err := os.Create(path)
 			if err != nil {

@@ -27,7 +27,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -192,7 +191,8 @@ func run(args []string, out io.Writer) (err error) {
 		})
 	}
 
-	stream, closeAll, err := openTraces(paths, *importFmt, *mapSpec, *servers)
+	src := traceio.Source{Format: *importFmt, Map: *mapSpec, Options: traceio.Options{NumServers: *servers}}
+	stream, closeAll, err := src.Open(paths, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -337,100 +337,6 @@ func splitCSV(s string) []string {
 		}
 	}
 	return out
-}
-
-// openTrace opens one trace file, sniffing binary ('S' of the SPRTRC
-// magic) versus text ('#' of the header line) from the first byte.
-func openTrace(path string) (trace.Stream, io.Closer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	var s trace.Stream
-	if first[0] == '#' {
-		s, err = trace.NewTextReader(br)
-	} else {
-		s, err = trace.NewReader(br)
-	}
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, f, nil
-}
-
-// importTrace runs a foreign dump through the traceio importer, returning
-// the records as a resident stream. The import report goes to stderr.
-func importTrace(path, format, mapSpec string, servers int) (trace.Stream, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	opt := traceio.Options{NumServers: servers}
-	var (
-		recs []trace.Record
-		rep  *traceio.ImportReport
-	)
-	switch format {
-	case "csv":
-		m := traceio.DefaultCSVMapping()
-		if mapSpec != "" {
-			if m, err = traceio.ParseCSVMapping(mapSpec); err != nil {
-				return nil, err
-			}
-		}
-		recs, rep, err = traceio.ImportCSV(bufio.NewReaderSize(f, 64<<10), m, opt)
-	case "strace":
-		recs, rep, err = traceio.ImportStrace(bufio.NewReaderSize(f, 64<<10), opt)
-	default:
-		return nil, fmt.Errorf("unknown -import format %q (want csv or strace)", format)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Fprint(os.Stderr, rep.String())
-	return trace.NewSliceStream(recs), nil
-}
-
-// openTraces opens every file and merges them into one time-ordered
-// stream, as the analysis pipeline merges per-server trace files. With
-// importFmt set, each file is a foreign dump converted on the fly.
-func openTraces(paths []string, importFmt, mapSpec string, servers int) (trace.Stream, func(), error) {
-	var (
-		streams []trace.Stream
-		closers []io.Closer
-	)
-	closeAll := func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}
-	for _, p := range paths {
-		if importFmt != "" {
-			s, err := importTrace(p, importFmt, mapSpec, servers)
-			if err != nil {
-				closeAll()
-				return nil, nil, err
-			}
-			streams = append(streams, s)
-			continue
-		}
-		s, c, err := openTrace(p)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		streams = append(streams, s)
-		closers = append(closers, c)
-	}
-	return trace.Merge(streams...), closeAll, nil
 }
 
 func buildFilter(clientsCSV, kindsCSV string) (func(*trace.Record) bool, error) {

@@ -23,7 +23,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -36,6 +35,7 @@ import (
 	"spritefs/internal/prof"
 	"spritefs/internal/shutdown"
 	"spritefs/internal/trace"
+	"spritefs/internal/traceio"
 )
 
 func main() {
@@ -107,9 +107,14 @@ func run(args []string, out io.Writer) (err error) {
 
 	var replayRecs []trace.Record
 	if *tracePath != "" {
-		replayRecs, err = loadTrace(*tracePath)
+		s, closeTrace, err := traceio.Source{}.Open([]string{*tracePath}, nil)
 		if err != nil {
 			return err
+		}
+		replayRecs, err = trace.Collect(s)
+		closeTrace()
+		if err != nil {
+			return fmt.Errorf("-trace %s: %w", *tracePath, err)
 		}
 		if len(replayRecs) == 0 {
 			return fmt.Errorf("-trace %s holds no records", *tracePath)
@@ -249,33 +254,4 @@ func writeBenchJSON(path string, clients int, rate float64, rep *live.Report) er
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// loadTrace reads one trace file (binary or text, sniffed from the first
-// byte like cmd/replay) fully into memory.
-func loadTrace(path string) ([]trace.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	var s trace.Stream
-	if first[0] == '#' {
-		s, err = trace.NewTextReader(br)
-	} else {
-		s, err = trace.NewReader(br)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	recs, err := trace.Collect(s)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return recs, nil
 }

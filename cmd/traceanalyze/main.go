@@ -1,19 +1,21 @@
 // Command traceanalyze merges per-server trace files (written by
-// cmd/tracegen) and runs the Section 4 analyses over them: overall
-// statistics (Table 1), user activity (Table 2), access patterns
-// (Table 3), the run-length / size / open-time / lifetime distributions
-// (Figures 1-4), the trace-derived consistency actions (Table 10), and
-// optionally the Section 5.5-5.6 consistency simulations (Tables 11-12).
+// cmd/tracegen, binary or text) and runs the Section 4 analyses over
+// them: overall statistics (Table 1), user activity (Table 2), access
+// patterns (Table 3), the run-length / size / open-time / lifetime
+// distributions (Figures 1-4), the trace-derived consistency actions
+// (Table 10), and the Section 5.5-5.6 consistency simulations (Tables
+// 11-12).
 //
 // Usage:
 //
 //	traceanalyze trace1.srv0 trace1.srv1 trace1.srv2 trace1.srv3
-//	traceanalyze -exclude-users 3,7 -consistency trace1.srv*
+//	traceanalyze -exclude-users 3,7 trace1.srv*
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,45 +23,39 @@ import (
 
 	"spritefs/internal/analysis"
 	"spritefs/internal/consistency"
+	"spritefs/internal/core"
 	"spritefs/internal/stats"
 	"spritefs/internal/trace"
+	"spritefs/internal/traceio"
 )
 
 func main() {
-	var (
-		exclude = flag.String("exclude-users", "", "comma-separated user ids to drop (paper §4.2's kernel-group check)")
-		doCons  = flag.Bool("consistency", false, "also run the Table 11/12 consistency simulations")
-		cdf     = flag.Bool("cdf", false, "print full CDFs for Figures 1-4 (tab-separated)")
-	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: traceanalyze [flags] tracefile...")
-		os.Exit(2)
-	}
-	if err := run(flag.Args(), *exclude, *doCons, *cdf); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "traceanalyze:", err)
 		os.Exit(1)
 	}
 }
 
-func run(paths []string, exclude string, doCons, cdf bool) error {
-	var streams []trace.Stream
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		streams = append(streams, r)
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("traceanalyze", flag.ContinueOnError)
+	var (
+		exclude = fs.String("exclude-users", "", "comma-separated user ids to drop (paper §4.2's kernel-group check)")
+		cdf     = fs.Bool("cdf", false, "print full CDFs for Figures 1-4 (tab-separated)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	var merged trace.Stream = trace.Merge(streams...)
-	if exclude != "" {
+	if fs.NArg() == 0 {
+		return fmt.Errorf("no trace files (usage: traceanalyze [flags] tracefile...)")
+	}
+	merged, closeAll, err := traceio.Source{}.Open(fs.Args(), nil)
+	if err != nil {
+		return err
+	}
+	defer closeAll()
+	if *exclude != "" {
 		var users []int32
-		for _, part := range strings.Split(exclude, ",") {
+		for _, part := range strings.Split(*exclude, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				return fmt.Errorf("bad user id %q", part)
@@ -68,43 +64,23 @@ func run(paths []string, exclude string, doCons, cdf bool) error {
 		}
 		merged = trace.ExcludeUsers(merged, users...)
 	}
-
-	ov := analysis.NewOverall()
-	ua := analysis.NewUserActivity()
-	ap := analysis.NewAccessPatterns()
-	lt := analysis.NewLifetimes()
-	ca := analysis.NewConsistencyActions()
-	var recs []trace.Record
-	sinks := []analysis.Sink{ov, ua, ap, lt, ca}
-	if doCons {
-		// The consistency simulators need the records in memory.
-		collected, err := trace.Collect(merged)
-		if err != nil {
-			return err
-		}
-		recs = collected
-		merged = trace.NewSliceStream(recs)
-	}
-	if err := analysis.Run(merged, sinks...); err != nil {
+	res, err := core.AnalyzeTrace(0, 0, merged)
+	if err != nil {
 		return err
 	}
 
-	printOverall(ov)
-	printActivity(ua)
-	printAccess(ap)
-	printFigures(ap, lt, cdf)
-	printActions(ca)
-
-	if doCons {
-		shared := consistency.CollectShared(recs)
-		printStale(consistency.SimulateStale(shared, 60*time.Second))
-		printStale(consistency.SimulateStale(shared, 3*time.Second))
-		printOverhead(consistency.SimulateOverhead(shared))
-	}
+	printOverall(out, res.Overall)
+	printActivity(out, res.Activity)
+	printAccess(out, res.Access)
+	printFigures(out, res, *cdf)
+	printActions(out, res.Actions)
+	printStale(out, res.Stale60)
+	printStale(out, res.Stale3)
+	printOverhead(out, res.Overhead)
 	return nil
 }
 
-func printOverall(o *analysis.Overall) {
+func printOverall(w io.Writer, o *analysis.Overall) {
 	t := stats.NewTable("Overall statistics (Table 1)", "Metric", "Value")
 	t.AddRow("duration", o.Duration.Truncate(time.Second).String())
 	t.AddRow("users", fmt.Sprint(o.Users))
@@ -119,10 +95,10 @@ func printOverall(o *analysis.Overall) {
 	t.AddRow("truncates", fmt.Sprint(o.Truncates))
 	t.AddRow("shared reads", fmt.Sprint(o.SharedReads))
 	t.AddRow("shared writes", fmt.Sprint(o.SharedWrites))
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 }
 
-func printActivity(u *analysis.UserActivity) {
+func printActivity(w io.Writer, u *analysis.UserActivity) {
 	t := stats.NewTable("User activity (Table 2)", "Metric", "10-min", "10-min mig", "10-sec", "10-sec mig")
 	row := func(label string, f func(*analysis.ActivityRow) float64) {
 		t.AddRow(label,
@@ -135,10 +111,10 @@ func printActivity(u *analysis.UserActivity) {
 	row("sd throughput (KB/s)", func(r *analysis.ActivityRow) float64 { return r.SDThroughputKBs })
 	row("peak user (KB/s)", func(r *analysis.ActivityRow) float64 { return r.PeakUserKBs })
 	row("peak total (KB/s)", func(r *analysis.ActivityRow) float64 { return r.PeakTotalKBs })
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 }
 
-func printAccess(a *analysis.AccessPatterns) {
+func printAccess(w io.Writer, a *analysis.AccessPatterns) {
 	t := stats.NewTable("Access patterns (Table 3)", "Class", "Acc %", "Bytes %",
 		"whole/seq/random (acc %)", "whole/seq/random (bytes %)")
 	for class := 0; class < analysis.NumClasses; class++ {
@@ -152,10 +128,11 @@ func printAccess(a *analysis.AccessPatterns) {
 			fmt.Sprintf("%.0f/%.0f/%.0f", accs[0], accs[1], accs[2]),
 			fmt.Sprintf("%.0f/%.0f/%.0f", byts[0], byts[1], byts[2]))
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 }
 
-func printFigures(a *analysis.AccessPatterns, l *analysis.Lifetimes, full bool) {
+func printFigures(w io.Writer, r *core.TraceResult, full bool) {
+	a, l := r.Access, r.Lifetime
 	t := stats.NewTable("Distribution checkpoints (Figures 1-4)", "Metric", "Value")
 	t.AddRowf("runs <= 10KB (% by runs)", "%.1f", 100*a.RunsByCount.FracAtOrBelow(10*1024))
 	t.AddRowf("bytes in runs > 1MB (%)", "%.1f", 100*(1-a.RunsByBytes.FracAtOrBelow(1<<20)))
@@ -164,46 +141,39 @@ func printFigures(a *analysis.AccessPatterns, l *analysis.Lifetimes, full bool) 
 	t.AddRowf("opens <= 0.25s (%)", "%.1f", 100*a.OpenTimes.FracAtOrBelow(0.25))
 	t.AddRowf("files living < 30s (%)", "%.1f", l.PctFilesUnder30s())
 	t.AddRowf("bytes living < 30s (%)", "%.1f", l.PctBytesUnder30s())
-	fmt.Println(t)
-	if full {
-		dumpCDF("fig1.runs", a.RunsByCount)
-		dumpCDF("fig1.bytes", a.RunsByBytes)
-		dumpCDF("fig2.files", a.SizeByFiles)
-		dumpCDF("fig2.bytes", a.SizeByBytes)
-		dumpCDF("fig3.opentimes", a.OpenTimes)
-		dumpCDF("fig4.files", l.ByFiles)
-		dumpCDF("fig4.bytes", l.ByBytes)
+	fmt.Fprintln(w, t)
+	if !full {
+		return
+	}
+	for _, fs := range r.FigureSeries() {
+		for _, p := range fs.Hist.CDF() {
+			fmt.Fprintf(w, "%s\t%g\t%.4f\n", fs.Name, p.X, p.Frac)
+		}
 	}
 }
 
-func dumpCDF(name string, h *stats.Hist) {
-	for _, p := range h.CDF() {
-		fmt.Printf("%s\t%g\t%.4f\n", name, p.X, p.Frac)
-	}
-}
-
-func printActions(c *analysis.ConsistencyActions) {
+func printActions(w io.Writer, c *analysis.ConsistencyActions) {
 	t := stats.NewTable("Consistency actions (Table 10)", "Action", "% of opens")
 	t.AddRowf("concurrent write-sharing", "%.2f", c.PctCWS())
 	t.AddRowf("server recall", "%.2f", c.PctRecalls())
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 }
 
-func printStale(r consistency.StaleResult) {
+func printStale(w io.Writer, r consistency.StaleResult) {
 	t := stats.NewTable(fmt.Sprintf("Stale-data simulation, %v interval (Table 11)", r.Interval), "Metric", "Value")
 	t.AddRow("errors", fmt.Sprint(r.Errors))
 	t.AddRowf("errors/hour", "%.2f", r.ErrorsPerHour)
 	t.AddRowf("users affected (%)", "%.1f", r.PctUsersAffected())
 	t.AddRowf("opens with error (%)", "%.3f", r.PctOpensWithError())
 	t.AddRowf("migrated opens with error (%)", "%.3f", r.PctMigratedOpensWithError())
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 }
 
-func printOverhead(o consistency.Overhead) {
+func printOverhead(w io.Writer, o consistency.Overhead) {
 	t := stats.NewTable("Consistency overheads (Table 12)", "Algorithm", "Byte ratio", "RPC ratio")
 	for a := 0; a < consistency.NumAlgs; a++ {
 		t.AddRow(consistency.AlgNames[a],
 			fmt.Sprintf("%.3f", o.ByteRatio(a)), fmt.Sprintf("%.3f", o.RPCRatio(a)))
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 }

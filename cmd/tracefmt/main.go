@@ -66,64 +66,33 @@ func run(path string, encode bool, importFmt, mapSpec, modSpec string, servers, 
 	}
 	defer f.Close()
 
-	if importFmt != "" {
-		recs, err := importForeign(f, importFmt, mapSpec, servers, clients)
+	var recs []trace.Record
+	switch {
+	case importFmt != "":
+		src := traceio.Source{Format: importFmt, Map: mapSpec, Options: traceio.Options{NumServers: servers, Clients: clients}}
+		var rep *traceio.ImportReport
+		if recs, rep, err = src.Import(f); err != nil {
+			return err
+		}
+		fmt.Fprint(os.Stderr, rep.String())
+	case modSpec != "":
+		// Modernizing a native trace: read it whole, in either encoding.
+		src, err := trace.NewAutoReader(f)
 		if err != nil {
 			return err
 		}
-		if modSpec != "" {
-			if recs, err = modernize(recs, modSpec); err != nil {
-				return err
-			}
+		if recs, err = trace.Collect(src); err != nil {
+			return err
 		}
-		return writeBinary(os.Stdout, recs, traceio.ImportVersion)
+	default:
+		return convert(f, os.Stdout, encode)
 	}
 	if modSpec != "" {
-		// Modernize a native trace: read (either format), rescale, write
-		// binary at the derived-trace version.
-		src, err := openNative(f)
-		if err != nil {
-			return err
-		}
-		recs, err := trace.Collect(src)
-		if err != nil {
-			return err
-		}
 		if recs, err = modernize(recs, modSpec); err != nil {
 			return err
 		}
-		return writeBinary(os.Stdout, recs, traceio.ImportVersion)
 	}
-	return convert(f, os.Stdout, encode)
-}
-
-// importForeign runs the chosen importer and prints its report to stderr.
-func importForeign(in io.Reader, format, mapSpec string, servers, clients int) ([]trace.Record, error) {
-	opt := traceio.Options{NumServers: servers, Clients: clients}
-	var (
-		recs []trace.Record
-		rep  *traceio.ImportReport
-		err  error
-	)
-	switch format {
-	case "csv":
-		m := traceio.DefaultCSVMapping()
-		if mapSpec != "" {
-			if m, err = traceio.ParseCSVMapping(mapSpec); err != nil {
-				return nil, err
-			}
-		}
-		recs, rep, err = traceio.ImportCSV(in, m, opt)
-	case "strace":
-		recs, rep, err = traceio.ImportStrace(in, opt)
-	default:
-		return nil, fmt.Errorf("unknown import format %q (want csv or strace)", format)
-	}
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprint(os.Stderr, rep.String())
-	return recs, nil
+	return writeBinary(os.Stdout, recs, traceio.ImportVersion)
 }
 
 // modernize parses the profile, applies it, and reports to stderr.
@@ -135,20 +104,6 @@ func modernize(recs []trace.Record, spec string) ([]trace.Record, error) {
 	out, rep := traceio.Modernize(recs, prof)
 	fmt.Fprint(os.Stderr, rep.String())
 	return out, nil
-}
-
-// openNative opens a native trace of either encoding, sniffing text ('#')
-// versus binary from the first byte.
-func openNative(f io.Reader) (trace.Stream, error) {
-	br := bufio.NewReaderSize(f, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, err
-	}
-	if first[0] == '#' {
-		return trace.NewTextReader(br)
-	}
-	return trace.NewReader(br)
 }
 
 // writeBinary writes records as a binary trace at the given header version.

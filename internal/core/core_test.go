@@ -1,9 +1,17 @@
 package core
 
 import (
+	"errors"
+	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"spritefs/internal/analysis"
+	"spritefs/internal/cluster"
+	"spritefs/internal/trace"
 	"spritefs/internal/workload"
 )
 
@@ -117,4 +125,70 @@ func TestScaleParams(t *testing.T) {
 	if tiny.NumClients < 2 {
 		t.Errorf("scale floor violated: %d clients", tiny.NumClients)
 	}
+}
+
+// TestAnalyzeTraceIsRunTracesAnalysisHalf rebuilds RunTrace's cluster by
+// hand and feeds its per-server streams to AnalyzeTrace: the seam must
+// yield RunTrace's result field for field, and so the same report.
+func TestAnalyzeTraceIsRunTracesAnalysisHalf(t *testing.T) {
+	want, err := RunTrace(1, quickOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.DefaultConfig(scaleParams(workload.TraceParams(1), quickOpts.Scale))
+	cfg.SamplePeriod = 0
+	cl := cluster.New(cfg)
+	cl.Run(time.Duration(quickOpts.Hours * float64(time.Hour)))
+	got, err := AnalyzeTrace(1, quickOpts.Hours, trace.Merge(cl.PerServerStreams()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := TraceReport([]*TraceResult{got}), TraceReport([]*TraceResult{want}); a != b {
+		t.Error("rendered reports differ")
+	}
+	// Table 2's analyzer folds its interval cells in map order, so its
+	// floats wobble in the last bits between any two runs (RunTrace against
+	// itself too): compare those to 1e-9, everything else exactly.
+	rows := func(u *analysis.UserActivity) [4]analysis.ActivityRow {
+		return [4]analysis.ActivityRow{u.TenMinAll, u.TenMinMigrated, u.TenSecAll, u.TenSecMigrated}
+	}
+	for i, g := range rows(got.Activity) {
+		gv, wv := reflect.ValueOf(g), reflect.ValueOf(rows(want.Activity)[i])
+		for f := 0; f < gv.NumField(); f++ {
+			name := gv.Type().Field(f).Name
+			if gv.Field(f).Kind() != reflect.Float64 {
+				if gv.Field(f).Int() != wv.Field(f).Int() {
+					t.Errorf("Activity row %d %s = %d, want %d", i, name, gv.Field(f).Int(), wv.Field(f).Int())
+				}
+			} else if a, b := gv.Field(f).Float(), wv.Field(f).Float(); math.Abs(a-b) > 1e-9*math.Abs(b) {
+				t.Errorf("Activity row %d %s = %g, want %g", i, name, a, b)
+			}
+		}
+	}
+	got.Activity, want.Activity = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("AnalyzeTrace over the cluster's streams differs from RunTrace:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestAnalyzeTracePropagatesStreamErrors(t *testing.T) {
+	boom := errors.New("boom")
+	s := errStream{trace.NewSliceStream(make([]trace.Record, 3)), boom}
+	if _, err := AnalyzeTrace(0, 0, s); !errors.Is(err, boom) {
+		t.Errorf("AnalyzeTrace error = %v, want the stream's", err)
+	}
+}
+
+// errStream yields its stream's records, then err instead of io.EOF.
+type errStream struct {
+	trace.Stream
+	err error
+}
+
+func (e errStream) Next() (trace.Record, error) {
+	r, err := e.Stream.Next()
+	if err == io.EOF {
+		err = e.err
+	}
+	return r, err
 }

@@ -46,41 +46,126 @@ type ScaleResult struct {
 	Rows    []ScaleRow
 }
 
+// topologySweep is what the two topology studies share: one community,
+// one horizon, and one engine built and run per swept configuration.
+type topologySweep struct {
+	clients int
+	hours   float64
+	base    workload.Params
+	factor  float64 // clients over the base community's
+}
+
+// sweepRun is one swept configuration's measurement.
+type sweepRun struct {
+	Report scale.Report
+	Stats  scale.RunStats
+}
+
+// newTopologySweep resolves the studies' shared defaults; the default
+// community size and horizon are each study's own.
+func newTopologySweep(clients, defClients int, hours, defHours float64, seed int64) topologySweep {
+	if clients <= 0 {
+		clients = defClients
+	}
+	if hours <= 0 {
+		hours = defHours
+	}
+	if seed == 0 {
+		seed = 4242
+	}
+	base := workload.Default(seed)
+	return topologySweep{clients: clients, hours: hours, base: base,
+		factor: float64(clients) / float64(base.NumClients)}
+}
+
+// run builds and runs one engine per configuration, in order. The
+// parallel executor (byte-identical to the sequential one) serves every
+// multi-shard configuration unless sequential is set. axis and keys name
+// the swept value of a configuration that fails to build.
+func (s topologySweep) run(cfgs []scale.Config, sequential bool, workers int, axis string, keys []int) ([]sweepRun, error) {
+	horizon := time.Duration(s.hours * float64(time.Hour))
+	runs := make([]sweepRun, 0, len(cfgs))
+	for i, cfg := range cfgs {
+		eng, err := scale.New(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s=%d: %w", axis, keys[i], err)
+		}
+		st := eng.Run(scale.RunOptions{
+			Horizon:  horizon,
+			Parallel: !sequential && cfg.Shards > 1,
+			Workers:  workers,
+		})
+		runs = append(runs, sweepRun{Report: eng.Report(), Stats: st})
+	}
+	return runs, nil
+}
+
+// shardFolds are the saturation columns folded over a report's shards.
+type shardFolds struct {
+	maxNet, maxDisk float64 // hottest segment Ethernet and server disk
+	remoteOps       int64
+	latMS, wanLatMS float64 // mean remote-op latency: all, and cross-site only
+}
+
+func foldShards(rep *scale.Report) shardFolds {
+	var f shardFolds
+	var lat, wanLat stats.Welford
+	for _, s := range rep.PerShard {
+		f.maxNet = max(f.maxNet, s.NetUtil)
+		f.maxDisk = max(f.maxDisk, s.ServerUtil)
+		f.remoteOps += s.Remote.OpsIssued
+		lat.Merge(s.Remote.Latency)
+		wanLat.Merge(s.Remote.WANLatency)
+	}
+	if lat.N() > 0 {
+		f.latMS = lat.Mean() / 1e6
+	}
+	if wanLat.N() > 0 {
+		f.wanLatMS = wanLat.Mean() / 1e6
+	}
+	return f
+}
+
+// execTable renders the executor's cost per swept configuration: row i
+// is keyed by row(i)'s swept value under the axis heading, and speedup is
+// wall-clock relative to the first row.
+func execTable(axis string, n int, row func(i int) (int, *scale.RunStats)) *stats.Table {
+	t := stats.NewTable("Executor wall-clock",
+		axis, "workers", "rounds", "null-adv", "rescues", "msgs", "wall", "speedup")
+	_, first := row(0)
+	for i := 0; i < n; i++ {
+		key, st := row(i)
+		t.AddRow(
+			fmt.Sprintf("%d", key),
+			fmt.Sprintf("%d", st.Workers),
+			fmt.Sprintf("%d", st.Exec.Rounds),
+			fmt.Sprintf("%d", st.Exec.NullAdvances),
+			fmt.Sprintf("%d", st.Exec.Rescues),
+			fmt.Sprintf("%d", st.Exec.Routed),
+			st.Wall.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.2fx", float64(first.Wall)/float64(st.Wall)))
+	}
+	return t
+}
+
 // RunScaleStudy sweeps shard counts over a fixed community.
 func RunScaleStudy(opts ScaleOptions) (*ScaleResult, error) {
-	clients := opts.Clients
-	if clients <= 0 {
-		clients = 1000
-	}
 	shardCounts := opts.Shards
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 2, 4, 8}
 	}
-	hours := opts.Hours
-	if hours <= 0 {
-		hours = 0.25
+	sw := newTopologySweep(opts.Clients, 1000, opts.Hours, 0.25, opts.Seed)
+	cfgs := make([]scale.Config, len(shardCounts))
+	for i, n := range shardCounts {
+		cfgs[i] = scale.Config{Base: sw.base, Factor: sw.factor, Shards: n}
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 4242
+	runs, err := sw.run(cfgs, opts.Sequential, opts.Workers, "shards", shardCounts)
+	if err != nil {
+		return nil, err
 	}
-	horizon := time.Duration(hours * float64(time.Hour))
-
-	base := workload.Default(seed)
-	factor := float64(clients) / float64(base.NumClients)
-
-	res := &ScaleResult{Clients: clients, Hours: hours}
-	for _, n := range shardCounts {
-		eng, err := scale.New(scale.Config{Base: base, Factor: factor, Shards: n})
-		if err != nil {
-			return nil, fmt.Errorf("shards=%d: %w", n, err)
-		}
-		st := eng.Run(scale.RunOptions{
-			Horizon:  horizon,
-			Parallel: !opts.Sequential && n > 1,
-			Workers:  opts.Workers,
-		})
-		res.Rows = append(res.Rows, ScaleRow{Shards: n, Report: eng.Report(), Stats: st})
+	res := &ScaleResult{Clients: sw.clients, Hours: sw.hours}
+	for i, r := range runs {
+		res.Rows = append(res.Rows, ScaleRow{Shards: shardCounts[i], Report: r.Report, Stats: r.Stats})
 	}
 	return res, nil
 }
@@ -96,50 +181,22 @@ func ScaleTables(r *ScaleResult) string {
 		"shards", "opens/s", "recalls/h", "maxnet%", "maxdisk%", "router%", "remote-ops", "rlat-ms")
 	for _, row := range r.Rows {
 		rep := row.Report
-		var maxNet, maxDisk float64
-		var remoteOps int64
-		var lat stats.Welford
-		for _, s := range rep.PerShard {
-			if s.NetUtil > maxNet {
-				maxNet = s.NetUtil
-			}
-			if s.ServerUtil > maxDisk {
-				maxDisk = s.ServerUtil
-			}
-			remoteOps += s.Remote.OpsIssued
-			lat.Merge(s.Remote.Latency)
-		}
-		var latMS float64
-		if lat.N() > 0 {
-			latMS = lat.Mean() / 1e6
-		}
+		f := foldShards(&rep)
 		sat.AddRow(
 			fmt.Sprintf("%d", row.Shards),
 			fmt.Sprintf("%.2f", rep.OpensPerSec),
 			fmt.Sprintf("%.1f", rep.RecallsPerHour),
-			fmt.Sprintf("%.1f", maxNet*100),
-			fmt.Sprintf("%.1f", maxDisk*100),
+			fmt.Sprintf("%.1f", f.maxNet*100),
+			fmt.Sprintf("%.1f", f.maxDisk*100),
 			fmt.Sprintf("%.2f", rep.RouterUtil*100),
-			fmt.Sprintf("%d", remoteOps),
-			fmt.Sprintf("%.2f", latMS))
+			fmt.Sprintf("%d", f.remoteOps),
+			fmt.Sprintf("%.2f", f.latMS))
 	}
 	b.WriteString(sat.String())
 	b.WriteString("\n")
 
-	exec := stats.NewTable("Executor wall-clock",
-		"shards", "workers", "rounds", "null-adv", "msgs", "wall", "speedup")
-	base := r.Rows[0].Stats.Wall
-	for _, row := range r.Rows {
-		speedup := float64(base) / float64(row.Stats.Wall)
-		exec.AddRow(
-			fmt.Sprintf("%d", row.Shards),
-			fmt.Sprintf("%d", row.Stats.Workers),
-			fmt.Sprintf("%d", row.Stats.Exec.Rounds),
-			fmt.Sprintf("%d", row.Stats.Exec.NullAdvances),
-			fmt.Sprintf("%d", row.Stats.Exec.Routed),
-			row.Stats.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2fx", speedup))
-	}
+	exec := execTable("shards", len(r.Rows),
+		func(i int) (int, *scale.RunStats) { return r.Rows[i].Shards, &r.Rows[i].Stats })
 	b.WriteString(exec.String())
 	b.WriteString("\nWall-clock and speedup are host measurements: shards run on separate\ngoroutines, so multi-shard speedup tracks the host's usable cores\n(GOMAXPROCS); on a single-core host expect ~1x.\n")
 	return b.String()

@@ -8,7 +8,9 @@ import (
 // The two topology studies' printed tables, pinned on a small community
 // (80 clients; shards 1,2 / sites 1,2). Everything but the executor's
 // wall-clock is deterministic, so the tests overwrite Stats.Wall with
-// fixed values and compare whole renderings byte for byte.
+// fixed values and compare whole renderings byte for byte. The
+// saturation tables are as pinned before the studies shared their sweep
+// loop; the executor table is the one shape both studies now print.
 
 const scaleTablesGolden = `Throughput vs shards: 80 clients, 0.10h horizon
 shards  opens/s  recalls/h  maxnet%  maxdisk%  router%  remote-ops  rlat-ms
@@ -17,10 +19,10 @@ shards  opens/s  recalls/h  maxnet%  maxdisk%  router%  remote-ops  rlat-ms
 2          2.79       40.0     13.2       7.6     0.01          39    30.81
 
 Executor wall-clock
-shards  workers  rounds  null-adv  msgs  wall  speedup
-------------------------------------------------------
-1             0       2         0     0  30ms    1.00x
-2             2     121       162    78  20ms    1.50x
+shards  workers  rounds  null-adv  rescues  msgs  wall  speedup
+---------------------------------------------------------------
+1             0       2         0        0     0  30ms    1.00x
+2             2     121       162        0    78  20ms    1.50x
 
 Wall-clock and speedup are host measurements: shards run on separate
 goroutines, so multi-shard speedup tracks the host's usable cores
@@ -34,13 +36,13 @@ sites  segs/site   hit%  opens/s  maxdisk%  remote-ops  xsite-ops  wan%  rlat-ms
 2              1  16.45     2.71       7.0          36         36  0.06   112.59     112.59
 
 Executor wall-clock
-sites  workers  rounds  null-adv  rescues  msgs  wall
------------------------------------------------------
-1            2     121       162        0    78  30ms
-2            2     112       150        0    72  20ms
+sites  workers  rounds  null-adv  rescues  msgs  wall  speedup
+--------------------------------------------------------------
+1            2     121       162        0    78  30ms    1.00x
+2            2     112       150        0    72  20ms    1.50x
 
-Wall-clock is a host measurement; everything else is deterministic.
-WAN links are also the executor's widest lookahead, so deeper
+Wall-clock and speedup are host measurements; everything else is
+deterministic. WAN links are also the executor's widest lookahead, so deeper
 hierarchies usually need fewer synchronization rounds per simulated hour.
 `
 

@@ -18,6 +18,7 @@ import (
 	"spritefs/internal/cluster"
 	"spritefs/internal/consistency"
 	"spritefs/internal/faults"
+	"spritefs/internal/stats"
 	"spritefs/internal/trace"
 	"spritefs/internal/workload"
 )
@@ -86,31 +87,59 @@ func RunTrace(n int, opts TraceOptions) (*TraceResult, error) {
 	cl := cluster.New(cfg)
 	cl.Run(time.Duration(hours * float64(time.Hour)))
 
-	res := &TraceResult{TraceNum: n, Hours: hours}
-	res.Overall = analysis.NewOverall()
-	res.Activity = analysis.NewUserActivity()
-	res.Access = analysis.NewAccessPatterns()
-	res.Lifetime = analysis.NewLifetimes()
-	res.Actions = analysis.NewConsistencyActions()
-
 	// Merge the per-server streams (scrubbing backup noise) exactly as
-	// the paper's post-processing did, then run every analyzer in one
-	// pass.
-	merged, err := trace.Collect(trace.Merge(cl.PerServerStreams()...))
+	// the paper's post-processing did.
+	return AnalyzeTrace(n, hours, trace.Merge(cl.PerServerStreams()...))
+}
+
+// AnalyzeTrace is the Section 4 pipeline over one merged, time-ordered
+// record stream — a cluster's own capture, trace files, or anything else
+// that yields records: every analyzer in one pass, then the Section
+// 5.5-5.6 consistency simulations. n and hours only label the result.
+func AnalyzeTrace(n int, hours float64, s trace.Stream) (*TraceResult, error) {
+	recs, err := trace.Collect(s)
 	if err != nil {
 		return nil, err
 	}
-	res.Records = len(merged)
-	if err := analysis.Run(trace.NewSliceStream(merged),
+	res := &TraceResult{
+		TraceNum: n,
+		Hours:    hours,
+		Overall:  analysis.NewOverall(),
+		Activity: analysis.NewUserActivity(),
+		Access:   analysis.NewAccessPatterns(),
+		Lifetime: analysis.NewLifetimes(),
+		Actions:  analysis.NewConsistencyActions(),
+		Records:  len(recs),
+	}
+	if err := analysis.Run(trace.NewSliceStream(recs),
 		res.Overall, res.Activity, res.Access, res.Lifetime, res.Actions); err != nil {
 		return nil, err
 	}
 
-	shared := consistency.CollectShared(merged)
+	shared := consistency.CollectShared(recs)
 	res.Stale60 = consistency.SimulateStale(shared, 60*time.Second)
 	res.Stale3 = consistency.SimulateStale(shared, 3*time.Second)
 	res.Overhead = consistency.SimulateOverhead(shared)
 	return res, nil
+}
+
+// FigureSeries is one of the cumulative distributions behind Figures 1-4.
+type FigureSeries struct {
+	Name string // "fig1.runs": the figure, then what weights the distribution
+	Hist *stats.Hist
+}
+
+// FigureSeries lists the seven Figure 1-4 distributions in figure order.
+func (r *TraceResult) FigureSeries() []FigureSeries {
+	return []FigureSeries{
+		{"fig1.runs", r.Access.RunsByCount},
+		{"fig1.bytes", r.Access.RunsByBytes},
+		{"fig2.files", r.Access.SizeByFiles},
+		{"fig2.bytes", r.Access.SizeByBytes},
+		{"fig3.opentimes", r.Access.OpenTimes},
+		{"fig4.files", r.Lifetime.ByFiles},
+		{"fig4.bytes", r.Lifetime.ByBytes},
+	}
 }
 
 // CounterResult bundles the Section 5 counter-study tables.

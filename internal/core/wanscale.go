@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"spritefs/internal/scale"
 	"spritefs/internal/stats"
-	"spritefs/internal/workload"
 )
 
 // WANScaleOptions configures the hierarchical-topology sweep: one fixed
@@ -60,10 +58,6 @@ type WANScaleResult struct {
 // regroup the same segments under a priced WAN tier, so differences down
 // a column are the tier's doing, not the community's.
 func RunWANScaleStudy(opts WANScaleOptions) (*WANScaleResult, error) {
-	clients := opts.Clients
-	if clients <= 0 {
-		clients = 10000
-	}
 	segments := opts.Segments
 	if segments <= 0 {
 		segments = 8
@@ -72,40 +66,27 @@ func RunWANScaleStudy(opts WANScaleOptions) (*WANScaleResult, error) {
 	if len(siteCounts) == 0 {
 		siteCounts = []int{1, 2, 4, 8}
 	}
-	hours := opts.Hours
-	if hours <= 0 {
-		hours = 0.1
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 4242
-	}
-	horizon := time.Duration(hours * float64(time.Hour))
-
-	base := workload.Default(seed)
-	factor := float64(clients) / float64(base.NumClients)
-
-	res := &WANScaleResult{Clients: clients, Segments: segments, Hours: hours}
-	for _, sites := range siteCounts {
+	sw := newTopologySweep(opts.Clients, 10000, opts.Hours, 0.1, opts.Seed)
+	cfgs := make([]scale.Config, len(siteCounts))
+	for i, sites := range siteCounts {
 		if segments%sites != 0 {
 			return nil, fmt.Errorf("sites=%d does not divide %d segments", sites, segments)
 		}
-		eng, err := scale.New(scale.Config{
-			Base:        base,
-			Factor:      factor,
+		cfgs[i] = scale.Config{
+			Base:        sw.base,
+			Factor:      sw.factor,
 			Shards:      segments,
 			Sites:       sites,
 			LeanMetrics: opts.Lean,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sites=%d: %w", sites, err)
 		}
-		st := eng.Run(scale.RunOptions{
-			Horizon:  horizon,
-			Parallel: !opts.Sequential && segments > 1,
-			Workers:  opts.Workers,
-		})
-		res.Rows = append(res.Rows, WANScaleRow{Sites: sites, Report: eng.Report(), Stats: st})
+	}
+	runs, err := sw.run(cfgs, opts.Sequential, opts.Workers, "sites", siteCounts)
+	if err != nil {
+		return nil, err
+	}
+	res := &WANScaleResult{Clients: sw.clients, Segments: segments, Hours: sw.hours}
+	for i, r := range runs {
+		res.Rows = append(res.Rows, WANScaleRow{Sites: siteCounts[i], Report: r.Report, Stats: r.Stats})
 	}
 	return res, nil
 }
@@ -123,52 +104,25 @@ func WANScaleTables(r *WANScaleResult) string {
 		"wan%", "rlat-ms", "wanlat-ms")
 	for _, row := range r.Rows {
 		rep := row.Report
-		var maxDisk float64
-		var remoteOps int64
-		var lat, wanLat stats.Welford
-		for _, s := range rep.PerShard {
-			if s.ServerUtil > maxDisk {
-				maxDisk = s.ServerUtil
-			}
-			remoteOps += s.Remote.OpsIssued
-			lat.Merge(s.Remote.Latency)
-			wanLat.Merge(s.Remote.WANLatency)
-		}
-		var latMS, wanLatMS float64
-		if lat.N() > 0 {
-			latMS = lat.Mean() / 1e6
-		}
-		if wanLat.N() > 0 {
-			wanLatMS = wanLat.Mean() / 1e6
-		}
+		f := foldShards(&rep)
 		sat.AddRow(
 			fmt.Sprintf("%d", row.Sites),
 			fmt.Sprintf("%d", r.Segments/row.Sites),
 			fmt.Sprintf("%.2f", rep.CacheHit*100),
 			fmt.Sprintf("%.2f", rep.OpensPerSec),
-			fmt.Sprintf("%.1f", maxDisk*100),
-			fmt.Sprintf("%d", remoteOps),
+			fmt.Sprintf("%.1f", f.maxDisk*100),
+			fmt.Sprintf("%d", f.remoteOps),
 			fmt.Sprintf("%d", rep.CrossSiteOps),
 			fmt.Sprintf("%.2f", rep.WANUtil*100),
-			fmt.Sprintf("%.2f", latMS),
-			fmt.Sprintf("%.2f", wanLatMS))
+			fmt.Sprintf("%.2f", f.latMS),
+			fmt.Sprintf("%.2f", f.wanLatMS))
 	}
 	b.WriteString(sat.String())
 	b.WriteString("\n")
 
-	exec := stats.NewTable("Executor wall-clock",
-		"sites", "workers", "rounds", "null-adv", "rescues", "msgs", "wall")
-	for _, row := range r.Rows {
-		exec.AddRow(
-			fmt.Sprintf("%d", row.Sites),
-			fmt.Sprintf("%d", row.Stats.Workers),
-			fmt.Sprintf("%d", row.Stats.Exec.Rounds),
-			fmt.Sprintf("%d", row.Stats.Exec.NullAdvances),
-			fmt.Sprintf("%d", row.Stats.Exec.Rescues),
-			fmt.Sprintf("%d", row.Stats.Exec.Routed),
-			row.Stats.Wall.Round(time.Millisecond).String())
-	}
+	exec := execTable("sites", len(r.Rows),
+		func(i int) (int, *scale.RunStats) { return r.Rows[i].Sites, &r.Rows[i].Stats })
 	b.WriteString(exec.String())
-	b.WriteString("\nWall-clock is a host measurement; everything else is deterministic.\nWAN links are also the executor's widest lookahead, so deeper\nhierarchies usually need fewer synchronization rounds per simulated hour.\n")
+	b.WriteString("\nWall-clock and speedup are host measurements; everything else is\ndeterministic. WAN links are also the executor's widest lookahead, so deeper\nhierarchies usually need fewer synchronization rounds per simulated hour.\n")
 	return b.String()
 }

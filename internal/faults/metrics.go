@@ -1,10 +1,6 @@
 package faults
 
-import (
-	"time"
-
-	"spritefs/internal/metrics"
-)
+import "spritefs/internal/metrics"
 
 // RegisterMetrics registers the injector's fault-schedule accounting into
 // the central registry: what was injected, what data it destroyed, and how
@@ -12,8 +8,7 @@ import (
 // these families are unlabeled singletons.
 func (inj *Injector) RegisterMetrics(r *metrics.Registry) {
 	ctr := func(name, unit, help string, v *int64) {
-		r.Int(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter},
-			nil, func() int64 { return *v })
+		r.IntVar(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, v)
 	}
 	ctr("spritefs_faults_server_crashes_total", "crashes",
 		"Server crash+restart events fired by the schedule.", &inj.st.ServerCrashes)
@@ -33,16 +28,16 @@ func (inj *Injector) RegisterMetrics(r *metrics.Registry) {
 		"Client delayed-write bytes destroyed by workstation crashes.", &inj.st.ClientDirtyLost)
 	ctr("spritefs_faults_replayed_bytes_total", "bytes",
 		"Dirty bytes replayed to restarted servers during driven recovery sweeps.", &inj.st.ReplayedBytes)
-	r.Seconds(metrics.Desc{Name: "spritefs_faults_max_dirty_age_seconds",
+	r.SecondsVar(metrics.Desc{Name: "spritefs_faults_max_dirty_age_seconds",
 		Help: "Age of the oldest dirty byte any injected crash destroyed — the delayed-write exposure bound.",
 		Kind: metrics.Gauge},
-		nil, func() time.Duration { return inj.st.MaxDirtyAge })
+		nil, &inj.st.MaxDirtyAge)
 	r.Int(metrics.Desc{Name: "spritefs_faults_max_reopen_storm", Unit: "handles",
 		Help: "Most handles re-registered against one server after a single restart.",
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(inj.st.MaxReopenStorm) })
-	r.Seconds(metrics.Desc{Name: "spritefs_faults_max_reconsistency_seconds",
+	r.SecondsVar(metrics.Desc{Name: "spritefs_faults_max_reconsistency_seconds",
 		Help: "Worst crash-to-reconsistency interval across all injected server crashes.",
 		Kind: metrics.Gauge},
-		nil, func() time.Duration { return inj.st.MaxTimeToReconsistency })
+		nil, &inj.st.MaxTimeToReconsistency)
 }

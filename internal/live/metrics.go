@@ -109,10 +109,10 @@ func (c *Counters) wallSnapshot(v Verb) (stats.Welford, *stats.Hist) {
 // itself (the live exporter snapshots on the dispatcher loop, where the
 // cluster's own closures are also safe).
 func (c *Counters) RegisterMetrics(r *metrics.Registry) {
-	r.Int(metrics.Desc{
+	r.IntVar(metrics.Desc{
 		Name: "spritefs_live_agents",
 		Unit: "agents", Help: "Configured client-agent fleet size.", Kind: metrics.Gauge,
-	}, nil, func() int64 { return c.agents })
+	}, nil, &c.agents)
 	r.Int(metrics.Desc{
 		Name: "spritefs_live_inflight",
 		Unit: "requests", Help: "Requests currently in flight across the fleet.", Kind: metrics.Gauge,

@@ -89,15 +89,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // single-threaded here).
 func (s *Service) buildWorkingSets() {
 	reg := s.Cluster.Registry
-	size := func(id uint64) int64 {
-		for _, srv := range s.Cluster.Servers {
-			if f := srv.Lookup(id); f != nil {
-				return f.Size
-			}
-		}
-		return 0
-	}
-	ref := func(id uint64) FileRef { return FileRef{ID: id, Size: size(id)} }
+	ref := func(id uint64) FileRef { return FileRef{ID: id, Size: s.fileSize(id)} }
 	s.perAgent = make([][]FileRef, s.agents)
 	for a := 0; a < s.agents; a++ {
 		user := int32(a)
@@ -118,6 +110,15 @@ func (s *Service) buildWorkingSets() {
 			s.shared = append(s.shared, ref(id))
 		}
 	}
+}
+
+// fileSize sizes a file at the server the clients route it to
+// (cluster.ServerFor), or 0 if it does not exist there.
+func (s *Service) fileSize(id uint64) int64 {
+	if f := s.Cluster.ServerFor(id).Lookup(id); f != nil {
+		return f.Size
+	}
+	return 0
 }
 
 // AgentFiles returns agent a's private working set. The returned slice is
@@ -166,11 +167,7 @@ func (s *Service) Exec(req *Request) Response {
 		if err != nil {
 			return Response{Err: err.Error(), Retryable: errors.Is(err, server.ErrDown), SimLat: lat}
 		}
-		var size int64
-		if f := s.Cluster.Servers[int(req.File>>48)%len(s.Cluster.Servers)].Lookup(req.File); f != nil {
-			size = f.Size
-		}
-		return Response{Handle: hid, Size: size, SimLat: lat}
+		return Response{Handle: hid, Size: s.fileSize(req.File), SimLat: lat}
 	case VerbRead:
 		if !cl.HasHandle(req.Handle) {
 			return Response{Err: "live: read on unknown handle"}

@@ -12,10 +12,11 @@
 // Prometheus/TSV/JSONL dumps, the generated docs/METRICS.md — is a
 // projection of this one store.
 //
-// Registered metrics are closures over the owning subsystem's counter
-// fields, read only at snapshot time, so registration adds no bookkeeping
-// to the hot paths and the registry can never disagree with the
-// authoritative counters. Snapshots and exports are deterministic: metric
+// Registered metrics are pointers to the owning subsystem's counter
+// fields (or, for values that must be computed, closures over them), read
+// only at snapshot time, so registration adds no bookkeeping to the hot
+// paths and the registry can never disagree with the authoritative
+// counters. Snapshots and exports are deterministic: metric
 // instances are emitted sorted by (name, labels), integers stay exact, and
 // floats render with strconv's shortest round-trip form, so identical
 // seeds produce byte-identical dumps regardless of registration order or

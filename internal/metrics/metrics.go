@@ -132,12 +132,11 @@ type metric struct {
 	labels Labels
 	key    string // rendered labels, the within-family identity
 
-	// Exactly one of the six is set, fixing the instance's value type.
+	// Exactly one of the five is set, fixing the instance's value type.
 	intPtr *int64
 	durPtr *time.Duration
 	sumPtr *stats.Welford
 	intFn  func() int64
-	durFn  func() time.Duration
 	sumFn  func() stats.Welford
 	// scale multiplies summary sample values at export (e.g. 1e-9 for
 	// Welford accumulators that collected nanoseconds but export seconds).
@@ -145,7 +144,7 @@ type metric struct {
 }
 
 func (m *metric) isInt() bool { return m.intPtr != nil || m.intFn != nil }
-func (m *metric) isDur() bool { return m.durPtr != nil || m.durFn != nil }
+func (m *metric) isDur() bool { return m.durPtr != nil }
 
 func (m *metric) intVal() int64 {
 	if m.intPtr != nil {
@@ -154,12 +153,7 @@ func (m *metric) intVal() int64 {
 	return m.intFn()
 }
 
-func (m *metric) durVal() time.Duration {
-	if m.durPtr != nil {
-		return *m.durPtr
-	}
-	return m.durFn()
-}
+func (m *metric) durVal() time.Duration { return *m.durPtr }
 
 func (m *metric) sumVal() stats.Welford {
 	if m.sumPtr != nil {
@@ -337,19 +331,6 @@ func (r *Registry) IntVar(d Desc, ls Labels, v *int64) {
 	r.add(d, ls).intPtr = v
 }
 
-// Seconds registers a duration-valued instance exported in seconds. The
-// raw nanosecond integer is preserved internally, so sums and maxima over
-// instances stay exact.
-func (r *Registry) Seconds(d Desc, ls Labels, fn func() time.Duration) {
-	if d.Kind == Summary {
-		panic("metrics: Seconds registration with Summary kind")
-	}
-	if d.Unit == "" {
-		d.Unit = "seconds"
-	}
-	r.add(d, ls).durFn = fn
-}
-
 // SecondsVar registers a duration-valued instance read directly from *v
 // at snapshot time (see IntVar).
 func (r *Registry) SecondsVar(d Desc, ls Labels, v *time.Duration) {
@@ -360,15 +341,6 @@ func (r *Registry) SecondsVar(d Desc, ls Labels, v *time.Duration) {
 		d.Unit = "seconds"
 	}
 	r.add(d, ls).durPtr = v
-}
-
-// Hist registers a distribution instance backed by a stats.Welford
-// accumulator; exports expand it into _count/_sum/_mean/_stddev/_min/_max.
-func (r *Registry) Hist(d Desc, ls Labels, fn func() stats.Welford) {
-	d.Kind = Summary
-	m := r.add(d, ls)
-	m.sumFn = fn
-	m.scale = 1
 }
 
 // HistVar registers a distribution instance read directly from *w at

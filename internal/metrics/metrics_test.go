@@ -14,8 +14,8 @@ func testRegistry() (*Registry, *int64, *int64) {
 	d := Desc{Name: "spritefs_test_ops_total", Unit: "ops", Help: "test ops", Kind: Counter}
 	r.Int(d, Labels{L("client", "0")}, func() int64 { return *a })
 	r.Int(d, Labels{L("client", "1")}, func() int64 { return *b })
-	r.Seconds(Desc{Name: "spritefs_test_busy_seconds", Help: "busy", Kind: Gauge},
-		nil, func() time.Duration { return 1500 * time.Millisecond })
+	busy := 1500 * time.Millisecond
+	r.SecondsVar(Desc{Name: "spritefs_test_busy_seconds", Help: "busy", Kind: Gauge}, nil, &busy)
 	return r, a, b
 }
 
@@ -135,8 +135,9 @@ func TestSummaryExpansion(t *testing.T) {
 func TestMaxSeconds(t *testing.T) {
 	r := New()
 	d := Desc{Name: "worst_seconds", Help: "worst", Kind: Gauge}
-	r.Seconds(d, Labels{L("i", "0")}, func() time.Duration { return 2 * time.Second })
-	r.Seconds(d, Labels{L("i", "1")}, func() time.Duration { return 5 * time.Second })
+	worst := [2]time.Duration{2 * time.Second, 5 * time.Second}
+	r.SecondsVar(d, Labels{L("i", "0")}, &worst[0])
+	r.SecondsVar(d, Labels{L("i", "1")}, &worst[1])
 	if got := r.MaxSeconds("worst_seconds"); got != 5*time.Second {
 		t.Fatalf("MaxSeconds = %v", got)
 	}

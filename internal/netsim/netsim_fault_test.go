@@ -77,8 +77,8 @@ func TestFaultHookPerturbations(t *testing.T) {
 			name: "back-to-back faults: client partition then server outage",
 			hook: &windowHook{partServer: 0, partFrom: 10 * sec, partTo: 20 * sec,
 				srvFrom: 20 * sec, srvTo: 30 * sec},
-			at:        []time.Duration{15 * sec, 20 * sec, 29 * sec, 30 * sec},
-			wantExtra: []time.Duration{5 * sec, 10 * sec, 1 * sec, 0},
+			at:         []time.Duration{15 * sec, 20 * sec, 29 * sec, 30 * sec},
+			wantExtra:  []time.Duration{5 * sec, 10 * sec, 1 * sec, 0},
 			wantStalls: 3,
 		},
 		{

@@ -198,8 +198,7 @@ func New(cfg Config) *Engine {
 // the components did with the replayed operations.
 func (e *Engine) registerMetrics(r *metrics.Registry) {
 	ctr := func(name, unit, help string, v *int64) {
-		r.Int(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter},
-			nil, func() int64 { return *v })
+		r.IntVar(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, v)
 	}
 	ctr("spritefs_replay_records_read_total", "records",
 		"Records pulled from the trace stream.", &e.stats.Read)

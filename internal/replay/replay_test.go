@@ -96,8 +96,8 @@ func TestReplayReproducesLiveRun(t *testing.T) {
 	// held untraced paging pages. Documented bound: 5 percentage points.
 	const tol = 5.0
 	type ratio struct {
-		name       string
-		got, want  float64
+		name      string
+		got, want float64
 	}
 	for _, r := range []ratio{
 		{"read miss %", res.Report.Table6.All.ReadMissPct, live.report.Table6.All.ReadMissPct},

@@ -516,23 +516,20 @@ func (e *Engine) registerMetrics() {
 		Help: "Sites in the hierarchical topology (1 = flat single-site).",
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(e.topo.Sites) })
-	for _, tier := range []struct {
-		label string
-		wan   bool
-	}{{"site", false}, {"wan", true}} {
-		lbl := metrics.Labels{metrics.L("tier", tier.label)}
-		e.Reg.Int(metrics.Desc{Name: "spritefs_scale_tier_msgs_total", Unit: "msgs",
+	for tier, label := range [2]string{"site", "wan"} {
+		lbl := metrics.Labels{metrics.L("tier", label)}
+		e.Reg.IntVar(metrics.Desc{Name: "spritefs_scale_tier_msgs_total", Unit: "msgs",
 			Help: "Messages carried per topology tier (site = intra-site backbone, wan = inter-site trunk).",
 			Kind: metrics.Counter},
-			lbl, func() int64 { m, _, _ := e.Router.TierTraffic(tier.wan); return m })
-		e.Reg.Int(metrics.Desc{Name: "spritefs_scale_tier_bytes_total", Unit: "bytes",
+			lbl, &e.Router.tierMsgs[tier])
+		e.Reg.IntVar(metrics.Desc{Name: "spritefs_scale_tier_bytes_total", Unit: "bytes",
 			Help: "Payload bytes carried per topology tier.",
 			Kind: metrics.Counter},
-			lbl, func() int64 { _, b, _ := e.Router.TierTraffic(tier.wan); return b })
-		e.Reg.Seconds(metrics.Desc{Name: "spritefs_scale_tier_busy_seconds",
+			lbl, &e.Router.tierBytes[tier])
+		e.Reg.SecondsVar(metrics.Desc{Name: "spritefs_scale_tier_busy_seconds",
 			Help: "Cumulative transmission time per topology tier; against elapsed virtual time it gives tier utilization.",
 			Kind: metrics.Counter},
-			lbl, func() time.Duration { _, _, d := e.Router.TierTraffic(tier.wan); return d })
+			lbl, &e.Router.tierBusy[tier])
 	}
 	ctr(e.Reg, "spritefs_scale_rounds_total", "rounds",
 		"Channel-clock synchronization rounds the executor ran.",

@@ -1,8 +1,14 @@
-// Package traceio converts foreign trace formats into the native
-// trace.Record stream, following the replay-trace taxonomy's
-// capture→normalize→replay pipeline: the paper's methodology rests on
-// captured traces, and this package is how somebody else's capture gets
-// onto this reproduction's cache/server/consistency stack.
+// Package traceio is the read side of the trace tool-chain, following the
+// replay-trace taxonomy's capture→normalize→replay/analyze pipeline: it is
+// how trace files — this reproduction's own captures or somebody else's —
+// become the one merged trace.Record stream that replay re-executes and
+// core.AnalyzeTrace analyzes.
+//
+// Source is that path: every tool opens its inputs through Source.Open,
+// which sniffs native files (binary or text, per file), runs foreign dumps
+// through an importer, and k-way merges the lot with trace.Merge. Nothing
+// else in the repository picks an importer by name or parses a mapping
+// spec.
 //
 // Two importers are provided — a generic CSV/TSV I/O-trace adapter with a
 // configurable column mapping (SNIA-style dumps) and an strace-like
