@@ -18,12 +18,10 @@
 //	serve -clients 8 -rate 100 -duration 30s -trace trace1.srv0 -transport tcp
 //
 // The run ends with a per-verb latency/throughput report (wall-clock
-// p50/p95/p99). -bench-json additionally writes the headline numbers as a
-// JSON record for the perf-trajectory files.
+// p50/p95/p99).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -51,8 +49,7 @@ var validTransports = []string{"inproc", "tcp"}
 
 // validateFlags rejects contradictory or out-of-range flag combinations
 // before anything is built (the cmd/experiments flagScope discipline).
-func validateFlags(clients int, rate float64, duration, deadline time.Duration,
-	transport string, set map[string]bool) error {
+func validateFlags(clients int, rate float64, duration, deadline time.Duration, transport string) error {
 	if clients < 1 {
 		return fmt.Errorf("-clients must be at least 1 (got %d)", clients)
 	}
@@ -75,9 +72,6 @@ func validateFlags(clients int, rate float64, duration, deadline time.Duration,
 	if !known {
 		return fmt.Errorf("unknown -transport %q (want %s)", transport, strings.Join(validTransports, " or "))
 	}
-	if set["bench-json"] && duration == 0 {
-		return fmt.Errorf("-bench-json needs a bounded run; set -duration")
-	}
 	return nil
 }
 
@@ -92,16 +86,13 @@ func run(args []string, out io.Writer) (err error) {
 		transport = fs.String("transport", "inproc", "agent transport: inproc | tcp")
 		deadline  = fs.Duration("deadline", 2*time.Second, "per-request deadline (retries included)")
 		seed      = fs.Int64("seed", 1, "file-population and agent RNG seed")
-		benchJSON = fs.String("bench-json", "", "write headline throughput/latency numbers to this JSON file")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the soak to this file")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile (taken at drain) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(*clients, *rate, *duration, *deadline, *transport, set); err != nil {
+	if err := validateFlags(*clients, *rate, *duration, *deadline, *transport); err != nil {
 		return err
 	}
 
@@ -216,42 +207,5 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	svc.Drain()
 	drained = true
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *clients, *rate, rep); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// benchRecord is the machine-readable soak summary, shaped like the other
-// BENCH_*.json perf-trajectory files.
-type benchRecord struct {
-	Name           string  `json:"name"`
-	Clients        int     `json:"clients"`
-	TargetRate     float64 `json:"target_rate_rps"`
-	DurationS      float64 `json:"duration_s"`
-	Requests       int64   `json:"requests"`
-	Errors         int64   `json:"errors"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	P99Ns          int64   `json:"p99_ns"`
-}
-
-func writeBenchJSON(path string, clients int, rate float64, rep *live.Report) error {
-	rec := benchRecord{
-		Name:           "live_soak",
-		Clients:        clients,
-		TargetRate:     rate,
-		DurationS:      rep.Elapsed.Seconds(),
-		Requests:       rep.Requests,
-		Errors:         rep.Errors,
-		RequestsPerSec: rep.Throughput(),
-		P99Ns:          rep.P99().Nanoseconds(),
-	}
-	b, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -38,18 +38,6 @@ func (r *Report) Throughput() float64 {
 	return float64(r.Requests) / r.Elapsed.Seconds()
 }
 
-// P99 returns the worst per-verb p99 (the headline tail number; zero with
-// no traffic).
-func (r *Report) P99() time.Duration {
-	var worst time.Duration
-	for _, v := range r.PerVerb {
-		if v.P99 > worst {
-			worst = v.P99
-		}
-	}
-	return worst
-}
-
 // BuildReport snapshots the counters after elapsed wall time of load.
 func BuildReport(c *Counters, elapsed time.Duration) *Report {
 	r := &Report{

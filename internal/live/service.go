@@ -121,9 +121,14 @@ func (s *Service) fileSize(id uint64) int64 {
 	return 0
 }
 
-// AgentFiles returns agent a's private working set. The returned slice is
-// immutable; callers must not modify it.
-func (s *Service) AgentFiles(a int) []FileRef { return s.perAgent[a%s.agents] }
+// AgentFiles returns agent a's private working set (none for a negative
+// id). The returned slice is immutable; callers must not modify it.
+func (s *Service) AgentFiles(a int) []FileRef {
+	if a < 0 {
+		return nil
+	}
+	return s.perAgent[a%s.agents]
+}
 
 // SharedFiles returns the cross-agent shared files. Immutable.
 func (s *Service) SharedFiles() []FileRef { return s.shared }
@@ -158,6 +163,9 @@ func (s *Service) Drain() {
 // Exec runs one request against the cluster. Loop-only: the Dispatcher
 // invokes it from the WallClock goroutine.
 func (s *Service) Exec(req *Request) Response {
+	if req.Agent < 0 {
+		return Response{Err: fmt.Sprintf("live: negative agent id %d", req.Agent)}
+	}
 	cl := s.Cluster.Clients[int(req.Agent)%len(s.Cluster.Clients)]
 	user := req.Agent
 	proc := 10000 + req.Agent // one synthetic process per agent

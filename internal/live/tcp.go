@@ -47,6 +47,10 @@ func decodeRequest(p []byte) (req Request, deadline time.Duration, err error) {
 	req.Offset = int64(binary.BigEndian.Uint64(p[22:]))
 	req.Length = int64(binary.BigEndian.Uint64(p[30:]))
 	deadline = time.Duration(binary.BigEndian.Uint64(p[38:]))
+	// The signed fields are a peer's raw bit patterns, and Exec indexes by Agent.
+	if req.Agent < 0 || req.Offset < 0 || req.Length < 0 || deadline <= 0 {
+		return req, 0, fmt.Errorf("live: request field out of range: %+v, deadline %v", req, deadline)
+	}
 	return req, deadline, nil
 }
 

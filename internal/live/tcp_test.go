@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,13 +10,13 @@ import (
 )
 
 // TestCodecRoundTrip pushes requests and responses through encode/decode
-// and requires byte-exact field recovery, including negative offsets,
-// error strings, and the frame length prefix.
+// and requires byte-exact field recovery, including the extremes of the
+// signed request fields, error strings, and the frame length prefix.
 func TestCodecRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{},
 		{Verb: VerbOpen, Agent: 7, File: 0xdeadbeefcafe, Write: true},
-		{Verb: VerbRead, Agent: -1, Handle: ^uint64(0), Offset: -8, Length: 1 << 40},
+		{Verb: VerbRead, Agent: math.MaxInt32, Handle: ^uint64(0), Offset: math.MaxInt64, Length: 1 << 40},
 		{Verb: VerbGetattr, Agent: 39, File: 42},
 	}
 	for i, in := range reqs {
@@ -73,6 +74,59 @@ func TestCodecRejectsBadFrames(t *testing.T) {
 	frame[0], frame[1], frame[2], frame[3] = 0xff, 0xff, 0xff, 0xff
 	if _, err := readFrame(strings.NewReader(string(frame)), maxRespPayload); err == nil {
 		t.Error("oversized frame accepted")
+	}
+}
+
+// TestOutOfRangeRequests is the hostile-peer table: a frame whose signed
+// fields carry a negative bit pattern, or whose deadline is not positive,
+// is a protocol error at the TCP seam, and the same agent ids handed
+// straight to the in-process seam (Exec, AgentFiles) come back as error
+// replies rather than an index panic on the dispatcher loop.
+func TestOutOfRangeRequests(t *testing.T) {
+	svc, err := NewService(ServiceConfig{Agents: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := svc.AgentFiles(0)[0].ID
+	cases := []struct {
+		name     string
+		req      Request
+		deadline time.Duration
+		reject   bool // decodeRequest must refuse the frame
+	}{
+		{"in range", Request{Verb: VerbGetattr, Agent: 2, File: file}, time.Second, false},
+		{"agent past the population", Request{Verb: VerbGetattr, Agent: math.MaxInt32, File: file}, time.Second, false},
+		{"zero length", Request{Verb: VerbRead, Handle: 1}, time.Second, false},
+		{"agent 0xFFFFFFFF", Request{Verb: VerbGetattr, Agent: -1, File: file}, time.Second, true},
+		{"agent 0x80000000", Request{Verb: VerbOpen, Agent: math.MinInt32, File: file}, time.Second, true},
+		{"negative offset", Request{Verb: VerbRead, Handle: 1, Offset: -8, Length: 8}, time.Second, true},
+		{"negative length", Request{Verb: VerbWrite, Handle: 1, Length: -1}, time.Second, true},
+		{"zero deadline", Request{Verb: VerbGetattr, File: file}, 0, true},
+		{"negative deadline", Request{Verb: VerbGetattr, File: file}, -time.Second, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := encodeRequest(nil, &tc.req, tc.deadline)
+			got, _, err := decodeRequest(frame[4:])
+			if (err != nil) != tc.reject {
+				t.Fatalf("decodeRequest error = %v, want rejection: %v", err, tc.reject)
+			}
+			if err == nil && got != tc.req {
+				t.Fatalf("decoded %+v, want %+v", got, tc.req)
+			}
+			// Exec sees the request as sent, whatever the TCP seam decided:
+			// the in-process transport has no decoder in front of it.
+			resp := svc.Exec(&tc.req)
+			if tc.req.Agent < 0 && resp.OK() {
+				t.Errorf("Exec accepted agent %d", tc.req.Agent)
+			}
+			if tc.req.Agent >= 0 && tc.req.Verb == VerbGetattr && !resp.OK() {
+				t.Errorf("Exec refused agent %d: %s", tc.req.Agent, resp.Err)
+			}
+			if files := svc.AgentFiles(int(tc.req.Agent)); (len(files) == 0) != (tc.req.Agent < 0) {
+				t.Errorf("AgentFiles(%d) returned %d files", tc.req.Agent, len(files))
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"spritefs/internal/cluster"
 	"spritefs/internal/faults"
 	"spritefs/internal/trace"
 )
@@ -24,15 +23,7 @@ func goldenText(t *testing.T, r *Result) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "== config %s\n%s", r.Config.Name, ReplayTable(r).String())
-	// Table 4 folds its windows in map order, so its last float digits
-	// vary run to run; pin it at six decimals and the rest exactly.
-	rep := r.Report
-	t4 := rep.Table4
-	rep.Table4 = cluster.Table4{}
-	fmt.Fprintf(&b, "== report\ntable4 avg=%.6f sd=%.6f max=%.6f ch15=%.6f/%.6f/%.6f ch60=%.6f/%.6f/%.6f n=%d\n%+v\n",
-		t4.AvgSizeKB, t4.SDSizeKB, t4.MaxSizeKB,
-		t4.Change15MaxKB, t4.Change15AvgKB, t4.Change15SDKB,
-		t4.Change60MaxKB, t4.Change60AvgKB, t4.Change60SDKB, t4.ActiveIntervals15, rep)
+	fmt.Fprintf(&b, "== report\n%+v\n", r.Report)
 	fmt.Fprintf(&b, "== registry\n")
 	if err := r.Metrics.Registry().Dump(&b, "prom"); err != nil {
 		t.Fatal(err)

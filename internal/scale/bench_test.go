@@ -25,12 +25,13 @@ func runRecycled(cfg scale.Config, opts scale.RunOptions, pools [][]*scale.Messa
 	return e.DrainMessagePools()
 }
 
-// BenchmarkScaleEngine is the throughput-vs-shards macro benchmark behind
-// BENCH_scale.json: the same 1000-client community run as one segment and
-// as eight. The shards=1 row is the sequential executor; multi-shard rows
-// use the parallel executor, so the ratio between them is the wall-clock
-// speedup sharding buys on this host (bounded by usable cores — on a
-// single-core host expect ~1x).
+// BenchmarkScaleEngine is the throughput-vs-shards macro benchmark: the
+// same 1000-client community run as one segment and as eight. The
+// clients=/shards= labels in the sub-benchmark name are what `make
+// profile` and docs/PERFORMANCE.md select on. The shards=1 row is the
+// sequential executor; multi-shard rows use the parallel executor, so
+// the ratio between them is the wall-clock speedup sharding buys on this
+// host (bounded by usable cores — on a single-core host expect ~1x).
 func BenchmarkScaleEngine(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("clients=1000/shards=%d", shards), func(b *testing.B) {
@@ -50,10 +51,9 @@ func BenchmarkScaleEngine(b *testing.B) {
 
 // BenchmarkScaleWorkers pins the worker-count axis: the eight-shard
 // community run by one worker and by eight on the channel-clock
-// executor. benchjson derives the 8-vs-1 wall-clock speedup recorded in
-// BENCH_scale.json from these two rows; it tracks the host's usable
-// cores, since the executor's rounds and exchanges are identical either
-// way.
+// executor. The ratio of the two rows is the 8-vs-1 wall-clock speedup
+// (docs/PERFORMANCE.md records it); it tracks the host's usable cores,
+// since the executor's rounds and exchanges are identical either way.
 func BenchmarkScaleWorkers(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("clients=1000/shards=8/workers=%d", workers), func(b *testing.B) {
@@ -71,13 +71,12 @@ func BenchmarkScaleWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkWANScale is the hierarchical-topology macro benchmark behind
-// BENCH_scale.json: the 1000-client community on a fixed 8-segment grid,
-// flat (sites=1) and re-grouped into 2 and 4 sites under WAN tier
-// pricing. The name carries clients/sites/segs labels so benchjson can
-// chart cost vs tier depth; a tier-pricing regression (say, the router
-// pricing walk going quadratic) shows up here before it shows up in a
-// million-client run.
+// BenchmarkWANScale is the hierarchical-topology macro benchmark: the
+// 1000-client community on a fixed 8-segment grid, flat (sites=1) and
+// re-grouped into 2 and 4 sites under WAN tier pricing. The name carries
+// clients/sites/segs labels so the rows read as cost vs tier depth; a
+// tier-pricing regression (say, the router pricing walk going quadratic)
+// shows up here before it shows up in a million-client run.
 func BenchmarkWANScale(b *testing.B) {
 	for _, sites := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("clients=1000/sites=%d/segs=8", sites), func(b *testing.B) {
@@ -96,10 +95,10 @@ func BenchmarkWANScale(b *testing.B) {
 	}
 }
 
-// BenchmarkWANScaleQuick is the benchcheck gate's variant: a small
-// two-site community, cheap enough to run median-of-counts inside make
-// check, sensitive to regressions in tier pricing, placement lookups and
-// the cross-site gateway path.
+// BenchmarkWANScaleQuick is BenchmarkWANScale's quick variant: a small
+// two-site community, cheap enough to repeat many times while working,
+// sensitive to regressions in tier pricing, placement lookups and the
+// cross-site gateway path.
 func BenchmarkWANScaleQuick(b *testing.B) {
 	p := workload.Default(7)
 	p.NumClients = 16

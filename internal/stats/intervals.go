@@ -1,6 +1,9 @@
 package stats
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // IntervalAgg divides a time axis into fixed-width intervals and accumulates
 // a float64 per (interval, key) pair. It drives Table 2 of the paper, where
@@ -64,15 +67,29 @@ type Summary struct {
 }
 
 // Summarize computes activity statistics over all populated intervals.
+// It folds in ascending (interval, key) order: float addition is not
+// associative, and map order would change the last bits from run to run.
 func (a *IntervalAgg) Summarize() Summary {
 	var s Summary
-	for _, m := range a.cells {
+	idxs := make([]int64, 0, len(a.cells))
+	for idx := range a.cells {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		m := a.cells[idx]
+		keys := make([]int, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
 		if len(m) > s.MaxActive {
 			s.MaxActive = len(m)
 		}
 		s.ActiveUsers.Add(float64(len(m)))
 		total := 0.0
-		for _, v := range m {
+		for _, k := range keys {
+			v := m[k]
 			s.PerUser.Add(v)
 			if v > s.PeakUser {
 				s.PeakUser = v

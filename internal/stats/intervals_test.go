@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -74,5 +75,40 @@ func TestEmptyIntervalsNotCounted(t *testing.T) {
 	a.Add(95*time.Second, 1, 10)
 	if n := a.NumIntervals(); n != 2 {
 		t.Errorf("NumIntervals = %d, want 2 (gaps must not count)", n)
+	}
+}
+
+// TestSummarizeIsBitStable pins the fold order: the same cells, inserted
+// in any order and summarized any number of times, give the same Summary
+// to the last bit (compared with ==, not a tolerance). Table 2 is printed
+// from these values, and byte-identity goldens sit downstream of it.
+func TestSummarizeIsBitStable(t *testing.T) {
+	type cell struct {
+		t   time.Duration
+		key int
+		v   float64
+	}
+	rng := rand.New(rand.NewSource(1))
+	var cells []cell
+	for idx := 0; idx < 200; idx++ {
+		for key, users := 0, 1+rng.Intn(12); key < users; key++ {
+			// One value per (interval, key): Add itself is order-sensitive
+			// when a cell is hit twice, and that is the caller's order.
+			cells = append(cells, cell{time.Duration(idx) * 10 * time.Second, key, rng.Float64() * 1e6})
+		}
+	}
+	var want Summary
+	for rep := 0; rep < 20; rep++ {
+		rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+		a := NewIntervalAgg(10 * time.Second)
+		for _, c := range cells {
+			a.Add(c.t, c.key, c.v)
+		}
+		got := a.Summarize()
+		if rep == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("repeat %d: Summarize differs from the first repeat:\n got %+v\nwant %+v", rep, got, want)
+		}
 	}
 }

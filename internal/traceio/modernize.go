@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,6 +90,11 @@ func ParseProfile(spec string) (Profile, error) {
 		}
 		if err != nil {
 			return p, fmt.Errorf("traceio: profile entry %q: %w", part, err)
+		}
+	}
+	for _, f := range []float64{p.SizeScale, p.RateScale} {
+		if math.IsNaN(f) || math.IsInf(f, 0) { // ParseFloat reads "nan" and "inf"
+			return p, fmt.Errorf("traceio: profile %q: size and rate must be finite", spec)
 		}
 	}
 	return p.Normalize(), nil

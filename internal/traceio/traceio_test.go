@@ -1,6 +1,7 @@
 package traceio
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -333,6 +334,77 @@ func FuzzImportStrace(f *testing.F) {
 			if recs[i].Time < recs[i-1].Time {
 				t.Fatal("import produced a time-unsorted stream")
 			}
+		}
+	})
+}
+
+// FuzzParseCSVMapping holds the -map grammar to its contract on arbitrary
+// text: ParseCSVMapping never panics, a mapping it accepts places the
+// three required columns and carries a usable unit, separator and op
+// table, and importing through that mapping never panics either (columns
+// past the end of a row are that row's problem, not the importer's).
+func FuzzParseCSVMapping(f *testing.F) {
+	f.Add("")
+	f.Add("time=0,client=1,op=2,path=3,offset=4,length=5,unit=us,sep=tab,skip=1")
+	f.Add("time=3, path=0 ,op=1,client=-,user=,pid=9,size=7,len=2,op.WRITE_BLOCK=write,sep=semicolon")
+	f.Add("op=99999999999,unit=ns")
+	f.Add("time")                  // rejected: not key=value
+	f.Add("time=-")                // rejected: required column absent
+	f.Add("client=-2")             // rejected: negative column
+	f.Add("unit=fortnight")        // rejected: unknown unit
+	f.Add("sep=|")                 // rejected: unknown separator
+	f.Add("op.frobnicate=explode") // rejected: unknown kind
+	f.Add("colour=blue")           // rejected: unknown key
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := ParseCSVMapping(spec)
+		if err != nil {
+			return
+		}
+		if m.Time < 0 || m.Op < 0 || m.Path < 0 {
+			t.Fatalf("accepted a mapping without time/op/path: %+v", m)
+		}
+		for _, col := range []int{m.Client, m.User, m.Proc, m.Offset, m.Length, m.Size} {
+			if col < -1 {
+				t.Fatalf("accepted column index %d: %+v", col, m)
+			}
+		}
+		if m.TimeUnit <= 0 || !strings.ContainsRune(",\t; ", m.Comma) {
+			t.Fatalf("accepted unit %v / separator %q", m.TimeUnit, m.Comma)
+		}
+		for name, kind := range m.Ops {
+			if !kind.Valid() || name != strings.ToLower(name) {
+				t.Fatalf("accepted op mapping %q -> %d", name, kind)
+			}
+		}
+		ImportCSV(strings.NewReader(sampleCSV), m, Options{}) // must not panic; errors are fine
+	})
+}
+
+// FuzzParseProfile holds the -modernize grammar to its contract: it never
+// panics, and a profile it accepts is already normalized — finite positive
+// scales, at least one clone and one file copy, a positive skew.
+func FuzzParseProfile(f *testing.F) {
+	f.Add("")
+	f.Add("size=8,rate=4,clients=4,files=2,skew=5ms")
+	f.Add(" RATE = 0.5 ,, size=-1,clients=0")
+	f.Add("size")          // rejected: not key=value
+	f.Add("size=nan")      // rejected: not a number
+	f.Add("rate=+Inf")     // rejected: not finite
+	f.Add("clients=2.5")   // rejected: not an integer
+	f.Add("skew=soon")     // rejected: not a duration
+	f.Add("entropy=9")     // rejected: unknown key
+	f.Add("files=1e99999") // rejected: out of range
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseProfile(spec)
+		if err != nil {
+			return
+		}
+		finite := func(v float64) bool { return v > 0 && !math.IsInf(v, 0) }
+		if !finite(p.SizeScale) || !finite(p.RateScale) || p.ClientScale < 1 || p.FileScale < 1 || p.CloneSkew <= 0 {
+			t.Fatalf("accepted profile %+v", p)
+		}
+		if p.Normalize() != p {
+			t.Fatalf("accepted profile is not normalized: %+v", p)
 		}
 	})
 }
