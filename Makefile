@@ -94,7 +94,9 @@ scalecheck:
 	$(GO) test -race -run 'TestParallelMatchesSequential|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration' -count=1 ./internal/scale
 
 # The allocation-regression gate: testing.AllocsPerRun pins the
-# scheduler's After/Every steady state, the netsim RPC round-trip, the
+# scheduler's After/Every steady state (a lone ticker, a 1000-ticker
+# same-instant population, and stop/start churn that must not grow the
+# timer arena), the netsim RPC round-trip, the
 # fscache cleaner sweep (dirty-set walk plus scratch-buffer reuse) and
 # the metrics labeled-counter increment-and-sum path at exactly zero
 # allocations per operation, and the scale pool tests pin the executor's
@@ -126,9 +128,12 @@ importcheck:
 # where bytes or text from outside the program are parsed: the trace
 # reader every tool opens files through, the two importers, the -map and
 # -modernize grammars, the -faults schedule grammar and the live TCP
-# codec. (`go test -fuzz` takes one target and one package per run.)
+# codec — plus the scheduler's differential oracle, whose op streams are
+# decoded from bytes so a failure shrinks by itself. (`go test -fuzz`
+# takes one target and one package per run.)
 fuzzcheck:
 	@set -e; for t in \
+		internal/sim:FuzzScheduler \
 		internal/trace:FuzzAutoReader \
 		internal/traceio:FuzzImportCSV internal/traceio:FuzzImportStrace \
 		internal/traceio:FuzzParseCSVMapping internal/traceio:FuzzParseProfile \

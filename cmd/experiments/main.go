@@ -49,11 +49,17 @@ var flagScope = map[string][]string{
 	"lean":           {"wanscale"},
 }
 
+// nonNegative are the numeric flags whose negative values the studies would
+// otherwise silently replace by a default (0 stays "use the default" where
+// the help text says so).
+var nonNegative = []string{"clients", "segments", "hours", "days", "scale", "workers"}
+
 var validExps = []string{"all", "section4", "section5", "faults", "timeseries", "scale", "wanscale", "workloads"}
 
-// validateFlags fails fast on unknown -exp names and on contradictory
-// combinations instead of silently running the default.
-func validateFlags(exp string, set map[string]bool, metricsFmt string) error {
+// validateFlags fails fast on unknown -exp names, on contradictory
+// combinations and on out-of-range numbers instead of silently running the
+// default. num holds the values of the nonNegative flags.
+func validateFlags(exp string, set map[string]bool, num map[string]float64, metricsFmt string) error {
 	known := false
 	for _, e := range validExps {
 		if exp == e {
@@ -80,6 +86,14 @@ func validateFlags(exp string, set map[string]bool, metricsFmt string) error {
 			return fmt.Errorf("-%s does not apply to -exp %s (valid for: %s)",
 				name, exp, strings.Join(scope, ", "))
 		}
+	}
+	for _, name := range nonNegative {
+		if num[name] < 0 {
+			return fmt.Errorf("-%s %v is negative", name, num[name])
+		}
+	}
+	if set["segments"] && num["segments"] == 0 {
+		return fmt.Errorf("-segments 0: a topology needs at least one segment")
 	}
 	if set["metrics-format"] && !set["metrics-out"] {
 		return fmt.Errorf("-metrics-format without -metrics-out writes nothing; add -metrics-out")
@@ -119,7 +133,11 @@ func main() {
 
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if err := validateFlags(*exp, setFlags, *tsFmt); err != nil {
+	num := map[string]float64{
+		"clients": float64(*clients), "segments": float64(*segs), "workers": float64(*workers),
+		"hours": *hours, "days": *days, "scale": *scale,
+	}
+	if err := validateFlags(*exp, setFlags, num, *tsFmt); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		flag.Usage()
 		os.Exit(2)

@@ -5,25 +5,35 @@ import (
 	"testing"
 )
 
-// TestValidateFlags pins fail-fast behavior for unknown experiments and
-// flags the chosen experiment would silently ignore.
+// TestValidateFlags pins fail-fast behavior for unknown experiments, flags
+// the chosen experiment would silently ignore, and negative numbers the
+// studies would silently replace by their defaults.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		exp  string
 		set  []string
+		num  map[string]float64 // values of the numeric flags (absent = 0)
 		fmt  string
 		want string // "" = valid; otherwise a substring of the error
 	}{
-		{"default all", "all", nil, "tsv", ""},
-		{"unknown exp", "bogus", nil, "tsv", "unknown experiment"},
-		{"traces for section5", "section5", []string{"traces"}, "tsv", "-traces does not apply"},
-		{"days for scale", "scale", []string{"days"}, "tsv", "-days does not apply"},
-		{"shards for faults", "faults", []string{"shards"}, "tsv", "-shards does not apply"},
-		{"format without out", "timeseries", []string{"metrics-format"}, "prom", "-metrics-out"},
-		{"bad format", "timeseries", []string{"metrics-out", "metrics-format"}, "xml", "xml"},
-		{"scale flags ok", "scale", []string{"shards", "clients", "hours", "workers"}, "tsv", ""},
-		{"timeseries ok", "timeseries", []string{"metrics-out", "metrics-sample", "hours"}, "tsv", ""},
+		{"default all", "all", nil, nil, "tsv", ""},
+		{"unknown exp", "bogus", nil, nil, "tsv", "unknown experiment"},
+		{"traces for section5", "section5", []string{"traces"}, nil, "tsv", "-traces does not apply"},
+		{"days for scale", "scale", []string{"days"}, nil, "tsv", "-days does not apply"},
+		{"shards for faults", "faults", []string{"shards"}, nil, "tsv", "-shards does not apply"},
+		{"format without out", "timeseries", []string{"metrics-format"}, nil, "prom", "-metrics-out"},
+		{"bad format", "timeseries", []string{"metrics-out", "metrics-format"}, nil, "xml", "xml"},
+		{"scale flags ok", "scale", []string{"shards", "clients", "hours", "workers"}, nil, "tsv", ""},
+		{"timeseries ok", "timeseries", []string{"metrics-out", "metrics-sample", "hours"}, nil, "tsv", ""},
+		{"negative clients", "scale", []string{"clients"}, map[string]float64{"clients": -5}, "tsv", "-clients -5 is negative"},
+		{"negative workers", "scale", []string{"workers"}, map[string]float64{"workers": -3}, "tsv", "-workers -3 is negative"},
+		{"negative hours", "wanscale", []string{"hours"}, map[string]float64{"hours": -1}, "tsv", "-hours -1 is negative"},
+		{"negative days", "section5", []string{"days"}, map[string]float64{"days": -0.5}, "tsv", "-days -0.5 is negative"},
+		{"negative scale", "section4", []string{"scale"}, map[string]float64{"scale": -2}, "tsv", "-scale -2 is negative"},
+		{"negative segments", "wanscale", []string{"segments"}, map[string]float64{"segments": -8}, "tsv", "-segments -8 is negative"},
+		{"zero segments", "wanscale", []string{"segments"}, map[string]float64{"segments": 0}, "tsv", "-segments 0"},
+		{"zero means default", "wanscale", []string{"clients", "workers", "hours"}, map[string]float64{"segments": 8}, "tsv", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,7 +41,7 @@ func TestValidateFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			err := validateFlags(tc.exp, set, tc.fmt)
+			err := validateFlags(tc.exp, set, tc.num, tc.fmt)
 			if tc.want == "" {
 				if err != nil {
 					t.Errorf("validateFlags(%q, %v) = %v, want nil", tc.exp, tc.set, err)
@@ -51,7 +61,7 @@ func TestValidateFlags(t *testing.T) {
 func TestProfileFlagsApplyEverywhere(t *testing.T) {
 	set := map[string]bool{"cpuprofile": true, "memprofile": true}
 	for _, exp := range validExps {
-		if err := validateFlags(exp, set, "tsv"); err != nil {
+		if err := validateFlags(exp, set, nil, "tsv"); err != nil {
 			t.Errorf("profile flags rejected for -exp %s: %v", exp, err)
 		}
 	}

@@ -127,11 +127,12 @@ func foldShards(rep *scale.Report) shardFolds {
 }
 
 // execTable renders the executor's cost per swept configuration: row i
-// is keyed by row(i)'s swept value under the axis heading, and speedup is
-// wall-clock relative to the first row.
+// is keyed by row(i)'s swept value under the axis heading, ns/event is
+// wall-clock per simulated event (the simulator's figure of merit), and
+// speedup is wall-clock relative to the first row.
 func execTable(axis string, n int, row func(i int) (int, *scale.RunStats)) *stats.Table {
 	t := stats.NewTable("Executor wall-clock",
-		axis, "workers", "rounds", "null-adv", "rescues", "msgs", "wall", "speedup")
+		axis, "workers", "rounds", "null-adv", "rescues", "msgs", "events", "wall", "ns/event", "speedup")
 	_, first := row(0)
 	for i := 0; i < n; i++ {
 		key, st := row(i)
@@ -142,7 +143,9 @@ func execTable(axis string, n int, row func(i int) (int, *scale.RunStats)) *stat
 			fmt.Sprintf("%d", st.Exec.NullAdvances),
 			fmt.Sprintf("%d", st.Exec.Rescues),
 			fmt.Sprintf("%d", st.Exec.Routed),
+			fmt.Sprintf("%d", st.Events),
 			st.Wall.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.0f", float64(st.Wall)/float64(st.Events)),
 			fmt.Sprintf("%.2fx", float64(first.Wall)/float64(st.Wall)))
 	}
 	return t
@@ -198,6 +201,6 @@ func ScaleTables(r *ScaleResult) string {
 	exec := execTable("shards", len(r.Rows),
 		func(i int) (int, *scale.RunStats) { return r.Rows[i].Shards, &r.Rows[i].Stats })
 	b.WriteString(exec.String())
-	b.WriteString("\nWall-clock and speedup are host measurements: shards run on separate\ngoroutines, so multi-shard speedup tracks the host's usable cores\n(GOMAXPROCS); on a single-core host expect ~1x.\n")
+	b.WriteString("\nWall-clock, ns/event and speedup are host measurements: shards run on\nseparate goroutines, so multi-shard speedup tracks the host's usable cores\n(GOMAXPROCS); on a single-core host expect ~1x.\n")
 	return b.String()
 }

@@ -7,8 +7,9 @@ import (
 
 // The two topology studies' printed tables, pinned on a small community
 // (80 clients; shards 1,2 / sites 1,2). Everything but the executor's
-// wall-clock is deterministic, so the tests overwrite Stats.Wall with
-// fixed values and compare whole renderings byte for byte. The
+// wall-clock is deterministic — the event counts exactly so — so the tests
+// overwrite Stats.Wall with fixed values (which fixes ns/event too) and
+// compare whole renderings byte for byte. The
 // saturation tables are as pinned before the studies shared their sweep
 // loop; the executor table is the one shape both studies now print.
 
@@ -19,13 +20,13 @@ shards  opens/s  recalls/h  maxnet%  maxdisk%  router%  remote-ops  rlat-ms
 2          2.79       40.0     13.2       7.6     0.01          39    30.81
 
 Executor wall-clock
-shards  workers  rounds  null-adv  rescues  msgs  wall  speedup
----------------------------------------------------------------
-1             0       2         0        0     0  30ms    1.00x
-2             2     121       162        0    78  20ms    1.50x
+shards  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup
+---------------------------------------------------------------------------------
+1             0       2         0        0     0    7694  30ms      3899    1.00x
+2             2     121       162        0    78   10399  20ms      1923    1.50x
 
-Wall-clock and speedup are host measurements: shards run on separate
-goroutines, so multi-shard speedup tracks the host's usable cores
+Wall-clock, ns/event and speedup are host measurements: shards run on
+separate goroutines, so multi-shard speedup tracks the host's usable cores
 (GOMAXPROCS); on a single-core host expect ~1x.
 `
 
@@ -36,12 +37,12 @@ sites  segs/site   hit%  opens/s  maxdisk%  remote-ops  xsite-ops  wan%  rlat-ms
 2              1  16.45     2.71       7.0          36         36  0.06   112.59     112.59
 
 Executor wall-clock
-sites  workers  rounds  null-adv  rescues  msgs  wall  speedup
---------------------------------------------------------------
-1            2     121       162        0    78  30ms    1.00x
-2            2     112       150        0    72  20ms    1.50x
+sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup
+--------------------------------------------------------------------------------
+1            2     121       162        0    78   10399  30ms      2885    1.00x
+2            2     112       150        0    72   10367  20ms      1929    1.50x
 
-Wall-clock and speedup are host measurements; everything else is
+Wall-clock, ns/event and speedup are host measurements; everything else is
 deterministic. WAN links are also the executor's widest lookahead, so deeper
 hierarchies usually need fewer synchronization rounds per simulated hour.
 `

@@ -123,6 +123,6 @@ func WANScaleTables(r *WANScaleResult) string {
 	exec := execTable("sites", len(r.Rows),
 		func(i int) (int, *scale.RunStats) { return r.Rows[i].Sites, &r.Rows[i].Stats })
 	b.WriteString(exec.String())
-	b.WriteString("\nWall-clock and speedup are host measurements; everything else is\ndeterministic. WAN links are also the executor's widest lookahead, so deeper\nhierarchies usually need fewer synchronization rounds per simulated hour.\n")
+	b.WriteString("\nWall-clock, ns/event and speedup are host measurements; everything else is\ndeterministic. WAN links are also the executor's widest lookahead, so deeper\nhierarchies usually need fewer synchronization rounds per simulated hour.\n")
 	return b.String()
 }

@@ -89,10 +89,11 @@ func TestAllLinksZeroLatency(t *testing.T) {
 	}
 }
 
-// TestSubTickLinkLatency prices links far below the timer wheel's ~4.2ms
-// bucket resolution: event delivery must stay exact (the wheel only
-// batches recurring daemons), so lookahead windows much smaller than a
-// tick cannot reorder or lose messages.
+// TestSubTickLinkLatency prices links at 50µs, orders of magnitude below
+// every daemon period: the scheduler orders events by their exact
+// (time, seq), so lookahead windows that narrow cannot reorder or lose
+// messages. (The "tick" was the ~4.2ms bucket of the timer wheel that
+// recurring daemons used to live on.)
 func TestSubTickLinkLatency(t *testing.T) {
 	cfg := chattyConfig(23, 3)
 	cfg.Router.Latency = 50 * time.Microsecond

@@ -42,10 +42,10 @@ type ExecStats struct {
 }
 
 // RunOptions selects the executor. The default (zero value) is the
-// sequential executor: every round runs its shards in index order on the
-// calling goroutine. Parallel fans each round out over Workers goroutines
-// with an exchange at every round boundary; reports and metric dumps are
-// byte-identical either way.
+// sequential executor: the shards start, and every round runs them, in
+// index order on the calling goroutine. Parallel fans the start and each
+// round out over Workers goroutines with an exchange at every round
+// boundary; reports and metric dumps are byte-identical either way.
 type RunOptions struct {
 	// Horizon is the measured duration (0 = one hour). The clock then
 	// advances cluster.DrainTime further so in-flight work settles, as in
@@ -63,7 +63,10 @@ type RunOptions struct {
 type RunStats struct {
 	Wall    time.Duration
 	Workers int // goroutines actually used (0 = sequential)
-	Exec    ExecStats
+	// Events is the number of simulator events the shards ran, summed over
+	// shards; Wall/Events is wall-clock per simulated event.
+	Events uint64
+	Exec   ExecStats
 }
 
 // Engine is an instantiated sharded topology plus its executor state.
@@ -178,11 +181,24 @@ func (e *Engine) DrainMessagePools() [][]*Message {
 	return pools
 }
 
-// shardJob is one shard's slice of a round: advance to the bound its
-// inbound channel clocks permit.
+// shardJob is one shard's piece of a dispatch: advance to the bound its
+// inbound channel clocks permit, or — once, before the first round — start
+// its daemons, community and remote generator for a run of length end.
+// Either touches that shard's cluster only, so jobs of one dispatch can
+// run on any goroutines in any order.
 type shardJob struct {
-	sh  *Shard
-	end sim.Time
+	sh    *Shard
+	end   sim.Time
+	start bool
+}
+
+func (j shardJob) do() {
+	if j.start {
+		j.sh.C.Start(j.end)
+		j.sh.startRemote(j.end)
+	} else {
+		j.sh.advanceTo(j.end)
+	}
 }
 
 // satAdd adds a non-negative delay to a virtual time, saturating at the
@@ -220,10 +236,6 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 
 	start := time.Now()
 	e.initExecutor()
-	for _, sh := range e.Shards {
-		sh.C.Start(horizon)
-		sh.startRemote(horizon)
-	}
 
 	var jobsCh chan shardJob
 	var done chan struct{}
@@ -233,7 +245,7 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 		for w := 0; w < workers; w++ {
 			go func() {
 				for j := range jobsCh {
-					j.sh.advanceTo(j.end)
+					j.do()
 					done <- struct{}{}
 				}
 			}()
@@ -250,10 +262,19 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 			}
 		} else {
 			for _, j := range jobs {
-				j.sh.advanceTo(j.end)
+				j.do()
 			}
 		}
 	}
+
+	// Start every shard. At a large population this is a visible share of
+	// the run (every system process pages its code in through a cold
+	// cache), so it goes through the pool like a round does.
+	jobs := e.jobs[:0]
+	for _, sh := range e.Shards {
+		jobs = append(jobs, shardJob{sh: sh, end: horizon, start: true})
+	}
+	run(jobs)
 
 	// Phase 1: the measured window.
 	e.runPhase(horizon, run)
@@ -263,11 +284,13 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 		sh.C.Finish()
 	}
 	e.runPhase(horizon+cluster.DrainTime, run)
+	var events uint64
 	for _, sh := range e.Shards {
 		e.exec.Undelivered += int64(len(sh.inbox))
 		e.exec.MsgAllocs += sh.msgAllocs
+		events += sh.C.Sim.Fired()
 	}
-	return RunStats{Wall: time.Since(start), Workers: workers, Exec: e.exec}
+	return RunStats{Wall: time.Since(start), Workers: workers, Events: events, Exec: e.exec}
 }
 
 // initExecutor sizes the per-round scratch and precomputes the all-pairs
@@ -372,7 +395,7 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
 				}
 			}
 			if t <= bound {
-				jobs = append(jobs, shardJob{sh, bound})
+				jobs = append(jobs, shardJob{sh: sh, end: bound})
 			} else {
 				stalled = true
 			}
@@ -393,7 +416,7 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
 					best, bt = sh, t
 				}
 			}
-			jobs = append(jobs, shardJob{best, bt})
+			jobs = append(jobs, shardJob{sh: best, end: bt})
 			e.exec.Rescues++
 		}
 

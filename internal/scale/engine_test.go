@@ -71,6 +71,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if st.Exec != seqStats.Exec {
 				t.Errorf("exec stats differ: sequential %+v parallel %+v", seqStats.Exec, st.Exec)
 			}
+			if st.Events != seqStats.Events || st.Events == 0 {
+				t.Errorf("event counts differ: sequential %d parallel %d", seqStats.Events, st.Events)
+			}
 		})
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // The scheduler's hot paths are required to be allocation-free in steady
-// state: once the event arena, heap slice and wheel arena have grown to
-// their high-water marks, At/After/Step and ticker firings must not touch
-// the garbage collector. `make allocscheck` runs these gates.
+// state: once the event arena, the timer arena and the two heap slices have
+// grown to their high-water marks, At/After/Step and ticker firings must
+// not touch the garbage collector. `make allocscheck` runs these gates.
 
 func TestAfterZeroAllocSteadyState(t *testing.T) {
 	s := New(1)
@@ -38,10 +38,76 @@ func TestEveryTickZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestEveryTickZeroAllocAtPopulation is the same gate over a shard-sized
+// population sharing one instant: firings sift through a deep heap and
+// still must not allocate.
+func TestEveryTickZeroAllocAtPopulation(t *testing.T) {
+	s := New(1)
+	ticks := 0
+	for i := 0; i < 1000; i++ {
+		s.Every(time.Second, 5*time.Second, func() { ticks++ })
+	}
+	s.RunUntil(time.Second) // every entry has been out of and back in the heap
+	allocs := testing.AllocsPerRun(5000, func() {
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("ticker firing among 1000 allocated %.1f/op in steady state, want 0", allocs)
+	}
+	if ticks < 6000 {
+		t.Fatalf("%d firings, want every Step to have fired one", ticks)
+	}
+}
+
+// TestTickerChurnZeroAllocGrowth has callbacks stop a sibling and start its
+// replacement, over and over. Every allocates the *Ticker it returns and
+// nothing else: the freed arena slot and heap position are reused, so
+// neither slice grows once the population has been reached.
+func TestTickerChurnZeroAllocGrowth(t *testing.T) {
+	s := New(1)
+	const n = 200
+	tks := make([]*Ticker, n)
+	noop := func() {}
+	for i := range tks {
+		i := i
+		tks[i] = s.Every(time.Duration(i%5)*time.Second, 5*time.Second, func() {
+			sib := (i + 1) % n
+			tks[sib].Stop()
+			tks[sib] = s.Every(s.Now()+time.Duration(i%3)*time.Second, 5*time.Second, noop)
+		})
+	}
+	s.RunUntil(10 * time.Second)
+	pool, heapCap, pending := len(s.timers.pool), cap(s.timers.heap), s.Pending()
+	allocs := testing.AllocsPerRun(2000, func() {
+		s.Step()
+	})
+	if allocs > 1 {
+		t.Fatalf("a firing that replaces a sibling allocated %.1f/op, want at most Every's one *Ticker", allocs)
+	}
+	if got := len(s.timers.pool); got != pool {
+		t.Fatalf("timer arena grew from %d to %d slots under stop/start churn", pool, got)
+	}
+	if got := cap(s.timers.heap); got != heapCap {
+		t.Fatalf("timer heap slice grew from cap %d to %d under stop/start churn", heapCap, got)
+	}
+	if got := s.Pending(); got != pending {
+		t.Fatalf("pending went from %d to %d under one-for-one replacement", pending, got)
+	}
+}
+
+// timerFreeLen counts the timer arena's free-listed slots.
+func timerFreeLen(s *Sim) int {
+	n := 0
+	for i := s.timers.free; i >= 0; i = s.timers.pool[i].next {
+		n++
+	}
+	return n
+}
+
 // TestTickerStopRecyclesEvent pins the Ticker.Stop contract: stopping a
-// ticker unlinks its pending wheel entry immediately — no tombstone is
-// left in any queue — and the arena slot is recycled, so repeated
-// start/stop cycles neither grow Pending nor leak pool slots.
+// ticker removes its armed entry from the timer heap immediately — no
+// tombstone is left in any queue — and the arena slot is recycled, so
+// repeated start/stop cycles neither grow Pending nor leak pool slots.
 func TestTickerStopRecyclesEvent(t *testing.T) {
 	s := New(1)
 	base := s.Pending()
@@ -56,11 +122,11 @@ func TestTickerStopRecyclesEvent(t *testing.T) {
 		}
 		tk.Stop() // double-stop must be a no-op
 	}
-	if got := len(s.wheel.pool); got != 1 {
-		t.Fatalf("wheel arena grew to %d slots over 1000 start/stop cycles, want 1 (slot not recycled)", got)
+	if got := len(s.timers.pool); got != 1 {
+		t.Fatalf("timer arena grew to %d slots over 1000 start/stop cycles, want 1 (slot not recycled)", got)
 	}
-	if got := s.wheel.freeLen(); got != 1 {
-		t.Fatalf("wheel free list has %d slots, want 1", got)
+	if got := timerFreeLen(s); got != 1 {
+		t.Fatalf("timer free list has %d slots, want 1", got)
 	}
 	if got := s.WheelTimers(); got != 0 {
 		t.Fatalf("WheelTimers = %d after all tickers stopped, want 0", got)
@@ -83,11 +149,10 @@ func TestTickerStopFromOtherEvent(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowAndRefile mixes wheel timers across levels with a
-// one-shot event and checks the merged firing order stays exact; the
-// "far" ticker's re-arm lands beyond the wheel horizon, exercising the
-// overflow list in the minimum scan.
-func TestWheelOverflowAndRefile(t *testing.T) {
+// TestFarFutureRearmKeepsOrder mixes tickers of very different periods
+// with a one-shot event and checks the merged firing order stays exact;
+// the "far" ticker's re-arm lands more than eleven years out.
+func TestFarFutureRearmKeepsOrder(t *testing.T) {
 	s := New(1)
 	var order []string
 	s.Every(3*time.Hour, 100000*time.Hour, func() { order = append(order, "far") })
@@ -105,17 +170,17 @@ func TestWheelOverflowAndRefile(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowFire arms a ticker whose first firing is beyond the
-// wheel's ~9-year horizon, so it is parked on the overflow list, and
-// checks it still fires at its exact time and re-files into the wheel.
-func TestWheelOverflowFire(t *testing.T) {
+// TestFarFutureTickerFires arms a ticker whose first firing is eleven
+// years out and checks it fires at its exact time and re-arms one period
+// later.
+func TestFarFutureTickerFires(t *testing.T) {
 	s := New(1)
 	far := 11 * 365 * 24 * time.Hour
 	fired := 0
 	tk := s.Every(far, 24*time.Hour, func() { fired++ })
 	s.RunUntil(far)
 	if fired != 1 {
-		t.Fatalf("overflow ticker fired %d times by %v, want 1", fired, far)
+		t.Fatalf("far-future ticker fired %d times by %v, want 1", fired, far)
 	}
 	if at, ok := s.NextAt(); !ok || at != far+24*time.Hour {
 		t.Fatalf("re-arm at %v (ok=%v), want %v", at, ok, far+24*time.Hour)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -48,9 +49,10 @@ func BenchmarkHeapChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSimCore exercises the scheduler's three steady-state shapes:
-// a deep one-shot heap, a population of recurring timers on the wheel,
-// and the two mixed. All three must run allocation-free.
+// BenchmarkSimCore exercises the scheduler's steady-state shapes: a deep
+// one-shot heap, recurring timers (a handful with coprime periods, then a
+// shard's daemons at three populations), and the two kinds mixed. All must
+// run allocation-free.
 func BenchmarkSimCore(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		s := New(1)
@@ -94,6 +96,26 @@ func BenchmarkSimCore(b *testing.B) {
 			tk.Stop()
 		}
 	})
+	// One shard's daemons at a real population: per client a 5 s cache
+	// cleaner starting at ID%5 s and a 3 min system process starting at
+	// ID%180 s, so hundreds of tickers share every instant. ns/op is the
+	// cost of one firing.
+	for _, clients := range []int{40, 1250, 5000} {
+		b.Run(fmt.Sprintf("daemons/clients=%d", clients), func(b *testing.B) {
+			s := New(4)
+			fired := 0
+			fn := func() { fired++ }
+			for i := 0; i < clients; i++ {
+				s.Every(time.Duration(i%5)*time.Second, 5*time.Second, fn)
+				s.Every(time.Duration(i%180)*time.Second, 3*time.Minute, fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for fired < b.N {
+				s.Step()
+			}
+		})
+	}
 	b.Run("mixed", func(b *testing.B) {
 		s := New(3)
 		fired := 0

@@ -7,11 +7,13 @@
 //
 // The scheduler is allocation-free in steady state: one-shot events live in
 // a free-list arena ordered by an inlined 4-ary index min-heap (heap.go),
-// and recurring timers created by Every live in a hierarchical timer wheel
-// (wheel.go). Both structures key events by (time, seq), where seq is a
-// single counter shared across them, so the merged firing order — and
-// therefore every report byte — is identical to the original single-heap
-// implementation.
+// and the recurring timers created by Every live in a second arena whose
+// heap also records each entry's position, so a ticker can be stopped
+// without leaving a tombstone (timers.go). Both structures key events by
+// (time, seq), where seq is a single counter shared across them, so the
+// merged firing order — and therefore every report byte — is that of one
+// queue holding everything; reference_test.go checks it against exactly
+// such a queue.
 package sim
 
 import (
@@ -26,16 +28,17 @@ type Time = time.Duration
 // each simulated cluster owns one Sim and runs single-threaded (parallel
 // experiments run independent Sims).
 type Sim struct {
-	now   Time
-	seq   uint64
-	pq    eventQueue // one-shot events (At/After)
-	wheel wheel      // recurring timers (Every)
-	rng   *Rand
+	now    Time
+	seq    uint64
+	fired  uint64
+	pq     eventQueue // one-shot events (At/After)
+	timers timerHeap  // recurring timers (Every)
+	rng    *Rand
 }
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{pq: newEventQueue(), wheel: newWheel(), rng: NewRand(seed)}
+	return &Sim{pq: newEventQueue(), timers: newTimerHeap(), rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -66,21 +69,21 @@ func (s *Sim) After(d Time, fn func()) {
 // Ticker is a cancellable periodic event created by Every.
 type Ticker struct {
 	s       *Sim
-	idx     int32 // armed wheel entry, -1 while firing or after Stop
+	idx     int32 // armed arena entry, -1 while firing or after Stop
 	stopped bool
 }
 
-// Stop cancels future firings of the ticker. The pending wheel entry is
-// unlinked and recycled immediately — no tombstone stays behind in any
-// queue, so stopped tickers leave Pending unchanged.
+// Stop cancels future firings of the ticker. The armed entry is removed
+// from the timer heap and recycled immediately — no tombstone stays behind
+// in any queue, so stopped tickers leave Pending unchanged.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
 	if t.idx >= 0 {
-		t.s.wheel.unlink(t.idx)
-		t.s.wheel.release(t.idx)
+		t.s.timers.remove(t.idx)
+		t.s.timers.release(t.idx)
 		t.idx = -1
 	}
 }
@@ -98,8 +101,8 @@ func (s *Sim) Every(start, period Time, fn func()) *Ticker {
 	}
 	s.seq++
 	tk := &Ticker{s: s}
-	tk.idx = s.wheel.alloc(start, s.seq, period, fn, tk)
-	s.wheel.insert(s.now, tk.idx)
+	tk.idx = s.timers.alloc(period, fn, tk)
+	s.timers.push(tk.idx, start, s.seq)
 	return tk
 }
 
@@ -107,7 +110,7 @@ func (s *Sim) Every(start, period Time, fn func()) *Ticker {
 // time. It reports whether an event was run.
 func (s *Sim) Step() bool {
 	at1, seq1, ok1 := s.pq.min()
-	at2, seq2, widx, ok2 := s.wheel.min(s.now)
+	at2, seq2, tidx, ok2 := s.timers.min()
 	switch {
 	case !ok1 && !ok2:
 		return false
@@ -122,27 +125,26 @@ func (s *Sim) Step() bool {
 		s.now = at
 		fn()
 	default:
-		// Recurring timer fires. Unlink it, run the callback with the
-		// ticker disarmed (so Stop from inside fn is a plain flag set),
-		// then re-arm one period later — consuming the next seq *after*
-		// fn has run, exactly as the old self-rescheduling closure did.
-		s.wheel.unlink(widx)
-		e := &s.wheel.pool[widx]
+		// Recurring timer fires. Take it out of the heap, run the
+		// callback with the ticker disarmed (so Stop from inside fn is a
+		// plain flag set), then re-arm one period later — consuming the
+		// next seq *after* fn has run, exactly as a self-rescheduling
+		// closure would.
+		s.timers.remove(tidx)
+		e := &s.timers.pool[tidx]
 		fn, tk, period := e.fn, e.tk, e.period
 		tk.idx = -1
 		s.now = at2
 		fn()
 		if tk.stopped {
-			s.wheel.release(widx)
+			s.timers.release(tidx)
 		} else {
 			s.seq++
-			e = &s.wheel.pool[widx] // fn may have grown the arena
-			e.at = at2 + period
-			e.seq = s.seq
-			s.wheel.insert(s.now, widx)
-			tk.idx = widx
+			s.timers.push(tidx, at2+period, s.seq)
+			tk.idx = tidx
 		}
 	}
+	s.fired++
 	return true
 }
 
@@ -169,14 +171,14 @@ func (s *Sim) RunUntil(t Time) {
 
 // Pending returns the number of events still scheduled, counting each armed
 // ticker as one event.
-func (s *Sim) Pending() int { return s.pq.len() + s.wheel.count }
+func (s *Sim) Pending() int { return s.pq.len() + s.timers.len() }
 
 // NextAt returns the time of the earliest pending event. ok is false when
 // no events are scheduled. The conservative parallel executor uses this to
 // pick each epoch's start without disturbing the scheduler.
 func (s *Sim) NextAt() (t Time, ok bool) {
 	at1, seq1, ok1 := s.pq.min()
-	at2, seq2, _, ok2 := s.wheel.min(s.now)
+	at2, seq2, _, ok2 := s.timers.min()
 	switch {
 	case !ok1 && !ok2:
 		return 0, false
@@ -187,10 +189,16 @@ func (s *Sim) NextAt() (t Time, ok bool) {
 	}
 }
 
+// Fired returns the number of events run so far, a ticker firing counting
+// as one: the denominator of wall-clock per simulated event. It is a plain
+// counter, deliberately not a registered metric.
+func (s *Sim) Fired() uint64 { return s.fired }
+
 // EventPoolFree returns the number of recycled one-shot event slots waiting
 // for reuse (the spritefs_sim_event_pool_free gauge).
 func (s *Sim) EventPoolFree() int { return s.pq.freeLen() }
 
-// WheelTimers returns the number of armed recurring timers in the wheel
-// (the spritefs_sim_wheel_timers gauge).
-func (s *Sim) WheelTimers() int { return s.wheel.count }
+// WheelTimers returns the number of armed recurring timers. It is named
+// after the gauge it feeds, spritefs_sim_wheel_timers, whose family name
+// predates the timer heap and stays because every golden carries it.
+func (s *Sim) WheelTimers() int { return s.timers.len() }
