@@ -17,7 +17,7 @@ import (
 // read.
 //
 // The simulation core's scheduler gauges (event-queue depth, event-pool
-// occupancy, armed timer-wheel timers) register alongside, so profiling
+// occupancy, armed recurring timers) register alongside, so profiling
 // runs can watch scheduler pressure next to the model metrics.
 func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Client, servers []*server.Server, net *netsim.Network, inj *faults.Injector) {
 	r.Int(metrics.Desc{Name: "spritefs_sim_events_pending", Unit: "events",
@@ -28,8 +28,10 @@ func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Clie
 		Help: "Recycled one-shot event arena slots awaiting reuse; the steady-state allocation-free scheduler draws from this pool.",
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(sm.EventPoolFree()) })
+	// The family keeps the name it got when recurring timers lived on a
+	// timer wheel: every golden dump and benchmark digest carries it.
 	r.Int(metrics.Desc{Name: "spritefs_sim_wheel_timers", Unit: "timers",
-		Help: "Recurring timers armed on the hierarchical timer wheel (periodic daemons created via Every).",
+		Help: "Armed recurring timers (periodic daemons created via Every); the name predates the timer heap.",
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(sm.WheelTimers()) })
 	net.RegisterMetrics(r)
