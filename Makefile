@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build benchbuild vet fmtcheck pkgdoc metricscheck docs test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck fuzzcheck benchall profile experiments experiments-diff section4 section5 clean
+.PHONY: all check build benchbuild vet fmtcheck pkgdoc metricscheck docs test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck examples fuzzcheck benchall profile experiments experiments-diff section4 section5 clean
 
 all: check
 
@@ -13,13 +13,13 @@ all: check
 # byte-identity gate, the steady-state allocation gates, the
 # live-service smoke (a real 5-second wall-clock soak with a mid-run
 # /metrics scrape), the trace-import gate (golden imports, round-trips
-# and worker-invariant replay of foreign traces, plus the runnable
-# pipeline example), the seed-corpus pass over every fuzz target, and
+# and worker-invariant replay of foreign traces), every program under
+# examples/, the seed-corpus pass over every fuzz target, and
 # one iteration of every Go benchmark (they compile and run; no timing
 # verdict — that is `bash bench/run.sh` + `spritebench compare`, see
 # bench/README.md). benchbuild extends the compile gate to the nested
 # bench/ module, which `go build ./...` at the root does not see.
-check: build benchbuild vet fmtcheck pkgdoc metricscheck test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck fuzzcheck benchall
+check: build benchbuild vet fmtcheck pkgdoc metricscheck test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck examples fuzzcheck benchall
 
 build:
 	$(GO) build ./...
@@ -117,12 +117,18 @@ soaksmoke:
 # The trace-import gate: the golden import (a committed text rendering
 # of the sample CSV pipeline), the worker-invariance acceptance test
 # (imported-then-modernized traces replay byte-identically at 1/2/4/8
-# workers), the importer determinism tests, and the runnable end-to-end
-# example.
+# workers) and the importer determinism tests.
 importcheck:
 	$(GO) test -run 'TestImportGolden|TestImportedTrace|TestImportCSVDeterministic|TestModernizeDeterministic' -count=1 ./internal/traceio
-	$(GO) run ./examples/trace-import >/dev/null
 	@echo "importcheck: ok"
+
+# Every program under examples/ runs to completion (about a second each).
+# docs/FIDELITY.md counts an example as a consumer of the API it calls
+# only because this step executes it; scale-out and wan-scale end in
+# their own parallel == sequential byte-identity assertion.
+examples:
+	@set -e; for e in examples/*/; do $(GO) run ./$$e >/dev/null; done
+	@echo "examples: ok"
 
 # One pass over the seed corpus of every native fuzz target — each seam
 # where bytes or text from outside the program are parsed: the trace

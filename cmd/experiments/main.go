@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -95,6 +97,9 @@ func validateFlags(exp string, set map[string]bool, num map[string]float64, metr
 	if set["segments"] && num["segments"] == 0 {
 		return fmt.Errorf("-segments 0: a topology needs at least one segment")
 	}
+	if set["sequential"] && set["workers"] {
+		return fmt.Errorf("-sequential and -workers contradict each other: the sequential executor has no worker pool")
+	}
 	if set["metrics-format"] && !set["metrics-out"] {
 		return fmt.Errorf("-metrics-format without -metrics-out writes nothing; add -metrics-out")
 	}
@@ -106,53 +111,75 @@ func validateFlags(exp string, set map[string]bool, num map[string]float64, metr
 	return nil
 }
 
+// usageError marks a command-line mistake; main exits 2 for it and 1 for
+// an error of the run itself.
+type usageError struct{ error }
+
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	if errors.As(err, &usageError{}) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, section4, section5, faults, timeseries, scale, wanscale, workloads")
-		traces  = flag.String("traces", "1,2,3,4,5,6,7,8", "comma-separated trace numbers for section4")
-		hours   = flag.Float64("hours", 24, "simulated hours per trace")
-		days    = flag.Float64("days", 14, "simulated days for the counter study")
-		scale   = flag.Float64("scale", 1.0, "community scale factor (1.0 = 40 clients)")
-		seed    = flag.Int64("seed", 0, "seed offset")
-		cdfDir  = flag.String("cdfdir", "", "write the Figure 1-4 CDF series as TSV files into this directory")
-		sched   = flag.String("faults", "", "fault schedule for -exp faults (default: one server crash per hour)")
-		tsOut   = flag.String("metrics-out", "", "for -exp timeseries: also write the sampled series to this file ('-' = stdout)")
-		tsFmt   = flag.String("metrics-format", "tsv", "series dump format: tsv | prom | jsonl")
-		tsIntv  = flag.Duration("metrics-sample", 10*time.Second, "sampling interval for -exp timeseries")
-		shards  = flag.String("shards", "1,2,4,8", "comma-separated shard counts for -exp scale")
-		clients = flag.Int("clients", 0, "total community size for -exp scale (default 1000) or wanscale (default 10000)")
-		seqExec = flag.Bool("sequential", false, "for -exp scale/wanscale: force the sequential executor")
-		workers = flag.Int("workers", 0, "for -exp scale/wanscale: parallel executor goroutines (0 = GOMAXPROCS)")
-		sites   = flag.String("sites", "1,2,4,8", "comma-separated site counts for -exp wanscale")
-		segs    = flag.Int("segments", 8, "total segment count for -exp wanscale (each site count must divide it)")
-		lean    = flag.Bool("lean", false, "for -exp wanscale: skip per-client metric instances (needed for million-client runs)")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
+		exp     = fs.String("exp", "all", "experiment: all, section4, section5, faults, timeseries, scale, wanscale, workloads")
+		traces  = fs.String("traces", "1,2,3,4,5,6,7,8", "comma-separated trace numbers for section4")
+		hours   = fs.Float64("hours", 24, "simulated hours per trace")
+		days    = fs.Float64("days", 14, "simulated days for the counter study")
+		scale   = fs.Float64("scale", 1.0, "community scale factor (1.0 = 40 clients)")
+		seed    = fs.Int64("seed", 0, "seed offset")
+		cdfDir  = fs.String("cdfdir", "", "write the Figure 1-4 CDF series as TSV files into this directory")
+		sched   = fs.String("faults", "", "fault schedule for -exp faults (default: one server crash per hour)")
+		tsOut   = fs.String("metrics-out", "", "for -exp timeseries: also write the sampled series to this file ('-' = stdout)")
+		tsFmt   = fs.String("metrics-format", "tsv", "series dump format: tsv | prom | jsonl")
+		tsIntv  = fs.Duration("metrics-sample", 10*time.Second, "sampling interval for -exp timeseries")
+		shards  = fs.String("shards", "1,2,4,8", "comma-separated shard counts for -exp scale")
+		clients = fs.Int("clients", 0, "total community size for -exp scale (default 1000) or wanscale (default 10000)")
+		seqExec = fs.Bool("sequential", false, "for -exp scale/wanscale: force the sequential executor")
+		workers = fs.Int("workers", 0, "for -exp scale/wanscale: parallel executor goroutines (0 = GOMAXPROCS)")
+		sites   = fs.String("sites", "1,2,4,8", "comma-separated site counts for -exp wanscale")
+		segs    = fs.Int("segments", 8, "total segment count for -exp wanscale (each site count must divide it)")
+		lean    = fs.Bool("lean", false, "for -exp wanscale: skip per-client metric instances (needed for million-client runs)")
+		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: usage is printed, nothing ran
+		}
+		return usageError{err}
+	}
 
 	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	num := map[string]float64{
 		"clients": float64(*clients), "segments": float64(*segs), "workers": float64(*workers),
 		"hours": *hours, "days": *days, "scale": *scale,
 	}
 	if err := validateFlags(*exp, setFlags, num, *tsFmt); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return usageError{err}
 	}
 	// Profile files are created before any experiment runs so a bad path
 	// fails in milliseconds, not after hours of simulation.
 	pp, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
+	// Every return below goes through this Stop, so the profile of a run
+	// that ends in an error is flushed and loadable too.
 	defer func() {
-		if err := pp.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		if serr := pp.Stop(); err == nil {
+			err = serr
 		}
 	}()
 	// SIGINT/SIGTERM mid-study: flush the profiles before exiting so a
@@ -161,127 +188,116 @@ func main() {
 	defer guard.Close()
 	guard.Add(func() { pp.Stop() })
 
+	// The topology studies have their own short default horizon, not the
+	// trace studies' 24h; 0 selects it.
+	studyHours := *hours
+	if !setFlags["hours"] {
+		studyHours = 0
+	}
+
 	if *exp == "all" || *exp == "section4" {
 		nums, err := parseTraces(*traces)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		var results []*core.TraceResult
 		for _, n := range nums {
-			fmt.Fprintf(os.Stderr, "running trace %d (%.1fh, scale %.2f)...\n", n, *hours, *scale)
+			fmt.Fprintf(stderr, "running trace %d (%.1fh, scale %.2f)...\n", n, *hours, *scale)
 			r, err := core.RunTrace(n, core.TraceOptions{Hours: *hours, Scale: *scale, SeedOffset: *seed})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "  %d records\n", r.Records)
+			fmt.Fprintf(stderr, "  %d records\n", r.Records)
 			results = append(results, r)
 		}
-		fmt.Println(core.TraceReport(results))
+		fmt.Fprintln(stdout, core.TraceReport(results))
 		if *cdfDir != "" {
-			if err := writeCDFs(*cdfDir, results); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+			if err := writeCDFs(*cdfDir, results, stderr); err != nil {
+				return err
 			}
 		}
 	}
 
 	if *exp == "all" || *exp == "section5" {
-		fmt.Fprintf(os.Stderr, "running counter study (%.1f days, scale %.2f)...\n", *days, *scale)
+		fmt.Fprintf(stderr, "running counter study (%.1f days, scale %.2f)...\n", *days, *scale)
 		r := core.RunCounterStudy(core.CounterOptions{Days: *days, Scale: *scale, Seed: *seed})
-		fmt.Println(core.CounterTables(r))
+		fmt.Fprintln(stdout, core.CounterTables(r))
 	}
 
 	if *exp == "timeseries" {
-		fmt.Fprintf(os.Stderr, "running timeseries study (%.1fh, scale %.2f, sample %v)...\n",
+		fmt.Fprintf(stderr, "running timeseries study (%.1fh, scale %.2f, sample %v)...\n",
 			*hours, *scale, *tsIntv)
 		r := core.RunTimeseries(core.TimeseriesOptions{
 			Hours: *hours, Scale: *scale, Seed: *seed, Sample: *tsIntv,
 		})
-		fmt.Println(core.TimeseriesTables(r))
+		fmt.Fprintln(stdout, core.TimeseriesTables(r))
 		if *tsOut != "" {
-			if err := dumpSeries(r, *tsOut, *tsFmt); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+			if err := dumpSeries(r, *tsOut, *tsFmt, stdout); err != nil {
+				return err
 			}
 		}
 	}
 
 	if *exp == "faults" {
-		fmt.Fprintf(os.Stderr, "running fault study (%.1fh per writeback setting, scale %.2f)...\n",
+		fmt.Fprintf(stderr, "running fault study (%.1fh per writeback setting, scale %.2f)...\n",
 			*hours, *scale)
 		r, err := core.RunFaultStudy(core.FaultOptions{
 			Hours: *hours, Scale: *scale, Seed: *seed, Schedule: *sched,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println(core.FaultTables(r))
+		fmt.Fprintln(stdout, core.FaultTables(r))
 	}
 
 	if *exp == "scale" {
 		counts, err := parseShards(*shards)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
+			return usageError{err}
 		}
-		scaleHours := *hours
-		if !setFlags["hours"] {
-			scaleHours = 0 // RunScaleStudy's short default, not the trace studies' 24h
+		if *clients == 0 {
+			*clients = core.DefaultScaleClients
 		}
-		fmt.Fprintf(os.Stderr, "running scale study (%d clients, shards %s)...\n", *clients, *shards)
+		fmt.Fprintf(stderr, "running scale study (%d clients, shards %s)...\n", *clients, *shards)
 		r, err := core.RunScaleStudy(core.ScaleOptions{
-			Clients: *clients, Shards: counts, Hours: scaleHours,
+			Clients: *clients, Shards: counts, Hours: studyHours,
 			Seed: *seed, Sequential: *seqExec, Workers: *workers,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println(core.ScaleTables(r))
+		fmt.Fprintln(stdout, core.ScaleTables(r))
 	}
 
 	if *exp == "workloads" {
-		wlHours := *hours
-		if !setFlags["hours"] {
-			wlHours = 0 // RunWorkloadStudy's 2h default, not the trace studies' 24h
-		}
-		fmt.Fprintf(os.Stderr, "running workload study (%.1fh per community, scale %.2f)...\n",
-			wlHours, *scale)
+		fmt.Fprintf(stderr, "running workload study (%.1fh per community, scale %.2f)...\n",
+			studyHours, *scale)
 		r := core.RunWorkloadStudy(core.WorkloadOptions{
-			Hours: wlHours, Scale: *scale, Seed: *seed,
+			Hours: studyHours, Scale: *scale, Seed: *seed,
 		})
-		fmt.Println(core.WorkloadTables(r))
+		fmt.Fprintln(stdout, core.WorkloadTables(r))
 	}
 
 	if *exp == "wanscale" {
 		counts, err := parseShards(*sites)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
+			return usageError{err}
 		}
-		wanHours := *hours
-		if !setFlags["hours"] {
-			wanHours = 0 // RunWANScaleStudy's short default, not the trace studies' 24h
+		if *clients == 0 {
+			*clients = core.DefaultWANScaleClients
 		}
-		wanClients := *clients
-		if wanClients <= 0 {
-			wanClients = 10000 // RunWANScaleStudy's default
-		}
-		fmt.Fprintf(os.Stderr, "running wanscale study (%d clients, %d segments, sites %s)...\n",
-			wanClients, *segs, *sites)
+		fmt.Fprintf(stderr, "running wanscale study (%d clients, %d segments, sites %s)...\n",
+			*clients, *segs, *sites)
 		r, err := core.RunWANScaleStudy(core.WANScaleOptions{
-			Clients: *clients, Segments: *segs, Sites: counts, Hours: wanHours,
+			Clients: *clients, Segments: *segs, Sites: counts, Hours: studyHours,
 			Seed: *seed, Sequential: *seqExec, Workers: *workers, Lean: *lean,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println(core.WANScaleTables(r))
+		fmt.Fprintln(stdout, core.WANScaleTables(r))
 	}
+	return nil
 }
 
 // parseShards parses the -shards list.
@@ -305,9 +321,9 @@ func parseShards(s string) ([]int, error) {
 }
 
 // dumpSeries writes the timeseries study's sampled registry series.
-func dumpSeries(r *core.TimeseriesResult, path, format string) error {
+func dumpSeries(r *core.TimeseriesResult, path, format string, stdout io.Writer) error {
 	if path == "-" {
-		return r.Sampler.Dump(os.Stdout, format)
+		return r.Sampler.Dump(stdout, format)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -324,7 +340,7 @@ func dumpSeries(r *core.TimeseriesResult, path, format string) error {
 // one file per (figure, weighting, trace), ready for gnuplot:
 //
 //	fig1-runs.t3.tsv   fig1-bytes.t3.tsv   fig2-files.t3.tsv ...
-func writeCDFs(dir string, results []*core.TraceResult) error {
+func writeCDFs(dir string, results []*core.TraceResult, stderr io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -345,7 +361,7 @@ func writeCDFs(dir string, results []*core.TraceResult) error {
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "wrote CDF series for %d traces to %s\n", len(results), dir)
+	fmt.Fprintf(stderr, "wrote CDF series for %d traces to %s\n", len(results), dir)
 	return nil
 }
 

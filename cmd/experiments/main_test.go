@@ -1,6 +1,11 @@
 package main
 
 import (
+	"compress/gzip"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -33,6 +38,7 @@ func TestValidateFlags(t *testing.T) {
 		{"negative scale", "section4", []string{"scale"}, map[string]float64{"scale": -2}, "tsv", "-scale -2 is negative"},
 		{"negative segments", "wanscale", []string{"segments"}, map[string]float64{"segments": -8}, "tsv", "-segments -8 is negative"},
 		{"zero segments", "wanscale", []string{"segments"}, map[string]float64{"segments": 0}, "tsv", "-segments 0"},
+		{"sequential with workers", "scale", []string{"sequential", "workers"}, map[string]float64{"workers": 4}, "tsv", "-sequential and -workers contradict"},
 		{"zero means default", "wanscale", []string{"clients", "workers", "hours"}, map[string]float64{"segments": 8}, "tsv", ""},
 	}
 	for _, tc := range cases {
@@ -96,5 +102,93 @@ func TestParseTraces(t *testing.T) {
 	got, err = parseTraces("2,")
 	if err != nil || len(got) != 1 || got[0] != 2 {
 		t.Errorf("trailing comma: %v %v", got, err)
+	}
+}
+
+// runTool is one whole invocation of the tool, as main would make it.
+func runTool(args ...string) (stdout, stderr string, err error) {
+	var out, errw strings.Builder
+	err = run(args, &out, &errw)
+	return out.String(), errw.String(), err
+}
+
+// TestScaleStudyInvocation drives `-exp scale` end to end: the progress
+// line names the community the tables below it report, also when
+// -clients is left to the study's default.
+func TestScaleStudyInvocation(t *testing.T) {
+	stdout, stderr, err := runTool("-exp", "scale", "-clients", "80", "-shards", "1,2", "-hours", "0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr, "running scale study (80 clients, shards 1,2)") {
+		t.Errorf("progress line does not name 80 clients:\n%s", stderr)
+	}
+	for _, want := range []string{"Throughput vs shards: 80 clients", "Executor wall-clock"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+
+	stdout, stderr, err = runTool("-exp", "scale", "-shards", "1", "-hours", "0.001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr, "(1000 clients, shards 1)") || !strings.Contains(stdout, "1000 clients") {
+		t.Errorf("default community not named on both streams:\nstderr: %s\nstdout: %s", stderr, stdout)
+	}
+}
+
+// TestErrorsKeepTheirExitCodes pins the usage (exit 2) / run (exit 1)
+// split main maps from run's error.
+func TestErrorsKeepTheirExitCodes(t *testing.T) {
+	cases := []struct {
+		name  string
+		args  []string
+		usage bool
+		want  string
+	}{
+		{"unknown flag", []string{"-bogus"}, true, "bogus"},
+		{"unknown experiment", []string{"-exp", "bogus"}, true, "unknown experiment"},
+		{"bad shard list", []string{"-exp", "scale", "-shards", "x"}, true, "bad shard count"},
+		{"bad profile path", []string{"-exp", "scale", "-cpuprofile", t.TempDir() + "/no/such/dir/cpu"}, true, "-cpuprofile"},
+		{"bad trace list", []string{"-exp", "section4", "-traces", "9"}, false, "bad trace number"},
+		{"bad fault schedule", []string{"-exp", "faults", "-faults", "garbage"}, false, "garbage"},
+		{"indivisible sites", []string{"-exp", "wanscale", "-segments", "8", "-sites", "3"}, false, "3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := runTool(tc.args...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
+			}
+			if got := errors.As(err, &usageError{}); got != tc.usage {
+				t.Errorf("run(%v): usage error = %v, want %v (%v)", tc.args, got, tc.usage, err)
+			}
+		})
+	}
+}
+
+// TestProfileFlushedWhenRunFails: a run that ends in an error still goes
+// through the deferred profile stop, so -cpuprofile leaves a complete
+// gzip stream and the profiler is free for the next Start.
+func TestProfileFlushedWhenRunFails(t *testing.T) {
+	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+	for i := 0; i < 2; i++ { // the second Start fails if the first was never stopped
+		if _, _, err := runTool("-exp", "faults", "-faults", "garbage", "-cpuprofile", cpu); err == nil ||
+			strings.Contains(err.Error(), "cpuprofile") {
+			t.Fatalf("run %d = %v, want the schedule parse error", i, err)
+		}
+		f, err := os.Open(cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err == nil {
+			_, err = io.Copy(io.Discard, zr)
+		}
+		f.Close()
+		if err != nil {
+			t.Fatalf("profile of a failed run is not a complete gzip stream: %v", err)
+		}
 	}
 }

@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) (err error) {
 		mapSpec    = fs.String("map", "", "column mapping for -import csv, e.g. 'time=0,op=2,path=3,unit=ms'")
 		speed      = fs.Float64("speed", 1, "time scale: 2 = twice recorded speed, 0 = as fast as possible")
 		sweep      = fs.String("sweep", "", "sweep axis, e.g. cache=512,2048,8192 | wb=5s,30s | mode=sprite,poll | poll=5s,30s")
-		shardsN    = fs.Int("shards", 0, "partition the trace's clients across N shards and replay each hermetically")
+		shardsN    = fs.Int("shards", 0, "partition the trace's clients across N shards and replay each hermetically: per-shard cache and wire load only — consistency actions between clients of different shards (recalls, write-sharing disables) are dropped, not replayed")
 		workers    = fs.Int("workers", runtime.NumCPU(), "worker goroutines for -sweep and -shards")
 		report     = fs.String("report", "summary", "report style: summary | tables | tsv")
 		servers    = fs.Int("servers", 4, "number of file servers")

@@ -26,9 +26,6 @@ const (
 	NumSeqs
 )
 
-// SeqNames are the Table 3 column labels.
-var SeqNames = [NumSeqs]string{"whole-file", "other-sequential", "random"}
-
 // AccessPatterns reproduces Table 3 and Figures 1-3 in one pass. An access
 // is one open-use-close episode of a file; its class reflects actual usage
 // (read and/or written), not the open mode, exactly as the paper defines.

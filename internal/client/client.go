@@ -67,13 +67,6 @@ type Config struct {
 	// MemoryPages is physical memory in 4 KB pages (24-32 MB in the
 	// measured cluster).
 	MemoryPages int
-	// InitialCachePages is the file cache's starting size.
-	InitialCachePages int
-	// MinCachePages is the floor below which VM pressure cannot shrink
-	// the cache.
-	MinCachePages int
-	// GrowChunk is how many pages the cache requests per growth attempt.
-	GrowChunk int
 	// FixedCachePages pins the cache at a constant size, disabling the
 	// dynamic FS/VM trading (used by the cache-size sweep, which
 	// reproduces the BSD study's fixed-size predictions).
@@ -89,13 +82,19 @@ type Config struct {
 // client, with the cache starting small and growing on demand.
 func DefaultConfig(id int32) Config {
 	return Config{
-		ID:                id,
-		MemoryPages:       24 << 20 / vm.PageSize,
-		InitialCachePages: 256, // 1 MB; grows toward its "natural" size
-		MinCachePages:     64,
-		GrowChunk:         64,
+		ID:          id,
+		MemoryPages: 24 << 20 / vm.PageSize,
 	}
 }
+
+// Dynamic cache sizing, in 4 KB pages: the file cache starts at 1 MB and
+// grows toward its "natural" size one chunk per attempt; VM pressure
+// cannot shrink it below the floor.
+const (
+	initialCachePages = 256
+	minCachePages     = 64
+	growChunk         = 64
+)
 
 type handle struct {
 	id       uint64
@@ -106,7 +105,6 @@ type handle struct {
 	user     int32
 	proc     int32
 	migrated bool
-	openedAt time.Duration
 	wrote    bool // wrote at least once (dirty-at-close hint for the server)
 	shared   bool // opened (or switched) uncacheable due to write-sharing
 }
@@ -164,18 +162,15 @@ type Client struct {
 // set later via SetCoordinator (the cluster wires clients and coordinator
 // together after constructing both).
 func New(cfg Config, s *sim.Sim, net *netsim.Network, route func(uint64) *server.Server, home *server.Server, tracer Tracer) *Client {
+	initial, floor := initialCachePages, minCachePages
 	if cfg.FixedCachePages > 0 {
-		cfg.InitialCachePages = cfg.FixedCachePages
-		cfg.MinCachePages = cfg.FixedCachePages
+		initial, floor = cfg.FixedCachePages, cfg.FixedCachePages
 		if cfg.MemoryPages < cfg.FixedCachePages {
 			cfg.MemoryPages = cfg.FixedCachePages
 		}
 	}
-	if cfg.MemoryPages <= 0 || cfg.InitialCachePages < cfg.MinCachePages || cfg.MinCachePages < 1 {
+	if cfg.MemoryPages <= 0 {
 		panic(fmt.Sprintf("client: bad config %+v", cfg))
-	}
-	if cfg.GrowChunk < 1 {
-		cfg.GrowChunk = 1
 	}
 	if tracer == nil {
 		tracer = NopTracer{}
@@ -190,8 +185,8 @@ func New(cfg Config, s *sim.Sim, net *netsim.Network, route func(uint64) *server
 		route:     route,
 		home:      home,
 		tracer:    tracer,
-		Cache:     fscache.New(cfg.InitialCachePages),
-		Mem:       vm.NewMemory(cfg.MemoryPages, cfg.InitialCachePages, cfg.MinCachePages),
+		Cache:     fscache.New(initial),
+		Mem:       vm.NewMemory(cfg.MemoryPages, initial, floor),
 		handles:   make(map[uint64]*handle),
 		versions:  make(map[uint64]uint64),
 		validated: make(map[uint64]time.Duration),
@@ -275,7 +270,7 @@ func (c *Client) maybeGrow() {
 		return
 	}
 	now := c.sim.Now()
-	granted, fromVM := c.Mem.AcquireFS(c.cfg.GrowChunk, c.VM.IdlePages(now))
+	granted, fromVM := c.Mem.AcquireFS(growChunk, c.VM.IdlePages(now))
 	if fromVM > 0 {
 		c.VM.DropIdle(fromVM, now)
 	}
@@ -409,7 +404,6 @@ func (c *Client) Open(user, proc int32, file uint64, read, write, migrated bool)
 		user:     user,
 		proc:     proc,
 		migrated: migrated,
-		openedAt: now,
 		shared:   !reply.Cacheable,
 	}
 	c.handles[h.id] = h
@@ -581,12 +575,6 @@ func (c *Client) pollValidate(file uint64, f *server.File, now time.Duration) ti
 	}
 	c.validated[file] = now
 	return lat
-}
-
-// StaleStats reports the stale reads served under ConsistencyPoll, plus
-// the validation RPCs the polling itself cost.
-func (c *Client) StaleStats() (reads int64, bytes int64, pollRPCs int64) {
-	return c.staleReads, c.staleBytes, c.pollRPCs
 }
 
 // Seek repositions the handle. Sprite logged repositions at the server, so

@@ -177,7 +177,7 @@ func TestCrossClientRecallDeliversFreshData(t *testing.T) {
 		t.Errorf("recalls = %d", r.srv.Stats().Recalls)
 	}
 	// A's dirty bytes traveled to the server during the recall.
-	if bytes := r.net.Client(0).Bytes[netsim.FileWrite]; bytes != 5000 {
+	if bytes := r.net.Total().Bytes[netsim.FileWrite]; bytes != 5000 {
 		t.Errorf("recalled bytes = %d", bytes)
 	}
 	got, _ := b.Read(h2, 5000)
@@ -207,13 +207,13 @@ func TestConcurrentWriteSharingBypassesCaches(t *testing.T) {
 	}
 	// B's writes pass through.
 	b.Write(hb, 1000)
-	if got := r.net.Client(1).Bytes[netsim.SharedWrite]; got != 1000 {
+	if got := r.net.Total().Bytes[netsim.SharedWrite]; got != 1000 {
 		t.Errorf("pass-through write bytes = %d", got)
 	}
 	// A's reads pass through too (its cache was disabled).
 	a.Seek(ha, 0)
 	a.Read(ha, 2000)
-	if got := r.net.Client(0).Bytes[netsim.SharedRead]; got != 2000 {
+	if got := r.net.Total().Bytes[netsim.SharedRead]; got != 2000 {
 		t.Errorf("pass-through read bytes = %d", got)
 	}
 	// Shared records carry FlagShared for the Section 5.5/5.6 simulators.
@@ -265,11 +265,11 @@ func TestStaleVersionInvalidation(t *testing.T) {
 
 	// B re-opens: version mismatch flushes its stale copy and the read
 	// goes to the server.
-	before := r.net.Client(1).Bytes[netsim.FileRead]
+	before := r.net.Total().Bytes[netsim.FileRead]
 	h4, _, _ := b.Open(2, 200, file, true, false, false)
 	b.Read(h4, 4096)
 	b.Close(h4)
-	if got := r.net.Client(1).Bytes[netsim.FileRead] - before; got != 4096 {
+	if got := r.net.Total().Bytes[netsim.FileRead] - before; got != 4096 {
 		t.Errorf("B fetched %d bytes after invalidation, want 4096", got)
 	}
 	if r.srv.Stats().Invalids == 0 {
@@ -286,7 +286,7 @@ func TestDirectoryReadsBypassCache(t *testing.T) {
 	c.Read(h, 2048)
 	c.Read(h, 10) // past end: 0 bytes
 	c.Close(h)
-	if got := r.net.Client(0).Bytes[netsim.DirRead]; got != 2048 {
+	if got := r.net.Total().Bytes[netsim.DirRead]; got != 2048 {
 		t.Errorf("dir-read bytes = %d", got)
 	}
 	_, _, dirB := c.SharedBytes()
@@ -332,9 +332,9 @@ func TestPagingGoesThroughCacheForCode(t *testing.T) {
 	c.Close(h)
 	c.Cache.Invalidate(exec) // simulate a cold cache
 
-	before := r.net.Client(0).Bytes[netsim.PagingRead]
+	before := r.net.Total().Bytes[netsim.PagingRead]
 	c.ExecProcess(500, exec, 10, 5, 2, false)
-	pagedIn := r.net.Client(0).Bytes[netsim.PagingRead] - before
+	pagedIn := r.net.Total().Bytes[netsim.PagingRead] - before
 	if pagedIn != 15*4096 {
 		t.Errorf("cold exec paged in %d bytes, want %d", pagedIn, 15*4096)
 	}
@@ -342,9 +342,9 @@ func TestPagingGoesThroughCacheForCode(t *testing.T) {
 
 	// Second run: code pages retained, data pages still in file cache —
 	// no new paging traffic at all.
-	before = r.net.Client(0).Bytes[netsim.PagingRead]
+	before = r.net.Total().Bytes[netsim.PagingRead]
 	c.ExecProcess(501, exec, 10, 5, 2, false)
-	if got := r.net.Client(0).Bytes[netsim.PagingRead] - before; got != 0 {
+	if got := r.net.Total().Bytes[netsim.PagingRead] - before; got != 0 {
 		t.Errorf("warm exec paged in %d bytes, want 0", got)
 	}
 	c.ExitProcess(501)
@@ -357,7 +357,7 @@ func TestBackingTrafficBypassesCache(t *testing.T) {
 	c.ExecProcess(600, exec, 1, 0, 2, true)
 	c.TouchProcess(600, 4)
 	c.EvictMigrated(600)
-	if got := r.net.Client(0).Bytes[netsim.PagingWrite]; got != 6*4096 {
+	if got := r.net.Total().Bytes[netsim.PagingWrite]; got != 6*4096 {
 		t.Errorf("backing writes = %d, want %d (4 heap + 2 stack pages)", got, 6*4096)
 	}
 	if c.Cache.Stats().All.BytesWritten != 0 {

@@ -208,10 +208,3 @@ func (c *Client) HandleCounts() map[uint64][2]int {
 	}
 	return counts
 }
-
-// TrackedVersion returns the version the client last learned for file and
-// whether one is tracked (the invariant checker's view into version sync).
-func (c *Client) TrackedVersion(file uint64) (uint64, bool) {
-	v, ok := c.versions[file]
-	return v, ok
-}

@@ -34,11 +34,6 @@ type Config struct {
 	// NumServers is the number of file servers (the paper's cluster had 4,
 	// with most traffic on one Sun 4).
 	NumServers int
-	// Net overrides the segment's wire parameters when BandwidthBps is
-	// non-zero; the zero value keeps the paper's 10 Mbit/s Ethernet. The
-	// scale-out topology uses this to give each shard its own segment
-	// configuration.
-	Net netsim.Config
 	// CollectTrace enables trace-record collection (Section 4 study).
 	CollectTrace bool
 	// TraceSink, when set with CollectTrace, receives records instead of
@@ -48,9 +43,6 @@ type Config struct {
 	// study); zero disables sampling. The paper's user-level process read
 	// the counters "at regular intervals".
 	SamplePeriod time.Duration
-	// MemoryPagesPerClient overrides the default 24 MB of client memory
-	// when non-zero.
-	MemoryPagesPerClient int
 	// FixedCachePages pins every client cache at a constant size
 	// (cache-size sweep ablation). Zero keeps Sprite's dynamic sizing.
 	FixedCachePages int
@@ -153,14 +145,10 @@ func NewSystem(cfg Config) *Cluster {
 	if cfg.ExternalRegistry && cfg.MetricsSample > 0 {
 		panic("cluster: Config.MetricsSample would sample the empty registry Config.ExternalRegistry leaves; sample the assembler's registry instead")
 	}
-	ncfg := cfg.Net
-	if ncfg.BandwidthBps == 0 {
-		ncfg = netsim.DefaultConfig()
-	}
 	c := &Cluster{
 		Cfg:     cfg,
 		Sim:     sim.New(cfg.Params.Seed),
-		Net:     netsim.New(ncfg),
+		Net:     netsim.New(netsim.DefaultConfig()),
 		lastOps: make(map[int32]int64),
 	}
 	c.route = c.ServerFor
@@ -238,9 +226,7 @@ func (c *Cluster) AddClient(id int32) *client.Client {
 	}
 	cfg := &c.Cfg
 	ccfg := client.DefaultConfig(id)
-	if cfg.MemoryPagesPerClient > 0 {
-		ccfg.MemoryPages = cfg.MemoryPagesPerClient
-	} else if id%3 == 0 {
+	if id%3 == 0 {
 		// Memory sizes vary 24-32 MB across the cluster, as in the paper.
 		ccfg.MemoryPages = 32 << 20 / vm.PageSize
 	}
@@ -341,9 +327,6 @@ func (c *Cluster) Workstations() []*client.Client { return c.Clients }
 
 // Trace returns the collected records (empty when a sink was used).
 func (c *Cluster) Trace() []trace.Record { return c.recs }
-
-// Samples returns the counter-sampler observations.
-func (c *Cluster) Samples() []Sample { return c.samples }
 
 // Run executes the experiment for the given duration: cleaner daemons and
 // the counter sampler start, the community runs, and the clock advances
@@ -531,11 +514,4 @@ func (c *Cluster) PerServerStreams() []trace.Stream {
 		out[i] = trace.NewSliceStream(b)
 	}
 	return out
-}
-
-// String summarizes the cluster configuration.
-func (c *Cluster) String() string {
-	return fmt.Sprintf("cluster{clients=%d servers=%d users=%d+%d}",
-		len(c.Clients), len(c.Servers),
-		c.Cfg.Params.DailyUsers, c.Cfg.Params.OccasionalUsers)
 }

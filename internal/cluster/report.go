@@ -7,24 +7,21 @@ import (
 	"spritefs/internal/fscache"
 	"spritefs/internal/metrics"
 	"spritefs/internal/netsim"
-	"spritefs/internal/server"
 	"spritefs/internal/stats"
 )
 
 // This file computes the Section 5 tables from kernel counters, mirroring
 // the paper's post-processing of the two-week counter files. The
 // computation lives on Metrics — a counter-bearing view over a set of
-// clients, servers and a network — so that whatever drives a Cluster (the
-// workload engine, the trace-replay engine in internal/replay) gets
-// reports of identical shape.
+// clients, the counter samples and the registry — so that whatever drives
+// a Cluster (the workload engine, the trace-replay engine in
+// internal/replay) gets reports of identical shape.
 
 // Metrics is the counter-bearing view of an experiment: whatever drove the
 // clients/servers/network (user community or trace replay), the Section 5
 // tables are computed the same way from the same counters.
 type Metrics struct {
 	Clients []*client.Client
-	Servers []*server.Server
-	Net     *netsim.Network
 	Samples []Sample
 	// Reg is the central metric registry the components registered into at
 	// construction time. Sum-shaped tables (5, 7, 10, staleness, storage,
@@ -35,7 +32,7 @@ type Metrics struct {
 // Metrics returns the cluster's counter view, from which every table
 // report is computed.
 func (c *Cluster) Metrics() *Metrics {
-	return &Metrics{Clients: c.Clients, Servers: c.Servers, Net: c.Net, Samples: c.samples, Reg: c.Reg}
+	return &Metrics{Clients: c.Clients, Samples: c.samples, Reg: c.Reg}
 }
 
 // Report aggregates every counter-derived table of the Section 5 study in

@@ -106,10 +106,9 @@ type fileSim struct {
 	mod map[int32]*clientCache
 
 	// token state.
-	tok        map[int32]*clientCache
-	writeTok   int32 // client holding the write token, or -1
-	readTok    map[int32]bool
-	lastWriter int32 // for invalidation on token transfer
+	tok      map[int32]*clientCache
+	writeTok int32 // client holding the write token, or -1
+	readTok  map[int32]bool
 }
 
 func newFileSim() *fileSim {

@@ -10,10 +10,14 @@ import (
 	"spritefs/internal/workload"
 )
 
+// DefaultScaleClients is the shard-count sweep's community when
+// ScaleOptions.Clients is zero: twenty-five times the paper's population.
+const DefaultScaleClients = 1000
+
 // ScaleOptions configures the shard-count sweep.
 type ScaleOptions struct {
 	// Clients is the total community size across all shards (default
-	// 1000, twenty-five times the paper's population).
+	// DefaultScaleClients).
 	Clients int
 	// Shards lists the shard counts to sweep (default 1, 2, 4, 8).
 	Shards []int
@@ -157,7 +161,7 @@ func RunScaleStudy(opts ScaleOptions) (*ScaleResult, error) {
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 2, 4, 8}
 	}
-	sw := newTopologySweep(opts.Clients, 1000, opts.Hours, 0.25, opts.Seed)
+	sw := newTopologySweep(opts.Clients, DefaultScaleClients, opts.Hours, 0.25, opts.Seed)
 	cfgs := make([]scale.Config, len(shardCounts))
 	for i, n := range shardCounts {
 		cfgs[i] = scale.Config{Base: sw.base, Factor: sw.factor, Shards: n}
@@ -201,6 +205,6 @@ func ScaleTables(r *ScaleResult) string {
 	exec := execTable("shards", len(r.Rows),
 		func(i int) (int, *scale.RunStats) { return r.Rows[i].Shards, &r.Rows[i].Stats })
 	b.WriteString(exec.String())
-	b.WriteString("\nWall-clock, ns/event and speedup are host measurements: shards run on\nseparate goroutines, so multi-shard speedup tracks the host's usable cores\n(GOMAXPROCS); on a single-core host expect ~1x.\n")
+	b.WriteString("\nWall-clock, ns/event and speedup are host measurements. speedup is\nwall-clock relative to the first row (shards=1 unless -shards says\notherwise), so it mixes what sharding buys on any host - smaller per-shard\nevent heaps, wider channel-clock windows - with what the worker goroutines\nadd on a multi-core one; docs/PERFORMANCE.md measures the two apart.\n")
 	return b.String()
 }

@@ -25,9 +25,11 @@ shards  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedu
 1             0       2         0        0     0    7694  30ms      3899    1.00x
 2             2     121       162        0    78   10399  20ms      1923    1.50x
 
-Wall-clock, ns/event and speedup are host measurements: shards run on
-separate goroutines, so multi-shard speedup tracks the host's usable cores
-(GOMAXPROCS); on a single-core host expect ~1x.
+Wall-clock, ns/event and speedup are host measurements. speedup is
+wall-clock relative to the first row (shards=1 unless -shards says
+otherwise), so it mixes what sharding buys on any host - smaller per-shard
+event heaps, wider channel-clock windows - with what the worker goroutines
+add on a multi-core one; docs/PERFORMANCE.md measures the two apart.
 `
 
 const wanScaleTablesGolden = `Hierarchy vs flat: 80 clients over 2 segments, 0.10h horizon

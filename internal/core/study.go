@@ -228,9 +228,6 @@ type FaultOptions struct {
 	// picks the default: one server crash per simulated hour, staggered
 	// across the servers, each with a 30-second outage.
 	Schedule string
-	// WritebackDelays are the delayed-write windows swept; empty picks
-	// the paper's framing: 5s, 30s (Sprite's choice), and 2m.
-	WritebackDelays []time.Duration
 }
 
 // FaultRow is one writeback-delay setting's measured crash cost.
@@ -261,10 +258,9 @@ func RunFaultStudy(opts FaultOptions) (*FaultResult, error) {
 	if seed == 0 {
 		seed = 424242
 	}
-	delays := opts.WritebackDelays
-	if len(delays) == 0 {
-		delays = []time.Duration{5 * time.Second, 30 * time.Second, 2 * time.Minute}
-	}
+	// The delayed-write windows swept, in the paper's framing: 5s, 30s
+	// (Sprite's choice) and 2m.
+	delays := []time.Duration{5 * time.Second, 30 * time.Second, 2 * time.Minute}
 
 	p := workload.Default(seed)
 	p.EmitBackupNoise = false

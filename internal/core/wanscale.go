@@ -8,13 +8,17 @@ import (
 	"spritefs/internal/stats"
 )
 
+// DefaultWANScaleClients is the hierarchical sweep's community when
+// WANScaleOptions.Clients is zero.
+const DefaultWANScaleClients = 10000
+
 // WANScaleOptions configures the hierarchical-topology sweep: one fixed
 // community spread over a fixed segment count, re-grouped into
 // progressively more sites so the sweep isolates what the WAN tier does
 // to cache behavior and server load.
 type WANScaleOptions struct {
 	// Clients is the total community size across all segments (default
-	// 10000).
+	// DefaultWANScaleClients).
 	Clients int
 	// Segments is the total Ethernet segment count, constant across the
 	// sweep (default 8). Every entry of Sites must divide it.
@@ -66,7 +70,7 @@ func RunWANScaleStudy(opts WANScaleOptions) (*WANScaleResult, error) {
 	if len(siteCounts) == 0 {
 		siteCounts = []int{1, 2, 4, 8}
 	}
-	sw := newTopologySweep(opts.Clients, 10000, opts.Hours, 0.1, opts.Seed)
+	sw := newTopologySweep(opts.Clients, DefaultWANScaleClients, opts.Hours, 0.1, opts.Seed)
 	cfgs := make([]scale.Config, len(siteCounts))
 	for i, sites := range siteCounts {
 		if segments%sites != 0 {

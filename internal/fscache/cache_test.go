@@ -287,11 +287,10 @@ func TestTakeForVMAndGrowBy(t *testing.T) {
 	for f := uint64(1); f <= 4; f++ {
 		c.Read(f, 0, 4096, 4096, noAttr, sec(int(f)))
 	}
-	wbs, released := c.TakeForVM(2, sec(10))
-	if released != 2 || len(wbs) != 0 {
-		t.Errorf("released=%d wbs=%d", released, len(wbs))
+	if wbs := c.SetCapacity(2, true, sec(10)); len(wbs) != 0 {
+		t.Errorf("clean victims produced %d writebacks", len(wbs))
 	}
-	if c.Capacity() != 2 {
+	if c.Capacity() != 2 || c.NumBlocks() != 2 {
 		t.Errorf("capacity after take = %d", c.Capacity())
 	}
 	st := c.Stats()
@@ -311,9 +310,10 @@ func TestTakeForVMAndGrowBy(t *testing.T) {
 func TestTakeForVMDirty(t *testing.T) {
 	c := New(2)
 	c.Write(1, 0, 4096, 0, noAttr, sec(0))
-	wbs, released := c.TakeForVM(1, sec(5))
-	if released != 1 || len(wbs) != 1 || wbs[0].Reason != CleanVM {
-		t.Errorf("released=%d wbs=%+v", released, wbs)
+	c.Write(2, 0, 4096, 0, noAttr, sec(1))
+	wbs := c.SetCapacity(1, true, sec(5))
+	if c.NumBlocks() != 1 || len(wbs) != 1 || wbs[0].Reason != CleanVM {
+		t.Errorf("blocks=%d wbs=%+v", c.NumBlocks(), wbs)
 	}
 	st := c.Stats()
 	if st.Cleaned[CleanVM] != 1 {
@@ -325,12 +325,9 @@ func TestTakeForVMNeverBelowOneCapacity(t *testing.T) {
 	c := New(2)
 	c.Read(1, 0, 4096, 4096, noAttr, 0)
 	c.Read(2, 0, 4096, 4096, noAttr, 0)
-	_, released := c.TakeForVM(10, sec(1))
-	if released != 2 {
-		t.Errorf("released = %d", released)
-	}
-	if c.Capacity() < 1 {
-		t.Errorf("capacity fell to %d", c.Capacity())
+	c.SetCapacity(-8, true, sec(1))
+	if c.Capacity() != 1 || c.NumBlocks() != 1 {
+		t.Errorf("capacity=%d blocks=%d, want 1/1", c.Capacity(), c.NumBlocks())
 	}
 }
 
@@ -349,19 +346,6 @@ func TestSetCapacityEvicts(t *testing.T) {
 	c.SetCapacity(0, false, sec(11)) // clamped to 1
 	if c.Capacity() != 1 {
 		t.Errorf("capacity = %d", c.Capacity())
-	}
-}
-
-func TestOldestRef(t *testing.T) {
-	c := New(4)
-	if _, ok := c.OldestRef(); ok {
-		t.Error("empty cache has an oldest ref")
-	}
-	c.Read(1, 0, 4096, 4096, noAttr, sec(5))
-	c.Read(2, 0, 4096, 4096, noAttr, sec(9))
-	ref, ok := c.OldestRef()
-	if !ok || ref != sec(5) {
-		t.Errorf("OldestRef = %v, %v", ref, ok)
 	}
 }
 

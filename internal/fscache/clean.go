@@ -223,29 +223,6 @@ func (c *Cache) Truncate(file uint64, newSize int64) int64 {
 	return saved
 }
 
-// TakeForVM hands n blocks to the virtual memory system: the LRU victims
-// are evicted with their replacement attributed to VM (Table 8's
-// "virtual memory page" row). Dirty victims are returned for writeback.
-// It returns the writebacks and the number of blocks actually released.
-func (c *Cache) TakeForVM(n int, now time.Duration) ([]Writeback, int) {
-	var out []Writeback
-	released := 0
-	for i := 0; i < n && c.nblocks > 0; i++ {
-		wb, dirty := c.evictOne(now, true)
-		if dirty {
-			out = append(out, wb)
-		}
-		released++
-	}
-	// Capacity shrinks with the released pages so the cache does not
-	// immediately regrow; GrowBy restores it when VM returns pages.
-	c.capacity -= released
-	if c.capacity < 1 {
-		c.capacity = 1
-	}
-	return out, released
-}
-
 // GrowBy raises the cache capacity by n blocks (pages granted by the VM
 // system).
 func (c *Cache) GrowBy(n int) {
@@ -254,8 +231,11 @@ func (c *Cache) GrowBy(n int) {
 	}
 }
 
-// SetCapacity sets an absolute capacity, evicting as needed. Evictions are
-// attributed to VM when vmTake is true. It returns any dirty writebacks.
+// SetCapacity sets an absolute capacity, evicting LRU victims as needed.
+// With vmTake the virtual memory system is claiming the pages: replacement
+// is attributed to VM (Table 8's "virtual memory page" row) and dirty
+// victims are cleaned for reason CleanVM. The capacity stays shrunk until
+// GrowBy restores it. It returns any dirty writebacks.
 func (c *Cache) SetCapacity(blocks int, vmTake bool, now time.Duration) []Writeback {
 	if blocks < 1 {
 		blocks = 1
@@ -269,14 +249,4 @@ func (c *Cache) SetCapacity(blocks int, vmTake bool, now time.Duration) []Writeb
 		}
 	}
 	return out
-}
-
-// OldestRef returns the last-reference time of the LRU block and whether
-// the cache is non-empty. The memory arbiter uses it to decide whether the
-// file cache or the VM system holds the colder page.
-func (c *Cache) OldestRef() (time.Duration, bool) {
-	if c.lruBack < 0 {
-		return 0, false
-	}
-	return c.blocks[c.lruBack].lastRef, true
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"spritefs/internal/cluster"
-	"spritefs/internal/faults"
 	"spritefs/internal/server"
 	"spritefs/internal/workload"
 )
@@ -17,9 +16,6 @@ type ServiceConfig struct {
 	Agents int
 	// Seed drives the file-population bootstrap and the cluster's RNG.
 	Seed int64
-	// Faults optionally injects crashes/partitions into the live run, the
-	// same schedule format the batch experiments use.
-	Faults faults.Schedule
 }
 
 // FileRef is one file an agent may target, with its bootstrap size (live
@@ -70,7 +66,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	ccfg := cluster.Config{
 		Params:     p,
 		NumServers: 4,
-		Faults:     cfg.Faults,
 		// No trace collection and no virtual-time samplers: the live
 		// metrics endpoint observes the run instead.
 	}

@@ -19,7 +19,7 @@ func TestLabeledCounterIncrementZeroAlloc(t *testing.T) {
 	for i := range counters {
 		ls := Labels{L("client", string(rune('a'+i)))}
 		r.IntVar(d, ls, &counters[i])
-		r.HistVar(Desc{Name: "test_age", Help: "h"}, ls, &ages[i])
+		r.HistSecondsVar(Desc{Name: "test_age_seconds", Help: "h"}, ls, &ages[i])
 	}
 	sel := L("client", "a")
 

@@ -138,10 +138,13 @@ type metric struct {
 	sumPtr *stats.Welford
 	intFn  func() int64
 	sumFn  func() stats.Welford
-	// scale multiplies summary sample values at export (e.g. 1e-9 for
-	// Welford accumulators that collected nanoseconds but export seconds).
-	scale float64
 }
+
+// summaryScale multiplies summary sample values at export: every
+// registered distribution is a Welford accumulator that collected
+// nanoseconds (the simulators store time.Duration as float64) and
+// exports seconds.
+const summaryScale = 1e-9
 
 func (m *metric) isInt() bool { return m.intPtr != nil || m.intFn != nil }
 func (m *metric) isDur() bool { return m.durPtr != nil }
@@ -343,15 +346,6 @@ func (r *Registry) SecondsVar(d Desc, ls Labels, v *time.Duration) {
 	r.add(d, ls).durPtr = v
 }
 
-// HistVar registers a distribution instance read directly from *w at
-// snapshot time (see IntVar).
-func (r *Registry) HistVar(d Desc, ls Labels, w *stats.Welford) {
-	d.Kind = Summary
-	m := r.add(d, ls)
-	m.sumPtr = w
-	m.scale = 1
-}
-
 // HistSeconds registers a distribution whose Welford accumulator collected
 // nanosecond samples (the simulators store time.Duration as float64);
 // exported values are scaled to seconds.
@@ -360,9 +354,7 @@ func (r *Registry) HistSeconds(d Desc, ls Labels, fn func() stats.Welford) {
 	if d.Unit == "" {
 		d.Unit = "seconds"
 	}
-	m := r.add(d, ls)
-	m.sumFn = fn
-	m.scale = 1e-9
+	r.add(d, ls).sumFn = fn
 }
 
 // HistSecondsVar registers a nanosecond-sample distribution read directly
@@ -372,9 +364,7 @@ func (r *Registry) HistSecondsVar(d Desc, ls Labels, w *stats.Welford) {
 	if d.Unit == "" {
 		d.Unit = "seconds"
 	}
-	m := r.add(d, ls)
-	m.sumPtr = w
-	m.scale = 1e-9
+	r.add(d, ls).sumPtr = w
 }
 
 // Families returns every family sorted by name (the documentation and
@@ -522,17 +512,16 @@ func (m *metric) points(d Desc) []Point {
 			return Point{Name: d.Name + suffix, Labels: m.key, Unit: unit, Kind: d.Kind,
 				IsInt: isInt, Int: iv, Float: fv}
 		}
-		s := m.scale
 		pts := []Point{
 			mk("_count", "samples", true, w.N(), 0),
-			mk("_sum", d.Unit, false, 0, w.Sum()*s),
-			mk("_mean", d.Unit, false, 0, w.Mean()*s),
-			mk("_stddev", d.Unit, false, 0, w.Stddev()*s),
+			mk("_sum", d.Unit, false, 0, w.Sum()*summaryScale),
+			mk("_mean", d.Unit, false, 0, w.Mean()*summaryScale),
+			mk("_stddev", d.Unit, false, 0, w.Stddev()*summaryScale),
 		}
 		if w.N() > 0 {
 			pts = append(pts,
-				mk("_min", d.Unit, false, 0, w.Min()*s),
-				mk("_max", d.Unit, false, 0, w.Max()*s))
+				mk("_min", d.Unit, false, 0, w.Min()*summaryScale),
+				mk("_max", d.Unit, false, 0, w.Max()*summaryScale))
 		}
 		return pts
 	}

@@ -31,8 +31,7 @@ type Sampler struct {
 
 	capPoints int
 	rows      []row
-	start     int   // ring start index when full
-	dropped   int64 // rows overwritten by the ring
+	start     int // ring start index when full
 }
 
 type seriesCol struct {
@@ -97,14 +96,10 @@ func (s *Sampler) Sample(now time.Duration) {
 	// Ring full: overwrite the oldest row.
 	s.rows[s.start] = row{t: now, v: vals}
 	s.start = (s.start + 1) % s.capPoints
-	s.dropped++
 }
 
 // Len returns the number of retained rows.
 func (s *Sampler) Len() int { return len(s.rows) }
-
-// Dropped returns how many rows the ring buffer has overwritten.
-func (s *Sampler) Dropped() int64 { return s.dropped }
 
 // Series is one sampled metric's full time series, in time order.
 type Series struct {

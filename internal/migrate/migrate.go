@@ -2,19 +2,12 @@ package migrate
 
 import (
 	"fmt"
+	"slices"
 
 	"spritefs/internal/sim"
 )
 
-// Stats counts migration activity.
-type Stats struct {
-	Migrations int64
-	Evictions  int64
-	Reuses     int64 // selections that reused the previously chosen host
-}
-
 type hostState struct {
-	id          int32
 	ownerActive bool
 	migrants    map[int32]bool
 }
@@ -27,7 +20,6 @@ type Pool struct {
 	lastPick  int32
 	havePick  bool
 	reuseBias float64
-	st        Stats
 }
 
 // NewPool returns a pool over the given host ids. reuseBias in [0,1] is
@@ -49,14 +41,11 @@ func NewPool(hosts []int32, reuseBias float64, rng *sim.Rand) *Pool {
 		if _, dup := p.hosts[id]; dup {
 			panic(fmt.Sprintf("migrate: duplicate host %d", id))
 		}
-		p.hosts[id] = &hostState{id: id, migrants: make(map[int32]bool)}
+		p.hosts[id] = &hostState{migrants: make(map[int32]bool)}
 		p.order = append(p.order, id)
 	}
 	return p
 }
-
-// Stats returns a snapshot of the counters.
-func (p *Pool) Stats() Stats { return p.st }
 
 // IdleHosts returns the number of hosts currently eligible as targets.
 func (p *Pool) IdleHosts() int {
@@ -75,24 +64,17 @@ func (p *Pool) Migrants(host int32) []int32 {
 	if h == nil {
 		return nil
 	}
-	out := make([]int32, 0, len(h.migrants))
-	for _, id := range p.orderOfMigrants(h) {
-		out = append(out, id)
-	}
-	return out
+	return h.sortedMigrants()
 }
 
-func (p *Pool) orderOfMigrants(h *hostState) []int32 {
+// sortedMigrants returns the host's migrant pids in ascending order
+// (never map order: callers act on them one by one).
+func (h *hostState) sortedMigrants() []int32 {
 	out := make([]int32, 0, len(h.migrants))
 	for pid := range h.migrants {
 		out = append(out, pid)
 	}
-	// Sort for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -109,11 +91,10 @@ func (p *Pool) SetOwnerActive(host int32, active bool) []int32 {
 	if !active || len(h.migrants) == 0 {
 		return nil
 	}
-	evicted := p.orderOfMigrants(h)
+	evicted := h.sortedMigrants()
 	for _, pid := range evicted {
 		delete(h.migrants, pid)
 	}
-	p.st.Evictions += int64(len(evicted))
 	return evicted
 }
 
@@ -124,7 +105,6 @@ func (p *Pool) SetOwnerActive(host int32, active bool) []int32 {
 func (p *Pool) Select(requester int32) (host int32, ok bool) {
 	if p.havePick && p.lastPick != requester && p.rng.Bool(p.reuseBias) {
 		if h := p.hosts[p.lastPick]; h != nil && !h.ownerActive {
-			p.st.Reuses++
 			return p.lastPick, true
 		}
 	}
@@ -152,7 +132,6 @@ func (p *Pool) AddMigrant(host, pid int32) {
 		panic(fmt.Sprintf("migrate: unknown host %d", host))
 	}
 	h.migrants[pid] = true
-	p.st.Migrations++
 }
 
 // RemoveMigrant unregisters a migrated process (it exited normally).

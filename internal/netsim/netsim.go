@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -54,28 +53,11 @@ type Traffic struct {
 	Ops   [NumClasses]int64
 }
 
-// Add merges other into t.
-func (t *Traffic) Add(other *Traffic) {
-	for c := Class(0); c < NumClasses; c++ {
-		t.Bytes[c] += other.Bytes[c]
-		t.Ops[c] += other.Ops[c]
-	}
-}
-
 // TotalBytes returns the sum of bytes over all classes.
 func (t *Traffic) TotalBytes() int64 {
 	var sum int64
 	for _, b := range t.Bytes {
 		sum += b
-	}
-	return sum
-}
-
-// TotalOps returns the sum of operations over all classes.
-func (t *Traffic) TotalOps() int64 {
-	var sum int64
-	for _, o := range t.Ops {
-		sum += o
 	}
 	return sum
 }
@@ -90,9 +72,6 @@ func (t *Traffic) ReadBytes() int64 {
 	}
 	return sum
 }
-
-// WriteBytes returns bytes moved client-to-server.
-func (t *Traffic) WriteBytes() int64 { return t.TotalBytes() - t.ReadBytes() }
 
 // Config holds the interconnect parameters.
 type Config struct {
@@ -144,26 +123,15 @@ type FaultStats struct {
 	StallTime  time.Duration // total extra delay added by faults
 }
 
-// farID bounds the dense per-client tables. Ids within (-farID, farID)
-// index slices directly; anything beyond (hand-written traces can carry
-// arbitrary ids) falls back to a map so a single huge id cannot force a
-// gigantic sparse slice.
-const farID = 1 << 16
-
 // Network is the shared interconnect. It is passive: callers ask for the
 // cost of an RPC and schedule their own delays on the simulator clock;
-// Network records the byte accounting and cumulative busy time.
-//
-// Per-client accounting is slice-backed: real clients get small
-// non-negative ids and gateway pseudo-clients small negative ones, so the
-// hot RPCTo path indexes a dense slice instead of hashing a map key, and
-// steady-state accounting performs zero allocations.
+// Network records cluster-wide byte accounting per traffic class (Tables
+// 5 and 7), cumulative busy time and the fault hook's perturbations. The
+// client id an RPC carries is the fault hook's (partitions are keyed by
+// it); no per-client traffic is kept.
 type Network struct {
 	cfg    Config
 	total  Traffic
-	pos    []Traffic          // per-client accounting for id >= 0, indexed by id
-	neg    []Traffic          // for id < 0 (gateway pseudo-clients), indexed by -id-1
-	far    map[int32]*Traffic // fallback for |id| >= farID
 	busy   time.Duration
 	hook   Hook
 	faults FaultStats
@@ -179,35 +147,6 @@ func New(cfg Config) *Network {
 		panic("netsim: negative base latency")
 	}
 	return &Network{cfg: cfg}
-}
-
-// traffic returns the accounting slot for id, growing the dense tables on
-// first sight of a new id. Steady state is a bounds check and an index.
-func (n *Network) traffic(id int32) *Traffic {
-	if id >= 0 {
-		if int(id) < len(n.pos) {
-			return &n.pos[id]
-		}
-		if id < farID {
-			n.pos = append(n.pos, make([]Traffic, int(id)+1-len(n.pos))...)
-			return &n.pos[id]
-		}
-	} else if j := int(-(id + 1)); j < farID {
-		if j < len(n.neg) {
-			return &n.neg[j]
-		}
-		n.neg = append(n.neg, make([]Traffic, j+1-len(n.neg))...)
-		return &n.neg[j]
-	}
-	t := n.far[id]
-	if t == nil {
-		if n.far == nil {
-			n.far = make(map[int32]*Traffic)
-		}
-		t = &Traffic{}
-		n.far[id] = t
-	}
-	return t
 }
 
 // SetHook installs (or, with nil, removes) the fault hook consulted on
@@ -235,9 +174,6 @@ func (n *Network) RPCTo(server int16, client int32, class Class, payload int64) 
 	if class >= NumClasses {
 		panic(fmt.Sprintf("netsim: bad class %d", class))
 	}
-	t := n.traffic(client)
-	t.Bytes[class] += payload
-	t.Ops[class]++
 	n.total.Bytes[class] += payload
 	n.total.Ops[class]++
 	d := n.cfg.BaseLatency + time.Duration(float64(payload)/n.cfg.BandwidthBps*float64(time.Second))
@@ -259,47 +195,6 @@ func (n *Network) RPCTo(server int16, client int32, class Class, payload int64) 
 
 // Total returns a copy of the cluster-wide traffic accounting.
 func (n *Network) Total() Traffic { return n.total }
-
-// Client returns a copy of one client's traffic accounting.
-func (n *Network) Client(id int32) Traffic {
-	if id >= 0 {
-		if int(id) < len(n.pos) {
-			return n.pos[id]
-		}
-	} else if j := int(-(id + 1)); j < len(n.neg) {
-		return n.neg[j]
-	}
-	if t := n.far[id]; t != nil {
-		return *t
-	}
-	return Traffic{}
-}
-
-// Clients returns the ids of all clients that have issued RPCs, in
-// ascending id order. (The dense tables may hold zero-valued slots for
-// ids below the high-water mark that never issued; those are skipped.)
-func (n *Network) Clients() []int32 {
-	out := make([]int32, 0, len(n.pos)+len(n.neg)+len(n.far))
-	for j := len(n.neg) - 1; j >= 0; j-- {
-		if n.neg[j].TotalOps() > 0 {
-			out = append(out, int32(-j-1))
-		}
-	}
-	for id := range n.pos {
-		if n.pos[id].TotalOps() > 0 {
-			out = append(out, int32(id))
-		}
-	}
-	if len(n.far) > 0 {
-		for id, t := range n.far {
-			if t.TotalOps() > 0 {
-				out = append(out, id)
-			}
-		}
-		slices.Sort(out)
-	}
-	return out
-}
 
 // Busy returns cumulative wire-busy time; divided by elapsed virtual time
 // it gives utilization (the paper's "four percent of the bandwidth of an

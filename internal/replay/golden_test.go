@@ -87,7 +87,7 @@ func TestGoldenReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := ShardedTable(results).String()
+			s := ShardedTable(results)
 			for _, r := range results {
 				s += goldenText(t, r)
 			}

@@ -73,10 +73,6 @@ type Config struct {
 	Seed int64
 	// SamplePeriod enables the Table 4 cache-size sampler (zero disables).
 	SamplePeriod time.Duration
-	// MemoryPagesPerClient overrides the default 24 MB workstations. When
-	// zero, every third client gets 32 MB — the same mix the live cluster
-	// builds, so replayed cache sizing matches.
-	MemoryPagesPerClient int
 	// FixedCachePages pins every client cache at a constant size.
 	FixedCachePages int
 	// WritebackDelay overrides the 30-second delayed-write interval.
@@ -90,7 +86,7 @@ type Config struct {
 	PollInterval time.Duration
 	// Keep, when set, drops records for which it returns false (after the
 	// engine's own scrub of self-trace records). Use KeepClients /
-	// KeepServers / KeepKinds / And to build filters.
+	// KeepKinds / And to build filters.
 	Keep func(*trace.Record) bool
 	// Faults injects crashes, partitions and network perturbations into
 	// the replay on the virtual clock — replaying the same trace with and
@@ -100,8 +96,6 @@ type Config struct {
 	// interval on the virtual clock (zero disables); the collected series
 	// are on Result.Series after Run.
 	MetricsSample time.Duration
-	// MetricsSampleCap bounds the sampler ring in rows; zero = default.
-	MetricsSampleCap int
 	// MetricsMatch restricts sampling to families for which it returns
 	// true; nil samples every non-summary family.
 	MetricsMatch func(name string) bool
@@ -170,18 +164,16 @@ func New(cfg Config) *Engine {
 		cfg.Speed = 1
 	}
 	ccfg := cluster.Config{
-		NumServers:           cfg.NumServers,
-		SamplePeriod:         cfg.SamplePeriod,
-		MemoryPagesPerClient: cfg.MemoryPagesPerClient,
-		FixedCachePages:      cfg.FixedCachePages,
-		WritebackDelay:       cfg.WritebackDelay,
-		PrefetchBlocks:       cfg.PrefetchBlocks,
-		Consistency:          cfg.Consistency,
-		PollInterval:         cfg.PollInterval,
-		Faults:               cfg.Faults,
-		MetricsSample:        cfg.MetricsSample,
-		MetricsSampleCap:     cfg.MetricsSampleCap,
-		MetricsMatch:         cfg.MetricsMatch,
+		NumServers:      cfg.NumServers,
+		SamplePeriod:    cfg.SamplePeriod,
+		FixedCachePages: cfg.FixedCachePages,
+		WritebackDelay:  cfg.WritebackDelay,
+		PrefetchBlocks:  cfg.PrefetchBlocks,
+		Consistency:     cfg.Consistency,
+		PollInterval:    cfg.PollInterval,
+		Faults:          cfg.Faults,
+		MetricsSample:   cfg.MetricsSample,
+		MetricsMatch:    cfg.MetricsMatch,
 	}
 	ccfg.Params.Seed = cfg.Seed
 	e := &Engine{
@@ -424,15 +416,6 @@ func KeepClients(ids ...int32) func(*trace.Record) bool {
 		set[id] = true
 	}
 	return func(r *trace.Record) bool { return set[r.Client] }
-}
-
-// KeepServers keeps only records logged by the given servers.
-func KeepServers(ids ...int16) func(*trace.Record) bool {
-	set := make(map[int16]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
-	}
-	return func(r *trace.Record) bool { return set[r.Server] }
 }
 
 // KeepKinds keeps only records of the given kinds. Note that dropping

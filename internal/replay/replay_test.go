@@ -198,7 +198,7 @@ func TestRecordFilters(t *testing.T) {
 	}
 	cfg = replayCfg("kinds")
 	cfg.Keep = And(KeepKinds(trace.KindOpen, trace.KindClose, trace.KindRead,
-		trace.KindWrite, trace.KindReposition), KeepServers(0, 1))
+		trace.KindWrite, trace.KindReposition), KeepClients(0, 1))
 	res2, err := Run(cfg, trace.NewSliceStream(live.recs))
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 	base.AsFastAsPossible = true
 
 	render := func(results []*Result) string {
-		s := ShardedTable(results).String()
+		s := ShardedTable(results)
 		for _, r := range results {
 			s += "\n" + r.Config.Name
 		}

@@ -83,7 +83,6 @@ type Engine struct {
 	Reg *metrics.Registry
 
 	exec    ExecStats
-	now     sim.Time
 	horizon time.Duration
 	ran     bool
 
@@ -125,7 +124,6 @@ func New(cfg Config) (*Engine, error) {
 		ccfg.CollectTrace = false
 		ccfg.SamplePeriod = 0
 		ccfg.NumServers = cfg.ServersPerShard
-		ccfg.Net = cfg.Segment
 		if cfg.Tune != nil {
 			cfg.Tune(i, &ccfg)
 		}
@@ -146,9 +144,6 @@ func New(cfg Config) (*Engine, error) {
 	e.registerMetrics()
 	return e, nil
 }
-
-// Topology returns the engine's shard grid.
-func (e *Engine) Topology() Topology { return e.topo }
 
 // MustNew is New for tests and examples with known-good configurations.
 func MustNew(cfg Config) *Engine {
@@ -430,7 +425,6 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
 	for _, sh := range e.Shards {
 		sh.C.Sim.RunUntil(until)
 	}
-	e.now = until
 }
 
 // exchange routes every outbox emitted during the round and delivers the

@@ -189,15 +189,6 @@ func buildPlacement(topo Topology, shards []*Shard) *Placement {
 // function of the artifact classes only, not of the client population.
 func (p *Placement) Len() int { return len(p.homes) }
 
-// SiteFiles returns the catalog entries homed in one site (read-only).
-func (p *Placement) SiteFiles(site int) []PlacedFile {
-	out := make([]PlacedFile, 0, len(p.bySite[site]))
-	for _, i := range p.bySite[site] {
-		out = append(out, p.homes[i])
-	}
-	return out
-}
-
 // pickExcluding draws uniformly from the catalog indices in idxs,
 // rejecting entries homed on shard `from`. A handful of retries covers
 // the common case; the deterministic wrap-around scan guarantees a hit

@@ -112,8 +112,8 @@ func TestPickRemoteNeverLocal(t *testing.T) {
 	for from := 0; from < 4; from++ {
 		// Does the caller's site have artifacts on its other segment?
 		siteHasRemote := false
-		for _, pf := range p.SiteFiles(p.topo.SiteOf(from)) {
-			if pf.Shard != from {
+		for _, i := range p.bySite[p.topo.SiteOf(from)] {
+			if p.homes[i].Shard != from {
 				siteHasRemote = true
 				break
 			}

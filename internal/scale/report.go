@@ -53,9 +53,8 @@ type Report struct {
 	// sharded.
 	RecallsPerHour float64
 
-	RouterMsgs  int64
-	RouterBytes int64
-	RouterUtil  float64
+	RouterMsgs int64
+	RouterUtil float64
 	// WAN totals: traffic that crossed the inter-site trunk (all zero in
 	// a flat topology).
 	WANMsgs      int64
@@ -126,7 +125,6 @@ func (e *Engine) Report() Report {
 	r.OpensPerSec = float64(r.TotalOpens) / secs
 	r.RecallsPerHour = float64(r.TotalRecalls) / hours
 	r.RouterMsgs = e.Router.Msgs()
-	r.RouterBytes = e.Router.Bytes()
 	r.RouterUtil = e.Router.Busy().Seconds() / secs
 	wm, wb, wbusy := e.Router.TierTraffic(true)
 	r.WANMsgs = wm

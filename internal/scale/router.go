@@ -63,14 +63,9 @@ type Message struct {
 // ctrlBytes is the backbone cost of a request/ack frame without data.
 const ctrlBytes = 128
 
-// LinkStats accounts one directed inter-segment link.
-type LinkStats struct {
-	Msgs  int64
-	Bytes int64
-}
-
 // Router is the inter-segment backbone: it prices every cross-shard
-// message and accounts per-link traffic. Pricing is layered, bottom up:
+// message and accounts the traffic in total and per tier. Pricing is
+// layered, bottom up:
 //
 //  1. Flat topology: every link costs RouterConfig.Latency and transmits
 //     at RouterConfig.BandwidthBps.
@@ -87,10 +82,9 @@ type LinkStats struct {
 // also a wide parallelism window. Routing happens only at round exchanges
 // on the coordinator goroutine, so Router needs no locking.
 type Router struct {
-	lat   [][]time.Duration // [from][to] store-and-forward latency
-	bw    [][]float64       // [from][to] effective end-to-end bandwidth
-	wan   [][]bool          // [from][to] link crosses the WAN tier
-	links [][]LinkStats     // [from][to]
+	lat [][]time.Duration // [from][to] store-and-forward latency
+	bw  [][]float64       // [from][to] effective end-to-end bandwidth
+	wan [][]bool          // [from][to] link crosses the WAN tier
 
 	msgs  int64
 	bytes int64
@@ -109,16 +103,14 @@ type Router struct {
 func NewRouter(cfg RouterConfig, tiers TiersConfig, topo Topology) *Router {
 	n := topo.NumShards()
 	r := &Router{
-		lat:   make([][]time.Duration, n),
-		bw:    make([][]float64, n),
-		wan:   make([][]bool, n),
-		links: make([][]LinkStats, n),
+		lat: make([][]time.Duration, n),
+		bw:  make([][]float64, n),
+		wan: make([][]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		r.lat[i] = make([]time.Duration, n)
 		r.bw[i] = make([]float64, n)
 		r.wan[i] = make([]bool, n)
-		r.links[i] = make([]LinkStats, n)
 		for j := 0; j < n; j++ {
 			lat := cfg.Latency
 			bw := cfg.BandwidthBps
@@ -151,9 +143,6 @@ func NewRouter(cfg RouterConfig, tiers TiersConfig, topo Topology) *Router {
 // executor's per-link lookahead. Payload transmission only adds to it.
 func (r *Router) MinLatency(from, to int) time.Duration { return r.lat[from][to] }
 
-// CrossesWAN reports whether the directed link traverses the WAN tier.
-func (r *Router) CrossesWAN(from, to int) bool { return r.wan[from][to] }
-
 // Route prices m, stamps its arrival time, and accounts the transfer.
 func (r *Router) Route(m *Message) {
 	if m.Payload < 0 {
@@ -161,8 +150,6 @@ func (r *Router) Route(m *Message) {
 	}
 	xmit := time.Duration(float64(m.Payload) / r.bw[m.From][m.To] * float64(time.Second))
 	m.Arrive = m.Send + r.lat[m.From][m.To] + xmit
-	r.links[m.From][m.To].Msgs++
-	r.links[m.From][m.To].Bytes += m.Payload
 	r.msgs++
 	r.bytes += m.Payload
 	r.busy += xmit
@@ -178,9 +165,6 @@ func (r *Router) Route(m *Message) {
 // Msgs returns the total messages routed.
 func (r *Router) Msgs() int64 { return r.msgs }
 
-// Bytes returns the total payload bytes routed.
-func (r *Router) Bytes() int64 { return r.bytes }
-
 // Busy returns cumulative backbone transmission time; against elapsed
 // virtual time it gives backbone utilization.
 func (r *Router) Busy() time.Duration { return r.busy }
@@ -195,6 +179,3 @@ func (r *Router) TierTraffic(wan bool) (msgs, bytes int64, busy time.Duration) {
 	}
 	return r.tierMsgs[tier], r.tierBytes[tier], r.tierBusy[tier]
 }
-
-// Link returns a copy of one directed link's accounting.
-func (r *Router) Link(from, to int) LinkStats { return r.links[from][to] }

@@ -20,6 +20,13 @@ const remoteSeedSalt = 0x7e607e60c0ffee
 // never is a sentinel virtual time no event ever reaches.
 const never = sim.Time(math.MaxInt64)
 
+// gatewayClient is the client id the segment's router gateway presents to
+// the local wire when it forwards a remote request to a server. The id's
+// one reader is the fault hook, which scopes partitions and crashes by
+// workstation id; no workstation is negative, so gateway traffic is
+// perturbed by server- and wire-scoped faults only.
+const gatewayClient int32 = -1
+
 // RemoteStats accounts one shard's view of cross-segment traffic.
 type RemoteStats struct {
 	OpsIssued int64 // remote requests this shard's clients sent
@@ -72,9 +79,6 @@ type Shard struct {
 
 	eng *Engine // topology backref (placement, router config, counters)
 }
-
-// Remote returns a snapshot of the shard's cross-segment accounting.
-func (sh *Shard) Remote() RemoteStats { return sh.remote }
 
 // allocMsg pops a recycled message (or allocates one). The caller
 // overwrites every field, so stale contents cannot leak. Each shard's
@@ -215,23 +219,13 @@ func (sh *Shard) serve(m *Message) {
 		srvIdx = 0
 	}
 	srv := sh.C.Servers[srvIdx]
-	// The gateway acts on the local segment as a pseudo-client, so remote
-	// load is visible in the segment's per-client accounting without
-	// colliding with real workstations. Same-site requests arrive through
-	// a per-source-segment gateway; cross-site requests funnel through
-	// the site's WAN gateway, one pseudo-client per remote site — the
-	// concentration point a real site border router would be.
-	gw := int32(-100 - m.From)
-	if !sh.eng.topo.SameSite(sh.ID, m.From) {
-		gw = int32(-1000 - sh.eng.topo.SiteOf(m.From))
-	}
 	var service time.Duration
 	if m.Kind == RemoteRead {
 		service += srv.ServeSpan(m.File, 0, m.Bytes, now)
-		service += sh.C.Net.RPCTo(srv.ID(), gw, netsim.SharedRead, m.Bytes)
+		service += sh.C.Net.RPCTo(srv.ID(), gatewayClient, netsim.SharedRead, m.Bytes)
 	} else {
 		srv.AcceptSpan(m.File, 0, m.Bytes, now)
-		service += sh.C.Net.RPCTo(srv.ID(), gw, netsim.SharedWrite, m.Bytes)
+		service += sh.C.Net.RPCTo(srv.ID(), gatewayClient, netsim.SharedWrite, m.Bytes)
 	}
 	sh.remote.OpsServed++
 	payload := int64(ctrlBytes)

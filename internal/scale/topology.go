@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"spritefs/internal/cluster"
-	"spritefs/internal/netsim"
 	"spritefs/internal/workload"
 )
 
@@ -157,9 +156,6 @@ type Config struct {
 	Tiers TiersConfig
 	// ServersPerShard sizes each shard's server group (0 = the paper's 4).
 	ServersPerShard int
-	// Segment overrides each segment's wire parameters (zero keeps the
-	// measured 10 Mbit/s Ethernet).
-	Segment netsim.Config
 	// Router is the inter-segment backbone (zero = DefaultRouter). In a
 	// hierarchical topology Router.Latency is only the validation floor;
 	// per-link prices come from Tiers unless Router.LinkLatency overrides

@@ -38,14 +38,6 @@ type StorageStats struct {
 	MaxLostDirtyAge time.Duration
 }
 
-// ReadHitPct returns the server cache hit rate for client fetches.
-func (s *StorageStats) ReadHitPct() float64 {
-	if s.ReadBlocks == 0 {
-		return 0
-	}
-	return 100 * float64(s.ReadBlocks-s.ReadMissBlocks) / float64(s.ReadBlocks)
-}
-
 // NewStorage returns a server store with the given cache capacity in
 // blocks (the paper's main server: ~128 MB ≈ 32768 blocks).
 func NewStorage(capacityBlocks int) *Storage {

@@ -21,9 +21,6 @@ func TestStorageReadHitMiss(t *testing.T) {
 	if s.ReadBlocks != 2 || s.ReadMissBlocks != 1 || s.DiskReads != 1 {
 		t.Errorf("stats: %+v", s)
 	}
-	if got := s.ReadHitPct(); got != 50 {
-		t.Errorf("hit pct = %g", got)
-	}
 }
 
 func TestStorageReadBeyondFileSize(t *testing.T) {

@@ -53,19 +53,10 @@ func (g *Rand) LogNormal(median, sigma float64) float64 {
 	return median * math.Exp(sigma*g.r.NormFloat64())
 }
 
-// Pareto returns a Pareto-distributed value with scale xm (minimum) and
-// shape alpha. Smaller alpha gives heavier tails; the paper's large-file
+// BoundedPareto returns a Pareto value with scale xm (minimum) and shape
+// alpha truncated to [xm, max] by inverse-CDF sampling of the bounded
+// distribution. Smaller alpha gives heavier tails; the paper's large-file
 // regime corresponds to alpha near 1.
-func (g *Rand) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// BoundedPareto returns a Pareto(xm, alpha) value truncated to [xm, max]
-// by inverse-CDF sampling of the bounded distribution.
 func (g *Rand) BoundedPareto(xm, max, alpha float64) float64 {
 	if max <= xm {
 		return xm
@@ -104,9 +95,6 @@ func (g *Rand) Pick(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Perm returns a random permutation of [0,n).
-func (g *Rand) Perm(n int) []int { return g.r.Perm(n) }
 
 // Jitter returns d scaled by a uniform factor in [1-f, 1+f]. It keeps
 // periodic behaviours (think-times, daemon offsets) from phase-locking.

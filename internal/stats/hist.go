@@ -246,6 +246,3 @@ func (e *ExactCDF) Quantile(p float64) float64 {
 	}
 	return e.vals[len(e.vals)-1]
 }
-
-// Total returns the sum of weights.
-func (e *ExactCDF) Total() float64 { return e.total }

@@ -38,10 +38,6 @@ func (a *IntervalAgg) Add(t time.Duration, key int, v float64) {
 	m[key] += v
 }
 
-// Touch marks (interval, key) as active without adding value. A user with a
-// trace record but zero bytes in an interval still counts as active.
-func (a *IntervalAgg) Touch(t time.Duration, key int) { a.Add(t, key, 0) }
-
 // NumIntervals returns the number of intervals with at least one active key.
 func (a *IntervalAgg) NumIntervals() int { return len(a.cells) }
 

@@ -47,13 +47,15 @@ func TestIntervalAggBasic(t *testing.T) {
 
 func TestIntervalAggTouch(t *testing.T) {
 	a := NewIntervalAgg(time.Minute)
-	a.Touch(30*time.Second, 7)
+	// A user with a trace record but zero bytes in an interval still
+	// counts as active.
+	a.Add(30*time.Second, 7, 0)
 	s := a.Summarize()
 	if s.MaxActive != 1 {
-		t.Errorf("Touch did not mark user active: MaxActive = %d", s.MaxActive)
+		t.Errorf("zero-byte Add did not mark user active: MaxActive = %d", s.MaxActive)
 	}
 	if s.PerUser.Sum() != 0 {
-		t.Errorf("Touch added value: %g", s.PerUser.Sum())
+		t.Errorf("zero-byte Add added value: %g", s.PerUser.Sum())
 	}
 }
 

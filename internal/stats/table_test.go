@@ -44,3 +44,35 @@ func TestTableTSVEmpty(t *testing.T) {
 		t.Errorf("empty table TSV = %q", got)
 	}
 }
+
+func TestTableRendering(t *testing.T) {
+	tb := NewTable("Table X", "Metric", "Paper", "Measured")
+	tb.AddRow("throughput", "8.0", "7.9")
+	tb.AddRowf("miss ratio", "%.1f", 41.4, 40.2)
+	out := tb.String()
+	for _, want := range []string{"Table X", "Metric", "throughput", "41.4", "40.2"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table output missing %q:\n%s", want, out)
+		}
+	}
+	if tb.NumRows() != 2 {
+		t.Errorf("NumRows = %d, want 2", tb.NumRows())
+	}
+}
+
+func TestFmtBytes(t *testing.T) {
+	cases := []struct {
+		n    int64
+		want string
+	}{
+		{500, "500B"},
+		{2048, "2.0K"},
+		{3 << 20, "3.0M"},
+		{5 << 30, "5.0G"},
+	}
+	for _, c := range cases {
+		if got := FmtBytes(c.n); got != c.want {
+			t.Errorf("FmtBytes(%d) = %q, want %q", c.n, got, c.want)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 // Package stats provides the statistical machinery used throughout the
 // reproduction: streaming mean/standard-deviation accumulators, log-bucketed
 // histograms and CDFs (count- and byte-weighted, as used by Figures 1-4 of
-// the paper), fixed-width interval aggregation (Table 2), named counter sets
-// (the "approximately 50 kernel counters" of Section 3), and plain-text
-// table rendering for the experiment reports.
+// the paper), fixed-width interval aggregation (Table 2), the "percent
+// of" helpers and plain-text table rendering for the experiment reports.
+// (The paper's "approximately 50 kernel counters" live in the metric
+// registry, internal/metrics.)
 package stats
 
 import "math"
@@ -34,14 +35,6 @@ func (w *Welford) Add(x float64) {
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
-}
-
-// AddN incorporates the observation x with integer weight k (k identical
-// observations). k <= 0 is a no-op.
-func (w *Welford) AddN(x float64, k int64) {
-	for i := int64(0); i < k; i++ {
-		w.Add(x)
-	}
 }
 
 // Merge folds the observations of other into w.

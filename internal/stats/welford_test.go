@@ -59,21 +59,6 @@ func TestWelfordKnownValues(t *testing.T) {
 	}
 }
 
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	a.AddN(3, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(3)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() || a.Var() != b.Var() {
-		t.Errorf("AddN mismatch: %+v vs %+v", a, b)
-	}
-	a.AddN(5, 0)
-	if a.N() != 4 {
-		t.Errorf("AddN with k=0 changed N to %d", a.N())
-	}
-}
-
 // Property: Welford matches the naive two-pass computation.
 func TestWelfordMatchesNaive(t *testing.T) {
 	f := func(seed int64, n uint8) bool {

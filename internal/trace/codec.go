@@ -32,7 +32,6 @@ const (
 type Writer struct {
 	w   *bufio.Writer
 	n   int64
-	ver uint16
 	buf [recordSize]byte
 	err error
 }
@@ -58,7 +57,7 @@ func NewWriterVersion(w io.Writer, ver uint16) (*Writer, error) {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
-	return &Writer{w: bw, ver: ver}, nil
+	return &Writer{w: bw}, nil
 }
 
 // Write appends one record. Errors are sticky.
@@ -89,9 +88,6 @@ func (w *Writer) Write(r *Record) error {
 
 // Count returns the number of records written.
 func (w *Writer) Count() int64 { return w.n }
-
-// Version returns the header version this writer stamped.
-func (w *Writer) Version() uint16 { return w.ver }
 
 // Flush flushes buffered data to the underlying writer.
 func (w *Writer) Flush() error {

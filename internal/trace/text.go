@@ -25,8 +25,6 @@ const textHeader = "#sprtrc\ttime_ns\tkind\tflags\tserver\tclient\tuser\tproc\tf
 // TextWriter encodes records as text lines.
 type TextWriter struct {
 	w   *bufio.Writer
-	n   int64
-	ver uint16
 	err error
 }
 
@@ -50,11 +48,8 @@ func NewTextWriterVersion(w io.Writer, ver uint16) (*TextWriter, error) {
 	if _, err := bw.WriteString(hdr + "\n"); err != nil {
 		return nil, fmt.Errorf("trace: writing text header: %w", err)
 	}
-	return &TextWriter{w: bw, ver: ver}, nil
+	return &TextWriter{w: bw}, nil
 }
-
-// Version returns the header version this writer stamped.
-func (t *TextWriter) Version() uint16 { return t.ver }
 
 // Write appends one record as a line. Errors are sticky.
 func (t *TextWriter) Write(r *Record) error {
@@ -67,12 +62,8 @@ func (t *TextWriter) Write(r *Record) error {
 	if err != nil {
 		t.err = fmt.Errorf("trace: writing text record: %w", err)
 	}
-	t.n++
 	return t.err
 }
-
-// Count returns records written.
-func (t *TextWriter) Count() int64 { return t.n }
 
 // Flush flushes buffered output.
 func (t *TextWriter) Flush() error {

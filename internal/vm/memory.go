@@ -12,7 +12,7 @@ const IdleThreshold = 20 * time.Minute
 // Memory arbitrates one client's physical pages between the virtual memory
 // system and the file cache. The file cache's capacity always equals the
 // fs share; the client glue keeps fscache.Cache in sync via GrowBy /
-// TakeForVM.
+// SetCapacity.
 type Memory struct {
 	total int
 	vm    int
@@ -31,9 +31,6 @@ func NewMemory(totalPages, fsInitial, fsMin int) *Memory {
 	return &Memory{total: totalPages, fs: fsInitial, free: totalPages - fsInitial, fsMin: fsMin}
 }
 
-// Total returns total physical pages.
-func (m *Memory) Total() int { return m.total }
-
 // VMPages returns pages owned by the virtual memory system.
 func (m *Memory) VMPages() int { return m.vm }
 
@@ -46,7 +43,7 @@ func (m *Memory) FreePages() int { return m.free }
 // AcquireVM grants up to n pages to the VM system, taking free pages first
 // and then file-cache pages (VM has preference) down to the cache floor.
 // It returns the pages granted and how many must be surrendered by the
-// file cache (the caller evicts that many blocks via fscache.TakeForVM).
+// file cache (the client glue shrinks fscache to the new FS share).
 func (m *Memory) AcquireVM(n int) (granted, fromFS int) {
 	if n <= 0 {
 		return 0, 0
@@ -101,22 +98,6 @@ func (m *Memory) AcquireFS(n, idleVM int) (granted, fromVM int) {
 	m.vm -= fromVM
 	m.fs += take
 	return take, fromVM
-}
-
-// ReleaseFS returns n pages from the file cache to the free pool (used on
-// client "reboot" style resets; normal shrinking goes through AcquireVM).
-func (m *Memory) ReleaseFS(n int) {
-	if n <= 0 {
-		return
-	}
-	if n > m.fs-m.fsMin {
-		n = m.fs - m.fsMin
-	}
-	if n < 0 {
-		n = 0
-	}
-	m.fs -= n
-	m.free += n
 }
 
 // check verifies the page conservation invariant; exported for tests via

@@ -50,15 +50,6 @@ type Stats struct {
 	CodeReuse int64 // code pages reused from the retained pool (no I/O)
 }
 
-// TotalBytes returns all paging bytes moved.
-func (s *Stats) TotalBytes() int64 {
-	var sum int64
-	for c := PageClass(0); c < NumPageClasses; c++ {
-		sum += s.BytesIn[c] + s.BytesOut[c]
-	}
-	return sum
-}
-
 type proc struct {
 	pid      int32
 	execFile uint64
@@ -118,9 +109,6 @@ func (s *System) ResidentPages() int {
 	}
 	return n
 }
-
-// NumProcs returns the number of live processes.
-func (s *System) NumProcs() int { return len(s.procs) }
 
 // acquire obtains n physical pages from the arbiter for pid, evicting
 // colder pages when memory is exhausted. The file-cache squeeze implied by

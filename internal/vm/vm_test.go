@@ -78,14 +78,9 @@ func TestMemoryReleaseClamps(t *testing.T) {
 	if m.VMPages() != 0 || !m.Consistent() {
 		t.Errorf("vm=%d", m.VMPages())
 	}
-	m.ReleaseFS(50) // floor is 10
-	if m.FSPages() != 10 || !m.Consistent() {
-		t.Errorf("fs=%d", m.FSPages())
-	}
 	m.ReleaseVM(-3)
-	m.ReleaseFS(-3)
 	if !m.Consistent() {
-		t.Error("negative releases broke invariant")
+		t.Error("negative release broke invariant")
 	}
 }
 
@@ -96,15 +91,13 @@ func TestMemoryInvariantProperty(t *testing.T) {
 		m := NewMemory(1000, 300, 16)
 		for i := 0; i < 500; i++ {
 			n := rng.Intn(100)
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0:
 				m.AcquireVM(n)
 			case 1:
 				m.ReleaseVM(n)
 			case 2:
 				m.AcquireFS(n, rng.Intn(50))
-			case 3:
-				m.ReleaseFS(n)
 			}
 			if !m.Consistent() {
 				return false

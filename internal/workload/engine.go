@@ -35,7 +35,6 @@ type userState struct {
 // Stats summarizes a workload run.
 type Stats struct {
 	ProgramsRun int64
-	OpsExecuted int64
 	Migrations  int64
 	Evictions   int64
 	AbortedOps  int64 // ops skipped after an error (e.g. open of a deleted file)
@@ -112,9 +111,6 @@ func NewEngine(s *sim.Sim, p Params, reg *Registry, hosts map[int32]Host) *Engin
 
 // Stats returns a snapshot of the run counters.
 func (e *Engine) Stats() Stats { return e.st }
-
-// Pool exposes the migration pool (for tests and the cluster's counters).
-func (e *Engine) Pool() *migrate.Pool { return e.pool }
 
 func (e *Engine) buildUsers() {
 	total := e.p.DailyUsers + e.p.OccasionalUsers
@@ -500,7 +496,6 @@ func (e *Engine) step(pr *program) {
 		if !repeat {
 			pr.idx++
 		}
-		e.st.OpsExecuted++
 		if delay > 0 {
 			e.sim.After(delay, pr.stepFn)
 			return

@@ -9,7 +9,6 @@ import (
 // Binary is a program executable image living in the shared file system.
 type Binary struct {
 	File      uint64
-	Size      int64
 	CodePages int
 	DataPages int
 }
@@ -86,7 +85,7 @@ func Bootstrap(p Params, servers []*server.Server, rng *sim.Rand) *Registry {
 		code := p.CodePagesMin + rng.Intn(p.CodePagesMax-p.CodePagesMin+1)
 		data := p.DataPagesMin + rng.Intn(p.DataPagesMax-p.DataPagesMin+1)
 		size := int64(code+data) * vm.PageSize
-		r.Binaries = append(r.Binaries, Binary{File: mk(size), Size: size, CodePages: code, DataPages: data})
+		r.Binaries = append(r.Binaries, Binary{File: mk(size), CodePages: code, DataPages: data})
 	}
 	// Kernel images for the OS group: 2-10 MB.
 	for i := 0; i < 6; i++ {
