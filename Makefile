@@ -134,12 +134,12 @@ examples:
 # where bytes or text from outside the program are parsed: the trace
 # reader every tool opens files through, the two importers, the -map and
 # -modernize grammars, the -faults schedule grammar and the live TCP
-# codec — plus the scheduler's differential oracle, whose op streams are
-# decoded from bytes so a failure shrinks by itself. (`go test -fuzz`
-# takes one target and one package per run.)
+# codec — plus the scheduler's and the file cache's differential oracles,
+# whose op streams are decoded from bytes so a failure shrinks by itself.
+# (`go test -fuzz` takes one target and one package per run.)
 fuzzcheck:
 	@set -e; for t in \
-		internal/sim:FuzzScheduler \
+		internal/sim:FuzzScheduler internal/fscache:FuzzCache \
 		internal/trace:FuzzAutoReader \
 		internal/traceio:FuzzImportCSV internal/traceio:FuzzImportStrace \
 		internal/traceio:FuzzParseCSVMapping internal/traceio:FuzzParseProfile \
