@@ -57,3 +57,27 @@ func TestFlushFileZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("write+Fsync cycle allocated %.1f/op in steady state, want 0", allocs)
 	}
 }
+
+// TestEvictDirtyTailZeroAlloc pins the forced case: a cache holding only
+// dirty blocks replaces its dirty tail on every miss, and in steady state
+// neither the victim search nor the writeback it hands back allocates.
+func TestEvictDirtyTailZeroAlloc(t *testing.T) {
+	const capacity = 64
+	c := New(capacity)
+	now := time.Duration(0)
+	next := int64(0)
+	write := func() {
+		now += time.Millisecond
+		// Block indices cycle over twice the capacity: never resident.
+		res := c.Write(1, next%(2*capacity)*BlockSize, BlockSize, 0, noAttr, now)
+		if next++; next > capacity && (len(res.Evicted) != 1 || res.Evicted[0].Reason != CleanEvict) {
+			t.Fatalf("write %d evicted %+v, want one dirty victim", next, res.Evicted)
+		}
+	}
+	for i := 0; i < 3*capacity; i++ {
+		write()
+	}
+	if allocs := testing.AllocsPerRun(1000, write); allocs != 0 {
+		t.Fatalf("dirty-tail eviction allocated %.1f/op in steady state, want 0", allocs)
+	}
+}
