@@ -109,18 +109,24 @@ type Stats struct {
 	DirtyBytes int64
 }
 
-// Blocks live by value in a free-list arena (Cache.blocks) and are
+// Blocks live by value in a free-list arena (Cache.chunks) and are
 // referred to by int32 arena slots everywhere: the LRU list is intrusive
 // (prev/next slot links, front = most recent) and the per-file index maps
 // block index -> slot. Steady-state Read/Write therefore performs zero
 // allocations: a miss pops a recycled slot, an eviction pushes one back.
+// A block never moves once allocated, so a *block stays valid for as long
+// as its slot is resident.
 type block struct {
 	file  uint64
 	index int64
 	prev  int32 // LRU link toward the front (more recent)
 	next  int32 // LRU link toward the back; doubles as the free-list link
 
-	dirty   bool
+	dirty bool
+	// passed == Cache.scanEpoch marks a block of the dirty run at the LRU
+	// tail that the victim scan has already walked past (see evictOne). It
+	// sits in what was padding: the struct stays 72 bytes.
+	passed  uint32
 	dirtyAt time.Duration // when the block first became dirty
 	lastWr  time.Duration // when the block was last written
 	lastRef time.Duration // when the block was last referenced
@@ -138,6 +144,13 @@ type fileIndex struct {
 	sparse map[int64]int32 // slots for block indices >= fiDenseMax
 	n      int             // resident blocks of this file
 	dirty  int             // dirty resident blocks of this file
+
+	// oldestDirty is a lower bound on dirtyAt over the file's dirty blocks
+	// (meaningful while dirty > 0): the minimum over every dirtying since
+	// the file last had none. A dirty block that leaves does not raise it,
+	// so it can be stale-low; Clean uses it only to skip the file and
+	// tightens it whenever it scans the blocks anyway.
+	oldestDirty time.Duration
 }
 
 // get returns the arena slot holding block idx, or -1.
@@ -200,13 +213,25 @@ func (fi *fileIndex) appendIndices(buf []int64) []int64 {
 	return buf
 }
 
+// chunkBlocks is the arena's growth unit: slot s lives at
+// chunks[s>>chunkShift][s&(chunkBlocks-1)].
+const (
+	chunkShift  = 6
+	chunkBlocks = 1 << chunkShift
+)
+
 // Cache is one client's (or server's) block cache.
 type Cache struct {
-	capacity   int     // blocks
-	blocks     []block // arena; blocks referenced by slot index
-	freeB      int32   // free-slot list head through next, -1 when empty
-	lruFront   int32   // most recently used, -1 when empty
-	lruBack    int32   // least recently used
+	capacity int // blocks
+	// The block arena, in fixed-size chunks: growing it appends one chunk
+	// and never copies or re-clears a block, so a cold cache allocates what
+	// it ends up holding plus at most one chunk of slack. Slots below
+	// nslots have been handed out; each is resident or on the free list.
+	chunks     []*[chunkBlocks]block
+	nslots     int32
+	freeB      int32 // free-slot list head through next, -1 when empty
+	lruFront   int32 // most recently used, -1 when empty
+	lruBack    int32 // least recently used
 	files      map[uint64]*fileIndex
 	fiFree     []*fileIndex // recycled (emptied) file indexes
 	nblocks    int
@@ -215,12 +240,24 @@ type Cache struct {
 	wbDelay    time.Duration // 0 = default WritebackDelay
 	prefetch   int           // extra sequential blocks fetched per miss
 
-	// dirtyFiles holds the id of every file with at least one dirty
-	// resident block, maintained incrementally at the dirty/clean
-	// transitions. The cleaner sweep iterates this set instead of scanning
-	// every resident file, making sweep cost proportional to the dirty
-	// population rather than the cache population.
-	dirtyFiles map[uint64]struct{}
+	// Progress of the victim scan (see evictOne): the scanCount blocks
+	// nearest the LRU tail are dirty and carry passed == scanEpoch, and
+	// scanLast is the one of them furthest from the tail (-1 when there
+	// is none). No other block carries the current epoch.
+	scanEpoch uint32
+	scanLast  int32
+	scanCount int32
+
+	// dirtyFiles holds every file with at least one dirty resident block,
+	// maintained incrementally at the dirty/clean transitions. The cleaner
+	// sweep iterates this set instead of scanning every resident file,
+	// making sweep cost proportional to the dirty population rather than
+	// the cache population.
+	dirtyFiles map[uint64]*fileIndex
+	// oldestDirty is a lower bound on dirtyAt over all dirty blocks
+	// (meaningful while ndirty > 0), kept like fileIndex.oldestDirty: no
+	// cleaner tick before oldestDirty + delay has anything to do.
+	oldestDirty time.Duration
 
 	// Reusable result buffers for the hot Read/Write paths. The slices in
 	// a returned ReadResult/WriteResult alias these and are valid until
@@ -262,9 +299,16 @@ func New(capacityBlocks int) *Cache {
 		freeB:      -1,
 		lruFront:   -1,
 		lruBack:    -1,
+		scanEpoch:  1,
+		scanLast:   -1,
 		files:      make(map[uint64]*fileIndex),
-		dirtyFiles: make(map[uint64]struct{}),
+		dirtyFiles: make(map[uint64]*fileIndex),
 	}
+}
+
+// blk returns the block at arena slot s.
+func (c *Cache) blk(s int32) *block {
+	return &c.chunks[s>>chunkShift][s&(chunkBlocks-1)]
 }
 
 // slot returns the arena slot of the given block, or -1 if not resident.
@@ -276,25 +320,29 @@ func (c *Cache) slot(file uint64, index int64) int32 {
 	return fi.get(index)
 }
 
-// allocBlock pops a recycled arena slot (or grows the arena).
-func (c *Cache) allocBlock() int32 {
+// allocBlock pops a recycled arena slot, or takes the next unused one,
+// adding a chunk when the last is full.
+func (c *Cache) allocBlock() (int32, *block) {
 	s := c.freeB
 	if s >= 0 {
-		c.freeB = c.blocks[s].next
-	} else {
-		c.blocks = append(c.blocks, block{})
-		s = int32(len(c.blocks) - 1)
+		b := c.blk(s)
+		c.freeB = b.next
+		return s, b
 	}
-	return s
+	s = c.nslots
+	if int(s>>chunkShift) == len(c.chunks) {
+		c.chunks = append(c.chunks, new([chunkBlocks]block))
+	}
+	c.nslots++
+	return s, c.blk(s)
 }
 
-// lruPushFront links slot s at the most-recent end.
-func (c *Cache) lruPushFront(s int32) {
-	b := &c.blocks[s]
+// lruPushFront links block b (slot s) at the most-recent end.
+func (c *Cache) lruPushFront(s int32, b *block) {
 	b.prev = -1
 	b.next = c.lruFront
 	if c.lruFront >= 0 {
-		c.blocks[c.lruFront].prev = s
+		c.blk(c.lruFront).prev = s
 	}
 	c.lruFront = s
 	if c.lruBack < 0 {
@@ -302,16 +350,23 @@ func (c *Cache) lruPushFront(s int32) {
 	}
 }
 
-// lruUnlink removes slot s from the LRU list.
-func (c *Cache) lruUnlink(s int32) {
-	b := &c.blocks[s]
+// lruUnlink removes block b (slot s) from the LRU list. A block of the
+// passed run leaves it: the run closes over the gap, one shorter.
+func (c *Cache) lruUnlink(s int32, b *block) {
+	if b.passed == c.scanEpoch {
+		b.passed = 0
+		c.scanCount--
+		if c.scanLast == s {
+			c.scanLast = b.next // the passed block next nearer the tail, if any
+		}
+	}
 	if b.prev >= 0 {
-		c.blocks[b.prev].next = b.next
+		c.blk(b.prev).next = b.next
 	} else {
 		c.lruFront = b.next
 	}
 	if b.next >= 0 {
-		c.blocks[b.next].prev = b.prev
+		c.blk(b.next).prev = b.prev
 	} else {
 		c.lruBack = b.prev
 	}
@@ -342,18 +397,17 @@ func (c *Cache) Contains(file uint64, index int64) bool {
 	return c.slot(file, index) >= 0
 }
 
-func (c *Cache) touch(s int32, now time.Duration) {
-	c.blocks[s].lastRef = now
+func (c *Cache) touch(s int32, b *block, now time.Duration) {
+	b.lastRef = now
 	if c.lruFront != s {
-		c.lruUnlink(s)
-		c.lruPushFront(s)
+		c.lruUnlink(s, b)
+		c.lruPushFront(s, b)
 	}
 }
 
-// insert adds a new resident block and returns its arena slot. The slot
-// may be invalidated by later inserts (the arena can move); callers must
-// not hold *block pointers across inserts.
-func (c *Cache) insert(file uint64, index int64, now time.Duration) int32 {
+// insert adds a new resident block and returns it with the file's index,
+// which it may have had to create.
+func (c *Cache) insert(file uint64, index int64, now time.Duration) (*block, *fileIndex) {
 	fi := c.files[file]
 	if fi == nil {
 		if n := len(c.fiFree); n > 0 {
@@ -367,19 +421,18 @@ func (c *Cache) insert(file uint64, index int64, now time.Duration) int32 {
 		}
 		c.files[file] = fi
 	}
-	s := c.allocBlock()
-	c.blocks[s] = block{file: file, index: index, lastRef: now}
-	c.lruPushFront(s)
+	s, b := c.allocBlock()
+	*b = block{file: file, index: index, lastRef: now}
+	c.lruPushFront(s, b)
 	fi.set(index, s)
 	c.nblocks++
-	return s
+	return b, fi
 }
 
-// remove unlinks the block at slot s from all structures and recycles the
+// remove unlinks block b (slot s) from all structures and recycles the
 // slot. Dirty accounting is adjusted for dirty blocks.
-func (c *Cache) remove(s int32) {
-	b := &c.blocks[s]
-	c.lruUnlink(s)
+func (c *Cache) remove(s int32, b *block) {
+	c.lruUnlink(s, b)
 	fi := c.files[b.file]
 	fi.del(b.index)
 	if b.dirty {
@@ -396,13 +449,20 @@ func (c *Cache) remove(s int32) {
 	c.freeB = s
 }
 
-// noteDirtied records a clean->dirty block transition on file, keeping the
-// dirty-file set in step.
-func (c *Cache) noteDirtied(file uint64) {
-	fi := c.files[file]
+// noteDirtied records a clean->dirty block transition at now on fi
+// (file's index), keeping the dirty-file set and the two age bounds in
+// step. The bounds are true minima: now need not be monotone.
+func (c *Cache) noteDirtied(fi *fileIndex, file uint64, now time.Duration) {
 	fi.dirty++
 	if fi.dirty == 1 {
-		c.dirtyFiles[file] = struct{}{}
+		c.dirtyFiles[file] = fi
+		fi.oldestDirty = now
+	} else if now < fi.oldestDirty {
+		fi.oldestDirty = now
+	}
+	c.ndirty++
+	if c.ndirty == 1 || now < c.oldestDirty {
+		c.oldestDirty = now
 	}
 }
 
@@ -418,24 +478,69 @@ func (c *Cache) noteCleaned(fi *fileIndex, file uint64) {
 // looks for a clean victim before giving up and evicting a dirty block.
 const cleanScanDepth = 512
 
+// forgetScan drops the victim scan's progress: the next eviction walks
+// from the tail again. Bumping the epoch unmarks every passed block at
+// once. When the 32-bit epoch wraps, marks left by the scan 2^32 resets
+// ago would read as current, so that one reset clears every mark in the
+// arena instead — a walk once in four billion resets.
+func (c *Cache) forgetScan() {
+	c.scanEpoch++
+	if c.scanEpoch == 0 {
+		for s := int32(0); s < c.nslots; s++ {
+			c.blk(s).passed = 0
+		}
+		c.scanEpoch = 1 // zero is what a fresh block carries
+	}
+	c.scanLast = -1
+	c.scanCount = 0
+}
+
+// cleanedInPlace is called when b turned clean without leaving the LRU
+// list. If the victim scan had passed it, there is now a clean block
+// inside the run the scan believes dirty, and its progress is void.
+func (c *Cache) cleanedInPlace(b *block) {
+	if b.passed == c.scanEpoch {
+		c.forgetScan()
+	}
+}
+
 // evictOne removes the least-recently-used block to make room, returning a
 // writeback if it was dirty. Clean blocks near the LRU tail are preferred
 // — Sprite's cleaner normally retires dirty data long before it reaches
 // the tail, so dirty evictions are the rare forced case the paper notes
-// ("usually only clean blocks are replaced"). vmTake marks the eviction as
-// a page handoff to the VM system rather than replacement by file data.
+// ("usually only clean blocks are replaced"): the victim is the first
+// clean block within cleanScanDepth positions of the tail, else the tail.
+// vmTake marks the eviction as a page handoff to the VM system rather than
+// replacement by file data.
+//
+// The scan is resumable. The dirty blocks it walks past are marked and
+// counted, and the next eviction starts behind them at the depth the last
+// one reached instead of re-walking the run. That is exact because nothing
+// can enter the run — inserts and touches go to the front of the list — so
+// only two things disturb it: a passed block is unlinked (lruUnlink
+// shortens the run) or turns clean where it sits (cleanedInPlace voids the
+// progress, as DiscardAll does).
 func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 	s := c.lruBack
 	if s < 0 {
 		return Writeback{}, false
 	}
-	for cand, depth := s, 0; cand >= 0 && depth < cleanScanDepth; cand, depth = c.blocks[cand].prev, depth+1 {
-		if !c.blocks[cand].dirty {
+	cand := s
+	if c.scanCount > 0 {
+		cand = c.blk(c.scanLast).prev
+	}
+	for cand >= 0 && c.scanCount < cleanScanDepth {
+		cb := c.blk(cand)
+		if !cb.dirty {
 			s = cand
 			break
 		}
+		cb.passed = c.scanEpoch
+		c.scanLast = cand
+		c.scanCount++
+		cand = cb.prev
 	}
-	b := &c.blocks[s]
+	b := c.blk(s)
 	c.st.ReplacementAge.Add(float64(now - b.lastRef))
 	if vmTake {
 		c.st.ReplacedVM++
@@ -451,7 +556,7 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 		}
 		wb = c.makeWriteback(b, reason, now)
 	}
-	c.remove(s)
+	c.remove(s, b)
 	return wb, dirty
 }
 
@@ -500,12 +605,21 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	res.MissIdx = c.idxScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
+	// The file's index is resolved once per call and again only after an
+	// insert: the eviction that makes room can release it (the victim was
+	// the file's last block) and the insert then takes a fresh one.
+	fi := c.files[file]
 	for idx := first; idx <= last; idx++ {
 		c.countRead(attr)
-		s := c.slot(file, idx)
-		if s >= 0 && c.blockCovers(&c.blocks[s], idx, offset, length) {
-			c.touch(s, now)
-			continue
+		var b *block
+		if fi != nil {
+			if s := fi.get(idx); s >= 0 {
+				b = c.blk(s)
+				c.touch(s, b, now)
+				if c.blockCovers(b, idx, offset, length) {
+					continue
+				}
+			}
 		}
 		// Miss: fetch the valid portion of the block from the server.
 		c.countReadMiss(attr)
@@ -514,13 +628,10 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		if validEnd > BlockSize {
 			validEnd = BlockSize
 		}
-		if s < 0 {
+		if b == nil {
 			c.ensureRoom(now, &res.Evicted)
-			s = c.insert(file, idx, now)
-		} else {
-			c.touch(s, now)
+			b, fi = c.insert(file, idx, now)
 		}
-		b := &c.blocks[s]
 		fetch := validEnd - b.validHi
 		if fetch < 0 {
 			fetch = 0
@@ -536,16 +647,17 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		// Sequential prefetch (ablation): pull the following blocks too.
 		for p := int64(1); p <= int64(c.prefetch); p++ {
 			pi := idx + p
-			if pi*BlockSize >= fileSize || c.slot(file, pi) >= 0 {
+			if pi*BlockSize >= fileSize || fi.get(pi) >= 0 {
 				break
 			}
 			c.ensureRoom(now, &res.Evicted)
-			ps := c.insert(file, pi, now)
+			var pb *block
+			pb, fi = c.insert(file, pi, now)
 			end := fileSize - pi*BlockSize
 			if end > BlockSize {
 				end = BlockSize
 			}
-			c.blocks[ps].validHi = end
+			pb.validHi = end
 			res.MissBytes += end
 			res.MissBlocks++
 			res.MissIdx = append(res.MissIdx, pi)
@@ -584,6 +696,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 	res.FetchIdx = c.idxScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
+	fi := c.files[file] // re-resolved after each insert, as in Read
 	for idx := first; idx <= last; idx++ {
 		c.st.All.WriteOps++
 		if attr.Migrated {
@@ -599,9 +712,15 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 		if hi > BlockSize {
 			hi = BlockSize
 		}
-		s := c.slot(file, idx)
+		var b *block
+		if fi != nil {
+			if s := fi.get(idx); s >= 0 {
+				b = c.blk(s)
+				c.touch(s, b, now)
+			}
+		}
 		partial := lo > 0 || (hi < BlockSize && blockStart+hi < fileSizeBefore)
-		if s < 0 {
+		if b == nil {
 			// Write fetch: the block exists on the server (it holds bytes
 			// below fileSizeBefore), the write is partial, and the block is
 			// not resident — it must be fetched before modification.
@@ -611,7 +730,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 			}
 			needFetch := partial && existingEnd > 0 && lo < existingEnd
 			c.ensureRoom(now, &res.Evicted)
-			s = c.insert(file, idx, now)
+			b, fi = c.insert(file, idx, now)
 			if needFetch {
 				c.st.All.WriteFetches++
 				if attr.Migrated {
@@ -620,17 +739,13 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				res.FetchBytes += existingEnd
 				res.FetchBlocks++
 				res.FetchIdx = append(res.FetchIdx, idx)
-				c.blocks[s].validHi = existingEnd
+				b.validHi = existingEnd
 			}
-		} else {
-			c.touch(s, now)
 		}
-		b := &c.blocks[s]
 		if !b.dirty {
 			b.dirty = true
 			b.dirtyAt = now
-			c.ndirty++
-			c.noteDirtied(file)
+			c.noteDirtied(fi, file, now)
 		}
 		b.lastWr = now
 		if hi > b.validHi {

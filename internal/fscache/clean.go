@@ -1,6 +1,7 @@
 package fscache
 
 import (
+	"math"
 	"slices"
 	"time"
 )
@@ -37,58 +38,87 @@ func (c *Cache) WriteDelay() time.Duration {
 // for a file are written to the server if any block in the file has been
 // dirty for 30 seconds". Returned blocks become clean.
 //
-// Only the dirty-file set is visited — sweep cost is proportional to the
-// dirty population, not the cache population. Dirty file ids are swept in
-// ascending order (never map iteration order): the age summaries
-// accumulate floating-point samples whose sum depends on ordering, and
-// metric dumps are required to be byte-identical across runs. Any file
-// the old full scan would have flushed has an expired dirty block, so it
-// is in the dirty set and the emitted writeback stream is unchanged.
+// A tick costs what it has to look at, which is bounded by age. Nothing
+// is touched while the cache's oldest dirty block cannot be due
+// (Cache.oldestDirty); otherwise only the dirty-file set is visited, and
+// of it only the files whose own bound (fileIndex.oldestDirty) is due get
+// their blocks scanned. The bounds only ever excuse work: a due bound is
+// never taken as proof, the block scan decides — and, having seen every
+// dirty block of a file it does not flush, leaves the file's bound exact.
+//
+// Due files are swept in ascending id and their blocks in ascending index
+// (never map iteration order): the age summaries accumulate floating-point
+// samples whose sum depends on ordering, and metric dumps are required to
+// be byte-identical across runs.
 //
 // The returned slice aliases a per-cache scratch buffer: it is valid
 // until the next Clean/Fsync/Recall/RecoverFlush on this cache.
 func (c *Cache) Clean(now time.Duration) []Writeback {
 	out := c.cleanScratch[:0]
 	delay := c.WriteDelay()
+	if c.ndirty == 0 || now-c.oldestDirty < delay {
+		return out
+	}
+	// oldest becomes the cache's bound: the minimum over the files that
+	// stay dirty, taken from their bounds as this sweep leaves them.
+	oldest := time.Duration(math.MaxInt64)
 	ids := c.dirtyIDScratch[:0]
-	for id := range c.dirtyFiles {
-		ids = append(ids, id)
+	for id, fi := range c.dirtyFiles {
+		if now-fi.oldestDirty >= delay {
+			ids = append(ids, id)
+		} else if fi.oldestDirty < oldest {
+			oldest = fi.oldestDirty
+		}
 	}
 	slices.Sort(ids)
 	idxs := c.cleanIdxScr
 	for _, file := range ids {
-		fi := c.files[file]
-		expired := false
-		for _, v := range fi.dense {
-			if v != 0 {
-				if b := &c.blocks[v-1]; b.dirty && now-b.dirtyAt >= delay {
-					expired = true
-					break
-				}
+		fi := c.dirtyFiles[file]
+		if fileOldest, due := c.oldestDirtyBlock(fi, now, delay); !due {
+			fi.oldestDirty = fileOldest
+			if fileOldest < oldest {
+				oldest = fileOldest
 			}
-		}
-		if !expired {
-			for _, s := range fi.sparse {
-				if b := &c.blocks[s]; b.dirty && now-b.dirtyAt >= delay {
-					expired = true
-					break
-				}
-			}
-		}
-		if !expired {
 			continue
 		}
 		idxs = fi.appendIndices(idxs[:0])
 		for _, idx := range idxs {
-			if b := &c.blocks[fi.get(idx)]; b.dirty {
+			if b := c.blk(fi.get(idx)); b.dirty {
 				out = append(out, c.cleanBlock(fi, b, CleanDelay, now))
 			}
 		}
 	}
+	c.oldestDirty = oldest
 	c.cleanIdxScr = idxs[:0]
 	c.dirtyIDScratch = ids[:0]
 	c.cleanScratch = out[:0]
 	return out
+}
+
+// oldestDirtyBlock scans fi's blocks for one that has been dirty for delay
+// at now. It stops at the first (due is true); otherwise it has seen every
+// dirty block of the file and oldest is the earliest dirtyAt among them.
+func (c *Cache) oldestDirtyBlock(fi *fileIndex, now, delay time.Duration) (oldest time.Duration, due bool) {
+	oldest = math.MaxInt64
+	for _, v := range fi.dense {
+		if v != 0 {
+			if b := c.blk(v - 1); b.dirty {
+				if now-b.dirtyAt >= delay {
+					return 0, true
+				}
+				oldest = min(oldest, b.dirtyAt)
+			}
+		}
+	}
+	for _, s := range fi.sparse {
+		if b := c.blk(s); b.dirty {
+			if now-b.dirtyAt >= delay {
+				return 0, true
+			}
+			oldest = min(oldest, b.dirtyAt)
+		}
+	}
+	return oldest, false
 }
 
 func (c *Cache) cleanBlock(fi *fileIndex, b *block, reason CleanReason, now time.Duration) Writeback {
@@ -98,6 +128,7 @@ func (c *Cache) cleanBlock(fi *fileIndex, b *block, reason CleanReason, now time
 	c.dirtyBytes -= b.dirtyHi
 	b.dirtyHi = 0
 	c.noteCleaned(fi, b.file)
+	c.cleanedInPlace(b)
 	return wb
 }
 
@@ -123,7 +154,7 @@ func (c *Cache) flushFile(file uint64, reason CleanReason, now time.Duration) []
 	out := c.cleanScratch[:0]
 	idxs := fi.appendIndices(c.cleanIdxScr[:0])
 	for _, idx := range idxs {
-		if b := &c.blocks[fi.get(idx)]; b.dirty {
+		if b := c.blk(fi.get(idx)); b.dirty {
 			out = append(out, c.cleanBlock(fi, b, reason, now))
 		}
 	}
@@ -145,7 +176,8 @@ func (c *Cache) Invalidate(file uint64) int {
 	}
 	idxs := fi.appendIndices(c.cleanIdxScr[:0])
 	for _, idx := range idxs {
-		c.remove(fi.get(idx))
+		s := fi.get(idx)
+		c.remove(s, c.blk(s))
 	}
 	n := len(idxs)
 	c.cleanIdxScr = idxs[:0]
@@ -172,10 +204,11 @@ func (c *Cache) Delete(file uint64) int64 {
 	idxs := fi.appendIndices(c.cleanIdxScr[:0])
 	for _, idx := range idxs {
 		s := fi.get(idx)
-		if b := &c.blocks[s]; b.dirty {
+		b := c.blk(s)
+		if b.dirty {
 			saved += b.dirtyHi
 		}
-		c.remove(s)
+		c.remove(s, b)
 	}
 	c.cleanIdxScr = idxs[:0]
 	c.st.BytesSavedByDelete += saved
@@ -195,13 +228,13 @@ func (c *Cache) Truncate(file uint64, newSize int64) int64 {
 	idxs := fi.appendIndices(c.cleanIdxScr[:0])
 	for _, idx := range idxs {
 		s := fi.get(idx)
-		b := &c.blocks[s]
+		b := c.blk(s)
 		switch {
 		case idx > cutBlock || (idx == cutBlock && cutWithin == 0):
 			if b.dirty {
 				saved += b.dirtyHi
 			}
-			c.remove(s)
+			c.remove(s, b)
 		case idx == cutBlock:
 			if b.validHi > cutWithin {
 				b.validHi = cutWithin
@@ -214,6 +247,7 @@ func (c *Cache) Truncate(file uint64, newSize int64) int64 {
 					b.dirty = false
 					c.ndirty--
 					c.noteCleaned(fi, file)
+					c.cleanedInPlace(b)
 				}
 			}
 		}

@@ -33,8 +33,9 @@ type CrashLoss struct {
 // measurement infrastructure, not the crashed memory).
 func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 	var loss CrashLoss
-	for s := c.lruFront; s >= 0; s = c.blocks[s].next {
-		b := &c.blocks[s]
+	for s := c.lruFront; s >= 0; {
+		b := c.blk(s)
+		s = b.next
 		loss.Blocks++
 		if b.dirty {
 			loss.DirtyBlocks++
@@ -44,10 +45,13 @@ func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 			}
 		}
 	}
-	c.blocks = c.blocks[:0]
+	// The chunks stay: every slot is unused again and is rewritten whole
+	// when next handed out.
+	c.nslots = 0
 	c.freeB = -1
 	c.lruFront = -1
 	c.lruBack = -1
+	c.forgetScan()
 	// The file indexes still in the map hold stale slots; drop them. (The
 	// fiFree pool holds only emptied, all-zero indexes and stays usable.)
 	c.files = make(map[uint64]*fileIndex)
@@ -80,7 +84,9 @@ func (c *Cache) RecoverFlush(file uint64, now time.Duration) []Writeback {
 
 // CheckInvariants audits the cache's internal accounting: block counts,
 // dirty counts and dirty bytes must match a full recount, the LRU list
-// must track the block map, and per-block watermarks must be ordered.
+// must track the block map, per-block watermarks must be ordered, no dirty
+// block may predate the age bounds the cleaner skips by, and the victim
+// scan's remembered progress must describe the LRU tail as it is.
 // It returns the first inconsistency found, or nil. The fault harness
 // calls it after every injected fault sequence.
 func (c *Cache) CheckInvariants() error {
@@ -91,7 +97,7 @@ func (c *Cache) CheckInvariants() error {
 		audit := func(idx int64, s int32) error {
 			fn++
 			nblocks++
-			b := &c.blocks[s]
+			b := c.blk(s)
 			if b.file != f || b.index != idx {
 				return fmt.Errorf("fscache: block keyed (%#x,%d) holds (%#x,%d)", f, idx, b.file, b.index)
 			}
@@ -107,6 +113,10 @@ func (c *Cache) CheckInvariants() error {
 				dirtyBytes += b.dirtyHi
 				if b.dirtyHi == 0 {
 					return fmt.Errorf("fscache: block (%#x,%d) dirty with zero dirtyHi", f, idx)
+				}
+				if b.dirtyAt < fi.oldestDirty || b.dirtyAt < c.oldestDirty {
+					return fmt.Errorf("fscache: block (%#x,%d) dirty since %v, before its file's bound %v or the cache's %v",
+						f, idx, b.dirtyAt, fi.oldestDirty, c.oldestDirty)
 				}
 			} else if b.dirtyHi != 0 {
 				return fmt.Errorf("fscache: clean block (%#x,%d) has dirtyHi %d", f, idx, b.dirtyHi)
@@ -156,15 +166,19 @@ func (c *Cache) CheckInvariants() error {
 	if dirtyBytes != c.dirtyBytes {
 		return fmt.Errorf("fscache: dirtyBytes %d, recount %d", c.dirtyBytes, dirtyBytes)
 	}
-	lruLen := 0
+	lruLen, passed := 0, 0
 	prev := int32(-1)
-	for s := c.lruFront; s >= 0; s = c.blocks[s].next {
-		if c.blocks[s].prev != prev {
+	for s := c.lruFront; s >= 0; s = c.blk(s).next {
+		b := c.blk(s)
+		if b.prev != prev {
 			return fmt.Errorf("fscache: lru back-link broken at slot %d", s)
 		}
 		prev = s
 		if lruLen++; lruLen > c.nblocks {
 			return fmt.Errorf("fscache: lru holds more than the %d indexed blocks", c.nblocks)
+		}
+		if b.passed == c.scanEpoch {
+			passed++
 		}
 	}
 	if prev != c.lruBack {
@@ -172,6 +186,21 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if lruLen != c.nblocks {
 		return fmt.Errorf("fscache: lru holds %d blocks, index holds %d", lruLen, c.nblocks)
+	}
+	// The victim scan's progress: exactly the scanCount blocks nearest the
+	// tail carry the current epoch, all are dirty, scanLast is the deepest.
+	if passed != int(c.scanCount) || c.scanCount > cleanScanDepth {
+		return fmt.Errorf("fscache: %d blocks marked passed, scan count %d", passed, c.scanCount)
+	}
+	last := int32(-1)
+	for s, n := c.lruBack, int32(0); n < c.scanCount; s, n = c.blk(s).prev, n+1 {
+		if b := c.blk(s); !b.dirty || b.passed != c.scanEpoch {
+			return fmt.Errorf("fscache: block %d from the tail (dirty %v) breaks the passed run of %d", n, b.dirty, c.scanCount)
+		}
+		last = s
+	}
+	if last != c.scanLast {
+		return fmt.Errorf("fscache: passed run ends at slot %d, scan remembers %d", last, c.scanLast)
 	}
 	return nil
 }

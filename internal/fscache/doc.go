@@ -10,4 +10,15 @@
 // write back) and the caller — internal/client — performs the RPCs on the
 // simulated network. Every counter the paper's Tables 4, 6, 8 and 9 need
 // is maintained here.
+//
+// Each operation costs in proportion to the work it does, not to what the
+// cache holds. Blocks live in an arena of fixed-size chunks that grows
+// without copying; replacement's search for a clean victim remembers the
+// dirty run at the LRU tail it has already walked past and resumes behind
+// it; a cleaner tick returns at once while the oldest dirty block cannot
+// be due and otherwise scans only the files whose oldest dirty block can
+// be; Read and Write look the file's index up once per call. None of this
+// is visible from outside: reference_test.go drives the cache side by side
+// with a map-and-slice reference that does everything the slow way and
+// requires identical results after every operation.
 package fscache
