@@ -270,6 +270,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	if *exp == "workloads" {
+		if studyHours == 0 {
+			studyHours = core.DefaultWorkloadHours
+		}
 		fmt.Fprintf(stderr, "running workload study (%.1fh per community, scale %.2f)...\n",
 			studyHours, *scale)
 		r := core.RunWorkloadStudy(core.WorkloadOptions{

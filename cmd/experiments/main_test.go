@@ -138,6 +138,22 @@ func TestScaleStudyInvocation(t *testing.T) {
 	}
 }
 
+// TestWorkloadStudyInvocation drives `-exp workloads` end to end without
+// -hours: the progress line states the horizon the study defaults to, the
+// one its table then reports.
+func TestWorkloadStudyInvocation(t *testing.T) {
+	stdout, stderr, err := runTool("-exp", "workloads", "-scale", "0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr, "running workload study (2.0h per community, scale 0.05)") {
+		t.Errorf("progress line does not state the default horizon:\n%s", stderr)
+	}
+	if !strings.Contains(stdout, "(2.0h per community)") {
+		t.Errorf("table does not report a 2.0h horizon:\n%s", stdout)
+	}
+}
+
 // TestErrorsKeepTheirExitCodes pins the usage (exit 2) / run (exit 1)
 // split main maps from run's error.
 func TestErrorsKeepTheirExitCodes(t *testing.T) {

@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) (err error) {
 		seed       = fs.Int64("seed", 1, "simulator seed")
 		cache      = fs.Int("cache", 0, "fixed client cache size in 4 KB pages (0 = dynamic)")
 		mode       = fs.String("mode", "sprite", "consistency mode: sprite | poll")
-		poll       = fs.Duration("poll", 3*time.Second, "validity window for -mode poll")
+		poll       = fs.Duration("poll", 3*time.Second, "validity window for -mode poll (0 = the client's 60s default)")
 		wb         = fs.Duration("wb", 0, "writeback delay override (0 = the 30s default)")
 		prefetch   = fs.Int("prefetch", 0, "sequential prefetch blocks")
 		clientsCSV = fs.String("clients", "", "replay only these client ids (comma-separated)")
@@ -112,6 +112,26 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if set["shards"] && *shardsN < 1 {
 		return fmt.Errorf("-shards must be at least 1 (got %d)", *shardsN)
+	}
+	if *servers < 1 {
+		return fmt.Errorf("-servers must be at least 1 (got %d)", *servers)
+	}
+	// Zero means what each flag's help says it means; a negative value
+	// means nothing, and the layers below would quietly run a default.
+	for _, f := range []struct {
+		name     string
+		negative bool
+		got      any
+	}{
+		{"cache", *cache < 0, *cache},
+		{"wb", *wb < 0, *wb},
+		{"prefetch", *prefetch < 0, *prefetch},
+		{"speed", *speed < 0, *speed},
+		{"poll", *poll < 0, *poll},
+	} {
+		if f.negative {
+			return fmt.Errorf("-%s must be at least 0 (got %v)", f.name, f.got)
+		}
 	}
 	if *shardsN > 0 && *sweep != "" {
 		return fmt.Errorf("-shards and -sweep are mutually exclusive (one varies topology, the other configuration)")

@@ -22,6 +22,13 @@ func TestFlagValidation(t *testing.T) {
 		{"workers without sweep", []string{"-workers", "4", "-trace", "x"}, "-sweep"},
 		{"zero workers", []string{"-workers", "0", "-sweep", "cache=512", "-trace", "x"}, "at least 1"},
 		{"poll without poll mode", []string{"-poll", "5s", "-trace", "x"}, "-mode poll"},
+		{"negative cache", []string{"-cache", "-5", "-trace", "x"}, "-cache must be at least 0"},
+		{"negative writeback delay", []string{"-wb", "-5s", "-trace", "x"}, "-wb must be at least 0"},
+		{"negative prefetch", []string{"-prefetch", "-2", "-trace", "x"}, "-prefetch must be at least 0"},
+		{"negative speed", []string{"-speed", "-1", "-trace", "x"}, "-speed must be at least 0"},
+		{"negative poll window", []string{"-mode", "poll", "-poll", "-3s", "-trace", "x"}, "-poll must be at least 0"},
+		{"zero servers", []string{"-servers", "0", "-trace", "x"}, "-servers must be at least 1"},
+		{"negative servers", []string{"-servers", "-2", "-trace", "x"}, "-servers must be at least 1"},
 		{"no traces", []string{}, "no trace files"},
 	}
 	for _, tc := range cases {
@@ -61,9 +68,14 @@ func TestProfileFlagsFailFast(t *testing.T) {
 // TestValidCombosPassValidation checks validation does not reject the
 // documented invocations (they fail later, at trace open).
 func TestValidCombosPassValidation(t *testing.T) {
-	err := run([]string{"-trace", "/nonexistent", "-sweep", "cache=512", "-workers", "2",
-		"-metrics-out", "-", "-metrics-sample", "10s", "-mode", "poll", "-poll", "5s"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "nonexistent") {
-		t.Errorf("want trace-open error, got %v", err)
+	for _, args := range [][]string{
+		{"-sweep", "cache=512", "-workers", "2", "-metrics-out", "-", "-metrics-sample", "10s", "-mode", "poll", "-poll", "5s"},
+		// Zero keeps the meaning each flag's help gives it.
+		{"-cache", "0", "-wb", "0", "-prefetch", "0", "-speed", "0", "-mode", "poll", "-poll", "0", "-servers", "1"},
+	} {
+		err := run(append([]string{"-trace", "/nonexistent"}, args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "nonexistent") {
+			t.Errorf("run(%v): want trace-open error, got %v", args, err)
+		}
 	}
 }

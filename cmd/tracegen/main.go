@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -31,13 +32,13 @@ func main() {
 		servers  = flag.Int("servers", 4, "number of file servers")
 	)
 	flag.Parse()
-	if err := run(*traceNum, *hours, *out, *servers); err != nil {
+	if err := run(*traceNum, *hours, *out, *servers, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(traceNum int, hours float64, out string, servers int) error {
+func run(traceNum int, hours float64, out string, servers int, stdout io.Writer) error {
 	if traceNum < 1 || traceNum > 8 {
 		return fmt.Errorf("trace number %d out of range 1-8", traceNum)
 	}
@@ -86,10 +87,10 @@ func run(traceNum int, hours float64, out string, servers int) error {
 		if err := w.Flush(); err != nil {
 			return err
 		}
-		fmt.Printf("server %d: %d records -> %s\n", i, w.Count(), files[i].Name())
+		fmt.Fprintf(stdout, "server %d: %d records -> %s\n", i, w.Count(), files[i].Name())
 		total += w.Count()
 	}
-	fmt.Printf("trace %d: %.0f simulated hours, %d records, %.1fs wall time\n",
+	fmt.Fprintf(stdout, "trace %d: %g simulated hours, %d records, %.1fs wall time\n",
 		traceNum, hours, total, time.Since(start).Seconds())
 	return nil
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spritefs/internal/trace"
@@ -10,7 +12,7 @@ import (
 
 func TestTracegenWritesReadableTraces(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(1, 0.02, dir, 2); err != nil { // ~72 simulated seconds
+	if err := run(1, 0.02, dir, 2, io.Discard); err != nil { // ~72 simulated seconds
 		t.Fatal(err)
 	}
 	var total int
@@ -42,10 +44,23 @@ func TestTracegenWritesReadableTraces(t *testing.T) {
 }
 
 func TestTracegenRejectsBadTrace(t *testing.T) {
-	if err := run(0, 1, t.TempDir(), 1); err == nil {
+	if err := run(0, 1, t.TempDir(), 1, io.Discard); err == nil {
 		t.Error("trace 0 accepted")
 	}
-	if err := run(9, 1, t.TempDir(), 1); err == nil {
+	if err := run(9, 1, t.TempDir(), 1, io.Discard); err == nil {
 		t.Error("trace 9 accepted")
+	}
+}
+
+// TestTracegenReportsTheHorizonGiven drives a fractional -hours end to
+// end: the closing line states the horizon that was simulated, not its
+// rounding to whole hours.
+func TestTracegenReportsTheHorizonGiven(t *testing.T) {
+	var out strings.Builder
+	if err := run(1, 0.02, t.TempDir(), 1, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "trace 1: 0.02 simulated hours, ") {
+		t.Errorf("closing line does not say 0.02 simulated hours:\n%s", out.String())
 	}
 }

@@ -10,9 +10,14 @@ import (
 	"spritefs/internal/workload"
 )
 
+// DefaultWorkloadHours is the modern-workload study's horizon per
+// community when WorkloadOptions.Hours is zero.
+const DefaultWorkloadHours = 2
+
 // WorkloadOptions configures the modern-workload study.
 type WorkloadOptions struct {
-	// Hours of simulated time per community (default 2).
+	// Hours of simulated time per community (default
+	// DefaultWorkloadHours).
 	Hours float64
 	// Scale shrinks each community as in TraceOptions.
 	Scale float64
@@ -55,7 +60,7 @@ type WorkloadResult struct {
 func RunWorkloadStudy(opts WorkloadOptions) *WorkloadResult {
 	hours := opts.Hours
 	if hours <= 0 {
-		hours = 2
+		hours = DefaultWorkloadHours
 	}
 	seed := opts.Seed
 	if seed == 0 {
