@@ -350,16 +350,11 @@ func (c *Cache) lruPushFront(s int32, b *block) {
 	}
 }
 
-// lruUnlink removes block b (slot s) from the LRU list. A block of the
-// passed run leaves it: the run closes over the gap, one shorter.
+// lruUnlink removes block b (slot s) from the LRU list. Its two callers,
+// touch and remove, first take a block the victim scan has passed out of
+// the scan's run (leaveRun); the check sits with them so that this stays
+// small enough to inline.
 func (c *Cache) lruUnlink(s int32, b *block) {
-	if b.passed == c.scanEpoch {
-		b.passed = 0
-		c.scanCount--
-		if c.scanLast == s {
-			c.scanLast = b.next // the passed block next nearer the tail, if any
-		}
-	}
 	if b.prev >= 0 {
 		c.blk(b.prev).next = b.next
 	} else {
@@ -369,6 +364,17 @@ func (c *Cache) lruUnlink(s int32, b *block) {
 		c.blk(b.next).prev = b.prev
 	} else {
 		c.lruBack = b.prev
+	}
+}
+
+// leaveRun takes b (slot s), about to be unlinked, out of the run of dirty
+// blocks the victim scan has passed: the run closes over the gap, one
+// shorter.
+func (c *Cache) leaveRun(s int32, b *block) {
+	b.passed = 0
+	c.scanCount--
+	if c.scanLast == s {
+		c.scanLast = b.next // the passed block next nearer the tail, if any
 	}
 }
 
@@ -400,6 +406,9 @@ func (c *Cache) Contains(file uint64, index int64) bool {
 func (c *Cache) touch(s int32, b *block, now time.Duration) {
 	b.lastRef = now
 	if c.lruFront != s {
+		if b.passed == c.scanEpoch {
+			c.leaveRun(s, b)
+		}
 		c.lruUnlink(s, b)
 		c.lruPushFront(s, b)
 	}
@@ -432,6 +441,9 @@ func (c *Cache) insert(file uint64, index int64, now time.Duration) (*block, *fi
 // remove unlinks block b (slot s) from all structures and recycles the
 // slot. Dirty accounting is adjusted for dirty blocks.
 func (c *Cache) remove(s int32, b *block) {
+	if b.passed == c.scanEpoch {
+		c.leaveRun(s, b)
+	}
 	c.lruUnlink(s, b)
 	fi := c.files[b.file]
 	fi.del(b.index)
@@ -517,7 +529,7 @@ func (c *Cache) cleanedInPlace(b *block) {
 // counted, and the next eviction starts behind them at the depth the last
 // one reached instead of re-walking the run. That is exact because nothing
 // can enter the run — inserts and touches go to the front of the list — so
-// only two things disturb it: a passed block is unlinked (lruUnlink
+// only two things disturb it: a passed block is unlinked (leaveRun
 // shortens the run) or turns clean where it sits (cleanedInPlace voids the
 // progress, as DiscardAll does).
 func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
@@ -529,10 +541,11 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 	if c.scanCount > 0 {
 		cand = c.blk(c.scanLast).prev
 	}
+	var b *block
 	for cand >= 0 && c.scanCount < cleanScanDepth {
 		cb := c.blk(cand)
 		if !cb.dirty {
-			s = cand
+			s, b = cand, cb
 			break
 		}
 		cb.passed = c.scanEpoch
@@ -540,7 +553,9 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 		c.scanCount++
 		cand = cb.prev
 	}
-	b := c.blk(s)
+	if b == nil {
+		b = c.blk(s) // no clean block in reach: the tail goes, dirty
+	}
 	c.st.ReplacementAge.Add(float64(now - b.lastRef))
 	if vmTake {
 		c.st.ReplacedVM++
@@ -611,14 +626,16 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	fi := c.files[file]
 	for idx := first; idx <= last; idx++ {
 		c.countRead(attr)
-		var b *block
+		s := int32(-1)
 		if fi != nil {
-			if s := fi.get(idx); s >= 0 {
-				b = c.blk(s)
+			s = fi.get(idx)
+		}
+		var b *block
+		if s >= 0 {
+			b = c.blk(s)
+			if c.blockCovers(b, idx, offset, length) {
 				c.touch(s, b, now)
-				if c.blockCovers(b, idx, offset, length) {
-					continue
-				}
+				continue
 			}
 		}
 		// Miss: fetch the valid portion of the block from the server.
@@ -628,9 +645,11 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		if validEnd > BlockSize {
 			validEnd = BlockSize
 		}
-		if b == nil {
+		if s < 0 {
 			c.ensureRoom(now, &res.Evicted)
 			b, fi = c.insert(file, idx, now)
+		} else {
+			c.touch(s, b, now)
 		}
 		fetch := validEnd - b.validHi
 		if fetch < 0 {
