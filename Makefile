@@ -96,8 +96,8 @@ scalecheck:
 # The allocation-regression gate: testing.AllocsPerRun pins the
 # scheduler's After/Every steady state (a lone ticker, a 1000-ticker
 # same-instant population, and stop/start churn that must not grow the
-# timer arena), the netsim RPC round-trip, the
-# fscache cleaner sweep (dirty-set walk plus scratch-buffer reuse) and
+# timer arena), the netsim RPC round-trip, the fscache cleaner sweep
+# (dirty-set walk plus scratch-buffer reuse) and dirty-tail eviction, and
 # the metrics labeled-counter increment-and-sum path at exactly zero
 # allocations per operation, and the scale pool tests pin the executor's
 # message recycling (a warm-seeded run allocates zero messages), which
