@@ -15,9 +15,9 @@ func TestCleanerTickAtTheBoundary(t *testing.T) {
 	const t0, t1, t2, t3 = 10 * time.Second, 12 * time.Second, 14 * time.Second, 16 * time.Second
 	cases := []struct {
 		name  string
-		setup func() *Cache // file 1's oldest dirty block (dirty at t0) leaves; blocks dirty at t1 and t2 stay
+		setup func(*testing.T) *Cache // file 1's oldest dirty block (dirty at t0) leaves; blocks dirty at t1 and t2 stay
 	}{
-		{"oldest block evicted", func() *Cache {
+		{"oldest block evicted", func(t *testing.T) *Cache {
 			c := New(3)
 			c.Write(1, 0, BlockSize, 0, noAttr, t0)
 			c.Write(1, BlockSize, BlockSize, BlockSize, noAttr, t1)
@@ -28,7 +28,7 @@ func TestCleanerTickAtTheBoundary(t *testing.T) {
 			}
 			return c
 		}},
-		{"oldest block truncated away", func() *Cache {
+		{"oldest block truncated away", func(t *testing.T) *Cache {
 			c := New(8)
 			c.Write(1, 2*BlockSize, BlockSize, 0, noAttr, t0)
 			c.Write(1, 0, BlockSize, 3*BlockSize, noAttr, t1)
@@ -42,7 +42,7 @@ func TestCleanerTickAtTheBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := tc.setup()
+			c := tc.setup(t)
 			for _, now := range []time.Duration{t0 + WritebackDelay, t1 + WritebackDelay - 1} {
 				if wbs := c.Clean(now); len(wbs) != 0 {
 					t.Fatalf("tick at %v flushed %+v; the oldest resident dirty block is not due before %v", now, wbs, t1+WritebackDelay)

@@ -168,18 +168,18 @@ func (c *Cache) CheckInvariants() error {
 	}
 	lruLen, passed := 0, 0
 	prev := int32(-1)
-	for s := c.lruFront; s >= 0; s = c.blk(s).next {
+	for s := c.lruFront; s >= 0; {
 		b := c.blk(s)
 		if b.prev != prev {
 			return fmt.Errorf("fscache: lru back-link broken at slot %d", s)
 		}
-		prev = s
 		if lruLen++; lruLen > c.nblocks {
 			return fmt.Errorf("fscache: lru holds more than the %d indexed blocks", c.nblocks)
 		}
 		if b.passed == c.scanEpoch {
 			passed++
 		}
+		prev, s = s, b.next
 	}
 	if prev != c.lruBack {
 		return fmt.Errorf("fscache: lru tail is %d, walk ended at %d", c.lruBack, prev)
@@ -193,11 +193,12 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("fscache: %d blocks marked passed, scan count %d", passed, c.scanCount)
 	}
 	last := int32(-1)
-	for s, n := c.lruBack, int32(0); n < c.scanCount; s, n = c.blk(s).prev, n+1 {
-		if b := c.blk(s); !b.dirty || b.passed != c.scanEpoch {
+	for s, n := c.lruBack, int32(0); n < c.scanCount; n++ {
+		b := c.blk(s)
+		if !b.dirty || b.passed != c.scanEpoch {
 			return fmt.Errorf("fscache: block %d from the tail (dirty %v) breaks the passed run of %d", n, b.dirty, c.scanCount)
 		}
-		last = s
+		last, s = s, b.prev
 	}
 	if last != c.scanLast {
 		return fmt.Errorf("fscache: passed run ends at slot %d, scan remembers %d", last, c.scanLast)
