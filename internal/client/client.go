@@ -3,9 +3,10 @@
 // delete, truncate, fsync, directory reads) wired to the client block
 // cache, the virtual memory system, the shared network and the file
 // servers. Every kernel call that the paper's instrumentation logged is
-// emitted as a trace record here, and the 5-second cache cleaner daemon,
-// the FS/VM memory trading, and the consistency call-backs (recall,
-// cache disabling) are all driven from this layer.
+// emitted as a trace record here, and the 5-second cache cleaner daemon's
+// work (CleanTick; the cluster owns its timers), the FS/VM memory trading,
+// and the consistency call-backs (recall, cache disabling) are all driven
+// from this layer.
 package client
 
 import (
@@ -152,8 +153,6 @@ type Client struct {
 	// (recovery.go).
 	epochs map[int16]uint64
 	rec    RecoveryStats
-
-	cleaner *sim.Ticker
 }
 
 // New assembles a client. route maps file ids to their server; home is the
@@ -216,27 +215,12 @@ func (c *Client) SharedBytes() (readB, writeB, dirB int64) {
 	return c.sharedReadBytes, c.sharedWriteBytes, c.dirReadBytes
 }
 
-// StartCleaner launches the 5-second delayed-write daemon, jittered so the
-// cluster's daemons do not fire in lockstep. The first firing is scheduled
-// relative to the current virtual time, so clients brought up mid-run
-// (trace replay materializes workstations at their first record) start
-// their daemons safely.
-func (c *Client) StartCleaner() {
-	if c.cleaner != nil {
-		return
-	}
-	offset := time.Duration(c.cfg.ID%5) * time.Second
-	c.cleaner = c.sim.Every(c.sim.Now()+offset, fscache.CleanerPeriod, func() {
-		c.ship(c.Cache.Clean(c.sim.Now()))
-	})
-}
-
-// StopCleaner halts the daemon (end of measurement).
-func (c *Client) StopCleaner() {
-	if c.cleaner != nil {
-		c.cleaner.Stop()
-		c.cleaner = nil
-	}
+// CleanTick is one firing of the 5-second delayed-write daemon: dirty data
+// older than the writeback delay goes to its servers. The cluster owns the
+// daemon's timer (one per ID%5 phase, walking the workstations that share
+// it) and calls this at each firing; it schedules nothing.
+func (c *Client) CleanTick(now time.Duration) {
+	c.ship(c.Cache.Clean(now))
 }
 
 // ship transfers dirty blocks to their servers.

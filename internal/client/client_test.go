@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"spritefs/internal/fscache"
 	"spritefs/internal/netsim"
 	"spritefs/internal/server"
 	"spritefs/internal/sim"
@@ -47,6 +48,12 @@ func newRig(t *testing.T, n int) *testRig {
 		r.clients = append(r.clients, c)
 	}
 	return r
+}
+
+// tickCleaner runs c's delayed-write daemon on the rig's clock, as the
+// cluster does for its workstations.
+func (r *testRig) tickCleaner(c *Client) {
+	r.sim.Every(0, fscache.CleanerPeriod, func() { c.CleanTick(r.sim.Now()) })
 }
 
 func (r *testRig) kinds() []trace.Kind {
@@ -108,7 +115,7 @@ func TestCreateWriteCloseReadRoundTrip(t *testing.T) {
 func TestDelayedWriteShipsAfter30s(t *testing.T) {
 	r := newRig(t, 1)
 	c := r.clients[0]
-	c.StartCleaner()
+	r.tickCleaner(c)
 	file := c.Create(1, 100, false, false)
 	h, _, _ := c.Open(1, 100, file, false, true, false)
 	c.Write(h, 8192)
@@ -122,13 +129,12 @@ func TestDelayedWriteShipsAfter30s(t *testing.T) {
 	if b := r.net.Total().Bytes[netsim.FileWrite]; b != 8192 {
 		t.Errorf("writeback after 30s = %d bytes, want 8192", b)
 	}
-	c.StopCleaner()
 }
 
 func TestDeleteBeforeWritebackSavesTraffic(t *testing.T) {
 	r := newRig(t, 1)
 	c := r.clients[0]
-	c.StartCleaner()
+	r.tickCleaner(c)
 	file := c.Create(1, 100, false, false)
 	h, _, _ := c.Open(1, 100, file, false, true, false)
 	c.Write(h, 8192)
@@ -142,7 +148,6 @@ func TestDeleteBeforeWritebackSavesTraffic(t *testing.T) {
 	if saved := c.Cache.Stats().BytesSavedByDelete; saved != 8192 {
 		t.Errorf("saved = %d", saved)
 	}
-	c.StopCleaner()
 }
 
 func TestFsyncWritesThrough(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 
 	"spritefs/internal/client"
 	"spritefs/internal/faults"
+	"spritefs/internal/fscache"
 	"spritefs/internal/metrics"
 	"spritefs/internal/netsim"
 	"spritefs/internal/server"
@@ -129,7 +130,7 @@ type Cluster struct {
 	sampler *sim.Ticker
 	tickers []*sim.Ticker
 	// running is set between StartDaemons and Finish: a workstation added
-	// in that window starts its own cleaner.
+	// in that window gets a cleaner timer of its own.
 	running bool
 }
 
@@ -219,7 +220,7 @@ func (c *Cluster) ServerFor(file uint64) *server.Server {
 // the cluster's network, servers, consistency coordinator and registry.
 // Clients stays in ascending id order whatever order ids arrive in (the
 // common ascending case is a plain append). A workstation added while the
-// daemons are running starts its cleaner at once.
+// daemons are running gets its own cleaner timer at once.
 func (c *Cluster) AddClient(id int32) *client.Client {
 	if id < 0 {
 		panic(fmt.Sprintf("cluster: negative client id %d", id))
@@ -255,9 +256,31 @@ func (c *Cluster) AddClient(id int32) *client.Client {
 		cl.RegisterMetrics(c.Reg)
 	}
 	if c.running {
-		cl.StartCleaner()
+		c.startCleaner(id%cleanerPhases, []*client.Client{cl})
 	}
 	return cl
+}
+
+// cleanerPhases is how many one-second offsets the workstations' 5-second
+// delayed-write daemons are spread over (by ID), so the cluster's daemons
+// do not fire in lockstep.
+const cleanerPhases = int32(fscache.CleanerPeriod / time.Second)
+
+// startCleaner arms the delayed-write daemon of the given workstations,
+// which share a phase: one timer, first firing phase seconds from now (so
+// a workstation brought up mid-run starts its daemon safely), that walks
+// them in order. A CleanTick schedules nothing, so one timer per phase
+// fires the workstations in exactly the (time, seq) order one timer each,
+// armed back to back, would: at every instant they form one contiguous
+// block that any other event falls wholly before or wholly after.
+func (c *Cluster) startCleaner(phase int32, members []*client.Client) {
+	at := c.Sim.Now() + time.Duration(phase)*time.Second
+	c.tickers = append(c.tickers, c.Sim.Every(at, fscache.CleanerPeriod, func() {
+		now := c.Sim.Now()
+		for _, cl := range members {
+			cl.CleanTick(now)
+		}
+	}))
 }
 
 // clientIndex binary-searches the id-ascending client slice.
@@ -361,14 +384,21 @@ func (c *Cluster) Start(duration time.Duration) {
 // fleet replaces the synthetic community, but delayed writes, consistency
 // and the VM balance still need their daemons. So does trace replay, on a
 // system that has no workstations yet: the server cleaners and samplers
-// start here, and AddClient starts each later workstation's cleaner. The
+// start here, and AddClient arms each later workstation's cleaner. The
 // scheduling order is exactly Start's (event sequence numbers, and so
 // replay determinism, depend on it).
 func (c *Cluster) StartDaemons() {
 	c.running = true
 	c.startSystemProcs()
+	var cohorts [cleanerPhases][]*client.Client
 	for _, cl := range c.Clients {
-		cl.StartCleaner()
+		p := cl.ID() % cleanerPhases
+		cohorts[p] = append(cohorts[p], cl)
+	}
+	for p, members := range cohorts {
+		if len(members) > 0 {
+			c.startCleaner(int32(p), members)
+		}
 	}
 	// Server-side cleaners: writebacks reach the disk after the server's
 	// own 30-second delay ("an additional 30 seconds later it is written
@@ -395,9 +425,6 @@ func (c *Cluster) StartDaemons() {
 // programs and final writebacks drain.
 func (c *Cluster) Finish() {
 	c.running = false
-	for _, cl := range c.Clients {
-		cl.StopCleaner()
-	}
 	if c.sampler != nil {
 		c.sampler.Stop()
 	}

@@ -22,8 +22,8 @@ shards  opens/s  recalls/h  maxnet%  maxdisk%  router%  remote-ops  rlat-ms
 Executor wall-clock
 shards  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup
 ---------------------------------------------------------------------------------
-1             0       2         0        0     0    7694  30ms      3899    1.00x
-2             2     121       162        0    78   10399  20ms      1923    1.50x
+1             0       2         0        0     0    2279  30ms     13164    1.00x
+2             2     121       162        0    78    5345  20ms      3742    1.50x
 
 Wall-clock, ns/event and speedup are host measurements. speedup is
 wall-clock relative to the first row (shards=1 unless -shards says
@@ -41,8 +41,8 @@ sites  segs/site   hit%  opens/s  maxdisk%  remote-ops  xsite-ops  wan%  rlat-ms
 Executor wall-clock
 sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup
 --------------------------------------------------------------------------------
-1            2     121       162        0    78   10399  30ms      2885    1.00x
-2            2     112       150        0    72   10367  20ms      1929    1.50x
+1            2     121       162        0    78    5345  30ms      5613    1.00x
+2            2     112       150        0    72    5313  20ms      3764    1.50x
 
 Wall-clock, ns/event and speedup are host measurements; everything else is
 deterministic. WAN links are also the executor's widest lookahead, so deeper
