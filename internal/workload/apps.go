@@ -66,7 +66,7 @@ func (e *Engine) logAppend(b *progBuilder, u *userState) {
 // files, read the target whole, think, save (truncate + rewrite), with a
 // short-lived backup file.
 func (e *Engine) genEdit(u *userState) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	e.configReads(b, u)
@@ -108,7 +108,7 @@ func (e *Engine) genEdit(u *userState) ([]op, float64) {
 // object temporary per source, then (link) read the objects back, write a
 // binary, and delete the temporaries.
 func (e *Engine) genCompile(u *userState, link bool) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	nSrc := 1 + e.rng.Intn(4)
@@ -198,7 +198,7 @@ func (e *Engine) genCompile(u *userState, link bool) ([]op, float64) {
 // genKernelRead models the OS group inspecting kernel images (nm, gdb):
 // whole-file reads of 2-10 MB binaries.
 func (e *Engine) genKernelRead(u *userState) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	if len(e.reg.KernelImages) > 0 {
@@ -218,7 +218,7 @@ func (e *Engine) genKernelRead(u *userState) ([]op, float64) {
 
 // genMail models reading the mailbox whole and appending a message.
 func (e *Engine) genMail(u *userState) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	box := e.reg.Mailboxes[u.id]
@@ -252,7 +252,7 @@ func (e *Engine) genMail(u *userState) ([]op, float64) {
 // genDoc models document production: read sources, write a formatted
 // output of DocMedian scale, optionally preview it.
 func (e *Engine) genDoc(u *userState) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	for i := 0; i < 1+e.rng.Intn(3); i++ {
@@ -286,7 +286,7 @@ func (e *Engine) genDoc(u *userState) ([]op, float64) {
 // genSim models an ordinary simulation run: read an input, compute with
 // heap growth, write an output, postprocess (read whole) and delete it.
 func (e *Engine) genSim(u *userState, outputMB float64) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	// Simulators read their data set whole.
@@ -340,7 +340,7 @@ func (e *Engine) genSim(u *userState, outputMB float64) ([]op, float64) {
 // reads ~20 MB input files and a cache simulation producing a ~10 MB file
 // that is postprocessed and deleted, run repeatedly all day.
 func (e *Engine) genBigSim(u *userState, inputs []uint64) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	if len(inputs) > 0 {
@@ -374,7 +374,7 @@ func (e *Engine) genBigSim(u *userState, inputs []uint64) ([]op, float64) {
 // small records, the source of the Random rows of Table 3 and of the
 // reposition counts in Table 1.
 func (e *Engine) genRandomDB(u *userState) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	// Databases live in the user's larger data files; in-place record
@@ -408,7 +408,7 @@ func (e *Engine) genRandomDB(u *userState) ([]op, float64) {
 // genDirList models ls-style naming traffic: directory reads, which
 // bypass client caches entirely in Sprite.
 func (e *Engine) genDirList(u *userState) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	dirs := []uint64{e.reg.UserDirs[u.id], e.reg.GroupDirs[u.group]}
@@ -427,7 +427,7 @@ func (e *Engine) genDirList(u *userState) ([]op, float64) {
 // few seconds — when two of these (or a write and a read) overlap across
 // machines, concurrent write-sharing results.
 func (e *Engine) genSharedLogWrite(u *userState, file uint64) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	// Shared logs rotate once they pass the threshold, like any log.
@@ -461,7 +461,7 @@ func (e *Engine) genSharedLogWrite(u *userState, file uint64) ([]op, float64) {
 // sort temporary that dies immediately. It contributes most of the trace's
 // opens while moving almost no bytes — the burstiness signature of Table 2.
 func (e *Engine) genGrep(u *userState) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	if e.rng.Bool(0.4) {
@@ -531,7 +531,7 @@ func (e *Engine) genGrep(u *userState) ([]op, float64) {
 // concurrent write-sharing, and — under polling consistency — the reader
 // that would see stale data.
 func (e *Engine) genSharedRead(u *userState, file uint64) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	h := b.open(staticFile(file), true, false)

@@ -68,6 +68,10 @@ type Engine struct {
 	// thousands of short programs per simulated hour, so per-launch
 	// allocation is a hot path.
 	progFree []*program
+	// opsFree holds the op arrays of finished programs, emptied; newBuilder
+	// hands them to the next programs generated, so a steady-state launch
+	// grows no op array.
+	opsFree [][]op
 	// prevOutput maps (user, app) to the output file of the user's last
 	// run of the app, deleted by the next run (opDeletePrev).
 	prevOutput map[outKey]uint64
@@ -447,6 +451,17 @@ func (e *Engine) takeProgram() *program {
 	return pr
 }
 
+// newBuilder returns a builder at the community's chunk size, appending
+// into a recycled op array when a finished program has left one.
+func (e *Engine) newBuilder() *progBuilder {
+	b := newBuilder(e.p.ChunkBytes)
+	if n := len(e.opsFree); n > 0 {
+		b.ops = e.opsFree[n-1]
+		e.opsFree = e.opsFree[:n-1]
+	}
+	return b
+}
+
 // resizeZero returns s resized to n zeroed entries, reusing its backing
 // array when it is large enough.
 func resizeZero(s []uint64, n int) []uint64 {
@@ -659,6 +674,7 @@ func (e *Engine) finish(pr *program) {
 	// Recycle only after done has returned: done closures read created-file
 	// slots (pr.files) and may launch follow-on programs, which must not
 	// reuse this object while the callback can still see it.
+	e.opsFree = append(e.opsFree, pr.ops[:0])
 	pr.ops = nil
 	pr.host = nil
 	e.progFree = append(e.progFree, pr)

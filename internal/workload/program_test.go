@@ -195,3 +195,78 @@ func TestEngineHeavySharingStillBalanced(t *testing.T) {
 		t.Errorf("opens=%d closes=%d", opens, closes)
 	}
 }
+
+// TestOpArrayRecycledZeroAlloc: a steady-state launch allocates no op
+// array. For every generator, the program it builds is finished (which
+// hands its array back) and the same program generated again from the same
+// random stream; the second must sit in the first one's array.
+func TestOpArrayRecycledZeroAlloc(t *testing.T) {
+	p := shrink(StreamingParams(5))
+	p.BigSimUsers = 1
+	r := newRig(t, p)
+	e := r.eng
+	u := e.users[0]
+	shared, ok := e.reg.RandomShared(e.rng, u.group)
+	if !ok {
+		t.Fatal("no shared file to generate the shared-log programs against")
+	}
+	gens := map[string]func() []op{
+		"edit":         func() []op { ops, _ := e.genEdit(u); return ops },
+		"compile":      func() []op { ops, _ := e.genCompile(u, false); return ops },
+		"compile+link": func() []op { ops, _ := e.genCompile(u, true); return ops },
+		"kernel-read":  func() []op { ops, _ := e.genKernelRead(u); return ops },
+		"mail":         func() []op { ops, _ := e.genMail(u); return ops },
+		"doc":          func() []op { ops, _ := e.genDoc(u); return ops },
+		"sim":          func() []op { ops, _ := e.genSim(u, e.p.SimOutputMB); return ops },
+		"bigsim":       func() []op { ops, _ := e.genBigSim(u, e.reg.BigInputs[0]); return ops },
+		"random-db":    func() []op { ops, _ := e.genRandomDB(u); return ops },
+		"dirlist":      func() []op { ops, _ := e.genDirList(u); return ops },
+		"grep":         func() []op { ops, _ := e.genGrep(u); return ops },
+		"shared-write": func() []op { ops, _ := e.genSharedLogWrite(u, shared); return ops },
+		"shared-read":  func() []op { ops, _ := e.genSharedRead(u, shared); return ops },
+		"stream":       func() []op { ops, _ := e.genStream(u); return ops },
+		"farm-build":   func() []op { ops, _, _ := e.genFarmBuild(u, e.reg.Media[:2]); return ops },
+	}
+	for name, gen := range gens {
+		e.opsFree = nil
+		e.rng = sim.NewRand(99)
+		first := gen()
+		pr := e.launch(u, AppEdit, r.hosts[0], first, 1e6, false, nil)
+		r.s.Run()
+		if len(e.opsFree) != 1 || pr.ops != nil {
+			t.Fatalf("%s: finishing left %d arrays on the free list", name, len(e.opsFree))
+		}
+		e.rng = sim.NewRand(99)
+		second := gen()
+		if len(second) != len(first) {
+			t.Fatalf("%s: regenerated %d ops, first time %d", name, len(second), len(first))
+		}
+		if &second[0] != &first[0] || cap(second) != cap(first) {
+			t.Errorf("%s: a %d-op program did not reuse the %d-op array a finished one left", name, len(second), cap(first))
+		}
+		if len(e.opsFree) != 0 {
+			t.Errorf("%s: %d arrays left on the free list after reuse", name, len(e.opsFree))
+		}
+	}
+}
+
+// TestOpArraysReturnWithTheirPrograms: over a community run every op array
+// generated is launched and every one launched comes back, so at
+// quiescence the two free lists are the same length.
+func TestOpArraysReturnWithTheirPrograms(t *testing.T) {
+	r := newRig(t, shrink(BuildFarmParams(8)))
+	r.eng.Run(2 * time.Hour)
+	r.s.RunUntil(3 * time.Hour)
+	e := r.eng
+	if e.st.ProgramsRun == 0 || len(e.pidProg) != 0 {
+		t.Fatalf("%d programs run, %d still live", e.st.ProgramsRun, len(e.pidProg))
+	}
+	if len(e.opsFree) != len(e.progFree) {
+		t.Errorf("%d op arrays on the free list beside %d programs", len(e.opsFree), len(e.progFree))
+	}
+	for i, ops := range e.opsFree {
+		if len(ops) != 0 {
+			t.Errorf("free array %d still holds %d ops", i, len(ops))
+		}
+	}
+}

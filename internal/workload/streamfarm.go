@@ -17,7 +17,7 @@ import (
 // bitrate). Random-access sessions model thumbnail scrubbing — every
 // segment starts with a jump.
 func (e *Engine) genStream(u *userState) ([]op, float64) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	f, ok := e.reg.RandomMedia(e.rng)
@@ -177,7 +177,7 @@ func (e *Engine) farmDispatch(fr *farmRun) {
 // (exported headers/libraries), read the package sources, write the
 // package's own artifact.
 func (e *Engine) genFarmBuild(u *userState, deps []uint64) ([]op, float64, int) {
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	e.configReads(b, u)
@@ -212,7 +212,7 @@ func (e *Engine) genFarmBuild(u *userState, deps []uint64) ([]op, float64, int) 
 // temporaries that keep the lifetime distribution honest.
 func (e *Engine) farmLink(fr *farmRun) {
 	u := fr.u
-	b := newBuilder(e.p.ChunkBytes)
+	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	for _, a := range fr.artifacts {
