@@ -97,13 +97,16 @@ scalecheck:
 # scheduler's After/Every steady state (a lone ticker, a 1000-ticker
 # same-instant population, and stop/start churn that must not grow the
 # timer arena), the netsim RPC round-trip, the fscache cleaner sweep
-# (dirty-set walk plus scratch-buffer reuse) and dirty-tail eviction, and
+# (dirty-set walk plus scratch-buffer reuse) and dirty-tail eviction, the
+# cluster's per-phase cleaner daemons walking idle workstations, and
 # the metrics labeled-counter increment-and-sum path at exactly zero
-# allocations per operation, and the scale pool tests pin the executor's
-# message recycling (a warm-seeded run allocates zero messages), which
-# is what keeps the benchmarks' allocs/op at steady state.
+# allocations per operation; the workload gate pins that a program
+# generated after one like it finished reuses its op array, and the scale
+# pool tests pin the executor's message recycling (a warm-seeded run
+# allocates zero messages), which is what keeps the benchmarks' allocs/op
+# at steady state.
 allocscheck:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/metrics
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/metrics ./internal/cluster ./internal/workload
 	$(GO) test -run 'TestMessagePoolSteadyState|TestDrainMessagePoolsEmpties' -count=1 ./internal/scale
 
 # The live-service gate: a 2-second in-package mini-soak under the race

@@ -198,3 +198,17 @@ func TestCrashedClientStillTicked(t *testing.T) {
 		t.Errorf("shipped %d bytes after recovery, want 8192", got)
 	}
 }
+
+// TestIdleCohortTickZeroAlloc: a period of every phase's daemon walking
+// workstations with nothing to write allocates nothing (`make
+// allocscheck`).
+func TestIdleCohortTickZeroAlloc(t *testing.T) {
+	c := idleCluster(40)
+	c.Sim.RunUntil(10 * time.Second)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Sim.RunUntil(c.Sim.Now() + fscache.CleanerPeriod)
+	})
+	if allocs != 0 {
+		t.Errorf("an idle cleaner period allocated %.1f times, want 0", allocs)
+	}
+}

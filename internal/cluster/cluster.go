@@ -528,13 +528,25 @@ func (c *Cluster) scheduleBackups(duration time.Duration) {
 // the paper's per-server trace files; merging them back with trace.Merge
 // reconstructs the analysis input.
 func (c *Cluster) PerServerStreams() []trace.Stream {
-	buckets := make([][]trace.Record, len(c.Servers))
-	for _, r := range c.recs {
-		idx := int(r.Server)
-		if idx < 0 || idx >= len(buckets) {
-			idx = 0
+	// Records naming a server this cluster does not have go to server 0's
+	// file. Count first, so each bucket is allocated once at its size.
+	bucket := func(r *trace.Record) int {
+		if idx := int(r.Server); idx >= 0 && idx < len(c.Servers) {
+			return idx
 		}
-		buckets[idx] = append(buckets[idx], r)
+		return 0
+	}
+	counts := make([]int, len(c.Servers))
+	for i := range c.recs {
+		counts[bucket(&c.recs[i])]++
+	}
+	buckets := make([][]trace.Record, len(c.Servers))
+	for i, n := range counts {
+		buckets[i] = make([]trace.Record, 0, n)
+	}
+	for i := range c.recs {
+		idx := bucket(&c.recs[i])
+		buckets[idx] = append(buckets[idx], c.recs[i])
 	}
 	out := make([]trace.Stream, len(buckets))
 	for i, b := range buckets {
