@@ -9,8 +9,8 @@ package sim
 // and no tombstone stays behind. A firing is one remove (of the root) and,
 // after the callback, one push; the minimum is heap[0]. Every cost is
 // O(log n) in the armed population whatever the timers' periods and phases
-// are — a shard's 1 250 cache cleaners, 250 to an instant, fire for much
-// the same price each as 40 do.
+// are — a shard's 1 250 system processes, several to an instant, fire for
+// much the same price each as 40 do.
 //
 // One-shot events keep their own queue: At/After need no cancellation, so
 // they pay for no position tracking.
