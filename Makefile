@@ -98,6 +98,8 @@ scalecheck:
 # same-instant population, and stop/start churn that must not grow the
 # timer arena), the netsim RPC round-trip, the fscache cleaner sweep
 # (dirty-set walk plus scratch-buffer reuse) and dirty-tail eviction, the
+# bytes a read-only cold fill allocates per resident block
+# (TestCleanFillDirtyStateZeroAlloc), the
 # cluster's per-phase cleaner daemons walking idle workstations, and
 # the metrics labeled-counter increment-and-sum path at exactly zero
 # allocations per operation; the workload gate pins that a program

@@ -81,3 +81,19 @@ func TestEvictDirtyTailZeroAlloc(t *testing.T) {
 		t.Fatalf("dirty-tail eviction allocated %.1f/op in steady state, want 0", allocs)
 	}
 }
+
+// TestCleanFillDirtyStateZeroAlloc pins what a block that is never written
+// costs: a cache filled from cold by reads alone allocates no more than
+// coldFillBudget bytes per resident block, by BenchmarkColdFill's
+// accounting (the arena, the file's dense index and the result scratch).
+func TestCleanFillDirtyStateZeroAlloc(t *testing.T) {
+	const coldFillBudget = 89 // B/block; reads 88.7: the 72-byte block, 16.7 of index, chunk table and scratch
+	c, bytesPerBlock := coldFill(4)
+	if c.NumBlocks() != c.Capacity() || c.DirtyBytes() != 0 {
+		t.Fatalf("cold fill left %d of %d blocks resident, %d bytes dirty", c.NumBlocks(), c.Capacity(), c.DirtyBytes())
+	}
+	if bytesPerBlock > coldFillBudget {
+		t.Fatalf("read-only cold fill allocated %.1f B per resident block, want at most %d", bytesPerBlock, coldFillBudget)
+	}
+	t.Logf("%.1f B/block", bytesPerBlock)
+}

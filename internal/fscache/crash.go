@@ -84,7 +84,8 @@ func (c *Cache) RecoverFlush(file uint64, now time.Duration) []Writeback {
 
 // CheckInvariants audits the cache's internal accounting: block counts,
 // dirty counts and dirty bytes must match a full recount, the LRU list
-// must track the block map, per-block watermarks must be ordered, no dirty
+// must track the block map, every arena slot handed out must be resident
+// or free, per-block watermarks must be ordered, no dirty
 // block may predate the age bounds the cleaner skips by, and the victim
 // scan's remembered progress must describe the LRU tail as it is.
 // It returns the first inconsistency found, or nil. The fault harness
@@ -165,6 +166,18 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if dirtyBytes != c.dirtyBytes {
 		return fmt.Errorf("fscache: dirtyBytes %d, recount %d", c.dirtyBytes, dirtyBytes)
+	}
+	// Every slot handed out is resident or on the free list, and the arena
+	// holds them all: a slot is never lost, and never in both places.
+	nfree := 0
+	for s := c.freeB; s >= 0; s = c.blk(s).next {
+		if nfree++; nfree > int(c.nslots) {
+			return fmt.Errorf("fscache: free list holds more than the %d slots handed out", c.nslots)
+		}
+	}
+	if nfree+c.nblocks != int(c.nslots) || int(c.nslots) > len(c.chunks)*chunkBlocks {
+		return fmt.Errorf("fscache: %d slots handed out of %d chunks, %d resident and %d free",
+			c.nslots, len(c.chunks), c.nblocks, nfree)
 	}
 	lruLen, passed := 0, 0
 	prev := int32(-1)
