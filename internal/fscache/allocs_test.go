@@ -83,17 +83,35 @@ func TestEvictDirtyTailZeroAlloc(t *testing.T) {
 }
 
 // TestCleanFillDirtyStateZeroAlloc pins what a block that is never written
-// costs: a cache filled from cold by reads alone allocates no more than
-// coldFillBudget bytes per resident block, by BenchmarkColdFill's
-// accounting (the arena, the file's dense index and the result scratch).
+// costs: a cache filled from cold by reads alone allocates none of the
+// dirty blocks' write times and no more than coldFillBudget bytes per
+// resident block, by BenchmarkColdFill's accounting (the arena, the file's
+// dense index and the result scratch). One write then makes one chunk.
 func TestCleanFillDirtyStateZeroAlloc(t *testing.T) {
-	const coldFillBudget = 89 // B/block; reads 88.7: the 72-byte block, 16.7 of index, chunk table and scratch
+	const coldFillBudget = 56 // B/block; reads 54.7: the 40-byte block in its size class, 12.7 of index, chunk table and scratch
 	c, bytesPerBlock := coldFill(4)
 	if c.NumBlocks() != c.Capacity() || c.DirtyBytes() != 0 {
 		t.Fatalf("cold fill left %d of %d blocks resident, %d bytes dirty", c.NumBlocks(), c.Capacity(), c.DirtyBytes())
+	}
+	if len(c.dtimes) != 0 {
+		t.Fatalf("read-only cold fill allocated write times for %d chunks", len(c.dtimes))
 	}
 	if bytesPerBlock > coldFillBudget {
 		t.Fatalf("read-only cold fill allocated %.1f B per resident block, want at most %d", bytesPerBlock, coldFillBudget)
 	}
 	t.Logf("%.1f B/block", bytesPerBlock)
+
+	c.Write(1, 100*BlockSize, 1, 4096*BlockSize, noAttr, 0)
+	made := 0
+	for _, ch := range c.dtimes {
+		if ch != nil {
+			made++
+		}
+	}
+	if made != 1 {
+		t.Fatalf("one write into a full clean cache made %d chunks of write times, want 1", made)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

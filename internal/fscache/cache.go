@@ -11,6 +11,9 @@ import (
 // BlockSize is the cache block size: 4 Kbytes, as in Sprite.
 const BlockSize = 4096
 
+// A block keeps its byte watermarks in an int16.
+const _ = int16(BlockSize)
+
 // CleanReason says why a dirty block was written back (Table 9's rows),
 // plus the internal eviction case the paper notes "almost never" happens.
 type CleanReason uint8
@@ -116,22 +119,33 @@ type Stats struct {
 // allocations: a miss pops a recycled slot, an eviction pushes one back.
 // A block never moves once allocated, so a *block stays valid for as long
 // as its slot is resident.
+//
+// A block holds what every resident block needs, in 40 bytes; a client
+// cache is overwhelmingly clean, so what only a dirty block needs — its two
+// write times — lives apart, in dirtyTimes.
 type block struct {
-	file  uint64
-	index int64
-	prev  int32 // LRU link toward the front (more recent)
-	next  int32 // LRU link toward the back; doubles as the free-list link
-
-	dirty bool
+	file    uint64
+	index   int64
+	prev    int32         // LRU link toward the front (more recent)
+	next    int32         // LRU link toward the back; doubles as the free-list link
+	lastRef time.Duration // when the block was last referenced
 	// passed == Cache.scanEpoch marks a block of the dirty run at the LRU
-	// tail that the victim scan has already walked past (see evictOne). It
-	// sits in what was padding: the struct stays 72 bytes.
+	// tail that the victim scan has already walked past (see evictOne).
 	passed  uint32
+	validHi int16 // valid bytes from block start (watermark)
+	dirtyHi int16 // dirty bytes from block start (writeback size); the block is dirty iff nonzero
+}
+
+// dirty reports whether the block holds bytes awaiting writeback.
+func (b *block) dirty() bool { return b.dirtyHi != 0 }
+
+// dirtyTimes is the state of a dirty block that a clean one does without.
+// It is written whole when a block turns dirty and means nothing while the
+// block is clean: a slot's next tenant, or the same block dirtied again,
+// never reads what was left there.
+type dirtyTimes struct {
 	dirtyAt time.Duration // when the block first became dirty
 	lastWr  time.Duration // when the block was last written
-	lastRef time.Duration // when the block was last referenced
-	validHi int64         // valid bytes from block start (watermark)
-	dirtyHi int64         // dirty bytes from block start (writeback size)
 }
 
 // fiDenseMax bounds the dense per-file index: files up to 32k blocks
@@ -227,7 +241,13 @@ type Cache struct {
 	// and never copies or re-clears a block, so a cold cache allocates what
 	// it ends up holding plus at most one chunk of slack. Slots below
 	// nslots have been handed out; each is resident or on the free list.
-	chunks     []*[chunkBlocks]block
+	chunks []*[chunkBlocks]block
+	// The dirty blocks' write times, parallel to chunks: slot s has its
+	// dirtyTimes at dtimes[s>>chunkShift][s&(chunkBlocks-1)]. A chunk of
+	// it is made at the first dirtying inside that chunk of the arena, so
+	// the slice is short or empty, and holds nils, wherever nothing was ever
+	// written; a cache that is only read never allocates any of it.
+	dtimes     []*[chunkBlocks]dirtyTimes
 	nslots     int32
 	freeB      int32 // free-slot list head through next, -1 when empty
 	lruFront   int32 // most recently used, -1 when empty
@@ -309,6 +329,24 @@ func New(capacityBlocks int) *Cache {
 // blk returns the block at arena slot s.
 func (c *Cache) blk(s int32) *block {
 	return &c.chunks[s>>chunkShift][s&(chunkBlocks-1)]
+}
+
+// dt returns the write times of the dirty block at arena slot s.
+func (c *Cache) dt(s int32) *dirtyTimes {
+	return &c.dtimes[s>>chunkShift][s&(chunkBlocks-1)]
+}
+
+// startDirty starts the write times of the block at arena slot s, which is
+// turning dirty at now, making their chunk at the first dirtying inside it.
+func (c *Cache) startDirty(s int32, now time.Duration) {
+	ci := int(s >> chunkShift)
+	if ci >= len(c.dtimes) {
+		c.dtimes = append(c.dtimes, make([]*[chunkBlocks]dirtyTimes, ci+1-len(c.dtimes))...)
+	}
+	if c.dtimes[ci] == nil {
+		c.dtimes[ci] = new([chunkBlocks]dirtyTimes)
+	}
+	c.dtimes[ci][s&(chunkBlocks-1)] = dirtyTimes{dirtyAt: now, lastWr: now}
 }
 
 // slot returns the arena slot of the given block, or -1 if not resident.
@@ -414,9 +452,9 @@ func (c *Cache) touch(s int32, b *block, now time.Duration) {
 	}
 }
 
-// insert adds a new resident block and returns it with the file's index,
-// which it may have had to create.
-func (c *Cache) insert(file uint64, index int64, now time.Duration) (*block, *fileIndex) {
+// insert adds a new resident block and returns its slot and the block with
+// the file's index, which it may have had to create.
+func (c *Cache) insert(file uint64, index int64, now time.Duration) (int32, *block, *fileIndex) {
 	fi := c.files[file]
 	if fi == nil {
 		if n := len(c.fiFree); n > 0 {
@@ -435,7 +473,7 @@ func (c *Cache) insert(file uint64, index int64, now time.Duration) (*block, *fi
 	c.lruPushFront(s, b)
 	fi.set(index, s)
 	c.nblocks++
-	return b, fi
+	return s, b, fi
 }
 
 // remove unlinks block b (slot s) from all structures and recycles the
@@ -447,9 +485,9 @@ func (c *Cache) remove(s int32, b *block) {
 	c.lruUnlink(s, b)
 	fi := c.files[b.file]
 	fi.del(b.index)
-	if b.dirty {
+	if b.dirty() {
 		c.ndirty--
-		c.dirtyBytes -= b.dirtyHi
+		c.dirtyBytes -= int64(b.dirtyHi)
 		c.noteCleaned(fi, b.file)
 	}
 	if fi.n == 0 {
@@ -544,7 +582,7 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 	var b *block
 	for cand >= 0 && c.scanCount < cleanScanDepth {
 		cb := c.blk(cand)
-		if !cb.dirty {
+		if !cb.dirty() {
 			s, b = cand, cb
 			break
 		}
@@ -563,23 +601,25 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 		c.st.ReplacedFile++
 	}
 	var wb Writeback
-	dirty := b.dirty
+	dirty := b.dirty()
 	if dirty {
 		reason := CleanEvict
 		if vmTake {
 			reason = CleanVM
 		}
-		wb = c.makeWriteback(b, reason, now)
+		wb = c.makeWriteback(s, b, reason, now)
 	}
 	c.remove(s, b)
 	return wb, dirty
 }
 
-func (c *Cache) makeWriteback(b *block, reason CleanReason, now time.Duration) Writeback {
+// makeWriteback accounts for shipping dirty block b (slot s) to the server.
+func (c *Cache) makeWriteback(s int32, b *block, reason CleanReason, now time.Duration) Writeback {
+	age := now - c.dt(s).lastWr
 	c.st.Cleaned[reason]++
-	c.st.CleanAge[reason].Add(float64(now - b.lastWr))
-	c.st.BytesWrittenBack += b.dirtyHi
-	return Writeback{File: b.file, Block: b.index, Bytes: b.dirtyHi, Reason: reason, Age: now - b.lastWr}
+	c.st.CleanAge[reason].Add(float64(age))
+	c.st.BytesWrittenBack += int64(b.dirtyHi)
+	return Writeback{File: b.file, Block: b.index, Bytes: int64(b.dirtyHi), Reason: reason, Age: age}
 }
 
 // ensureRoom evicts until a new block can be inserted, appending any dirty
@@ -647,18 +687,18 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		}
 		if s < 0 {
 			c.ensureRoom(now, &res.Evicted)
-			b, fi = c.insert(file, idx, now)
+			_, b, fi = c.insert(file, idx, now)
 		} else {
 			c.touch(s, b, now)
 		}
-		fetch := validEnd - b.validHi
+		fetch := validEnd - int64(b.validHi)
 		if fetch < 0 {
 			fetch = 0
 		}
 		// A partially valid block is refreshed in full for simplicity;
 		// fetching the tail only is what Sprite did and what we model.
-		if b.validHi < validEnd {
-			b.validHi = validEnd
+		if int64(b.validHi) < validEnd {
+			b.validHi = int16(validEnd)
 		}
 		res.MissBytes += fetch
 		res.MissBlocks++
@@ -671,12 +711,12 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			}
 			c.ensureRoom(now, &res.Evicted)
 			var pb *block
-			pb, fi = c.insert(file, pi, now)
+			_, pb, fi = c.insert(file, pi, now)
 			end := fileSize - pi*BlockSize
 			if end > BlockSize {
 				end = BlockSize
 			}
-			pb.validHi = end
+			pb.validHi = int16(end)
 			res.MissBytes += end
 			res.MissBlocks++
 			res.MissIdx = append(res.MissIdx, pi)
@@ -696,7 +736,7 @@ func (c *Cache) blockCovers(b *block, idx, offset, length int64) bool {
 	if reqEnd > BlockSize {
 		reqEnd = BlockSize
 	}
-	return b.validHi >= reqEnd
+	return int64(b.validHi) >= reqEnd
 }
 
 // Write performs a cache write of [offset, offset+length) of file, whose
@@ -731,12 +771,14 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 		if hi > BlockSize {
 			hi = BlockSize
 		}
-		var b *block
+		s := int32(-1)
 		if fi != nil {
-			if s := fi.get(idx); s >= 0 {
-				b = c.blk(s)
-				c.touch(s, b, now)
-			}
+			s = fi.get(idx)
+		}
+		var b *block
+		if s >= 0 {
+			b = c.blk(s)
+			c.touch(s, b, now)
 		}
 		partial := lo > 0 || (hi < BlockSize && blockStart+hi < fileSizeBefore)
 		if b == nil {
@@ -749,7 +791,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 			}
 			needFetch := partial && existingEnd > 0 && lo < existingEnd
 			c.ensureRoom(now, &res.Evicted)
-			b, fi = c.insert(file, idx, now)
+			s, b, fi = c.insert(file, idx, now)
 			if needFetch {
 				c.st.All.WriteFetches++
 				if attr.Migrated {
@@ -758,21 +800,22 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				res.FetchBytes += existingEnd
 				res.FetchBlocks++
 				res.FetchIdx = append(res.FetchIdx, idx)
-				b.validHi = existingEnd
+				b.validHi = int16(existingEnd)
 			}
 		}
-		if !b.dirty {
-			b.dirty = true
-			b.dirtyAt = now
+		// hi is at least 1: the write leaves the block dirty.
+		if b.dirty() {
+			c.dt(s).lastWr = now
+		} else {
+			c.startDirty(s, now)
 			c.noteDirtied(fi, file, now)
 		}
-		b.lastWr = now
-		if hi > b.validHi {
-			b.validHi = hi
+		if h := int16(hi); h > b.validHi {
+			b.validHi = h
 		}
-		if hi > b.dirtyHi {
-			c.dirtyBytes += hi - b.dirtyHi
-			b.dirtyHi = hi
+		if h := int16(hi); h > b.dirtyHi {
+			c.dirtyBytes += int64(h - b.dirtyHi)
+			b.dirtyHi = h
 		}
 	}
 	c.st.All.BytesWritten += length

@@ -83,8 +83,9 @@ func (c *Cache) Clean(now time.Duration) []Writeback {
 		}
 		idxs = fi.appendIndices(idxs[:0])
 		for _, idx := range idxs {
-			if b := c.blk(fi.get(idx)); b.dirty {
-				out = append(out, c.cleanBlock(fi, b, CleanDelay, now))
+			s := fi.get(idx)
+			if b := c.blk(s); b.dirty() {
+				out = append(out, c.cleanBlock(fi, s, b, CleanDelay, now))
 			}
 		}
 	}
@@ -101,31 +102,32 @@ func (c *Cache) Clean(now time.Duration) []Writeback {
 func (c *Cache) oldestDirtyBlock(fi *fileIndex, now, delay time.Duration) (oldest time.Duration, due bool) {
 	oldest = math.MaxInt64
 	for _, v := range fi.dense {
-		if v != 0 {
-			if b := c.blk(v - 1); b.dirty {
-				if now-b.dirtyAt >= delay {
-					return 0, true
-				}
-				oldest = min(oldest, b.dirtyAt)
+		if v != 0 && c.blk(v-1).dirty() {
+			dirtyAt := c.dt(v - 1).dirtyAt
+			if now-dirtyAt >= delay {
+				return 0, true
 			}
+			oldest = min(oldest, dirtyAt)
 		}
 	}
 	for _, s := range fi.sparse {
-		if b := c.blk(s); b.dirty {
-			if now-b.dirtyAt >= delay {
+		if c.blk(s).dirty() {
+			dirtyAt := c.dt(s).dirtyAt
+			if now-dirtyAt >= delay {
 				return 0, true
 			}
-			oldest = min(oldest, b.dirtyAt)
+			oldest = min(oldest, dirtyAt)
 		}
 	}
 	return oldest, false
 }
 
-func (c *Cache) cleanBlock(fi *fileIndex, b *block, reason CleanReason, now time.Duration) Writeback {
-	wb := c.makeWriteback(b, reason, now)
-	b.dirty = false
+// cleanBlock writes back dirty block b (slot s) of fi's file, which stays
+// resident, clean.
+func (c *Cache) cleanBlock(fi *fileIndex, s int32, b *block, reason CleanReason, now time.Duration) Writeback {
+	wb := c.makeWriteback(s, b, reason, now)
 	c.ndirty--
-	c.dirtyBytes -= b.dirtyHi
+	c.dirtyBytes -= int64(b.dirtyHi)
 	b.dirtyHi = 0
 	c.noteCleaned(fi, b.file)
 	c.cleanedInPlace(b)
@@ -154,8 +156,9 @@ func (c *Cache) flushFile(file uint64, reason CleanReason, now time.Duration) []
 	out := c.cleanScratch[:0]
 	idxs := fi.appendIndices(c.cleanIdxScr[:0])
 	for _, idx := range idxs {
-		if b := c.blk(fi.get(idx)); b.dirty {
-			out = append(out, c.cleanBlock(fi, b, reason, now))
+		s := fi.get(idx)
+		if b := c.blk(s); b.dirty() {
+			out = append(out, c.cleanBlock(fi, s, b, reason, now))
 		}
 	}
 	c.cleanIdxScr = idxs[:0]
@@ -205,9 +208,7 @@ func (c *Cache) Delete(file uint64) int64 {
 	for _, idx := range idxs {
 		s := fi.get(idx)
 		b := c.blk(s)
-		if b.dirty {
-			saved += b.dirtyHi
-		}
+		saved += int64(b.dirtyHi)
 		c.remove(s, b)
 	}
 	c.cleanIdxScr = idxs[:0]
@@ -231,24 +232,19 @@ func (c *Cache) Truncate(file uint64, newSize int64) int64 {
 		b := c.blk(s)
 		switch {
 		case idx > cutBlock || (idx == cutBlock && cutWithin == 0):
-			if b.dirty {
-				saved += b.dirtyHi
-			}
+			saved += int64(b.dirtyHi)
 			c.remove(s, b)
 		case idx == cutBlock:
-			if b.validHi > cutWithin {
-				b.validHi = cutWithin
+			// The cut is inside the block: what it keeps is not empty, and
+			// a dirty block stays dirty.
+			cut := int16(cutWithin)
+			if b.validHi > cut {
+				b.validHi = cut
 			}
-			if b.dirty && b.dirtyHi > cutWithin {
-				saved += b.dirtyHi - cutWithin
-				c.dirtyBytes -= b.dirtyHi - cutWithin
-				b.dirtyHi = cutWithin
-				if b.dirtyHi == 0 {
-					b.dirty = false
-					c.ndirty--
-					c.noteCleaned(fi, file)
-					c.cleanedInPlace(b)
-				}
+			if b.dirtyHi > cut {
+				saved += int64(b.dirtyHi - cut)
+				c.dirtyBytes -= int64(b.dirtyHi - cut)
+				b.dirtyHi = cut
 			}
 		}
 	}

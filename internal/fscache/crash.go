@@ -35,18 +35,19 @@ func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 	var loss CrashLoss
 	for s := c.lruFront; s >= 0; {
 		b := c.blk(s)
-		s = b.next
 		loss.Blocks++
-		if b.dirty {
+		if b.dirty() {
 			loss.DirtyBlocks++
-			loss.DirtyBytes += b.dirtyHi
-			if age := now - b.dirtyAt; age > loss.MaxDirtyAge {
+			loss.DirtyBytes += int64(b.dirtyHi)
+			if age := now - c.dt(s).dirtyAt; age > loss.MaxDirtyAge {
 				loss.MaxDirtyAge = age
 			}
 		}
+		s = b.next
 	}
-	// The chunks stay: every slot is unused again and is rewritten whole
-	// when next handed out.
+	// The chunks stay, the write times' too: every slot is unused again and
+	// is rewritten whole when next handed out, as its write times are when
+	// its tenant next turns dirty.
 	c.nslots = 0
 	c.freeB = -1
 	c.lruFront = -1
@@ -108,19 +109,17 @@ func (c *Cache) CheckInvariants() error {
 			if b.dirtyHi < 0 || b.dirtyHi > b.validHi {
 				return fmt.Errorf("fscache: block (%#x,%d) dirtyHi %d exceeds validHi %d", f, idx, b.dirtyHi, b.validHi)
 			}
-			if b.dirty {
+			if b.dirty() {
 				ndirty++
 				fd++
-				dirtyBytes += b.dirtyHi
-				if b.dirtyHi == 0 {
-					return fmt.Errorf("fscache: block (%#x,%d) dirty with zero dirtyHi", f, idx)
+				dirtyBytes += int64(b.dirtyHi)
+				if ci := int(s >> chunkShift); ci >= len(c.dtimes) || c.dtimes[ci] == nil {
+					return fmt.Errorf("fscache: dirty block (%#x,%d) at slot %d has no write times", f, idx, s)
 				}
-				if b.dirtyAt < fi.oldestDirty || b.dirtyAt < c.oldestDirty {
+				if dirtyAt := c.dt(s).dirtyAt; dirtyAt < fi.oldestDirty || dirtyAt < c.oldestDirty {
 					return fmt.Errorf("fscache: block (%#x,%d) dirty since %v, before its file's bound %v or the cache's %v",
-						f, idx, b.dirtyAt, fi.oldestDirty, c.oldestDirty)
+						f, idx, dirtyAt, fi.oldestDirty, c.oldestDirty)
 				}
-			} else if b.dirtyHi != 0 {
-				return fmt.Errorf("fscache: clean block (%#x,%d) has dirtyHi %d", f, idx, b.dirtyHi)
 			}
 			return nil
 		}
@@ -175,6 +174,9 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("fscache: free list holds more than the %d slots handed out", c.nslots)
 		}
 	}
+	if len(c.dtimes) > len(c.chunks) {
+		return fmt.Errorf("fscache: write times for %d chunks of an arena of %d", len(c.dtimes), len(c.chunks))
+	}
 	if nfree+c.nblocks != int(c.nslots) || int(c.nslots) > len(c.chunks)*chunkBlocks {
 		return fmt.Errorf("fscache: %d slots handed out of %d chunks, %d resident and %d free",
 			c.nslots, len(c.chunks), c.nblocks, nfree)
@@ -208,8 +210,8 @@ func (c *Cache) CheckInvariants() error {
 	last := int32(-1)
 	for s, n := c.lruBack, int32(0); n < c.scanCount; n++ {
 		b := c.blk(s)
-		if !b.dirty || b.passed != c.scanEpoch {
-			return fmt.Errorf("fscache: block %d from the tail (dirty %v) breaks the passed run of %d", n, b.dirty, c.scanCount)
+		if !b.dirty() || b.passed != c.scanEpoch {
+			return fmt.Errorf("fscache: block %d from the tail (dirty %v) breaks the passed run of %d", n, b.dirty(), c.scanCount)
 		}
 		last, s = s, b.prev
 	}

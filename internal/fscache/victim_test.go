@@ -165,11 +165,11 @@ func TestVictimAfterDiscardAll(t *testing.T) {
 	}
 }
 
-// The scan's mark lives in what used to be padding after block.dirty; a
-// block that outgrows 72 bytes costs every resident block of every client.
+// A block is what every resident block of every client pays: 40 bytes, the
+// watermarks in two int16s and a dirty block's write times elsewhere.
 func TestBlockSizeUnchanged(t *testing.T) {
-	if got := unsafe.Sizeof(block{}); got != 72 {
-		t.Fatalf("block is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(block{}); got != 40 {
+		t.Fatalf("block is %d bytes, want 40", got)
 	}
 }
 
