@@ -84,7 +84,7 @@ func TestEvictDirtyTailZeroAlloc(t *testing.T) {
 
 // TestCleanFillDirtyStateZeroAlloc pins what a block that is never written
 // costs: a cache filled from cold by reads alone allocates none of the
-// dirty blocks' write times and no more than coldFillBudget bytes per
+// dirty blocks' write times, no dirty-file set and no more than coldFillBudget bytes per
 // resident block, by BenchmarkColdFill's accounting (the arena, the file's
 // dense index and the result scratch). One write then makes one chunk.
 func TestCleanFillDirtyStateZeroAlloc(t *testing.T) {
@@ -93,8 +93,8 @@ func TestCleanFillDirtyStateZeroAlloc(t *testing.T) {
 	if c.NumBlocks() != c.Capacity() || c.DirtyBytes() != 0 {
 		t.Fatalf("cold fill left %d of %d blocks resident, %d bytes dirty", c.NumBlocks(), c.Capacity(), c.DirtyBytes())
 	}
-	if len(c.dtimes) != 0 {
-		t.Fatalf("read-only cold fill allocated write times for %d chunks", len(c.dtimes))
+	if len(c.dtimes) != 0 || c.dirtyFiles != nil {
+		t.Fatalf("read-only cold fill allocated write times for %d chunks (dirty-file set made: %v)", len(c.dtimes), c.dirtyFiles != nil)
 	}
 	if bytesPerBlock > coldFillBudget {
 		t.Fatalf("read-only cold fill allocated %.1f B per resident block, want at most %d", bytesPerBlock, coldFillBudget)

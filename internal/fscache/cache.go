@@ -272,7 +272,8 @@ type Cache struct {
 	// maintained incrementally at the dirty/clean transitions. The cleaner
 	// sweep iterates this set instead of scanning every resident file,
 	// making sweep cost proportional to the dirty population rather than
-	// the cache population.
+	// the cache population. It is made at the first dirtying: nil in a cache
+	// that is only read.
 	dirtyFiles map[uint64]*fileIndex
 	// oldestDirty is a lower bound on dirtyAt over all dirty blocks
 	// (meaningful while ndirty > 0), kept like fileIndex.oldestDirty: no
@@ -315,14 +316,13 @@ func New(capacityBlocks int) *Cache {
 		panic("fscache: non-positive capacity")
 	}
 	return &Cache{
-		capacity:   capacityBlocks,
-		freeB:      -1,
-		lruFront:   -1,
-		lruBack:    -1,
-		scanEpoch:  1,
-		scanLast:   -1,
-		files:      make(map[uint64]*fileIndex),
-		dirtyFiles: make(map[uint64]*fileIndex),
+		capacity:  capacityBlocks,
+		freeB:     -1,
+		lruFront:  -1,
+		lruBack:   -1,
+		scanEpoch: 1,
+		scanLast:  -1,
+		files:     make(map[uint64]*fileIndex),
 	}
 }
 
@@ -505,6 +505,9 @@ func (c *Cache) remove(s int32, b *block) {
 func (c *Cache) noteDirtied(fi *fileIndex, file uint64, now time.Duration) {
 	fi.dirty++
 	if fi.dirty == 1 {
+		if c.dirtyFiles == nil {
+			c.dirtyFiles = make(map[uint64]*fileIndex)
+		}
 		c.dirtyFiles[file] = fi
 		fi.oldestDirty = now
 	} else if now < fi.oldestDirty {

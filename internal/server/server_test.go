@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCreateAssignsUniqueIDsAcrossServers(t *testing.T) {
@@ -265,5 +266,14 @@ func TestRecallBumpsVersionSoReaderInvalidates(t *testing.T) {
 	r, _ := s.Open(f.ID, 2, false, 2*time.Second)
 	if r.Version <= v {
 		t.Error("recalled open did not observe a newer version")
+	}
+}
+
+// A server holds one File per file it has ever been asked about — 1.7 M of
+// them under 50 000 clients — and 80 bytes is an allocator size class where
+// 88 rounds up to 96.
+func TestFileSizeUnchanged(t *testing.T) {
+	if got := unsafe.Sizeof(File{}); got != 80 {
+		t.Fatalf("File is %d bytes, want 80", got)
 	}
 }
