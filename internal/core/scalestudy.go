@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -33,11 +34,24 @@ type ScaleOptions struct {
 	Workers int
 }
 
+// SweepRun is one swept configuration's measurement. Report and the
+// counts in Stats are simulation results; Stats.Wall, Build and HeapBytes
+// are what the configuration cost the host.
+type SweepRun struct {
+	Report scale.Report
+	Stats  scale.RunStats
+	Build  time.Duration // wall-clock of scale.New
+	// HeapBytes is the heap in use when Run returned, before any
+	// collection: the engine, its warm caches and the run's uncollected
+	// garbage. The heap is collected before each configuration is built,
+	// so a row does not carry the previous row's engine.
+	HeapBytes uint64
+}
+
 // ScaleRow is one shard count's measurement.
 type ScaleRow struct {
 	Shards int
-	Report scale.Report
-	Stats  scale.RunStats
+	SweepRun
 }
 
 // ScaleResult is the throughput/saturation sweep: the same community run
@@ -57,12 +71,6 @@ type topologySweep struct {
 	hours   float64
 	base    workload.Params
 	factor  float64 // clients over the base community's
-}
-
-// sweepRun is one swept configuration's measurement.
-type sweepRun struct {
-	Report scale.Report
-	Stats  scale.RunStats
 }
 
 // newTopologySweep resolves the studies' shared defaults; the default
@@ -86,20 +94,25 @@ func newTopologySweep(clients, defClients int, hours, defHours float64, seed int
 // parallel executor (byte-identical to the sequential one) serves every
 // multi-shard configuration unless sequential is set. axis and keys name
 // the swept value of a configuration that fails to build.
-func (s topologySweep) run(cfgs []scale.Config, sequential bool, workers int, axis string, keys []int) ([]sweepRun, error) {
+func (s topologySweep) run(cfgs []scale.Config, sequential bool, workers int, axis string, keys []int) ([]SweepRun, error) {
 	horizon := time.Duration(s.hours * float64(time.Hour))
-	runs := make([]sweepRun, 0, len(cfgs))
+	runs := make([]SweepRun, 0, len(cfgs))
 	for i, cfg := range cfgs {
+		runtime.GC() // the previous configuration's engine is not this one's heap
+		start := time.Now()
 		eng, err := scale.New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s=%d: %w", axis, keys[i], err)
 		}
+		build := time.Since(start)
 		st := eng.Run(scale.RunOptions{
 			Horizon:  horizon,
 			Parallel: !sequential && cfg.Shards > 1,
 			Workers:  workers,
 		})
-		runs = append(runs, sweepRun{Report: eng.Report(), Stats: st})
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runs = append(runs, SweepRun{Report: eng.Report(), Stats: st, Build: build, HeapBytes: ms.HeapAlloc})
 	}
 	return runs, nil
 }
@@ -130,16 +143,20 @@ func foldShards(rep *scale.Report) shardFolds {
 	return f
 }
 
-// execTable renders the executor's cost per swept configuration: row i
-// is keyed by row(i)'s swept value under the axis heading, ns/event is
-// wall-clock per simulated event (the simulator's figure of merit), and
-// speedup is wall-clock relative to the first row.
-func execTable(axis string, n int, row func(i int) (int, *scale.RunStats)) *stats.Table {
+// execTable renders what each swept configuration of a clients-strong
+// community cost the host: row i is keyed by row(i)'s swept value under the
+// axis heading, ns/event is wall-clock per simulated event (the simulator's
+// figure of merit), speedup is wall-clock relative to the first row, build
+// is scale.New's wall-clock, and heap-MB and KB/client are SweepRun.HeapBytes
+// in all and per client.
+func execTable(axis string, clients, n int, row func(i int) (int, *SweepRun)) *stats.Table {
 	t := stats.NewTable("Executor wall-clock",
-		axis, "workers", "rounds", "null-adv", "rescues", "msgs", "events", "wall", "ns/event", "speedup")
+		axis, "workers", "rounds", "null-adv", "rescues", "msgs", "events", "wall", "ns/event", "speedup",
+		"build", "heap-MB", "KB/client")
 	_, first := row(0)
 	for i := 0; i < n; i++ {
-		key, st := row(i)
+		key, run := row(i)
+		st := &run.Stats
 		t.AddRow(
 			fmt.Sprintf("%d", key),
 			fmt.Sprintf("%d", st.Workers),
@@ -150,7 +167,10 @@ func execTable(axis string, n int, row func(i int) (int, *scale.RunStats)) *stat
 			fmt.Sprintf("%d", st.Events),
 			st.Wall.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", float64(st.Wall)/float64(st.Events)),
-			fmt.Sprintf("%.2fx", float64(first.Wall)/float64(st.Wall)))
+			fmt.Sprintf("%.2fx", float64(first.Stats.Wall)/float64(st.Wall)),
+			fmt.Sprintf("%.2fs", run.Build.Seconds()),
+			fmt.Sprintf("%.1f", float64(run.HeapBytes)/(1<<20)),
+			fmt.Sprintf("%.2f", float64(run.HeapBytes)/1024/float64(clients)))
 	}
 	return t
 }
@@ -172,7 +192,7 @@ func RunScaleStudy(opts ScaleOptions) (*ScaleResult, error) {
 	}
 	res := &ScaleResult{Clients: sw.clients, Hours: sw.hours}
 	for i, r := range runs {
-		res.Rows = append(res.Rows, ScaleRow{Shards: shardCounts[i], Report: r.Report, Stats: r.Stats})
+		res.Rows = append(res.Rows, ScaleRow{Shards: shardCounts[i], SweepRun: r})
 	}
 	return res, nil
 }
@@ -202,9 +222,9 @@ func ScaleTables(r *ScaleResult) string {
 	b.WriteString(sat.String())
 	b.WriteString("\n")
 
-	exec := execTable("shards", len(r.Rows),
-		func(i int) (int, *scale.RunStats) { return r.Rows[i].Shards, &r.Rows[i].Stats })
+	exec := execTable("shards", r.Clients, len(r.Rows),
+		func(i int) (int, *SweepRun) { return r.Rows[i].Shards, &r.Rows[i].SweepRun })
 	b.WriteString(exec.String())
-	b.WriteString("\nWall-clock, ns/event and speedup are host measurements. speedup is\nwall-clock relative to the first row (shards=1 unless -shards says\notherwise), so it mixes what sharding buys on any host - smaller per-shard\nevent heaps, wider channel-clock windows - with what the worker goroutines\nadd on a multi-core one; docs/PERFORMANCE.md measures the two apart.\n")
+	b.WriteString("\nWall-clock, ns/event, speedup, build (seconds to construct the engine),\nheap-MB (heap in use when the run returned, before any collection) and\nKB/client (that heap over the clients) are host measurements. speedup is\nwall-clock relative to the first row (shards=1 unless -shards says\notherwise), so it mixes what sharding buys on any host - smaller per-shard\nevent heaps, wider channel-clock windows - with what the worker goroutines\nadd on a multi-core one; docs/PERFORMANCE.md measures the two apart.\n")
 	return b.String()
 }

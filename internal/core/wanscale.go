@@ -44,9 +44,8 @@ type WANScaleOptions struct {
 
 // WANScaleRow is one site count's measurement.
 type WANScaleRow struct {
-	Sites  int
-	Report scale.Report
-	Stats  scale.RunStats
+	Sites int
+	SweepRun
 }
 
 // WANScaleResult is the tier-depth sweep.
@@ -90,7 +89,7 @@ func RunWANScaleStudy(opts WANScaleOptions) (*WANScaleResult, error) {
 	}
 	res := &WANScaleResult{Clients: sw.clients, Segments: segments, Hours: sw.hours}
 	for i, r := range runs {
-		res.Rows = append(res.Rows, WANScaleRow{Sites: siteCounts[i], Report: r.Report, Stats: r.Stats})
+		res.Rows = append(res.Rows, WANScaleRow{Sites: siteCounts[i], SweepRun: r})
 	}
 	return res, nil
 }
@@ -124,9 +123,9 @@ func WANScaleTables(r *WANScaleResult) string {
 	b.WriteString(sat.String())
 	b.WriteString("\n")
 
-	exec := execTable("sites", len(r.Rows),
-		func(i int) (int, *scale.RunStats) { return r.Rows[i].Sites, &r.Rows[i].Stats })
+	exec := execTable("sites", r.Clients, len(r.Rows),
+		func(i int) (int, *SweepRun) { return r.Rows[i].Sites, &r.Rows[i].SweepRun })
 	b.WriteString(exec.String())
-	b.WriteString("\nWall-clock, ns/event and speedup are host measurements; everything else is\ndeterministic. WAN links are also the executor's widest lookahead, so deeper\nhierarchies usually need fewer synchronization rounds per simulated hour.\n")
+	b.WriteString("\nWall-clock, ns/event, speedup, build (seconds to construct the engine),\nheap-MB (heap in use when the run returned, before any collection) and\nKB/client (that heap over the clients) are host measurements; everything\nelse is deterministic. WAN links are also the executor's widest lookahead,\nso deeper hierarchies usually need fewer synchronization rounds per\nsimulated hour.\n")
 	return b.String()
 }
