@@ -1,6 +1,7 @@
 package fscache
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -96,7 +97,10 @@ func TestCleanFillDirtyStateZeroAlloc(t *testing.T) {
 	if len(c.dtimes) != 0 || c.dirtyFiles != nil {
 		t.Fatalf("read-only cold fill allocated write times for %d chunks (dirty-file set made: %v)", len(c.dtimes), c.dirtyFiles != nil)
 	}
-	if bytesPerBlock > coldFillBudget {
+	// Under the race detector the compiler allocates the temporary in
+	// fileIndex.set's append(dense, make(...)...), 16 B a call: the byte
+	// budget describes the ordinary build only.
+	if bytesPerBlock > coldFillBudget && !raceBuild() {
 		t.Fatalf("read-only cold fill allocated %.1f B per resident block, want at most %d", bytesPerBlock, coldFillBudget)
 	}
 	t.Logf("%.1f B/block", bytesPerBlock)
@@ -114,4 +118,17 @@ func TestCleanFillDirtyStateZeroAlloc(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// raceBuild reports whether this test binary was built with -race.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	if bi != nil {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

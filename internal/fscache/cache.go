@@ -806,17 +806,17 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				b.validHi = int16(existingEnd)
 			}
 		}
-		// hi is at least 1: the write leaves the block dirty.
 		if b.dirty() {
 			c.dt(s).lastWr = now
 		} else {
 			c.startDirty(s, now)
 			c.noteDirtied(fi, file, now)
 		}
-		if h := int16(hi); h > b.validHi {
+		h := int16(hi) // at least 1: the write leaves the block dirty
+		if h > b.validHi {
 			b.validHi = h
 		}
-		if h := int16(hi); h > b.dirtyHi {
+		if h > b.dirtyHi {
 			c.dirtyBytes += int64(h - b.dirtyHi)
 			b.dirtyHi = h
 		}

@@ -45,9 +45,9 @@ func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 		}
 		s = b.next
 	}
-	// The chunks stay, the write times' too: every slot is unused again and
-	// is rewritten whole when next handed out, as its write times are when
-	// its tenant next turns dirty.
+	// The chunks stay, of blocks and of write times: every slot is unused
+	// again and is rewritten whole when next handed out, and its write
+	// times when its tenant first turns dirty.
 	c.nslots = 0
 	c.freeB = -1
 	c.lruFront = -1
