@@ -143,6 +143,10 @@ func foldShards(rep *scale.Report) shardFolds {
 	return f
 }
 
+// hostMeasured opens both studies' footers: the executor table's columns
+// that are properties of the host, not of the simulation.
+const hostMeasured = "\nWall-clock, ns/event, speedup, build (seconds to construct the engine),\nheap-MB (heap in use when the run returned, before any collection) and\nKB/client (that heap over the clients) are host measurements"
+
 // execTable renders what each swept configuration of a clients-strong
 // community cost the host: row i is keyed by row(i)'s swept value under the
 // axis heading, ns/event is wall-clock per simulated event (the simulator's
@@ -225,6 +229,6 @@ func ScaleTables(r *ScaleResult) string {
 	exec := execTable("shards", r.Clients, len(r.Rows),
 		func(i int) (int, *SweepRun) { return r.Rows[i].Shards, &r.Rows[i].SweepRun })
 	b.WriteString(exec.String())
-	b.WriteString("\nWall-clock, ns/event, speedup, build (seconds to construct the engine),\nheap-MB (heap in use when the run returned, before any collection) and\nKB/client (that heap over the clients) are host measurements. speedup is\nwall-clock relative to the first row (shards=1 unless -shards says\notherwise), so it mixes what sharding buys on any host - smaller per-shard\nevent heaps, wider channel-clock windows - with what the worker goroutines\nadd on a multi-core one; docs/PERFORMANCE.md measures the two apart.\n")
+	b.WriteString(hostMeasured + ". speedup is\nwall-clock relative to the first row (shards=1 unless -shards says\notherwise), so it mixes what sharding buys on any host - smaller per-shard\nevent heaps, wider channel-clock windows - with what the worker goroutines\nadd on a multi-core one; docs/PERFORMANCE.md measures the two apart.\n")
 	return b.String()
 }

@@ -126,6 +126,6 @@ func WANScaleTables(r *WANScaleResult) string {
 	exec := execTable("sites", r.Clients, len(r.Rows),
 		func(i int) (int, *SweepRun) { return r.Rows[i].Sites, &r.Rows[i].SweepRun })
 	b.WriteString(exec.String())
-	b.WriteString("\nWall-clock, ns/event, speedup, build (seconds to construct the engine),\nheap-MB (heap in use when the run returned, before any collection) and\nKB/client (that heap over the clients) are host measurements; everything\nelse is deterministic. WAN links are also the executor's widest lookahead,\nso deeper hierarchies usually need fewer synchronization rounds per\nsimulated hour.\n")
+	b.WriteString(hostMeasured + "; everything\nelse is deterministic. WAN links are also the executor's widest lookahead,\nso deeper hierarchies usually need fewer synchronization rounds per\nsimulated hour.\n")
 	return b.String()
 }

@@ -85,11 +85,14 @@ func TestEvictDirtyTailZeroAlloc(t *testing.T) {
 
 // TestCleanFillDirtyStateZeroAlloc pins what a block that is never written
 // costs: a cache filled from cold by reads alone allocates none of the
-// dirty blocks' write times, no dirty-file set and no more than coldFillBudget bytes per
-// resident block, by BenchmarkColdFill's accounting (the arena, the file's
-// dense index and the result scratch). One write then makes one chunk.
+// dirty blocks' write times, no dirty-file set and no more than
+// coldFillBudget bytes per resident block, by BenchmarkColdFill's
+// accounting (the arena, the file's dense index and the result scratch).
+// One write then makes one chunk.
 func TestCleanFillDirtyStateZeroAlloc(t *testing.T) {
-	const coldFillBudget = 56 // B/block; reads 54.7: the 40-byte block in its size class, 12.7 of index, chunk table and scratch
+	// B/block. The fill reads 54.7: the 40-byte block in its chunk's size
+	// class, 12.7 of index, chunk table and scratch.
+	const coldFillBudget = 56
 	c, bytesPerBlock := coldFill(4)
 	if c.NumBlocks() != c.Capacity() || c.DirtyBytes() != 0 {
 		t.Fatalf("cold fill left %d of %d blocks resident, %d bytes dirty", c.NumBlocks(), c.Capacity(), c.DirtyBytes())
