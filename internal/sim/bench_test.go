@@ -51,8 +51,9 @@ func BenchmarkHeapChurn(b *testing.B) {
 
 // BenchmarkSimCore exercises the scheduler's steady-state shapes: a deep
 // one-shot heap, recurring timers (a handful with coprime periods, then a
-// shard's daemons at three populations), and the two kinds mixed. All must
-// run allocation-free.
+// shard's daemons at three populations), and the two kinds mixed (a shard's
+// real populations, then one chain beside 32 tickers). All must run
+// allocation-free.
 func BenchmarkSimCore(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		s := New(1)
@@ -108,6 +109,36 @@ func BenchmarkSimCore(b *testing.B) {
 			for i := 0; i < clients; i++ {
 				s.Every(time.Duration(i%5)*time.Second, 5*time.Second, fn)
 				s.Every(time.Duration(i%180)*time.Second, 3*time.Minute, fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for fired < b.N {
+				s.Step()
+			}
+		})
+	}
+	// What a running cluster's scheduler actually holds: a few self-re-arming
+	// one-shot chains (user sessions between operations) beside the larger,
+	// colder population of 3 min system-process tickers starting at ID%180 s —
+	// 13 beside 49 in a 40-workstation paper_eval cluster, 94 beside 322 and
+	// 420 beside 1 259 in a scale_5k and a wan_lean_50k shard. ns/op is the
+	// cost of one firing, nearly all of them the chains'.
+	for _, pop := range []struct{ chains, tickers int }{{13, 49}, {94, 322}, {420, 1259}} {
+		b.Run(fmt.Sprintf("shard/chains=%d/tickers=%d", pop.chains, pop.tickers), func(b *testing.B) {
+			s := New(5)
+			fired := 0
+			tick := func() { fired++ }
+			for i := 0; i < pop.tickers; i++ {
+				s.Every(time.Duration(i%180)*time.Second, 3*time.Minute, tick)
+			}
+			for i := 0; i < pop.chains; i++ {
+				think := time.Duration(50+37*i) * time.Millisecond
+				var chain func()
+				chain = func() {
+					fired++
+					s.After(think, chain)
+				}
+				s.After(think, chain)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
