@@ -25,13 +25,13 @@ func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Clie
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(sm.Pending()) })
 	r.Int(metrics.Desc{Name: "spritefs_sim_event_pool_free", Unit: "events",
-		Help: "Recycled one-shot event arena slots awaiting reuse; the steady-state allocation-free scheduler draws from this pool.",
+		Help: "Recycled event arena slots awaiting reuse (fired one-shot events' and stopped tickers'); the steady-state allocation-free scheduler draws from this pool.",
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(sm.EventPoolFree()) })
 	// The family keeps the name it got when recurring timers lived on a
 	// timer wheel: every golden dump and benchmark digest carries it.
 	r.Int(metrics.Desc{Name: "spritefs_sim_wheel_timers", Unit: "timers",
-		Help: "Armed recurring timers (periodic daemons created via Every); the name predates the timer heap.",
+		Help: "Armed recurring timers (periodic daemons created via Every) in the event queue; the name predates the heap.",
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(sm.WheelTimers()) })
 	net.RegisterMetrics(r)

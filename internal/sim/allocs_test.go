@@ -6,9 +6,9 @@ import (
 )
 
 // The scheduler's hot paths are required to be allocation-free in steady
-// state: once the event arena, the timer arena and the two heap slices have
-// grown to their high-water marks, At/After/Step and ticker firings must
-// not touch the garbage collector. `make allocscheck` runs these gates.
+// state: once the event arena and the heap slice have grown to their
+// high-water marks, At/After/Step and ticker firings must not touch the
+// garbage collector. `make allocscheck` runs these gates.
 
 func TestAfterZeroAllocSteadyState(t *testing.T) {
 	s := New(1)
@@ -60,54 +60,73 @@ func TestEveryTickZeroAllocAtPopulation(t *testing.T) {
 }
 
 // TestTickerChurnZeroAllocGrowth has callbacks stop a sibling and start its
-// replacement, over and over. Every allocates the *Ticker it returns and
-// nothing else: the freed arena slot and heap position are reused, so
-// neither slice grows once the population has been reached.
+// replacement, over and over — by another ticker, or by a one-shot event,
+// which takes the stopped ticker's slot from the one arena both kinds
+// share. Every allocates the *Ticker it returns and nothing else: the
+// freed arena slot and heap position are reused, so neither slice grows
+// once the population has been reached.
 func TestTickerChurnZeroAllocGrowth(t *testing.T) {
-	s := New(1)
 	const n = 200
-	tks := make([]*Ticker, n)
-	noop := func() {}
-	for i := range tks {
-		i := i
-		tks[i] = s.Every(time.Duration(i%5)*time.Second, 5*time.Second, func() {
-			sib := (i + 1) % n
-			tks[sib].Stop()
-			tks[sib] = s.Every(s.Now()+time.Duration(i%3)*time.Second, 5*time.Second, noop)
+	for _, tc := range []struct {
+		name      string
+		maxAllocs float64
+		// replace schedules sibling sib's successor into tks[sib].
+		replace func(s *Sim, tks []*Ticker, sib int, d time.Duration)
+	}{
+		{"ticker for ticker", 1, func(s *Sim, tks []*Ticker, sib int, d time.Duration) {
+			tks[sib] = s.Every(s.Now()+d, 5*time.Second, func() {})
+		}},
+		// Odd siblings come back as a one-shot event that becomes a
+		// ticker again when it fires, so the kinds keep trading slots.
+		{"one-shot for ticker", 2, func(s *Sim, tks []*Ticker, sib int, d time.Duration) {
+			if sib%2 == 0 {
+				tks[sib] = s.Every(s.Now()+d, 5*time.Second, func() {})
+				return
+			}
+			tks[sib] = nil
+			s.After(d, func() { tks[sib] = s.Every(s.Now()+5*time.Second, 5*time.Second, func() {}) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			tks := make([]*Ticker, n)
+			for i := range tks {
+				i := i
+				tks[i] = s.Every(time.Duration(i%5)*time.Second, 5*time.Second, func() {
+					sib := (i + 1) % n
+					if tks[sib] == nil {
+						return // its one-shot stand-in is still pending
+					}
+					tks[sib].Stop()
+					tc.replace(s, tks, sib, time.Duration(i%3)*time.Second)
+				})
+			}
+			s.RunUntil(30 * time.Second)
+			pool, heapCap, pending := len(s.q.pool), cap(s.q.heap), s.Pending()
+			allocs := testing.AllocsPerRun(2000, func() {
+				s.Step()
+			})
+			if allocs > tc.maxAllocs {
+				t.Fatalf("a firing that replaces a sibling allocated %.1f/op, want at most %.0f (Every's *Ticker, the stand-in's closure)", allocs, tc.maxAllocs)
+			}
+			if got := len(s.q.pool); got != pool {
+				t.Fatalf("event arena grew from %d to %d slots under stop/start churn", pool, got)
+			}
+			if got := cap(s.q.heap); got != heapCap {
+				t.Fatalf("heap slice grew from cap %d to %d under stop/start churn", heapCap, got)
+			}
+			if got := s.Pending(); got != pending {
+				t.Fatalf("pending went from %d to %d under one-for-one replacement", pending, got)
+			}
 		})
 	}
-	s.RunUntil(10 * time.Second)
-	pool, heapCap, pending := len(s.timers.pool), cap(s.timers.heap), s.Pending()
-	allocs := testing.AllocsPerRun(2000, func() {
-		s.Step()
-	})
-	if allocs > 1 {
-		t.Fatalf("a firing that replaces a sibling allocated %.1f/op, want at most Every's one *Ticker", allocs)
-	}
-	if got := len(s.timers.pool); got != pool {
-		t.Fatalf("timer arena grew from %d to %d slots under stop/start churn", pool, got)
-	}
-	if got := cap(s.timers.heap); got != heapCap {
-		t.Fatalf("timer heap slice grew from cap %d to %d under stop/start churn", heapCap, got)
-	}
-	if got := s.Pending(); got != pending {
-		t.Fatalf("pending went from %d to %d under one-for-one replacement", pending, got)
-	}
-}
-
-// timerFreeLen counts the timer arena's free-listed slots.
-func timerFreeLen(s *Sim) int {
-	n := 0
-	for i := s.timers.free; i >= 0; i = s.timers.pool[i].next {
-		n++
-	}
-	return n
 }
 
 // TestTickerStopRecyclesEvent pins the Ticker.Stop contract: stopping a
-// ticker removes its armed entry from the timer heap immediately — no
-// tombstone is left in any queue — and the arena slot is recycled, so
-// repeated start/stop cycles neither grow Pending nor leak pool slots.
+// ticker removes its queued entry from the heap immediately — no tombstone
+// is left behind — and the arena slot is recycled, so repeated start/stop
+// cycles neither grow Pending nor leak pool slots. The arena is the
+// one-shot events' too: a stopped ticker's slot is the next After's.
 func TestTickerStopRecyclesEvent(t *testing.T) {
 	s := New(1)
 	base := s.Pending()
@@ -121,12 +140,19 @@ func TestTickerStopRecyclesEvent(t *testing.T) {
 			t.Fatalf("cycle %d: pending = %d after stop, want %d (tombstone left behind?)", i, got, base)
 		}
 		tk.Stop() // double-stop must be a no-op
+		if i%2 == 1 {
+			s.After(0, func() {}) // takes the slot the ticker left
+			if got := s.EventPoolFree(); got != 0 {
+				t.Fatalf("cycle %d: %d free slots with a one-shot pending, want 0 (it did not take the stopped ticker's)", i, got)
+			}
+			s.Step()
+		}
 	}
-	if got := len(s.timers.pool); got != 1 {
-		t.Fatalf("timer arena grew to %d slots over 1000 start/stop cycles, want 1 (slot not recycled)", got)
+	if got := len(s.q.pool); got != 1 {
+		t.Fatalf("event arena grew to %d slots over 1000 start/stop cycles, want 1 (slot not recycled)", got)
 	}
-	if got := timerFreeLen(s); got != 1 {
-		t.Fatalf("timer free list has %d slots, want 1", got)
+	if got := s.EventPoolFree(); got != 1 {
+		t.Fatalf("free list has %d slots, want 1", got)
 	}
 	if got := s.WheelTimers(); got != 0 {
 		t.Fatalf("WheelTimers = %d after all tickers stopped, want 0", got)

@@ -5,15 +5,15 @@
 // reproducible — the property that lets the experiment harness regenerate
 // the paper's tables bit-for-bit across machines.
 //
-// The scheduler is allocation-free in steady state: one-shot events live in
-// a free-list arena ordered by an inlined 4-ary index min-heap (heap.go),
-// and the recurring timers created by Every live in a second arena whose
-// heap also records each entry's position, so a ticker can be stopped
-// without leaving a tombstone (timers.go). Both structures key events by
-// (time, seq), where seq is a single counter shared across them, so the
-// merged firing order — and therefore every report byte — is that of one
-// queue holding everything; reference_test.go checks it against exactly
-// such a queue.
+// The scheduler is one queue, allocation-free in steady state: one-shot
+// events and the recurring timers created by Every are entries of one
+// free-list event arena ordered by one indexed 4-ary min-heap (queue.go),
+// keyed by (time, seq) with seq a single counter. A ticker is an entry that
+// goes back in after its callback; because the heap records each entry's
+// position, it can be stopped without leaving a tombstone.
+// reference_test.go checks the firing order — and so every report byte —
+// against a boxed container/heap queue that implements the documented
+// rules and nothing else.
 package sim
 
 import (
@@ -28,17 +28,17 @@ type Time = time.Duration
 // each simulated cluster owns one Sim and runs single-threaded (parallel
 // experiments run independent Sims).
 type Sim struct {
-	now    Time
-	seq    uint64
-	fired  uint64
-	pq     eventQueue // one-shot events (At/After)
-	timers timerHeap  // recurring timers (Every)
-	rng    *Rand
+	now   Time
+	seq   uint64
+	fired uint64
+	armed int   // tickers in the queue: not the firing one, not stopped ones
+	q     queue // every pending event, one-shot or recurring
+	rng   *Rand
 }
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{pq: newEventQueue(), timers: newTimerHeap(), rng: NewRand(seed)}
+	return &Sim{q: queue{free: -1}, rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -54,7 +54,7 @@ func (s *Sim) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.pq.push(s.pq.alloc(t, s.seq, fn))
+	s.q.push(s.q.alloc(fn, 0, nil), t, s.seq)
 }
 
 // After schedules fn to run d after the current time. Negative d is
@@ -69,22 +69,24 @@ func (s *Sim) After(d Time, fn func()) {
 // Ticker is a cancellable periodic event created by Every.
 type Ticker struct {
 	s       *Sim
-	idx     int32 // armed arena entry, -1 while firing or after Stop
+	slot    int32 // queued arena entry, -1 while firing or after Stop
 	stopped bool
 }
 
-// Stop cancels future firings of the ticker. The armed entry is removed
-// from the timer heap and recycled immediately — no tombstone stays behind
-// in any queue, so stopped tickers leave Pending unchanged.
+// Stop cancels future firings of the ticker. The queued entry is removed
+// from the heap and recycled immediately — no tombstone stays behind, so
+// stopped tickers leave Pending unchanged. Stop on a nil Ticker (what
+// live.WallClock.Every returns once the clock has stopped) is a no-op.
 func (t *Ticker) Stop() {
-	if t.stopped {
+	if t == nil || t.stopped {
 		return
 	}
 	t.stopped = true
-	if t.idx >= 0 {
-		t.s.timers.remove(t.idx)
-		t.s.timers.release(t.idx)
-		t.idx = -1
+	if t.slot >= 0 {
+		t.s.q.remove(t.slot)
+		t.s.q.release(t.slot)
+		t.s.armed--
+		t.slot = -1
 	}
 }
 
@@ -101,47 +103,43 @@ func (s *Sim) Every(start, period Time, fn func()) *Ticker {
 	}
 	s.seq++
 	tk := &Ticker{s: s}
-	tk.idx = s.timers.alloc(period, fn, tk)
-	s.timers.push(tk.idx, start, s.seq)
+	tk.slot = s.q.alloc(fn, period, tk)
+	s.q.push(tk.slot, start, s.seq)
+	s.armed++
 	return tk
 }
 
 // Step runs the single earliest pending event, advancing the clock to its
 // time. It reports whether an event was run.
 func (s *Sim) Step() bool {
-	at1, seq1, ok1 := s.pq.min()
-	at2, seq2, tidx, ok2 := s.timers.min()
-	switch {
-	case !ok1 && !ok2:
+	if len(s.q.heap) == 0 {
 		return false
-	case ok1 && (!ok2 || at1 < at2 || (at1 == at2 && seq1 < seq2)):
-		// One-shot event fires. Copy the fields out and release the
-		// arena slot before running fn: the callback may schedule new
-		// events, growing or reusing the arena.
-		i := s.pq.popMin()
-		e := &s.pq.pool[i]
-		at, fn := e.at, e.fn
-		s.pq.release(i)
-		s.now = at
+	}
+	top := s.q.heap[0]
+	s.q.remove(top.slot)
+	e := &s.q.pool[top.slot]
+	fn, tk, period := e.fn, e.tk, e.period
+	s.now = top.at
+	if tk == nil {
+		// One-shot event: release the arena slot before running fn, which
+		// may schedule new events, growing or reusing the arena.
+		s.q.release(top.slot)
 		fn()
-	default:
-		// Recurring timer fires. Take it out of the heap, run the
-		// callback with the ticker disarmed (so Stop from inside fn is a
-		// plain flag set), then re-arm one period later — consuming the
-		// next seq *after* fn has run, exactly as a self-rescheduling
-		// closure would.
-		s.timers.remove(tidx)
-		e := &s.timers.pool[tidx]
-		fn, tk, period := e.fn, e.tk, e.period
-		tk.idx = -1
-		s.now = at2
+	} else {
+		// Ticker: run the callback with the ticker out of the queue (so
+		// Stop from inside fn is a plain flag set), then re-arm one period
+		// later — consuming the next seq *after* fn has run, exactly as a
+		// self-rescheduling closure would.
+		tk.slot = -1
+		s.armed--
 		fn()
 		if tk.stopped {
-			s.timers.release(tidx)
+			s.q.release(top.slot)
 		} else {
 			s.seq++
-			s.timers.push(tidx, at2+period, s.seq)
-			tk.idx = tidx
+			s.q.push(top.slot, top.at+period, s.seq)
+			tk.slot = top.slot
+			s.armed++
 		}
 	}
 	s.fired++
@@ -171,22 +169,16 @@ func (s *Sim) RunUntil(t Time) {
 
 // Pending returns the number of events still scheduled, counting each armed
 // ticker as one event.
-func (s *Sim) Pending() int { return s.pq.len() + s.timers.len() }
+func (s *Sim) Pending() int { return len(s.q.heap) }
 
 // NextAt returns the time of the earliest pending event. ok is false when
 // no events are scheduled. The conservative parallel executor uses this to
 // pick each epoch's start without disturbing the scheduler.
 func (s *Sim) NextAt() (t Time, ok bool) {
-	at1, seq1, ok1 := s.pq.min()
-	at2, seq2, _, ok2 := s.timers.min()
-	switch {
-	case !ok1 && !ok2:
+	if len(s.q.heap) == 0 {
 		return 0, false
-	case ok1 && (!ok2 || at1 < at2 || (at1 == at2 && seq1 < seq2)):
-		return at1, true
-	default:
-		return at2, true
 	}
+	return s.q.heap[0].at, true
 }
 
 // Fired returns the number of events run so far, a ticker firing counting
@@ -194,11 +186,12 @@ func (s *Sim) NextAt() (t Time, ok bool) {
 // counter, deliberately not a registered metric.
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// EventPoolFree returns the number of recycled one-shot event slots waiting
-// for reuse (the spritefs_sim_event_pool_free gauge).
-func (s *Sim) EventPoolFree() int { return s.pq.freeLen() }
+// EventPoolFree returns the number of recycled event-arena slots waiting
+// for reuse, fired one-shot events' and stopped tickers' alike (the
+// spritefs_sim_event_pool_free gauge).
+func (s *Sim) EventPoolFree() int { return s.q.freeLen() }
 
 // WheelTimers returns the number of armed recurring timers. It is named
 // after the gauge it feeds, spritefs_sim_wheel_timers, whose family name
 // predates the timer heap and stays because every golden carries it.
-func (s *Sim) WheelTimers() int { return s.timers.len() }
+func (s *Sim) WheelTimers() int { return s.armed }
