@@ -127,8 +127,9 @@ func TestWallClockNowTracksWall(t *testing.T) {
 }
 
 // TestWallClockStop checks the shutdown contract: Call after Stop returns
-// ErrStopped, Go is rejected, Every returns nil, and a Call accepted
-// before Stop always executes (never hangs, never silently drops).
+// ErrStopped, Go is rejected, Every returns a nil ticker that is safe to
+// Stop, and a Call accepted before Stop always executes (never hangs, never
+// silently drops).
 func TestWallClockStop(t *testing.T) {
 	w := New(sim.New(1))
 	w.Start()
@@ -144,7 +145,9 @@ func TestWallClockStop(t *testing.T) {
 	if w.Go(func() {}) {
 		t.Fatal("Go accepted after Stop")
 	}
-	if tk := w.Every(0, time.Millisecond, func() {}); tk != nil {
+	tk := w.Every(0, time.Millisecond, func() {})
+	if tk != nil {
 		t.Fatal("Every returned a ticker after Stop")
 	}
+	tk.Stop() // what a daemon's shutdown path does with it: a no-op, not a nil dereference
 }
