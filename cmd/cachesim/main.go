@@ -48,6 +48,22 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The study takes a non-positive horizon or scale to mean "the
+	// default", and a what-if given one runs zero seconds or workstations:
+	// reject both rather than print the default's tables or tables of zeros.
+	if *days <= 0 {
+		return fmt.Errorf("-days must be positive (got %g)", *days)
+	}
+	if *scale <= 0 {
+		return fmt.Errorf("-scale must be positive (got %g)", *scale)
+	}
+	if *whatif != "" {
+		var scaleSet bool
+		fs.Visit(func(f *flag.Flag) { scaleSet = scaleSet || f.Name == "scale" })
+		if scaleSet {
+			return fmt.Errorf("-scale does not apply to -whatif %s: the what-ifs run the full community", *whatif)
+		}
+	}
 
 	switch *whatif {
 	case "":

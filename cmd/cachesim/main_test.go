@@ -52,3 +52,29 @@ func TestUnknownWhatIfRejected(t *testing.T) {
 		t.Errorf("run(-whatif teleport) error %v, want it to name the unknown what-if", err)
 	}
 }
+
+// TestBadFlagsRejected: a value the study would replace with its default,
+// one that yields tables of zeros, and a flag the chosen mode ignores are
+// each an error that names the flag, and nothing is printed.
+func TestBadFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // the error names this
+	}{
+		{[]string{"-days", "0"}, "-days"},
+		{[]string{"-days", "-1"}, "-days"},
+		{[]string{"-whatif", "delay", "-days", "-1"}, "-days"},
+		{[]string{"-scale", "-2", "-days", "0.01"}, "-scale"},
+		{[]string{"-scale", "0", "-days", "0.01"}, "-scale"},
+		{[]string{"-whatif", "delay", "-scale", "2", "-days", "0.01"}, "-scale"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) error %v, want one naming %s", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed %d bytes beside its error", tc.args, out.Len())
+		}
+	}
+}

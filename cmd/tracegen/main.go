@@ -42,6 +42,12 @@ func run(traceNum int, hours float64, out string, servers int, stdout io.Writer)
 	if traceNum < 1 || traceNum > 8 {
 		return fmt.Errorf("trace number %d out of range 1-8", traceNum)
 	}
+	if hours <= 0 {
+		return fmt.Errorf("-hours must be positive (got %g)", hours)
+	}
+	if servers < 1 {
+		return fmt.Errorf("-servers must be at least 1 (got %d)", servers)
+	}
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}

@@ -52,6 +52,31 @@ func TestTracegenRejectsBadTrace(t *testing.T) {
 	}
 }
 
+// TestTracegenRejectsBadFlags: a horizon that simulates nothing and a
+// cluster with no server to write a file for are errors naming the flag,
+// raised before any file is created.
+func TestTracegenRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		hours   float64
+		servers int
+		want    string
+	}{
+		{-1, 4, "-hours"},
+		{0, 4, "-hours"},
+		{0.02, 0, "-servers"},
+		{0.02, -1, "-servers"},
+	} {
+		dir := t.TempDir()
+		err := run(1, tc.hours, dir, tc.servers, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(hours=%g, servers=%d) error %v, want one naming %s", tc.hours, tc.servers, err, tc.want)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("run(hours=%g, servers=%d) left %d files behind its error", tc.hours, tc.servers, len(left))
+		}
+	}
+}
+
 // TestTracegenReportsTheHorizonGiven drives a fractional -hours end to
 // end: the closing line states the horizon that was simulated, not its
 // rounding to whole hours.
