@@ -2,24 +2,22 @@
 
 GO ?= go
 
-.PHONY: all check build benchbuild vet fmtcheck pkgdoc metricscheck docs test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck examples fuzzcheck benchall profile experiments experiments-diff section4 section5 clean
+.PHONY: all check build benchbuild vet fmtcheck pkgdoc metricscheck docs test race faultsmoke scalecheck allocscheck soaksmoke importcheck examples fuzzcheck benchall profile experiments experiments-diff section4 section5 clean
 
 all: check
 
 # The gate every change must pass: compile, static checks, gofmt, package-doc
 # and metrics-doc drift gates, tests, the race detector over the full
-# module, the fault-injection suite (twice under race, plus a
-# randomized-schedule smoke with a fixed seed), the parallel-executor
-# byte-identity gate, the steady-state allocation gates, the
-# live-service smoke (a real 5-second wall-clock soak with a mid-run
-# /metrics scrape), the trace-import gate (golden imports, round-trips
-# and worker-invariant replay of foreign traces), every program under
-# examples/, the seed-corpus pass over every fuzz target, and
-# one iteration of every Go benchmark (they compile and run; no timing
-# verdict — that is `bash bench/run.sh` + `spritebench compare`, see
-# bench/README.md). benchbuild extends the compile gate to the nested
-# bench/ module, which `go build ./...` at the root does not see.
-check: build benchbuild vet fmtcheck pkgdoc metricscheck test race faults faultsmoke scalecheck allocscheck soaksmoke importcheck examples fuzzcheck benchall
+# module, a randomized fault-schedule smoke with a fixed seed, every
+# program under examples/, and one iteration of every Go benchmark (they
+# compile and run; no timing verdict — that is `bash bench/run.sh` +
+# `spritebench compare`, see bench/README.md). benchbuild extends the
+# compile gate to the nested bench/ module, which `go build ./...` at the
+# root does not see. No step re-runs a subset of another: the named
+# handles below (scalecheck, allocscheck, soaksmoke, importcheck,
+# fuzzcheck) select tests that `test` and `race` already run, and
+# internal/core's fidelity test keeps them out of this list.
+check: build benchbuild vet fmtcheck pkgdoc metricscheck test race faultsmoke examples benchall
 
 build:
 	$(GO) build ./...
@@ -71,58 +69,34 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The crash-recovery subsystem, twice under the race detector: the fault
-# hook and recovery sweeps are exactly the code where a latent data race
-# would corrupt the determinism guarantees.
-faults:
-	$(GO) test -race -count=2 ./internal/faults/...
-
 # Quick randomized-schedule audit with a pinned seed (15 schedules in
 # -short mode; the full 100-schedule run happens under `make test`).
 faultsmoke:
 	$(GO) test -short -run TestFaultSchedules ./internal/faults/check -faultseed 7
 
-# The parallel-vs-sequential byte-identity gate: the channel-clock
-# executor must produce identical reports and metric dumps at 1, 4 and 8
-# workers, under the race detector (TestParallelMatchesSequential runs
-# all three worker counts as subtests, and TestDetermFuzzSmoke replays
-# the fuzz corpus's smallest seed at the same worker counts). The
-# TestRegistration tests hold the engine to one registration per
-# component: shards keep no registry, lean differs from full only by the
-# per-client instances, and the full registry is the sum of its shards.
+# The parallel-vs-sequential byte-identity gate by name: identical reports
+# and metric dumps at 1, 4 and 8 workers, and one registration per
+# component. Not a `check` step: `make race` runs these tests.
 scalecheck:
 	$(GO) test -race -run 'TestParallelMatchesSequential|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration' -count=1 ./internal/scale
 
-# The allocation-regression gate: testing.AllocsPerRun pins the
-# scheduler's After/Every steady state (a lone ticker, a 1000-ticker
-# same-instant population, and stop/start churn that must not grow the
-# timer arena), the netsim RPC round-trip, the fscache cleaner sweep
-# (dirty-set walk plus scratch-buffer reuse) and dirty-tail eviction, the
-# bytes a read-only cold fill allocates per resident block
-# (TestCleanFillDirtyStateZeroAlloc), the
-# cluster's per-phase cleaner daemons walking idle workstations, and
-# the metrics labeled-counter increment-and-sum path at exactly zero
-# allocations per operation; the workload gate pins that a program
-# generated after one like it finished reuses its op array, and the scale
-# pool tests pin the executor's message recycling (a warm-seeded run
-# allocates zero messages), which is what keeps the benchmarks' allocs/op
-# at steady state.
+# The allocation-regression gates by name: every testing.AllocsPerRun pin
+# on a steady-state hot path (docs/PERFORMANCE.md lists them) and the scale
+# executor's message recycling. Not a `check` step: `make test` runs these.
 allocscheck:
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/metrics ./internal/cluster ./internal/workload
 	$(GO) test -run 'TestMessagePoolSteadyState|TestDrainMessagePoolsEmpties' -count=1 ./internal/scale
 
-# The live-service gate: a 2-second in-package mini-soak under the race
-# detector (the wall-clock dispatcher, agent fleet and live exporter are
-# exactly the concurrent code), then a real 5-second `serve` run — 8
-# agents, a mid-soak /metrics scrape, clean exit, non-empty report.
+# The live-service gate by name: a 2-second in-package mini-soak under the
+# race detector, then a real 5-second `serve` run with a mid-soak /metrics
+# scrape. Not a `check` step: `make race` and `make test` run both.
 soaksmoke:
 	$(GO) test -race -run TestLiveSoakShort -count=1 ./internal/live
 	$(GO) test -run TestSoakSmoke -count=1 ./cmd/serve
 
-# The trace-import gate: the golden import (a committed text rendering
-# of the sample CSV pipeline), the worker-invariance acceptance test
-# (imported-then-modernized traces replay byte-identically at 1/2/4/8
-# workers) and the importer determinism tests.
+# The trace-import gate by name: the golden import, worker-invariant replay
+# of imported-then-modernized traces, and importer determinism. Not a
+# `check` step: `make test` runs these.
 importcheck:
 	$(GO) test -run 'TestImportGolden|TestImportedTrace|TestImportCSVDeterministic|TestModernizeDeterministic' -count=1 ./internal/traceio
 	@echo "importcheck: ok"
@@ -135,13 +109,9 @@ examples:
 	@set -e; for e in examples/*/; do $(GO) run ./$$e >/dev/null; done
 	@echo "examples: ok"
 
-# One pass over the seed corpus of every native fuzz target — each seam
-# where bytes or text from outside the program are parsed: the trace
-# reader every tool opens files through, the two importers, the -map and
-# -modernize grammars, the -faults schedule grammar and the live TCP
-# codec — plus the scheduler's and the file cache's differential oracles,
-# whose op streams are decoded from bytes so a failure shrinks by itself.
-# (`go test -fuzz` takes one target and one package per run.)
+# One pass over the seed corpus of every native fuzz target, named as
+# `go test -fuzz` wants them (one target and one package per run). Not a
+# `check` step: `make test` runs every seed corpus as ordinary tests.
 fuzzcheck:
 	@set -e; for t in \
 		internal/sim:FuzzScheduler internal/fscache:FuzzCache \

@@ -74,3 +74,30 @@ func TestFidelityHasNoUnusedRows(t *testing.T) {
 		}
 	}
 }
+
+// TestFidelityCheckRunsNoDuplicate: `make check` does not re-run subsets of
+// itself — a make target that Part B marks DUPLICATE (its tests are already
+// run by `test` or `race`) may stay as a handle, not as a prerequisite.
+func TestFidelityCheckRunsNoDuplicate(t *testing.T) {
+	mk, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(mk), "\ncheck:")
+	if !ok {
+		t.Fatal("Makefile has no check target")
+	}
+	prereqs, _, _ := strings.Cut(after, "\n")
+	steps := map[string]bool{}
+	for _, step := range strings.Fields(prereqs) {
+		steps[step] = true
+	}
+	if !steps["test"] || !steps["race"] {
+		t.Fatalf("make check's prerequisites %q lack test or race: the Makefile was misread", prereqs)
+	}
+	for _, row := range partBRows(t) {
+		if name := strings.Trim(row[0], "`"); steps[name] && row[len(row)-1] == "DUPLICATE" {
+			t.Errorf("make check runs %s, which docs/FIDELITY.md marks DUPLICATE: drop it from check's prerequisites", name)
+		}
+	}
+}
