@@ -67,29 +67,16 @@ func TestEveryTickZeroAllocAtPopulation(t *testing.T) {
 // once the population has been reached.
 func TestTickerChurnZeroAllocGrowth(t *testing.T) {
 	const n = 200
-	for _, tc := range []struct {
-		name      string
-		maxAllocs float64
-		// replace schedules sibling sib's successor into tks[sib].
-		replace func(s *Sim, tks []*Ticker, sib int, d time.Duration)
-	}{
-		{"ticker for ticker", 1, func(s *Sim, tks []*Ticker, sib int, d time.Duration) {
-			tks[sib] = s.Every(s.Now()+d, 5*time.Second, func() {})
-		}},
-		// Odd siblings come back as a one-shot event that becomes a
-		// ticker again when it fires, so the kinds keep trading slots.
-		{"one-shot for ticker", 2, func(s *Sim, tks []*Ticker, sib int, d time.Duration) {
-			if sib%2 == 0 {
-				tks[sib] = s.Every(s.Now()+d, 5*time.Second, func() {})
-				return
-			}
-			tks[sib] = nil
-			s.After(d, func() { tks[sib] = s.Every(s.Now()+5*time.Second, 5*time.Second, func() {}) })
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, oneShots := range []bool{false, true} {
+		name := "ticker for ticker"
+		if oneShots {
+			name = "one-shot for ticker"
+		}
+		t.Run(name, func(t *testing.T) {
 			s := New(1)
 			tks := make([]*Ticker, n)
+			noop := func() {}
+			standIns := 0
 			for i := range tks {
 				i := i
 				tks[i] = s.Every(time.Duration(i%5)*time.Second, 5*time.Second, func() {
@@ -98,7 +85,17 @@ func TestTickerChurnZeroAllocGrowth(t *testing.T) {
 						return // its one-shot stand-in is still pending
 					}
 					tks[sib].Stop()
-					tc.replace(s, tks, sib, time.Duration(i%3)*time.Second)
+					d := time.Duration(i%3) * time.Second
+					if oneShots && sib%2 == 1 {
+						// Odd siblings come back as a one-shot event that
+						// becomes a ticker again when it fires, so the two
+						// kinds keep trading slots.
+						tks[sib] = nil
+						standIns++
+						s.After(d, func() { tks[sib] = s.Every(s.Now()+5*time.Second, 5*time.Second, noop) })
+						return
+					}
+					tks[sib] = s.Every(s.Now()+d, 5*time.Second, noop)
 				})
 			}
 			s.RunUntil(30 * time.Second)
@@ -106,8 +103,8 @@ func TestTickerChurnZeroAllocGrowth(t *testing.T) {
 			allocs := testing.AllocsPerRun(2000, func() {
 				s.Step()
 			})
-			if allocs > tc.maxAllocs {
-				t.Fatalf("a firing that replaces a sibling allocated %.1f/op, want at most %.0f (Every's *Ticker, the stand-in's closure)", allocs, tc.maxAllocs)
+			if allocs > 1 {
+				t.Fatalf("a firing that replaces a sibling allocated %.1f/op, want at most one (Every's *Ticker, or the stand-in's closure)", allocs)
 			}
 			if got := len(s.q.pool); got != pool {
 				t.Fatalf("event arena grew from %d to %d slots under stop/start churn", pool, got)
@@ -117,6 +114,9 @@ func TestTickerChurnZeroAllocGrowth(t *testing.T) {
 			}
 			if got := s.Pending(); got != pending {
 				t.Fatalf("pending went from %d to %d under one-for-one replacement", pending, got)
+			}
+			if oneShots && standIns < 100 {
+				t.Fatalf("only %d one-shot stand-ins were scheduled: the two kinds did not trade slots", standIns)
 			}
 		})
 	}

@@ -120,9 +120,11 @@ func BenchmarkSimCore(b *testing.B) {
 	// What a running cluster's scheduler actually holds: a few self-re-arming
 	// one-shot chains (user sessions between operations) beside the larger,
 	// colder population of 3 min system-process tickers starting at ID%180 s —
-	// 13 beside 49 in a 40-workstation paper_eval cluster, 94 beside 322 and
-	// 420 beside 1 259 in a scale_5k and a wan_lean_50k shard. ns/op is the
-	// cost of one firing, nearly all of them the chains'.
+	// 49 in a 40-workstation paper_eval cluster, 322 and 1 259 in a scale_5k
+	// and a wan_lean_50k shard. Of the chain counts, 13 is inside the range
+	// a sampler reads in those runs and 94 and 420 are above it
+	// (docs/PERFORMANCE.md, "One event queue").
+	// ns/op is the cost of one firing, nearly all of them the chains'.
 	for _, pop := range []struct{ chains, tickers int }{{13, 49}, {94, 322}, {420, 1259}} {
 		b.Run(fmt.Sprintf("shard/chains=%d/tickers=%d", pop.chains, pop.tickers), func(b *testing.B) {
 			s := New(5)
