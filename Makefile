@@ -84,7 +84,7 @@ scalecheck:
 # on a steady-state hot path (docs/PERFORMANCE.md lists them) and the scale
 # executor's message recycling. Not a `check` step: `make test` runs these.
 allocscheck:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/metrics ./internal/cluster ./internal/workload
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/metrics ./internal/cluster ./internal/workload ./internal/live
 	$(GO) test -run 'TestMessagePoolSteadyState|TestDrainMessagePoolsEmpties' -count=1 ./internal/scale
 
 # The live-service gate by name: a 2-second in-package mini-soak under the

@@ -30,13 +30,18 @@ type WallClock struct {
 	inner *sim.Sim
 	start time.Time
 
-	mu      sync.Mutex
-	subs    []submission
+	mu   sync.Mutex
+	subs []submission
+	// asleep is the loop's word that it is blocked, or about to block, with
+	// subs empty: the submission that clears it owes the loop one send on
+	// wake. While the loop is running, a submission is queued and no more.
+	asleep  bool
 	stopped bool
 
-	wake chan struct{}
-	quit chan struct{}
-	done chan struct{}
+	wake     chan struct{}
+	quit     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
 // submission is one externally requested scheduling action, applied by the
@@ -76,9 +81,10 @@ func (w *WallClock) Start() {
 
 // Stop shuts the loop down and waits for it to exit. Pending Call and
 // Every submissions are released with ErrStopped / a nil ticker; pending
-// simulator events are dropped unfired. Safe to call once.
+// simulator events are dropped unfired. Every call returns once the loop
+// has exited, the second and later ones having nothing else to do.
 func (w *WallClock) Stop() {
-	close(w.quit)
+	w.stopOnce.Do(func() { close(w.quit) })
 	<-w.done
 }
 
@@ -147,9 +153,9 @@ func (w *WallClock) Go(fn func()) bool {
 // without re-marshalling.
 func (w *WallClock) Sim() *sim.Sim { return w.inner }
 
-// submit queues sb for the loop and wakes it. Returns false if the loop
-// has already shut down (sb's channels, if any, are released by shutdown
-// or never entered the queue).
+// submit queues sb for the loop, and wakes the loop if it is asleep. Returns
+// false if the loop has already shut down (sb's channels, if any, are
+// released by shutdown or never entered the queue).
 func (w *WallClock) submit(sb submission) bool {
 	w.mu.Lock()
 	if w.stopped {
@@ -157,10 +163,14 @@ func (w *WallClock) submit(sb submission) bool {
 		return false
 	}
 	w.subs = append(w.subs, sb)
+	wake := w.asleep
+	w.asleep = false
 	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
+	if wake {
+		select {
+		case w.wake <- struct{}{}:
+		default: // a send the loop has yet to receive wakes it just as well
+		}
 	}
 	return true
 }
@@ -174,15 +184,21 @@ const idleWait = 250 * time.Millisecond
 // the next event's wall time or the next submission.
 func (w *WallClock) loop() {
 	defer w.shutdown()
+	// Submissions land in one buffer while the loop applies the other.
+	var spare []submission
+	var sleep *time.Timer // made at the first sleep, re-armed at each later one
 	for {
 		w.mu.Lock()
 		subs := w.subs
-		w.subs = nil
+		w.subs = spare[:0]
+		w.asleep = false // woken by the timer: no one owes a send any more
 		w.mu.Unlock()
 		now := w.Now()
-		for _, sb := range subs {
-			w.apply(sb, now)
+		for i := range subs {
+			w.apply(&subs[i], now)
 		}
+		clear(subs) // the buffer outlives the pass; its closures need not
+		spare = subs
 		w.inner.RunUntil(now)
 
 		select {
@@ -192,12 +208,7 @@ func (w *WallClock) loop() {
 		}
 
 		// Sleep until the earliest pending event is due on the wall, or a
-		// submission arrives. A nil timer channel blocks the select on
-		// wake/quit alone.
-		var (
-			timerC <-chan time.Time
-			timer  *time.Timer
-		)
+		// submission arrives.
 		wait := idleWait
 		if at, ok := w.inner.NextAt(); ok {
 			wait = time.Duration(at - w.Now())
@@ -205,14 +216,30 @@ func (w *WallClock) loop() {
 				continue // already due; run another pass immediately
 			}
 		}
-		timer = time.NewTimer(wait)
-		timerC = timer.C
+		// Declaring the loop asleep and finding the queue empty are one step
+		// under mu: a submission either is seen here or sees asleep.
+		w.mu.Lock()
+		if len(w.subs) > 0 {
+			w.mu.Unlock()
+			continue
+		}
+		w.asleep = true
+		w.mu.Unlock()
+		// Between sleeps the timer is stopped and its channel empty, which
+		// is what Reset asks for.
+		if sleep == nil {
+			sleep = time.NewTimer(wait)
+		} else {
+			sleep.Reset(wait)
+		}
 		select {
 		case <-w.wake:
-			timer.Stop()
-		case <-timerC:
+			if !sleep.Stop() {
+				<-sleep.C // it fired while the wake-up was being taken
+			}
+		case <-sleep.C:
 		case <-w.quit:
-			timer.Stop()
+			sleep.Stop()
 			return
 		}
 	}
@@ -221,7 +248,7 @@ func (w *WallClock) loop() {
 // apply installs one submission into the inner scheduler. Target times in
 // the simulator's past are clamped to its now (external callers computed
 // them against a wall clock that has since moved).
-func (w *WallClock) apply(sb submission, now sim.Time) {
+func (w *WallClock) apply(sb *submission, now sim.Time) {
 	at := sb.at
 	if !sb.abs {
 		at = now + sb.delay

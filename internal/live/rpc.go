@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,7 +115,7 @@ func (d *Dispatcher) Do(req Request, deadline time.Duration) (Response, error) {
 	start := time.Now()
 	backoff := RetryBackoff
 	for attempt := 0; ; attempt++ {
-		resp, err := d.once(req, deadline-time.Since(start))
+		resp, err := d.once(&req, deadline-time.Since(start))
 		if err != nil {
 			return resp, err
 		}
@@ -132,38 +133,104 @@ func (d *Dispatcher) Do(req Request, deadline time.Duration) (Response, error) {
 	}
 }
 
-// once issues a single attempt.
-func (d *Dispatcher) once(req Request, deadline time.Duration) (Response, error) {
+// call is one attempt's record: everything the caller, the loop and the
+// deadline timer share about it. Records are pooled, and the state word
+// settles who may put one back — whoever can prove it is the last to hold it.
+//
+//   - Delivered: the loop won the state with the reply in resp and signalled
+//     done last of all. The caller recycles the record if it can still stop
+//     the timer; if the timer has fired, expire may be mid-send in another
+//     goroutine, and the record is left to the collector.
+//   - Abandoned: the timer's signal woke the caller, which won the state and
+//     returns ErrDeadline. expire has nothing left to do and the caller
+//     touches the record no more; the loop recycles it when deliver runs and
+//     loses the state. The reply is dropped there — it reaches no one.
+//   - A clock that stops in between never runs deliver; the record is left to
+//     the collector with the rest of the clock's queue.
+type call struct {
+	d     *Dispatcher
+	req   Request
+	resp  Response
+	state atomic.Uint32
+	// done carries wake-up signals, not outcomes: the loop and the timer
+	// each send at most one per attempt, without blocking, and the caller
+	// reads the outcome from state.
+	done  chan struct{}
+	timer *time.Timer // the deadline, on the wall clock; made at first use
+	// Bound once, when the record is made: an attempt makes no closure.
+	run, deliver, expire func()
+}
+
+// call.state: an attempt starts waiting and ends by exactly one CAS.
+const (
+	callWaiting uint32 = iota
+	callDelivered
+	callAbandoned
+)
+
+// calls holds idle records. It starts empty and grows with the number of
+// attempts in flight at once.
+var calls sync.Pool
+
+func newCall() *call {
+	c := &call{done: make(chan struct{}, 1)}
+	c.run = func() {
+		c.resp = c.d.exec(&c.req)
+		if c.resp.SimLat > 0 {
+			c.d.wc.Sim().After(c.resp.SimLat, c.deliver)
+		} else {
+			c.deliver()
+		}
+	}
+	c.deliver = func() {
+		if c.state.CompareAndSwap(callWaiting, callDelivered) {
+			c.signal()
+		} else {
+			calls.Put(c)
+		}
+	}
+	c.expire = c.signal
+	return c
+}
+
+// signal wakes the caller. A signal already waiting there will do as well.
+func (c *call) signal() {
+	select {
+	case c.done <- struct{}{}:
+	default:
+	}
+}
+
+// once issues a single attempt. The deadline is the caller's own timer, so
+// it holds however far behind — or wedged — the loop is.
+func (d *Dispatcher) once(req *Request, deadline time.Duration) (Response, error) {
 	if deadline <= 0 {
 		return Response{}, ErrDeadline
 	}
-	done := make(chan Response, 1)
-	var abandoned atomic.Bool
-	ok := d.wc.Go(func() {
-		resp := d.exec(&req)
-		deliver := func() {
-			if !abandoned.Load() {
-				done <- resp // buffered; the loop never blocks here
-			}
-		}
-		if resp.SimLat > 0 {
-			d.wc.Sim().After(resp.SimLat, deliver)
-		} else {
-			deliver()
-		}
-	})
-	if !ok {
+	c, _ := calls.Get().(*call)
+	if c == nil {
+		c = newCall()
+	}
+	c.d, c.req = d, *req
+	c.state.Store(callWaiting)
+	if !d.wc.Go(c.run) {
+		calls.Put(c)
 		return Response{}, ErrStopped
 	}
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case resp := <-done:
-		return resp, nil
-	case <-timer.C:
-		abandoned.Store(true)
+	if c.timer == nil {
+		c.timer = time.AfterFunc(deadline, c.expire)
+	} else {
+		c.timer.Reset(deadline)
+	}
+	<-c.done
+	if c.state.CompareAndSwap(callWaiting, callAbandoned) {
 		return Response{}, ErrDeadline
 	}
+	resp := c.resp
+	if c.timer.Stop() {
+		calls.Put(c)
+	}
+	return resp, nil
 }
 
 // Close implements Transport; the in-process dispatcher has nothing to
