@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -53,8 +54,9 @@ func validateFlags(clients int, rate float64, duration, deadline time.Duration, 
 	if clients < 1 {
 		return fmt.Errorf("-clients must be at least 1 (got %d)", clients)
 	}
-	if rate <= 0 {
-		return fmt.Errorf("-rate must be positive (got %g)", rate)
+	// Written so that NaN fails it too; flag.Float64 parses "nan" and "inf".
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("-rate must be positive and finite (got %g)", rate)
 	}
 	if duration < 0 {
 		return fmt.Errorf("-duration must be non-negative (0 = run until SIGINT, got %v)", duration)
@@ -131,12 +133,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err := svc.Start(); err != nil {
 		return err
 	}
-	drained := false
-	defer func() {
-		if !drained {
-			svc.Drain()
-		}
-	}()
+	defer svc.Drain()
 
 	httpSrv, err := live.ServeHTTP(*listen, svc.WC, svc.Cluster.Reg)
 	if err != nil {
@@ -206,6 +203,5 @@ func run(args []string, out io.Writer) (err error) {
 		tcpSrv.Close()
 	}
 	svc.Drain()
-	drained = true
 	return nil
 }

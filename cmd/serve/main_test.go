@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"regexp"
 	"strings"
@@ -28,6 +29,8 @@ func TestValidateFlags(t *testing.T) {
 		{"zero clients", 0, 50, 0, time.Second, "inproc", "-clients"},
 		{"negative rate", 8, -1, 0, time.Second, "inproc", "-rate"},
 		{"zero rate", 8, 0, 0, time.Second, "inproc", "-rate"},
+		{"NaN rate", 8, math.NaN(), 0, time.Second, "inproc", "-rate"},
+		{"infinite rate", 8, math.Inf(1), 0, time.Second, "inproc", "-rate"},
 		{"negative duration", 8, 50, -time.Second, time.Second, "inproc", "-duration"},
 		{"zero deadline", 8, 50, 0, 0, "inproc", "-deadline"},
 		{"bad transport", 8, 50, 0, time.Second, "carrier-pigeon", "-transport"},

@@ -128,8 +128,9 @@ func TestWallClockNowTracksWall(t *testing.T) {
 
 // TestWallClockStop checks the shutdown contract: Call after Stop returns
 // ErrStopped, Go is rejected, Every returns a nil ticker that is safe to
-// Stop, and a Call accepted before Stop always executes (never hangs, never
-// silently drops).
+// Stop, a Call accepted before Stop always executes (never hangs, never
+// silently drops), and a second Stop — a second signal, a deferred Drain
+// after an explicit one — returns like the first.
 func TestWallClockStop(t *testing.T) {
 	w := New(sim.New(1))
 	w.Start()
@@ -150,4 +151,5 @@ func TestWallClockStop(t *testing.T) {
 		t.Fatal("Every returned a ticker after Stop")
 	}
 	tk.Stop() // what a daemon's shutdown path does with it: a no-op, not a nil dereference
+	w.Stop()
 }

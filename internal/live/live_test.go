@@ -120,6 +120,24 @@ func TestDrainRejectsTraffic(t *testing.T) {
 	}
 }
 
+// TestDrainTwice holds Drain to its comment: the clock may already be
+// stopped when it is called — serve's deferred Drain after its explicit
+// one, a second signal — and that is not a panic.
+func TestDrainTwice(t *testing.T) {
+	svc, err := NewService(ServiceConfig{Agents: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	svc.Drain()
+	svc.Drain()
+	if err := svc.WC.Call(func() {}); err != ErrStopped {
+		t.Fatalf("Call after two Drains: err=%v, want ErrStopped", err)
+	}
+}
+
 func scrape(t *testing.T, url string) (body, contentType string) {
 	t.Helper()
 	resp, err := http.Get(url)
