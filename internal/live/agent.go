@@ -101,13 +101,15 @@ func (f *Fleet) agentLoop(id int, tr Transport, src source) {
 	defer tr.Close()
 	rng := sim.NewRand(f.cfg.Seed ^ int64(uint64(id+1)*0x9e3779b97f4a7c15>>1))
 	mean := time.Duration(float64(f.cfg.Agents) / f.cfg.Rate * float64(time.Second))
+	// One pacing timer for the agent's life: it is re-armed only after its
+	// channel has been received from.
+	pace := time.NewTimer(rng.ExpDur(mean))
+	defer pace.Stop()
 	for {
-		timer := time.NewTimer(rng.ExpDur(mean))
 		select {
 		case <-f.stop:
-			timer.Stop()
 			return
-		case <-timer.C:
+		case <-pace.C:
 		}
 		req, ok := src.next()
 		if !ok {
@@ -126,6 +128,7 @@ func (f *Fleet) agentLoop(id int, tr Transport, src source) {
 		if errors.Is(err, ErrStopped) {
 			return // service drained under us
 		}
+		pace.Reset(rng.ExpDur(mean))
 	}
 }
 

@@ -88,7 +88,7 @@ func FuzzReadFrame(f *testing.F) {
 		if request {
 			limit = reqPayloadLen
 		}
-		p, err := readFrame(bytes.NewReader(in), limit)
+		p, err := newFrameReader(bytes.NewReader(in)).next(limit)
 		if err != nil {
 			return
 		}

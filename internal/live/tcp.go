@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -85,18 +86,35 @@ func b2u8(b bool) byte {
 	return 0
 }
 
-// readFrame reads one length-prefixed payload into a fresh slice.
-func readFrame(r io.Reader, maxLen uint32) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads one connection's length-prefixed payloads. Header and
+// payload come through one buffered reader — one Read where the peer sent
+// the frame in one Write — into one buffer that grows to the largest
+// payload seen: the slice next returns is good until next is called again.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReader(r)}
+}
+
+// next reads one payload of at most maxLen bytes.
+func (f *frameReader) next(maxLen uint32) ([]byte, error) {
+	hdr, err := f.br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxLen {
 		return nil, fmt.Errorf("live: frame length %d exceeds limit %d", n, maxLen)
 	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
+	f.br.Discard(4) // just peeked: cannot fail
+	if uint32(cap(f.buf)) < n {
+		f.buf = make([]byte, n)
+	}
+	p := f.buf[:n]
+	if _, err := io.ReadFull(f.br, p); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -183,8 +201,9 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	var out []byte
+	in := newFrameReader(conn)
 	for {
-		p, err := readFrame(conn, reqPayloadLen)
+		p, err := in.next(reqPayloadLen)
 		if err != nil {
 			return
 		}
@@ -212,6 +231,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 type TCPClient struct {
 	addr string
 	conn net.Conn
+	in   *frameReader // over conn
 	buf  []byte
 }
 
@@ -229,7 +249,7 @@ func (c *TCPClient) redial() error {
 	if err != nil {
 		return err
 	}
-	c.conn = conn
+	c.conn, c.in = conn, newFrameReader(conn)
 	return nil
 }
 
@@ -250,7 +270,7 @@ func (c *TCPClient) Do(req Request, deadline time.Duration) (Response, error) {
 		c.drop()
 		return Response{}, err
 	}
-	p, err := readFrame(c.conn, maxRespPayload)
+	p, err := c.in.next(maxRespPayload)
 	if err != nil {
 		c.drop()
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"spritefs/internal/sim"
 )
 
 // TestCodecRoundTrip pushes requests and responses through encode/decode
@@ -72,7 +74,7 @@ func TestCodecRejectsBadFrames(t *testing.T) {
 	frame := encodeResponse(nil, &in)
 	// Corrupt the length prefix beyond the reader's limit.
 	frame[0], frame[1], frame[2], frame[3] = 0xff, 0xff, 0xff, 0xff
-	if _, err := readFrame(strings.NewReader(string(frame)), maxRespPayload); err == nil {
+	if _, err := newFrameReader(strings.NewReader(string(frame))).next(maxRespPayload); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
@@ -216,5 +218,31 @@ func TestTCPClientRedialsAfterServerClose(t *testing.T) {
 	resp, err := cl.Do(Request{Length: 3}, time.Second)
 	if err != nil || resp.N != 3 {
 		t.Fatalf("redial after server restart: err=%v resp=%+v", err, resp)
+	}
+}
+
+// BenchmarkTCPRoundTrip is one getattr-sized request over a loopback
+// connection to a dispatcher on a bare clock: the codec, the framing, two
+// socket hops and the request path, with no model behind them.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	wc := New(sim.New(1))
+	wc.Start()
+	defer wc.Stop()
+	srv, err := ServeTCP("127.0.0.1:0", NewDispatcher(wc, echoExec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := DialTCP(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp, err := cl.Do(Request{Verb: VerbGetattr, Handle: 42}, time.Second); err != nil || resp.Handle != 42 {
+			b.Fatalf("round trip %d: %+v, %v", i, resp, err)
+		}
 	}
 }
