@@ -361,7 +361,7 @@ func BenchmarkDispatcherDo(b *testing.B) {
 			wc := New(sim.New(1))
 			wc.Start()
 			defer wc.Stop()
-			d := NewDispatcher(wc, func(req *Request) Response { return Response{Handle: req.Handle} })
+			d := NewDispatcher(wc, echoExec)
 			b.ReportAllocs()
 			b.ResetTimer()
 			if goroutines == 1 {

@@ -20,7 +20,13 @@
 //     server. Agents measure real wall-clock latency — queueing on the
 //     dispatcher, Go scheduling, and the simulated service time, which the
 //     dispatcher converts into real delay by scheduling each reply at
-//     virtual-now + simulated-latency.
+//     virtual-now + simulated-latency. The deadline is the caller's own
+//     wall-clock timer, so it holds however far behind the loop is. A
+//     caller may assume that a reply is its own request's and no earlier
+//     than its service time, and that ErrDeadline or ErrStopped comes with
+//     the zero Response; it may not assume that the operation did not run
+//     — it may yet, but its reply is dropped on the loop and reaches no
+//     one. (The records behind this are pooled; see call in rpc.go.)
 //
 // The existing internal/metrics registry is exported live over HTTP in
 // Prometheus text format (plus /healthz), and the fleet registers new

@@ -139,10 +139,10 @@ func (d *Dispatcher) Do(req Request, deadline time.Duration) (Response, error) {
 //
 //   - Delivered: the loop won the state with the reply in resp and signalled
 //     done last of all. The caller recycles the record if it can still stop
-//     the timer; if the timer has fired, expire may be mid-send in another
-//     goroutine, and the record is left to the collector.
+//     the timer; if the timer has fired, its signal may be mid-send in
+//     another goroutine, and the record is left to the collector.
 //   - Abandoned: the timer's signal woke the caller, which won the state and
-//     returns ErrDeadline. expire has nothing left to do and the caller
+//     returns ErrDeadline. The timer has nothing left to do and the caller
 //     touches the record no more; the loop recycles it when deliver runs and
 //     loses the state. The reply is dropped there — it reaches no one.
 //   - A clock that stops in between never runs deliver; the record is left to
@@ -156,9 +156,9 @@ type call struct {
 	// each send at most one per attempt, without blocking, and the caller
 	// reads the outcome from state.
 	done  chan struct{}
-	timer *time.Timer // the deadline, on the wall clock; made at first use
+	timer *time.Timer // the deadline, on the wall clock: signals when it fires; made at first use
 	// Bound once, when the record is made: an attempt makes no closure.
-	run, deliver, expire func()
+	run, deliver func()
 }
 
 // call.state: an attempt starts waiting and ends by exactly one CAS.
@@ -189,7 +189,6 @@ func newCall() *call {
 			calls.Put(c)
 		}
 	}
-	c.expire = c.signal
 	return c
 }
 
@@ -218,7 +217,7 @@ func (d *Dispatcher) once(req *Request, deadline time.Duration) (Response, error
 		return Response{}, ErrStopped
 	}
 	if c.timer == nil {
-		c.timer = time.AfterFunc(deadline, c.expire)
+		c.timer = time.AfterFunc(deadline, c.signal)
 	} else {
 		c.timer.Reset(deadline)
 	}
