@@ -209,8 +209,8 @@ func New(cfg Config) *Cluster {
 // is baked into the id's top bits, and ids naming a server this cluster
 // does not have fall back to server 0.
 func (c *Cluster) ServerFor(file uint64) *server.Server {
-	idx := int(file >> 48)
-	if idx >= len(c.Servers) {
+	idx := int(server.HomeOf(file))
+	if idx < 0 || idx >= len(c.Servers) {
 		idx = 0
 	}
 	return c.Servers[idx]
@@ -508,12 +508,11 @@ func (c *Cluster) scheduleBackups(duration time.Duration) {
 		c.Sim.At(at, func() {
 			now := c.Sim.Now()
 			for _, f := range c.Registry.AllFiles {
-				srv := int16(f >> 48)
 				c.Emit(trace.Record{
 					Time:   now,
 					Kind:   trace.KindRead,
 					Flags:  trace.FlagSelfTrace,
-					Server: srv,
+					Server: server.HomeOf(f),
 					Client: -1,
 					User:   -1,
 					File:   f,

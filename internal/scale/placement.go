@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"spritefs/internal/server"
 	"spritefs/internal/sim"
 	"spritefs/internal/workload"
 )
@@ -171,8 +172,8 @@ func buildPlacement(topo Topology, shards []*Shard) *Placement {
 			files := reg.GroupShared[k.group]
 			f = files[int(k.index)%len(files)]
 		}
-		srvIdx := int(f >> 48)
-		if srvIdx >= len(sh.C.Servers) {
+		srvIdx := int(server.HomeOf(f))
+		if srvIdx < 0 || srvIdx >= len(sh.C.Servers) {
 			srvIdx = 0
 		}
 		var size int64

@@ -22,6 +22,27 @@ func TestCreateAssignsUniqueIDsAcrossServers(t *testing.T) {
 	}
 }
 
+func TestFileIDLayout(t *testing.T) {
+	for _, tc := range []struct {
+		srv int16
+		seq uint64
+		id  uint64
+	}{
+		{0, 1, 1},
+		{3, 0xabcdef, 3<<48 | 0xabcdef},
+		{1, 1<<48 + 5, 1<<48 | 5}, // the sequence wraps inside its 48 bits
+		{-1, 7, 0xffff<<48 | 7},
+	} {
+		id := FileID(tc.srv, tc.seq)
+		if id != tc.id || HomeOf(id) != tc.srv || SeqOf(id) != tc.seq&(1<<48-1) {
+			t.Errorf("FileID(%d, %#x) = %#x (home %d, seq %#x), want %#x", tc.srv, tc.seq, id, HomeOf(id), SeqOf(id), tc.id)
+		}
+	}
+	if got := New(2).Create(false, 0).ID; got != FileID(2, 1) {
+		t.Errorf("server 2's first file is %#x, want %#x", got, FileID(2, 1))
+	}
+}
+
 func TestNegativeServerIDPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

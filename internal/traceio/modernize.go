@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"spritefs/internal/server"
 	"spritefs/internal/trace"
 )
 
@@ -145,7 +146,7 @@ func Modernize(recs []trace.Record, p Profile) ([]trace.Record, *ModernizeReport
 		maxUser = max(maxUser, r.User)
 		maxProc = max(maxProc, r.Proc)
 		maxHandle = max(maxHandle, r.Handle)
-		maxSeq = max(maxSeq, r.File&((1<<48)-1))
+		maxSeq = max(maxSeq, server.SeqOf(r.File))
 	}
 	clientStride := maxClient + 1
 	userStride := maxUser + 1
@@ -196,10 +197,9 @@ func Modernize(recs []trace.Record, p Profile) ([]trace.Record, *ModernizeReport
 			if r.Handle != 0 {
 				r.Handle += uint64(clone) * handleStride
 			}
-			seq := r.File & ((1 << 48) - 1)
-			seq += (uint64(clone)*uint64(p.FileScale) + copyIdx) * seqStride
-			r.File = r.File&^((1<<48)-1) | seq&((1<<48)-1)
-			r.Server = int16(r.File >> 48)
+			seq := server.SeqOf(r.File) + (uint64(clone)*uint64(p.FileScale)+copyIdx)*seqStride
+			r.File = server.FileID(server.HomeOf(r.File), seq)
+			r.Server = server.HomeOf(r.File)
 			if p.SizeScale != 1 {
 				r.Offset = scale(r.Offset, p.SizeScale)
 				r.Length = scale(r.Length, p.SizeScale)

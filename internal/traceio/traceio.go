@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"spritefs/internal/server"
 	"spritefs/internal/trace"
 )
 
@@ -173,7 +174,7 @@ func (b *builder) intern(path string) uint64 {
 	h.Write([]byte(path))
 	srv := uint64(h.Sum32()) % uint64(b.opt.NumServers)
 	b.nextSeq[srv]++
-	id := srv<<48 | b.nextSeq[srv]
+	id := server.FileID(int16(srv), b.nextSeq[srv])
 	b.files[path] = id
 	return id
 }
@@ -254,7 +255,7 @@ func (b *builder) build(events []event) ([]trace.Record, error) {
 
 // push appends one record, stamping the routing server from the file ID.
 func (b *builder) push(r trace.Record) {
-	r.Server = int16(r.File >> 48)
+	r.Server = server.HomeOf(r.File)
 	b.out = append(b.out, r)
 }
 
