@@ -294,9 +294,7 @@ func (c *Client) pageInViaCache(file uint64, offset, n int64, migrated bool) {
 	if res.MissBytes > 0 {
 		c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.PagingRead, res.MissBytes)
 		c.Cache.AddMissBytes(attr, res.MissBytes)
-		for _, idx := range res.MissIdx {
-			srv.ServeBlock(file, idx, c.sim.Now())
-		}
+		srv.ServeRuns(file, res.MissRuns, c.sim.Now())
 	}
 }
 
@@ -448,9 +446,7 @@ func (c *Client) Read(hid uint64, n int64) (int64, time.Duration) {
 		if res.MissBytes > 0 {
 			lat += c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.FileRead, res.MissBytes)
 			c.Cache.AddMissBytes(attr, res.MissBytes)
-			for _, idx := range res.MissIdx {
-				lat += srv.ServeBlock(h.file, idx, now)
-			}
+			lat += srv.ServeRuns(h.file, res.MissRuns, now)
 		}
 		// Omniscient stale accounting: under the polling scheme, bytes
 		// served from the cache while another client's newer version sits
@@ -520,9 +516,7 @@ func (c *Client) Write(hid uint64, n int64) time.Duration {
 		c.ship(res.Evicted)
 		if res.FetchBytes > 0 {
 			lat = c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.FileRead, res.FetchBytes)
-			for _, idx := range res.FetchIdx {
-				lat += srv.ServeBlock(h.file, idx, now)
-			}
+			lat += srv.ServeRuns(h.file, res.FetchRuns, now)
 		}
 		srv.Grow(h.file, h.pos+n, now)
 		if c.cfg.Consistency == ConsistencyPoll {

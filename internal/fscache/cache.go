@@ -57,23 +57,42 @@ type Writeback struct {
 	Age    time.Duration // time since the block was last written
 }
 
-// ReadResult reports the server traffic a read implies. The MissIdx and
+// Run is a stretch of consecutive block indexes of one file: First,
+// First+1, ..., First+N-1.
+type Run struct {
+	First int64
+	N     int64
+}
+
+// appendBlock adds block idx to runs, extending the last run when idx
+// follows it.
+func appendBlock(runs []Run, idx int64) []Run {
+	if n := len(runs); n > 0 && runs[n-1].First+runs[n-1].N == idx {
+		runs[n-1].N++
+		return runs
+	}
+	return append(runs, Run{First: idx, N: 1})
+}
+
+// ReadResult reports the server traffic a read implies. The MissRuns and
 // Evicted slices alias per-cache scratch buffers: they are valid until
 // the next Read or Write on the same cache and must be consumed (or
 // copied) before then.
 type ReadResult struct {
-	MissBytes  int64   // bytes that must be fetched from the server
-	MissBlocks int     // number of blocks fetched
-	MissIdx    []int64 // block indexes fetched (drives the server cache model)
-	Evicted    []Writeback
+	MissBytes  int64 // bytes that must be fetched from the server
+	MissBlocks int   // number of blocks fetched
+	// MissRuns are the blocks fetched, ascending, as maximal runs (they
+	// drive the server cache model).
+	MissRuns []Run
+	Evicted  []Writeback
 }
 
-// WriteResult reports the server traffic a write implies. The FetchIdx
+// WriteResult reports the server traffic a write implies. The FetchRuns
 // and Evicted slices alias per-cache scratch buffers, like ReadResult's.
 type WriteResult struct {
 	FetchBytes  int64 // write-fetch bytes (partial writes of non-resident blocks)
 	FetchBlocks int
-	FetchIdx    []int64 // block indexes write-fetched
+	FetchRuns   []Run // the blocks write-fetched, as maximal runs
 	Evicted     []Writeback
 }
 
@@ -182,12 +201,28 @@ func (fi *fileIndex) get(idx int64) int32 {
 	return s
 }
 
-// set records block idx at arena slot s. idx must be absent.
+// reserve makes the dense part cover block indices up to last, capped at
+// fiDenseMax. A cold read reserves up to its last block, so the index is
+// sized once, in one allocation, rather than grown a block at a time; a
+// reservation just past the end at least doubles the capacity. Entries
+// beyond len(dense) are zero: nothing is ever written there.
+func (fi *fileIndex) reserve(last int64) {
+	n := min(last+1, fiDenseMax)
+	if n <= int64(len(fi.dense)) {
+		return
+	}
+	if n > int64(cap(fi.dense)) {
+		grown := make([]int32, n, max(n, min(2*int64(cap(fi.dense)), fiDenseMax)))
+		copy(grown, fi.dense)
+		fi.dense = grown
+	}
+	fi.dense = fi.dense[:n]
+}
+
+// set records block idx at arena slot s. idx must be absent and, if dense,
+// reserved.
 func (fi *fileIndex) set(idx int64, s int32) {
 	if idx < fiDenseMax {
-		if idx >= int64(len(fi.dense)) {
-			fi.dense = append(fi.dense, make([]int32, idx+1-int64(len(fi.dense)))...)
-		}
 		fi.dense[idx] = s + 1
 	} else {
 		if fi.sparse == nil {
@@ -282,8 +317,9 @@ type Cache struct {
 
 	// Reusable result buffers for the hot Read/Write paths. The slices in
 	// a returned ReadResult/WriteResult alias these and are valid until
-	// the next Read or Write on this cache.
-	idxScratch []int64
+	// the next Read or Write on this cache. A miss extends the last run, so
+	// runScratch is as long as a request's stretches of misses are many.
+	runScratch []Run
 	wbScratch  []Writeback
 
 	// Reusable buffers for the cleaner-family paths. The slice returned by
@@ -452,11 +488,14 @@ func (c *Cache) touch(s int32, b *block, now time.Duration) {
 	}
 }
 
-// insert adds a new resident block and returns its slot and the block with
-// the file's index, which it may have had to create.
-func (c *Cache) insert(file uint64, index int64, now time.Duration) (int32, *block, *fileIndex) {
-	fi := c.files[file]
-	if fi == nil {
+// insert adds block index of file as a new resident block and returns its
+// slot, the block and the file's index. fi is the index the caller
+// resolved for the file (nil if it had none); the request inserts blocks up
+// to last, which the index reserves room for. An index whose count fell to
+// zero was released by the eviction that made room — it took the file's
+// last resident block — and is replaced, recycled or new.
+func (c *Cache) insert(fi *fileIndex, file uint64, index, last int64, now time.Duration) (int32, *block, *fileIndex) {
+	if fi == nil || fi.n == 0 {
 		if n := len(c.fiFree); n > 0 {
 			// Recycled indexes were emptied before release, so the dense
 			// slice is all zeros (= all absent) at whatever length it
@@ -468,6 +507,7 @@ func (c *Cache) insert(file uint64, index int64, now time.Duration) (int32, *blo
 		}
 		c.files[file] = fi
 	}
+	fi.reserve(last)
 	s, b := c.allocBlock()
 	*b = block{file: file, index: index, lastRef: now}
 	c.lruPushFront(s, b)
@@ -660,12 +700,11 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	if offset < 0 || offset+length > fileSize {
 		panic(fmt.Sprintf("fscache: read [%d,%d) beyond size %d", offset, offset+length, fileSize))
 	}
-	res.MissIdx = c.idxScratch[:0]
+	res.MissRuns = c.runScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
-	// The file's index is resolved once per call and again only after an
-	// insert: the eviction that makes room can release it (the victim was
-	// the file's last block) and the insert then takes a fresh one.
+	// The file's index is resolved once per call; insert replaces it when
+	// the eviction that made room released it.
 	fi := c.files[file]
 	for idx := first; idx <= last; idx++ {
 		c.countRead(attr)
@@ -690,7 +729,7 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		}
 		if s < 0 {
 			c.ensureRoom(now, &res.Evicted)
-			_, b, fi = c.insert(file, idx, now)
+			_, b, fi = c.insert(fi, file, idx, last, now)
 		} else {
 			c.touch(s, b, now)
 		}
@@ -705,7 +744,7 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		}
 		res.MissBytes += fetch
 		res.MissBlocks++
-		res.MissIdx = append(res.MissIdx, idx)
+		res.MissRuns = appendBlock(res.MissRuns, idx)
 		// Sequential prefetch (ablation): pull the following blocks too.
 		for p := int64(1); p <= int64(c.prefetch); p++ {
 			pi := idx + p
@@ -714,7 +753,7 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			}
 			c.ensureRoom(now, &res.Evicted)
 			var pb *block
-			_, pb, fi = c.insert(file, pi, now)
+			_, pb, fi = c.insert(fi, file, pi, pi, now)
 			end := fileSize - pi*BlockSize
 			if end > BlockSize {
 				end = BlockSize
@@ -722,11 +761,11 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			pb.validHi = int16(end)
 			res.MissBytes += end
 			res.MissBlocks++
-			res.MissIdx = append(res.MissIdx, pi)
+			res.MissRuns = appendBlock(res.MissRuns, pi)
 		}
 	}
 	c.addBytesRead(attr, length)
-	c.idxScratch = res.MissIdx[:0]
+	c.runScratch = res.MissRuns[:0]
 	c.wbScratch = res.Evicted[:0]
 	return res
 }
@@ -755,10 +794,10 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 	if offset < 0 {
 		panic("fscache: negative write offset")
 	}
-	res.FetchIdx = c.idxScratch[:0]
+	res.FetchRuns = c.runScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
-	fi := c.files[file] // re-resolved after each insert, as in Read
+	fi := c.files[file] // replaced by insert when released, as in Read
 	for idx := first; idx <= last; idx++ {
 		c.st.All.WriteOps++
 		if attr.Migrated {
@@ -794,7 +833,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 			}
 			needFetch := partial && existingEnd > 0 && lo < existingEnd
 			c.ensureRoom(now, &res.Evicted)
-			s, b, fi = c.insert(file, idx, now)
+			s, b, fi = c.insert(fi, file, idx, last, now)
 			if needFetch {
 				c.st.All.WriteFetches++
 				if attr.Migrated {
@@ -802,7 +841,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				}
 				res.FetchBytes += existingEnd
 				res.FetchBlocks++
-				res.FetchIdx = append(res.FetchIdx, idx)
+				res.FetchRuns = appendBlock(res.FetchRuns, idx)
 				b.validHi = int16(existingEnd)
 			}
 		}
@@ -825,7 +864,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 	if attr.Migrated {
 		c.st.Migrated.BytesWritten += length
 	}
-	c.idxScratch = res.FetchIdx[:0]
+	c.runScratch = res.FetchRuns[:0]
 	c.wbScratch = res.Evicted[:0]
 	return res
 }

@@ -40,6 +40,35 @@ func TestReadMissThenHit(t *testing.T) {
 	}
 }
 
+// A read's misses come back as maximal runs, and a cold read sizes the
+// file's dense index once, to its last block, never past fiDenseMax.
+func TestReadMissRunsAndColdIndex(t *testing.T) {
+	c := New(1000)
+	const size = 100 * BlockSize
+	res := c.Read(1, 0, size, size, noAttr, 0)
+	if len(res.MissRuns) != 1 || res.MissRuns[0] != (Run{First: 0, N: 100}) {
+		t.Errorf("cold read of 100 blocks missed %+v, want one run of 100", res.MissRuns)
+	}
+	if fi := c.files[1]; len(fi.dense) != 100 || cap(fi.dense) >= 200 {
+		t.Errorf("cold read left a dense index of len %d cap %d, want one sized to 100", len(fi.dense), cap(fi.dense))
+	}
+	for _, b := range []int64{0, 1, 5} {
+		c.Read(2, b*BlockSize, BlockSize, 8*BlockSize, noAttr, 0)
+	}
+	res = c.Read(2, 0, 8*BlockSize, 8*BlockSize, noAttr, 0)
+	if want := []Run{{2, 3}, {6, 2}}; len(res.MissRuns) != 2 || res.MissRuns[0] != want[0] || res.MissRuns[1] != want[1] {
+		t.Errorf("read around blocks 0, 1 and 5 missed %+v, want %+v", res.MissRuns, want)
+	}
+	// A cold read reaching past the dense range reserves up to it only.
+	c.Read(3, (fiDenseMax-2)*BlockSize, 4*BlockSize, (fiDenseMax+2)*BlockSize, noAttr, 0)
+	if fi := c.files[3]; len(fi.dense) != fiDenseMax || len(fi.sparse) != 2 || fi.n != 4 {
+		t.Errorf("read across the dense limit: dense len %d, %d sparse, %d blocks", len(fi.dense), len(fi.sparse), fi.n)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadSmallFileFetchesOnlyFileBytes(t *testing.T) {
 	// A 1 KB file occupies one block but only 1 KB travels on a miss —
 	// the reason Table 6's miss *traffic* can be below the miss *ratio*.

@@ -168,7 +168,7 @@ func (r *refCache) Read(file uint64, offset, length, fileSize int64, attr Attr, 
 			b.validHi = valid
 		}
 		res.MissBlocks++
-		res.MissIdx = append(res.MissIdx, idx)
+		res.MissRuns = append(res.MissRuns, Run{First: idx, N: 1})
 		for p := idx + 1; p <= idx+int64(r.prefetch); p++ {
 			if p*BlockSize >= fileSize || r.blocks[refKey{file, p}] != nil {
 				break
@@ -178,7 +178,7 @@ func (r *refCache) Read(file uint64, offset, length, fileSize int64, attr Attr, 
 			pb.validHi = min(fileSize-p*BlockSize, BlockSize)
 			res.MissBytes += pb.validHi
 			res.MissBlocks++
-			res.MissIdx = append(res.MissIdx, p)
+			res.MissRuns = append(res.MissRuns, Run{First: p, N: 1})
 		}
 	}
 	r.count(attr, &r.st.All.BytesRead, &r.st.Migrated.BytesRead, length)
@@ -220,7 +220,7 @@ func (r *refCache) Write(file uint64, offset, length, sizeBefore int64, attr Att
 				r.count(attr, &r.st.All.WriteFetches, &r.st.Migrated.WriteFetches, 1)
 				res.FetchBytes += onServer
 				res.FetchBlocks++
-				res.FetchIdx = append(res.FetchIdx, idx)
+				res.FetchRuns = append(res.FetchRuns, Run{First: idx, N: 1})
 				b.validHi = onServer
 			}
 		}
@@ -485,7 +485,7 @@ func (d *lockstep) read(file uint64, offset, length int64, attr Attr) {
 	d.what = fmt.Sprintf("Read(%d, %d, %d, size %d, %+v, now %d)", file, offset, length, d.size[file], attr, d.now)
 	got := d.c.Read(file, offset, length, d.size[file], attr, d.now)
 	want := d.r.Read(file, offset, length, d.size[file], attr, d.now)
-	if got.MissBytes != want.MissBytes || got.MissBlocks != want.MissBlocks || !slices.Equal(got.MissIdx, want.MissIdx) {
+	if got.MissBytes != want.MissBytes || got.MissBlocks != want.MissBlocks || !d.sameRuns(got.MissRuns, want.MissRuns) {
 		d.failf("result\n  cache: %+v\n  ref:   %+v", got, want)
 	}
 	d.sameWritebacks("evicted", got.Evicted, want.Evicted)
@@ -499,12 +499,35 @@ func (d *lockstep) write(file uint64, offset, length int64, attr Attr) {
 	d.what = fmt.Sprintf("Write(%d, %d, %d, size %d, %+v, now %d)", file, offset, length, before, attr, d.now)
 	got := d.c.Write(file, offset, length, before, attr, d.now)
 	want := d.r.Write(file, offset, length, before, attr, d.now)
-	if got.FetchBytes != want.FetchBytes || got.FetchBlocks != want.FetchBlocks || !slices.Equal(got.FetchIdx, want.FetchIdx) {
+	if got.FetchBytes != want.FetchBytes || got.FetchBlocks != want.FetchBlocks || !d.sameRuns(got.FetchRuns, want.FetchRuns) {
 		d.failf("result\n  cache: %+v\n  ref:   %+v", got, want)
 	}
 	d.sameWritebacks("evicted", got.Evicted, want.Evicted)
 	d.size[file] = max(before, offset+length)
 	d.sameKeys(file, offset, length)
+}
+
+// sameRuns reports whether the cache's runs and the reference's runs of
+// one name the same blocks in the same order. The cache's must also be
+// maximal: no run may end where the next begins.
+func (d *lockstep) sameRuns(got, want []Run) bool {
+	for i := 1; i < len(got); i++ {
+		if got[i-1].First+got[i-1].N == got[i].First {
+			d.failf("runs %+v are not maximal", got)
+		}
+	}
+	return slices.Equal(runIndexes(got), runIndexes(want))
+}
+
+// runIndexes expands runs to the block indexes they hold.
+func runIndexes(runs []Run) []int64 {
+	var out []int64
+	for _, r := range runs {
+		for i := int64(0); i < r.N; i++ {
+			out = append(out, r.First+i)
+		}
+	}
+	return out
 }
 
 // sameKeys compares residency at both ends of a request and just past it.

@@ -54,7 +54,7 @@ func (s *Server) RegisterMetrics(r *metrics.Registry) {
 	r.Int(metrics.Desc{Name: "spritefs_server_files", Unit: "files",
 		Help: "Files currently present in the server's name space.",
 		Kind: metrics.Gauge},
-		ls, func() int64 { return int64(len(s.files)) })
+		ls, func() int64 { return int64(s.files.n) })
 
 	if s.Store != nil {
 		s.Store.registerMetrics(r, ls)
