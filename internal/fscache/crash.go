@@ -34,22 +34,22 @@ type CrashLoss struct {
 func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 	var loss CrashLoss
 	for s := c.lruFront; s >= 0; {
-		b := c.blk(s)
-		loss.Blocks++
-		if b.dirty() {
+		x := c.nd(s)
+		loss.Blocks += int(x.n)
+		if x.dirty() {
 			loss.DirtyBlocks++
-			loss.DirtyBytes += int64(b.dirtyHi)
+			loss.DirtyBytes += int64(x.dirtyHi)
 			if age := now - c.dt(s).dirtyAt; age > loss.MaxDirtyAge {
 				loss.MaxDirtyAge = age
 			}
 		}
-		s = b.next
+		s = x.next
 	}
-	// The chunks stay, of blocks and of write times: every slot is unused
-	// again and is rewritten whole when next handed out, and its write
-	// times when its tenant first turns dirty.
-	c.nslots = 0
-	c.freeB = -1
+	// The nodes and their write times keep their memory: every slot is
+	// unused again and is rewritten whole when next handed out, and its
+	// write times when its tenant first turns dirty.
+	c.nodes = c.nodes[:0]
+	c.freeN = -1
 	c.lruFront = -1
 	c.lruBack = -1
 	c.forgetScan()
@@ -84,48 +84,83 @@ func (c *Cache) RecoverFlush(file uint64, now time.Duration) []Writeback {
 }
 
 // CheckInvariants audits the cache's internal accounting: block counts,
-// dirty counts and dirty bytes must match a full recount, the LRU list
-// must track the block map, every arena slot handed out must be resident
-// or free, per-block watermarks must be ordered, no dirty
-// block may predate the age bounds the cleaner skips by, and the victim
-// scan's remembered progress must describe the LRU tail as it is.
-// It returns the first inconsistency found, or nil. The fault harness
-// calls it after every injected fault sequence.
+// dirty counts and dirty bytes must match a full recount, every resident
+// block must be indexed to the node that holds it and the LRU list must
+// hold exactly the indexed blocks, every slot handed out must be resident
+// or free, each node must be one dirty block or clean blocks with ordered
+// watermarks, no dirty block may predate the age bounds the cleaner skips
+// by, and the victim scan's remembered progress must describe the LRU tail
+// as it is. It returns the first inconsistency found, or nil. The fault
+// harness calls it after every injected fault sequence.
 func (c *Cache) CheckInvariants() error {
-	var nblocks, ndirty, ndirtyFiles int
+	var ndirty, ndirtyFiles int
 	var dirtyBytes int64
+	lruLen, lruBlocks, passed := 0, 0, 0
+	prev := int32(-1)
+	for s := c.lruFront; s >= 0; {
+		x := c.nd(s)
+		if x.prev != prev {
+			return fmt.Errorf("fscache: lru back-link broken at slot %d", s)
+		}
+		if lruLen++; lruLen > len(c.nodes) {
+			return fmt.Errorf("fscache: lru holds more than the %d slots handed out", len(c.nodes))
+		}
+		if x.n < 1 || x.first < 0 || (x.n > 1 && x.last() >= fiDenseMax) {
+			return fmt.Errorf("fscache: node at slot %d holds blocks [%d,%d] of file %#x", s, x.first, x.last(), x.file)
+		}
+		if x.validHi < 0 || x.validHi > BlockSize || x.dirtyHi < 0 || x.dirtyHi > x.validHi {
+			return fmt.Errorf("fscache: node (%#x,%d) watermarks valid %d dirty %d", x.file, x.first, x.validHi, x.dirtyHi)
+		}
+		fi := c.files[x.file]
+		for j := x.first; j <= x.last(); j++ {
+			if fi == nil || fi.get(j) != s {
+				return fmt.Errorf("fscache: block (%#x,%d) of the node at slot %d is not indexed to it", x.file, j, s)
+			}
+		}
+		lruBlocks += int(x.n)
+		if x.dirty() {
+			if x.n != 1 {
+				return fmt.Errorf("fscache: dirty node (%#x,%d) holds %d blocks", x.file, x.first, x.n)
+			}
+			ndirty++
+			dirtyBytes += int64(x.dirtyHi)
+			if int(s) >= len(c.dtimes) {
+				return fmt.Errorf("fscache: dirty block (%#x,%d) at slot %d has no write times", x.file, x.first, s)
+			}
+			if dirtyAt := c.dt(s).dirtyAt; dirtyAt < fi.oldestDirty || dirtyAt < c.oldestDirty {
+				return fmt.Errorf("fscache: block (%#x,%d) dirty since %v, before its file's bound %v or the cache's %v",
+					x.file, x.first, dirtyAt, fi.oldestDirty, c.oldestDirty)
+			}
+		}
+		if x.passed == c.scanEpoch {
+			passed++
+		}
+		prev, s = s, x.next
+	}
+	if prev != c.lruBack {
+		return fmt.Errorf("fscache: lru tail is %d, walk ended at %d", c.lruBack, prev)
+	}
+	if lruBlocks != c.nblocks {
+		return fmt.Errorf("fscache: lru holds %d blocks, nblocks %d", lruBlocks, c.nblocks)
+	}
+	// Every block of every node is indexed to it; the index holding no more
+	// than that makes the two the same.
+	indexed := 0
 	for f, fi := range c.files {
 		fn, fd := 0, 0
-		audit := func(idx int64, s int32) error {
+		entry := func(s int32) error {
+			if s < 0 || int(s) >= len(c.nodes) {
+				return fmt.Errorf("fscache: file %#x indexes slot %d of %d", f, s, len(c.nodes))
+			}
 			fn++
-			nblocks++
-			b := c.blk(s)
-			if b.file != f || b.index != idx {
-				return fmt.Errorf("fscache: block keyed (%#x,%d) holds (%#x,%d)", f, idx, b.file, b.index)
-			}
-			if b.validHi < 0 || b.validHi > BlockSize {
-				return fmt.Errorf("fscache: block (%#x,%d) validHi %d out of range", f, idx, b.validHi)
-			}
-			if b.dirtyHi < 0 || b.dirtyHi > b.validHi {
-				return fmt.Errorf("fscache: block (%#x,%d) dirtyHi %d exceeds validHi %d", f, idx, b.dirtyHi, b.validHi)
-			}
-			if b.dirty() {
-				ndirty++
+			if c.nd(s).dirty() {
 				fd++
-				dirtyBytes += int64(b.dirtyHi)
-				if ci := int(s >> chunkShift); ci >= len(c.dtimes) || c.dtimes[ci] == nil {
-					return fmt.Errorf("fscache: dirty block (%#x,%d) at slot %d has no write times", f, idx, s)
-				}
-				if dirtyAt := c.dt(s).dirtyAt; dirtyAt < fi.oldestDirty || dirtyAt < c.oldestDirty {
-					return fmt.Errorf("fscache: block (%#x,%d) dirty since %v, before its file's bound %v or the cache's %v",
-						f, idx, dirtyAt, fi.oldestDirty, c.oldestDirty)
-				}
 			}
 			return nil
 		}
-		for idx, v := range fi.dense {
+		for _, v := range fi.dense {
 			if v != 0 {
-				if err := audit(int64(idx), v-1); err != nil {
+				if err := entry(v - 1); err != nil {
 					return err
 				}
 			}
@@ -134,7 +169,7 @@ func (c *Cache) CheckInvariants() error {
 			if idx < fiDenseMax {
 				return fmt.Errorf("fscache: sparse index holds small block index %d of file %#x", idx, f)
 			}
-			if err := audit(idx, s); err != nil {
+			if err := entry(s); err != nil {
 				return err
 			}
 		}
@@ -153,12 +188,13 @@ func (c *Cache) CheckInvariants() error {
 		if fd > 0 {
 			ndirtyFiles++
 		}
+		indexed += fn
+	}
+	if indexed != c.nblocks {
+		return fmt.Errorf("fscache: index holds %d blocks, nblocks %d", indexed, c.nblocks)
 	}
 	if ndirtyFiles != len(c.dirtyFiles) {
 		return fmt.Errorf("fscache: dirty-file set holds %d entries, recount %d", len(c.dirtyFiles), ndirtyFiles)
-	}
-	if nblocks != c.nblocks {
-		return fmt.Errorf("fscache: nblocks %d, recount %d", c.nblocks, nblocks)
 	}
 	if ndirty != c.ndirty {
 		return fmt.Errorf("fscache: ndirty %d, recount %d", c.ndirty, ndirty)
@@ -166,54 +202,29 @@ func (c *Cache) CheckInvariants() error {
 	if dirtyBytes != c.dirtyBytes {
 		return fmt.Errorf("fscache: dirtyBytes %d, recount %d", c.dirtyBytes, dirtyBytes)
 	}
-	// Every slot handed out is resident or on the free list, and the arena
-	// holds them all: a slot is never lost, and never in both places.
+	// Every slot handed out is in the LRU list or on the free list: a slot
+	// is never lost, and never in both places.
 	nfree := 0
-	for s := c.freeB; s >= 0; s = c.blk(s).next {
-		if nfree++; nfree > int(c.nslots) {
-			return fmt.Errorf("fscache: free list holds more than the %d slots handed out", c.nslots)
+	for s := c.freeN; s >= 0; s = c.nd(s).next {
+		if nfree++; nfree > len(c.nodes) {
+			return fmt.Errorf("fscache: free list holds more than the %d slots handed out", len(c.nodes))
 		}
 	}
-	if len(c.dtimes) > len(c.chunks) {
-		return fmt.Errorf("fscache: write times for %d chunks of an arena of %d", len(c.dtimes), len(c.chunks))
+	if nfree+lruLen != len(c.nodes) {
+		return fmt.Errorf("fscache: %d slots handed out, %d in the lru and %d free", len(c.nodes), lruLen, nfree)
 	}
-	if nfree+c.nblocks != int(c.nslots) || int(c.nslots) > len(c.chunks)*chunkBlocks {
-		return fmt.Errorf("fscache: %d slots handed out of %d chunks, %d resident and %d free",
-			c.nslots, len(c.chunks), c.nblocks, nfree)
-	}
-	lruLen, passed := 0, 0
-	prev := int32(-1)
-	for s := c.lruFront; s >= 0; {
-		b := c.blk(s)
-		if b.prev != prev {
-			return fmt.Errorf("fscache: lru back-link broken at slot %d", s)
-		}
-		if lruLen++; lruLen > c.nblocks {
-			return fmt.Errorf("fscache: lru holds more than the %d indexed blocks", c.nblocks)
-		}
-		if b.passed == c.scanEpoch {
-			passed++
-		}
-		prev, s = s, b.next
-	}
-	if prev != c.lruBack {
-		return fmt.Errorf("fscache: lru tail is %d, walk ended at %d", c.lruBack, prev)
-	}
-	if lruLen != c.nblocks {
-		return fmt.Errorf("fscache: lru holds %d blocks, index holds %d", lruLen, c.nblocks)
-	}
-	// The victim scan's progress: exactly the scanCount blocks nearest the
+	// The victim scan's progress: exactly the scanCount nodes nearest the
 	// tail carry the current epoch, all are dirty, scanLast is the deepest.
 	if passed != int(c.scanCount) || c.scanCount > cleanScanDepth {
-		return fmt.Errorf("fscache: %d blocks marked passed, scan count %d", passed, c.scanCount)
+		return fmt.Errorf("fscache: %d nodes marked passed, scan count %d", passed, c.scanCount)
 	}
 	last := int32(-1)
 	for s, n := c.lruBack, int32(0); n < c.scanCount; n++ {
-		b := c.blk(s)
-		if !b.dirty() || b.passed != c.scanEpoch {
-			return fmt.Errorf("fscache: block %d from the tail (dirty %v) breaks the passed run of %d", n, b.dirty(), c.scanCount)
+		x := c.nd(s)
+		if !x.dirty() || x.passed != c.scanEpoch {
+			return fmt.Errorf("fscache: node %d from the tail (dirty %v) breaks the passed run of %d", n, x.dirty(), c.scanCount)
 		}
-		last, s = s, b.prev
+		last, s = s, x.prev
 	}
 	if last != c.scanLast {
 		return fmt.Errorf("fscache: passed run ends at slot %d, scan remembers %d", last, c.scanLast)

@@ -165,11 +165,12 @@ func TestVictimAfterDiscardAll(t *testing.T) {
 	}
 }
 
-// A block is what every resident block of every client pays: 40 bytes, the
-// watermarks in two int16s and a dirty block's write times elsewhere.
+// A node is what every stretch of resident blocks of every client pays: 48
+// bytes, the watermarks in two int16s and a dirty block's write times
+// elsewhere.
 func TestBlockSizeUnchanged(t *testing.T) {
-	if got := unsafe.Sizeof(block{}); got != 40 {
-		t.Fatalf("block is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(node{}); got != 48 {
+		t.Fatalf("node is %d bytes, want 48", got)
 	}
 }
 
@@ -183,7 +184,7 @@ func TestScanEpochWrap(t *testing.T) {
 	if c.scanEpoch != 1 || c.scanCount != cleanScanDepth-1 {
 		t.Fatalf("epoch %d, %d blocks passed; the set-up assumes the first epoch and a full-depth run", c.scanEpoch, c.scanCount)
 	}
-	// 511 blocks now carry mark 1. Forget them, and stand where 2^32-2
+	// 511 nodes now carry mark 1. Forget them, and stand where 2^32-2
 	// further resets would have left the epoch.
 	c.forgetScan()
 	c.scanEpoch = math.MaxUint32
