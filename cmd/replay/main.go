@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"spritefs/internal/client"
+	"spritefs/internal/core"
 	"spritefs/internal/faults"
 	"spritefs/internal/prof"
 	"spritefs/internal/replay"
@@ -467,14 +468,22 @@ func printResults(out io.Writer, results []*replay.Result, style string) error {
 			if _, err := fmt.Fprintf(out, "=== %s ===\n%s\n", name, replay.ReplayTable(r)); err != nil {
 				return err
 			}
-			for _, t := range replay.ReportTables(&r.Report) {
-				if _, err := fmt.Fprintln(out, t); err != nil {
-					return err
-				}
+			cr := &core.CounterResult{Report: r.Report, NetUtilization: netUtilization(r)}
+			if _, err := fmt.Fprintf(out, "%s\n%s\n", core.CounterTables(cr), core.CounterDetail(cr)); err != nil {
+				return err
 			}
 		}
 		return nil
 	default:
 		return fmt.Errorf("unknown report style %q (summary, tables, tsv)", style)
 	}
+}
+
+// netUtilization is the wire's busy share of the replay's virtual run,
+// drain included.
+func netUtilization(r *replay.Result) float64 {
+	if r.End <= 0 {
+		return 0
+	}
+	return float64(r.Metrics.Registry().SumSeconds("spritefs_net_busy_seconds")) / float64(r.End)
 }

@@ -1,11 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"spritefs/internal/cluster"
+	"spritefs/internal/trace"
+	"spritefs/internal/workload"
 )
 
 // TestFlagValidation pins fail-fast on contradictory flag combinations.
@@ -77,5 +84,62 @@ func TestValidCombosPassValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "nonexistent") {
 			t.Errorf("run(%v): want trace-open error, got %v", args, err)
 		}
+	}
+}
+
+// TestReportTablesPrintsTheSection5Tables replays a small captured trace
+// (the shape of internal/replay's golden trace) with -report tables and
+// checks the Section 5 tables come out with the paper's column beside the
+// replayed one, followed by the detail table of every other cell.
+func TestReportTablesPrintsTheSection5Tables(t *testing.T) {
+	p := workload.Default(1)
+	p.NumClients, p.DailyUsers, p.OccasionalUsers = 8, 6, 4
+	p.SessionMedian, p.GapMedian, p.ThinkMean = 8*time.Minute, 10*time.Minute, 5*time.Second
+	cfg := cluster.DefaultConfig(p)
+	cfg.NumServers = 2
+	cfg.SamplePeriod = 0
+	cfg.FixedCachePages = 2048
+	c := cluster.New(cfg)
+	c.Run(2 * time.Hour)
+	recs, err := trace.Collect(trace.Merge(c.PerServerStreams()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "golden.trace")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := run([]string{"-trace", path, "-servers", "2", "-cache", "2048", "-speed", "0", "-report", "tables"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"Table 4. Client cache sizes", "Table 5. Raw traffic sources", "Table 6. Client cache effectiveness",
+		"Table 7. Server traffic", "Table 8. Cache block replacement", "Table 9. Dirty block cleaning",
+		"Table 10 (server counters cross-check)", "Network utilization: ", "Server caches: ",
+		"Section 5 detail", "recovery.retransmits", "storage.disk_busy_s",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("-report tables output lacks %q", want)
+		}
+	}
+	// The paper's column: Table 6's published read-miss ratios, all and migrated.
+	if !regexp.MustCompile(`(?m)^file read misses +\S+ +41\.4 +\S+ +22\.2$`).MatchString(got) {
+		t.Errorf("Table 6 lacks the paper's column:\n%s", got)
 	}
 }

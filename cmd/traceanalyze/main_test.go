@@ -99,8 +99,9 @@ func table1(t *testing.T, out, metric string) string {
 func TestTextAndBinaryInputsAnalyzeIdentically(t *testing.T) {
 	bin, text, _ := capture(t)
 	want := analyze(t, append([]string{"-cdf"}, bin...)...)
-	for _, title := range []string{"(Table 1)", "(Table 2)", "(Table 3)", "(Figures 1-4)", "(Table 10)",
-		"1m0s interval (Table 11)", "3s interval (Table 11)", "(Table 12)", "fig4.bytes\t"} {
+	for _, title := range []string{"Table 1. Overall trace statistics", "Table 2. User activity", "Table 3. File access patterns",
+		"Figures 1-4. Distribution checkpoints", "Table 10. Consistency actions", "Table 11. Stale data errors",
+		"Table 12. Consistency overheads", "Section 4 detail", "t11.3s.migrated_opens_pct", "fig4.bytes\t"} {
 		if !strings.Contains(want, title) {
 			t.Errorf("output lacks %q", title)
 		}
@@ -135,17 +136,17 @@ func TestExcludeUsersDropsExactlyThoseUsers(t *testing.T) {
 	drop = drop[:2]
 
 	all := analyze(t, bin...)
-	if got, want := table1(t, all, "users"), fmt.Sprint(len(users)); got != want {
+	if got, want := table1(t, all, "Different users"), fmt.Sprint(len(users)); got != want {
 		t.Errorf("users = %s, want %s", got, want)
 	}
-	if got, want := table1(t, all, "opens"), fmt.Sprint(totalOpens); got != want {
+	if got, want := table1(t, all, "Open events"), fmt.Sprint(totalOpens); got != want {
 		t.Errorf("opens = %s, want %s", got, want)
 	}
 	less := analyze(t, append([]string{"-exclude-users", fmt.Sprintf("%d, %d", drop[0], drop[1])}, bin...)...)
-	if got, want := table1(t, less, "users"), fmt.Sprint(len(users)-2); got != want {
+	if got, want := table1(t, less, "Different users"), fmt.Sprint(len(users)-2); got != want {
 		t.Errorf("users after excluding %v = %s, want %s", drop, got, want)
 	}
-	if got, want := table1(t, less, "opens"), fmt.Sprint(totalOpens-opens[drop[0]]-opens[drop[1]]); got != want {
+	if got, want := table1(t, less, "Open events"), fmt.Sprint(totalOpens-opens[drop[0]]-opens[drop[1]]); got != want {
 		t.Errorf("opens after excluding %v = %s, want %s", drop, got, want)
 	}
 }

@@ -105,15 +105,15 @@ type Cluster struct {
 	Sim      *sim.Sim
 	Net      *netsim.Network
 	Servers  []*server.Server
-	Clients  []*client.Client
 	Engine   *workload.Engine
 	Registry *workload.Registry
 	// Injector drives Cfg.Faults; nil when the schedule is empty.
 	Injector *faults.Injector
-	// Reg is the central metric registry every component registered into at
-	// construction (none under Cfg.ExternalRegistry); Report reads its
-	// sum-shaped tables from here.
-	Reg *metrics.Registry
+	// Metrics holds the workstations, the counter samples and the central
+	// metric registry every component registered into at construction
+	// (none under Cfg.ExternalRegistry); its report methods are the
+	// cluster's.
+	Metrics
 	// MetricSampler holds the time series collected when Cfg.MetricsSample
 	// is set; nil otherwise.
 	MetricSampler *metrics.Sampler
@@ -125,7 +125,6 @@ type Cluster struct {
 	sink    func(trace.Record)
 	tracing bool
 
-	samples []Sample
 	lastOps map[int32]int64
 	sampler *sim.Ticker
 	tickers []*sim.Ticker
@@ -486,7 +485,7 @@ func (c *Cluster) sample() {
 		ops := st.All.ReadOps + st.All.WriteOps
 		active := ops != c.lastOps[cl.ID()]
 		c.lastOps[cl.ID()] = ops
-		c.samples = append(c.samples, Sample{
+		c.Samples = append(c.Samples, Sample{
 			Time:      now,
 			Client:    cl.ID(),
 			CacheSize: cl.Cache.SizeBytes(),

@@ -19,7 +19,8 @@ import (
 
 // Metrics is the counter-bearing view of an experiment: whatever drove the
 // clients/servers/network (user community or trace replay), the Section 5
-// tables are computed the same way from the same counters.
+// tables are computed the same way from the same counters. A Cluster
+// embeds it, so its report methods are the cluster's.
 type Metrics struct {
 	Clients []*client.Client
 	Samples []Sample
@@ -27,12 +28,6 @@ type Metrics struct {
 	// construction time. Sum-shaped tables (5, 7, 10, staleness, storage,
 	// recovery) are projections of it.
 	Reg *metrics.Registry
-}
-
-// Metrics returns the cluster's counter view, from which every table
-// report is computed.
-func (c *Cluster) Metrics() *Metrics {
-	return &Metrics{Clients: c.Clients, Samples: c.samples, Reg: c.Reg}
 }
 
 // Report aggregates every counter-derived table of the Section 5 study in
@@ -66,9 +61,6 @@ func (m *Metrics) Report() Report {
 	}
 }
 
-// Report computes all counter tables from the cluster's counters.
-func (c *Cluster) Report() Report { return c.Metrics().Report() }
-
 // Table4 is the client cache size study.
 type Table4 struct {
 	AvgSizeKB float64 // average cache size over active machine-intervals
@@ -83,9 +75,6 @@ type Table4 struct {
 // Table4Report aggregates the sampler's observations. Only intervals in
 // which a machine was active are included, and the first interval after a
 // client's cold start is screened out, as in the paper.
-func (c *Cluster) Table4Report() Table4 { return c.Metrics().Table4Report() }
-
-// Table4Report aggregates the sampler's observations.
 func (m *Metrics) Table4Report() Table4 {
 	var t Table4
 	sizes15, ch15 := m.intervalChanges(15 * time.Minute)
@@ -175,9 +164,6 @@ type Table5 struct {
 	TotalBytes             int64
 }
 
-// Table5Report sums the per-client application-level traffic.
-func (c *Cluster) Table5Report() Table5 { return c.Metrics().Table5Report() }
-
 // Table5Report sums the per-client application-level traffic, as a
 // projection of the central registry: the client caches' spritefs_cache
 // families (the server stores' internal caches live under a distinct
@@ -237,9 +223,6 @@ type Table6 struct {
 	// BytesSavedByDeletePct: share of written bytes that died in the cache.
 	BytesSavedByDeletePct float64
 }
-
-// Table6Report aggregates the cache counters across clients.
-func (c *Cluster) Table6Report() Table6 { return c.Metrics().Table6Report() }
 
 // Table6Report aggregates the cache counters across clients.
 func (m *Metrics) Table6Report() Table6 {
@@ -307,9 +290,6 @@ type Table7 struct {
 	TotalBytes     int64
 }
 
-// Table7Report reads the network accounting.
-func (c *Cluster) Table7Report() Table7 { return c.Metrics().Table7Report() }
-
 // Table7Report reads the network accounting as a projection of the
 // registry's per-class spritefs_net families.
 func (m *Metrics) Table7Report() Table7 {
@@ -348,9 +328,6 @@ type Table8 struct {
 }
 
 // Table8Report aggregates replacement counters.
-func (c *Cluster) Table8Report() Table8 { return c.Metrics().Table8Report() }
-
-// Table8Report aggregates replacement counters.
 func (m *Metrics) Table8Report() Table8 {
 	var file, vmn int64
 	var age stats.Welford
@@ -373,9 +350,6 @@ type Table9 struct {
 	Pct    [fscache.NumCleanReasons]float64
 	AgeSec [fscache.NumCleanReasons]float64
 }
-
-// Table9Report aggregates cleaning counters.
-func (c *Cluster) Table9Report() Table9 { return c.Metrics().Table9Report() }
 
 // Table9Report aggregates cleaning counters.
 func (m *Metrics) Table9Report() Table9 {
@@ -409,9 +383,6 @@ type ServerStorage struct {
 	DiskBusy   time.Duration
 }
 
-// ServerStorageReport aggregates server storage counters.
-func (c *Cluster) ServerStorageReport() ServerStorage { return c.Metrics().ServerStorageReport() }
-
 // ServerStorageReport aggregates server storage counters as a projection
 // of the registry's spritefs_server_store families.
 func (m *Metrics) ServerStorageReport() ServerStorage {
@@ -434,9 +405,6 @@ type LiveStale struct {
 	StaleBytes int64
 	PollRPCs   int64
 }
-
-// LiveStaleReport sums the clients' stale-read counters.
-func (c *Cluster) LiveStaleReport() LiveStale { return c.Metrics().LiveStaleReport() }
 
 // LiveStaleReport sums the clients' stale-read counters from the registry.
 func (m *Metrics) LiveStaleReport() LiveStale {
@@ -478,9 +446,6 @@ type Recovery struct {
 	StallTime   time.Duration
 }
 
-// RecoveryReport aggregates the crash/recovery counters.
-func (c *Cluster) RecoveryReport() Recovery { return c.Metrics().RecoveryReport() }
-
 // RecoveryReport aggregates the crash/recovery counters as a projection of
 // the registry's client-recovery, server-crash and network-fault families.
 func (m *Metrics) RecoveryReport() Recovery {
@@ -518,9 +483,6 @@ type Table10 struct {
 	RecallPct float64
 	FileOpens int64
 }
-
-// Table10Report sums the servers' consistency counters.
-func (c *Cluster) Table10Report() Table10 { return c.Metrics().Table10Report() }
 
 // Table10Report sums the servers' consistency counters from the registry.
 func (m *Metrics) Table10Report() Table10 {

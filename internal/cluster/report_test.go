@@ -9,7 +9,7 @@ import (
 // mkSamples builds a cluster shell with hand-crafted sampler observations
 // so the Table 4 aggregation can be verified exactly.
 func mkSamples(samples []Sample) *Cluster {
-	return &Cluster{samples: samples}
+	return &Cluster{Metrics: Metrics{Samples: samples}}
 }
 
 func TestIntervalChangesAggregation(t *testing.T) {
@@ -28,7 +28,7 @@ func TestIntervalChangesAggregation(t *testing.T) {
 		{Time: 28 * time.Minute, Client: 1, CacheSize: 3 * mb, Active: true},
 	}
 	c := mkSamples(samples)
-	sizes, changes := c.Metrics().intervalChanges(15 * time.Minute)
+	sizes, changes := c.intervalChanges(15 * time.Minute)
 	if len(sizes) != 2 || len(changes) != 2 {
 		t.Fatalf("got %d sizes, %d changes, want 2 each", len(sizes), len(changes))
 	}

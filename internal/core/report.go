@@ -5,400 +5,45 @@ import (
 	"strings"
 	"time"
 
-	"spritefs/internal/analysis"
-	"spritefs/internal/consistency"
-	"spritefs/internal/fscache"
 	"spritefs/internal/stats"
 )
-
-// Paper reference values, transcribed from the published tables. Where a
-// value is a range, the paper's (min-max) across the eight traces is kept;
-// a few cells lost to scan noise are marked with the paper's prose figure
-// instead. These drive the paper-vs-measured columns of EXPERIMENTS.md.
-var paper = struct {
-	table1Users  [8]float64
-	table1MBRead [8]float64
-	table1Opens  [8]float64
-
-	t2TenMinActive, t2TenMinThr, t2TenMinThrMig float64
-	t2TenSecActive, t2TenSecThr, t2TenSecThrMig float64
-	t2PeakUser10m, t2PeakUser10s                float64
-	t2BSDTenMinThr, t2BSDTenSecThr              float64
-
-	t3AccRO, t3AccWO, t3AccRW    float64
-	t3BytesRO, t3BytesWO         float64
-	t3ROWholeAcc, t3ROWholeBytes float64
-	t3WOWholeAcc, t3WOWholeBytes float64
-
-	fig1RunsUnder10K, fig1BytesOverMB        float64
-	fig3OpensUnderQuarterSec                 float64
-	fig4FilesUnder30sLo, fig4FilesUnder30sHi float64
-	fig4BytesUnder30sLo, fig4BytesUnder30sHi float64
-
-	t4AvgSizeKB, t4Change15AvgKB, t4Change60AvgKB float64
-
-	t5UncacheablePct, t5PagingPct, t5ReadWriteRatio float64
-
-	t6ReadMiss, t6ReadMissMig, t6MissTraffic, t6MissTrafficMig float64
-	t6Writeback, t6WriteFetch, t6PagingMiss, t6PagingMissMig   float64
-
-	t7PagingPct, t7NonPagingRW float64
-
-	t8FilePct, t8VMPct, t8AgeFileMin, t8AgeVMMin float64
-
-	t9DelayPct, t9FsyncPct, t9RecallPct, t9VMPct float64
-	t9DelayAge, t9FsyncAge, t9RecallAge          float64
-
-	t10CWS, t10Recall float64
-
-	t11ErrPerHour60, t11UsersPct60, t11OpensPct60 float64
-	t11ErrPerHour3, t11OpensPct3                  float64
-
-	t12TokenBytesGain, t12TokenRPCGain float64
-}{
-	table1Users:  [8]float64{44, 48, 47, 33, 48, 50, 46, 36},
-	table1MBRead: [8]float64{1282, 1608, 13064, 17754, 822, 1489, 1292, 2320},
-	table1Opens:  [8]float64{149254, 224102, 149898, 115929, 124508, 184863, 133846, 275140},
-
-	t2TenMinActive: 9.1, t2TenMinThr: 8.0, t2TenMinThrMig: 50.7,
-	t2TenSecActive: 1.6, t2TenSecThr: 47.0, t2TenSecThrMig: 316,
-	t2PeakUser10m: 458, t2PeakUser10s: 9871,
-	t2BSDTenMinThr: 0.40, t2BSDTenSecThr: 1.5,
-
-	t3AccRO: 88, t3AccWO: 11, t3AccRW: 1,
-	t3BytesRO: 80, t3BytesWO: 19,
-	t3ROWholeAcc: 78, t3ROWholeBytes: 89,
-	t3WOWholeAcc: 67, t3WOWholeBytes: 69,
-
-	fig1RunsUnder10K: 80, fig1BytesOverMB: 10,
-	fig3OpensUnderQuarterSec: 75,
-	fig4FilesUnder30sLo:      65, fig4FilesUnder30sHi: 80,
-	fig4BytesUnder30sLo: 4, fig4BytesUnder30sHi: 27,
-
-	t4AvgSizeKB: 7168, t4Change15AvgKB: 493, t4Change60AvgKB: 1049,
-
-	t5UncacheablePct: 20, t5PagingPct: 35, t5ReadWriteRatio: 4,
-
-	t6ReadMiss: 41.4, t6ReadMissMig: 22.2, t6MissTraffic: 37.1, t6MissTrafficMig: 31.7,
-	t6Writeback: 88.4, t6WriteFetch: 1.2, t6PagingMiss: 28.7, t6PagingMissMig: 8.8,
-
-	t7PagingPct: 35, t7NonPagingRW: 2,
-
-	t8FilePct: 79.4, t8VMPct: 20.6, t8AgeFileMin: 71.1, t8AgeVMMin: 27.2,
-
-	t9DelayPct: 75, t9FsyncPct: 12, t9RecallPct: 12, t9VMPct: 1.3,
-	t9DelayAge: 47.6, t9FsyncAge: 16.2, t9RecallAge: 11.9,
-
-	t10CWS: 0.34, t10Recall: 1.7,
-
-	t11ErrPerHour60: 18, t11UsersPct60: 48, t11OpensPct60: 0.34,
-	t11ErrPerHour3: 0.59, t11OpensPct3: 0.011,
-
-	t12TokenBytesGain: 2, t12TokenRPCGain: 20,
-}
-
-// Table1 renders the overall trace statistics for a set of trace results.
-func Table1(results []*TraceResult) *stats.Table {
-	t := stats.NewTable("Table 1. Overall trace statistics (measured | paper where legible)", "Metric")
-	for _, r := range results {
-		t.Headers = append(t.Headers, fmt.Sprintf("T%d", r.TraceNum))
-	}
-	row := func(label string, f func(*TraceResult) string) {
-		cells := []string{label}
-		for _, r := range results {
-			cells = append(cells, f(r))
-		}
-		t.AddRow(cells...)
-	}
-	row("Duration (hours)", func(r *TraceResult) string { return fmt.Sprintf("%.1f", r.Hours) })
-	row("Different users", func(r *TraceResult) string {
-		return fmt.Sprintf("%d|%g", r.Overall.Users, paper.table1Users[r.TraceNum-1])
-	})
-	row("Users of migration", func(r *TraceResult) string { return fmt.Sprintf("%d", r.Overall.MigrationUsers) })
-	row("MB read from files", func(r *TraceResult) string {
-		return fmt.Sprintf("%.0f|%g", r.Overall.MBReadFiles, paper.table1MBRead[r.TraceNum-1])
-	})
-	row("MB written to files", func(r *TraceResult) string { return fmt.Sprintf("%.0f", r.Overall.MBWrittenFiles) })
-	row("MB read from dirs", func(r *TraceResult) string { return fmt.Sprintf("%.1f", r.Overall.MBReadDirs) })
-	row("Open events", func(r *TraceResult) string {
-		return fmt.Sprintf("%d|%g", r.Overall.Opens, paper.table1Opens[r.TraceNum-1])
-	})
-	row("Close events", func(r *TraceResult) string { return fmt.Sprintf("%d", r.Overall.Closes) })
-	row("Reposition events", func(r *TraceResult) string { return fmt.Sprintf("%d", r.Overall.Repositions) })
-	row("Delete events", func(r *TraceResult) string { return fmt.Sprintf("%d", r.Overall.Deletes) })
-	row("Truncate events", func(r *TraceResult) string { return fmt.Sprintf("%d", r.Overall.Truncates) })
-	row("Shared read events", func(r *TraceResult) string { return fmt.Sprintf("%d", r.Overall.SharedReads) })
-	row("Shared write events", func(r *TraceResult) string { return fmt.Sprintf("%d", r.Overall.SharedWrites) })
-	return t
-}
-
-// avgOver averages a per-trace metric.
-func avgOver(results []*TraceResult, f func(*TraceResult) float64) float64 {
-	if len(results) == 0 {
-		return 0
-	}
-	var w stats.Welford
-	for _, r := range results {
-		w.Add(f(r))
-	}
-	return w.Mean()
-}
-
-// rangeOver renders "mean (min-max)" across traces, the paper's
-// parenthetical per-trace spread.
-func rangeOver(results []*TraceResult, format string, f func(*TraceResult) float64) string {
-	if len(results) == 0 {
-		return "-"
-	}
-	var w stats.Welford
-	for _, r := range results {
-		w.Add(f(r))
-	}
-	if len(results) == 1 {
-		return fmt.Sprintf(format, w.Mean())
-	}
-	return fmt.Sprintf(format+" ("+format+"-"+format+")", w.Mean(), w.Min(), w.Max())
-}
-
-// Table2 renders user activity vs the paper's averages.
-func Table2(results []*TraceResult) *stats.Table {
-	t := stats.NewTable("Table 2. User activity", "Metric", "Measured", "Paper")
-	add := func(label string, measured, paperVal float64) {
-		t.AddRow(label, fmt.Sprintf("%.2f", measured), fmt.Sprintf("%.2f", paperVal))
-	}
-	add("10-min avg active users",
-		avgOver(results, func(r *TraceResult) float64 { return r.Activity.TenMinAll.AvgActiveUsers }),
-		paper.t2TenMinActive)
-	add("10-min avg throughput/user (KB/s)",
-		avgOver(results, func(r *TraceResult) float64 { return r.Activity.TenMinAll.AvgThroughputKBs }),
-		paper.t2TenMinThr)
-	add("10-min migrated throughput (KB/s)",
-		avgOver(results, func(r *TraceResult) float64 { return r.Activity.TenMinMigrated.AvgThroughputKBs }),
-		paper.t2TenMinThrMig)
-	add("10-min peak user (KB/s)",
-		avgOver(results, func(r *TraceResult) float64 { return r.Activity.TenMinAll.PeakUserKBs }),
-		paper.t2PeakUser10m)
-	add("10-sec avg active users",
-		avgOver(results, func(r *TraceResult) float64 { return r.Activity.TenSecAll.AvgActiveUsers }),
-		paper.t2TenSecActive)
-	add("10-sec avg throughput/user (KB/s)",
-		avgOver(results, func(r *TraceResult) float64 { return r.Activity.TenSecAll.AvgThroughputKBs }),
-		paper.t2TenSecThr)
-	add("10-sec migrated throughput (KB/s)",
-		avgOver(results, func(r *TraceResult) float64 { return r.Activity.TenSecMigrated.AvgThroughputKBs }),
-		paper.t2TenSecThrMig)
-	add("10-sec peak user (KB/s)",
-		avgOver(results, func(r *TraceResult) float64 { return r.Activity.TenSecAll.PeakUserKBs }),
-		paper.t2PeakUser10s)
-	t.AddRow("BSD-study 10-min throughput", "-", fmt.Sprintf("%.2f", paper.t2BSDTenMinThr))
-	return t
-}
-
-// Table3 renders the access-pattern mix.
-func Table3(results []*TraceResult) *stats.Table {
-	t := stats.NewTable("Table 3. File access patterns (percent)", "Metric", "Measured", "Paper")
-	add := func(label string, m, p float64) {
-		t.AddRow(label, fmt.Sprintf("%.1f", m), fmt.Sprintf("%.1f", p))
-	}
-	accClass := func(class int) float64 {
-		return avgOver(results, func(r *TraceResult) float64 { a, _ := r.Access.ClassPct(class); return a })
-	}
-	bytesClass := func(class int) float64 {
-		return avgOver(results, func(r *TraceResult) float64 { _, b := r.Access.ClassPct(class); return b })
-	}
-	add("read-only accesses", accClass(analysis.ReadOnly), paper.t3AccRO)
-	add("write-only accesses", accClass(analysis.WriteOnly), paper.t3AccWO)
-	add("read-write accesses", accClass(analysis.ReadWrite), paper.t3AccRW)
-	add("read-only bytes", bytesClass(analysis.ReadOnly), paper.t3BytesRO)
-	add("write-only bytes", bytesClass(analysis.WriteOnly), paper.t3BytesWO)
-	add("RO whole-file (accesses)",
-		avgOver(results, func(r *TraceResult) float64 { a, _ := r.Access.SeqPct(analysis.ReadOnly, analysis.WholeFile); return a }),
-		paper.t3ROWholeAcc)
-	add("RO whole-file (bytes)",
-		avgOver(results, func(r *TraceResult) float64 { _, b := r.Access.SeqPct(analysis.ReadOnly, analysis.WholeFile); return b }),
-		paper.t3ROWholeBytes)
-	add("WO whole-file (accesses)",
-		avgOver(results, func(r *TraceResult) float64 {
-			a, _ := r.Access.SeqPct(analysis.WriteOnly, analysis.WholeFile)
-			return a
-		}),
-		paper.t3WOWholeAcc)
-	add("WO whole-file (bytes)",
-		avgOver(results, func(r *TraceResult) float64 {
-			_, b := r.Access.SeqPct(analysis.WriteOnly, analysis.WholeFile)
-			return b
-		}),
-		paper.t3WOWholeBytes)
-	return t
-}
-
-// Figures renders the headline quantiles of Figures 1-4.
-func Figures(results []*TraceResult) *stats.Table {
-	t := stats.NewTable("Figures 1-4. Distribution checkpoints (percent)", "Metric", "Measured", "Paper")
-	add := func(label string, m float64, p string) {
-		t.AddRow(label, fmt.Sprintf("%.1f", m), p)
-	}
-	add("Fig1: runs <= 10 KB (by runs)",
-		100*avgOver(results, func(r *TraceResult) float64 { return r.Access.RunsByCount.FracAtOrBelow(10 * 1024) }),
-		fmt.Sprintf("~%.0f", paper.fig1RunsUnder10K))
-	add("Fig1: bytes in runs > 1 MB",
-		100*avgOver(results, func(r *TraceResult) float64 { return 1 - r.Access.RunsByBytes.FracAtOrBelow(1<<20) }),
-		fmt.Sprintf(">=%.0f", paper.fig1BytesOverMB))
-	add("Fig2: accesses to files <= 10 KB",
-		100*avgOver(results, func(r *TraceResult) float64 { return r.Access.SizeByFiles.FracAtOrBelow(10 * 1024) }),
-		"~80")
-	add("Fig2: bytes from files >= 1 MB",
-		100*avgOver(results, func(r *TraceResult) float64 { return 1 - r.Access.SizeByBytes.FracAtOrBelow(1<<20) }),
-		"~40 (trace 1)")
-	add("Fig3: opens <= 0.25 s",
-		100*avgOver(results, func(r *TraceResult) float64 { return r.Access.OpenTimes.FracAtOrBelow(0.25) }),
-		fmt.Sprintf("~%.0f", paper.fig3OpensUnderQuarterSec))
-	add("Fig4: files living < 30 s",
-		avgOver(results, func(r *TraceResult) float64 { return r.Lifetime.PctFilesUnder30s() }),
-		fmt.Sprintf("%.0f-%.0f", paper.fig4FilesUnder30sLo, paper.fig4FilesUnder30sHi))
-	add("Fig4: bytes living < 30 s",
-		avgOver(results, func(r *TraceResult) float64 { return r.Lifetime.PctBytesUnder30s() }),
-		fmt.Sprintf("%.0f-%.0f", paper.fig4BytesUnder30sLo, paper.fig4BytesUnder30sHi))
-	return t
-}
-
-// Table10 renders consistency action frequency from the traces, with the
-// paper's per-trace spread.
-func Table10(results []*TraceResult) *stats.Table {
-	t := stats.NewTable("Table 10. Consistency actions (percent of file opens)", "Action", "Measured", "Paper")
-	t.AddRow("concurrent write-sharing",
-		rangeOver(results, "%.2f", func(r *TraceResult) float64 { return r.Actions.PctCWS() }),
-		"0.34 (0.18-0.56)")
-	t.AddRow("server recall",
-		rangeOver(results, "%.2f", func(r *TraceResult) float64 { return r.Actions.PctRecalls() }),
-		"1.7 (0.79-3.35)")
-	return t
-}
-
-// Table11 renders the stale-data simulation.
-func Table11(results []*TraceResult) *stats.Table {
-	t := stats.NewTable("Table 11. Stale data errors under polling consistency", "Metric", "Measured", "Paper")
-	add := func(label string, m float64, p float64, format string) {
-		t.AddRow(label, fmt.Sprintf(format, m), fmt.Sprintf(format, p))
-	}
-	add("60-s: errors/hour", avgOver(results, func(r *TraceResult) float64 { return r.Stale60.ErrorsPerHour }), paper.t11ErrPerHour60, "%.2f")
-	add("60-s: users affected (%)", avgOver(results, func(r *TraceResult) float64 { return r.Stale60.PctUsersAffected() }), paper.t11UsersPct60, "%.1f")
-	add("60-s: opens with error (%)", avgOver(results, func(r *TraceResult) float64 { return r.Stale60.PctOpensWithError() }), paper.t11OpensPct60, "%.3f")
-	add("3-s: errors/hour", avgOver(results, func(r *TraceResult) float64 { return r.Stale3.ErrorsPerHour }), paper.t11ErrPerHour3, "%.2f")
-	add("3-s: opens with error (%)", avgOver(results, func(r *TraceResult) float64 { return r.Stale3.PctOpensWithError() }), paper.t11OpensPct3, "%.3f")
-	return t
-}
-
-// Table12 renders the consistency-overhead comparison.
-func Table12(results []*TraceResult) *stats.Table {
-	t := stats.NewTable("Table 12. Consistency overheads (ratios to application traffic)",
-		"Algorithm", "Bytes (measured)", "RPCs (measured)", "Paper note")
-	notes := [consistency.NumAlgs]string{
-		"exactly 1.0 by construction",
-		"~same as Sprite",
-		fmt.Sprintf("~%.0f%% fewer bytes, ~%.0f%% fewer RPCs", paper.t12TokenBytesGain, paper.t12TokenRPCGain),
-	}
-	for a := 0; a < consistency.NumAlgs; a++ {
-		bytes := avgOver(results, func(r *TraceResult) float64 { return r.Overhead.ByteRatio(a) })
-		rpcs := avgOver(results, func(r *TraceResult) float64 { return r.Overhead.RPCRatio(a) })
-		t.AddRow(consistency.AlgNames[a], fmt.Sprintf("%.3f", bytes), fmt.Sprintf("%.3f", rpcs), notes[a])
-	}
-	return t
-}
-
-// CounterTables renders Tables 4-9 (and the servers' Table 10 cross-check)
-// from a counter study.
-func CounterTables(r *CounterResult) string {
-	var b strings.Builder
-
-	t4 := stats.NewTable("Table 4. Client cache sizes", "Metric", "Measured", "Paper")
-	t4.AddRow("avg cache size (KB)", fmt.Sprintf("%.0f", r.Table4.AvgSizeKB), fmt.Sprintf("~%.0f", paper.t4AvgSizeKB))
-	t4.AddRow("stddev over 15-min intervals (KB)", fmt.Sprintf("%.0f", r.Table4.SDSizeKB), "-")
-	t4.AddRow("15-min change avg (KB)", fmt.Sprintf("%.0f", r.Table4.Change15AvgKB), fmt.Sprintf("%.0f", paper.t4Change15AvgKB))
-	t4.AddRow("15-min change max (KB)", fmt.Sprintf("%.0f", r.Table4.Change15MaxKB), "21904")
-	t4.AddRow("60-min change avg (KB)", fmt.Sprintf("%.0f", r.Table4.Change60AvgKB), fmt.Sprintf("%.0f", paper.t4Change60AvgKB))
-	b.WriteString(t4.String())
-	b.WriteString("\n")
-
-	t5 := stats.NewTable("Table 5. Raw traffic sources (percent of bytes)", "Source", "Measured", "Paper")
-	t5.AddRow("cacheable file reads", fmt.Sprintf("%.1f", r.Table5.FileReadPct), "~32")
-	t5.AddRow("cacheable file writes", fmt.Sprintf("%.1f", r.Table5.FileWritePct), "~10")
-	t5.AddRow("paging (all classes)", fmt.Sprintf("%.1f", r.Table5.PagingPct), fmt.Sprintf("~%.0f", paper.t5PagingPct))
-	t5.AddRow("uncacheable (paging+shared+dirs)", fmt.Sprintf("%.1f", r.Table5.UncacheablePct), fmt.Sprintf("~%.0f", paper.t5UncacheablePct))
-	t5.AddRow("write-shared", fmt.Sprintf("%.2f", r.Table5.SharedReadPct+r.Table5.SharedWritePct), "<1")
-	t5.AddRow("directory reads", fmt.Sprintf("%.2f", r.Table5.DirReadPct), "~1")
-	b.WriteString(t5.String())
-	b.WriteString("\n")
-
-	t6 := stats.NewTable("Table 6. Client cache effectiveness (percent)", "Metric", "Measured", "Paper", "Measured-migrated", "Paper-migrated")
-	t6.AddRow("file read misses",
-		fmt.Sprintf("%.1f", r.Table6.All.ReadMissPct), fmt.Sprintf("%.1f", paper.t6ReadMiss),
-		fmt.Sprintf("%.1f", r.Table6.Migrated.ReadMissPct), fmt.Sprintf("%.1f", paper.t6ReadMissMig))
-	t6.AddRow("read miss traffic",
-		fmt.Sprintf("%.1f", r.Table6.All.ReadMissTrafficPct), fmt.Sprintf("%.1f", paper.t6MissTraffic),
-		fmt.Sprintf("%.1f", r.Table6.Migrated.ReadMissTrafficPct), fmt.Sprintf("%.1f", paper.t6MissTrafficMig))
-	t6.AddRow("writeback traffic",
-		fmt.Sprintf("%.1f", r.Table6.All.WritebackPct), fmt.Sprintf("%.1f", paper.t6Writeback), "-", "-")
-	t6.AddRow("write fetches",
-		fmt.Sprintf("%.1f", r.Table6.All.WriteFetchPct), fmt.Sprintf("%.1f", paper.t6WriteFetch),
-		fmt.Sprintf("%.1f", r.Table6.Migrated.WriteFetchPct), "1.6")
-	t6.AddRow("paging read misses",
-		fmt.Sprintf("%.1f", r.Table6.All.PagingReadMissPct), fmt.Sprintf("%.1f", paper.t6PagingMiss),
-		fmt.Sprintf("%.1f", r.Table6.Migrated.PagingReadMissPct), fmt.Sprintf("%.1f", paper.t6PagingMissMig))
-	b.WriteString(t6.String())
-	b.WriteString("\n")
-
-	t7 := stats.NewTable("Table 7. Server traffic", "Metric", "Measured", "Paper")
-	t7.AddRow("paging share (%)", fmt.Sprintf("%.1f", r.Table7.PagingPct), fmt.Sprintf("~%.0f", paper.t7PagingPct))
-	t7.AddRow("write-shared share (%)", fmt.Sprintf("%.2f", r.Table7.SharedPct), "~1")
-	t7.AddRow("non-paging read:write ratio", fmt.Sprintf("%.2f", r.Table7.ReadWriteRatio), fmt.Sprintf("~%.0f", paper.t7NonPagingRW))
-	b.WriteString(t7.String())
-	b.WriteString("\n")
-
-	t8 := stats.NewTable("Table 8. Cache block replacement", "Metric", "Measured", "Paper")
-	t8.AddRow("replaced by file data (%)", fmt.Sprintf("%.1f", r.Table8.FilePct), fmt.Sprintf("%.1f", paper.t8FilePct))
-	t8.AddRow("given to VM (%)", fmt.Sprintf("%.1f", r.Table8.VMPct), fmt.Sprintf("%.1f", paper.t8VMPct))
-	t8.AddRow("avg age at replacement (min)", fmt.Sprintf("%.1f", r.Table8.AvgAgeMin), fmt.Sprintf("%.0f (file) / %.0f (vm)", paper.t8AgeFileMin, paper.t8AgeVMMin))
-	b.WriteString(t8.String())
-	b.WriteString("\n")
-
-	t9 := stats.NewTable("Table 9. Dirty block cleaning", "Reason", "Measured %", "Paper %", "Measured age (s)", "Paper age (s)")
-	paperPct := [fscache.NumCleanReasons]float64{paper.t9DelayPct, paper.t9FsyncPct, paper.t9RecallPct, paper.t9VMPct, 0}
-	paperAge := [fscache.NumCleanReasons]float64{paper.t9DelayAge, paper.t9FsyncAge, paper.t9RecallAge, 0, 0}
-	for reason := fscache.CleanReason(0); reason < fscache.NumCleanReasons; reason++ {
-		t9.AddRow(reason.String(),
-			fmt.Sprintf("%.1f", r.Table9.Pct[reason]),
-			fmt.Sprintf("%.1f", paperPct[reason]),
-			fmt.Sprintf("%.1f", r.Table9.AgeSec[reason]),
-			fmt.Sprintf("%.1f", paperAge[reason]))
-	}
-	b.WriteString(t9.String())
-	b.WriteString("\n")
-
-	t10 := stats.NewTable("Table 10 (server counters cross-check)", "Action", "Measured %", "Paper %")
-	t10.AddRow("concurrent write-sharing", fmt.Sprintf("%.2f", r.Table10.CWSPct), fmt.Sprintf("%.2f", paper.t10CWS))
-	t10.AddRow("server recall", fmt.Sprintf("%.2f", r.Table10.RecallPct), fmt.Sprintf("%.2f", paper.t10Recall))
-	b.WriteString(t10.String())
-
-	fmt.Fprintf(&b, "\nNetwork utilization: %.2f%% of the Ethernet (paper: ~4%% from paging alone)\n",
-		100*r.NetUtilization)
-	fmt.Fprintf(&b, "Server caches: %.1f%% hit rate on client fetches; %d disk reads, %d disk writes\n",
-		r.Storage.ReadHitPct, r.Storage.DiskReads, r.Storage.DiskWrites)
-	return b.String()
-}
 
 // TraceReport renders every Section 4 table/figure plus Tables 10-12 for a
 // set of trace results.
 func TraceReport(results []*TraceResult) string {
 	var b strings.Builder
-	for _, t := range []*stats.Table{
-		Table1(results), Table2(results), Table3(results), Figures(results),
-		Table10(results), Table11(results), Table12(results),
-	} {
-		b.WriteString(t.String())
+	for i := range traceTables {
+		b.WriteString(traceTables[i].render(results, nil).String())
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// TraceDetail renders every Section 4 cell TraceReport does not print.
+func TraceDetail(results []*TraceResult) *stats.Table {
+	return detail("Section 4 detail: the cells the tables above leave out", traceCells, traceTables, results, nil)
+}
+
+// CounterTables renders Tables 4-9 (and the servers' Table 10 cross-check)
+// from a counter study, then the network and server-storage summary.
+func CounterTables(r *CounterResult) string {
+	var b strings.Builder
+	for i := range counterTables {
+		b.WriteString(counterTables[i].render(nil, r).String())
+		b.WriteString("\n")
+	}
+	m := func(id string) string { return catalog[id].measured(nil, r) }
+	fmt.Fprintf(&b, "Network utilization: %s%% of the Ethernet (paper: %s)\n",
+		m("net.util_pct"), catalog["net.util_pct"].paper.text)
+	fmt.Fprintf(&b, "Server caches: %s%% hit rate on client fetches; %s disk reads, %s disk writes\n",
+		m("storage.read_hit_pct"), m("storage.disk_reads"), m("storage.disk_writes"))
+	return b.String()
+}
+
+// CounterDetail renders every Section 5 cell CounterTables' tables do not
+// print.
+func CounterDetail(r *CounterResult) *stats.Table {
+	return detail("Section 5 detail: the cells the tables above leave out", counterCells, counterTables, nil, r)
 }
 
 // FaultTables renders the data-at-risk study: one row per writeback-delay

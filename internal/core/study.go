@@ -142,19 +142,11 @@ func (r *TraceResult) FigureSeries() []FigureSeries {
 	}
 }
 
-// CounterResult bundles the Section 5 counter-study tables.
+// CounterResult is the Section 5 counter study: every counter table of
+// the run, and the Ethernet's utilization over it.
 type CounterResult struct {
 	Days float64
-
-	Table4  cluster.Table4
-	Table5  cluster.Table5
-	Table6  cluster.Table6
-	Table7  cluster.Table7
-	Table8  cluster.Table8
-	Table9  cluster.Table9
-	Table10 cluster.Table10
-	Storage cluster.ServerStorage
-
+	cluster.Report
 	NetUtilization float64
 }
 
@@ -203,18 +195,7 @@ func RunCounterStudy(opts CounterOptions) *CounterResult {
 	dur := time.Duration(days * 24 * float64(time.Hour))
 	cl.Run(dur)
 
-	return &CounterResult{
-		Days:           days,
-		Table4:         cl.Table4Report(),
-		Table5:         cl.Table5Report(),
-		Table6:         cl.Table6Report(),
-		Table7:         cl.Table7Report(),
-		Table8:         cl.Table8Report(),
-		Table9:         cl.Table9Report(),
-		Table10:        cl.Table10Report(),
-		Storage:        cl.ServerStorageReport(),
-		NetUtilization: cl.Net.Utilization(dur),
-	}
+	return &CounterResult{Days: days, Report: cl.Report(), NetUtilization: cl.Net.Utilization(dur)}
 }
 
 // FaultOptions configures the data-at-risk campaign.

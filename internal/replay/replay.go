@@ -286,7 +286,7 @@ func (e *Engine) Run(s trace.Stream) (*Result, error) {
 	c.Sim.RunUntil(horizon + maxDelay + 2*fscache.CleanerPeriod + time.Minute)
 	c.Finish()
 
-	m := c.Metrics()
+	m := &c.Metrics
 	res := &Result{
 		Config:  e.cfg,
 		Stats:   e.stats,

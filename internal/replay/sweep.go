@@ -14,8 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"spritefs/internal/cluster"
-	"spritefs/internal/netsim"
 	"spritefs/internal/stats"
 	"spritefs/internal/trace"
 )
@@ -144,35 +142,4 @@ func ReplayTable(r *Result) *stats.Table {
 		t.AddRow("stall time", fmt.Sprintf("%v", rec.StallTime.Round(time.Millisecond)))
 	}
 	return t
-}
-
-// ReportTables renders the replayed run's counter tables — the same
-// quantities a live cluster reports, numbered as in the paper.
-func ReportTables(rep *cluster.Report) []*stats.Table {
-	t6 := stats.NewTable("Table 6: client cache effectiveness", "measure", "all", "migrated")
-	t6.AddRowf("read miss %", "%.1f", rep.Table6.All.ReadMissPct, rep.Table6.Migrated.ReadMissPct)
-	t6.AddRowf("read miss traffic %", "%.1f", rep.Table6.All.ReadMissTrafficPct, rep.Table6.Migrated.ReadMissTrafficPct)
-	t6.AddRowf("writeback %", "%.1f", rep.Table6.All.WritebackPct)
-	t6.AddRowf("write fetch %", "%.1f", rep.Table6.All.WriteFetchPct, rep.Table6.Migrated.WriteFetchPct)
-	t6.AddRowf("bytes saved by delete %", "%.1f", rep.Table6.BytesSavedByDeletePct)
-
-	t7 := stats.NewTable("Table 7: network traffic", "class", "% of bytes")
-	for c := netsim.Class(0); c < netsim.NumClasses; c++ {
-		t7.AddRowf(c.String(), "%.1f", rep.Table7.ClassPct[c])
-	}
-	t7.AddRowf("read share", "%.1f", rep.Table7.ReadPct)
-	t7.AddRowf("read:write ratio", "%.2f", rep.Table7.ReadWriteRatio)
-	t7.AddRow("total", stats.FmtBytes(rep.Table7.TotalBytes))
-
-	t8 := stats.NewTable("Table 8: cache block replacement", "measure", "value")
-	t8.AddRowf("replaced for file data %", "%.1f", rep.Table8.FilePct)
-	t8.AddRowf("handed to VM %", "%.1f", rep.Table8.VMPct)
-	t8.AddRowf("avg age at replacement (min)", "%.1f", rep.Table8.AvgAgeMin)
-
-	t10 := stats.NewTable("Table 10: consistency actions", "measure", "value")
-	t10.AddRow("file opens", fmt.Sprintf("%d", rep.Table10.FileOpens))
-	t10.AddRowf("concurrent write-sharing %", "%.2f", rep.Table10.CWSPct)
-	t10.AddRowf("recalls %", "%.2f", rep.Table10.RecallPct)
-
-	return []*stats.Table{t6, t7, t8, t10}
 }
