@@ -1,9 +1,14 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,6 +64,99 @@ func TestFidelityCoversEveryDirectory(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// definedFlags parses main.go of every tool under cmd/ and returns, per
+// tool directory ("cmd/replay"), the names of the flags it defines through
+// fs.X or flag.X for X in String, Int, Int64, Float64, Bool, Duration.
+func definedFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	kinds := map[string]bool{"String": true, "Int": true, "Int64": true, "Float64": true, "Bool": true, "Duration": true}
+	mains, err := filepath.Glob(filepath.Join("..", "..", "cmd", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no cmd/*/main.go found: %v", err)
+	}
+	tools := map[string]map[string]bool{}
+	for _, path := range mains {
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tool := "cmd/" + filepath.Base(filepath.Dir(path))
+		tools[tool] = map[string]bool{}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !kinds[sel.Sel.Name] {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || (x.Name != "fs" && x.Name != "flag") {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tools[tool][name] = true
+			}
+			return true
+		})
+	}
+	return tools
+}
+
+// TestFidelityNamesEveryFlag holds Part B3 to the flags the tools define:
+// every flag a cmd/*/main.go defines has a B3 row for its tool, and every
+// flag a B3 row names is defined by that tool. So no flag arrives without
+// a consumer named in FIDELITY.md, and none leaves with its row behind
+// (deleting replay's -shards while keeping its row fails here).
+func TestFidelityNamesEveryFlag(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "FIDELITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b3, ok := strings.Cut(string(doc), "\n### B3.")
+	if !ok {
+		t.Fatal("docs/FIDELITY.md has no B3 section")
+	}
+	b3, _, _ = strings.Cut(b3, "\n### ")
+	flagName := regexp.MustCompile("`-([a-z0-9-]+)`")
+	documented := map[string]map[string]bool{}
+	for _, line := range strings.Split(b3, "\n") {
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 2 {
+			continue
+		}
+		tool := strings.Trim(strings.TrimSpace(cells[0]), "`")
+		if !strings.HasPrefix(tool, "cmd/") {
+			continue
+		}
+		if documented[tool] == nil {
+			documented[tool] = map[string]bool{}
+		}
+		for _, m := range flagName.FindAllStringSubmatch(cells[1], -1) {
+			documented[tool][m[1]] = true
+		}
+	}
+	defined := definedFlags(t)
+	for tool, flags := range defined {
+		for name := range flags {
+			if !documented[tool][name] {
+				t.Errorf("%s defines -%s, which no docs/FIDELITY.md B3 row names: give it a consumer", tool, name)
+			}
+		}
+	}
+	for tool, flags := range documented {
+		for name := range flags {
+			if !defined[tool][name] {
+				t.Errorf("docs/FIDELITY.md B3 names %s -%s, which the tool does not define: drop it from the row", tool, name)
+			}
 		}
 	}
 }
