@@ -1,14 +1,14 @@
-// Command cachesim runs the Section 5 counter study (Tables 4-9) and the
-// design-choice what-ifs the paper discusses: the local-disk paging
-// argument of Section 5.3, a fixed-cache-size sweep (the BSD study's
-// prediction of 10% misses at 4 MB versus Sprite's measured ~40%), a
-// writeback-delay sweep (the paper's "longer writeback intervals" future
-// work), and the prefetch question ("prefetching could reduce latencies,
-// but it would not reduce the read miss ratio... server traffic").
+// Command cachesim runs the design-choice what-ifs the paper discusses:
+// the local-disk paging argument of Section 5.3, a fixed-cache-size sweep
+// (the BSD study's prediction of 10% misses at 4 MB versus Sprite's
+// measured ~40%), a writeback-delay sweep (the paper's "longer writeback
+// intervals" future work), the prefetch question ("prefetching could
+// reduce latencies, but it would not reduce the read miss ratio... server
+// traffic"), and Table 11's consistency schemes measured live. The Section
+// 5 counter study itself (Tables 4-9) is experiments -exp section5.
 //
 // Usage:
 //
-//	cachesim -days 1                        # Tables 4-9
 //	cachesim -whatif localdisk -days 1
 //	cachesim -whatif cachesize -days 0.5
 //	cachesim -whatif delay -days 0.5
@@ -41,34 +41,22 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cachesim", flag.ContinueOnError)
 	var (
 		days   = fs.Float64("days", 1, "simulated days")
-		scale  = fs.Float64("scale", 1.0, "community scale factor")
 		seed   = fs.Int64("seed", 424242, "workload seed")
-		whatif = fs.String("whatif", "", "what-if analysis: localdisk, cachesize, delay, prefetch, consistency")
+		whatif = fs.String("whatif", "", "what-if analysis (required): localdisk, cachesize, delay, prefetch, consistency")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The study takes a non-positive horizon or scale to mean "the
-	// default", and a what-if given one runs zero seconds or workstations:
-	// reject both rather than print the default's tables or tables of zeros.
+	if *whatif == "" {
+		return fmt.Errorf("-whatif is required (localdisk, cachesize, delay, prefetch or consistency); the Section 5 tables are experiments -exp section5")
+	}
+	// A what-if given a non-positive horizon runs zero seconds: reject it
+	// rather than print tables of zeros.
 	if *days <= 0 {
 		return fmt.Errorf("-days must be positive (got %g)", *days)
 	}
-	if *scale <= 0 {
-		return fmt.Errorf("-scale must be positive (got %g)", *scale)
-	}
-	if *whatif != "" {
-		var scaleSet bool
-		fs.Visit(func(f *flag.Flag) { scaleSet = scaleSet || f.Name == "scale" })
-		if scaleSet {
-			return fmt.Errorf("-scale does not apply to -whatif %s: the what-ifs run the full community", *whatif)
-		}
-	}
 
 	switch *whatif {
-	case "":
-		r := core.RunCounterStudy(core.CounterOptions{Days: *days, Scale: *scale, Seed: *seed})
-		fmt.Fprintln(out, core.CounterTables(r))
 	case "localdisk":
 		localDisk(out, *days, *seed)
 	case "cachesize":

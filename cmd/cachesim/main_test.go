@@ -7,28 +7,6 @@ import (
 	"testing"
 )
 
-// TestDefaultTables runs the counter study at a tiny horizon: every
-// Section 5 table is rendered, and — the study being deterministic per
-// seed — a second run prints the same bytes.
-func TestDefaultTables(t *testing.T) {
-	args := []string{"-days", "0.1", "-scale", "0.25"}
-	var a, b bytes.Buffer
-	if err := run(args, &a); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Table 4.", "Table 5.", "Table 6.", "Table 7.", "Table 8.", "Table 9."} {
-		if !strings.Contains(a.String(), want) {
-			t.Errorf("default output lacks %q", want)
-		}
-	}
-	if err := run(args, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("two runs with the same seed printed different tables")
-	}
-}
-
 // TestWhatIfDelay runs one what-if end to end: one row per swept delay.
 func TestWhatIfDelay(t *testing.T) {
 	var out bytes.Buffer
@@ -53,20 +31,19 @@ func TestUnknownWhatIfRejected(t *testing.T) {
 	}
 }
 
-// TestBadFlagsRejected: a value the study would replace with its default,
-// one that yields tables of zeros, and a flag the chosen mode ignores are
-// each an error that names the flag, and nothing is printed.
+// TestBadFlagsRejected: a horizon that yields tables of zeros and a run
+// with no what-if are each an error that names what to change, and nothing
+// is printed. The no-what-if row catches a default mode brought back: it
+// would print the Section 5 tables instead of naming experiments.
 func TestBadFlagsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string // the error names this
 	}{
-		{[]string{"-days", "0"}, "-days"},
-		{[]string{"-days", "-1"}, "-days"},
+		{[]string{"-whatif", "delay", "-days", "0"}, "-days"},
 		{[]string{"-whatif", "delay", "-days", "-1"}, "-days"},
-		{[]string{"-scale", "-2", "-days", "0.01"}, "-scale"},
-		{[]string{"-scale", "0", "-days", "0.01"}, "-scale"},
-		{[]string{"-whatif", "delay", "-scale", "2", "-days", "0.01"}, "-scale"},
+		{[]string{"-days", "0.01"}, "experiments -exp section5"},
+		{nil, "-whatif is required"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

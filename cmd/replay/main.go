@@ -15,6 +15,11 @@
 //
 //	replay -trace trace1.srv0 -sweep cache=512,2048,8192 -workers 8 -report tsv
 //
+// Replay only some workstations' records — their cache and wire load, with
+// no consistency action against the clients left out:
+//
+//	replay -trace trace1.srv0 -clients 0,3,6
+//
 // Replay under a fault schedule — crash server 0 an hour in, with the
 // recovery counters reported in the summary:
 //
@@ -30,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -62,8 +68,7 @@ func run(args []string, out io.Writer) (err error) {
 		mapSpec    = fs.String("map", "", "column mapping for -import csv, e.g. 'time=0,op=2,path=3,unit=ms'")
 		speed      = fs.Float64("speed", 1, "time scale: 2 = twice recorded speed, 0 = as fast as possible")
 		sweep      = fs.String("sweep", "", "sweep axis, e.g. cache=512,2048,8192 | wb=5s,30s | mode=sprite,poll | poll=5s,30s")
-		shardsN    = fs.Int("shards", 0, "partition the trace's clients across N shards and replay each hermetically: per-shard cache and wire load only — consistency actions between clients of different shards (recalls, write-sharing disables) are dropped, not replayed")
-		workers    = fs.Int("workers", runtime.NumCPU(), "worker goroutines for -sweep and -shards")
+		workers    = fs.Int("workers", runtime.NumCPU(), "worker goroutines for -sweep")
 		report     = fs.String("report", "summary", "report style: summary | tables | tsv")
 		servers    = fs.Int("servers", 4, "number of file servers")
 		seed       = fs.Int64("seed", 1, "simulator seed")
@@ -105,14 +110,11 @@ func run(args []string, out io.Writer) (err error) {
 	if set["map"] && *importFmt != "csv" {
 		return fmt.Errorf("-map only applies to -import csv")
 	}
-	if set["workers"] && *sweep == "" && *shardsN == 0 {
-		return fmt.Errorf("-workers only applies to -sweep and -shards runs")
+	if set["workers"] && *sweep == "" {
+		return fmt.Errorf("-workers only applies to -sweep runs")
 	}
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be at least 1 (got %d)", *workers)
-	}
-	if set["shards"] && *shardsN < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", *shardsN)
 	}
 	if *servers < 1 {
 		return fmt.Errorf("-servers must be at least 1 (got %d)", *servers)
@@ -134,8 +136,10 @@ func run(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("-%s must be at least 0 (got %v)", f.name, f.got)
 		}
 	}
-	if *shardsN > 0 && *sweep != "" {
-		return fmt.Errorf("-shards and -sweep are mutually exclusive (one varies topology, the other configuration)")
+	// NaN and +Inf pass the check above and would replay as fast as
+	// possible without saying so.
+	if math.IsNaN(*speed) || math.IsInf(*speed, 0) {
+		return fmt.Errorf("-speed must be a finite number (got %v)", *speed)
 	}
 	if set["poll"] && *mode != "poll" && !strings.Contains(*sweep, "poll") && !strings.Contains(*sweep, "mode") {
 		return fmt.Errorf("-poll only applies with -mode poll (or a poll/mode sweep axis)")
@@ -218,23 +222,6 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 	defer closeAll()
-
-	if *shardsN > 0 {
-		// Sharded replays partition a resident record slice by client.
-		recs, err := trace.Collect(stream)
-		if err != nil {
-			return err
-		}
-		results, err := replay.RunSharded(recs, base, *shardsN, *workers)
-		if err != nil {
-			return err
-		}
-		if err := writeMetrics(results, *metricsOut, *metricsFmt, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, replay.ShardedTable(results))
-		return nil
-	}
 
 	if *sweep == "" {
 		res, err := replay.Run(base, stream)
@@ -368,6 +355,11 @@ func buildFilter(clientsCSV, kindsCSV string) (func(*trace.Record) bool, error) 
 			n, err := strconv.ParseInt(s, 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("bad client id %q", s)
+			}
+			// The engine scrubs records with a negative client before
+			// any filter runs, so such an id would match nothing.
+			if n < 0 {
+				return nil, fmt.Errorf("-clients must be at least 0 (got %d)", n)
 			}
 			parsed = append(parsed, int32(n))
 		}

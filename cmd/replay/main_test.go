@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,6 +35,13 @@ func TestFlagValidation(t *testing.T) {
 		{"negative writeback delay", []string{"-wb", "-5s", "-trace", "x"}, "-wb must be at least 0"},
 		{"negative prefetch", []string{"-prefetch", "-2", "-trace", "x"}, "-prefetch must be at least 0"},
 		{"negative speed", []string{"-speed", "-1", "-trace", "x"}, "-speed must be at least 0"},
+		// NaN and +Inf pass a "< 0" check and replay as fast as possible;
+		// dropping the finiteness check lets both through to the trace open.
+		{"NaN speed", []string{"-speed", "NaN", "-trace", "x"}, "-speed must be a finite number"},
+		{"infinite speed", []string{"-speed", "+Inf", "-trace", "x"}, "-speed must be a finite number"},
+		// The engine scrubs negative clients before the filter, so -1 would
+		// apply nothing; dropping the id check lets it through.
+		{"negative client id", []string{"-clients", "3,-1", "-trace", "x"}, "-clients must be at least 0"},
 		{"negative poll window", []string{"-mode", "poll", "-poll", "-3s", "-trace", "x"}, "-poll must be at least 0"},
 		{"zero servers", []string{"-servers", "0", "-trace", "x"}, "-servers must be at least 1"},
 		{"negative servers", []string{"-servers", "-2", "-trace", "x"}, "-servers must be at least 1"},
@@ -87,31 +96,39 @@ func TestValidCombosPassValidation(t *testing.T) {
 	}
 }
 
-// TestReportTablesPrintsTheSection5Tables replays a small captured trace
-// (the shape of internal/replay's golden trace) with -report tables and
-// checks the Section 5 tables come out with the paper's column beside the
-// replayed one, followed by the detail table of every other cell.
-func TestReportTablesPrintsTheSection5Tables(t *testing.T) {
-	p := workload.Default(1)
-	p.NumClients, p.DailyUsers, p.OccasionalUsers = 8, 6, 4
-	p.SessionMedian, p.GapMedian, p.ThinkMean = 8*time.Minute, 10*time.Minute, 5*time.Second
-	cfg := cluster.DefaultConfig(p)
-	cfg.NumServers = 2
-	cfg.SamplePeriod = 0
-	cfg.FixedCachePages = 2048
-	c := cluster.New(cfg)
-	c.Run(2 * time.Hour)
-	recs, err := trace.Collect(trace.Merge(c.PerServerStreams()...))
-	if err != nil {
-		t.Fatal(err)
-	}
+var (
+	smallOnce sync.Once
+	smallRecs []trace.Record
+)
+
+// smallTrace captures a small live trace (the shape of internal/replay's
+// golden trace) once per test binary, writes it in the binary format under
+// t's temporary directory and returns the file's path and its records.
+func smallTrace(t *testing.T) (string, []trace.Record) {
+	t.Helper()
+	smallOnce.Do(func() {
+		p := workload.Default(1)
+		p.NumClients, p.DailyUsers, p.OccasionalUsers = 8, 6, 4
+		p.SessionMedian, p.GapMedian, p.ThinkMean = 8*time.Minute, 10*time.Minute, 5*time.Second
+		cfg := cluster.DefaultConfig(p)
+		cfg.NumServers = 2
+		cfg.SamplePeriod = 0
+		cfg.FixedCachePages = 2048
+		c := cluster.New(cfg)
+		c.Run(2 * time.Hour)
+		recs, err := trace.Collect(trace.Merge(c.PerServerStreams()...))
+		if err != nil {
+			panic(err)
+		}
+		smallRecs = recs
+	})
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
+	for i := range smallRecs {
+		if err := w.Write(&smallRecs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +139,15 @@ func TestReportTablesPrintsTheSection5Tables(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path, smallRecs
+}
 
+// TestReportTablesPrintsTheSection5Tables replays the small trace with
+// -report tables and checks the Section 5 tables come out with the paper's
+// column beside the replayed one, followed by the detail table of every
+// other cell.
+func TestReportTablesPrintsTheSection5Tables(t *testing.T) {
+	path, _ := smallTrace(t)
 	var out strings.Builder
 	if err := run([]string{"-trace", path, "-servers", "2", "-cache", "2048", "-speed", "0", "-report", "tables"}, &out); err != nil {
 		t.Fatal(err)
@@ -141,5 +166,30 @@ func TestReportTablesPrintsTheSection5Tables(t *testing.T) {
 	// The paper's column: Table 6's published read-miss ratios, all and migrated.
 	if !regexp.MustCompile(`(?m)^file read misses +\S+ +41\.4 +\S+ +22\.2$`).MatchString(got) {
 		t.Errorf("Table 6 lacks the paper's column:\n%s", got)
+	}
+}
+
+// TestClientsReplaysThatSubset runs -clients 0,3 end to end and checks the
+// replay applies exactly the records those two workstations issued: a flag
+// parser that kept only the first id, or a filter that was never installed,
+// applies a different count.
+func TestClientsReplaysThatSubset(t *testing.T) {
+	path, recs := smallTrace(t)
+	var want int
+	for _, r := range recs {
+		if r.Client == 0 || r.Client == 3 {
+			want++
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-trace", path, "-servers", "2", "-cache", "2048", "-speed", "0", "-clients", "0,3"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^applied +(\d+)$`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("summary has no applied row:\n%s", out.String())
+	}
+	if got, _ := strconv.Atoi(m[1]); got != want || want == 0 || want == len(recs) {
+		t.Errorf("-clients 0,3 applied %d records, want %d of %d", got, want, len(recs))
 	}
 }

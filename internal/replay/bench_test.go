@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"fmt"
 	"testing"
 
 	"spritefs/internal/trace"
@@ -29,36 +28,6 @@ func BenchmarkReplayThroughput(b *testing.B) {
 	b.StopTimer()
 	total := float64(b.N) * float64(len(live.recs))
 	b.ReportMetric(total/b.Elapsed().Seconds(), "records/s")
-}
-
-// BenchmarkShardedReplay partitions the captured trace by client and
-// replays every shard hermetically — the end-to-end macro path the
-// allocation-free scheduler, pooled caches and pooled messages feed.
-func BenchmarkShardedReplay(b *testing.B) {
-	live := capturedTrace(b)
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := replayCfg("bench-sharded")
-			cfg.AsFastAsPossible = true
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				results, err := RunSharded(live.recs, cfg, shards, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var applied int64
-				for _, r := range results {
-					applied += r.Stats.Applied
-				}
-				if applied == 0 {
-					b.Fatal("no records applied")
-				}
-			}
-			b.StopTimer()
-			total := float64(b.N) * float64(len(live.recs))
-			b.ReportMetric(total/b.Elapsed().Seconds(), "records/s")
-		})
-	}
 }
 
 // BenchmarkReplayPaced replays with real timestamps (virtual time advances

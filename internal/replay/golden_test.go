@@ -82,17 +82,6 @@ func TestGoldenReplay(t *testing.T) {
 		{"golden_tuned.txt", one(tuned)},
 		{"golden_faulted.txt", one(faulted)},
 		{"golden_afap.txt", one(afap)},
-		{"golden_sharded.txt", func() string {
-			results, err := RunSharded(live.recs, replayCfg("sharded"), 3, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := ShardedTable(results)
-			for _, r := range results {
-				s += goldenText(t, r)
-			}
-			return s
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {

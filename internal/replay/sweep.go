@@ -32,19 +32,6 @@ func RunSweep(recs []trace.Record, cfgs []Config, workers int) ([]*Result, error
 // completed configurations' metrics if the sweep is interrupted mid-run;
 // the hook must be safe for concurrent calls.
 func RunSweepWith(recs []trace.Record, cfgs []Config, workers int, onResult func(int, *Result)) ([]*Result, error) {
-	results, i, err := runAll(cfgs, func(int) []trace.Record { return recs }, workers, onResult)
-	if err != nil {
-		return nil, fmt.Errorf("replay %q: %w", cfgs[i].Name, err)
-	}
-	return results, nil
-}
-
-// runAll is the one fan-out behind RunSweep and RunSharded: it replays
-// recs(i) under cfgs[i] for every i over the given number of worker
-// goroutines (min 1), each replay on a hermetic engine. Results are
-// indexed by i, independent of completion order; on failure it returns
-// the lowest failing index and that replay's error for the caller to name.
-func runAll(cfgs []Config, recs func(i int) []trace.Record, workers int, onResult func(int, *Result)) ([]*Result, int, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -60,7 +47,7 @@ func runAll(cfgs []Config, recs func(i int) []trace.Record, workers int, onResul
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i], errs[i] = Run(cfgs[i], trace.NewSliceStream(recs(i)))
+				results[i], errs[i] = Run(cfgs[i], trace.NewSliceStream(recs))
 				if onResult != nil && errs[i] == nil {
 					onResult(i, results[i])
 				}
@@ -74,10 +61,10 @@ func runAll(cfgs []Config, recs func(i int) []trace.Record, workers int, onResul
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, i, err
+			return nil, fmt.Errorf("replay %q: %w", cfgs[i].Name, err)
 		}
 	}
-	return results, -1, nil
+	return results, nil
 }
 
 // SweepTable summarizes a sweep one row per configuration: the Section 5
