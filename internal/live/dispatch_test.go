@@ -194,7 +194,9 @@ func TestWallClockNoLostWakeup(t *testing.T) {
 	wc := New(sim.New(1))
 	wc.Start()
 	defer wc.Stop()
-	wc.Every(3*time.Second, 3*time.Second, func() {})
+	if err := wc.Call(func() { wc.Sim().Every(3*time.Second, 3*time.Second, func() {}) }); err != nil {
+		t.Fatal(err)
+	}
 
 	// submit queues a closure, lets go of whatever holds the loop, and
 	// times the closure's turn.
@@ -224,59 +226,94 @@ func TestWallClockNoLostWakeup(t *testing.T) {
 
 // TestWallClockSubmissionOrder pins where a submission runs: after every
 // event that was already due, in the order it arrived in, and before any
-// event a submission schedules for the same instant.
+// event a submission schedules for the same instant. The instant is the
+// one the simulator has reached: a simulator handed over ahead of the wall
+// keeps its clock, and what is submitted meanwhile waits for the wall and
+// runs at that very instant — after the events queued there, before any
+// queued a nanosecond later.
 func TestWallClockSubmissionOrder(t *testing.T) {
-	wc := New(sim.New(1))
-	wc.Start()
-	defer wc.Stop()
-
 	const n = 100
-	var log []string // loop-only until the final Call has returned
-	held, gate := make(chan struct{}), make(chan struct{})
-	wc.Go(func() {
-		wc.Sim().After(time.Millisecond, func() { log = append(log, "due") })
-		close(held)
-		<-gate
-	})
-	<-held
-	// The loop is held inside a closure: everything submitted now is applied
-	// in one pass, by which time the event above is 5 ms overdue.
-	for i := 0; i < n; i++ {
-		i := i
-		fn := func() {
-			log = append(log, fmt.Sprint("sub ", i))
-			wc.Sim().After(0, func() { log = append(log, fmt.Sprint("child ", i)) })
+	check := func(t *testing.T, log, want []string) {
+		t.Helper()
+		if len(log) != len(want) {
+			t.Fatalf("%d closures ran, want %d: %v", len(log), len(want), log)
 		}
-		if i%2 == 0 {
-			wc.Go(fn)
-		} else {
-			wc.After(0, fn)
+		for i := range want {
+			if log[i] != want[i] {
+				t.Fatalf("position %d ran %q, want %q\nall: %v", i, log[i], want[i], log)
+			}
 		}
-	}
-	time.Sleep(5 * time.Millisecond)
-	close(gate)
-	if err := wc.Call(func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wc.Call(func() {}); err != nil { // a pass later: the children have run
-		t.Fatal(err)
 	}
 
-	want := []string{"due"}
-	for i := 0; i < n; i++ {
-		want = append(want, fmt.Sprint("sub ", i))
-	}
-	for i := 0; i < n; i++ {
-		want = append(want, fmt.Sprint("child ", i))
-	}
-	if len(log) != len(want) {
-		t.Fatalf("%d closures ran, want %d: %v", len(log), len(want), log)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("position %d ran %q, want %q\nall: %v", i, log[i], want[i], log)
+	t.Run("behind the due events", func(t *testing.T) {
+		wc := New(sim.New(1))
+		wc.Start()
+		defer wc.Stop()
+
+		var log []string // loop-only until the final Call has returned
+		held, gate := make(chan struct{}), make(chan struct{})
+		wc.Go(func() {
+			wc.Sim().After(time.Millisecond, func() { log = append(log, "due") })
+			close(held)
+			<-gate
+		})
+		<-held
+		// The loop is held inside a closure: everything submitted now is
+		// applied in one pass, by which time the event above is 5 ms overdue.
+		for i := 0; i < n; i++ {
+			wc.Go(func() {
+				log = append(log, fmt.Sprint("sub ", i))
+				wc.Sim().After(0, func() { log = append(log, fmt.Sprint("child ", i)) })
+			})
 		}
-	}
+		time.Sleep(5 * time.Millisecond)
+		close(gate)
+		if err := wc.Call(func() {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := wc.Call(func() {}); err != nil { // a pass later: the children have run
+			t.Fatal(err)
+		}
+
+		want := []string{"due"}
+		for i := 0; i < n; i++ {
+			want = append(want, fmt.Sprint("sub ", i))
+		}
+		for i := 0; i < n; i++ {
+			want = append(want, fmt.Sprint("child ", i))
+		}
+		check(t, log, want)
+	})
+
+	t.Run("at the simulator's instant", func(t *testing.T) {
+		const ahead = 200 * time.Millisecond
+		s := sim.New(1)
+		s.RunUntil(ahead)
+		var log []string // loop-only until the final Call has returned
+		s.At(ahead, func() { log = append(log, "queued") })
+		s.At(ahead+1, func() { log = append(log, "later") })
+		wc := New(s)
+		wc.Start()
+		defer wc.Stop()
+		for i := 0; i < n; i++ {
+			wc.Go(func() { log = append(log, fmt.Sprint("sub ", i)) })
+		}
+		if at := wc.Now(); at >= ahead/2 {
+			t.Skipf("submitting took until %v, too near the simulator's %v to tell", at, ahead)
+		}
+		if err := wc.Call(func() {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := wc.Call(func() {}); err != nil { // past the instant: "later" has run
+			t.Fatal(err)
+		}
+
+		want := []string{"queued"}
+		for i := 0; i < n; i++ {
+			want = append(want, fmt.Sprint("sub ", i))
+		}
+		check(t, log, append(want, "later"))
+	})
 }
 
 // TestDispatcherDoZeroAlloc gates the request path's steady state: a Do
