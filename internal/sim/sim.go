@@ -75,10 +75,9 @@ type Ticker struct {
 
 // Stop cancels future firings of the ticker. The queued entry is removed
 // from the heap and recycled immediately — no tombstone stays behind, so
-// stopped tickers leave Pending unchanged. Stop on a nil Ticker (what
-// live.WallClock.Every returns once the clock has stopped) is a no-op.
+// stopped tickers leave Pending unchanged.
 func (t *Ticker) Stop() {
-	if t == nil || t.stopped {
+	if t.stopped {
 		return
 	}
 	t.stopped = true
