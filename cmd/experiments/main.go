@@ -251,7 +251,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	if *exp == "scale" {
-		counts, err := parseShards(*shards)
+		counts, err := parseCounts("shards", *shards)
 		if err != nil {
 			return usageError{err}
 		}
@@ -282,9 +282,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	if *exp == "wanscale" {
-		counts, err := parseShards(*sites)
+		counts, err := parseCounts("sites", *sites)
 		if err != nil {
 			return usageError{err}
+		}
+		for _, n := range counts {
+			if *segs%n != 0 {
+				return usageError{fmt.Errorf("-sites %d does not divide -segments %d", n, *segs)}
+			}
 		}
 		if *clients == 0 {
 			*clients = core.DefaultWANScaleClients
@@ -303,8 +308,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	return nil
 }
 
-// parseShards parses the -shards list.
-func parseShards(s string) ([]int, error) {
+// parseCounts parses the comma-separated counts of -shards or -sites; its
+// errors name the flag.
+func parseCounts(flag, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -313,12 +319,12 @@ func parseShards(s string) ([]int, error) {
 		}
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q", part)
+			return nil, fmt.Errorf("-%s: bad count %q, want a positive integer", flag, part)
 		}
 		out = append(out, n)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no shard counts selected")
+		return nil, fmt.Errorf("-%s: no counts selected", flag)
 	}
 	return out, nil
 }

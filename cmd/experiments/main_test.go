@@ -73,14 +73,17 @@ func TestProfileFlagsApplyEverywhere(t *testing.T) {
 	}
 }
 
-// TestParseShards pins the -shards list parser.
-func TestParseShards(t *testing.T) {
-	if got, err := parseShards("1, 2,8"); err != nil || len(got) != 3 || got[2] != 8 {
-		t.Errorf("parseShards(\"1, 2,8\") = %v, %v", got, err)
+// TestParseCounts pins the -shards/-sites list parser: its errors name
+// the flag they are about.
+func TestParseCounts(t *testing.T) {
+	if got, err := parseCounts("shards", "1, 2,8"); err != nil || len(got) != 3 || got[2] != 8 {
+		t.Errorf("parseCounts(shards, \"1, 2,8\") = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "0", "x", "-1"} {
-		if _, err := parseShards(bad); err == nil {
-			t.Errorf("parseShards(%q) succeeded", bad)
+	for _, flag := range []string{"shards", "sites"} {
+		for _, bad := range []string{"", "0", "x", "-1"} {
+			if _, err := parseCounts(flag, bad); err == nil || !strings.Contains(err.Error(), "-"+flag) {
+				t.Errorf("parseCounts(%s, %q) = %v, want an error naming -%s", flag, bad, err, flag)
+			}
 		}
 	}
 }
@@ -155,7 +158,8 @@ func TestWorkloadStudyInvocation(t *testing.T) {
 }
 
 // TestErrorsKeepTheirExitCodes pins the usage (exit 2) / run (exit 1)
-// split main maps from run's error.
+// split main maps from run's error. A usage error comes before anything
+// runs, so no progress line precedes it.
 func TestErrorsKeepTheirExitCodes(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -165,20 +169,24 @@ func TestErrorsKeepTheirExitCodes(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-bogus"}, true, "bogus"},
 		{"unknown experiment", []string{"-exp", "bogus"}, true, "unknown experiment"},
-		{"bad shard list", []string{"-exp", "scale", "-shards", "x"}, true, "bad shard count"},
+		{"bad shard list", []string{"-exp", "scale", "-shards", "x"}, true, "-shards"},
+		{"zero sites", []string{"-exp", "wanscale", "-sites", "0"}, true, "-sites"},
 		{"bad profile path", []string{"-exp", "scale", "-cpuprofile", t.TempDir() + "/no/such/dir/cpu"}, true, "-cpuprofile"},
 		{"bad trace list", []string{"-exp", "section4", "-traces", "9"}, false, "bad trace number"},
 		{"bad fault schedule", []string{"-exp", "faults", "-faults", "garbage"}, false, "garbage"},
-		{"indivisible sites", []string{"-exp", "wanscale", "-segments", "8", "-sites", "3"}, false, "3"},
+		{"indivisible sites", []string{"-exp", "wanscale", "-segments", "8", "-sites", "3"}, true, "-sites 3 does not divide -segments 8"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := runTool(tc.args...)
+			_, stderr, err := runTool(tc.args...)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 			}
 			if got := errors.As(err, &usageError{}); got != tc.usage {
 				t.Errorf("run(%v): usage error = %v, want %v (%v)", tc.args, got, tc.usage, err)
+			}
+			if tc.usage && strings.Contains(stderr, "running ") {
+				t.Errorf("run(%v): usage error %v after a progress line:\n%s", tc.args, err, stderr)
 			}
 		})
 	}

@@ -161,6 +161,102 @@ func TestFidelityNamesEveryFlag(t *testing.T) {
 	}
 }
 
+// TestFidelityNamesEveryTestOnlyExport holds Part B to FIDELITY's rule that
+// UNUSED is a deletion list: every exported function under internal/, and
+// every exported method on an exported type there (String and Error
+// aside), that no non-test .go file of the repository mentions outside
+// comments and declarations — under cmd/, internal/, bench/, examples/ or
+// at the root — is named in a Part B row, where its status says why it
+// stays. So an export that only tests call cannot arrive unexplained.
+//
+// The check matches names, not objects: a use of any identifier of the
+// same name counts. An export whose name is shared with something in use
+// slips through — the pacer's WallClock.At would have, because Sim.At is
+// called everywhere.
+func TestFidelityNamesEveryTestOnlyExport(t *testing.T) {
+	root := filepath.Join("..", "..")
+	used := map[string]int{} // identifier name -> mentions outside declarations
+	type export struct{ name, at string }
+	var exports []export
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				used[id.Name]++
+			}
+			return true
+		})
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			used[fn.Name.Name]--
+			if !strings.HasPrefix(rel, "internal/") || !fn.Name.IsExported() {
+				continue
+			}
+			qual := file.Name.Name + "."
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				typ, ok := recv.(*ast.Ident)
+				if !ok || !typ.IsExported() || fn.Name.Name == "String" || fn.Name.Name == "Error" {
+					continue
+				}
+				qual += typ.Name + "."
+			}
+			exports = append(exports, export{fn.Name.Name, qual + fn.Name.Name + " (" + rel + ")"})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	named := map[string]bool{} // every identifier inside a `code span` of a Part B row
+	word := regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+	span := regexp.MustCompile("`[^`]*`")
+	for _, row := range partBRows(t) {
+		for _, cell := range row {
+			for _, s := range span.FindAllString(cell, -1) {
+				for _, w := range word.FindAllString(s, -1) {
+					named[w] = true
+				}
+			}
+		}
+	}
+	for _, e := range exports {
+		if used[e.name] <= 0 && !named[e.name] {
+			t.Errorf("%s is called by tests only, and no docs/FIDELITY.md Part B row names it: delete it, or give it a row (TEST SEAM, BENCH-PINNED)", e.at)
+		}
+	}
+}
+
 // TestFidelityHasNoUnusedRows: UNUSED is a deletion list that is executed,
 // not deferred — a row may not be committed with that status.
 func TestFidelityHasNoUnusedRows(t *testing.T) {

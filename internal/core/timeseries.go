@@ -9,7 +9,6 @@ import (
 	"spritefs/internal/cluster"
 	"spritefs/internal/metrics"
 	"spritefs/internal/stats"
-	"spritefs/internal/workload"
 )
 
 // TimeseriesOptions configures the registry time-series experiment.
@@ -75,14 +74,9 @@ func RunTimeseries(opts TimeseriesOptions) *TimeseriesResult {
 	if seed == 0 {
 		seed = 424242
 	}
-	// Same community as the counter study (big-file users included), so
-	// the sampled series carries the traffic the Section 5 tables measure.
-	p := workload.Default(seed)
-	p.EmitBackupNoise = false
-	p.BigSimUsers = 1
-	p.SimInputMB = 6
-	p.SimOutputMB = 2
-	p = scaleParams(p, opts.Scale)
+	// The counter study's community, so the sampled series carries the
+	// traffic the Section 5 tables measure.
+	p := scaleParams(CounterParams(seed), opts.Scale)
 
 	dur := time.Duration(hours * float64(time.Hour))
 	cfg := cluster.DefaultConfig(p)

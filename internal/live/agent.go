@@ -238,7 +238,9 @@ type replaySource struct {
 	pos     int
 	files   []FileRef         // remap target population
 	handles map[uint64]uint64 // trace handle -> live handle
-	pending map[uint64]uint64 // trace handle whose open is in flight -> 1
+	// pending is the trace handle of the open in flight, if opening.
+	pending uint64
+	opening bool
 }
 
 func newReplaySource(agent int, cfg *FleetConfig, svc *Service) *replaySource {
@@ -282,14 +284,11 @@ func (r *replaySource) remap(file uint64) uint64 {
 
 func (r *replaySource) next() (Request, bool) {
 	for tries := 0; tries < len(r.recs); tries++ {
-		if len(r.recs) == 0 {
-			return Request{}, false
-		}
 		rec := r.recs[r.pos]
 		r.pos = (r.pos + 1) % len(r.recs)
 		switch rec.Kind {
 		case trace.KindOpen:
-			r.pending = map[uint64]uint64{rec.Handle: 1}
+			r.pending, r.opening = rec.Handle, true
 			return Request{
 				Verb: VerbOpen, Agent: r.agent,
 				File:  r.remap(rec.File),
@@ -324,13 +323,11 @@ func (r *replaySource) next() (Request, bool) {
 }
 
 func (r *replaySource) observe(req *Request, resp *Response, err error) {
-	if req.Verb != VerbOpen || r.pending == nil {
+	if req.Verb != VerbOpen || !r.opening {
 		return
 	}
-	for th := range r.pending {
-		if err == nil && resp.OK() {
-			r.handles[th] = resp.Handle
-		}
+	if err == nil && resp.OK() {
+		r.handles[r.pending] = resp.Handle
 	}
-	r.pending = nil
+	r.opening = false
 }

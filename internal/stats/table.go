@@ -23,17 +23,6 @@ func NewTable(title string, headers ...string) *Table {
 // empty cells; long rows extend the column count.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-// AddRowf appends a row where each cell after the label is formatted with
-// format (e.g. "%.1f").
-func (t *Table) AddRowf(label, format string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.AddRow(cells...)
-}
-
 // NumRows returns the number of value rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
