@@ -75,10 +75,11 @@ faultsmoke:
 	$(GO) test -short -run TestFaultSchedules ./internal/faults/check -faultseed 7
 
 # The parallel-vs-sequential byte-identity gate by name: identical reports
-# and metric dumps at 1, 4 and 8 workers, and one registration per
-# component. Not a `check` step: `make race` runs these tests.
+# and metric dumps at 1, 4 and 8 workers, one registration per component,
+# and the backbone-pricing digests. Not a `check` step: `make race` runs
+# these tests.
 scalecheck:
-	$(GO) test -race -run 'TestParallelMatchesSequential|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration' -count=1 ./internal/scale
+	$(GO) test -race -run 'TestParallelMatchesSequential|TestBackbonePricingPinned|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration' -count=1 ./internal/scale
 
 # The allocation-regression gates by name: every testing.AllocsPerRun pin
 # on a steady-state hot path (docs/PERFORMANCE.md lists them) and the scale
