@@ -4,8 +4,9 @@
 // and runs it on a deterministic parallel executor.
 //
 // The topology is declarative: Config names the paper's community, a
-// population multiplier, a shard count, and the router's latency and
-// bandwidth (uniform or per-link). New instantiates one hermetic cluster
+// population multiplier, a shard count grouped into sites, and one price
+// table (latency and bandwidth of the site and WAN tiers; a flat topology
+// is one site). New instantiates one hermetic cluster
 // (simulator, netsim segment, servers, clients, workload engine) per
 // shard plus a static file→(shard, server) placement map of the files
 // visible across segments. A configurable slice of each shard's traffic

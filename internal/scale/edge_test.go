@@ -61,9 +61,8 @@ func assertExecutorInvariant(t *testing.T, cfg scale.Config, horizon time.Durati
 // reordering delivery.
 func TestZeroLatencyLink(t *testing.T) {
 	cfg := chattyConfig(21, 3)
-	cfg.Router.Latency = time.Millisecond
-	cfg.Router.BandwidthBps = 12.5e6
-	cfg.Router.LinkLatency = func(from, to int) time.Duration {
+	cfg.Tiers.Site = scale.Tier{Latency: time.Millisecond, BandwidthBps: 12.5e6}
+	cfg.LinkLatency = func(from, to int) time.Duration {
 		if from == 0 && to == 1 {
 			return 0
 		}
@@ -79,9 +78,8 @@ func TestZeroLatencyLink(t *testing.T) {
 // byte-identical at every worker count.
 func TestAllLinksZeroLatency(t *testing.T) {
 	cfg := chattyConfig(22, 3)
-	cfg.Router.Latency = time.Millisecond // default floor; every link overridden
-	cfg.Router.BandwidthBps = 12.5e6
-	cfg.Router.LinkLatency = func(from, to int) time.Duration { return 0 }
+	cfg.Tiers.Site = scale.Tier{Latency: time.Millisecond, BandwidthBps: 12.5e6} // every link overridden
+	cfg.LinkLatency = func(from, to int) time.Duration { return 0 }
 	e := assertExecutorInvariant(t, cfg, 20*time.Minute)
 	assertConserved(t, e)
 	if e.Report().Exec.Rescues == 0 {
@@ -96,8 +94,7 @@ func TestAllLinksZeroLatency(t *testing.T) {
 // recurring daemons used to live on.)
 func TestSubTickLinkLatency(t *testing.T) {
 	cfg := chattyConfig(23, 3)
-	cfg.Router.Latency = 50 * time.Microsecond
-	cfg.Router.BandwidthBps = 1e9
+	cfg.Tiers.Site = scale.Tier{Latency: 50 * time.Microsecond, BandwidthBps: 1e9}
 	e := assertExecutorInvariant(t, cfg, 30*time.Minute)
 	assertConserved(t, e)
 }
@@ -126,9 +123,8 @@ func TestSingleShardDegenerate(t *testing.T) {
 // TestNegativeLinkLatencyRejected pins validation of per-link pricing.
 func TestNegativeLinkLatencyRejected(t *testing.T) {
 	cfg := testConfig(25, 2)
-	cfg.Router.Latency = time.Millisecond
-	cfg.Router.BandwidthBps = 12.5e6
-	cfg.Router.LinkLatency = func(from, to int) time.Duration { return -time.Microsecond }
+	cfg.Tiers.Site = scale.Tier{Latency: time.Millisecond, BandwidthBps: 12.5e6}
+	cfg.LinkLatency = func(from, to int) time.Duration { return -time.Microsecond }
 	if _, err := scale.New(cfg); err == nil {
 		t.Error("negative per-link latency accepted")
 	}
@@ -143,12 +139,11 @@ func TestNegativeLinkLatencyRejected(t *testing.T) {
 // show wider windows.
 func TestHeterogeneousLinksBeatUniformBound(t *testing.T) {
 	base := chattyConfig(26, 4)
-	base.Router.Latency = time.Millisecond
-	base.Router.BandwidthBps = 12.5e6
+	base.Tiers.Site = scale.Tier{Latency: time.Millisecond, BandwidthBps: 12.5e6}
 
 	uniform := base
 	het := base
-	het.Router.LinkLatency = func(from, to int) time.Duration {
+	het.LinkLatency = func(from, to int) time.Duration {
 		if from == 0 || to == 0 {
 			return time.Millisecond
 		}

@@ -116,7 +116,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	topo := cfg.topology()
 	total := workload.ScaleCommunity(cfg.Base, cfg.Factor)
-	e := &Engine{Cfg: cfg, topo: topo, Router: NewRouter(cfg.Router, cfg.Tiers, topo)}
+	e := &Engine{Cfg: cfg, topo: topo, Router: NewRouter(cfg.Tiers, cfg.LinkLatency, topo)}
 	for i := 0; i < cfg.Shards; i++ {
 		site, seg := topo.SiteOf(i), i%topo.SegsPerSite
 		p := workload.Split(workload.SplitSite(total, topo.Sites, site), topo.SegsPerSite, seg)
@@ -519,12 +519,13 @@ func (e *Engine) registerMetrics() {
 		}
 	}
 
+	// The router carries exactly the messages the exchange counts.
 	ctr(e.Reg, "spritefs_scale_router_msgs_total", "msgs",
 		"Messages carried by the inter-segment router.",
-		&e.Router.msgs)
+		&e.exec.Routed)
 	ctr(e.Reg, "spritefs_scale_router_bytes_total", "bytes",
 		"Payload bytes carried by the inter-segment router.",
-		&e.Router.bytes)
+		&e.exec.RoutedBytes)
 	e.Reg.SecondsVar(metrics.Desc{Name: "spritefs_scale_router_busy_seconds",
 		Help: "Cumulative backbone transmission time; against elapsed virtual time it gives backbone utilization.",
 		Kind: metrics.Counter},

@@ -111,7 +111,7 @@ func TestSingleShardMatchesCluster(t *testing.T) {
 	e := scale.MustNew(scale.Config{Base: p, Shards: 1, ServersPerShard: 2})
 	e.Run(scale.RunOptions{Horizon: horizon})
 	rep := e.Report()
-	if rep.RouterMsgs != 0 || rep.PerShard[0].Remote.OpsIssued != 0 {
+	if rep.Exec.Routed != 0 || rep.PerShard[0].Remote.OpsIssued != 0 {
 		t.Fatalf("single-shard run generated remote traffic: %+v", rep.PerShard[0].Remote)
 	}
 
@@ -142,10 +142,17 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("Shards=0 accepted")
 	}
 	bad := testConfig(1, 2)
-	bad.Router.Latency = -time.Millisecond
-	bad.Router.BandwidthBps = 1e6
+	bad.Tiers.Site = scale.Tier{Latency: -time.Millisecond, BandwidthBps: 1e6}
 	if _, err := scale.New(bad); err == nil {
-		t.Error("negative router latency accepted")
+		t.Error("negative site latency accepted")
+	}
+	// One rule set for every topology: a flat one rejects a bad WAN price
+	// too.
+	bad = testConfig(1, 2)
+	bad.Tiers = scale.DefaultTiers()
+	bad.Tiers.WAN.BandwidthBps = -1
+	if _, err := scale.New(bad); err == nil {
+		t.Error("negative WAN bandwidth accepted")
 	}
 	tiny := testConfig(1, 2)
 	tiny.Base.NumClients = 1
@@ -179,8 +186,8 @@ func TestRemoteTrafficFlows(t *testing.T) {
 	if replies != issued {
 		t.Errorf("issued %d but completed %d (undelivered: %d)", issued, replies, rep.Exec.Undelivered)
 	}
-	if rep.RouterMsgs != issued+replies {
-		t.Errorf("router carried %d messages, want %d", rep.RouterMsgs, issued+replies)
+	if rep.Exec.Routed != issued+replies {
+		t.Errorf("router carried %d messages, want %d", rep.Exec.Routed, issued+replies)
 	}
 	for _, s := range rep.PerShard {
 		if s.Remote.Replies > 0 && s.Remote.Latency.Mean() <= 0 {

@@ -70,10 +70,16 @@ func fuzzConfig(seed int64) (scale.Config, time.Duration) {
 	p.OccasionalUsers = clients / 4
 	p.BigSimUsers = 1
 
-	router := scale.RouterConfig{
+	// A flat topology's one price; drawn for every seed so the stream
+	// stays aligned, and used only when there is one site.
+	flat := scale.Tier{
 		Latency:      time.Duration(rng.Range(float64(50*time.Microsecond), float64(5*time.Millisecond))),
 		BandwidthBps: rng.Range(1e6, 1e9),
 	}
+	if sites == 1 {
+		tiers.Site = flat
+	}
+	var linkLatency func(from, to int) time.Duration
 	if rng.Bool(1.0 / 3) {
 		// Heterogeneous links: a latency matrix with occasional
 		// zero-latency links, exercising per-link lookahead and the
@@ -92,7 +98,7 @@ func fuzzConfig(seed int64) (scale.Config, time.Duration) {
 				}
 			}
 		}
-		router.LinkLatency = func(from, to int) time.Duration { return lat[from][to] }
+		linkLatency = func(from, to int) time.Duration { return lat[from][to] }
 	}
 
 	remote := scale.RemoteConfig{
@@ -113,7 +119,7 @@ func fuzzConfig(seed int64) (scale.Config, time.Duration) {
 		Sites:           sites,
 		Tiers:           tiers,
 		ServersPerShard: servers,
-		Router:          router,
+		LinkLatency:     linkLatency,
 		Remote:          remote,
 	}
 	if rng.Bool(0.5) {

@@ -53,7 +53,6 @@ type Report struct {
 	// sharded.
 	RecallsPerHour float64
 
-	RouterMsgs int64
 	RouterUtil float64
 	// WAN totals: traffic that crossed the inter-site trunk (all zero in
 	// a flat topology).
@@ -124,7 +123,6 @@ func (e *Engine) Report() Report {
 	}
 	r.OpensPerSec = float64(r.TotalOpens) / secs
 	r.RecallsPerHour = float64(r.TotalRecalls) / hours
-	r.RouterMsgs = e.Router.Msgs()
 	r.RouterUtil = e.Router.Busy().Seconds() / secs
 	wm, wb, wbusy := e.Router.TierTraffic(true)
 	r.WANMsgs = wm
@@ -195,7 +193,6 @@ func (r *Report) ExecTable() *stats.Table {
 	t.AddRow("stall rescues", fmt.Sprintf("%d", r.Exec.Rescues))
 	t.AddRow("message allocs", fmt.Sprintf("%d", r.Exec.MsgAllocs))
 	t.AddRow("undelivered at end", fmt.Sprintf("%d", r.Exec.Undelivered))
-	t.AddRow("router messages", fmt.Sprintf("%d", r.RouterMsgs))
 	t.AddRow("router utilization %", fmt.Sprintf("%.2f", r.RouterUtil*100))
 	t.AddRow("wan messages", fmt.Sprintf("%d", r.WANMsgs))
 	t.AddRow("wan bytes", fmt.Sprintf("%d", r.WANBytes))

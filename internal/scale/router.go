@@ -64,78 +64,55 @@ type Message struct {
 const ctrlBytes = 128
 
 // Router is the inter-segment backbone: it prices every cross-shard
-// message and accounts the traffic in total and per tier. Pricing is
-// layered, bottom up:
-//
-//  1. Flat topology: every link costs RouterConfig.Latency and transmits
-//     at RouterConfig.BandwidthBps.
-//  2. Hierarchical topology: an intra-site link costs one Site-tier hop;
-//     a cross-site link store-and-forwards through source site backbone →
-//     WAN trunk → destination site backbone, so its latency is
-//     2·Site.Latency + WAN.Latency and its transmission time sums the
-//     per-hop Payload/Bandwidth costs.
-//  3. RouterConfig.LinkLatency, when set, overrides the latency of any
-//     individual directed link (the bandwidth keeps its tier pricing).
-//
-// Whatever the layers produce becomes the per-link latency matrix the
-// channel-clock executor uses as lookahead, so a WAN link's high price is
-// also a wide parallelism window. Routing happens only at round exchanges
-// on the coordinator goroutine, so Router needs no locking.
+// message from the tier table and accounts the traffic per tier. Its
+// per-link latency matrix is also the channel-clock executor's lookahead,
+// so a WAN link's high price is a wide parallelism window; routing happens
+// only at round exchanges on the coordinator goroutine, so it needs no
+// locking.
 type Router struct {
-	lat [][]time.Duration // [from][to] store-and-forward latency
-	bw  [][]float64       // [from][to] effective end-to-end bandwidth
-	wan [][]bool          // [from][to] link crosses the WAN tier
+	topo Topology
+	lat  [][]time.Duration // [from][to] store-and-forward latency
+	bw   [2]float64        // end-to-end bandwidth per tier
+	busy time.Duration     // transmission time over both tiers
 
-	msgs  int64
-	bytes int64
-	busy  time.Duration
-
-	// Per-tier accounting: index 0 = site tier (intra-site and flat
-	// links), 1 = WAN tier (cross-site links).
+	// Per-tier accounting, indexed by tier: 0 = site tier (intra-site
+	// links, every link of a flat topology), 1 = WAN tier (cross-site).
 	tierMsgs  [2]int64
 	tierBytes [2]int64
 	tierBusy  [2]time.Duration
 }
 
-// NewRouter returns a router joining the topology's segments, pricing
-// each directed link from the tier table (or uniformly from cfg for a
-// flat topology).
-func NewRouter(cfg RouterConfig, tiers TiersConfig, topo Topology) *Router {
+// NewRouter returns a router joining the topology's segments. An
+// intra-site link costs one Site hop; a cross-site link store-and-forwards
+// through site backbone, WAN trunk and site backbone, so its latency is
+// 2·Site.Latency + WAN.Latency and its bandwidth the harmonic combination
+// of the three hops. linkLatency, when non-nil, overrides each directed
+// link's latency.
+func NewRouter(tiers TiersConfig, linkLatency func(from, to int) time.Duration, topo Topology) *Router {
 	n := topo.NumShards()
-	r := &Router{
-		lat: make([][]time.Duration, n),
-		bw:  make([][]float64, n),
-		wan: make([][]bool, n),
-	}
+	r := &Router{topo: topo, lat: make([][]time.Duration, n)}
+	r.bw[0] = tiers.Site.BandwidthBps
+	r.bw[1] = 1 / (2/tiers.Site.BandwidthBps + 1/tiers.WAN.BandwidthBps)
+	lat := [2]time.Duration{tiers.Site.Latency, 2*tiers.Site.Latency + tiers.WAN.Latency}
 	for i := 0; i < n; i++ {
 		r.lat[i] = make([]time.Duration, n)
-		r.bw[i] = make([]float64, n)
-		r.wan[i] = make([]bool, n)
 		for j := 0; j < n; j++ {
-			lat := cfg.Latency
-			bw := cfg.BandwidthBps
-			if topo.Sites > 1 && i != j {
-				if topo.SameSite(i, j) {
-					lat = tiers.Site.Latency
-					bw = tiers.Site.BandwidthBps
-				} else {
-					// Store-and-forward: site backbone up, WAN trunk
-					// across, site backbone down. The effective bandwidth
-					// is the harmonic combination of the three hops, so
-					// transmission time stays Payload/bw like a flat link.
-					lat = 2*tiers.Site.Latency + tiers.WAN.Latency
-					bw = 1 / (2/tiers.Site.BandwidthBps + 1/tiers.WAN.BandwidthBps)
-					r.wan[i][j] = true
-				}
+			r.lat[i][j] = lat[r.tier(i, j)]
+			if linkLatency != nil && i != j {
+				r.lat[i][j] = linkLatency(i, j)
 			}
-			if cfg.LinkLatency != nil && i != j {
-				lat = cfg.LinkLatency(i, j)
-			}
-			r.lat[i][j] = lat
-			r.bw[i][j] = bw
 		}
 	}
 	return r
+}
+
+// tier is the tier a directed link crosses: 0 within a site, 1 across the
+// WAN.
+func (r *Router) tier(from, to int) int {
+	if r.topo.SameSite(from, to) {
+		return 0
+	}
+	return 1
 }
 
 // MinLatency is the directed link's store-and-forward latency: the floor
@@ -148,22 +125,14 @@ func (r *Router) Route(m *Message) {
 	if m.Payload < 0 {
 		panic(fmt.Sprintf("scale: negative payload %d", m.Payload))
 	}
-	xmit := time.Duration(float64(m.Payload) / r.bw[m.From][m.To] * float64(time.Second))
+	tier := r.tier(m.From, m.To)
+	xmit := time.Duration(float64(m.Payload) / r.bw[tier] * float64(time.Second))
 	m.Arrive = m.Send + r.lat[m.From][m.To] + xmit
-	r.msgs++
-	r.bytes += m.Payload
 	r.busy += xmit
-	tier := 0
-	if r.wan[m.From][m.To] {
-		tier = 1
-	}
 	r.tierMsgs[tier]++
 	r.tierBytes[tier] += m.Payload
 	r.tierBusy[tier] += xmit
 }
-
-// Msgs returns the total messages routed.
-func (r *Router) Msgs() int64 { return r.msgs }
 
 // Busy returns cumulative backbone transmission time; against elapsed
 // virtual time it gives backbone utilization.

@@ -77,7 +77,7 @@ type Shard struct {
 
 	remote RemoteStats
 
-	eng *Engine // topology backref (placement, router config, counters)
+	eng *Engine // topology backref (placement, remote config, counters)
 }
 
 // allocMsg pops a recycled message (or allocates one). The caller

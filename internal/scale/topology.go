@@ -8,38 +8,6 @@ import (
 	"spritefs/internal/workload"
 )
 
-// RouterConfig parameterizes the inter-segment backbone. Latency is the
-// one-way store-and-forward delay a cross-shard message pays; it is also
-// the channel-clock executor's per-link lookahead, so a smaller latency
-// means tighter coupling and more synchronization rounds per simulated
-// second.
-type RouterConfig struct {
-	// Latency is the uniform one-way inter-segment delay, used for every
-	// link neither LinkLatency nor the tier table overrides. Must be
-	// positive: it is the default lookahead floor the executor
-	// parallelizes over.
-	Latency time.Duration
-	// BandwidthBps is the backbone bandwidth in bytes/second shared by
-	// all links (payload bytes add Payload/Bandwidth to the delay).
-	BandwidthBps float64
-	// LinkLatency, when set, prices each directed link separately. It is
-	// the bottom layer of the pricing stack: a hierarchical topology's
-	// tier table is folded into the same per-link matrix, and an explicit
-	// LinkLatency overrides the tier-derived latency link by link. It is
-	// consulted once per ordered shard pair at construction and must be
-	// deterministic. Individual links may be zero-latency — the executor
-	// falls back to serialized stall-breaking rounds on links with no
-	// lookahead — but must not be negative.
-	LinkLatency func(from, to int) time.Duration
-}
-
-// DefaultRouter returns a campus-backbone router: 100 Mbit/s trunk and
-// 2 ms store-and-forward latency — an order of magnitude faster than the
-// measured segments, as the successor systems' backbones were.
-func DefaultRouter() RouterConfig {
-	return RouterConfig{Latency: 2 * time.Millisecond, BandwidthBps: 12.5e6}
-}
-
 // Tier prices one level of the topology hierarchy: the one-way
 // store-and-forward latency of a hop through that tier and the tier
 // trunk's bandwidth in bytes/second.
@@ -48,20 +16,20 @@ type Tier struct {
 	BandwidthBps float64
 }
 
-// TiersConfig prices the two inter-segment tiers of the segment → site →
-// WAN hierarchy. An intra-site message pays one Site hop; a cross-site
-// message pays Site (up to the source site's gateway) + WAN (the
+// TiersConfig is the backbone's one price table, for every topology (a
+// flat topology is one site). An intra-site message pays one Site hop; a
+// cross-site message pays Site (up to the source site's gateway) + WAN (the
 // inter-site trunk) + Site (down from the destination site's gateway),
 // store-and-forward at each hop. The derived per-link latencies feed the
 // channel-clock executor's lookahead matrix directly, so cross-site links
 // buy the executor wide windows while intra-site links stay tight.
+// Latencies may be zero — the zero-lookahead corner the executor's stall
+// rescue covers — but not negative; a zero bandwidth takes DefaultTiers'
+// value for that tier.
 type TiersConfig struct {
-	// Site is the intra-site backbone joining a site's segments (zero =
-	// the campus DefaultRouter pricing).
+	// Site is the backbone joining a site's segments.
 	Site Tier
-	// WAN is the inter-site trunk (zero = DefaultTiers' 45 Mbit/s, 30 ms
-	// long-haul). WAN.Latency may be zero — the zero-lookahead corner the
-	// executor's stall rescue covers — but not negative.
+	// WAN is the inter-site trunk.
 	WAN Tier
 }
 
@@ -151,16 +119,19 @@ type Config struct {
 	// site-major (workload.SplitSite then workload.Split), so a site's
 	// segments are a pure function of (base seed, site, segment).
 	Sites int
-	// Tiers prices the site and WAN tiers when Sites > 1 (zero =
-	// DefaultTiers). Flat topologies price every link from Router.
+	// Tiers prices every backbone link (zero = DefaultTiers). A flat
+	// topology is one site, so each of its links pays Tiers.Site.
 	Tiers TiersConfig
+	// LinkLatency, when set, overrides the tier-derived latency of each
+	// directed link; the bandwidth keeps its tier price. It is consulted
+	// once per ordered shard pair at construction and must be
+	// deterministic. A link may be zero-latency — the executor falls back
+	// to serialized stall-breaking rounds on links with no lookahead — but
+	// not negative. A test seam: the determinism fuzz and the lookahead
+	// tests price links one by one through it.
+	LinkLatency func(from, to int) time.Duration
 	// ServersPerShard sizes each shard's server group (0 = the paper's 4).
 	ServersPerShard int
-	// Router is the inter-segment backbone (zero = DefaultRouter). In a
-	// hierarchical topology Router.Latency is only the validation floor;
-	// per-link prices come from Tiers unless Router.LinkLatency overrides
-	// them link by link.
-	Router RouterConfig
 	// Remote is the cross-segment traffic mix (zero = DefaultRemote; set
 	// Remote.OpsPerClientHour < 0 to disable remote traffic entirely).
 	Remote RemoteConfig
@@ -192,22 +163,18 @@ func (c Config) withDefaults() Config {
 	if c.ServersPerShard <= 0 {
 		c.ServersPerShard = 4
 	}
-	if c.Router.Latency <= 0 && c.Router.BandwidthBps == 0 {
-		c.Router = DefaultRouter()
-	}
 	if c.Sites <= 0 {
 		c.Sites = 1
 	}
-	if c.Sites > 1 && c.Tiers == (TiersConfig{}) {
-		c.Tiers = DefaultTiers()
+	d := DefaultTiers()
+	if c.Tiers == (TiersConfig{}) {
+		c.Tiers = d
 	}
-	if c.Sites > 1 {
-		if c.Tiers.Site.BandwidthBps == 0 {
-			c.Tiers.Site.BandwidthBps = c.Router.BandwidthBps
-		}
-		if c.Tiers.WAN.BandwidthBps == 0 {
-			c.Tiers.WAN.BandwidthBps = DefaultTiers().WAN.BandwidthBps
-		}
+	if c.Tiers.Site.BandwidthBps == 0 {
+		c.Tiers.Site.BandwidthBps = d.Site.BandwidthBps
+	}
+	if c.Tiers.WAN.BandwidthBps == 0 {
+		c.Tiers.WAN.BandwidthBps = d.WAN.BandwidthBps
 	}
 	if c.Remote == (RemoteConfig{}) {
 		c.Remote = DefaultRemote()
@@ -234,29 +201,21 @@ func (c Config) validate() error {
 	if c.Shards%c.Sites != 0 {
 		return fmt.Errorf("scale: %d segments do not divide evenly into %d sites", c.Shards, c.Sites)
 	}
-	if c.Router.Latency <= 0 {
-		return fmt.Errorf("scale: router latency must be positive (it is the executor's default lookahead)")
+	if c.Tiers.Site.Latency < 0 || c.Tiers.WAN.Latency < 0 {
+		return fmt.Errorf("scale: tier latencies must be non-negative (site %v, wan %v)",
+			c.Tiers.Site.Latency, c.Tiers.WAN.Latency)
 	}
-	if c.Router.BandwidthBps <= 0 {
-		return fmt.Errorf("scale: router bandwidth must be positive")
+	if c.Tiers.Site.BandwidthBps <= 0 || c.Tiers.WAN.BandwidthBps <= 0 {
+		return fmt.Errorf("scale: tier bandwidths must be positive (site %g, wan %g)",
+			c.Tiers.Site.BandwidthBps, c.Tiers.WAN.BandwidthBps)
 	}
-	if c.Sites > 1 {
-		if c.Tiers.Site.Latency < 0 || c.Tiers.WAN.Latency < 0 {
-			return fmt.Errorf("scale: tier latencies must be non-negative (site %v, wan %v)",
-				c.Tiers.Site.Latency, c.Tiers.WAN.Latency)
-		}
-		if c.Tiers.Site.BandwidthBps <= 0 || c.Tiers.WAN.BandwidthBps <= 0 {
-			return fmt.Errorf("scale: tier bandwidths must be positive (site %g, wan %g)",
-				c.Tiers.Site.BandwidthBps, c.Tiers.WAN.BandwidthBps)
-		}
-	}
-	if c.Router.LinkLatency != nil {
+	if c.LinkLatency != nil {
 		for i := 0; i < c.Shards; i++ {
 			for j := 0; j < c.Shards; j++ {
 				if i == j {
 					continue
 				}
-				if l := c.Router.LinkLatency(i, j); l < 0 {
+				if l := c.LinkLatency(i, j); l < 0 {
 					return fmt.Errorf("scale: link %d->%d latency %v is negative", i, j, l)
 				}
 			}
