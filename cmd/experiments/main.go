@@ -136,12 +136,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		hours   = fs.Float64("hours", 24, "simulated hours per trace")
 		days    = fs.Float64("days", 14, "simulated days for the counter study")
 		scale   = fs.Float64("scale", 1.0, "community scale factor (1.0 = 40 clients)")
-		seed    = fs.Int64("seed", 0, "seed offset")
+		seed    = fs.Int64("seed", 0, "seed: for section4 an offset added to each trace's seed; for every other study the seed itself (0 = the study's default)")
 		cdfDir  = fs.String("cdfdir", "", "write the Figure 1-4 CDF series as TSV files into this directory")
 		sched   = fs.String("faults", "", "fault schedule for -exp faults (default: one server crash per hour)")
 		tsOut   = fs.String("metrics-out", "", "for -exp timeseries: also write the sampled series to this file ('-' = stdout)")
 		tsFmt   = fs.String("metrics-format", "tsv", "series dump format: tsv | prom | jsonl")
-		tsIntv  = fs.Duration("metrics-sample", 10*time.Second, "sampling interval for -exp timeseries")
+		tsIntv  = fs.Duration("metrics-sample", 10*time.Second, "sampling interval for -exp timeseries (every row is kept: memory grows with horizon ÷ interval)")
 		shards  = fs.String("shards", "1,2,4,8", "comma-separated shard counts for -exp scale")
 		clients = fs.Int("clients", 0, "total community size for -exp scale (default 1000) or wanscale (default 10000)")
 		seqExec = fs.Bool("sequential", false, "for -exp scale/wanscale: force the sequential executor")

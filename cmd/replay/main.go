@@ -82,7 +82,7 @@ func run(args []string, out io.Writer) (err error) {
 		faultsSpec = fs.String("faults", "", "fault schedule, e.g. 'server-crash:0@10m/30s,drop@0s/1h/500ms/50'")
 		metricsOut = fs.String("metrics-out", "", "write the final metric registry dump to this file ('-' = stdout); sweeps append .<config> per configuration")
 		metricsFmt = fs.String("metrics-format", "prom", "registry dump format: prom | tsv | jsonl")
-		metricsTS  = fs.Duration("metrics-sample", 0, "also sample the registry as time series at this virtual-clock interval (written as <metrics-out>.series)")
+		metricsTS  = fs.Duration("metrics-sample", 0, "also sample the registry as time series at this virtual-clock interval (written as <metrics-out>.series; every row is kept, so memory grows with horizon ÷ interval)")
 		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile of the replay to this file")
 		memProf    = fs.String("memprofile", "", "write a pprof heap profile (taken after the replay) to this file")
 	)

@@ -22,6 +22,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,36 +32,61 @@ import (
 	"spritefs/internal/traceio"
 )
 
+// maxServers is the largest -servers an import can place files on: the
+// file ID routes a record to its server through 16 bits.
+const maxServers = 1 << 15
+
+// usageError marks a command-line mistake; main exits 2 for it and 1 for
+// an error of the run itself.
+type usageError struct{ error }
+
 func main() {
-	var (
-		encode    = flag.Bool("encode", false, "encode text input back to binary")
-		importFmt = flag.String("import", "", "import a foreign dump: csv | strace")
-		mapSpec   = flag.String("map", "", "column mapping for -import csv, e.g. 'time=0,op=2,path=3,unit=ms'")
-		modSpec   = flag.String("modernize", "", "rescale the trace, e.g. 'size=8,rate=4,clients=4,files=2,skew=5ms'")
-		servers   = flag.Int("servers", 4, "server count for -import file placement")
-		clients   = flag.Int("clients", 0, "client-id space for -import (0 = importer default)")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracefmt [-encode] [-import csv|strace [-map spec]] [-modernize spec] tracefile")
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "tracefmt:", err)
+	if errors.As(err, &usageError{}) {
 		os.Exit(2)
 	}
-	if *encode && *importFmt != "" {
-		fmt.Fprintln(os.Stderr, "tracefmt: -encode and -import are mutually exclusive")
-		os.Exit(2)
-	}
-	if *mapSpec != "" && *importFmt != "csv" {
-		fmt.Fprintln(os.Stderr, "tracefmt: -map only applies to -import csv")
-		os.Exit(2)
-	}
-	if err := run(flag.Arg(0), *encode, *importFmt, *mapSpec, *modSpec, *servers, *clients); err != nil {
-		fmt.Fprintln(os.Stderr, "tracefmt:", err)
-		os.Exit(1)
-	}
+	os.Exit(1)
 }
 
-func run(path string, encode bool, importFmt, mapSpec, modSpec string, servers, clients int) error {
-	f, err := os.Open(path)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracefmt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		encode    = fs.Bool("encode", false, "encode text input back to binary")
+		importFmt = fs.String("import", "", "import a foreign dump: csv | strace")
+		mapSpec   = fs.String("map", "", "column mapping for -import csv, e.g. 'time=0,op=2,path=3,unit=ms'")
+		modSpec   = fs.String("modernize", "", "rescale the trace, e.g. 'size=8,rate=4,clients=4,files=2,skew=5ms'")
+		servers   = fs.Int("servers", 4, "server count for -import file placement (1..32768)")
+		clients   = fs.Int("clients", 0, "client-id space for -import (0 = importer default)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: usage is printed, nothing ran
+		}
+		return usageError{err}
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case fs.NArg() != 1:
+		return usageError{errors.New("usage: tracefmt [-encode] [-import csv|strace [-map spec] [-servers n] [-clients n]] [-modernize spec] tracefile")}
+	case *encode && *importFmt != "":
+		return usageError{errors.New("-encode and -import are mutually exclusive")}
+	case *mapSpec != "" && *importFmt != "csv":
+		return usageError{errors.New("-map only applies to -import csv")}
+	case (set["servers"] || set["clients"]) && *importFmt == "":
+		return usageError{errors.New("-servers and -clients only apply to -import")}
+	case *servers < 1 || *servers > maxServers:
+		return usageError{fmt.Errorf("-servers %d is outside 1..%d", *servers, maxServers)}
+	case *clients < 0:
+		return usageError{fmt.Errorf("-clients %d is negative", *clients)}
+	}
+
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -68,14 +94,14 @@ func run(path string, encode bool, importFmt, mapSpec, modSpec string, servers, 
 
 	var recs []trace.Record
 	switch {
-	case importFmt != "":
-		src := traceio.Source{Format: importFmt, Map: mapSpec, Options: traceio.Options{NumServers: servers, Clients: clients}}
+	case *importFmt != "":
+		src := traceio.Source{Format: *importFmt, Map: *mapSpec, Options: traceio.Options{NumServers: *servers, Clients: *clients}}
 		var rep *traceio.ImportReport
 		if recs, rep, err = src.Import(f); err != nil {
 			return err
 		}
-		fmt.Fprint(os.Stderr, rep.String())
-	case modSpec != "":
+		fmt.Fprint(stderr, rep.String())
+	case *modSpec != "":
 		// Modernizing a native trace: read it whole, in either encoding.
 		src, err := trace.NewAutoReader(f)
 		if err != nil {
@@ -85,25 +111,18 @@ func run(path string, encode bool, importFmt, mapSpec, modSpec string, servers, 
 			return err
 		}
 	default:
-		return convert(f, os.Stdout, encode)
+		return convert(f, stdout, *encode)
 	}
-	if modSpec != "" {
-		if recs, err = modernize(recs, modSpec); err != nil {
+	if *modSpec != "" {
+		prof, err := traceio.ParseProfile(*modSpec)
+		if err != nil {
 			return err
 		}
+		var rep *traceio.ModernizeReport
+		recs, rep = traceio.Modernize(recs, prof)
+		fmt.Fprint(stderr, rep.String())
 	}
-	return writeBinary(os.Stdout, recs, traceio.ImportVersion)
-}
-
-// modernize parses the profile, applies it, and reports to stderr.
-func modernize(recs []trace.Record, spec string) ([]trace.Record, error) {
-	prof, err := traceio.ParseProfile(spec)
-	if err != nil {
-		return nil, err
-	}
-	out, rep := traceio.Modernize(recs, prof)
-	fmt.Fprint(os.Stderr, rep.String())
-	return out, nil
+	return writeBinary(stdout, recs, traceio.ImportVersion)
 }
 
 // writeBinary writes records as a binary trace at the given header version.

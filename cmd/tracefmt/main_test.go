@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,5 +128,46 @@ func TestConvertRejectsWrongFormat(t *testing.T) {
 	}
 	if err := convert(bytes.NewReader([]byte("#sprtrc\n1\tbogus\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\n")), io.Discard, true); err == nil {
 		t.Error("bad kind name accepted")
+	}
+}
+
+// TestFlagValidation pins that tracefmt refuses the flag values it used to
+// rewrite or ignore without a word (each bad row below once exited 0), and
+// still accepts the edges of the valid range.
+func TestFlagValidation(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "dump.csv")
+	if err := os.WriteFile(csv, []byte("0.0,ws1,open,/a,,\n0.1,ws1,read,/a,0,10\n0.2,ws1,close,/a,,\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		args []string
+		want string // "" = accepted; otherwise a substring of the usage error
+	}{
+		{[]string{"-import", "csv", "-servers", "0", csv}, "-servers 0 is outside 1..32768"},
+		{[]string{"-import", "csv", "-servers", "-5", csv}, "-servers -5 is outside"},
+		{[]string{"-import", "csv", "-servers", "32769", csv}, "-servers 32769 is outside"},
+		{[]string{"-import", "csv", "-clients", "-2", csv}, "-clients -2 is negative"},
+		{[]string{"-servers", "9", csv}, "only apply to -import"},
+		{[]string{"-clients", "3", csv}, "only apply to -import"},
+		{[]string{"-import", "csv", "-servers", "1", "-clients", "0", csv}, ""},
+		{[]string{"-import", "csv", "-servers", "32768", csv}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args[:len(tc.args)-1], " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run(tc.args, &stdout, &stderr)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				if stdout.Len() == 0 {
+					t.Fatal("accepted but wrote no trace")
+				}
+				return
+			}
+			if !errors.As(err, &usageError{}) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want a usage error containing %q", err, tc.want)
+			}
+		})
 	}
 }

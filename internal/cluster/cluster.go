@@ -66,9 +66,6 @@ type Config struct {
 	// interval on the virtual clock; zero disables it. The per-client
 	// counter sampler behind Table 4 (SamplePeriod) is separate.
 	MetricsSample time.Duration
-	// MetricsSampleCap bounds the sampler's ring buffer in sample rows
-	// (oldest rows are overwritten); zero uses the sampler's default.
-	MetricsSampleCap int
 	// MetricsMatch restricts sampling to metric families for which it
 	// returns true; nil samples every non-summary family.
 	MetricsMatch func(name string) bool
@@ -412,7 +409,7 @@ func (c *Cluster) StartDaemons() {
 		c.sampler = c.Sim.Every(c.Cfg.SamplePeriod, c.Cfg.SamplePeriod, c.sample)
 	}
 	if c.Cfg.MetricsSample > 0 {
-		c.MetricSampler = metrics.NewSampler(c.Reg, c.Cfg.MetricsSampleCap, c.Cfg.MetricsMatch)
+		c.MetricSampler = metrics.NewSampler(c.Reg, c.Cfg.MetricsMatch)
 		c.tickers = append(c.tickers, c.Sim.Every(c.Cfg.MetricsSample, c.Cfg.MetricsSample, func() {
 			c.MetricSampler.Sample(c.Sim.Now())
 		}))

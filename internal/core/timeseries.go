@@ -83,7 +83,6 @@ func RunTimeseries(opts TimeseriesOptions) *TimeseriesResult {
 	cfg.CollectTrace = false
 	cfg.SamplePeriod = 0
 	cfg.MetricsSample = sample
-	cfg.MetricsSampleCap = int(dur/sample) + 8
 	cfg.MetricsMatch = func(name string) bool { return tsFamilies[name] }
 	cl := cluster.New(cfg)
 	cl.Run(dur)

@@ -24,8 +24,9 @@
 //
 // The Sampler turns the registry into time series: driven by the
 // simulation clock at a configurable interval, it appends one row of
-// selected metric values per tick into a bounded ring buffer, exportable
-// as TSV, JSONL, or Prometheus text with timestamps. This is what lets a
+// selected metric values per tick and keeps every row (memory grows with
+// horizon ÷ interval), exportable as TSV, JSONL, or Prometheus text with
+// timestamps. This is what lets a
 // single run answer interval-contrast questions (Table 2's 10-second
 // versus 10-minute activity) instead of only end-of-run totals.
 package metrics

@@ -11,7 +11,8 @@ import (
 )
 
 // Sampler turns the registry into time series: each Sample(now) call
-// appends one row of metric values into a bounded ring buffer. The owner
+// appends one row of metric values, and every row is kept: memory grows
+// with the number of samples (horizon ÷ interval). The owner
 // drives it from the simulation clock (cluster and replay schedule it at
 // Config.SamplePeriod), which is what keeps sampled series deterministic:
 // virtual time, not wall time, indexes every row.
@@ -28,10 +29,7 @@ type Sampler struct {
 
 	cols   []seriesCol
 	colIdx map[string]int
-
-	capPoints int
-	rows      []row
-	start     int // ring start index when full
+	rows   []row
 }
 
 type seriesCol struct {
@@ -47,14 +45,10 @@ type row struct {
 	v []float64
 }
 
-// NewSampler returns a sampler over reg holding at most capPoints rows
-// (the ring buffer bound; <= 0 selects the 4096-row default). match, when
-// non-nil, restricts sampling to metric families it accepts.
-func NewSampler(reg *Registry, capPoints int, match func(name string) bool) *Sampler {
-	if capPoints <= 0 {
-		capPoints = 4096
-	}
-	return &Sampler{reg: reg, match: match, capPoints: capPoints, colIdx: make(map[string]int)}
+// NewSampler returns a sampler over reg. match, when non-nil, restricts
+// sampling to metric families it accepts.
+func NewSampler(reg *Registry, match func(name string) bool) *Sampler {
+	return &Sampler{reg: reg, match: match, colIdx: make(map[string]int)}
 }
 
 // Sample reads every selected metric now and appends one row stamped with
@@ -89,16 +83,10 @@ func (s *Sampler) Sample(now time.Duration) {
 			}
 		}
 	}
-	if len(s.rows) < s.capPoints {
-		s.rows = append(s.rows, row{t: now, v: vals})
-		return
-	}
-	// Ring full: overwrite the oldest row.
-	s.rows[s.start] = row{t: now, v: vals}
-	s.start = (s.start + 1) % s.capPoints
+	s.rows = append(s.rows, row{t: now, v: vals})
 }
 
-// Len returns the number of retained rows.
+// Len returns the number of sampled rows.
 func (s *Sampler) Len() int { return len(s.rows) }
 
 // Series is one sampled metric's full time series, in time order.
@@ -108,15 +96,6 @@ type Series struct {
 	Unit   string
 	Times  []time.Duration
 	Values []float64 // NaN where the instance did not exist yet
-}
-
-// orderedRows returns the retained rows oldest first.
-func (s *Sampler) orderedRows() []row {
-	out := make([]row, 0, len(s.rows))
-	for i := 0; i < len(s.rows); i++ {
-		out = append(out, s.rows[(s.start+i)%len(s.rows)])
-	}
-	return out
 }
 
 // sortedCols returns column indices sorted by (name, labels), the
@@ -138,12 +117,11 @@ func (s *Sampler) sortedCols() []int {
 
 // All returns every sampled series sorted by (name, labels).
 func (s *Sampler) All() []Series {
-	rows := s.orderedRows()
 	var out []Series
 	for _, ci := range s.sortedCols() {
 		c := s.cols[ci]
 		ser := Series{Name: c.name, Labels: c.labels, Unit: c.unit}
-		for _, r := range rows {
+		for _, r := range s.rows {
 			ser.Times = append(ser.Times, r.t)
 			if ci < len(r.v) {
 				ser.Values = append(ser.Values, r.v[ci])
@@ -180,7 +158,7 @@ func (s *Sampler) WriteTSV(w io.Writer) error {
 		b.WriteString(s.cols[ci].labels)
 	}
 	b.WriteByte('\n')
-	for _, r := range s.orderedRows() {
+	for _, r := range s.rows {
 		b.WriteString(formatFloat(r.t.Seconds()))
 		for _, ci := range cols {
 			b.WriteByte('\t')
@@ -199,7 +177,7 @@ func (s *Sampler) WriteTSV(w io.Writer) error {
 // WriteJSONL renders one JSON object per (time, metric) value.
 func (s *Sampler) WriteJSONL(w io.Writer) error {
 	cols := s.sortedCols()
-	for _, r := range s.orderedRows() {
+	for _, r := range s.rows {
 		for _, ci := range cols {
 			if ci >= len(r.v) || isNaN(r.v[ci]) {
 				continue
@@ -220,7 +198,7 @@ func (s *Sampler) WritePrometheus(w io.Writer) error {
 	cols := s.sortedCols()
 	for _, ci := range cols {
 		c := s.cols[ci]
-		for _, r := range s.orderedRows() {
+		for _, r := range s.rows {
 			if ci >= len(r.v) || isNaN(r.v[ci]) {
 				continue
 			}

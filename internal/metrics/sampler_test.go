@@ -6,25 +6,28 @@ import (
 	"time"
 )
 
-func TestSamplerSeriesAndRing(t *testing.T) {
+// TestSamplerKeepsEveryRow samples past the 4096 rows a ring once kept
+// and requires every row, oldest first.
+func TestSamplerKeepsEveryRow(t *testing.T) {
 	r := New()
 	var v int64
 	r.Int(Desc{Name: "n_total", Unit: "ops", Help: "n", Kind: Counter},
 		Labels{L("client", "0")}, func() int64 { return v })
-	s := NewSampler(r, 3, nil)
-	for i := 1; i <= 5; i++ {
+	s := NewSampler(r, nil)
+	const n = 5000
+	for i := 1; i <= n; i++ {
 		v = int64(i * 10)
 		s.Sample(time.Duration(i) * time.Second)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len=%d, want 3 (the ring keeps the newest rows)", s.Len())
+	if s.Len() != n {
+		t.Fatalf("len=%d, want %d", s.Len(), n)
 	}
 	ser := s.Get("n_total", `{client="0"}`)
-	if len(ser.Values) != 3 || ser.Values[0] != 30 || ser.Values[2] != 50 {
-		t.Fatalf("ring series = %+v", ser.Values)
+	if len(ser.Values) != n || ser.Values[0] != 10 || ser.Values[n-1] != 10*n {
+		t.Fatalf("series has %d values, want %d running 10..%d", len(ser.Values), n, 10*n)
 	}
-	if ser.Times[0] != 3*time.Second {
-		t.Fatalf("oldest retained time = %v, want 3s", ser.Times[0])
+	if ser.Times[0] != time.Second || ser.Times[n-1] != n*time.Second {
+		t.Fatalf("series spans %v..%v, want 1s..%v", ser.Times[0], ser.Times[n-1], n*time.Second)
 	}
 }
 
@@ -32,7 +35,7 @@ func TestSamplerLateColumns(t *testing.T) {
 	r := New()
 	d := Desc{Name: "m_total", Unit: "ops", Help: "m", Kind: Counter}
 	r.Int(d, Labels{L("i", "0")}, func() int64 { return 1 })
-	s := NewSampler(r, 0, nil)
+	s := NewSampler(r, nil)
 	s.Sample(time.Second)
 	// A second instance appears after the first sample (replay clients
 	// materialize lazily); earlier rows must read as missing, not zero.
@@ -61,7 +64,7 @@ func TestSamplerMatchFilterAndDeterminism(t *testing.T) {
 		r := New()
 		r.Int(Desc{Name: "keep_total", Unit: "ops", Help: "k", Kind: Counter}, nil, func() int64 { return 7 })
 		r.Int(Desc{Name: "drop_total", Unit: "ops", Help: "d", Kind: Counter}, nil, func() int64 { return 9 })
-		s := NewSampler(r, 0, func(name string) bool { return name == "keep_total" })
+		s := NewSampler(r, func(name string) bool { return name == "keep_total" })
 		s.Sample(time.Second)
 		s.Sample(2 * time.Second)
 		var b strings.Builder

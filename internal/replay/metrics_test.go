@@ -89,6 +89,29 @@ func TestMetricsDumpWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestSeriesKeepsEveryRow replays the two-hour capture at a one-second
+// sampling interval — thousands of rows more than the 4096 a capped
+// sampler kept — and requires every row, from the first tick on.
+func TestSeriesKeepsEveryRow(t *testing.T) {
+	live := capturedTrace(t)
+	cfg := replayCfg("every-row")
+	cfg.MetricsSample = time.Second
+	cfg.MetricsMatch = func(name string) bool { return name == "spritefs_replay_records_applied_total" }
+	res, err := Run(cfg, trace.NewSliceStream(live.recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser := res.Series.Get("spritefs_replay_records_applied_total", "")
+	if len(ser.Times) <= 4096 {
+		t.Fatalf("%d rows over a %v horizon sampled every 1s, want more than 4096", len(ser.Times), res.Horizon)
+	}
+	for i, at := range ser.Times {
+		if want := time.Duration(i+1) * time.Second; at != want {
+			t.Fatalf("row %d sampled at %v, want %v: rows were dropped", i, at, want)
+		}
+	}
+}
+
 // TestReportIsRegistryProjection pins the tentpole refactor: the sum-shaped
 // report tables must read exactly what the registry sums say, and the
 // registry must actually contain the per-client families behind them.

@@ -127,8 +127,8 @@ type Result struct {
 	// was computed from; Metrics.Registry().Dump exports every counter,
 	// and Series carries the time series when Config.MetricsSample is set.
 	Metrics *cluster.Metrics
-	// Series is the ring-buffered time-series sampler, nil unless
-	// Config.MetricsSample was set.
+	// Series is the time-series sampler holding every sampled row, nil
+	// unless Config.MetricsSample was set.
 	Series *metrics.Sampler
 }
 

@@ -18,12 +18,20 @@ import (
 )
 
 // Notify returns a channel that receives on SIGINT/SIGTERM and a stop
-// function that uninstalls the handler. The channel is buffered so a
-// signal arriving before the caller selects is not lost.
+// function that uninstalls the handler and then closes the channel, so a
+// goroutine waiting on it is released. The channel is buffered so a signal
+// arriving before the caller selects is not lost. Stop may be called more
+// than once.
 func Notify() (<-chan os.Signal, func()) {
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	return ch, func() { signal.Stop(ch) }
+	var once sync.Once
+	return ch, func() {
+		once.Do(func() {
+			signal.Stop(ch)
+			close(ch)
+		})
+	}
 }
 
 // Guard runs registered cleanups when the process is signalled. Cleanups
