@@ -6,6 +6,7 @@
 //
 //	experiments -exp section4 -traces 1,2 -hours 4 -scale 0.5
 //	experiments -exp section5 -days 1 -scale 0.5
+//	experiments -exp claims -hours 2                # the paper's arguments, each with a verdict
 //	experiments -exp all -hours 24 -days 14        # full-scale, slow
 //	experiments -exp scale -clients 1000 -shards 1,2,4,8 -hours 0.25
 //	experiments -exp wanscale -clients 10000 -segments 8 -sites 1,2,4,8
@@ -34,9 +35,9 @@ import (
 // memprofile) apply everywhere.
 var flagScope = map[string][]string{
 	"traces":         {"all", "section4"},
-	"hours":          {"all", "section4", "faults", "timeseries", "scale", "wanscale", "workloads"},
+	"hours":          {"all", "section4", "claims", "faults", "timeseries", "scale", "wanscale", "workloads"},
 	"days":           {"all", "section5"},
-	"scale":          {"all", "section4", "section5", "faults", "timeseries", "workloads"},
+	"scale":          {"all", "section4", "section5", "claims", "faults", "timeseries", "workloads"},
 	"cdfdir":         {"all", "section4"},
 	"faults":         {"faults"},
 	"metrics-out":    {"timeseries"},
@@ -56,7 +57,7 @@ var flagScope = map[string][]string{
 // the help text says so).
 var nonNegative = []string{"clients", "segments", "hours", "days", "scale", "workers"}
 
-var validExps = []string{"all", "section4", "section5", "faults", "timeseries", "scale", "wanscale", "workloads"}
+var validExps = []string{"all", "section4", "section5", "claims", "faults", "timeseries", "scale", "wanscale", "workloads"}
 
 // validateFlags fails fast on unknown -exp names, on contradictory
 // combinations and on out-of-range numbers instead of silently running the
@@ -93,6 +94,9 @@ func validateFlags(exp string, set map[string]bool, num map[string]float64, metr
 		if num[name] < 0 {
 			return fmt.Errorf("-%s %v is negative", name, num[name])
 		}
+	}
+	if num["scale"] > 1 {
+		return fmt.Errorf("-scale %v is above 1: 1 is the full 40-client cluster and the largest scale", num["scale"])
 	}
 	if set["segments"] && num["segments"] == 0 {
 		return fmt.Errorf("-segments 0: a topology needs at least one segment")
@@ -131,11 +135,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment: all, section4, section5, faults, timeseries, scale, wanscale, workloads")
+		exp     = fs.String("exp", "all", "experiment: all (section4 and section5), section4, section5, claims, faults, timeseries, scale, wanscale, workloads")
 		traces  = fs.String("traces", "1,2,3,4,5,6,7,8", "comma-separated trace numbers for section4")
-		hours   = fs.Float64("hours", 24, "simulated hours per trace")
+		hours   = fs.Float64("hours", 24, "simulated hours per trace, or per point of -exp claims")
 		days    = fs.Float64("days", 14, "simulated days for the counter study")
-		scale   = fs.Float64("scale", 1.0, "community scale factor (1.0 = 40 clients)")
+		scale   = fs.Float64("scale", 1.0, "community scale factor: 1.0 is the full 40-client cluster and the largest value")
 		seed    = fs.Int64("seed", 0, "seed: for section4 an offset added to each trace's seed; for every other study the seed itself (0 = the study's default)")
 		cdfDir  = fs.String("cdfdir", "", "write the Figure 1-4 CDF series as TSV files into this directory")
 		sched   = fs.String("faults", "", "fault schedule for -exp faults (default: one server crash per hour)")
@@ -222,6 +226,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(stderr, "running counter study (%.1f days, scale %.2f)...\n", *days, *scale)
 		r := core.RunCounterStudy(core.CounterOptions{Days: *days, Scale: *scale, Seed: *seed})
 		fmt.Fprintln(stdout, core.CounterTables(r))
+	}
+
+	if *exp == "claims" {
+		fmt.Fprintf(stderr, "running claims (%.1fh per point, scale %.2f)...\n", *hours, *scale)
+		r, err := core.RunClaims(*hours, *scale, *seed)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, core.ClaimTables(r))
 	}
 
 	if *exp == "timeseries" {

@@ -40,6 +40,11 @@ func TestValidateFlags(t *testing.T) {
 		{"zero segments", "wanscale", []string{"segments"}, map[string]float64{"segments": 0}, "tsv", "-segments 0"},
 		{"sequential with workers", "scale", []string{"sequential", "workers"}, map[string]float64{"workers": 4}, "tsv", "-sequential and -workers contradict"},
 		{"zero means default", "wanscale", []string{"clients", "workers", "hours"}, map[string]float64{"segments": 8}, "tsv", ""},
+		{"scale above 1", "section5", []string{"scale"}, map[string]float64{"scale": 3}, "tsv", "-scale 3 is above 1"},
+		{"full scale ok", "section4", []string{"scale"}, map[string]float64{"scale": 1}, "tsv", ""},
+		{"claims flags ok", "claims", []string{"hours", "scale", "seed"}, map[string]float64{"hours": 2, "scale": 0.5}, "tsv", ""},
+		{"days for claims", "claims", []string{"days"}, nil, "tsv", "-days does not apply"},
+		{"traces for claims", "claims", []string{"traces"}, nil, "tsv", "-traces does not apply"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,6 +162,41 @@ func TestWorkloadStudyInvocation(t *testing.T) {
 	}
 }
 
+// TestClaimsInvocation drives `-exp claims` end to end at a short horizon:
+// every claim prints with a verdict, and the flags the claims do not read
+// are usage errors before anything runs.
+func TestClaimsInvocation(t *testing.T) {
+	stdout, stderr, err := runTool("-exp", "claims", "-hours", "0.5", "-scale", "0.25", "-seed", "7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr, "running claims (0.5h per point, scale 0.25)") {
+		t.Errorf("progress line does not name the horizon and scale:\n%s", stderr)
+	}
+	ids := []string{"s5.3.local_disks", "s5.2.cache_floor", "s5.2.prefetch", "s6.longer_delay",
+		"s5.5.live_polling", "s5.5.polling_cliff", "t6.migration_reuse", "s4.growth_x20"}
+	for _, id := range ids {
+		if !strings.Contains(stdout, "\n"+id+" (") {
+			t.Errorf("no claim %s in the output:\n%s", id, stdout)
+		}
+	}
+	if n := strings.Count(stdout, "\nverdict: "); n != len(ids) {
+		t.Errorf("%d verdict lines for %d claims:\n%s", n, len(ids), stdout)
+	}
+	if !strings.Contains(stdout, "seed 7") {
+		t.Errorf("the header does not name seed 7:\n%s", stdout)
+	}
+	for _, args := range [][]string{{"-exp", "claims", "-days", "1"}, {"-exp", "claims", "-traces", "1"}} {
+		_, stderr, err := runTool(args...)
+		if err == nil || !errors.As(err, &usageError{}) || !strings.Contains(err.Error(), args[2]) {
+			t.Errorf("run(%v) = %v, want a usage error naming %s", args, err, args[2])
+		}
+		if strings.Contains(stderr, "running ") {
+			t.Errorf("run(%v): a progress line before the usage error:\n%s", args, stderr)
+		}
+	}
+}
+
 // TestErrorsKeepTheirExitCodes pins the usage (exit 2) / run (exit 1)
 // split main maps from run's error. A usage error comes before anything
 // runs, so no progress line precedes it.
@@ -173,6 +213,7 @@ func TestErrorsKeepTheirExitCodes(t *testing.T) {
 		{"zero sites", []string{"-exp", "wanscale", "-sites", "0"}, true, "-sites"},
 		{"bad profile path", []string{"-exp", "scale", "-cpuprofile", t.TempDir() + "/no/such/dir/cpu"}, true, "-cpuprofile"},
 		{"bad trace list", []string{"-exp", "section4", "-traces", "9"}, false, "bad trace number"},
+		{"scale above 1", []string{"-exp", "section5", "-days", "0.02", "-scale", "3"}, true, "-scale 3"},
 		{"bad fault schedule", []string{"-exp", "faults", "-faults", "garbage"}, false, "garbage"},
 		{"indivisible sites", []string{"-exp", "wanscale", "-segments", "8", "-sites", "3"}, true, "-sites 3 does not divide -segments 8"},
 	}

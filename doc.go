@@ -10,7 +10,7 @@
 //
 // Layout:
 //
-//	internal/core         the study façade: RunTrace / RunCounterStudy / reports
+//	internal/core         the study façade: RunTrace / RunCounterStudy / RunClaims / reports
 //	internal/cluster      the assembled system (clients+servers+net+workload)
 //	internal/client       the Sprite client kernel (FS call layer)
 //	internal/fscache      the 4 KB block cache with 30 s delayed writes
@@ -25,7 +25,6 @@
 //	internal/sim          discrete-event engine + deterministic RNG
 //	internal/stats        histograms, CDFs, Welford, interval stats
 //
-// The benchmarks in bench_test.go regenerate each table and figure at
-// reduced scale; cmd/experiments runs the full-scale campaign behind
-// EXPERIMENTS.md.
+// cmd/experiments runs the full-scale campaign behind EXPERIMENTS.md, and
+// its -exp claims checks the paper's arguments, each with a verdict.
 package spritefs

@@ -91,7 +91,7 @@ func TestRunCounterStudy(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/report_quick.golden from this run")
+var update = flag.Bool("update", false, "rewrite testdata/report_quick.golden and claims_quick.golden from this run")
 
 // TestReportsRenderAllTables pins TraceReport of one quick trace followed
 // by CounterTables of a small counter study byte for byte: every label,
@@ -154,6 +154,30 @@ func TestAnalyzeTraceIsRunTracesAnalysisHalf(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("AnalyzeTrace over the cluster's streams differs from RunTrace:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// BenchmarkAnalyzeTrace times the Section 4 pipeline, every analyzer and
+// the consistency simulations, over one captured two-hour trace of a
+// ten-workstation community, the way the paper's post-processing scanned
+// its trace files.
+func BenchmarkAnalyzeTrace(b *testing.B) {
+	p := workload.Default(2)
+	p.NumClients, p.DailyUsers, p.OccasionalUsers = 10, 8, 8
+	cfg := cluster.DefaultConfig(p)
+	cfg.NumServers = 2
+	c := cluster.New(cfg)
+	c.Run(2 * time.Hour)
+	recs := c.Trace()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AnalyzeTrace(0, 2, trace.NewSliceStream(recs)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(recs)), "records")
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(len(recs))*float64(b.N)/secs, "records/s")
 	}
 }
 

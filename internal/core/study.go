@@ -46,9 +46,9 @@ type TraceResult struct {
 type TraceOptions struct {
 	// Hours of simulated time (the paper's traces are 24-hour).
 	Hours float64
-	// Scale shrinks the community: 1.0 is the full 40-client cluster;
-	// 0.25 runs a quarter-size cluster for quick checks. Values <= 0
-	// default to 1.0.
+	// Scale shrinks the community: 1.0 is the full 40-client cluster and
+	// the largest value (a larger one runs the full cluster); 0.25 runs a
+	// quarter-size cluster for quick checks. Values <= 0 default to 1.0.
 	Scale float64
 	// SeedOffset perturbs the trace's seed (repeat runs).
 	SeedOffset int64
@@ -163,8 +163,8 @@ type CounterOptions struct {
 // workload without backup noise, plus the big-file class projects. The
 // paper's two-week counter window spanned those projects too, and their
 // multi-megabyte inputs are what keep read miss ratios high even with
-// multi-megabyte caches (Section 5.2). cmd/cachesim's what-ifs start from
-// the same block.
+// multi-megabyte caches (Section 5.2). Every point of the claims table
+// starts from the same block.
 func CounterParams(seed int64) workload.Params {
 	p := workload.Default(seed)
 	p.EmitBackupNoise = false
@@ -173,6 +173,9 @@ func CounterParams(seed int64) workload.Params {
 	p.SimOutputMB = 2
 	return p
 }
+
+// defaultCounterSeed is the counter study's seed when none is given.
+const defaultCounterSeed = 424242
 
 // RunCounterStudy reproduces the Section 5 measurement campaign: the
 // cluster runs with counters sampled periodically and no tracing, and the
@@ -184,18 +187,23 @@ func RunCounterStudy(opts CounterOptions) *CounterResult {
 	}
 	seed := opts.Seed
 	if seed == 0 {
-		seed = 424242
+		seed = defaultCounterSeed
 	}
-	p := scaleParams(CounterParams(seed), opts.Scale)
-
-	cfg := cluster.DefaultConfig(p)
+	cfg := cluster.DefaultConfig(scaleParams(CounterParams(seed), opts.Scale))
 	cfg.CollectTrace = false
-	cfg.SamplePeriod = time.Minute
+	r, _ := runCounters(cfg, days)
+	return r
+}
+
+// runCounters assembles a Section 5 cluster from cfg, runs it for days of
+// simulated time and reads every counter table off it. RunCounterStudy and
+// every point of a claim run through it; the cluster is returned for the
+// trace a claim's cells may read.
+func runCounters(cfg cluster.Config, days float64) (*CounterResult, *cluster.Cluster) {
 	cl := cluster.New(cfg)
 	dur := time.Duration(days * 24 * float64(time.Hour))
 	cl.Run(dur)
-
-	return &CounterResult{Days: days, Report: cl.Report(), NetUtilization: cl.Net.Utilization(dur)}
+	return &CounterResult{Days: days, Report: cl.Report(), NetUtilization: cl.Net.Utilization(dur)}, cl
 }
 
 // FaultOptions configures the data-at-risk campaign.

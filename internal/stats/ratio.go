@@ -8,11 +8,3 @@ func Ratio(num, den int64) float64 {
 	}
 	return 100 * float64(num) / float64(den)
 }
-
-// RatioF is Ratio for floating-point numerator and denominator.
-func RatioF(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return 100 * num / den
-}

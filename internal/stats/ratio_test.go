@@ -9,10 +9,4 @@ func TestRatio(t *testing.T) {
 	if got := Ratio(3, 0); got != 0 {
 		t.Errorf("Ratio with zero denominator = %g, want 0", got)
 	}
-	if got := RatioF(0.5, 2); got != 25 {
-		t.Errorf("RatioF = %g, want 25", got)
-	}
-	if got := RatioF(1, 0); got != 0 {
-		t.Errorf("RatioF zero den = %g, want 0", got)
-	}
 }
