@@ -46,20 +46,25 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("no trace files (usage: traceanalyze [flags] tracefile...)")
 	}
+	var users []int32
+	if *exclude != "" {
+		for _, part := range strings.Split(*exclude, ",") {
+			n, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
+			if err != nil {
+				return fmt.Errorf("-exclude-users: bad user id %q", part)
+			}
+			if n < 0 {
+				return fmt.Errorf("-exclude-users: user ids are at least 0 (got %d)", n)
+			}
+			users = append(users, int32(n))
+		}
+	}
 	merged, closeAll, err := traceio.Source{}.Open(fs.Args(), nil)
 	if err != nil {
 		return err
 	}
 	defer closeAll()
-	if *exclude != "" {
-		var users []int32
-		for _, part := range strings.Split(*exclude, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return fmt.Errorf("bad user id %q", part)
-			}
-			users = append(users, int32(n))
-		}
+	if len(users) > 0 {
 		merged = trace.ExcludeUsers(merged, users...)
 	}
 	res, err := core.AnalyzeTrace(0, 0, merged)

@@ -161,6 +161,8 @@ func TestBadInvocationsAreErrors(t *testing.T) {
 		{"missing file", []string{bin[0], filepath.Join(t.TempDir(), "nosuch")}, "nosuch"},
 		{"no files", nil, "no trace files"},
 		{"bad user id", []string{"-exclude-users", "3,x", bin[0]}, `bad user id "x"`},
+		{"user id past int32", []string{"-exclude-users", "4294967299", bin[0]}, "-exclude-users"},
+		{"negative user id", []string{"-exclude-users", "-5", bin[0]}, "-exclude-users"},
 		{"not a trace", []string{os.Args[0]}, "trace:"},
 		{"retired flag", []string{"-consistency", bin[0]}, "consistency"},
 	}
