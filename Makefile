@@ -104,8 +104,8 @@ importcheck:
 
 # Every program under examples/ runs to completion (about a second each).
 # docs/FIDELITY.md counts an example as a consumer of the API it calls
-# only because this step executes it; scale-out and wan-scale end in
-# their own parallel == sequential byte-identity assertion.
+# only because this step executes it; wan-scale ends in its own
+# parallel == sequential byte-identity assertion.
 examples:
 	@set -e; for e in examples/*/; do $(GO) run ./$$e >/dev/null; done
 	@echo "examples: ok"

@@ -9,8 +9,8 @@
 //	experiments -exp claims -hours 2                # the paper's arguments, each with a verdict
 //	experiments -exp all -hours 24 -days 14        # full-scale, slow
 //	experiments -exp scale -clients 1000 -shards 1,2,4,8 -hours 0.25
-//	experiments -exp wanscale -clients 10000 -segments 8 -sites 1,2,4,8
-//	experiments -exp wanscale -clients 1000000 -segments 200 -sites 20 -lean -hours 0.02
+//	experiments -exp scale -clients 10000 -shards 8 -sites 1,2,4,8 -hours 0.1
+//	experiments -exp scale -clients 1000000 -shards 200 -sites 20 -lean -hours 0.02
 package main
 
 import (
@@ -35,33 +35,32 @@ import (
 // memprofile) apply everywhere.
 var flagScope = map[string][]string{
 	"traces":         {"all", "section4"},
-	"hours":          {"all", "section4", "claims", "faults", "timeseries", "scale", "wanscale", "workloads"},
+	"hours":          {"all", "section4", "claims", "timeseries", "scale", "workloads"},
 	"days":           {"all", "section5"},
-	"scale":          {"all", "section4", "section5", "claims", "faults", "timeseries", "workloads"},
+	"scale":          {"all", "section4", "section5", "claims", "timeseries", "workloads"},
 	"cdfdir":         {"all", "section4"},
-	"faults":         {"faults"},
 	"metrics-out":    {"timeseries"},
 	"metrics-format": {"timeseries"},
 	"metrics-sample": {"timeseries"},
 	"shards":         {"scale"},
-	"clients":        {"scale", "wanscale"},
-	"sequential":     {"scale", "wanscale"},
-	"workers":        {"scale", "wanscale"},
-	"sites":          {"wanscale"},
-	"segments":       {"wanscale"},
-	"lean":           {"wanscale"},
+	"clients":        {"scale"},
+	"sequential":     {"scale"},
+	"workers":        {"scale"},
+	"sites":          {"scale"},
+	"lean":           {"scale"},
 }
 
 // nonNegative are the numeric flags whose negative values the studies would
 // otherwise silently replace by a default (0 stays "use the default" where
 // the help text says so).
-var nonNegative = []string{"clients", "segments", "hours", "days", "scale", "workers"}
+var nonNegative = []string{"clients", "hours", "days", "scale", "workers"}
 
-var validExps = []string{"all", "section4", "section5", "claims", "faults", "timeseries", "scale", "wanscale", "workloads"}
+var validExps = []string{"all", "section4", "section5", "claims", "timeseries", "scale", "workloads"}
 
 // validateFlags fails fast on unknown -exp names, on contradictory
 // combinations and on out-of-range numbers instead of silently running the
-// default. num holds the values of the nonNegative flags.
+// default. num holds the values of the nonNegative flags and, in seconds,
+// -metrics-sample's.
 func validateFlags(exp string, set map[string]bool, num map[string]float64, metricsFmt string) error {
 	known := false
 	for _, e := range validExps {
@@ -98,8 +97,8 @@ func validateFlags(exp string, set map[string]bool, num map[string]float64, metr
 	if num["scale"] > 1 {
 		return fmt.Errorf("-scale %v is above 1: 1 is the full 40-client cluster and the largest scale", num["scale"])
 	}
-	if set["segments"] && num["segments"] == 0 {
-		return fmt.Errorf("-segments 0: a topology needs at least one segment")
+	if set["metrics-sample"] && num["metrics-sample"] <= 0 {
+		return fmt.Errorf("-metrics-sample %vs: the sampling interval must be positive", num["metrics-sample"])
 	}
 	if set["sequential"] && set["workers"] {
 		return fmt.Errorf("-sequential and -workers contradict each other: the sequential executor has no worker pool")
@@ -135,24 +134,22 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment: all (section4 and section5), section4, section5, claims, faults, timeseries, scale, wanscale, workloads")
+		exp     = fs.String("exp", "all", "experiment: all (section4 and section5), section4, section5, claims, timeseries, scale, workloads")
 		traces  = fs.String("traces", "1,2,3,4,5,6,7,8", "comma-separated trace numbers for section4")
 		hours   = fs.Float64("hours", 24, "simulated hours per trace, or per point of -exp claims")
 		days    = fs.Float64("days", 14, "simulated days for the counter study")
 		scale   = fs.Float64("scale", 1.0, "community scale factor: 1.0 is the full 40-client cluster and the largest value")
 		seed    = fs.Int64("seed", 0, "seed: for section4 an offset added to each trace's seed; for every other study the seed itself (0 = the study's default)")
 		cdfDir  = fs.String("cdfdir", "", "write the Figure 1-4 CDF series as TSV files into this directory")
-		sched   = fs.String("faults", "", "fault schedule for -exp faults (default: one server crash per hour)")
 		tsOut   = fs.String("metrics-out", "", "for -exp timeseries: also write the sampled series to this file ('-' = stdout)")
 		tsFmt   = fs.String("metrics-format", "tsv", "series dump format: tsv | prom | jsonl")
 		tsIntv  = fs.Duration("metrics-sample", 10*time.Second, "sampling interval for -exp timeseries (every row is kept: memory grows with horizon ÷ interval)")
-		shards  = fs.String("shards", "1,2,4,8", "comma-separated shard counts for -exp scale")
-		clients = fs.Int("clients", 0, "total community size for -exp scale (default 1000) or wanscale (default 10000)")
-		seqExec = fs.Bool("sequential", false, "for -exp scale/wanscale: force the sequential executor")
-		workers = fs.Int("workers", 0, "for -exp scale/wanscale: parallel executor goroutines (0 = GOMAXPROCS)")
-		sites   = fs.String("sites", "1,2,4,8", "comma-separated site counts for -exp wanscale")
-		segs    = fs.Int("segments", 8, "total segment count for -exp wanscale (each site count must divide it)")
-		lean    = fs.Bool("lean", false, "for -exp wanscale: skip per-client metric instances (needed for million-client runs)")
+		shards  = fs.String("shards", "1,2,4,8", "comma-separated shard (Ethernet segment) counts for -exp scale")
+		sites   = fs.String("sites", "1", "comma-separated site counts for -exp scale, run against every shard count (each must divide it)")
+		clients = fs.Int("clients", 0, "total community size for -exp scale (default 1000)")
+		seqExec = fs.Bool("sequential", false, "for -exp scale: force the sequential executor")
+		workers = fs.Int("workers", 0, "for -exp scale: parallel executor goroutines (0 = GOMAXPROCS)")
+		lean    = fs.Bool("lean", false, "for -exp scale: skip per-client metric instances (needed for million-client runs)")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	)
@@ -166,12 +163,31 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	setFlags := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	num := map[string]float64{
-		"clients": float64(*clients), "segments": float64(*segs), "workers": float64(*workers),
-		"hours": *hours, "days": *days, "scale": *scale,
+		"clients": float64(*clients), "workers": float64(*workers),
+		"hours": *hours, "days": *days, "scale": *scale, "metrics-sample": tsIntv.Seconds(),
 	}
 	if err := validateFlags(*exp, setFlags, num, *tsFmt); err != nil {
 		fs.Usage()
 		return usageError{err}
+	}
+	traceNums, err := parseCounts("traces", *traces, 8)
+	if err != nil {
+		return usageError{err}
+	}
+	shardCounts, err := parseCounts("shards", *shards, 0)
+	if err != nil {
+		return usageError{err}
+	}
+	siteCounts, err := parseCounts("sites", *sites, 0)
+	if err != nil {
+		return usageError{err}
+	}
+	for _, n := range shardCounts {
+		for _, s := range siteCounts {
+			if n%s != 0 {
+				return usageError{fmt.Errorf("-sites %d does not divide -shards %d", s, n)}
+			}
+		}
 	}
 	// Profile files are created before any experiment runs so a bad path
 	// fails in milliseconds, not after hours of simulation.
@@ -192,20 +208,16 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	defer guard.Close()
 	guard.Add(func() { pp.Stop() })
 
-	// The topology studies have their own short default horizon, not the
-	// trace studies' 24h; 0 selects it.
+	// The scale and workload studies have their own short default horizon,
+	// not the trace studies' 24h; 0 selects it.
 	studyHours := *hours
 	if !setFlags["hours"] {
 		studyHours = 0
 	}
 
 	if *exp == "all" || *exp == "section4" {
-		nums, err := parseTraces(*traces)
-		if err != nil {
-			return err
-		}
 		var results []*core.TraceResult
-		for _, n := range nums {
+		for _, n := range traceNums {
 			fmt.Fprintf(stderr, "running trace %d (%.1fh, scale %.2f)...\n", n, *hours, *scale)
 			r, err := core.RunTrace(n, core.TraceOptions{Hours: *hours, Scale: *scale, SeedOffset: *seed})
 			if err != nil {
@@ -251,30 +263,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 
-	if *exp == "faults" {
-		fmt.Fprintf(stderr, "running fault study (%.1fh per writeback setting, scale %.2f)...\n",
-			*hours, *scale)
-		r, err := core.RunFaultStudy(core.FaultOptions{
-			Hours: *hours, Scale: *scale, Seed: *seed, Schedule: *sched,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, core.FaultTables(r))
-	}
-
 	if *exp == "scale" {
-		counts, err := parseCounts("shards", *shards)
-		if err != nil {
-			return usageError{err}
-		}
 		if *clients == 0 {
 			*clients = core.DefaultScaleClients
 		}
-		fmt.Fprintf(stderr, "running scale study (%d clients, shards %s)...\n", *clients, *shards)
+		fmt.Fprintf(stderr, "running scale study (%d clients, shards %s, sites %s)...\n", *clients, *shards, *sites)
 		r, err := core.RunScaleStudy(core.ScaleOptions{
-			Clients: *clients, Shards: counts, Hours: studyHours,
-			Seed: *seed, Sequential: *seqExec, Workers: *workers,
+			Clients: *clients, Shards: shardCounts, Sites: siteCounts, Hours: studyHours,
+			Seed: *seed, Sequential: *seqExec, Workers: *workers, Lean: *lean,
 		})
 		if err != nil {
 			return err
@@ -294,36 +290,17 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintln(stdout, core.WorkloadTables(r))
 	}
 
-	if *exp == "wanscale" {
-		counts, err := parseCounts("sites", *sites)
-		if err != nil {
-			return usageError{err}
-		}
-		for _, n := range counts {
-			if *segs%n != 0 {
-				return usageError{fmt.Errorf("-sites %d does not divide -segments %d", n, *segs)}
-			}
-		}
-		if *clients == 0 {
-			*clients = core.DefaultWANScaleClients
-		}
-		fmt.Fprintf(stderr, "running wanscale study (%d clients, %d segments, sites %s)...\n",
-			*clients, *segs, *sites)
-		r, err := core.RunWANScaleStudy(core.WANScaleOptions{
-			Clients: *clients, Segments: *segs, Sites: counts, Hours: studyHours,
-			Seed: *seed, Sequential: *seqExec, Workers: *workers, Lean: *lean,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, core.WANScaleTables(r))
-	}
 	return nil
 }
 
-// parseCounts parses the comma-separated counts of -shards or -sites; its
-// errors name the flag.
-func parseCounts(flag, s string) ([]int, error) {
+// parseCounts parses the comma-separated counts of -traces, -shards or
+// -sites, each in 1..most (most 0: no upper bound); its errors name the
+// flag.
+func parseCounts(flag, s string, most int) ([]int, error) {
+	want := "a positive integer"
+	if most > 0 {
+		want = fmt.Sprintf("an integer in 1..%d", most)
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -331,8 +308,8 @@ func parseCounts(flag, s string) ([]int, error) {
 			continue
 		}
 		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-%s: bad count %q, want a positive integer", flag, part)
+		if err != nil || n < 1 || most > 0 && n > most {
+			return nil, fmt.Errorf("-%s: bad count %q, want %s", flag, part, want)
 		}
 		out = append(out, n)
 	}
@@ -385,23 +362,4 @@ func writeCDFs(dir string, results []*core.TraceResult, stderr io.Writer) error 
 	}
 	fmt.Fprintf(stderr, "wrote CDF series for %d traces to %s\n", len(results), dir)
 	return nil
-}
-
-func parseTraces(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 || n > 8 {
-			return nil, fmt.Errorf("bad trace number %q (want 1-8)", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no traces selected")
-	}
-	return out, nil
 }

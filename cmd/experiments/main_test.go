@@ -26,20 +26,20 @@ func TestValidateFlags(t *testing.T) {
 		{"unknown exp", "bogus", nil, nil, "tsv", "unknown experiment"},
 		{"traces for section5", "section5", []string{"traces"}, nil, "tsv", "-traces does not apply"},
 		{"days for scale", "scale", []string{"days"}, nil, "tsv", "-days does not apply"},
-		{"shards for faults", "faults", []string{"shards"}, nil, "tsv", "-shards does not apply"},
+		{"shards for claims", "claims", []string{"shards"}, nil, "tsv", "-shards does not apply"},
 		{"format without out", "timeseries", []string{"metrics-format"}, nil, "prom", "-metrics-out"},
 		{"bad format", "timeseries", []string{"metrics-out", "metrics-format"}, nil, "xml", "xml"},
-		{"scale flags ok", "scale", []string{"shards", "clients", "hours", "workers"}, nil, "tsv", ""},
-		{"timeseries ok", "timeseries", []string{"metrics-out", "metrics-sample", "hours"}, nil, "tsv", ""},
+		{"scale flags ok", "scale", []string{"shards", "sites", "lean", "clients", "hours", "workers"}, nil, "tsv", ""},
+		{"sites for section4", "section4", []string{"sites"}, nil, "tsv", "-sites does not apply"},
+		{"timeseries ok", "timeseries", []string{"metrics-out", "metrics-sample", "hours"}, map[string]float64{"metrics-sample": 10}, "tsv", ""},
+		{"zero metrics sample", "timeseries", []string{"metrics-sample"}, map[string]float64{"metrics-sample": 0}, "tsv", "-metrics-sample 0s"},
 		{"negative clients", "scale", []string{"clients"}, map[string]float64{"clients": -5}, "tsv", "-clients -5 is negative"},
 		{"negative workers", "scale", []string{"workers"}, map[string]float64{"workers": -3}, "tsv", "-workers -3 is negative"},
-		{"negative hours", "wanscale", []string{"hours"}, map[string]float64{"hours": -1}, "tsv", "-hours -1 is negative"},
+		{"negative hours", "scale", []string{"hours"}, map[string]float64{"hours": -1}, "tsv", "-hours -1 is negative"},
 		{"negative days", "section5", []string{"days"}, map[string]float64{"days": -0.5}, "tsv", "-days -0.5 is negative"},
 		{"negative scale", "section4", []string{"scale"}, map[string]float64{"scale": -2}, "tsv", "-scale -2 is negative"},
-		{"negative segments", "wanscale", []string{"segments"}, map[string]float64{"segments": -8}, "tsv", "-segments -8 is negative"},
-		{"zero segments", "wanscale", []string{"segments"}, map[string]float64{"segments": 0}, "tsv", "-segments 0"},
 		{"sequential with workers", "scale", []string{"sequential", "workers"}, map[string]float64{"workers": 4}, "tsv", "-sequential and -workers contradict"},
-		{"zero means default", "wanscale", []string{"clients", "workers", "hours"}, map[string]float64{"segments": 8}, "tsv", ""},
+		{"zero means default", "scale", []string{"clients", "workers", "hours"}, nil, "tsv", ""},
 		{"scale above 1", "section5", []string{"scale"}, map[string]float64{"scale": 3}, "tsv", "-scale 3 is above 1"},
 		{"full scale ok", "section4", []string{"scale"}, map[string]float64{"scale": 1}, "tsv", ""},
 		{"claims flags ok", "claims", []string{"hours", "scale", "seed"}, map[string]float64{"hours": 2, "scale": 0.5}, "tsv", ""},
@@ -81,20 +81,22 @@ func TestProfileFlagsApplyEverywhere(t *testing.T) {
 // TestParseCounts pins the -shards/-sites list parser: its errors name
 // the flag they are about.
 func TestParseCounts(t *testing.T) {
-	if got, err := parseCounts("shards", "1, 2,8"); err != nil || len(got) != 3 || got[2] != 8 {
+	if got, err := parseCounts("shards", "1, 2,8", 0); err != nil || len(got) != 3 || got[2] != 8 {
 		t.Errorf("parseCounts(shards, \"1, 2,8\") = %v, %v", got, err)
 	}
 	for _, flag := range []string{"shards", "sites"} {
 		for _, bad := range []string{"", "0", "x", "-1"} {
-			if _, err := parseCounts(flag, bad); err == nil || !strings.Contains(err.Error(), "-"+flag) {
+			if _, err := parseCounts(flag, bad, 0); err == nil || !strings.Contains(err.Error(), "-"+flag) {
 				t.Errorf("parseCounts(%s, %q) = %v, want an error naming -%s", flag, bad, err, flag)
 			}
 		}
 	}
 }
 
+// TestParseTraces pins -traces through the same parser, bounded to the
+// eight traces.
 func TestParseTraces(t *testing.T) {
-	got, err := parseTraces("1, 3,8")
+	got, err := parseCounts("traces", "1, 3,8", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +104,12 @@ func TestParseTraces(t *testing.T) {
 		t.Errorf("parsed %v", got)
 	}
 	for _, bad := range []string{"", "0", "9", "x", "1,,y"} {
-		if _, err := parseTraces(bad); err == nil {
-			t.Errorf("accepted %q", bad)
+		if _, err := parseCounts("traces", bad, 8); err == nil || !strings.Contains(err.Error(), "-traces") {
+			t.Errorf("parseCounts(traces, %q) = %v, want an error naming -traces", bad, err)
 		}
 	}
 	// Trailing commas and spaces are tolerated.
-	got, err = parseTraces("2,")
+	got, err = parseCounts("traces", "2,", 8)
 	if err != nil || len(got) != 1 || got[0] != 2 {
 		t.Errorf("trailing comma: %v %v", got, err)
 	}
@@ -122,16 +124,17 @@ func runTool(args ...string) (stdout, stderr string, err error) {
 
 // TestScaleStudyInvocation drives `-exp scale` end to end: the progress
 // line names the community the tables below it report, also when
-// -clients is left to the study's default.
+// -clients is left to the study's default, and -sites and -lean reach the
+// sweep.
 func TestScaleStudyInvocation(t *testing.T) {
-	stdout, stderr, err := runTool("-exp", "scale", "-clients", "80", "-shards", "1,2", "-hours", "0.01")
+	stdout, stderr, err := runTool("-exp", "scale", "-clients", "80", "-shards", "2,4", "-sites", "1,2", "-lean", "-hours", "0.01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stderr, "running scale study (80 clients, shards 1,2)") {
-		t.Errorf("progress line does not name 80 clients:\n%s", stderr)
+	if !strings.Contains(stderr, "running scale study (80 clients, shards 2,4, sites 1,2)") {
+		t.Errorf("progress line does not name 80 clients over shards 2,4 and sites 1,2:\n%s", stderr)
 	}
-	for _, want := range []string{"Throughput vs shards: 80 clients", "Executor wall-clock"} {
+	for _, want := range []string{"Throughput vs shards and sites: 80 clients", "Executor wall-clock", "\n4           2 "} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
@@ -141,7 +144,7 @@ func TestScaleStudyInvocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stderr, "(1000 clients, shards 1)") || !strings.Contains(stdout, "1000 clients") {
+	if !strings.Contains(stderr, "(1000 clients, shards 1, sites 1)") || !strings.Contains(stdout, "1000 clients") {
 		t.Errorf("default community not named on both streams:\nstderr: %s\nstdout: %s", stderr, stdout)
 	}
 }
@@ -174,7 +177,7 @@ func TestClaimsInvocation(t *testing.T) {
 		t.Errorf("progress line does not name the horizon and scale:\n%s", stderr)
 	}
 	ids := []string{"s5.3.local_disks", "s5.2.cache_floor", "s5.2.prefetch", "s6.longer_delay",
-		"s5.5.live_polling", "s5.5.polling_cliff", "t6.migration_reuse", "s4.growth_x20"}
+		"s5.5.live_polling", "s5.5.polling_cliff", "t6.migration_reuse", "s4.growth_x20", "s6.crash_loss"}
 	for _, id := range ids {
 		if !strings.Contains(stdout, "\n"+id+" (") {
 			t.Errorf("no claim %s in the output:\n%s", id, stdout)
@@ -210,12 +213,16 @@ func TestErrorsKeepTheirExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, true, "bogus"},
 		{"unknown experiment", []string{"-exp", "bogus"}, true, "unknown experiment"},
 		{"bad shard list", []string{"-exp", "scale", "-shards", "x"}, true, "-shards"},
-		{"zero sites", []string{"-exp", "wanscale", "-sites", "0"}, true, "-sites"},
+		{"zero sites", []string{"-exp", "scale", "-sites", "0"}, true, "-sites"},
 		{"bad profile path", []string{"-exp", "scale", "-cpuprofile", t.TempDir() + "/no/such/dir/cpu"}, true, "-cpuprofile"},
-		{"bad trace list", []string{"-exp", "section4", "-traces", "9"}, false, "bad trace number"},
+		{"bad trace list", []string{"-exp", "section4", "-traces", "9"}, true, "-traces"},
 		{"scale above 1", []string{"-exp", "section5", "-days", "0.02", "-scale", "3"}, true, "-scale 3"},
-		{"bad fault schedule", []string{"-exp", "faults", "-faults", "garbage"}, false, "garbage"},
-		{"indivisible sites", []string{"-exp", "wanscale", "-segments", "8", "-sites", "3"}, true, "-sites 3 does not divide -segments 8"},
+		{"indivisible sites", []string{"-exp", "scale", "-shards", "8", "-sites", "3"}, true, "-sites 3 does not divide -shards 8"},
+		{"nonpositive metrics sample", []string{"-exp", "timeseries", "-hours", "0.01", "-scale", "0.1", "-metrics-sample", "-5s"}, true, "-metrics-sample"},
+		{"retired fault study", []string{"-exp", "faults"}, true, "unknown experiment"},
+		{"retired wanscale study", []string{"-exp", "wanscale"}, true, "unknown experiment"},
+		{"retired faults flag", []string{"-faults", "server-crash:0@1h/30s"}, true, "-faults"},
+		{"retired segments flag", []string{"-segments", "8"}, true, "-segments"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -237,11 +244,19 @@ func TestErrorsKeepTheirExitCodes(t *testing.T) {
 // through the deferred profile stop, so -cpuprofile leaves a complete
 // gzip stream and the profiler is free for the next Start.
 func TestProfileFlushedWhenRunFails(t *testing.T) {
-	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	notDir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ { // the second Start fails if the first was never stopped
-		if _, _, err := runTool("-exp", "faults", "-faults", "garbage", "-cpuprofile", cpu); err == nil ||
-			strings.Contains(err.Error(), "cpuprofile") {
-			t.Fatalf("run %d = %v, want the schedule parse error", i, err)
+		// The CDF directory cannot be made under a regular file: the run
+		// fails after the trace ran.
+		_, _, err := runTool("-exp", "section4", "-traces", "1", "-hours", "0.01", "-scale", "0.1",
+			"-cdfdir", filepath.Join(notDir, "cdf"), "-cpuprofile", cpu)
+		if err == nil || errors.As(err, &usageError{}) || !strings.Contains(err.Error(), "not a directory") {
+			t.Fatalf("run %d = %v, want the run error making -cdfdir", i, err)
 		}
 		f, err := os.Open(cpu)
 		if err != nil {

@@ -94,6 +94,11 @@ func run(args []string, out io.Writer) (err error) {
 	if set["metrics-sample"] && !set["metrics-out"] {
 		return fmt.Errorf("-metrics-sample writes <metrics-out>.series; it needs -metrics-out")
 	}
+	// The cluster samples only at a positive interval: 0s or -5s would
+	// silently write no .series file.
+	if set["metrics-sample"] && *metricsTS <= 0 {
+		return fmt.Errorf("-metrics-sample must be positive (got %v)", *metricsTS)
+	}
 	if set["metrics-format"] && !set["metrics-out"] {
 		return fmt.Errorf("-metrics-format without -metrics-out writes nothing; add -metrics-out")
 	}

@@ -25,6 +25,7 @@ func TestFlagValidation(t *testing.T) {
 		want string // substring of the expected error
 	}{
 		{"sample without out", []string{"-metrics-sample", "10s", "-trace", "x"}, "-metrics-out"},
+		{"nonpositive metrics sample", []string{"-metrics-out", "-", "-metrics-sample", "-5s", "-trace", "x"}, "-metrics-sample must be positive"},
 		{"format without out", []string{"-metrics-format", "tsv", "-trace", "x"}, "-metrics-out"},
 		{"bad format", []string{"-metrics-out", "-", "-metrics-format", "xml", "-trace", "x"}, "xml"},
 		{"bad report", []string{"-report", "yaml", "-trace", "x"}, "yaml"},

@@ -7,6 +7,7 @@ import (
 
 	"spritefs/internal/client"
 	"spritefs/internal/cluster"
+	"spritefs/internal/faults"
 	"spritefs/internal/netsim"
 	"spritefs/internal/stats"
 	"spritefs/internal/trace"
@@ -29,10 +30,12 @@ type point struct {
 
 // claim is one of the paper's sentences and the check that judges it.
 // holds reads v[point][cell] and returns the verdict with the values and
-// thresholds it compared.
+// thresholds it compared. crashes runs every point under
+// defaultFaultSchedule for the claim's horizon.
 type claim struct {
 	id, section, sentence string
 	points                []point
+	crashes               bool
 	cells                 []string
 	holds                 func(v [][]float64) (bool, string)
 }
@@ -47,8 +50,35 @@ func prefetch(n int) point {
 	return point{fmt.Sprintf("prefetch %d", n), func(cfg *cluster.Config) { cfg.PrefetchBlocks = n }}
 }
 
-func delay(d time.Duration) point {
-	return point{d.String(), func(cfg *cluster.Config) { cfg.WritebackDelay = d }}
+// delays is one point per client writeback delay.
+func delays(ds ...time.Duration) []point {
+	var pts []point
+	for _, d := range ds {
+		pts = append(pts, point{d.String(), func(cfg *cluster.Config) { cfg.WritebackDelay = d }})
+	}
+	return pts
+}
+
+// crashWindows are s6.crash_loss's client writeback delays: 5 s, Sprite's
+// 30 s and 2 m. A server delays its own writes 30 s and its cleaner runs
+// every 5 s, so a crash loses nothing dirtied longer ago than
+// max(window, 30 s) + 5 s.
+var crashWindows = []time.Duration{5 * time.Second, 30 * time.Second, 2 * time.Minute}
+
+// defaultFaultSchedule crashes one server per simulated hour, round-robin,
+// each outage 30 seconds — enough crashes to measure, spaced so every
+// recovery completes before the next fault.
+func defaultFaultSchedule(hours float64, nServers int) faults.Schedule {
+	var s faults.Schedule
+	for h := 0; float64(h) < hours; h++ {
+		s.Events = append(s.Events, faults.Event{
+			At:       time.Duration(h)*time.Hour + 30*time.Minute,
+			Kind:     faults.ServerCrash,
+			Target:   h % nServers,
+			Duration: 30 * time.Second,
+		})
+	}
+	return s
 }
 
 // polling is a live consistency scheme on a community that shares more
@@ -114,7 +144,7 @@ var claims = []claim{
 	{
 		id: "s6.longer_delay", section: "§6",
 		sentence: "Once reads are absorbed, longer writeback intervals become attractive: more new bytes die in the cache before they reach a server.",
-		points:   []point{delay(5 * time.Second), delay(30 * time.Second), delay(2 * time.Minute), delay(10 * time.Minute)},
+		points:   delays(5*time.Second, 30*time.Second, 2*time.Minute, 10*time.Minute),
 		cells:    []string{"t6.writeback.pct", "t6.delete_saved.pct"},
 		holds: func(v [][]float64) (bool, string) {
 			short, long := v[0], v[len(v)-1]
@@ -167,6 +197,28 @@ var claims = []claim{
 		holds: func(v [][]float64) (bool, string) {
 			return v[0][0] >= 10*v[1][0],
 				fmt.Sprintf("1991 %.2f KB/s is %.1fx 1985 %.2f KB/s at 10 minutes (must be >= 10x)", v[0][0], v[0][0]/v[1][0], v[1][0])
+		},
+	},
+	{
+		id: "s6.crash_loss", section: "§6",
+		sentence: "Users can lose at most 30 seconds of work in a crash: only data dirtied within the delayed-write window is lost, and a shorter window costs writeback traffic.",
+		points:   delays(crashWindows...),
+		crashes:  true,
+		cells:    []string{"recovery.server_crashes", "recovery.dirty_bytes_lost", "recovery.max_dirty_age_s", "recovery.replayed_bytes", "t6.writeback.pct"},
+		holds: func(v [][]float64) (bool, string) {
+			ok := true
+			var crashes, ages, bounds []string
+			for i, w := range crashWindows {
+				bound := max(w, 30*time.Second).Seconds() + 5
+				ok = ok && v[i][0] >= 1 && v[i][2] <= bound
+				crashes = append(crashes, fmt.Sprintf("%.0f", v[i][0]))
+				ages = append(ages, fmt.Sprintf("%.1f", v[i][2]))
+				bounds = append(bounds, fmt.Sprintf("%.0f", bound))
+			}
+			first, last := v[0][4], v[len(v)-1][4]
+			return ok && last < first,
+				fmt.Sprintf("crashes %s (each must be >= 1); max lost age %s s (must be <= %s); writeback 5s -> 2m %.1f -> %.1f (must fall)",
+					strings.Join(crashes, " / "), strings.Join(ages, " / "), strings.Join(bounds, " / "), first, last)
 		},
 	},
 }
@@ -223,6 +275,9 @@ func check(c *claim, hours, scale float64, seed int64) (checkedClaim, error) {
 	for i, pt := range c.points {
 		cfg := cluster.DefaultConfig(CounterParams(seed))
 		pt.set(&cfg)
+		if c.crashes {
+			cfg.Faults = defaultFaultSchedule(hours, cfg.NumServers)
+		}
 		cfg.Params = scaleParams(cfg.Params, scale)
 		cfg.CollectTrace = traced
 		cr, cl := runCounters(cfg, hours/24)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"spritefs/internal/stats"
 )
@@ -44,30 +43,4 @@ func CounterTables(r *CounterResult) string {
 // print.
 func CounterDetail(r *CounterResult) *stats.Table {
 	return detail("Section 5 detail: the cells the tables above leave out", counterCells, counterTables, nil, r)
-}
-
-// FaultTables renders the data-at-risk study: one row per writeback-delay
-// setting, the Section 6 reliability argument as measured numbers. The
-// "max dirty age" column is the claim itself — no destroyed byte was dirty
-// longer than the delayed-write window plus one cleaner period.
-func FaultTables(r *FaultResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fault schedule (%0.1fh run): %s\n\n", r.Hours, r.Schedule)
-	t := stats.NewTable("Data at risk under server crashes, by delayed-write window",
-		"writeback", "crashes", "dirty bytes lost", "max dirty age", "replayed", "reopen storm", "reconsistency")
-	for _, row := range r.Rows {
-		rec := row.Recovery
-		t.AddRow(row.WritebackDelay.String(),
-			fmt.Sprintf("%d", rec.ServerCrashes+rec.ClientCrashes),
-			stats.FmtBytes(rec.DirtyBytesLost),
-			rec.MaxDirtyAge.Round(time.Millisecond).String(),
-			stats.FmtBytes(rec.ReplayedBytes),
-			fmt.Sprintf("%d", rec.RecoveryOpens),
-			rec.MaxTimeToReconsistency.Round(time.Millisecond).String())
-	}
-	b.WriteString(t.String())
-	b.WriteString("\nBound: max dirty age <= max(client writeback delay, server 30s delay) + 5s cleaner period.\n" +
-		"Shrinking the client window shifts risk to the server cache (lost bytes stay flat);\n" +
-		"growing it moves dirty data back to clients, where recovery replay can save it.\n")
-	return b.String()
 }

@@ -17,7 +17,6 @@ import (
 	"spritefs/internal/analysis"
 	"spritefs/internal/cluster"
 	"spritefs/internal/consistency"
-	"spritefs/internal/faults"
 	"spritefs/internal/stats"
 	"spritefs/internal/trace"
 	"spritefs/internal/workload"
@@ -204,94 +203,4 @@ func runCounters(cfg cluster.Config, days float64) (*CounterResult, *cluster.Clu
 	dur := time.Duration(days * 24 * float64(time.Hour))
 	cl.Run(dur)
 	return &CounterResult{Days: days, Report: cl.Report(), NetUtilization: cl.Net.Utilization(dur)}, cl
-}
-
-// FaultOptions configures the data-at-risk campaign.
-type FaultOptions struct {
-	// Hours of simulated time per run (default 4).
-	Hours float64
-	// Scale shrinks the community as in TraceOptions.
-	Scale float64
-	Seed  int64
-	// Schedule is the fault schedule text (faults.Parse syntax). Empty
-	// picks the default: one server crash per simulated hour, staggered
-	// across the servers, each with a 30-second outage.
-	Schedule string
-}
-
-// FaultRow is one writeback-delay setting's measured crash cost.
-type FaultRow struct {
-	WritebackDelay time.Duration
-	Recovery       cluster.Recovery
-}
-
-// FaultResult is the data-at-risk study: the same community and the same
-// fault schedule, replayed once per writeback-delay setting. Section 6's
-// reliability argument — "users can lose at most 30 seconds of work" —
-// reads off the MaxDirtyAge column, and the cost of shrinking that window
-// reads off the writeback traffic in the regular tables.
-type FaultResult struct {
-	Hours    float64
-	Schedule faults.Schedule
-	Rows     []FaultRow
-}
-
-// RunFaultStudy measures data-at-risk under injected crashes across
-// delayed-write settings.
-func RunFaultStudy(opts FaultOptions) (*FaultResult, error) {
-	hours := opts.Hours
-	if hours <= 0 {
-		hours = 4
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 424242
-	}
-	// The delayed-write windows swept, in the paper's framing: 5s, 30s
-	// (Sprite's choice) and 2m.
-	delays := []time.Duration{5 * time.Second, 30 * time.Second, 2 * time.Minute}
-
-	p := workload.Default(seed)
-	p.EmitBackupNoise = false
-	p = scaleParams(p, opts.Scale)
-	nServers := cluster.DefaultConfig(p).NumServers
-
-	var sched faults.Schedule
-	if opts.Schedule != "" {
-		var err error
-		if sched, err = faults.Parse(opts.Schedule); err != nil {
-			return nil, err
-		}
-	} else {
-		sched = defaultFaultSchedule(hours, nServers)
-	}
-
-	res := &FaultResult{Hours: hours, Schedule: sched}
-	for _, wb := range delays {
-		cfg := cluster.DefaultConfig(p)
-		cfg.CollectTrace = false
-		cfg.SamplePeriod = 0
-		cfg.WritebackDelay = wb
-		cfg.Faults = sched
-		cl := cluster.New(cfg)
-		cl.Run(time.Duration(hours * float64(time.Hour)))
-		res.Rows = append(res.Rows, FaultRow{WritebackDelay: wb, Recovery: cl.RecoveryReport()})
-	}
-	return res, nil
-}
-
-// defaultFaultSchedule crashes one server per simulated hour, round-robin,
-// each outage 30 seconds — enough crashes to measure, spaced so every
-// recovery completes before the next fault.
-func defaultFaultSchedule(hours float64, nServers int) faults.Schedule {
-	var s faults.Schedule
-	for h := 0; float64(h) < hours; h++ {
-		s.Events = append(s.Events, faults.Event{
-			At:       time.Duration(h)*time.Hour + 30*time.Minute,
-			Kind:     faults.ServerCrash,
-			Target:   h % nServers,
-			Duration: 30 * time.Second,
-		})
-	}
-	return s
 }

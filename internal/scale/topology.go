@@ -33,7 +33,7 @@ type TiersConfig struct {
 	WAN Tier
 }
 
-// DefaultTiers returns the wide-area pricing the wanscale study uses: the
+// DefaultTiers returns the wide-area pricing the scale study uses: the
 // campus backbone within a site (2 ms, 100 Mbit/s) and a T3-class
 // long-haul trunk between sites (30 ms, 45 Mbit/s) — the shape of the
 // successor systems' wide-area deployments, where the WAN tier is an

@@ -101,18 +101,3 @@ func (t *Table) TSV() string {
 	}
 	return b.String()
 }
-
-// FmtBytes renders a byte count in a compact human unit (K/M/G), matching
-// the magnitudes quoted in the paper's prose.
-func FmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fG", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fM", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fK", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}

@@ -59,20 +59,3 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("NumRows = %d, want 2", tb.NumRows())
 	}
 }
-
-func TestFmtBytes(t *testing.T) {
-	cases := []struct {
-		n    int64
-		want string
-	}{
-		{500, "500B"},
-		{2048, "2.0K"},
-		{3 << 20, "3.0M"},
-		{5 << 30, "5.0G"},
-	}
-	for _, c := range cases {
-		if got := FmtBytes(c.n); got != c.want {
-			t.Errorf("FmtBytes(%d) = %q, want %q", c.n, got, c.want)
-		}
-	}
-}
