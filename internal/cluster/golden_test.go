@@ -1,19 +1,19 @@
-package cluster_test
+package cluster
 
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"spritefs/internal/cluster"
 	"spritefs/internal/workload"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_report.prom from this run")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files from this run")
 
 // TestGoldenReport pins the full metric-registry dump of a seeded cluster
 // run byte-for-byte. The dump projects every counter the report tables are
@@ -24,10 +24,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_re
 func TestGoldenReport(t *testing.T) {
 	p := workload.ScaleCommunity(workload.Default(20260806), 0.25)
 	p.EmitBackupNoise = false
-	cfg := cluster.DefaultConfig(p)
+	cfg := DefaultConfig(p)
 	cfg.CollectTrace = false
 	cfg.SamplePeriod = time.Minute
-	c := cluster.New(cfg)
+	c := New(cfg)
 	c.Run(45 * time.Minute)
 
 	var buf bytes.Buffer
@@ -70,6 +70,29 @@ func TestGoldenReport(t *testing.T) {
 		}
 	}
 	t.Fatalf("report drifted: line counts differ (got %d, want %d)", len(gl), len(wl))
+}
+
+// TestTable4Pinned pins Table 4 of a four-hour batch run digit for digit:
+// %+v prints every float at the shortest precision that round-trips, so a
+// change to which samples are taken, how activity is judged or the order
+// the windows are folded in moves a low bit here. Regenerate with
+// -update-golden only for an intended behaviour change.
+func TestTable4Pinned(t *testing.T) {
+	got := fmt.Sprintf("%+v\n", runShort(t, 11, 4*time.Hour).Table4Report())
+	path := filepath.Join("testdata", "table4_pinned.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing pin (regenerate with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("Table 4 drifted:\n got %s\nwant %s", got, want)
+	}
 }
 
 // stripSimGauges drops the families added after the golden file was
