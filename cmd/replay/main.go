@@ -82,7 +82,7 @@ func run(args []string, out io.Writer) (err error) {
 		faultsSpec = fs.String("faults", "", "fault schedule, e.g. 'server-crash:0@10m/30s,drop@0s/1h/500ms/50'")
 		metricsOut = fs.String("metrics-out", "", "write the final metric registry dump to this file ('-' = stdout); sweeps append .<config> per configuration")
 		metricsFmt = fs.String("metrics-format", "prom", "registry dump format: prom | tsv | jsonl")
-		metricsTS  = fs.Duration("metrics-sample", 0, "also sample the registry as time series at this virtual-clock interval (written as <metrics-out>.series; every row is kept, so memory grows with horizon ÷ interval)")
+		metricsTS  = fs.Duration("metrics-sample", 0, "sample the registry as time series at this virtual-clock interval: -report tables computes Table 4 from the samples, and -metrics-out writes them as <metrics-out>.series (every row is kept, so memory grows with horizon ÷ interval)")
 		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile of the replay to this file")
 		memProf    = fs.String("memprofile", "", "write a pprof heap profile (taken after the replay) to this file")
 	)
@@ -91,8 +91,8 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["metrics-sample"] && !set["metrics-out"] {
-		return fmt.Errorf("-metrics-sample writes <metrics-out>.series; it needs -metrics-out")
+	if set["metrics-sample"] && !set["metrics-out"] && *report != "tables" {
+		return fmt.Errorf("-metrics-sample feeds <metrics-out>.series and -report tables' Table 4; it needs -metrics-out or -report tables")
 	}
 	// The cluster samples only at a positive interval: 0s or -5s would
 	// silently write no .series file.
@@ -182,7 +182,7 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 	base.Keep = keep
-	base.MetricsSample = *metricsTS
+	base.SamplePeriod = *metricsTS
 	if *faultsSpec != "" {
 		sched, err := faults.Parse(*faultsSpec)
 		if err != nil {
@@ -310,12 +310,12 @@ func writeMetrics(results []*replay.Result, path, format string, stdout io.Write
 		if err := dump(target, func(w io.Writer) error { return reg.Dump(w, format) }); err != nil {
 			return err
 		}
-		if r.Series != nil {
+		if s := r.Metrics.MetricSampler; s != nil {
 			st := target + ".series"
 			if target == "-" {
 				st = "-"
 			}
-			if err := dump(st, func(w io.Writer) error { return r.Series.Dump(w, format) }); err != nil {
+			if err := dump(st, func(w io.Writer) error { return s.Dump(w, format) }); err != nil {
 				return err
 			}
 		}

@@ -35,14 +35,13 @@ func mustParseFaults(t *testing.T, text string) faults.Schedule {
 }
 
 // smallCommunity is a ten-workstation cluster with every daemon the batch
-// runs have: system processes, the counter sampler and the metric sampler.
+// runs have: system processes, cleaners and the sampler.
 func smallCommunity(t *testing.T, faultText string) *Cluster {
 	t.Helper()
 	p := workload.ScaleCommunity(workload.Default(7), 0.25)
 	p.EmitBackupNoise = false
 	cfg := DefaultConfig(p)
 	cfg.CollectTrace = false
-	cfg.MetricsSample = 30 * time.Second
 	cfg.Faults = mustParseFaults(t, faultText)
 	return New(cfg)
 }
@@ -151,8 +150,8 @@ func TestCleanersAreOneTimerPerPhase(t *testing.T) {
 		t.Fatalf("community of %d cannot tell a phase from a workstation", n)
 	}
 	// System processes (one per workstation), cleaner phases, server
-	// cleaners, the counter sampler and the metric sampler.
-	want := before + n + int(cleanerPhases) + len(c.Servers) + 2
+	// cleaners and the sampler.
+	want := before + n + int(cleanerPhases) + len(c.Servers) + 1
 	if got := c.Sim.WheelTimers(); got != want {
 		t.Errorf("%d timers armed after StartDaemons, want %d", got, want)
 	}

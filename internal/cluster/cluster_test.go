@@ -264,6 +264,7 @@ func TestClusterRejectsZeroServers(t *testing.T) {
 // the sampler, which would sample that empty registry.
 func TestExternalRegistryRegistersNothing(t *testing.T) {
 	cfg := DefaultConfig(shortParams(1))
+	cfg.SamplePeriod = 0
 	cfg.ExternalRegistry = true
 	c := New(cfg)
 	c.AddClient(int32(len(c.Clients)))
@@ -273,11 +274,11 @@ func TestExternalRegistryRegistersNothing(t *testing.T) {
 
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "MetricsSample") || !strings.Contains(msg, "ExternalRegistry") {
+		if !strings.Contains(msg, "SamplePeriod") || !strings.Contains(msg, "ExternalRegistry") {
 			t.Errorf("panic %q does not name both fields", msg)
 		}
 	}()
-	cfg.MetricsSample = time.Minute
+	cfg.SamplePeriod = time.Minute
 	New(cfg)
-	t.Error("no panic for MetricsSample with ExternalRegistry")
+	t.Error("no panic for SamplePeriod with ExternalRegistry")
 }

@@ -81,8 +81,7 @@ func RunTimeseries(opts TimeseriesOptions) *TimeseriesResult {
 	dur := time.Duration(hours * float64(time.Hour))
 	cfg := cluster.DefaultConfig(p)
 	cfg.CollectTrace = false
-	cfg.SamplePeriod = 0
-	cfg.MetricsSample = sample
+	cfg.SamplePeriod = sample
 	cfg.MetricsMatch = func(name string) bool { return tsFamilies[name] }
 	cl := cluster.New(cfg)
 	cl.Run(dur)

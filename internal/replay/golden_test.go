@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"spritefs/internal/cluster"
 	"spritefs/internal/faults"
 	"spritefs/internal/trace"
 )
@@ -28,9 +29,9 @@ func goldenText(t *testing.T, r *Result) string {
 	if err := r.Metrics.Registry().Dump(&b, "prom"); err != nil {
 		t.Fatal(err)
 	}
-	if r.Series != nil {
+	if s := r.Metrics.MetricSampler; s != nil {
 		fmt.Fprintf(&b, "== series\n")
-		if err := r.Series.Dump(&b, "prom"); err != nil {
+		if err := s.Dump(&b, "tsv"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,8 +60,9 @@ func TestGoldenReplay(t *testing.T) {
 	tuned.FixedCachePages = 512
 	tuned.WritebackDelay = 5 * time.Second
 	tuned.SamplePeriod = time.Minute
-	tuned.MetricsSample = 30 * time.Minute
-	tuned.MetricsMatch = func(name string) bool { return strings.HasPrefix(name, "spritefs_server_") }
+	tuned.MetricsMatch = func(name string) bool {
+		return cluster.Table4Families(name) || strings.HasPrefix(name, "spritefs_server_")
+	}
 
 	faulted := replayCfg("faulted")
 	sched, err := faults.Parse("server-crash:0@1h0m0s/30s,client-crash:2@1h10m0s")

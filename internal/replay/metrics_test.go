@@ -18,9 +18,9 @@ func dumpAll(t *testing.T, r *Result) string {
 			t.Fatal(err)
 		}
 	}
-	if r.Series != nil {
+	if s := r.Metrics.MetricSampler; s != nil {
 		for _, format := range []string{"prom", "tsv", "jsonl"} {
-			if err := r.Series.Dump(&b, format); err != nil {
+			if err := s.Dump(&b, format); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -33,7 +33,7 @@ func dumpAll(t *testing.T, r *Result) string {
 func metricsSweepConfigs() []Config {
 	cfgs := sweepConfigs()
 	for i := range cfgs {
-		cfgs[i].MetricsSample = time.Minute
+		cfgs[i].SamplePeriod = time.Minute
 	}
 	return cfgs
 }
@@ -44,7 +44,7 @@ func metricsSweepConfigs() []Config {
 func TestMetricsDumpDeterminism(t *testing.T) {
 	live := capturedTrace(t)
 	cfg := replayCfg("determinism")
-	cfg.MetricsSample = time.Minute
+	cfg.SamplePeriod = time.Minute
 	run := func() string {
 		res, err := RunSweep(live.recs, []Config{cfg}, 1)
 		if err != nil {
@@ -95,13 +95,13 @@ func TestMetricsDumpWorkerInvariance(t *testing.T) {
 func TestSeriesKeepsEveryRow(t *testing.T) {
 	live := capturedTrace(t)
 	cfg := replayCfg("every-row")
-	cfg.MetricsSample = time.Second
+	cfg.SamplePeriod = time.Second
 	cfg.MetricsMatch = func(name string) bool { return name == "spritefs_replay_records_applied_total" }
 	res, err := Run(cfg, trace.NewSliceStream(live.recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser := res.Series.Get("spritefs_replay_records_applied_total", "")
+	ser := res.Metrics.MetricSampler.Get("spritefs_replay_records_applied_total", "")
 	if len(ser.Times) <= 4096 {
 		t.Fatalf("%d rows over a %v horizon sampled every 1s, want more than 4096", len(ser.Times), res.Horizon)
 	}

@@ -51,11 +51,11 @@ func TestRegistrationShardsHoldNothing(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Error("no panic for a Tune that sets MetricsSample on a shard")
+			t.Error("no panic for a Tune that sets SamplePeriod on a shard")
 		}
 	}()
 	cfg := sitedConfig(5, false)
-	cfg.Tune = func(_ int, c *cluster.Config) { c.MetricsSample = time.Minute }
+	cfg.Tune = func(_ int, c *cluster.Config) { c.SamplePeriod = time.Minute }
 	scale.MustNew(cfg)
 }
 

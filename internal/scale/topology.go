@@ -144,7 +144,7 @@ type Config struct {
 	LeanMetrics bool
 	// Tune, when set, adjusts each shard's cluster configuration after
 	// the defaults are applied (ablations on a sharded world). New then
-	// sets ExternalRegistry on every shard, so MetricsSample must stay 0.
+	// sets ExternalRegistry on every shard, so SamplePeriod must stay 0.
 	Tune func(shard int, cfg *cluster.Config)
 	// SeedMessages pre-populates the shards' message free lists, entry i
 	// going to shard i. Benchmarks drain a finished engine's pools with
