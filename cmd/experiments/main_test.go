@@ -219,6 +219,7 @@ func TestErrorsKeepTheirExitCodes(t *testing.T) {
 		{"scale above 1", []string{"-exp", "section5", "-days", "0.02", "-scale", "3"}, true, "-scale 3"},
 		{"indivisible sites", []string{"-exp", "scale", "-shards", "8", "-sites", "3"}, true, "-sites 3 does not divide -shards 8"},
 		{"nonpositive metrics sample", []string{"-exp", "timeseries", "-hours", "0.01", "-scale", "0.1", "-metrics-sample", "-5s"}, true, "-metrics-sample"},
+		{"metrics sample not dividing 10m", []string{"-exp", "timeseries", "-hours", "0.01", "-scale", "0.1", "-metrics-sample", "7s"}, true, "-metrics-sample 7s does not divide 10m"},
 		{"retired fault study", []string{"-exp", "faults"}, true, "unknown experiment"},
 		{"retired wanscale study", []string{"-exp", "wanscale"}, true, "unknown experiment"},
 		{"retired faults flag", []string{"-faults", "server-crash:0@1h/30s"}, true, "-faults"},

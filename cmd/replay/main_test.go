@@ -24,7 +24,8 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string // substring of the expected error
 	}{
-		{"sample without out", []string{"-metrics-sample", "10s", "-trace", "x"}, "-metrics-out"},
+		// Without -metrics-out or -report tables the samples reach no output.
+		{"sample without out", []string{"-metrics-sample", "10s", "-trace", "x"}, "it needs -metrics-out or -report tables"},
 		{"nonpositive metrics sample", []string{"-metrics-out", "-", "-metrics-sample", "-5s", "-trace", "x"}, "-metrics-sample must be positive"},
 		{"format without out", []string{"-metrics-format", "tsv", "-trace", "x"}, "-metrics-out"},
 		{"bad format", []string{"-metrics-out", "-", "-metrics-format", "xml", "-trace", "x"}, "xml"},
@@ -87,6 +88,7 @@ func TestProfileFlagsFailFast(t *testing.T) {
 func TestValidCombosPassValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-sweep", "cache=512", "-workers", "2", "-metrics-out", "-", "-metrics-sample", "10s", "-mode", "poll", "-poll", "5s"},
+		{"-report", "tables", "-metrics-sample", "1m"},
 		// Zero keeps the meaning each flag's help gives it.
 		{"-cache", "0", "-wb", "0", "-prefetch", "0", "-speed", "0", "-mode", "poll", "-poll", "0", "-servers", "1"},
 	} {
@@ -192,5 +194,34 @@ func TestClientsReplaysThatSubset(t *testing.T) {
 	}
 	if got, _ := strconv.Atoi(m[1]); got != want || want == 0 || want == len(recs) {
 		t.Errorf("-clients 0,3 applied %d records, want %d of %d", got, want, len(recs))
+	}
+}
+
+// TestMetricsSampleFillsTable4 replays the small trace at recorded speed
+// with -report tables: Table 4 is computed from the sampled series, so
+// without -metrics-sample its average cache size reads 0 and with it the
+// replayed workstations' caches show.
+func TestMetricsSampleFillsTable4(t *testing.T) {
+	path, _ := smallTrace(t)
+	avg := regexp.MustCompile(`(?m)^avg cache size \(KB\) +(\d+) `)
+	for _, tc := range []struct {
+		extra   []string
+		nonZero bool
+	}{
+		{nil, false},
+		{[]string{"-metrics-sample", "1m"}, true},
+	} {
+		var out strings.Builder
+		args := append([]string{"-trace", path, "-servers", "2", "-cache", "2048", "-report", "tables"}, tc.extra...)
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		m := avg.FindStringSubmatch(out.String())
+		if m == nil {
+			t.Fatalf("run(%v): Table 4 has no average cache size row:\n%s", args, out.String())
+		}
+		if got := m[1] != "0"; got != tc.nonZero {
+			t.Errorf("run(%v): t4.size.avg_kb = %s, want non-zero = %v", args, m[1], tc.nonZero)
+		}
 	}
 }
