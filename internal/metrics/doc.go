@@ -26,7 +26,8 @@
 // simulation clock at a configurable interval, it appends one row of
 // selected metric values per tick and keeps every row (memory grows with
 // horizon ÷ interval), exportable as TSV, JSONL, or Prometheus text with
-// timestamps. This is what lets a
-// single run answer interval-contrast questions (Table 2's 10-second
-// versus 10-minute activity) instead of only end-of-run totals.
+// timestamps. It is the cluster's one periodic reader of counters: Table
+// 4's cache sizes are a projection of its rows, and the same series
+// answer interval-contrast questions (Table 2's 10-second versus
+// 10-minute activity) instead of only end-of-run totals.
 package metrics
