@@ -18,11 +18,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"spritefs/internal/core"
 	"spritefs/internal/prof"
@@ -34,20 +34,16 @@ import (
 // ignore. Flags absent from the map (exp, seed, cpuprofile,
 // memprofile) apply everywhere.
 var flagScope = map[string][]string{
-	"traces":         {"all", "section4"},
-	"hours":          {"all", "section4", "claims", "timeseries", "scale", "workloads"},
-	"days":           {"all", "section5"},
-	"scale":          {"all", "section4", "section5", "claims", "timeseries", "workloads"},
-	"cdfdir":         {"all", "section4"},
-	"metrics-out":    {"timeseries"},
-	"metrics-format": {"timeseries"},
-	"metrics-sample": {"timeseries"},
-	"shards":         {"scale"},
-	"clients":        {"scale"},
-	"sequential":     {"scale"},
-	"workers":        {"scale"},
-	"sites":          {"scale"},
-	"lean":           {"scale"},
+	"traces":  {"all", "section4"},
+	"hours":   {"all", "section4", "claims", "scale", "workloads"},
+	"days":    {"all", "section5"},
+	"scale":   {"all", "section4", "section5", "claims", "workloads"},
+	"cdfdir":  {"all", "section4"},
+	"shards":  {"scale"},
+	"clients": {"scale"},
+	"workers": {"scale"},
+	"sites":   {"scale"},
+	"lean":    {"scale"},
 }
 
 // nonNegative are the numeric flags whose negative values the studies would
@@ -55,13 +51,16 @@ var flagScope = map[string][]string{
 // the help text says so).
 var nonNegative = []string{"clients", "hours", "days", "scale", "workers"}
 
-var validExps = []string{"all", "section4", "section5", "claims", "timeseries", "scale", "workloads"}
+// finite are the horizon and scale flags: NaN passes every range check
+// and ±Inf would become a nonsense horizon or community.
+var finite = []string{"hours", "days", "scale"}
 
-// validateFlags fails fast on unknown -exp names, on contradictory
-// combinations and on out-of-range numbers instead of silently running the
-// default. num holds the values of the nonNegative flags and, in seconds,
-// -metrics-sample's.
-func validateFlags(exp string, set map[string]bool, num map[string]float64, metricsFmt string) error {
+var validExps = []string{"all", "section4", "section5", "claims", "scale", "workloads"}
+
+// validateFlags fails fast on unknown -exp names, on flags the experiment
+// would ignore and on out-of-range numbers instead of silently running the
+// default. num holds the values of the nonNegative flags.
+func validateFlags(exp string, set map[string]bool, num map[string]float64) error {
 	known := false
 	for _, e := range validExps {
 		if exp == e {
@@ -89,6 +88,11 @@ func validateFlags(exp string, set map[string]bool, num map[string]float64, metr
 				name, exp, strings.Join(scope, ", "))
 		}
 	}
+	for _, name := range finite {
+		if math.IsNaN(num[name]) || math.IsInf(num[name], 0) {
+			return fmt.Errorf("-%s %v is not a finite number", name, num[name])
+		}
+	}
 	for _, name := range nonNegative {
 		if num[name] < 0 {
 			return fmt.Errorf("-%s %v is negative", name, num[name])
@@ -96,20 +100,6 @@ func validateFlags(exp string, set map[string]bool, num map[string]float64, metr
 	}
 	if num["scale"] > 1 {
 		return fmt.Errorf("-scale %v is above 1: 1 is the full 40-client cluster and the largest scale", num["scale"])
-	}
-	if set["metrics-sample"] && num["metrics-sample"] <= 0 {
-		return fmt.Errorf("-metrics-sample %vs: the sampling interval must be positive", num["metrics-sample"])
-	}
-	if set["sequential"] && set["workers"] {
-		return fmt.Errorf("-sequential and -workers contradict each other: the sequential executor has no worker pool")
-	}
-	if set["metrics-format"] && !set["metrics-out"] {
-		return fmt.Errorf("-metrics-format without -metrics-out writes nothing; add -metrics-out")
-	}
-	switch metricsFmt {
-	case "tsv", "prom", "jsonl":
-	default:
-		return fmt.Errorf("unknown -metrics-format %q (want tsv, prom or jsonl)", metricsFmt)
 	}
 	return nil
 }
@@ -134,21 +124,17 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment: all (section4 and section5), section4, section5, claims, timeseries, scale, workloads")
+		exp     = fs.String("exp", "all", "experiment: all (section4 and section5), section4, section5, claims, scale, workloads")
 		traces  = fs.String("traces", "1,2,3,4,5,6,7,8", "comma-separated trace numbers for section4")
 		hours   = fs.Float64("hours", 24, "simulated hours per trace, or per point of -exp claims")
 		days    = fs.Float64("days", 14, "simulated days for the counter study")
 		scale   = fs.Float64("scale", 1.0, "community scale factor: 1.0 is the full 40-client cluster and the largest value")
 		seed    = fs.Int64("seed", 0, "seed: for section4 an offset added to each trace's seed; for every other study the seed itself (0 = the study's default)")
 		cdfDir  = fs.String("cdfdir", "", "write the Figure 1-4 CDF series as TSV files into this directory")
-		tsOut   = fs.String("metrics-out", "", "for -exp timeseries: also write the sampled series to this file ('-' = stdout)")
-		tsFmt   = fs.String("metrics-format", "tsv", "series dump format: tsv | prom | jsonl")
-		tsIntv  = fs.Duration("metrics-sample", 10*time.Second, "sampling interval for -exp timeseries; must divide 10m (every row is kept: memory grows with horizon ÷ interval)")
 		shards  = fs.String("shards", "1,2,4,8", "comma-separated shard (Ethernet segment) counts for -exp scale")
 		sites   = fs.String("sites", "1", "comma-separated site counts for -exp scale, run against every shard count (each must divide it)")
 		clients = fs.Int("clients", 0, "total community size for -exp scale (default 1000)")
-		seqExec = fs.Bool("sequential", false, "for -exp scale: force the sequential executor")
-		workers = fs.Int("workers", 0, "for -exp scale: parallel executor goroutines (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "for -exp scale: executor goroutines for multi-shard rows (0 = GOMAXPROCS; 1 runs one; output is identical at every count)")
 		lean    = fs.Bool("lean", false, "for -exp scale: skip per-client metric instances (needed for million-client runs)")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
@@ -164,15 +150,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	num := map[string]float64{
 		"clients": float64(*clients), "workers": float64(*workers),
-		"hours": *hours, "days": *days, "scale": *scale, "metrics-sample": tsIntv.Seconds(),
+		"hours": *hours, "days": *days, "scale": *scale,
 	}
-	if err := validateFlags(*exp, setFlags, num, *tsFmt); err != nil {
+	if err := validateFlags(*exp, setFlags, num); err != nil {
 		fs.Usage()
 		return usageError{err}
-	}
-	// The timeseries study's long row is a stride of whole samples.
-	if *exp == "timeseries" && (10*time.Minute)%*tsIntv != 0 {
-		return usageError{fmt.Errorf("-metrics-sample %v does not divide 10m, Table 2's long interval", *tsIntv)}
 	}
 	traceNums, err := parseCounts("traces", *traces, 8)
 	if err != nil {
@@ -253,20 +235,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprint(stdout, core.ClaimTables(r))
 	}
 
-	if *exp == "timeseries" {
-		fmt.Fprintf(stderr, "running timeseries study (%.1fh, scale %.2f, sample %v)...\n",
-			*hours, *scale, *tsIntv)
-		r := core.RunTimeseries(core.TimeseriesOptions{
-			Hours: *hours, Scale: *scale, Seed: *seed, Sample: *tsIntv,
-		})
-		fmt.Fprintln(stdout, core.TimeseriesTables(r))
-		if *tsOut != "" {
-			if err := dumpSeries(r, *tsOut, *tsFmt, stdout); err != nil {
-				return err
-			}
-		}
-	}
-
 	if *exp == "scale" {
 		if *clients == 0 {
 			*clients = core.DefaultScaleClients
@@ -274,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(stderr, "running scale study (%d clients, shards %s, sites %s)...\n", *clients, *shards, *sites)
 		r, err := core.RunScaleStudy(core.ScaleOptions{
 			Clients: *clients, Shards: shardCounts, Sites: siteCounts, Hours: studyHours,
-			Seed: *seed, Sequential: *seqExec, Workers: *workers, Lean: *lean,
+			Seed: *seed, Workers: *workers, Lean: *lean,
 		})
 		if err != nil {
 			return err
@@ -321,22 +289,6 @@ func parseCounts(flag, s string, most int) ([]int, error) {
 		return nil, fmt.Errorf("-%s: no counts selected", flag)
 	}
 	return out, nil
-}
-
-// dumpSeries writes the timeseries study's sampled registry series.
-func dumpSeries(r *core.TimeseriesResult, path, format string, stdout io.Writer) error {
-	if path == "-" {
-		return r.Sampler.Dump(stdout, format)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.Sampler.Dump(f, format); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeCDFs dumps the Figure 1-4 cumulative distributions as TSV series,

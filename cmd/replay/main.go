@@ -71,7 +71,6 @@ func run(args []string, out io.Writer) (err error) {
 		workers    = fs.Int("workers", runtime.NumCPU(), "worker goroutines for -sweep")
 		report     = fs.String("report", "summary", "report style: summary | tables | tsv")
 		servers    = fs.Int("servers", 4, "number of file servers")
-		seed       = fs.Int64("seed", 1, "simulator seed")
 		cache      = fs.Int("cache", 0, "fixed client cache size in 4 KB pages (0 = dynamic)")
 		mode       = fs.String("mode", "sprite", "consistency mode: sprite | poll")
 		poll       = fs.Duration("poll", 3*time.Second, "validity window for -mode poll (0 = the client's 60s default)")
@@ -158,7 +157,6 @@ func run(args []string, out io.Writer) (err error) {
 	base := replay.Config{
 		Name:            "base",
 		NumServers:      *servers,
-		Seed:            *seed,
 		FixedCachePages: *cache,
 		WritebackDelay:  *wb,
 		PrefetchBlocks:  *prefetch,

@@ -48,6 +48,8 @@ func TestFlagValidation(t *testing.T) {
 		{"zero servers", []string{"-servers", "0", "-trace", "x"}, "-servers must be at least 1"},
 		{"negative servers", []string{"-servers", "-2", "-trace", "x"}, "-servers must be at least 1"},
 		{"no traces", []string{}, "no trace files"},
+		// A replay draws no random number, so -seed selected nothing.
+		{"retired seed flag", []string{"-seed", "7", "-trace", "x"}, "not defined: -seed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

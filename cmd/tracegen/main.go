@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -42,8 +43,10 @@ func run(traceNum int, hours float64, out string, servers int, stdout io.Writer)
 	if traceNum < 1 || traceNum > 8 {
 		return fmt.Errorf("trace number %d out of range 1-8", traceNum)
 	}
-	if hours <= 0 {
-		return fmt.Errorf("-hours must be positive (got %g)", hours)
+	// NaN passes a "<= 0" check, and neither NaN nor +Inf converts to a
+	// horizon the cluster can run to.
+	if !(hours > 0) || math.IsInf(hours, 1) {
+		return fmt.Errorf("-hours must be a positive finite number (got %g)", hours)
 	}
 	if servers < 1 {
 		return fmt.Errorf("-servers must be at least 1 (got %d)", servers)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,9 +53,9 @@ func TestTracegenRejectsBadTrace(t *testing.T) {
 	}
 }
 
-// TestTracegenRejectsBadFlags: a horizon that simulates nothing and a
-// cluster with no server to write a file for are errors naming the flag,
-// raised before any file is created.
+// TestTracegenRejectsBadFlags: a horizon that simulates nothing (NaN
+// included, which passes "<= 0") and a cluster with no server to write a
+// file for are errors naming the flag, raised before any file is created.
 func TestTracegenRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		hours   float64
@@ -63,6 +64,7 @@ func TestTracegenRejectsBadFlags(t *testing.T) {
 	}{
 		{-1, 4, "-hours"},
 		{0, 4, "-hours"},
+		{math.NaN(), 4, "-hours"},
 		{0.02, 0, "-servers"},
 		{0.02, -1, "-servers"},
 	} {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,7 +181,12 @@ func TestLateWorkstationColdStartScreened(t *testing.T) {
 // and write op counts in both scopes.
 func TestDefaultSamplerKeepsTable4Families(t *testing.T) {
 	c := runShort(t, 12, 10*time.Minute)
-	if got, want := len(c.MetricSampler.All()), 5*len(c.Clients); got != want {
+	var tsv strings.Builder
+	if err := c.MetricSampler.WriteTSV(&tsv); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(tsv.String(), "\n")
+	if got, want := strings.Count(header, "\t"), 5*len(c.Clients); got != want {
 		t.Errorf("the default sampler holds %d columns, want %d (5 for each of %d workstations)", got, want, len(c.Clients))
 	}
 }

@@ -221,6 +221,19 @@ var claims = []claim{
 					strings.Join(crashes, " / "), strings.Join(ages, " / "), strings.Join(bounds, " / "), first, last)
 		},
 	},
+	{
+		id: "s4.bursty", section: "§4, Table 2",
+		sentence: "User activity is bursty: averaged over 10-second intervals an active user moves several times what the 10-minute average shows (47 vs 8.0 KB/s).",
+		points:   []point{{"default", unchanged}},
+		cells:    []string{"t2.10m.avg_kbs", "t2.10s.avg_kbs", "t2.10m.peak_user_kbs", "t2.10s.peak_user_kbs"},
+		// The peaks are printed, not judged: the 24 h trace study's 10 s
+		// peak is 9.8x its 10 min one against the paper's 21.6x.
+		holds: func(v [][]float64) (bool, string) {
+			long, short := v[0][0], v[0][1]
+			return short >= 3*long,
+				fmt.Sprintf("10s %.2f KB/s per active user is %.1fx 10m %.2f KB/s (must be >= 3x)", short, short/long, long)
+		},
+	},
 }
 
 // checkedClaim is one claim run: its cells' values at each point, and the

@@ -74,3 +74,26 @@ func TestClaimsSeeTheirAxis(t *testing.T) {
 		})
 	}
 }
+
+// TestBurstyRule: s4.bursty judges only the two averages. It holds at the
+// paper's 47 vs 8.0 KB/s and at exactly 3x, and fails below 3x whatever
+// the peaks read.
+func TestBurstyRule(t *testing.T) {
+	i := slices.IndexFunc(claims, func(c claim) bool { return c.id == "s4.bursty" })
+	if i < 0 {
+		t.Fatal("no claim s4.bursty")
+	}
+	for _, tc := range []struct {
+		long, short, longPeak, shortPeak float64
+		want                             bool
+	}{
+		{8.0, 47, 458, 9871, true},
+		{8, 24, 100, 100, true},
+		{8, 20, 100, 9871, false},
+		{8, 8, 458, 9871, false},
+	} {
+		if ok, note := claims[i].holds([][]float64{{tc.long, tc.short, tc.longPeak, tc.shortPeak}}); ok != tc.want {
+			t.Errorf("10m %g, 10s %g KB/s: holds = %v, want %v (%s)", tc.long, tc.short, ok, tc.want, note)
+		}
+	}
+}

@@ -166,19 +166,36 @@ func TestFidelityNamesEveryFlag(t *testing.T) {
 // every exported method on an exported type there (String and Error
 // aside), that no non-test .go file of the repository mentions outside
 // comments and declarations — under cmd/, internal/, bench/, examples/ or
-// at the root — is named in a Part B row, where its status says why it
-// stays. So an export that only tests call cannot arrive unexplained.
+// at the root — is named in a Part B row that does not mark it DELETED,
+// where its status says why it stays. So an export that only tests call
+// cannot arrive unexplained.
 //
-// The check matches names, not objects: a use of any identifier of the
-// same name counts. An export whose name is shared with something in use
-// slips through — the pacer's WallClock.At would have, because Sim.At is
-// called everywhere.
+// The check matches names, not objects. A package-qualified mention
+// (metrics.NewSampler) counts for that package's function only, and any
+// other mention of the name for every function of that name. A method
+// counts as used where x.Name appears as something a method can be: not a
+// package's name, not selected from (t6.All.ReadMissPct) and not addressed
+// (&st.All), which are fields. A method whose name is shared with one in
+// use slips through — the pacer's WallClock.At would have, because Sim.At
+// is called everywhere.
 func TestFidelityNamesEveryTestOnlyExport(t *testing.T) {
 	root := filepath.Join("..", "..")
-	used := map[string]int{} // identifier name -> mentions outside declarations
-	type export struct{ name, at string }
+	goMod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, module, _ := strings.Cut(string(goMod), "module ")
+	module, _, _ = strings.Cut(module, "\n")
+	used := map[string]int{}      // identifier name -> mentions outside declarations and pkg.Name
+	qualified := map[string]int{} // "import/path.Name" -> pkg.Name mentions
+	methods := map[string]int{}   // name -> x.Name mentions that can be a method
+	type export struct {
+		name string
+		fn   string // a function's "import/path.Name"; "" for a method
+		at   string
+	}
 	var exports []export
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -195,9 +212,35 @@ func TestFidelityNamesEveryTestOnlyExport(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		imports := map[string]string{} // package name in this file -> import path
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		field := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				used[id.Name]++
+			switch n := n.(type) {
+			case *ast.UnaryExpr:
+				if x, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					field[x] = true
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					qualified[imports[x.Name]+"."+n.Sel.Name]++
+					return false
+				}
+				if x, ok := n.X.(*ast.SelectorExpr); ok {
+					field[x] = true
+				}
+				if !field[n] {
+					methods[n.Sel.Name]++
+				}
+			case *ast.Ident:
+				used[n.Name]++
 			}
 			return true
 		})
@@ -212,8 +255,9 @@ func TestFidelityNamesEveryTestOnlyExport(t *testing.T) {
 			if !strings.HasPrefix(rel, "internal/") || !fn.Name.IsExported() {
 				continue
 			}
-			qual := file.Name.Name + "."
+			qual, fnKey := file.Name.Name+".", module+"/"+filepath.ToSlash(filepath.Dir(rel))+"."+fn.Name.Name
 			if fn.Recv != nil {
+				fnKey = ""
 				recv := fn.Recv.List[0].Type
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
@@ -230,7 +274,7 @@ func TestFidelityNamesEveryTestOnlyExport(t *testing.T) {
 				}
 				qual += typ.Name + "."
 			}
-			exports = append(exports, export{fn.Name.Name, qual + fn.Name.Name + " (" + rel + ")"})
+			exports = append(exports, export{fn.Name.Name, fnKey, qual + fn.Name.Name + " (" + rel + ")"})
 		}
 		return nil
 	})
@@ -238,10 +282,13 @@ func TestFidelityNamesEveryTestOnlyExport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	named := map[string]bool{} // every identifier inside a `code span` of a Part B row
+	named := map[string]bool{} // every identifier inside a `code span` of a live Part B row
 	word := regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 	span := regexp.MustCompile("`[^`]*`")
 	for _, row := range partBRows(t) {
+		if row[len(row)-1] == "DELETED" {
+			continue
+		}
 		for _, cell := range row {
 			for _, s := range span.FindAllString(cell, -1) {
 				for _, w := range word.FindAllString(s, -1) {
@@ -251,7 +298,11 @@ func TestFidelityNamesEveryTestOnlyExport(t *testing.T) {
 		}
 	}
 	for _, e := range exports {
-		if used[e.name] <= 0 && !named[e.name] {
+		inUse := methods[e.name] > 0
+		if e.fn != "" {
+			inUse = used[e.name] > 0 || qualified[e.fn] > 0
+		}
+		if !inUse && !named[e.name] {
 			t.Errorf("%s is called by tests only, and no docs/FIDELITY.md Part B row names it: delete it, or give it a row (TEST SEAM, BENCH-PINNED)", e.at)
 		}
 	}

@@ -33,11 +33,9 @@ type ScaleOptions struct {
 	Hours float64
 	// Seed offsets the base community seed.
 	Seed int64
-	// Sequential forces the sequential executor even for multi-shard
-	// configurations (the default uses the parallel executor, whose
-	// output is byte-identical).
-	Sequential bool
-	// Workers bounds the parallel executor (0 = GOMAXPROCS).
+	// Workers bounds the executor that runs every multi-shard
+	// configuration (0 = GOMAXPROCS; 1 is the sequential schedule, and
+	// output is byte-identical at every count).
 	Workers int
 	// Lean enables scale.Config.LeanMetrics: the engine's registry skips
 	// the per-client metric families, which is what makes million-client
@@ -74,7 +72,7 @@ type ScaleResult struct {
 
 // RunScaleStudy sweeps shard and site counts over a fixed community, shard
 // count major. It checks every pair before running any; the parallel
-// executor serves every multi-shard configuration unless Sequential is set.
+// executor serves every multi-shard configuration.
 func RunScaleStudy(opts ScaleOptions) (*ScaleResult, error) {
 	shardCounts, siteCounts := opts.Shards, opts.Sites
 	if len(shardCounts) == 0 {
@@ -119,7 +117,7 @@ func RunScaleStudy(opts ScaleOptions) (*ScaleResult, error) {
 		row.Build = time.Since(start)
 		row.Stats = eng.Run(scale.RunOptions{
 			Horizon:  horizon,
-			Parallel: !opts.Sequential && row.Shards > 1,
+			Parallel: row.Shards > 1,
 			Workers:  opts.Workers,
 		})
 		var ms runtime.MemStats

@@ -119,15 +119,6 @@ func (s *Sampler) sortedCols() []int {
 	return idx
 }
 
-// All returns every sampled series sorted by (name, labels).
-func (s *Sampler) All() []Series {
-	var out []Series
-	for _, ci := range s.sortedCols() {
-		out = append(out, s.series(ci))
-	}
-	return out
-}
-
 // Get returns the series for one metric instance (labels as rendered by
 // Labels.String, "" for none), or an empty series if never sampled.
 func (s *Sampler) Get(name, labels string) Series {

@@ -67,10 +67,6 @@ type Config struct {
 	// daemons only run in the final drain. Use it for pure reference-string
 	// experiments where timing fidelity does not matter.
 	AsFastAsPossible bool
-	// Seed seeds the engine's simulator (replay itself draws no random
-	// numbers; the seed exists so latency models that jitter in the future
-	// stay reproducible).
-	Seed int64
 	// SamplePeriod enables the metric sampler at this interval on the
 	// virtual clock (zero disables): Table 4 is computed from its series,
 	// which are on Result.Metrics.MetricSampler after Run.
@@ -170,7 +166,6 @@ func New(cfg Config) *Engine {
 		Faults:          cfg.Faults,
 		MetricsMatch:    cfg.MetricsMatch,
 	}
-	ccfg.Params.Seed = cfg.Seed
 	e := &Engine{
 		cfg:     cfg,
 		C:       cluster.NewSystem(ccfg),

@@ -64,7 +64,7 @@ func capturedTrace(t testing.TB) liveCapture {
 
 // replayCfg mirrors the capture cluster's configuration.
 func replayCfg(name string) Config {
-	return Config{Name: name, NumServers: 2, Seed: 1, FixedCachePages: fixedCache}
+	return Config{Name: name, NumServers: 2, FixedCachePages: fixedCache}
 }
 
 // TestReplayReproducesLiveRun is the fidelity bound the subsystem promises:
