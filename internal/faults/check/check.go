@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"spritefs/internal/faults"
+	"spritefs/internal/server"
 )
 
 // Violation is one invariant breach: which rule, and the evidence.
@@ -72,22 +73,19 @@ func Run(sys faults.System) []Violation {
 	for i, ws := range clients {
 		counts[i] = ws.HandleCounts()
 	}
+	// A dormant file, which EachFile skips, has no registration.
 	for _, srv := range servers {
-		for _, id := range srv.FileIDs() {
-			f := srv.Lookup(id)
-			if f == nil {
-				continue
-			}
+		srv.EachFile(func(f *server.File) {
 			for i, ws := range clients {
 				rd, wr := f.Registration(ws.ID())
-				want := counts[i][id]
+				want := counts[i][f.ID]
 				if rd != want[0] || wr != want[1] {
 					bad("open-tables",
 						"file %#x client %d: server %d registers r=%d w=%d, client holds r=%d w=%d",
-						id, ws.ID(), srv.ID(), rd, wr, want[0], want[1])
+						f.ID, ws.ID(), srv.ID(), rd, wr, want[0], want[1])
 				}
 			}
-		}
+		})
 	}
 
 	// 3. Conservation of written-back bytes across the whole system.
@@ -103,18 +101,14 @@ func Run(sys faults.System) []Violation {
 			shipped, accepted)
 	}
 
-	// 4. Uncacheable files are open files.
+	// 4. Uncacheable files are open files. A dormant file is cacheable.
 	for _, srv := range servers {
-		for _, id := range srv.FileIDs() {
-			f := srv.Lookup(id)
-			if f == nil {
-				continue
-			}
+		srv.EachFile(func(f *server.File) {
 			if f.Uncacheable() && f.Openers() == 0 {
 				bad("cacheability", "file %#x on server %d uncacheable with zero openers",
-					id, srv.ID())
+					f.ID, srv.ID())
 			}
-		}
+		})
 	}
 	return vs
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // The name space's and the block service's steady state allocate nothing:
-// a Create that lands in a chunk already made and inside the index, and a
-// warm server cache serving a run of hits. `make allocscheck` runs these.
+// a Create that lands in a chunk already made and inside the index, a
+// dormant BootstrapFile inside the index, and a warm server cache serving a
+// run of hits. `make allocscheck` runs these.
 
 func TestCreateZeroAlloc(t *testing.T) {
 	s := New(0)
@@ -19,6 +20,16 @@ func TestCreateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { s.Create(false, 0) })
 	if allocs != 0 {
 		t.Fatalf("Create allocated %.1f/op inside a made chunk, want 0", allocs)
+	}
+}
+
+func TestBootstrapFileZeroAlloc(t *testing.T) {
+	s := New(0)
+	s.BootstrapFile(1, false) // makes the index
+	// AllocsPerRun's warm-up and runs file 101 more: the index holds them.
+	allocs := testing.AllocsPerRun(100, func() { s.BootstrapFile(4096, false) })
+	if allocs != 0 || s.files.nslots != 0 {
+		t.Fatalf("BootstrapFile allocated %.1f/op and took %d slots inside a made index, want 0 and 0", allocs, s.files.nslots)
 	}
 }
 

@@ -160,12 +160,11 @@ func (f *File) Registration(client int32) (readers, writers int) {
 	return 0, 0
 }
 
-// FileIDs returns the ids of all live files in ascending order.
-func (s *Server) FileIDs() []uint64 {
-	out := make([]uint64, 0, s.files.n)
-	s.files.each(func(f *File) { out = append(out, f.ID) })
-	return out
-}
+// EachFile calls fn on every woken file in ascending id order. It skips
+// the dormant bootstrap files no one has looked up yet, which have no open
+// registration, no last writer and caching enabled. fn must not create,
+// install, delete or look up files.
+func (s *Server) EachFile(fn func(*File)) { s.files.each(fn) }
 
 // NoteRecovery records one client's completed recovery: d is the time from
 // crash to that client regaining a consistent view. The maximum across

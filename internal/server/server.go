@@ -13,6 +13,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"spritefs/internal/fscache"
@@ -238,25 +239,49 @@ func (s *Server) Stats() Stats { return s.st }
 // NumFiles returns the number of live files.
 func (s *Server) NumFiles() int { return s.files.n }
 
-// Lookup returns the file with the given id, or nil. The pointer stays
-// valid until the file is deleted.
+// Lookup returns the file with the given id, or nil, waking a dormant
+// file. The pointer stays valid until the file is deleted.
 func (s *Server) Lookup(id uint64) *File { return s.files.lookup(id) }
 
 // Create makes a new file (or directory) and returns it.
 func (s *Server) Create(directory bool, now time.Duration) *File {
-	// Skip over ids claimed by Install so replay bootstrap and live
-	// creation can coexist on one server.
-	for s.files.lookup(s.nextID) != nil {
-		s.nextID++
-	}
-	f := s.files.add(s.nextID)
+	f := s.files.add(s.newID())
 	f.Directory = directory
 	f.Created = now
 	f.OldestByte = now
 	f.LastWrite = now
+	return f
+}
+
+// BootstrapFile makes one file of the populated name space a run starts
+// from, created at time 0 with the given size, and returns its id. It
+// counts a create and leaves the same file as Create(directory, 0)
+// followed by Grow(id, size, 0). A regular file stays dormant (see the
+// file table) until something first looks it up, since a run touches few
+// of them; a directory, a file above math.MaxInt32 bytes and an id the
+// index cannot reach get their File at once.
+func (s *Server) BootstrapFile(size int64, directory bool) uint64 {
+	id := s.newID()
+	size = max(size, 0)
+	if directory || size > math.MaxInt32 || !s.files.addDormant(id, int32(size)) {
+		f := s.files.add(id)
+		f.Size = size
+		f.Directory = directory
+	}
+	return id
+}
+
+// newID takes the next id Create hands out and counts a create.
+func (s *Server) newID() uint64 {
+	// Skip over ids claimed by Install so replay bootstrap and live
+	// creation can coexist on one server.
+	for s.files.present(s.nextID) {
+		s.nextID++
+	}
+	id := s.nextID
 	s.nextID++
 	s.st.Creates++
-	return f
+	return id
 }
 
 // Install registers a file under a caller-chosen id. Trace replay uses it
@@ -449,9 +474,9 @@ func (s *Server) Grow(id uint64, newSize int64, now time.Duration) {
 
 // Delete removes the file. It returns the file's final state for lifetime
 // accounting (nil if unknown). The returned File is recycled: it is valid
-// only until this server's next Create or Install, so callers must read
-// what they need before creating files (every caller consumes it on the
-// spot).
+// only until this server's next Create, Install or wake of a dormant file
+// (any lookup may wake one), so callers must read what they need at once
+// (every caller consumes it on the spot).
 func (s *Server) Delete(id uint64, now time.Duration) *File {
 	f := s.files.remove(id)
 	if f == nil {

@@ -14,6 +14,20 @@ import "slices"
 // than indexReach past the index's end, where growing the index to reach
 // it would cost more than the map. When the index grows, the fallback ids
 // it now covers move into it, so an id is always in exactly one place.
+//
+// An index entry is in one of three states:
+//
+//   - 0: no file has the id.
+//   - slot+1: a woken file, whose File lives in that slot.
+//   - negative: a dormant file of size ^entry. A dormant file is part of the
+//     populated name space a run starts from (Server.BootstrapFile): created
+//     at time 0, version 0, no openers, no last writer, cacheable. The entry
+//     is all of its state; it has no File and takes no slot. The first lookup
+//     wakes it: it takes a slot and gets the File that Create(false, 0)
+//     followed by Grow(id, size, 0) would have made, and stays woken.
+//
+// A fallback id is always woken. Crash and Disconnect skip dormant entries,
+// which hold no volatile state; NumFiles counts them.
 
 // fileChunk is the table's growth unit: slot s lives at
 // chunks[s>>fileChunkShift][s&(fileChunk-1)]. A server pays for one chunk,
@@ -32,9 +46,9 @@ type fileTable struct {
 	chunks []*[fileChunk]File
 	nslots int32   // slots handed out; each holds a live file or is free
 	free   []int32 // slots Delete released, reused last-in first-out
-	index  []int32 // slot+1 by sequence number, 0 = absent
+	index  []int32 // by sequence number: slot+1, ^size if dormant, 0 if absent
 	far    map[uint64]int32
-	n      int // live files
+	n      int // live files, dormant ones included
 }
 
 func (t *fileTable) at(s int32) *File {
@@ -47,55 +61,113 @@ func (t *fileTable) indexed(id uint64) (uint64, bool) {
 	return seq, HomeOf(id) == t.home && seq < uint64(len(t.index))
 }
 
-// lookup returns the file with the given id, or nil.
+// lookup returns the file with the given id, waking it if dormant, or nil.
 func (t *fileTable) lookup(id uint64) *File {
 	if seq, ok := t.indexed(id); ok {
-		if v := t.index[seq]; v != 0 {
+		if v := t.index[seq]; v > 0 {
 			return t.at(v - 1)
+		}
+	}
+	return t.lookupSlow(id)
+}
+
+// lookupSlow is every case of lookup but a woken file in the index: a
+// dormant entry, which it wakes, an absent one, and an id the index does not
+// cover. lookup itself is over the inliner's budget, so Lookup calls it; the
+// split keeps the common case to an index load and a slot address.
+func (t *fileTable) lookupSlow(id uint64) *File {
+	seq, ok := t.indexed(id)
+	if !ok {
+		if s, ok := t.far[id]; ok {
+			return t.at(s)
 		}
 		return nil
 	}
-	return t.lookupFar(id)
+	if t.index[seq] == 0 {
+		return nil
+	}
+	return t.wake(id, seq)
 }
 
-// lookupFar is lookup's fallback half, apart so that lookup — and Lookup,
-// on every client operation — inlines.
-func (t *fileTable) lookupFar(id uint64) *File {
-	if s, ok := t.far[id]; ok {
-		return t.at(s)
+// present reports whether a file has the given id, waking nothing.
+func (t *fileTable) present(id uint64) bool {
+	if seq, ok := t.indexed(id); ok {
+		return t.index[seq] != 0
 	}
-	return nil
+	_, ok := t.far[id]
+	return ok
+}
+
+// wake gives the dormant file at index position seq a slot and returns its
+// File: the one Create(false, 0) followed by Grow(id, size, 0) makes.
+func (t *fileTable) wake(id, seq uint64) *File {
+	size := int64(^t.index[seq])
+	s := t.takeSlot()
+	t.index[seq] = s + 1
+	f := t.reset(s, id)
+	f.Size = size
+	return f
 }
 
 // add files a new id, which must be absent, and returns its File reset to
 // the zero state with lastWriter cleared and ID set.
 func (t *fileTable) add(id uint64) *File {
 	s := t.takeSlot()
-	switch seq, ok := t.indexed(id); {
-	case ok:
-		t.index[seq] = s + 1
-	case HomeOf(id) == t.home && seq < uint64(len(t.index))+indexReach:
-		t.growIndex(seq)
-		t.index[seq] = s + 1
-	default:
+	if !t.setIndex(id, s+1) {
 		if t.far == nil {
 			t.far = make(map[uint64]int32)
 		}
 		t.far[id] = s
 	}
 	t.n++
+	return t.reset(s, id)
+}
+
+// addDormant files a new id, which must be absent, as a dormant file of the
+// given size, and reports false, filing nothing, when the index cannot
+// reach id.
+func (t *fileTable) addDormant(id uint64, size int32) bool {
+	if !t.setIndex(id, ^size) {
+		return false
+	}
+	t.n++
+	return true
+}
+
+// setIndex sets id's index entry to v, growing the index to cover id when
+// that is cheap, and reports false, changing nothing, when it is not.
+func (t *fileTable) setIndex(id uint64, v int32) bool {
+	seq, ok := t.indexed(id)
+	if !ok {
+		if HomeOf(id) != t.home || seq >= uint64(len(t.index))+indexReach {
+			return false
+		}
+		t.growIndex(seq)
+	}
+	t.index[seq] = v
+	return true
+}
+
+// reset returns slot s's File reset to the zero state with lastWriter
+// cleared and ID set, keeping the openers slice's storage.
+func (t *fileTable) reset(s int32, id uint64) *File {
 	f := t.at(s)
 	*f = File{ID: id, openers: f.openers[:0], lastWriter: NoClient}
 	return f
 }
 
 // remove unfiles id and returns its File, still intact, or nil if absent.
+// A dormant file is woken first, so that there is a File to return.
 func (t *fileTable) remove(id uint64) *File {
 	var s int32
 	if seq, ok := t.indexed(id); ok {
 		v := t.index[seq]
 		if v == 0 {
 			return nil
+		}
+		if v < 0 {
+			t.wake(id, seq)
+			v = t.index[seq]
 		}
 		t.index[seq] = 0
 		s = v - 1
@@ -141,8 +213,8 @@ func (t *fileTable) growIndex(seq uint64) {
 	}
 }
 
-// each calls fn on every live file in ascending id order. fn must not add
-// or remove files.
+// each calls fn on every woken file in ascending id order, skipping
+// dormant ones. fn must not add, remove or wake files.
 func (t *fileTable) each(fn func(*File)) {
 	far := make([]uint64, 0, len(t.far))
 	for id := range t.far {
@@ -150,7 +222,7 @@ func (t *fileTable) each(fn func(*File)) {
 	}
 	slices.Sort(far)
 	for _, v := range t.index {
-		if v == 0 {
+		if v <= 0 {
 			continue
 		}
 		f := t.at(v - 1)

@@ -66,17 +66,12 @@ func Bootstrap(p Params, servers []*server.Server, rng *sim.Rand) *Registry {
 		return servers[1+rng.Intn(len(servers)-1)]
 	}
 	mk := func(size int64) uint64 {
-		srv := pick()
-		f := srv.Create(false, 0)
-		srv.Grow(f.ID, size, 0)
-		r.AllFiles = append(r.AllFiles, f.ID)
-		return f.ID
+		id := pick().BootstrapFile(size, false)
+		r.AllFiles = append(r.AllFiles, id)
+		return id
 	}
 	mkDir := func(size int64) uint64 {
-		srv := pick()
-		f := srv.Create(true, 0)
-		srv.Grow(f.ID, size, 0)
-		return f.ID
+		return pick().BootstrapFile(size, true)
 	}
 
 	// System binaries: the common tools everyone execs.
@@ -95,16 +90,18 @@ func Bootstrap(p Params, servers []*server.Server, rng *sim.Rand) *Registry {
 
 	nUsers := int32(p.DailyUsers + p.OccasionalUsers)
 	for u := int32(0); u < nUsers; u++ {
-		nFiles := 8 + rng.Intn(16)
-		for i := 0; i < nFiles; i++ {
-			r.UserSmall[u] = append(r.UserSmall[u], mk(int64(rng.LogNormal(p.SmallMedian, p.SmallSigma))+1))
+		small := make([]uint64, 8+rng.Intn(16))
+		for i := range small {
+			small[i] = mk(int64(rng.LogNormal(p.SmallMedian, p.SmallSigma)) + 1)
 		}
+		r.UserSmall[u] = small
 		r.Mailboxes[u] = mk(int64(rng.LogNormal(p.MailMedian, p.MailSigma)) + 1)
 		r.UserDirs[u] = mkDir(int64(rng.Range(4096, 32768)))
-		nData := 2 + rng.Intn(3)
-		for i := 0; i < nData; i++ {
-			r.UserData[u] = append(r.UserData[u], mk(int64(rng.LogNormal(256*1024, 1.0))+1))
+		data := make([]uint64, 2+rng.Intn(3))
+		for i := range data {
+			data[i] = mk(int64(rng.LogNormal(256*1024, 1.0)) + 1)
 		}
+		r.UserData[u] = data
 	}
 
 	for g := Group(0); g < NumGroups; g++ {
