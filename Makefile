@@ -76,10 +76,10 @@ faultsmoke:
 
 # The parallel-vs-sequential byte-identity gate by name: identical reports
 # and metric dumps at 1, 4 and 8 workers, one registration per component,
-# and the backbone-pricing digests. Not a `check` step: `make race` runs
-# these tests.
+# the backbone-pricing digests, and the executor's round pool driven
+# without shards. Not a `check` step: `make race` runs these tests.
 scalecheck:
-	$(GO) test -race -run 'TestParallelMatchesSequential|TestBackbonePricingPinned|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration' -count=1 ./internal/scale
+	$(GO) test -race -run 'TestParallelMatchesSequential|TestBackbonePricingPinned|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration|TestRoundPool' -count=1 ./internal/scale
 
 # The allocation-regression gates by name: every testing.AllocsPerRun pin
 # on a steady-state hot path (docs/PERFORMANCE.md lists them) and the scale

@@ -157,9 +157,10 @@ func foldShards(rep *scale.Report) shardFolds {
 // configuration runs the paper's bottlenecks, and the WAN tier's share) and
 // the executor table (what each configuration cost the host: ns/event is
 // wall-clock per simulated event, the simulator's figure of merit; speedup
-// is wall-clock relative to the first row; build is scale.New's
-// wall-clock; heap-MB and KB/client are ScaleRow.HeapBytes in all and per
-// client).
+// is wall-clock relative to the first row; busy/wall is the parallelism
+// the run achieved and busy/critical the most any number of workers could
+// reach on its rounds; build is scale.New's wall-clock; heap-MB and
+// KB/client are ScaleRow.HeapBytes in all and per client).
 func ScaleTables(r *ScaleResult) string {
 	var b strings.Builder
 
@@ -169,7 +170,7 @@ func ScaleTables(r *ScaleResult) string {
 		"remote-ops", "xsite-ops", "rlat-ms", "wanlat-ms")
 	exec := stats.NewTable("Executor wall-clock",
 		"shards", "sites", "workers", "rounds", "null-adv", "rescues", "msgs", "events", "wall", "ns/event",
-		"speedup", "build", "heap-MB", "KB/client")
+		"speedup", "busy/wall", "busy/critical", "build", "heap-MB", "KB/client")
 	for _, row := range r.Rows {
 		rep, st := row.Report, row.Stats
 		f := foldShards(&rep)
@@ -199,6 +200,8 @@ func ScaleTables(r *ScaleResult) string {
 			st.Wall.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", float64(st.Wall)/float64(st.Events)),
 			fmt.Sprintf("%.2fx", float64(r.Rows[0].Stats.Wall)/float64(st.Wall)),
+			fmt.Sprintf("%.2f", float64(st.Busy)/float64(st.Wall)),
+			fmt.Sprintf("%.2f", float64(st.Busy)/float64(st.Critical)),
 			fmt.Sprintf("%.2fs", row.Build.Seconds()),
 			fmt.Sprintf("%.1f", float64(row.HeapBytes)/(1<<20)),
 			fmt.Sprintf("%.2f", float64(row.HeapBytes)/1024/float64(r.Clients)))
@@ -214,6 +217,10 @@ func ScaleTables(r *ScaleResult) string {
 		"wider channel-clock windows - with what the worker goroutines add on a\n" +
 		"multi-core one; docs/PERFORMANCE.md measures the two apart. WAN links are\n" +
 		"the executor's widest lookahead, so more sites usually need fewer\n" +
-		"synchronization rounds per simulated hour.\n")
+		"synchronization rounds per simulated hour.\n" +
+		"busy/wall and busy/critical are host measurements too: busy is the shard\n" +
+		"jobs' summed wall-clock and critical the sum of each round's longest job,\n" +
+		"so busy/wall is the parallelism the workers achieved and busy/critical\n" +
+		"the most any number of workers could reach on these rounds.\n")
 	return b.String()
 }

@@ -50,12 +50,14 @@ func BenchmarkScaleEngine(b *testing.B) {
 }
 
 // BenchmarkScaleWorkers pins the worker-count axis: the eight-shard
-// community run by one worker and by eight on the channel-clock
-// executor. The ratio of the two rows is the 8-vs-1 wall-clock speedup
-// (docs/PERFORMANCE.md records it); it tracks the host's usable cores,
-// since the executor's rounds and exchanges are identical either way.
+// community run by one worker, by two (the reference host's core count)
+// and by eight on the channel-clock executor, the calling goroutine
+// counted as a worker. The ratio of a row to the workers=1 row is that
+// count's wall-clock speedup (docs/PERFORMANCE.md records them); it tracks
+// the host's usable cores, since the executor's rounds and exchanges are
+// identical at every count.
 func BenchmarkScaleWorkers(b *testing.B) {
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("clients=1000/shards=8/workers=%d", workers), func(b *testing.B) {
 			cfg := scale.Config{
 				Base:   workload.Default(42),

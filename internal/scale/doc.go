@@ -23,10 +23,12 @@
 // not to the global minimum the old epoch barrier forced. Clock advances
 // on links that carry no payload are the protocol's null messages; they
 // keep idle links from stalling the pipeline, and a serialized
-// stall-breaker restores progress on zero-latency links. One goroutine
-// per worker runs the shards that have work; at the exchange the
-// coordinator routes the round's outboxes and delivers them in sorted
-// (arrival, shard, seq) order. Because shards share no mutable state and
+// stall-breaker restores progress on zero-latency links. The calling
+// goroutine counts as one worker: it publishes each round's shard jobs
+// as one atomic claim word, claims jobs from it alongside Workers-1
+// helper goroutines (none at one worker, where the round runs in shard
+// order), and once the last job finishes it routes the round's outboxes
+// and delivers them in sorted (arrival, shard, seq) order. Because shards share no mutable state and
 // the exchange is totally ordered, the parallel run is byte-identical to
 // the sequential one at any worker count and GOMAXPROCS — the property
 // TestParallelMatchesSequential and the determinism fuzz suite pin down

@@ -43,9 +43,10 @@ type ExecStats struct {
 
 // RunOptions selects the executor. The default (zero value) is the
 // sequential executor: the shards start, and every round runs them, in
-// index order on the calling goroutine. Parallel fans the start and each
-// round out over Workers goroutines with an exchange at every round
-// boundary; reports and metric dumps are byte-identical either way.
+// index order on the calling goroutine. Parallel shares the start and each
+// round out among Workers workers, the calling goroutine and Workers-1
+// helper goroutines, with an exchange at every round boundary; reports and
+// metric dumps are byte-identical either way.
 type RunOptions struct {
 	// Horizon is the measured duration (0 = one hour). The clock then
 	// advances cluster.DrainTime further so in-flight work settles, as in
@@ -53,16 +54,23 @@ type RunOptions struct {
 	Horizon time.Duration
 	// Parallel selects the parallel shard executor.
 	Parallel bool
-	// Workers bounds the parallel executor's goroutines (0 = GOMAXPROCS,
-	// capped at the shard count). Ignored when Parallel is false.
+	// Workers bounds the parallel executor's workers, the calling
+	// goroutine counted (0 = GOMAXPROCS, capped at the shard count; 1 is
+	// the sequential schedule). Ignored when Parallel is false.
 	Workers int
 }
 
-// RunStats reports a finished run. Wall is measured host time and so is
-// the one field that varies run to run; everything else is deterministic.
+// RunStats reports a finished run. Wall, Busy and Critical are measured
+// host time and vary run to run; everything else is deterministic.
 type RunStats struct {
-	Wall    time.Duration
-	Workers int // goroutines actually used (0 = sequential)
+	Wall time.Duration
+	// Busy is the wall-clock time shard jobs ran, summed over jobs;
+	// Busy/Wall is the parallelism the run achieved.
+	Busy time.Duration
+	// Critical sums each round's longest job; Busy/Critical bounds what
+	// any number of workers could achieve on these rounds.
+	Critical time.Duration
+	Workers  int // workers used, the calling goroutine counted (0 = sequential)
 	// Events is the number of simulator events the shards ran, summed over
 	// shards; Wall/Events is wall-clock per simulated event.
 	Events uint64
@@ -93,7 +101,7 @@ type Engine struct {
 	prevCC   []sim.Time   // [n*n] last advertised per-link channel clock
 	sentLink []bool       // [n*n] links that carried payload this round
 	byDest   [][]*Message // per-destination delivery batches
-	jobs     []shardJob
+	jobs     []shardJob   // the round being run; the pool's jobs index it
 	// advance records per-shard virtual-time advance widths, one sample
 	// per shard per round it ran; a deterministic measure of how much
 	// lookahead the channel clocks actually bought.
@@ -185,6 +193,7 @@ type shardJob struct {
 	sh    *Shard
 	end   sim.Time
 	start bool
+	took  time.Duration // the job's wall-clock time, once it ran
 }
 
 func (j shardJob) do() {
@@ -232,34 +241,24 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 	start := time.Now()
 	e.initExecutor()
 
-	var jobsCh chan shardJob
-	var done chan struct{}
-	if workers > 0 {
-		jobsCh = make(chan shardJob, len(e.Shards))
-		done = make(chan struct{}, len(e.Shards))
-		for w := 0; w < workers; w++ {
-			go func() {
-				for j := range jobsCh {
-					j.do()
-					done <- struct{}{}
-				}
-			}()
-		}
-		defer close(jobsCh)
+	pool := newRoundPool(workers - 1)
+	defer pool.stop()
+	var busy, critical time.Duration
+	do := func(i int) {
+		j := &e.jobs[i]
+		t := time.Now()
+		j.do()
+		j.took = time.Since(t)
 	}
 	run := func(jobs []shardJob) {
-		if workers > 0 && len(jobs) > 1 {
-			for _, j := range jobs {
-				jobsCh <- j
-			}
-			for range jobs {
-				<-done
-			}
-		} else {
-			for _, j := range jobs {
-				j.do()
-			}
+		e.jobs = jobs
+		pool.run(len(jobs), do)
+		var longest time.Duration
+		for _, j := range jobs {
+			busy += j.took
+			longest = max(longest, j.took)
 		}
+		critical += longest
 	}
 
 	// Start every shard. At a large population this is a visible share of
@@ -285,7 +284,7 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 		e.exec.MsgAllocs += sh.msgAllocs
 		events += sh.C.Sim.Fired()
 	}
-	return RunStats{Wall: time.Since(start), Workers: workers, Events: events, Exec: e.exec}
+	return RunStats{Wall: time.Since(start), Busy: busy, Critical: critical, Workers: workers, Events: events, Exec: e.exec}
 }
 
 // initExecutor sizes the per-round scratch and precomputes the all-pairs
