@@ -95,13 +95,18 @@ type Engine struct {
 	ran     bool
 
 	// Executor scratch, sized at Run so rounds allocate nothing.
-	dist     []sim.Time   // [n*n] cheapest multi-hop latency (diag 0)
-	es       []sim.Time   // per-shard earliest-send snapshot
-	floor    []sim.Time   // per-shard future-send infimum (fixpoint over dist)
-	prevCC   []sim.Time   // [n*n] last advertised per-link channel clock
-	sentLink []bool       // [n*n] links that carried payload this round
-	byDest   [][]*Message // per-destination delivery batches
-	jobs     []shardJob   // the round being run; the pool's jobs index it
+	dist  []sim.Time  // [n*n] cheapest multi-hop latency (diag 0)
+	links linkClasses // the shards grouped so rounds compute per class, not per link
+	es    []sim.Time  // per-shard earliest-send snapshot
+	floor []sim.Time  // per-shard future-send infimum (fixpoint over dist)
+	// esMin and floorMin are es and floor folded per link class.
+	esMin, floorMin classMins
+	// prevCC is the last channel clock each shard advertised on its links
+	// into each class ([n*G]): every such link carries the same clock.
+	prevCC []sim.Time
+	sent   []int        // [G] classes' shards the exchange's current sender reached
+	byDest [][]*Message // per-destination delivery batches
+	jobs   []shardJob   // the round being run; the pool's jobs index it
 	// advance records per-shard virtual-time advance widths, one sample
 	// per shard per round it ran; a deterministic measure of how much
 	// lookahead the channel clocks actually bought.
@@ -287,48 +292,27 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 	return RunStats{Wall: time.Since(start), Busy: busy, Critical: critical, Workers: workers, Events: events, Exec: e.exec}
 }
 
-// initExecutor sizes the per-round scratch and precomputes the all-pairs
-// cheapest-latency matrix the channel clocks relax over. A future send
-// can be a reply at the end of a request chain, so the safe lower bound
-// on a link is the cheapest multi-hop path, not the direct latency —
-// Floyd-Warshall over the link matrix covers topologies where a relay
-// path undercuts a direct link.
+// initExecutor sizes the per-round scratch, precomputes the all-pairs
+// cheapest-latency matrix the channel clocks relax over and groups the
+// shards into link classes over it.
 func (e *Engine) initExecutor() {
 	n := len(e.Shards)
+	e.dist = cheapestPaths(n, e.Router.MinLatency)
+	e.links = newLinkClasses(n, e.Router.MinLatency, e.dist)
+	G := len(e.links.size)
 	e.es = make([]sim.Time, n)
 	e.floor = make([]sim.Time, n)
-	e.prevCC = make([]sim.Time, n*n)
-	e.sentLink = make([]bool, n*n)
+	e.esMin, e.floorMin = newClassMins(G), newClassMins(G)
+	e.prevCC = make([]sim.Time, n*G)
+	e.sent = make([]int, G)
 	e.byDest = make([][]*Message, n)
 	e.jobs = make([]shardJob, 0, n)
 
-	e.dist = make([]sim.Time, n*n)
 	e.minLook = 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			l := e.Router.MinLatency(i, j)
-			e.dist[i*n+j] = sim.Time(l)
-			if e.minLook == 0 || l < e.minLook {
+			if l := e.Router.MinLatency(i, j); i != j && (e.minLook == 0 || l < e.minLook) {
 				e.minLook = l
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if i == k {
-				continue
-			}
-			dik := e.dist[i*n+k]
-			for j := 0; j < n; j++ {
-				if j == k || i == j {
-					continue
-				}
-				if d := satAdd(dik, e.dist[k*n+j]); d < e.dist[i*n+j] {
-					e.dist[i*n+j] = d
-				}
 			}
 		}
 	}
@@ -347,8 +331,10 @@ func (e *Engine) initExecutor() {
 // run far ahead of it instead of marching in lockstep to the global
 // minimum, which is what the old epoch barrier forced. Only shards with
 // work at or before their bound are dispatched; the rest cost nothing.
+// Both minima over links are taken per link class, over the class's
+// smallest snapshot without the shard itself, so a round costs
+// O(shards × classes).
 func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
-	n := len(e.Shards)
 	for {
 		// Channel-clock floors: es is what each shard's pending state can
 		// send; floor folds in the earliest reply any future request chain
@@ -356,17 +342,13 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
 		for i, sh := range e.Shards {
 			e.es[i] = sh.earliestSend()
 		}
-		for i := 0; i < n; i++ {
-			f := e.es[i]
-			for k := 0; k < n; k++ {
-				if k == i {
-					continue
-				}
-				if c := satAdd(e.es[k], time.Duration(e.dist[k*n+i])); c < f {
-					f = c
-				}
-			}
-			e.floor[i] = f
+		e.esMin.fold(e.es, e.links.of)
+		for i, es := range e.es {
+			e.floor[i] = min(es, e.links.inbound(&e.esMin, e.links.dist, i))
+		}
+		e.floorMin.fold(e.floor, e.links.of)
+		if checkRound != nil {
+			checkRound(e, until)
 		}
 
 		jobs := e.jobs[:0]
@@ -376,19 +358,7 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
 			if !ok || t > until {
 				continue
 			}
-			bound := until
-			for i := 0; i < n; i++ {
-				if i == j {
-					continue
-				}
-				// Strictly before the clock: an arrival exactly at the
-				// channel clock (zero-latency link, zero transmission
-				// time) must not be missed.
-				if cc := satAdd(e.floor[i], e.Router.MinLatency(i, j)) - 1; cc < bound {
-					bound = cc
-				}
-			}
-			if t <= bound {
+			if bound := e.bound(j, until); t <= bound {
 				jobs = append(jobs, shardJob{sh: sh, end: bound})
 			} else {
 				stalled = true
@@ -426,20 +396,30 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
 	}
 }
 
+// bound is how far shard j may safely advance this round: to until, but
+// strictly before the earliest channel clock on its inbound links — an
+// arrival exactly at the clock (zero-latency link, zero transmission time)
+// must not be missed.
+func (e *Engine) bound(j int, until sim.Time) sim.Time {
+	return min(until, e.links.inbound(&e.floorMin, e.links.lat, j)-1)
+}
+
 // exchange routes every outbox emitted during the round and delivers the
 // messages to their destination inboxes. Iteration is in shard order and
 // per-shard emission order, and destinations re-sort by (Arrive, From,
 // Seq), so the exchange is identical regardless of which goroutines ran
 // the round. Links whose channel clock advanced without carrying a
 // payload message are counted as null advances — the protocol's null
-// messages.
+// messages. A sender's links into one class share a clock, so they are
+// counted together: when that clock rises, every link into the class but
+// the ones the sender used this round. Outboxes drain in shard order, so
+// a sender's messages to one destination lie together at the end of its
+// batch, and the first of them is the one that batch does not end with.
 func (e *Engine) exchange() {
 	e.exec.Rounds++
-	n := len(e.Shards)
-	for i := range e.sentLink {
-		e.sentLink[i] = false
-	}
-	for _, sh := range e.Shards {
+	n, G := len(e.Shards), len(e.links.size)
+	var nulls int64
+	for i, sh := range e.Shards {
 		for _, m := range sh.takeOutbox() {
 			if m.To < 0 || m.To >= n {
 				panic(fmt.Sprintf("scale: message to unknown shard %d", m.To))
@@ -447,29 +427,42 @@ func (e *Engine) exchange() {
 			e.Router.Route(m)
 			e.exec.Routed++
 			e.exec.RoutedBytes += m.Payload
-			e.sentLink[m.From*n+m.To] = true
-			e.byDest[m.To] = append(e.byDest[m.To], m)
+			batch := e.byDest[m.To]
+			if m.To != i && (len(batch) == 0 || batch[len(batch)-1].From != i) {
+				e.sent[e.links.of[m.To]]++
+			}
+			e.byDest[m.To] = append(batch, m)
+		}
+		gi, prev := e.links.of[i], e.prevCC[i*G:(i+1)*G]
+		for h, size := range e.links.size {
+			if h == gi {
+				size-- // no link to itself
+			}
+			if cc := satAdd(e.floor[i], e.links.lat[gi*G+h]); size > 0 && cc > prev[h] {
+				prev[h] = cc
+				nulls += int64(size - e.sent[h])
+			}
+			e.sent[h] = 0
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			cc := satAdd(e.floor[i], e.Router.MinLatency(i, j))
-			if cc > e.prevCC[i*n+j] {
-				e.prevCC[i*n+j] = cc
-				if !e.sentLink[i*n+j] {
-					e.exec.NullAdvances++
-				}
-			}
-		}
+	e.exec.NullAdvances += nulls
+	if checkExchange != nil {
+		checkExchange(e, nulls)
 	}
 	for i, msgs := range e.byDest {
 		e.Shards[i].enqueue(msgs)
 		e.byDest[i] = e.byDest[i][:0]
 	}
 }
+
+// Test-only oracle hooks, nil outside this package's tests: checkRound
+// sees each round's floors and class minima before any shard is
+// dispatched, checkExchange each exchange's routed batches and null
+// advances before they are delivered.
+var (
+	checkRound    func(e *Engine, until sim.Time)
+	checkExchange func(e *Engine, nulls int64)
+)
 
 // registerMetrics builds the engine-wide registry, the only place a shard's
 // components register: per-shard component stacks under shard="N",
