@@ -159,8 +159,10 @@ func foldShards(rep *scale.Report) shardFolds {
 // wall-clock per simulated event, the simulator's figure of merit; speedup
 // is wall-clock relative to the first row; busy/wall is the parallelism
 // the run achieved and busy/critical the most any number of workers could
-// reach on its rounds; build is scale.New's wall-clock; heap-MB and
-// KB/client are ScaleRow.HeapBytes in all and per client).
+// reach on its rounds; serial/wall is the share of the run the calling
+// goroutine spent between rounds (scale.RunStats.Serial); build is
+// scale.New's wall-clock; heap-MB and KB/client are ScaleRow.HeapBytes in
+// all and per client).
 func ScaleTables(r *ScaleResult) string {
 	var b strings.Builder
 
@@ -170,7 +172,7 @@ func ScaleTables(r *ScaleResult) string {
 		"remote-ops", "xsite-ops", "rlat-ms", "wanlat-ms")
 	exec := stats.NewTable("Executor wall-clock",
 		"shards", "sites", "workers", "rounds", "null-adv", "rescues", "msgs", "events", "wall", "ns/event",
-		"speedup", "busy/wall", "busy/critical", "build", "heap-MB", "KB/client")
+		"speedup", "busy/wall", "busy/critical", "serial/wall", "build", "heap-MB", "KB/client")
 	for _, row := range r.Rows {
 		rep, st := row.Report, row.Stats
 		f := foldShards(&rep)
@@ -202,6 +204,7 @@ func ScaleTables(r *ScaleResult) string {
 			fmt.Sprintf("%.2fx", float64(r.Rows[0].Stats.Wall)/float64(st.Wall)),
 			fmt.Sprintf("%.2f", float64(st.Busy)/float64(st.Wall)),
 			fmt.Sprintf("%.2f", float64(st.Busy)/float64(st.Critical)),
+			fmt.Sprintf("%.2f", float64(st.Serial)/float64(st.Wall)),
 			fmt.Sprintf("%.2fs", row.Build.Seconds()),
 			fmt.Sprintf("%.1f", float64(row.HeapBytes)/(1<<20)),
 			fmt.Sprintf("%.2f", float64(row.HeapBytes)/1024/float64(r.Clients)))
@@ -221,6 +224,8 @@ func ScaleTables(r *ScaleResult) string {
 		"busy/wall and busy/critical are host measurements too: busy is the shard\n" +
 		"jobs' summed wall-clock and critical the sum of each round's longest job,\n" +
 		"so busy/wall is the parallelism the workers achieved and busy/critical\n" +
-		"the most any number of workers could reach on these rounds.\n")
+		"the most any number of workers could reach on these rounds.\n" +
+		"serial/wall is the share of the wall-clock the calling goroutine spent\n" +
+		"between rounds (floors, bounds, exchange), which no worker count shrinks.\n")
 	return b.String()
 }

@@ -10,9 +10,9 @@ import (
 // clients) along each axis: shards 1,2 at one site, and sites 1,2 over two
 // shards. Everything but the host measurements is deterministic — the event
 // counts exactly so — so the test overwrites Stats.Wall (which fixes
-// ns/event too), Stats.Busy, Stats.Critical, Build and HeapBytes with fixed
-// values, having checked that the sweep took them, and compares whole
-// renderings byte for byte. Every deterministic cell is as pinned when the
+// ns/event too), Stats.Busy, Stats.Critical, Stats.Serial, Build and
+// HeapBytes with fixed values, having checked that the sweep took them, and
+// compares whole renderings byte for byte. Every deterministic cell is as pinned when the
 // sites axis was a study of its own.
 
 var (
@@ -27,10 +27,10 @@ shards  sites   hit%  opens/s  recalls/h  maxnet%  maxdisk%  router%  wan%  remo
 2           1  17.30     2.79       40.0     13.2       7.6     0.01  0.00          39          0    30.81       0.00
 
 Executor wall-clock
-shards  sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup  busy/wall  busy/critical  build  heap-MB  KB/client
----------------------------------------------------------------------------------------------------------------------------------------------
-1           1        0       2         0        0     0    2279  30ms     13164    1.00x       0.90           1.00  0.25s      4.0      51.20
-2           1        2     121       162        0    78    5345  20ms      3742    1.50x       1.50           1.50  0.50s      6.0      76.80
+shards  sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup  busy/wall  busy/critical  serial/wall  build  heap-MB  KB/client
+----------------------------------------------------------------------------------------------------------------------------------------------------------
+1           1        0       2         0        0     0    2279  30ms     13164    1.00x       0.90           1.00         0.10  0.25s      4.0      51.20
+2           1        2     121       162        0    78    5345  20ms      3742    1.50x       1.50           1.50         0.25  0.50s      6.0      76.80
 
 Wall-clock, ns/event, speedup, build (seconds to construct the engine),
 heap-MB (heap in use when the run returned, before any collection) and
@@ -45,6 +45,8 @@ busy/wall and busy/critical are host measurements too: busy is the shard
 jobs' summed wall-clock and critical the sum of each round's longest job,
 so busy/wall is the parallelism the workers achieved and busy/critical
 the most any number of workers could reach on these rounds.
+serial/wall is the share of the wall-clock the calling goroutine spent
+between rounds (floors, bounds, exchange), which no worker count shrinks.
 `
 
 const sitesSweepGolden = `Throughput vs shards and sites: 80 clients, 0.10h horizon
@@ -54,10 +56,10 @@ shards  sites   hit%  opens/s  recalls/h  maxnet%  maxdisk%  router%  wan%  remo
 2           2  16.45     2.71       20.0     12.7       7.0     0.06  0.06          36         36   112.59     112.59
 
 Executor wall-clock
-shards  sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup  busy/wall  busy/critical  build  heap-MB  KB/client
----------------------------------------------------------------------------------------------------------------------------------------------
-2           1        2     121       162        0    78    5345  30ms      5613    1.00x       0.90           1.00  0.25s      4.0      51.20
-2           2        2     112       150        0    72    5313  20ms      3764    1.50x       1.50           1.50  0.50s      6.0      76.80
+shards  sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup  busy/wall  busy/critical  serial/wall  build  heap-MB  KB/client
+----------------------------------------------------------------------------------------------------------------------------------------------------------
+2           1        2     121       162        0    78    5345  30ms      5613    1.00x       0.90           1.00         0.10  0.25s      4.0      51.20
+2           2        2     112       150        0    72    5313  20ms      3764    1.50x       1.50           1.50         0.25  0.50s      6.0      76.80
 
 Wall-clock, ns/event, speedup, build (seconds to construct the engine),
 heap-MB (heap in use when the run returned, before any collection) and
@@ -72,6 +74,8 @@ busy/wall and busy/critical are host measurements too: busy is the shard
 jobs' summed wall-clock and critical the sum of each round's longest job,
 so busy/wall is the parallelism the workers achieved and busy/critical
 the most any number of workers could reach on these rounds.
+serial/wall is the share of the wall-clock the calling goroutine spent
+between rounds (floors, bounds, exchange), which no worker count shrinks.
 `
 
 // fixHostCost overwrites the two rows' host measurements with the values
@@ -80,13 +84,14 @@ func fixHostCost(t *testing.T, a, b *ScaleRow) {
 	t.Helper()
 	for _, r := range []*ScaleRow{a, b} {
 		st := r.Stats
-		if st.Wall <= 0 || st.Busy <= 0 || st.Critical <= 0 || r.Build <= 0 || r.HeapBytes == 0 {
-			t.Fatalf("host measurements not taken: wall %v, busy %v, critical %v, build %v, heap %d B",
-				st.Wall, st.Busy, st.Critical, r.Build, r.HeapBytes)
+		if st.Wall <= 0 || st.Busy <= 0 || st.Critical <= 0 || st.Serial <= 0 || r.Build <= 0 || r.HeapBytes == 0 {
+			t.Fatalf("host measurements not taken: wall %v, busy %v, critical %v, serial %v, build %v, heap %d B",
+				st.Wall, st.Busy, st.Critical, st.Serial, r.Build, r.HeapBytes)
 		}
 	}
 	a.Stats.Wall, a.Stats.Busy, a.Stats.Critical = 30*time.Millisecond, 27*time.Millisecond, 27*time.Millisecond
 	b.Stats.Wall, b.Stats.Busy, b.Stats.Critical = 20*time.Millisecond, 30*time.Millisecond, 20*time.Millisecond
+	a.Stats.Serial, b.Stats.Serial = 3*time.Millisecond, 5*time.Millisecond
 	a.Build, a.HeapBytes = 250*time.Millisecond, 4<<20
 	b.Build, b.HeapBytes = 500*time.Millisecond, 6<<20
 }

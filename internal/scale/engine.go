@@ -60,8 +60,9 @@ type RunOptions struct {
 	Workers int
 }
 
-// RunStats reports a finished run. Wall, Busy and Critical are measured
-// host time and vary run to run; everything else is deterministic.
+// RunStats reports a finished run. Wall, Busy, Critical and Serial are
+// measured host time and vary run to run; everything else is
+// deterministic.
 type RunStats struct {
 	Wall time.Duration
 	// Busy is the wall-clock time shard jobs ran, summed over jobs;
@@ -70,7 +71,11 @@ type RunStats struct {
 	// Critical sums each round's longest job; Busy/Critical bounds what
 	// any number of workers could achieve on these rounds.
 	Critical time.Duration
-	Workers  int // workers used, the calling goroutine counted (0 = sequential)
+	// Serial is the calling goroutine's wall-clock time between rounds,
+	// when no shard job runs: floors, bounds and the exchange.
+	// Serial/Wall is the share of the run no worker count can shrink.
+	Serial  time.Duration
+	Workers int // workers used, the calling goroutine counted (0 = sequential)
 	// Events is the number of simulator events the shards ran, summed over
 	// shards; Wall/Events is wall-clock per simulated event.
 	Events uint64
@@ -276,20 +281,21 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 	run(jobs)
 
 	// Phase 1: the measured window.
-	e.runPhase(horizon, run)
+	serial := e.runPhase(horizon, run)
 	// Phase 2: daemons and samplers stop at the horizon, exactly as in a
 	// single-segment run, then in-flight work drains.
 	for _, sh := range e.Shards {
 		sh.C.Finish()
 	}
-	e.runPhase(horizon+cluster.DrainTime, run)
+	serial += e.runPhase(horizon+cluster.DrainTime, run)
 	var events uint64
 	for _, sh := range e.Shards {
 		e.exec.Undelivered += int64(len(sh.inbox))
 		e.exec.MsgAllocs += sh.msgAllocs
 		events += sh.C.Sim.Fired()
 	}
-	return RunStats{Wall: time.Since(start), Busy: busy, Critical: critical, Workers: workers, Events: events, Exec: e.exec}
+	return RunStats{Wall: time.Since(start), Busy: busy, Critical: critical, Serial: serial,
+		Workers: workers, Events: events, Exec: e.exec}
 }
 
 // initExecutor sizes the per-round scratch, precomputes the all-pairs
@@ -319,7 +325,9 @@ func (e *Engine) initExecutor() {
 }
 
 // runPhase executes channel-clock rounds until no shard has work at or
-// before `until`, then aligns every shard's clock to exactly `until`.
+// before `until`, then aligns every shard's clock to exactly `until`. It
+// returns the wall-clock time it spent outside run: two clock reads a
+// round.
 //
 // Each round the coordinator snapshots every shard's earliest possible
 // send (the remote generator's next fire or the inbox head — both known
@@ -334,7 +342,8 @@ func (e *Engine) initExecutor() {
 // Both minima over links are taken per link class, over the class's
 // smallest snapshot without the shard itself, so a round costs
 // O(shards × classes).
-func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
+func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) (serial time.Duration) {
+	mark := time.Now()
 	for {
 		// Channel-clock floors: es is what each shard's pending state can
 		// send; floor folds in the earliest reply any future request chain
@@ -388,12 +397,16 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) {
 			e.advance.Add(float64(j.end - j.sh.ranTo))
 			j.sh.ranTo = j.end
 		}
+		serial += time.Since(mark)
 		run(jobs)
+		mark = time.Now()
 		e.exchange()
 	}
+	serial += time.Since(mark)
 	for _, sh := range e.Shards {
 		sh.C.Sim.RunUntil(until)
 	}
+	return serial
 }
 
 // bound is how far shard j may safely advance this round: to until, but

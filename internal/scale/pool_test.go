@@ -106,8 +106,8 @@ func TestRoundPoolEndsWithRun(t *testing.T) {
 
 // TestRunTimesJobs pins the relations between the run's host measurements:
 // a round's longest job is part of the jobs' total and runs inside the
-// round, one goroutine's jobs run inside its wall-clock, and a one-shard
-// round's longest job is its only job.
+// round, one goroutine's jobs and the time between its rounds run inside
+// its wall-clock, and a one-shard round's longest job is its only job.
 func TestRunTimesJobs(t *testing.T) {
 	for _, tc := range []struct {
 		shards  int
@@ -127,8 +127,11 @@ func TestRunTimesJobs(t *testing.T) {
 		if st.Critical <= 0 || st.Critical > st.Busy || st.Critical > st.Wall {
 			t.Errorf("%s: critical %v, want in (0, min(busy %v, wall %v)]", name, st.Critical, st.Busy, st.Wall)
 		}
-		if tc.oneTime && st.Busy > st.Wall {
-			t.Errorf("%s: busy %v above wall %v on one goroutine", name, st.Busy, st.Wall)
+		if st.Serial <= 0 || st.Critical+st.Serial > st.Wall {
+			t.Errorf("%s: serial %v, want in (0, wall %v - critical %v]", name, st.Serial, st.Wall, st.Critical)
+		}
+		if tc.oneTime && st.Busy+st.Serial > st.Wall {
+			t.Errorf("%s: busy %v and serial %v above wall %v on one goroutine", name, st.Busy, st.Serial, st.Wall)
 		}
 		if tc.shards == 1 && st.Busy != st.Critical {
 			t.Errorf("%s: busy %v, critical %v; one job a round makes them equal", name, st.Busy, st.Critical)
