@@ -80,7 +80,7 @@ faultsmoke:
 # without shards, and the link classes checked against the all-pairs
 # oracle. Not a `check` step: `make race` runs these tests.
 scalecheck:
-	$(GO) test -race -run 'TestParallelMatchesSequential|TestBackbonePricingPinned|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration|TestRoundPool|TestLinkClasses|TestExchangeNullAdvances' -count=1 ./internal/scale
+	$(GO) test -race -run 'TestParallelMatchesSequential|TestBackbonePricingPinned|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration|TestRoundPool|TestLinkClasses|TestExchangeNullAdvances|TestMinLinkLookahead' -count=1 ./internal/scale
 
 # The allocation-regression gates by name: every testing.AllocsPerRun pin
 # on a steady-state hot path (docs/PERFORMANCE.md lists them) and the scale

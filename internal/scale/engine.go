@@ -314,11 +314,14 @@ func (e *Engine) initExecutor() {
 	e.byDest = make([][]*Message, n)
 	e.jobs = make([]shardJob, 0, n)
 
-	e.minLook = 0
+	e.minLook = 0 // a single shard has no link
+	if n > 1 {
+		e.minLook = e.Router.MinLatency(0, 1)
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if l := e.Router.MinLatency(i, j); i != j && (e.minLook == 0 || l < e.minLook) {
-				e.minLook = l
+			if i != j {
+				e.minLook = min(e.minLook, e.Router.MinLatency(i, j))
 			}
 		}
 	}

@@ -238,3 +238,42 @@ func TestExchangeNullAdvances(t *testing.T) {
 		t.Errorf("shard 1's clocks rose: %d null advances, want 2", got)
 	}
 }
+
+// TestMinLinkLookahead pins the spritefs_scale_min_link_lookahead_seconds
+// gauge at the smallest directed-link latency, zero included, wherever the
+// zero-latency link sits in the matrix: first, last, or a tier's price.
+func TestMinLinkLookahead(t *testing.T) {
+	zeroSite := oracleConfig(4, 2)
+	zeroSite.Tiers = DefaultTiers()
+	zeroSite.Tiers.Site.Latency = 0
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want time.Duration
+	}{
+		{"lat(0,1) = 0", twoShards(0, 5*time.Millisecond), 0},
+		{"lat(1,0) = 0", twoShards(5*time.Millisecond, 0), 0},
+		{"asymmetric", twoShards(3*time.Millisecond, 5*time.Millisecond), 3 * time.Millisecond},
+		{"zero-latency site tier", zeroSite, 0},
+		{"default tiers", oracleConfig(4, 2), DefaultTiers().Site.Latency},
+		{"one shard", oracleConfig(1, 1), 0},
+	} {
+		e := MustNew(tc.cfg)
+		e.initExecutor()
+		if e.minLook != tc.want {
+			t.Errorf("%s: minimum link lookahead %v, want %v", tc.name, e.minLook, tc.want)
+		}
+	}
+}
+
+// twoShards is a two-shard topology whose links cost there and back.
+func twoShards(there, back time.Duration) Config {
+	cfg := oracleConfig(2, 1)
+	cfg.LinkLatency = func(from, to int) time.Duration {
+		if from == 0 {
+			return there
+		}
+		return back
+	}
+	return cfg
+}
