@@ -104,14 +104,17 @@ type Engine struct {
 	links linkClasses // the shards grouped so rounds compute per class, not per link
 	es    []sim.Time  // per-shard earliest-send snapshot
 	floor []sim.Time  // per-shard future-send infimum (fixpoint over dist)
-	// esMin and floorMin are es and floor folded per link class.
+	// esMin and floorMin are es and floor folded per link class, priced
+	// by cheapest path and by link latency.
 	esMin, floorMin classMins
-	// prevCC is the last channel clock each shard advertised on its links
-	// into each class ([n*G]): every such link carries the same clock.
-	prevCC []sim.Time
-	sent   []int        // [G] classes' shards the exchange's current sender reached
-	byDest [][]*Message // per-destination delivery batches
-	jobs   []shardJob   // the round being run; the pool's jobs index it
+	// topFloor is each shard's highest floor so far (-never before the
+	// first exchange). A link's channel clock is its sender's floor plus
+	// its latency, so the last clock a shard advertised on a link is
+	// max(0, satAdd(topFloor, latency)).
+	topFloor []sim.Time
+	sent     []int        // [G] shards of each class the exchange's current sender reached
+	byDest   [][]*Message // per-destination delivery batches
+	jobs     []shardJob   // the round being run; the pool's jobs index it
 	// advance records per-shard virtual-time advance widths, one sample
 	// per shard per round it ran; a deterministic measure of how much
 	// lookahead the channel clocks actually bought.
@@ -308,8 +311,11 @@ func (e *Engine) initExecutor() {
 	G := len(e.links.size)
 	e.es = make([]sim.Time, n)
 	e.floor = make([]sim.Time, n)
-	e.esMin, e.floorMin = newClassMins(G), newClassMins(G)
-	e.prevCC = make([]sim.Time, n*G)
+	e.esMin, e.floorMin = newClassMins(&e.links, e.links.dist), newClassMins(&e.links, e.links.lat)
+	e.topFloor = make([]sim.Time, n)
+	for i := range e.topFloor {
+		e.topFloor[i] = -never
+	}
 	e.sent = make([]int, G)
 	e.byDest = make([][]*Message, n)
 	e.jobs = make([]shardJob, 0, n)
@@ -342,9 +348,10 @@ func (e *Engine) initExecutor() {
 // run far ahead of it instead of marching in lockstep to the global
 // minimum, which is what the old epoch barrier forced. Only shards with
 // work at or before their bound are dispatched; the rest cost nothing.
-// Both minima over links are taken per link class, over the class's
-// smallest snapshot without the shard itself, so a round costs
-// O(shards × classes).
+// Both minima over links are taken per link class (links.go): over the
+// other classes' smallest snapshots, shared by a class's shards, and over
+// the shard's own class without the shard itself, so a round costs
+// O(shards + classes²), not O(shards²).
 func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) (serial time.Duration) {
 	mark := time.Now()
 	for {
@@ -354,11 +361,11 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) (serial tim
 		for i, sh := range e.Shards {
 			e.es[i] = sh.earliestSend()
 		}
-		e.esMin.fold(e.es, e.links.of)
+		e.esMin.fold(e.es)
 		for i, es := range e.es {
-			e.floor[i] = min(es, e.links.inbound(&e.esMin, e.links.dist, i))
+			e.floor[i] = min(es, e.esMin.inbound(i))
 		}
-		e.floorMin.fold(e.floor, e.links.of)
+		e.floorMin.fold(e.floor)
 		if checkRound != nil {
 			checkRound(e, until)
 		}
@@ -417,7 +424,7 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) (serial tim
 // arrival exactly at the clock (zero-latency link, zero transmission time)
 // must not be missed.
 func (e *Engine) bound(j int, until sim.Time) sim.Time {
-	return min(until, e.links.inbound(&e.floorMin, e.links.lat, j)-1)
+	return min(until, e.floorMin.inbound(j)-1)
 }
 
 // exchange routes every outbox emitted during the round and delivers the
@@ -426,17 +433,17 @@ func (e *Engine) bound(j int, until sim.Time) sim.Time {
 // Seq), so the exchange is identical regardless of which goroutines ran
 // the round. Links whose channel clock advanced without carrying a
 // payload message are counted as null advances — the protocol's null
-// messages. A sender's links into one class share a clock, so they are
-// counted together: when that clock rises, every link into the class but
-// the ones the sender used this round. Outboxes drain in shard order, so
-// a sender's messages to one destination lie together at the end of its
-// batch, and the first of them is the one that batch does not end with.
+// messages. Outboxes drain in shard order, so a sender's messages to one
+// destination lie together at the end of that destination's batch, and
+// the first of them is the one the batch does not end with.
 func (e *Engine) exchange() {
 	e.exec.Rounds++
-	n, G := len(e.Shards), len(e.links.size)
+	n := len(e.Shards)
 	var nulls int64
 	for i, sh := range e.Shards {
-		for _, m := range sh.takeOutbox() {
+		out := sh.takeOutbox()
+		reached := 0 // distinct destinations other than i
+		for _, m := range out {
 			if m.To < 0 || m.To >= n {
 				panic(fmt.Sprintf("scale: message to unknown shard %d", m.To))
 			}
@@ -446,19 +453,21 @@ func (e *Engine) exchange() {
 			batch := e.byDest[m.To]
 			if m.To != i && (len(batch) == 0 || batch[len(batch)-1].From != i) {
 				e.sent[e.links.of[m.To]]++
+				reached++
 			}
 			e.byDest[m.To] = append(batch, m)
 		}
-		gi, prev := e.links.of[i], e.prevCC[i*G:(i+1)*G]
-		for h, size := range e.links.size {
-			if h == gi {
-				size-- // no link to itself
+		if f, top := e.floor[i], e.topFloor[i]; f > top {
+			if f > 0 && satAdd(top, e.links.widest[e.links.of[i]]) < never {
+				// Every one of the sender's clocks rose.
+				nulls += int64(n - 1 - reached)
+			} else {
+				nulls += e.risen(i, top)
 			}
-			if cc := satAdd(e.floor[i], e.links.lat[gi*G+h]); size > 0 && cc > prev[h] {
-				prev[h] = cc
-				nulls += int64(size - e.sent[h])
-			}
-			e.sent[h] = 0
+			e.topFloor[i] = f
+		}
+		for _, m := range out {
+			e.sent[e.links.of[m.To]] = 0
 		}
 	}
 	e.exec.NullAdvances += nulls
@@ -469,6 +478,26 @@ func (e *Engine) exchange() {
 		e.Shards[i].enqueue(msgs)
 		e.byDest[i] = e.byDest[i][:0]
 	}
+}
+
+// risen counts the null advances on sender i's links whose clocks rose
+// from its previous highest floor top to its floor this round, class by
+// class: at the start of the run, or near the never sentinel, some of a
+// sender's clocks may rise while others do not.
+func (e *Engine) risen(i int, top sim.Time) int64 {
+	c := &e.links
+	gi, G := c.of[i], len(c.size)
+	var nulls int64
+	for h, links := range c.size {
+		if h == gi {
+			links-- // no link to itself
+		}
+		l := c.lat[gi*G+h]
+		if links > 0 && satAdd(e.floor[i], l) > max(0, satAdd(top, l)) {
+			nulls += int64(links - e.sent[h])
+		}
+	}
+	return nulls
 }
 
 // Test-only oracle hooks, nil outside this package's tests: checkRound

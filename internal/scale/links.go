@@ -43,7 +43,8 @@ func cheapestPaths(n int, lat func(from, to int) time.Duration) []sim.Time {
 // computations run per class of shards rather than per link. Shards i and
 // r share a class when their rows and columns of the latency and
 // cheapest-path matrices agree everywhere but at each other, and the links
-// between them are symmetric and equal to the class's intra-class value.
+// between them are symmetric; every link inside a class then has one
+// price.
 // Every link from a shard of class g to a different shard of class h then
 // has one latency and one cheapest path, whoever its two ends are, so a
 // minimum over the shards of a class (one of them excluded) stands in for
@@ -55,13 +56,16 @@ type linkClasses struct {
 	size []int           // [G] shards in each class
 	lat  []time.Duration // [G*G] link latency from class to class (diagonal: intra-class)
 	dist []time.Duration // [G*G] cheapest-path latency, likewise
+	// widest is, per class, the largest latency of a link out of any one
+	// of its shards (0 when the shard has no link).
+	widest []time.Duration
 }
 
 // newLinkClasses groups the shards first-fit in index order, comparing
-// each with the first member of every class so far. Because a member
-// agrees with the first one everywhere but at the two of them, and links
-// to the first member carry the intra-class value, any two members agree
-// with each other the same way.
+// each with the first member of every class so far. That is enough: if i
+// and s each agree with the first member r everywhere but at the two of
+// them, then i and s agree with each other the same way, and the links
+// i-s, s-i, i-r and r-i all cost what s-r does.
 func newLinkClasses(n int, lat func(from, to int) time.Duration, dist []sim.Time) linkClasses {
 	d := func(i, j int) sim.Time { return dist[i*n+j] }
 	alike := func(i, r int) bool {
@@ -80,10 +84,9 @@ func newLinkClasses(n int, lat func(from, to int) time.Duration, dist []sim.Time
 	for i := 0; i < n; i++ {
 		c.of[i] = -1
 		for g, r := range first {
-			s := second[g]
-			if alike(i, r) && (s < 0 || lat(i, r) == lat(s, r) && d(i, r) == d(s, r)) {
+			if alike(i, r) {
 				c.of[i] = g
-				if s < 0 {
+				if second[g] < 0 {
 					second[g] = i
 				}
 				c.size[g]++
@@ -99,6 +102,7 @@ func newLinkClasses(n int, lat func(from, to int) time.Duration, dist []sim.Time
 	G := len(first)
 	c.lat = make([]time.Duration, G*G)
 	c.dist = make([]time.Duration, G*G)
+	c.widest = make([]time.Duration, G)
 	for g, r := range first {
 		for h, s := range first {
 			if g == h {
@@ -106,57 +110,69 @@ func newLinkClasses(n int, lat func(from, to int) time.Duration, dist []sim.Time
 			}
 			if s >= 0 {
 				c.lat[g*G+h], c.dist[g*G+h] = lat(r, s), time.Duration(d(r, s))
+				c.widest[g] = max(c.widest[g], c.lat[g*G+h])
 			}
 		}
 	}
 	return c
 }
 
-// inbound returns the earliest channel clock on shard i's inbound links:
-// the minimum over shards k ≠ i of satAdd(v[k], latency from k to i), where
-// m is v folded per class and lat one of the class matrices. satAdd is
-// monotone, so a class's term is its minimum without i, delayed once.
-func (c *linkClasses) inbound(m *classMins, lat []time.Duration, i int) sim.Time {
-	gi, G := c.of[i], len(c.size)
-	t := never
-	for g := 0; g < G; g++ {
-		t = min(t, satAdd(m.without(g, i), lat[g*G+gi]))
-	}
-	return t
-}
-
-// classMins is a per-shard vector folded per class: each class's minimum,
-// the shard holding it and the runner-up, so the minimum over a class
-// without any one shard costs O(1).
+// classMins folds a per-shard vector v per class, so that the minimum
+// over shard i's inbound links of satAdd(v[k], latency from k to i) costs
+// O(1): each class's minimum, the shard holding it and the runner-up give
+// the class's minimum without i, and the terms of the other classes are
+// the same for every shard of i's class. satAdd is monotone, so a class's
+// term is its minimum, delayed once. A fold costs O(shards + classes²).
 type classMins struct {
+	c   *linkClasses
+	lat []time.Duration // the class matrix the links are priced by
+	// Per class: the minimum of v, the shard holding it, and the minimum
+	// over the class's other shards.
 	min, second []sim.Time
 	arg         []int
+	// cross[h] is the minimum over classes g ≠ h of satAdd(min[g],
+	// lat[g][h]): what every other class can deliver into class h.
+	cross []sim.Time
 }
 
-func newClassMins(classes int) classMins {
-	return classMins{min: make([]sim.Time, classes), second: make([]sim.Time, classes), arg: make([]int, classes)}
+func newClassMins(c *linkClasses, lat []time.Duration) classMins {
+	G := len(c.size)
+	return classMins{c: c, lat: lat, min: make([]sim.Time, G), second: make([]sim.Time, G),
+		arg: make([]int, G), cross: make([]sim.Time, G)}
 }
 
-// fold recomputes the minima from v, whose shard i is in class of[i].
-func (m *classMins) fold(v []sim.Time, of []int) {
+// fold recomputes the minima from v.
+func (m *classMins) fold(v []sim.Time) {
 	for g := range m.min {
 		m.min[g], m.second[g], m.arg[g] = never, never, -1
 	}
 	for i, t := range v {
-		g := of[i]
+		g := m.c.of[i]
 		if t < m.min[g] {
 			m.min[g], m.second[g], m.arg[g] = t, m.min[g], i
 		} else if t < m.second[g] {
 			m.second[g] = t
 		}
 	}
+	G := len(m.min)
+	for h := range m.cross {
+		t := never
+		for g, v := range m.min {
+			if g != h {
+				t = min(t, satAdd(v, m.lat[g*G+h]))
+			}
+		}
+		m.cross[h] = t
+	}
 }
 
-// without is class g's minimum over its shards other than i (never when
-// there are none).
-func (m *classMins) without(g, i int) sim.Time {
-	if m.arg[g] == i {
-		return m.second[g]
+// inbound returns the minimum over shards k ≠ i of satAdd(v[k], latency
+// from k to i), never when i has no link.
+func (m *classMins) inbound(i int) sim.Time {
+	h := m.c.of[i]
+	own := m.min[h] // the class's minimum without i
+	if m.arg[h] == i {
+		own = m.second[h]
 	}
-	return m.min[g]
+	return min(m.cross[h], satAdd(own, m.lat[h*len(m.min)+h]))
 }

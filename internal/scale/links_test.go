@@ -199,44 +199,61 @@ func TestLinkClassesCount(t *testing.T) {
 	}
 }
 
-// TestExchangeNullAdvances drives one exchange by hand on a 4-shard,
-// 2-site topology (classes {0,1} and {2,3}): every clock rises, so each of
-// the 12 links is a null advance unless the round's messages crossed it. A
+// TestExchangeNullAdvances drives exchanges by hand on a 4-shard, 2-site
+// topology (classes {0,1} and {2,3}) with the floors set directly. With
+// default prices every clock rises at the first exchange, so each of the
+// 12 links is a null advance unless the round's messages crossed it; a
 // second message on a link and a message to the sender itself cross no
-// new link.
+// new link. With a zero-latency site tier some of a sender's clocks rise
+// while others do not: intra-site clocks stay at 0 under a floor of 0, and
+// cross-site clocks saturate at never before intra-site ones do.
 func TestExchangeNullAdvances(t *testing.T) {
-	e := MustNew(oracleConfig(4, 2))
-	e.initExecutor()
-	if len(e.links.size) != 2 {
-		t.Fatalf("%d classes, want 2", len(e.links.size))
+	engine := func(cfg Config) (send func(from, to int), exchange func(floors ...sim.Time) int64) {
+		e := MustNew(cfg)
+		e.initExecutor()
+		if len(e.links.size) != 2 {
+			t.Fatalf("%d classes, want 2", len(e.links.size))
+		}
+		send = func(from, to int) {
+			sh := e.Shards[from]
+			m := sh.allocMsg()
+			*m = Message{To: to, Payload: ctrlBytes}
+			sh.send(m)
+		}
+		exchange = func(floors ...sim.Time) int64 {
+			copy(e.floor, floors)
+			before := e.exec.NullAdvances
+			e.exchange()
+			return e.exec.NullAdvances - before
+		}
+		return send, exchange
 	}
-	send := func(from, to int) {
-		sh := e.Shards[from]
-		m := sh.allocMsg()
-		*m = Message{To: to, Payload: ctrlBytes}
-		sh.send(m)
+	check := func(what string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %d null advances, want %d", what, got, want)
+		}
 	}
-	exchange := func(floors ...sim.Time) int64 {
-		copy(e.floor, floors)
-		before := e.exec.NullAdvances
-		e.exchange()
-		return e.exec.NullAdvances - before
-	}
+
+	send, exchange := engine(oracleConfig(4, 2))
 	send(0, 1)
 	send(0, 1)
 	send(0, 2)
 	send(0, 0)
 	send(3, 2)
-	if got := exchange(1e9, 1e9, 1e9, 1e9); got != 12-3 {
-		t.Errorf("first exchange: %d null advances, want 9", got)
-	}
-	if got := exchange(1e9, 1e9, 1e9, 1e9); got != 0 {
-		t.Errorf("no clock rose: %d null advances, want 0", got)
-	}
+	check("first exchange", exchange(1e9, 1e9, 1e9, 1e9), 12-3)
+	check("no clock rose", exchange(1e9, 1e9, 1e9, 1e9), 0)
 	send(1, 0)
-	if got := exchange(1e9, 2e9, 1e9, 1e9); got != 3-1 {
-		t.Errorf("shard 1's clocks rose: %d null advances, want 2", got)
-	}
+	check("shard 1's clocks rose", exchange(1e9, 2e9, 1e9, 1e9), 3-1)
+
+	zeroSite := oracleConfig(4, 2)
+	zeroSite.Tiers = DefaultTiers()
+	zeroSite.Tiers.Site.Latency = 0
+	send, exchange = engine(zeroSite)
+	send(0, 2)
+	check("floors of 0", exchange(0, 0, 0, 0), 4*2-1)
+	check("shard 0 near never", exchange(never-1, 0, 0, 0), 3)
+	check("shard 0 at never", exchange(never, 0, 0, 0), 1)
 }
 
 // TestMinLinkLookahead pins the spritefs_scale_min_link_lookahead_seconds
