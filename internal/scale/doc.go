@@ -20,17 +20,21 @@
 // shard advertises a floor on its next possible send, the floors relax
 // through the cheapest-latency path matrix (bounding reply chains), and
 // every shard advances to the minimum of its inbound channel clocks —
-// not to the global minimum the old epoch barrier forced. Clock advances
-// on links that carry no payload are the protocol's null messages; they
-// keep idle links from stalling the pipeline, and a serialized
-// stall-breaker restores progress on zero-latency links. The calling
-// goroutine counts as one worker: it publishes each round's shard jobs
-// as one atomic claim word, claims jobs from it alongside Workers-1
+// not to the global minimum the old epoch barrier forced. Both minima are
+// evaluated per link class, a group of shards the latency matrices
+// cannot tell apart (one per site on a tiered topology, one per shard on
+// an arbitrary matrix), so a round costs O(shards + classes²). Clock
+// advances on links that carry no payload are the protocol's null
+// messages; they keep idle links from stalling the pipeline, and a
+// serialized stall-breaker restores progress on zero-latency links. The
+// calling goroutine counts as one worker: it publishes each round's shard
+// jobs as one atomic claim word, claims jobs from it alongside Workers-1
 // helper goroutines (none at one worker, where the round runs in shard
 // order), and once the last job finishes it routes the round's outboxes
-// and delivers them in sorted (arrival, shard, seq) order. Because shards share no mutable state and
-// the exchange is totally ordered, the parallel run is byte-identical to
-// the sequential one at any worker count and GOMAXPROCS — the property
-// TestParallelMatchesSequential and the determinism fuzz suite pin down
-// and `make scalecheck` guards under the race detector.
+// and delivers them in sorted (arrival, shard, seq) order. Because shards
+// share no mutable state and the exchange is totally ordered, the
+// parallel run is byte-identical to the sequential one at any worker
+// count and GOMAXPROCS — the property TestParallelMatchesSequential and
+// the determinism fuzz suite pin down and `make scalecheck` guards under
+// the race detector.
 package scale

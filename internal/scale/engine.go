@@ -100,10 +100,9 @@ type Engine struct {
 	ran     bool
 
 	// Executor scratch, sized at Run so rounds allocate nothing.
-	dist  []sim.Time  // [n*n] cheapest multi-hop latency (diag 0)
 	links linkClasses // the shards grouped so rounds compute per class, not per link
 	es    []sim.Time  // per-shard earliest-send snapshot
-	floor []sim.Time  // per-shard future-send infimum (fixpoint over dist)
+	floor []sim.Time  // per-shard future-send infimum (fixpoint over cheapest paths)
 	// esMin and floorMin are es and floor folded per link class, priced
 	// by cheapest path and by link latency.
 	esMin, floorMin classMins
@@ -301,13 +300,12 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 		Workers: workers, Events: events, Exec: e.exec}
 }
 
-// initExecutor sizes the per-round scratch, precomputes the all-pairs
-// cheapest-latency matrix the channel clocks relax over and groups the
-// shards into link classes over it.
+// initExecutor sizes the per-round scratch and groups the shards into
+// link classes over the link latencies and the all-pairs cheapest-latency
+// matrix the channel clocks relax over.
 func (e *Engine) initExecutor() {
 	n := len(e.Shards)
-	e.dist = cheapestPaths(n, e.Router.MinLatency)
-	e.links = newLinkClasses(n, e.Router.MinLatency, e.dist)
+	e.links = newLinkClasses(n, e.Router.MinLatency, cheapestPaths(n, e.Router.MinLatency))
 	G := len(e.links.size)
 	e.es = make([]sim.Time, n)
 	e.floor = make([]sim.Time, n)

@@ -43,14 +43,13 @@ func cheapestPaths(n int, lat func(from, to int) time.Duration) []sim.Time {
 // computations run per class of shards rather than per link. Shards i and
 // r share a class when their rows and columns of the latency and
 // cheapest-path matrices agree everywhere but at each other, and the links
-// between them are symmetric; every link inside a class then has one
-// price.
-// Every link from a shard of class g to a different shard of class h then
-// has one latency and one cheapest path, whoever its two ends are, so a
-// minimum over the shards of a class (one of them excluded) stands in for
-// a minimum over their links. A tiered topology has one class per site; an
-// arbitrary latency matrix has singleton classes, which cost what a
-// per-link computation does.
+// between them are symmetric. Every link from a shard of class g to a
+// different shard of class h (g = h included) then has one latency and
+// one cheapest path, whoever its two ends are, so a minimum over the
+// shards of a class (one of them excluded) stands in for a minimum over
+// their links. A tiered topology has one class per site; an arbitrary
+// latency matrix has singleton classes, which cost what a per-link
+// computation does.
 type linkClasses struct {
 	of   []int           // [n] class of each shard
 	size []int           // [G] shards in each class

@@ -30,6 +30,7 @@ func TestMain(m *testing.M) {
 var pairwise struct {
 	sync.Mutex
 	e                 *Engine
+	dist              []sim.Time // [n*n] cheapest-path latency
 	prevCC            []sim.Time // [n*n] last advertised clock per link
 	rounds, exchanges int64
 }
@@ -45,6 +46,7 @@ func pairwiseFor(e *Engine, exchanged int64) {
 	}
 	n := len(e.Shards)
 	pairwise.e, pairwise.prevCC = e, make([]sim.Time, n*n)
+	pairwise.dist = cheapestPaths(n, e.Router.MinLatency)
 	pairwise.rounds, pairwise.exchanges = 0, 0
 }
 
@@ -64,7 +66,7 @@ func pairwiseRound(e *Engine, until sim.Time) {
 		f := es[i]
 		for k := 0; k < n; k++ {
 			if k != i {
-				f = min(f, satAdd(es[k], time.Duration(e.dist[k*n+i])))
+				f = min(f, satAdd(es[k], time.Duration(pairwise.dist[k*n+i])))
 			}
 		}
 		if f != e.floor[i] {

@@ -9,13 +9,17 @@ import (
 
 // pollFor is how long an idle helper watches the claim word for the next
 // round before it parks. The gap between two rounds is the caller's
-// exchange and bound computation; a helper parked in that gap costs a
-// kernel wake-up per round, and one polling through it costs a core.
-// Measured with spritebench on a 2-vCPU VM at GOMAXPROCS=2: helpers that
-// never park raised wan_lean_50k's cpu_s by 33 %, past its 25 % bound; a
-// bound of about 3 µs lost half of scale_5k's wall_s gain; at 30 µs
-// scale_5k's wall_s fell 20 % for 15 % more cpu_s and wan_lean_50k's
-// cpu_s rose 19 %, and bounds of 10 and 20 µs did not clearly do better.
+// floors, bounds and exchange; a helper parked in that gap costs a kernel
+// wake-up per round, and one polling through it costs a core. Measured
+// with spritebench on a 2-vCPU VM at GOMAXPROCS=2: helpers that never
+// park raised wan_lean_50k's cpu_s by 33 %, past its 25 % bound; a bound
+// of about 3 µs lost half of scale_5k's wall_s gain; at 30 µs scale_5k's
+// wall_s fell 20 % for 15 % more cpu_s. Since the link classes, the gap
+// is about 4 µs a round on wan_lean_50k's 40 shards, where it was about
+// 25 µs. Four alternating pairs of 10 µs against 30 µs then read
+// wan_lean_50k's wall_s 0.879 against 0.797 s and cpu_s 1.58 against
+// 1.50 s (30 µs lower in 4 of 4), and scale_5k's wall_s 2.65 against
+// 2.36 s (30 µs lower in 3 of 4), so the bound stays at 30 µs.
 const pollFor = 30 * time.Microsecond
 
 // The claim word is a round tag above leftBits bits counting the round's
