@@ -26,8 +26,7 @@ type backboneCase struct {
 
 // backboneCases are the pinned configurations: a flat and a two-site
 // 4-shard topology on the default prices, then every determinism-fuzz seed,
-// whose topologies cover random tier prices, per-link latency matrices and
-// zero-latency corners.
+// whose topologies cover random tier prices and zero-latency corners.
 func backboneCases() []backboneCase {
 	sites := testConfig(42, 4)
 	sites.Sites = 2

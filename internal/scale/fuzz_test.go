@@ -13,16 +13,16 @@ import (
 )
 
 // fuzzSeeds is the corpus size: each seed derives a random topology
-// (shard count, hierarchical site grouping with random tier pricing,
-// community size, server groups, link latencies including occasional
-// zero-latency links, remote-traffic mix, fault schedules) that is run
-// sequentially and in parallel at every worker count.
+// (shard count, hierarchical site grouping with random tier pricing
+// including zero-latency tiers, community size, server groups,
+// remote-traffic mix, fault schedules) that is run sequentially and in
+// parallel at every worker count.
 const fuzzSeeds = 50
 
 // fuzzConfig derives one random topology from a seed. Everything —
-// including the per-shard fault schedules and the per-link latency
-// matrix — is drawn up front from a single deterministic stream, so the
-// same Config can instantiate any number of engines identically.
+// including the per-shard fault schedules — is drawn up front from a
+// single deterministic stream, so the same Config can instantiate any
+// number of engines identically.
 func fuzzConfig(seed int64) (scale.Config, time.Duration) {
 	rng := sim.NewRand(seed ^ 0x5eedf022)
 
@@ -79,26 +79,16 @@ func fuzzConfig(seed int64) (scale.Config, time.Duration) {
 	if sites == 1 {
 		tiers.Site = flat
 	}
-	var linkLatency func(from, to int) time.Duration
 	if rng.Bool(1.0 / 3) {
-		// Heterogeneous links: a latency matrix with occasional
-		// zero-latency links, exercising per-link lookahead and the
-		// stall-breaker.
-		lat := make([][]time.Duration, shards)
-		for i := range lat {
-			lat[i] = make([]time.Duration, shards)
-			for j := range lat[i] {
-				if i == j {
-					continue
-				}
-				if rng.Bool(0.1) {
-					lat[i][j] = 0
-				} else {
-					lat[i][j] = time.Duration(rng.Range(float64(10*time.Microsecond), float64(4*time.Millisecond)))
-				}
+		// The zero-lookahead corner: a zero-latency site tier with at
+		// least two segments per site (one site of a prime segment count
+		// at worst), so the links inside a site offer no window and the
+		// executor falls back to its stall-breaker.
+		if sites == shards {
+			for sites--; shards%sites != 0; sites-- {
 			}
 		}
-		linkLatency = func(from, to int) time.Duration { return lat[from][to] }
+		tiers.Site.Latency = 0
 	}
 
 	remote := scale.RemoteConfig{
@@ -119,7 +109,6 @@ func fuzzConfig(seed int64) (scale.Config, time.Duration) {
 		Sites:           sites,
 		Tiers:           tiers,
 		ServersPerShard: servers,
-		LinkLatency:     linkLatency,
 		Remote:          remote,
 	}
 	if rng.Bool(0.5) {
@@ -138,8 +127,9 @@ func fuzzConfig(seed int64) (scale.Config, time.Duration) {
 
 // runFuzzSeed runs one corpus entry sequentially and at each parallel
 // worker count, asserting byte-identical reports and full
-// metrics-registry dumps.
-func runFuzzSeed(t *testing.T, seed int64, workerCounts []int) {
+// metrics-registry dumps. It returns the entry's config and the
+// sequential run's executor statistics.
+func runFuzzSeed(t *testing.T, seed int64, workerCounts []int) (scale.Config, scale.ExecStats) {
 	t.Helper()
 	cfg, horizon := fuzzConfig(seed)
 	ref := scale.MustNew(cfg)
@@ -155,6 +145,7 @@ func runFuzzSeed(t *testing.T, seed int64, workerCounts []int) {
 			t.Errorf("seed %d: workers=%d exec stats differ: sequential %+v parallel %+v", seed, w, refStats.Exec, st.Exec)
 		}
 	}
+	return cfg, refStats.Exec
 }
 
 // firstDiff locates the first divergent line of two fingerprints so a
@@ -186,17 +177,34 @@ func firstDiff(want, got string) string {
 // each run sequentially and in parallel at 1, 2, 4 and 8 workers, with
 // byte-identity of report tables plus the full metrics dump required
 // throughout. -short trims the corpus for quick local runs; the full
-// sweep runs under `make test`.
+// sweep runs under `make test`. When every seed ran, the corpus must also
+// still reach the corners it exists for: at least three seeds that need
+// the stall-breaker, a topology of one segment per site, and a flat one.
 func TestDeterminismFuzz(t *testing.T) {
 	n := fuzzSeeds
 	if testing.Short() {
 		n = 10
 	}
+	var ran, rescued, segPerSite, flat int
 	for seed := int64(0); seed < int64(n); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runFuzzSeed(t, seed, []int{1, 2, 4, 8})
+			cfg, exec := runFuzzSeed(t, seed, []int{1, 2, 4, 8})
+			ran++
+			if exec.Rescues > 0 {
+				rescued++
+			}
+			if cfg.Sites == cfg.Shards && cfg.Shards > 1 {
+				segPerSite++
+			}
+			if cfg.Sites <= 1 {
+				flat++
+			}
 		})
+	}
+	if ran == n && (rescued < 3 || segPerSite == 0 || flat == 0) {
+		t.Errorf("corpus of %d seeds: %d reach a stall rescue (want >= 3), %d have one segment per site, %d are flat (want >= 1 each)",
+			n, rescued, segPerSite, flat)
 	}
 }
 
