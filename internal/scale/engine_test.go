@@ -3,6 +3,7 @@ package scale_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -153,6 +154,15 @@ func TestConfigValidation(t *testing.T) {
 	bad.Tiers.WAN.BandwidthBps = -1
 	if _, err := scale.New(bad); err == nil {
 		t.Error("negative WAN bandwidth accepted")
+	}
+	// NaN compares false with everything, so it must not slip past a
+	// "<= 0" test; a run would then stamp arrivals before their clock.
+	bad = testConfig(1, 4)
+	bad.Sites = 2
+	bad.Tiers = scale.DefaultTiers()
+	bad.Tiers.Site.BandwidthBps = math.NaN()
+	if _, err := scale.New(bad); err == nil {
+		t.Error("NaN site bandwidth accepted")
 	}
 	tiny := testConfig(1, 2)
 	tiny.Base.NumClients = 1
