@@ -77,10 +77,10 @@ faultsmoke:
 # The parallel-vs-sequential byte-identity gate by name: identical reports
 # and metric dumps at 1, 4 and 8 workers, one registration per component,
 # the backbone-pricing digests, the executor's round pool driven
-# without shards, and the link classes checked against the all-pairs
+# without shards, and the per-site minima checked against the all-pairs
 # oracle. Not a `check` step: `make race` runs these tests.
 scalecheck:
-	$(GO) test -race -run 'TestParallelMatchesSequential|TestBackbonePricingPinned|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration|TestRoundPool|TestLinkClasses|TestExchangeNullAdvances|TestMinLinkLookahead' -count=1 ./internal/scale
+	$(GO) test -race -run 'TestParallelMatchesSequential|TestBackbonePricingPinned|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration|TestRoundPool|TestSiteMinsOracle|TestExchangeNullAdvances|TestMinLinkLookahead' -count=1 ./internal/scale
 
 # The allocation-regression gates by name: every testing.AllocsPerRun pin
 # on a steady-state hot path (docs/PERFORMANCE.md lists them) and the scale

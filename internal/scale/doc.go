@@ -15,15 +15,15 @@
 // successors of Sprite couple their sites.
 //
 // The executor is a conservative parallel discrete-event scheme built on
-// per-link channel clocks (null-message style): each link's latency is a
-// hard lower bound on cross-shard message delay, so each round every
-// shard advertises a floor on its next possible send, the floors relax
-// through the cheapest-latency path matrix (bounding reply chains), and
-// every shard advances to the minimum of its inbound channel clocks —
-// not to the global minimum the old epoch barrier forced. Both minima are
-// evaluated per link class, a group of shards the latency matrices
-// cannot tell apart (one per site on a tiered topology, one per shard on
-// an arbitrary matrix), so a round costs O(shards + classes²). Clock
+// per-link channel clocks (null-message style): each link's tier latency
+// is a hard lower bound on cross-shard message delay, so each round every
+// shard advertises a floor on its next possible send, lowered to the
+// earliest reply another shard's request could force (no relay path
+// undercuts a direct link, so one hop bounds a reply chain), and every
+// shard advances to the minimum of its inbound channel clocks — not to
+// the global minimum the old epoch barrier forced. Every link costs one
+// of two prices, within a site or across the WAN, so both minima are
+// folded per site and a round costs O(shards + sites). Clock
 // advances on links that carry no payload are the protocol's null
 // messages; they keep idle links from stalling the pipeline, and a
 // serialized stall-breaker restores progress on zero-latency links. The

@@ -100,18 +100,15 @@ type Engine struct {
 	ran     bool
 
 	// Executor scratch, sized at Run so rounds allocate nothing.
-	links linkClasses // the shards grouped so rounds compute per class, not per link
-	es    []sim.Time  // per-shard earliest-send snapshot
-	floor []sim.Time  // per-shard future-send infimum (fixpoint over cheapest paths)
-	// esMin and floorMin are es and floor folded per link class, priced
-	// by cheapest path and by link latency.
-	esMin, floorMin classMins
+	floor []sim.Time // per-shard future-send infimum, replies included
+	// mins is a per-shard vector folded per site: the earliest sends
+	// while the floors are computed, then the floors.
+	mins siteMins
 	// topFloor is each shard's highest floor so far (-never before the
 	// first exchange). A link's channel clock is its sender's floor plus
 	// its latency, so the last clock a shard advertised on a link is
 	// max(0, satAdd(topFloor, latency)).
 	topFloor []sim.Time
-	sent     []int        // [G] shards of each class the exchange's current sender reached
 	byDest   [][]*Message // per-destination delivery batches
 	jobs     []shardJob   // the round being run; the pool's jobs index it
 	// advance records per-shard virtual-time advance widths, one sample
@@ -136,7 +133,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	topo := cfg.topology()
 	total := workload.ScaleCommunity(cfg.Base, cfg.Factor)
-	e := &Engine{Cfg: cfg, topo: topo, Router: NewRouter(cfg.Tiers, cfg.LinkLatency, topo)}
+	e := &Engine{Cfg: cfg, topo: topo, Router: NewRouter(cfg.Tiers, topo)}
 	for i := 0; i < cfg.Shards; i++ {
 		site, seg := topo.SiteOf(i), i%topo.SegsPerSite
 		p := workload.Split(workload.SplitSite(total, topo.Sites, site), topo.SegsPerSite, seg)
@@ -300,34 +297,29 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 		Workers: workers, Events: events, Exec: e.exec}
 }
 
-// initExecutor sizes the per-round scratch and groups the shards into
-// link classes over the link latencies and the all-pairs cheapest-latency
-// matrix the channel clocks relax over.
+// initExecutor sizes the per-round scratch and reads the tightest
+// lookahead off the router's two tier prices.
 func (e *Engine) initExecutor() {
 	n := len(e.Shards)
-	e.links = newLinkClasses(n, e.Router.MinLatency, cheapestPaths(n, e.Router.MinLatency))
-	G := len(e.links.size)
-	e.es = make([]sim.Time, n)
 	e.floor = make([]sim.Time, n)
-	e.esMin, e.floorMin = newClassMins(&e.links, e.links.dist), newClassMins(&e.links, e.links.lat)
+	e.mins = newSiteMins(e.topo, n, e.Router.lat)
 	e.topFloor = make([]sim.Time, n)
 	for i := range e.topFloor {
 		e.topFloor[i] = -never
 	}
-	e.sent = make([]int, G)
 	e.byDest = make([][]*Message, n)
 	e.jobs = make([]shardJob, 0, n)
 
-	e.minLook = 0 // a single shard has no link
-	if n > 1 {
-		e.minLook = e.Router.MinLatency(0, 1)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				e.minLook = min(e.minLook, e.Router.MinLatency(i, j))
-			}
-		}
+	// A cross-site link costs two site hops and the WAN, never less than
+	// one site hop, so the site tier is the cheapest link wherever a site
+	// has two segments. A single shard has no link.
+	switch {
+	case n == 1:
+		e.minLook = 0
+	case e.topo.SegsPerSite > 1:
+		e.minLook = e.Router.lat[0]
+	default:
+		e.minLook = e.Router.lat[1]
 	}
 }
 
@@ -338,32 +330,33 @@ func (e *Engine) initExecutor() {
 //
 // Each round the coordinator snapshots every shard's earliest possible
 // send (the remote generator's next fire or the inbox head — both known
-// ahead of running), relaxes those floors through the cheapest-latency
-// matrix so reply chains are bounded too, and derives each shard's safe
-// bound from its inbound channel clocks alone: a shard may advance while
-// min over links of (sender's floor + link latency) exceeds its next
-// event. Shards far (in latency) from the current bottleneck therefore
-// run far ahead of it instead of marching in lockstep to the global
-// minimum, which is what the old epoch barrier forced. Only shards with
-// work at or before their bound are dispatched; the rest cost nothing.
-// Both minima over links are taken per link class (links.go): over the
-// other classes' smallest snapshots, shared by a class's shards, and over
-// the shard's own class without the shard itself, so a round costs
-// O(shards + classes²), not O(shards²).
+// ahead of running), lowers each to the earliest reply a request from
+// another shard could force out of it, so reply chains are bounded too,
+// and derives each shard's safe bound from its inbound channel clocks
+// alone: a shard may advance while min over links of (sender's floor +
+// link latency) exceeds its next event. No relay path undercuts a direct
+// link, so one hop bounds every chain. Shards far (in latency) from the
+// current bottleneck therefore run far ahead of it instead of marching in
+// lockstep to the global minimum, which is what the old epoch barrier
+// forced. Only shards with work at or before their bound are dispatched;
+// the rest cost nothing. Both minima over links are taken per site
+// (links.go): over the other sites' smallest snapshot, shared by every
+// shard, and over the shard's own site without the shard itself, so a
+// round costs O(shards + sites), not O(shards²).
 func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) (serial time.Duration) {
 	mark := time.Now()
 	for {
-		// Channel-clock floors: es is what each shard's pending state can
-		// send; floor folds in the earliest reply any future request chain
-		// could force out of it.
+		// Channel-clock floors: first what each shard's pending state can
+		// send, then lowered in place to the earliest reply any future
+		// request chain could force out of it.
 		for i, sh := range e.Shards {
-			e.es[i] = sh.earliestSend()
+			e.floor[i] = sh.earliestSend()
 		}
-		e.esMin.fold(e.es)
-		for i, es := range e.es {
-			e.floor[i] = min(es, e.esMin.inbound(i))
+		e.mins.fold(e.floor)
+		for i, es := range e.floor {
+			e.floor[i] = min(es, e.mins.inbound(i))
 		}
-		e.floorMin.fold(e.floor)
+		e.mins.fold(e.floor)
 		if checkRound != nil {
 			checkRound(e, until)
 		}
@@ -422,7 +415,7 @@ func (e *Engine) runPhase(until sim.Time, run func(jobs []shardJob)) (serial tim
 // arrival exactly at the clock (zero-latency link, zero transmission time)
 // must not be missed.
 func (e *Engine) bound(j int, until sim.Time) sim.Time {
-	return min(until, e.floorMin.inbound(j)-1)
+	return min(until, e.mins.inbound(j)-1)
 }
 
 // exchange routes every outbox emitted during the round and delivers the
@@ -431,16 +424,20 @@ func (e *Engine) bound(j int, until sim.Time) sim.Time {
 // Seq), so the exchange is identical regardless of which goroutines ran
 // the round. Links whose channel clock advanced without carrying a
 // payload message are counted as null advances — the protocol's null
-// messages. Outboxes drain in shard order, so a sender's messages to one
-// destination lie together at the end of that destination's batch, and
-// the first of them is the one the batch does not end with.
+// messages. A sender's links in one tier share a latency, so their clocks
+// rise together, and the count per tier is its links there less the
+// destinations the round's messages reached. Outboxes drain in shard
+// order, so a sender's messages to one destination lie together at the
+// end of that destination's batch, and the first of them is the one the
+// batch does not end with.
 func (e *Engine) exchange() {
 	e.exec.Rounds++
 	n := len(e.Shards)
+	links := [2]int{e.topo.SegsPerSite - 1, n - e.topo.SegsPerSite} // out of each shard, per tier
 	var nulls int64
 	for i, sh := range e.Shards {
 		out := sh.takeOutbox()
-		reached := 0 // distinct destinations other than i
+		var reached [2]int // distinct destinations other than i, per tier
 		for _, m := range out {
 			if m.To < 0 || m.To >= n {
 				panic(fmt.Sprintf("scale: message to unknown shard %d", m.To))
@@ -450,22 +447,19 @@ func (e *Engine) exchange() {
 			e.exec.RoutedBytes += m.Payload
 			batch := e.byDest[m.To]
 			if m.To != i && (len(batch) == 0 || batch[len(batch)-1].From != i) {
-				e.sent[e.links.of[m.To]]++
-				reached++
+				reached[e.Router.tier(i, m.To)]++
 			}
 			e.byDest[m.To] = append(batch, m)
 		}
+		// At the start of the run, or near the never sentinel, one tier's
+		// clocks may rise while the other's do not.
 		if f, top := e.floor[i], e.topFloor[i]; f > top {
-			if f > 0 && satAdd(top, e.links.widest[e.links.of[i]]) < never {
-				// Every one of the sender's clocks rose.
-				nulls += int64(n - 1 - reached)
-			} else {
-				nulls += e.risen(i, top)
+			for t, l := range e.Router.lat {
+				if satAdd(f, l) > max(0, satAdd(top, l)) {
+					nulls += int64(links[t] - reached[t])
+				}
 			}
 			e.topFloor[i] = f
-		}
-		for _, m := range out {
-			e.sent[e.links.of[m.To]] = 0
 		}
 	}
 	e.exec.NullAdvances += nulls
@@ -478,28 +472,8 @@ func (e *Engine) exchange() {
 	}
 }
 
-// risen counts the null advances on sender i's links whose clocks rose
-// from its previous highest floor top to its floor this round, class by
-// class: at the start of the run, or near the never sentinel, some of a
-// sender's clocks may rise while others do not.
-func (e *Engine) risen(i int, top sim.Time) int64 {
-	c := &e.links
-	gi, G := c.of[i], len(c.size)
-	var nulls int64
-	for h, links := range c.size {
-		if h == gi {
-			links-- // no link to itself
-		}
-		l := c.lat[gi*G+h]
-		if links > 0 && satAdd(e.floor[i], l) > max(0, satAdd(top, l)) {
-			nulls += int64(links - e.sent[h])
-		}
-	}
-	return nulls
-}
-
 // Test-only oracle hooks, nil outside this package's tests: checkRound
-// sees each round's floors and class minima before any shard is
+// sees each round's floors and site minima before any shard is
 // dispatched, checkExchange each exchange's routed batches and null
 // advances before they are delivered.
 var (

@@ -14,9 +14,9 @@ import (
 // with spritebench on a 2-vCPU VM at GOMAXPROCS=2: helpers that never
 // park raised wan_lean_50k's cpu_s by 33 %, past its 25 % bound; a bound
 // of about 3 µs lost half of scale_5k's wall_s gain; at 30 µs scale_5k's
-// wall_s fell 20 % for 15 % more cpu_s. Since the link classes, the gap
-// is about 4 µs a round on wan_lean_50k's 40 shards, where it was about
-// 25 µs. Four alternating pairs of 10 µs against 30 µs then read
+// wall_s fell 20 % for 15 % more cpu_s. Since the floors and bounds
+// fold per site rather than per link, the gap is about 4 µs a round on
+// wan_lean_50k's 40 shards, where it was about 25 µs. Four alternating pairs of 10 µs against 30 µs then read
 // wan_lean_50k's wall_s 0.879 against 0.797 s and cpu_s 1.58 against
 // 1.50 s (30 µs lower in 4 of 4), and scale_5k's wall_s 2.65 against
 // 2.36 s (30 µs lower in 3 of 4), so the bound stays at 30 µs.

@@ -64,16 +64,16 @@ type Message struct {
 const ctrlBytes = 128
 
 // Router is the inter-segment backbone: it prices every cross-shard
-// message from the tier table and accounts the traffic per tier. Its
-// per-link latency matrix is also the channel-clock executor's lookahead,
-// so a WAN link's high price is a wide parallelism window; routing happens
+// message from the tier table and accounts the traffic per tier. Its two
+// tier latencies are also the channel-clock executor's lookahead, so a
+// WAN link's high price is a wide parallelism window; routing happens
 // only at round exchanges on the coordinator goroutine, so it needs no
 // locking.
 type Router struct {
 	topo Topology
-	lat  [][]time.Duration // [from][to] store-and-forward latency
-	bw   [2]float64        // end-to-end bandwidth per tier
-	busy time.Duration     // transmission time over both tiers
+	lat  [2]time.Duration // store-and-forward latency per tier
+	bw   [2]float64       // end-to-end bandwidth per tier
+	busy time.Duration    // transmission time over both tiers
 
 	// Per-tier accounting, indexed by tier: 0 = site tier (intra-site
 	// links, every link of a flat topology), 1 = WAN tier (cross-site).
@@ -86,24 +86,15 @@ type Router struct {
 // intra-site link costs one Site hop; a cross-site link store-and-forwards
 // through site backbone, WAN trunk and site backbone, so its latency is
 // 2·Site.Latency + WAN.Latency and its bandwidth the harmonic combination
-// of the three hops. linkLatency, when non-nil, overrides each directed
-// link's latency.
-func NewRouter(tiers TiersConfig, linkLatency func(from, to int) time.Duration, topo Topology) *Router {
-	n := topo.NumShards()
-	r := &Router{topo: topo, lat: make([][]time.Duration, n)}
-	r.bw[0] = tiers.Site.BandwidthBps
-	r.bw[1] = 1 / (2/tiers.Site.BandwidthBps + 1/tiers.WAN.BandwidthBps)
-	lat := [2]time.Duration{tiers.Site.Latency, 2*tiers.Site.Latency + tiers.WAN.Latency}
-	for i := 0; i < n; i++ {
-		r.lat[i] = make([]time.Duration, n)
-		for j := 0; j < n; j++ {
-			r.lat[i][j] = lat[r.tier(i, j)]
-			if linkLatency != nil && i != j {
-				r.lat[i][j] = linkLatency(i, j)
-			}
-		}
+// of the three hops. No path through other shards undercuts a direct
+// link, so each tier's latency is also the cheapest any message between
+// two shards of that tier can arrive.
+func NewRouter(tiers TiersConfig, topo Topology) *Router {
+	return &Router{
+		topo: topo,
+		lat:  [2]time.Duration{tiers.Site.Latency, 2*tiers.Site.Latency + tiers.WAN.Latency},
+		bw:   [2]float64{tiers.Site.BandwidthBps, 1 / (2/tiers.Site.BandwidthBps + 1/tiers.WAN.BandwidthBps)},
 	}
-	return r
 }
 
 // tier is the tier a directed link crosses: 0 within a site, 1 across the
@@ -115,11 +106,6 @@ func (r *Router) tier(from, to int) int {
 	return 1
 }
 
-// MinLatency is the directed link's store-and-forward latency: the floor
-// on how long a message from one shard takes to reach another, and so the
-// executor's per-link lookahead. Payload transmission only adds to it.
-func (r *Router) MinLatency(from, to int) time.Duration { return r.lat[from][to] }
-
 // Route prices m, stamps its arrival time, and accounts the transfer.
 func (r *Router) Route(m *Message) {
 	if m.Payload < 0 {
@@ -127,7 +113,7 @@ func (r *Router) Route(m *Message) {
 	}
 	tier := r.tier(m.From, m.To)
 	xmit := time.Duration(float64(m.Payload) / r.bw[tier] * float64(time.Second))
-	m.Arrive = m.Send + r.lat[m.From][m.To] + xmit
+	m.Arrive = m.Send + r.lat[tier] + xmit
 	r.busy += xmit
 	r.tierMsgs[tier]++
 	r.tierBytes[tier] += m.Payload
