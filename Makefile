@@ -115,7 +115,7 @@ examples:
 FUZZTARGETS = \
 	internal/sim:FuzzScheduler internal/fscache:FuzzCache \
 	internal/server:FuzzNameSpace \
-	internal/trace:FuzzAutoReader \
+	internal/trace:FuzzAutoReader internal/consistency:FuzzSharedCollector \
 	internal/traceio:FuzzImportCSV internal/traceio:FuzzImportStrace \
 	internal/traceio:FuzzParseCSVMapping internal/traceio:FuzzParseProfile \
 	internal/faults:FuzzParseSchedule \

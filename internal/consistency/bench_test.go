@@ -23,7 +23,7 @@ func BenchmarkSimulateStale(b *testing.B) {
 }
 
 func BenchmarkCollectShared(b *testing.B) {
-	// CollectShared itself scans the full trace twice.
+	// CollectShared takes the trace in one pass.
 	recs := randomRecords(3, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
