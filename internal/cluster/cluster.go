@@ -38,7 +38,9 @@ type Config struct {
 	// CollectTrace enables trace-record collection (Section 4 study).
 	CollectTrace bool
 	// TraceSink, when set with CollectTrace, receives records instead of
-	// the in-memory buffer (cmd/tracegen writes per-server files).
+	// the in-memory buffer, in emission order (time order), backup noise
+	// included: cmd/tracegen writes per-server files, and core's traced
+	// runs stream the records to their analysis while the cluster runs.
 	TraceSink func(trace.Record)
 	// SamplePeriod is the counter-sampling interval on the virtual clock
 	// (zero disables): the paper's user-level process read the counters

@@ -10,7 +10,6 @@ import (
 	"spritefs/internal/faults"
 	"spritefs/internal/netsim"
 	"spritefs/internal/stats"
-	"spritefs/internal/trace"
 	"spritefs/internal/vm"
 	"spritefs/internal/workload"
 )
@@ -277,8 +276,8 @@ func RunClaims(hours, scale float64, seed int64) (*ClaimsResult, error) {
 	return r, nil
 }
 
-// check runs c's study. A point keeps its cluster's trace only when one of
-// c's cells reads a trace.
+// check runs c's study. A point traces its cluster, and analyzes the trace
+// as the run goes, only when one of c's cells reads a trace.
 func check(c *claim, hours, scale float64, seed int64) (checkedClaim, error) {
 	traced := false
 	for _, id := range c.cells {
@@ -292,14 +291,17 @@ func check(c *claim, hours, scale float64, seed int64) (checkedClaim, error) {
 			cfg.Faults = defaultFaultSchedule(hours, cfg.NumServers)
 		}
 		cfg.Params = scaleParams(cfg.Params, scale)
-		cfg.CollectTrace = traced
-		cr, cl := runCounters(cfg, hours/24)
+		var cr *CounterResult
 		var tr *TraceResult
 		if traced {
 			var err error
-			if tr, err = AnalyzeTrace(0, hours, trace.Merge(cl.PerServerStreams()...)); err != nil {
+			tr, err = streamTrace(cfg, 0, hours, func(cl *cluster.Cluster) { cr = runCounters(cl, hours/24) })
+			if err != nil {
 				return out, fmt.Errorf("claim %s, %s: %w", c.id, pt.label, err)
 			}
+		} else {
+			cfg.CollectTrace = false
+			cr = runCounters(cluster.New(cfg), hours/24)
 		}
 		for _, id := range c.cells {
 			if cell := catalog[id]; cell.trace != nil {

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"spritefs/internal/analysis"
@@ -83,23 +84,30 @@ func RunTrace(n int, opts TraceOptions) (*TraceResult, error) {
 
 	cfg := cluster.DefaultConfig(p)
 	cfg.SamplePeriod = 0 // Section 4 runs need no counter sampling
-	cl := cluster.New(cfg)
-	cl.Run(time.Duration(hours * float64(time.Hour)))
+	dur := time.Duration(hours * float64(time.Hour))
+	return streamTrace(cfg, n, hours, func(cl *cluster.Cluster) { cl.Run(dur) })
+}
 
-	// Merge the per-server streams (scrubbing backup noise) exactly as
-	// the paper's post-processing did.
-	return AnalyzeTrace(n, hours, trace.Merge(cl.PerServerStreams()...))
+// streamTrace builds the cluster cfg describes, tracing into a capture,
+// and drives it with run on a goroutine while AnalyzeTrace (labelled n and
+// hours) consumes the capture on the caller's goroutine: the paper's merge
+// of the per-server trace files, and the scan after it, as one pass that
+// overlaps the run. It returns once run has.
+func streamTrace(cfg cluster.Config, n int, hours float64, run func(*cluster.Cluster)) (*TraceResult, error) {
+	c := newCapture(cfg.NumServers, traceBatch)
+	cfg.CollectTrace, cfg.TraceSink = true, c.emit
+	cl := cluster.New(cfg)
+	c.start(func() { run(cl) })
+	defer c.stop()
+	return AnalyzeTrace(n, hours, c)
 }
 
 // AnalyzeTrace is the Section 4 pipeline over one merged, time-ordered
 // record stream — a cluster's own capture, trace files, or anything else
-// that yields records: every analyzer in one pass, then the Section
-// 5.5-5.6 consistency simulations. n and hours only label the result.
+// that yields records: every analyzer and the shared-file collector in
+// one pass, then the Section 5.5-5.6 consistency simulations, side by
+// side. n and hours only label the result.
 func AnalyzeTrace(n int, hours float64, s trace.Stream) (*TraceResult, error) {
-	recs, err := trace.Collect(s)
-	if err != nil {
-		return nil, err
-	}
 	res := &TraceResult{
 		TraceNum: n,
 		Hours:    hours,
@@ -108,19 +116,36 @@ func AnalyzeTrace(n int, hours float64, s trace.Stream) (*TraceResult, error) {
 		Access:   analysis.NewAccessPatterns(),
 		Lifetime: analysis.NewLifetimes(),
 		Actions:  analysis.NewConsistencyActions(),
-		Records:  len(recs),
 	}
-	if err := analysis.Run(trace.NewSliceStream(recs),
-		res.Overall, res.Activity, res.Access, res.Lifetime, res.Actions); err != nil {
+	shared := consistency.NewSharedCollector()
+	var records recordCount
+	if err := analysis.Run(s,
+		res.Overall, res.Activity, res.Access, res.Lifetime, res.Actions, shared, &records); err != nil {
 		return nil, err
 	}
+	res.Records = int(records)
 
-	shared := consistency.CollectShared(recs)
-	res.Stale60 = consistency.SimulateStale(shared, 60*time.Second)
-	res.Stale3 = consistency.SimulateStale(shared, 3*time.Second)
-	res.Overhead = consistency.SimulateOverhead(shared)
+	// The simulations only read the shared trace.
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		res.Stale60 = consistency.SimulateStale(shared.SharedTrace, 60*time.Second)
+	}()
+	go func() {
+		defer wg.Done()
+		res.Stale3 = consistency.SimulateStale(shared.SharedTrace, 3*time.Second)
+	}()
+	res.Overhead = consistency.SimulateOverhead(shared.SharedTrace)
+	wg.Wait()
 	return res, nil
 }
+
+// recordCount is an analysis sink that counts the records.
+type recordCount int
+
+func (c *recordCount) Observe(*trace.Record) { *c++ }
+func (c *recordCount) Finish()               {}
 
 // FigureSeries is one of the cumulative distributions behind Figures 1-4.
 type FigureSeries struct {
@@ -190,17 +215,14 @@ func RunCounterStudy(opts CounterOptions) *CounterResult {
 	}
 	cfg := cluster.DefaultConfig(scaleParams(CounterParams(seed), opts.Scale))
 	cfg.CollectTrace = false
-	r, _ := runCounters(cfg, days)
-	return r
+	return runCounters(cluster.New(cfg), days)
 }
 
-// runCounters assembles a Section 5 cluster from cfg, runs it for days of
-// simulated time and reads every counter table off it. RunCounterStudy and
-// every point of a claim run through it; the cluster is returned for the
-// trace a claim's cells may read.
-func runCounters(cfg cluster.Config, days float64) (*CounterResult, *cluster.Cluster) {
-	cl := cluster.New(cfg)
+// runCounters runs a Section 5 cluster for days of simulated time and
+// reads every counter table off it. RunCounterStudy and every point of a
+// claim run through it.
+func runCounters(cl *cluster.Cluster, days float64) *CounterResult {
 	dur := time.Duration(days * 24 * float64(time.Hour))
 	cl.Run(dur)
-	return &CounterResult{Days: days, Report: cl.Report(), NetUtilization: cl.Net.Utilization(dur)}, cl
+	return &CounterResult{Days: days, Report: cl.Report(), NetUtilization: cl.Net.Utilization(dur)}
 }
