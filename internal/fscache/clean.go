@@ -91,18 +91,23 @@ func (c *Cache) Clean(now time.Duration) []Writeback {
 
 // fileNodes returns the slots of fi's nodes in ascending block order, in a
 // per-cache scratch buffer valid until the next call. The dense part is
-// walked a node at a time; the sparse part holds one-block nodes only, all
-// past it, and is sorted here.
+// walked a node at a time, and only until it has yielded every block that
+// is not sparse: an index recycled from a larger file keeps its dense part
+// at the length it reached. The sparse part holds one-block nodes only,
+// all past the dense part, and is sorted here.
 func (c *Cache) fileNodes(fi *fileIndex) []int32 {
 	buf := c.slotScratch[:0]
-	for idx := int64(0); idx < int64(len(fi.dense)); {
+	left := int64(fi.n - len(fi.sparse))
+	for idx := int64(0); left > 0 && idx < int64(len(fi.dense)); {
 		v := fi.dense[idx]
 		if v == 0 {
 			idx++
 			continue
 		}
+		x := c.nd(v - 1)
 		buf = append(buf, v-1)
-		idx = c.nd(v-1).last() + 1
+		left -= int64(x.n)
+		idx = x.last() + 1
 	}
 	if len(fi.sparse) > 0 {
 		start := len(buf)

@@ -1,6 +1,8 @@
 package fscache
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -85,5 +87,59 @@ func TestCleanerWithNonMonotoneWrites(t *testing.T) {
 	}
 	if wbs := c.Clean(sec(100) + WritebackDelay); len(wbs) != 1 || wbs[0].File != 2 {
 		t.Fatalf("flushed %+v, want file 2", wbs)
+	}
+}
+
+// TestRecycledIndexServesASmallFile: a small file that takes over the index
+// a large file released — its dense part still as long as the large file
+// was — cleans, truncates and invalidates exactly as it does on an index
+// of its own, and as the rules say.
+func TestRecycledIndexServesASmallFile(t *testing.T) {
+	const large = 3000 // blocks
+	type results struct {
+		cleaned       []Writeback // the cleaner's tick at 40 s
+		saved         int64       // Truncate's
+		truncBlocks   int         // resident after Truncate
+		truncCleaned  int         // the cleaner's tick after Truncate
+		invalidated   int         // Invalidate's
+		invalidBlocks int         // resident after Invalidate
+		check         error
+	}
+	run := func(recycled bool) results {
+		c := New(2 * large)
+		if recycled {
+			c.Read(9, 0, large*BlockSize, large*BlockSize, noAttr, 0)
+			c.Invalidate(9)
+		}
+		var r results
+		c.Write(1, 0, BlockSize+10, 0, noAttr, sec(1))
+		if recycled && len(c.files[1].dense) < large {
+			t.Fatalf("file 1's index covers %d blocks, want the recycled %d", len(c.files[1].dense), large)
+		}
+		r.cleaned = slices.Clone(c.Clean(sec(40)))
+		c.Write(1, 2*BlockSize, BlockSize, BlockSize+10, noAttr, sec(41))
+		c.Read(1, 0, 3*BlockSize, 3*BlockSize, noAttr, sec(42))
+		r.saved = c.Truncate(1, BlockSize+100)
+		r.truncBlocks = c.NumBlocks()
+		r.truncCleaned = len(c.Clean(sec(80)))
+		c.Write(1, 0, 100, BlockSize+100, noAttr, sec(81))
+		r.invalidated = c.Invalidate(1)
+		r.invalidBlocks = c.NumBlocks()
+		r.check = c.CheckInvariants()
+		return r
+	}
+	want := results{
+		cleaned: []Writeback{
+			{File: 1, Block: 0, Bytes: BlockSize, Reason: CleanDelay, Age: sec(39)},
+			{File: 1, Block: 1, Bytes: 10, Reason: CleanDelay, Age: sec(39)},
+		},
+		saved:       BlockSize, // block 2, dirty; block 1 was clean
+		truncBlocks: 2,
+		invalidated: 2,
+	}
+	for _, recycled := range []bool{false, true} {
+		if got := run(recycled); !reflect.DeepEqual(got, want) {
+			t.Errorf("recycled index %v: got %+v\nwant %+v", recycled, got, want)
+		}
 	}
 }
