@@ -465,7 +465,7 @@ func (c *Cluster) scheduleBackups(duration time.Duration) {
 		at := at
 		c.Sim.At(at, func() {
 			now := c.Sim.Now()
-			for _, f := range c.Registry.AllFiles {
+			c.Registry.EachFile(func(f uint64) {
 				c.Emit(trace.Record{
 					Time:   now,
 					Kind:   trace.KindRead,
@@ -476,7 +476,7 @@ func (c *Cluster) scheduleBackups(duration time.Duration) {
 					File:   f,
 					Length: 4096,
 				})
-			}
+			})
 		})
 	}
 }

@@ -89,13 +89,13 @@ func (s *Service) buildWorkingSets() {
 	for a := 0; a < s.agents; a++ {
 		user := int32(a)
 		var set []FileRef
-		for _, id := range reg.UserSmall[user] {
+		for _, id := range reg.Small(user) {
 			set = append(set, ref(id))
 		}
-		for _, id := range reg.UserData[user] {
+		for _, id := range reg.Data(user) {
 			set = append(set, ref(id))
 		}
-		if mb, ok := reg.Mailboxes[user]; ok {
+		if mb, ok := reg.Mailbox(user); ok {
 			set = append(set, ref(mb))
 		}
 		s.perAgent[a] = set

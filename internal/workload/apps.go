@@ -221,7 +221,7 @@ func (e *Engine) genMail(u *userState) ([]op, float64) {
 	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
-	box := e.reg.Mailboxes[u.id]
+	box, _ := e.reg.Mailbox(u.id)
 	h := b.open(staticFile(box), true, false)
 	b.readAll(h)
 	// The mail reader keeps the box open while the user reads.
@@ -411,7 +411,7 @@ func (e *Engine) genDirList(u *userState) ([]op, float64) {
 	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
-	dirs := []uint64{e.reg.UserDirs[u.id], e.reg.GroupDirs[u.group]}
+	dirs := []uint64{e.reg.Dir(u.id), e.reg.GroupDirs[u.group]}
 	for _, d := range dirs {
 		if d == 0 {
 			continue
@@ -466,7 +466,7 @@ func (e *Engine) genGrep(u *userState) ([]op, float64) {
 	b.exec(bin, e.p.StackPages)
 	if e.rng.Bool(0.4) {
 		// find(1) walks a directory first.
-		d := e.reg.UserDirs[u.id]
+		d := e.reg.Dir(u.id)
 		if e.rng.Bool(0.4) {
 			d = e.reg.GroupDirs[u.group]
 		}

@@ -298,10 +298,10 @@ func TestBootstrapPopulation(t *testing.T) {
 	}
 	users := p.DailyUsers + p.OccasionalUsers
 	for u := int32(0); u < int32(users); u++ {
-		if len(reg.UserSmall[u]) == 0 {
+		if len(reg.Small(u)) == 0 || len(reg.Data(u)) == 0 {
 			t.Errorf("user %d has no files", u)
 		}
-		if reg.Mailboxes[u] == 0 || reg.UserDirs[u] == 0 {
+		if mb, ok := reg.Mailbox(u); !ok || mb == 0 || reg.Dir(u) == 0 {
 			t.Errorf("user %d missing mailbox/dir", u)
 		}
 	}
@@ -321,7 +321,7 @@ func TestBootstrapPopulation(t *testing.T) {
 		}
 	}
 	// Mailboxes and dirs must exist on the server.
-	if srv.Lookup(reg.UserDirs[0]) == nil || !srv.Lookup(reg.UserDirs[0]).Directory {
+	if srv.Lookup(reg.Dir(0)) == nil || !srv.Lookup(reg.Dir(0)).Directory {
 		t.Error("user dir not a directory")
 	}
 }
