@@ -131,8 +131,9 @@ type Client struct {
 	hFree    []*handle
 	versions map[uint64]uint64
 
-	// Poll-mode state: when each file's cached data was last validated,
-	// and the stale reads the weak scheme served (counted omnisciently).
+	// Poll-mode state: when each file's cached data was last validated
+	// (nil under any other scheme), and the stale reads the weak scheme
+	// served (counted omnisciently).
 	validated  map[uint64]time.Duration
 	staleReads int64
 	staleBytes int64
@@ -148,10 +149,11 @@ type Client struct {
 	// harness checks against the servers' WriteBackBytes counters.
 	bytesWrittenBack int64
 
-	// epochs tracks the restart generation last seen per server; a
+	// epochs tracks the restart generation last seen per server, indexed
+	// by server id and stored plus one, so 0 means never seen; a
 	// mismatch on the next contact triggers the recovery protocol
 	// (recovery.go).
-	epochs map[int16]uint64
+	epochs []uint64
 	rec    RecoveryStats
 }
 
@@ -178,28 +180,24 @@ func New(cfg Config, s *sim.Sim, net *netsim.Network, route func(uint64) *server
 		panic("client: nil home server")
 	}
 	c := &Client{
-		cfg:       cfg,
-		sim:       s,
-		net:       net,
-		route:     route,
-		home:      home,
-		tracer:    tracer,
-		Cache:     fscache.New(initial),
-		Mem:       vm.NewMemory(cfg.MemoryPages, initial, floor),
-		handles:   make(map[uint64]*handle),
-		versions:  make(map[uint64]uint64),
-		validated: make(map[uint64]time.Duration),
-		epochs:    make(map[int16]uint64),
+		cfg:      cfg,
+		sim:      s,
+		net:      net,
+		route:    route,
+		home:     home,
+		tracer:   tracer,
+		Cache:    fscache.New(initial),
+		Mem:      vm.NewMemory(cfg.MemoryPages, initial, floor),
+		handles:  make(map[uint64]*handle),
+		versions: make(map[uint64]uint64),
+	}
+	if c.cfg.Consistency == ConsistencyPoll {
+		c.validated = make(map[uint64]time.Duration)
 	}
 	if c.cfg.PollInterval <= 0 {
 		c.cfg.PollInterval = 60 * time.Second
 	}
-	c.VM = vm.NewSystem(c.Mem, vm.IO{
-		CodeIn:     func(f uint64, off, n int64, mig bool) { c.pageInViaCache(f, off, n, mig) },
-		DataIn:     func(f uint64, off, n int64, mig bool) { c.pageInViaCache(f, off, n, mig) },
-		BackingIn:  func(n int64, mig bool) { c.net.RPC(c.cfg.ID, netsim.PagingRead, n) },
-		BackingOut: func(n int64, mig bool) { c.net.RPC(c.cfg.ID, netsim.PagingWrite, n) },
-	})
+	c.VM = vm.NewSystem(c.Mem, c)
 	return c
 }
 
@@ -270,6 +268,25 @@ func (c *Client) syncCacheShare() {
 		c.ship(c.Cache.SetCapacity(target, true, c.sim.Now()))
 	}
 }
+
+// CodeIn implements vm.IO: a code fault goes through the file cache.
+func (c *Client) CodeIn(file uint64, offset, n int64, migrated bool) {
+	c.pageInViaCache(file, offset, n, migrated)
+}
+
+// DataIn implements vm.IO: an initialized-data fault goes through the
+// file cache.
+func (c *Client) DataIn(file uint64, offset, n int64, migrated bool) {
+	c.pageInViaCache(file, offset, n, migrated)
+}
+
+// BackingIn implements vm.IO: a backing-file page-in goes straight to the
+// server.
+func (c *Client) BackingIn(n int64, migrated bool) { c.net.RPC(c.cfg.ID, netsim.PagingRead, n) }
+
+// BackingOut implements vm.IO: a page-out to the backing file goes
+// straight to the server.
+func (c *Client) BackingOut(n int64, migrated bool) { c.net.RPC(c.cfg.ID, netsim.PagingWrite, n) }
 
 // pageInViaCache services a code or initialized-data fault through the
 // file cache (Sprite checks the file cache on these faults).

@@ -58,13 +58,29 @@ type RecoveryResult struct {
 // operations that register state at the server — so a restart is always
 // detected before new state lands on the rebuilt tables.
 func (c *Client) maybeRecover(srv *server.Server) time.Duration {
-	last, seen := c.epochs[srv.ID()]
+	last, seen := c.epochSeen(srv.ID())
 	cur := srv.Epoch()
 	if !seen || last == cur {
-		c.epochs[srv.ID()] = cur
+		c.noteEpoch(srv.ID(), cur)
 		return 0
 	}
 	return c.RecoverServer(srv).Latency
+}
+
+// epochSeen returns the epoch last seen of server sid, and whether one was.
+func (c *Client) epochSeen(sid int16) (uint64, bool) {
+	if int(sid) < len(c.epochs) && c.epochs[sid] != 0 {
+		return c.epochs[sid] - 1, true
+	}
+	return 0, false
+}
+
+// noteEpoch records epoch as the one last seen of server sid.
+func (c *Client) noteEpoch(sid int16, epoch uint64) {
+	if n := int(sid) + 1; n > len(c.epochs) {
+		c.epochs = append(c.epochs, make([]uint64, n-len(c.epochs))...)
+	}
+	c.epochs[sid] = epoch + 1
 }
 
 // RecoverServer runs the Sprite recovery protocol against one server:
@@ -92,7 +108,7 @@ func (c *Client) RecoverServer(srv *server.Server) RecoveryResult {
 		return r
 	}
 	epoch := srv.Epoch()
-	if last, seen := c.epochs[sid]; seen && last == epoch {
+	if last, seen := c.epochSeen(sid); seen && last == epoch {
 		return r // no restart since we last synced; nothing was lost
 	}
 	now := c.sim.Now()
@@ -164,7 +180,7 @@ func (c *Client) RecoverServer(srv *server.Server) RecoveryResult {
 		}
 	}
 
-	c.epochs[sid] = epoch
+	c.noteEpoch(sid, epoch)
 	c.rec.Recoveries++
 	c.rec.ReopenedFiles += int64(r.Files)
 	c.rec.ReopenedHandles += int64(r.Reopened)
@@ -181,8 +197,8 @@ func (c *Client) Crash(now time.Duration) fscache.CrashLoss {
 	loss := c.Cache.DiscardAll(now)
 	c.handles = make(map[uint64]*handle)
 	c.versions = make(map[uint64]uint64)
-	c.validated = make(map[uint64]time.Duration)
-	c.epochs = make(map[int16]uint64)
+	clear(c.validated)
+	clear(c.epochs)
 	c.rec.Crashes++
 	c.rec.LostDirtyBytes += loss.DirtyBytes
 	if loss.MaxDirtyAge > c.rec.MaxLostDirtyAge {

@@ -3,6 +3,8 @@ package client
 import (
 	"testing"
 	"time"
+
+	"spritefs/internal/server"
 )
 
 // crashRestart crashes and immediately restarts the rig's server, the way
@@ -198,5 +200,66 @@ func TestClientCrashMeasuresLossAndDisconnects(t *testing.T) {
 	// The dead machine's handles are gone; a fresh open works normally.
 	if _, _, err := c.Open(1, 100, file, true, false, false); err != nil {
 		t.Errorf("open after client crash: %v", err)
+	}
+}
+
+// TestCrashKeepsPerModeState checks the state a client keeps only when it
+// needs it: the poll scheme's validation times exist under ConsistencyPoll
+// alone, before and after a crash, and the per-server epochs tell a
+// restart from epoch 0 to epoch 1 apart from a server never contacted.
+func TestCrashKeepsPerModeState(t *testing.T) {
+	r := newRig(t, 1)
+	sprite := r.clients[0]
+	if sprite.validated != nil {
+		t.Fatal("Sprite-mode client has poll validation state")
+	}
+
+	// A poll-mode client homed on server 2, so its epochs grow past 0.
+	srv := server.New(2)
+	cfg := DefaultConfig(1)
+	cfg.Consistency = ConsistencyPoll
+	poll := New(cfg, r.sim, r.net, func(uint64) *server.Server { return srv }, srv, r)
+	file := poll.Create(1, 100, false, false)
+	h, _, err := poll.Open(1, 100, file, false, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll.Write(h, 4096)
+	if _, ok := poll.validated[file]; !ok {
+		t.Fatal("poll-mode write did not record a validation")
+	}
+
+	sprite.Crash(r.sim.Now())
+	poll.Crash(r.sim.Now())
+	if sprite.validated != nil {
+		t.Error("Sprite-mode client gained poll validation state in Crash")
+	}
+	if poll.validated == nil || len(poll.validated) != 0 {
+		t.Fatalf("poll-mode validation state after Crash = %v, want empty and usable", poll.validated)
+	}
+
+	// Open against the fresh server (epoch 0) after the crash, then restart
+	// it to epoch 1: the next open must run the recovery protocol.
+	if srv.Epoch() != 0 {
+		t.Fatalf("fresh server at epoch %d", srv.Epoch())
+	}
+	h, _, err = poll.Open(1, 100, file, true, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll.Read(h, 4096)
+	if _, ok := poll.validated[file]; !ok {
+		t.Error("poll-mode read after Crash did not record a validation")
+	}
+	srv.Crash(r.sim.Now())
+	srv.Restart(r.sim.Now())
+	if srv.Epoch() != 1 {
+		t.Fatalf("restarted server at epoch %d, want 1", srv.Epoch())
+	}
+	if _, _, err := poll.Open(1, 100, file, true, false, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := poll.RecoveryStats().Recoveries; got != 1 {
+		t.Errorf("Recoveries = %d after a restart from epoch 0 to 1, want 1", got)
 	}
 }

@@ -29,15 +29,17 @@ func (c PageClass) String() string {
 	return fmt.Sprintf("pageclass(%d)", uint8(c))
 }
 
-// IO is the set of callbacks through which the VM system performs paging
-// I/O. CodeIn and DataIn go through the client file cache (and so may hit
-// there); BackingIn and BackingOut go straight to the server. The migrated
-// flag attributes traffic to migrated processes for Table 6.
-type IO struct {
-	CodeIn     func(execFile uint64, offset, bytes int64, migrated bool)
-	DataIn     func(execFile uint64, offset, bytes int64, migrated bool)
-	BackingIn  func(bytes int64, migrated bool)
-	BackingOut func(bytes int64, migrated bool)
+// IO is how the VM system performs paging I/O. CodeIn and DataIn go
+// through the client file cache (and so may hit there); BackingIn and
+// BackingOut go straight to the server. The migrated flag attributes
+// traffic to migrated processes for Table 6. The client implements it
+// itself, so a workstation's VM costs one interface value, not a closure
+// per operation.
+type IO interface {
+	CodeIn(execFile uint64, offset, bytes int64, migrated bool)
+	DataIn(execFile uint64, offset, bytes int64, migrated bool)
+	BackingIn(bytes int64, migrated bool)
+	BackingOut(bytes int64, migrated bool)
 }
 
 // Stats counts paging activity by class and direction, feeding the paging
@@ -85,10 +87,10 @@ type System struct {
 }
 
 // NewSystem returns a VM system over the given memory arbiter, performing
-// its paging I/O through io. All callbacks must be non-nil.
+// its paging I/O through io, which must be non-nil.
 func NewSystem(mem *Memory, io IO) *System {
-	if io.CodeIn == nil || io.DataIn == nil || io.BackingIn == nil || io.BackingOut == nil {
-		panic("vm: nil IO callback")
+	if io == nil {
+		panic("vm: nil IO")
 	}
 	return &System{
 		mem:      mem,
@@ -195,7 +197,7 @@ func (s *System) evictOne(exceptPid int32, now time.Duration) bool {
 		if p.pid == exceptPid {
 			continue
 		}
-		if victim == nil || p.lastRef < victim.lastRef {
+		if colder(p, victim) {
 			victim = p
 		}
 	}
@@ -207,8 +209,17 @@ func (s *System) evictOne(exceptPid int32, now time.Duration) bool {
 	return true
 }
 
+// colder reports whether p is a better eviction victim than the current
+// one, v (nil if none yet): the least recently referenced process, and of
+// processes referenced at the same instant the lowest pid, so the choice
+// never rests on map iteration order.
+func colder(p, v *proc) bool {
+	return v == nil || p.lastRef < v.lastRef || p.lastRef == v.lastRef && p.pid < v.pid
+}
+
 // dropOneRetained removes one retained code page matching the predicate
-// (oldest first) and reports whether one was found.
+// (oldest first; of images last used at the same instant, the lowest exec
+// id) and reports whether one was found.
 func (s *System) dropOneRetained(ok func(*retained) bool) bool {
 	var oldestExec uint64
 	var oldest *retained
@@ -216,7 +227,7 @@ func (s *System) dropOneRetained(ok func(*retained) bool) bool {
 		if !ok(r) {
 			continue
 		}
-		if oldest == nil || r.lastUse < oldest.lastUse {
+		if oldest == nil || r.lastUse < oldest.lastUse || r.lastUse == oldest.lastUse && f < oldestExec {
 			oldest, oldestExec = r, f
 		}
 	}
@@ -403,7 +414,7 @@ func (s *System) DropIdle(n int, now time.Duration) int {
 			if now-p.lastRef < IdleThreshold {
 				continue
 			}
-			if victim == nil || p.lastRef < victim.lastRef {
+			if colder(p, victim) {
 				victim = p
 			}
 		}

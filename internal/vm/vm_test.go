@@ -116,14 +116,12 @@ type ioLog struct {
 	codeIn, dataIn, backIn, backOut int64
 }
 
-func testIO(l *ioLog) IO {
-	return IO{
-		CodeIn:     func(_ uint64, _, b int64, _ bool) { l.codeIn += b },
-		DataIn:     func(_ uint64, _, b int64, _ bool) { l.dataIn += b },
-		BackingIn:  func(b int64, _ bool) { l.backIn += b },
-		BackingOut: func(b int64, _ bool) { l.backOut += b },
-	}
-}
+func (l *ioLog) CodeIn(_ uint64, _, b int64, _ bool) { l.codeIn += b }
+func (l *ioLog) DataIn(_ uint64, _, b int64, _ bool) { l.dataIn += b }
+func (l *ioLog) BackingIn(b int64, _ bool)           { l.backIn += b }
+func (l *ioLog) BackingOut(b int64, _ bool)          { l.backOut += b }
+
+func testIO(l *ioLog) IO { return l }
 
 func newSys(totalPages int) (*System, *Memory, *ioLog) {
 	m := NewMemory(totalPages, totalPages/4, 8)
@@ -138,7 +136,7 @@ func TestSystemNilCallbackPanics(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	NewSystem(m, IO{})
+	NewSystem(m, nil)
 }
 
 func TestStartFaultsCodeAndData(t *testing.T) {
@@ -409,5 +407,57 @@ func TestPageOutWritesBackingAndRefaults(t *testing.T) {
 	// Clamped at heap size.
 	if n := s.PageOut(1, 10000, 4*time.Second); n != 40+25-25 {
 		t.Errorf("clamped pageout = %d, want 40", n)
+	}
+}
+
+// TestEqualAgeVictimsAreDeterministic puts two processes (and two retained
+// images) at the same age and squeezes memory on 200 fresh systems: the
+// pages must always come from the lower pid (and exec id), never from
+// whichever one map iteration happens to reach first.
+func TestEqualAgeVictimsAreDeterministic(t *testing.T) {
+	type outcome struct{ evict, drop, retained [2]int }
+	run := func() outcome {
+		var o outcome
+		// Eviction under pressure: pids 1 and 2 last referenced at 1s.
+		m := NewMemory(64, 8, 8)
+		s := NewSystem(m, testIO(&ioLog{}))
+		s.Start(1, 100, 10, 0, 0, false, 0)
+		s.Start(2, 200, 10, 0, 0, false, 0)
+		s.Touch(1, 10, time.Second)
+		s.Touch(2, 10, time.Second)
+		s.Start(3, 300, 26, 0, 0, false, 2*time.Second)
+		o.evict = [2]int{s.procs[1].resident(), s.procs[2].resident()}
+
+		// DropIdle: the same two processes, both idle since 1s.
+		m = NewMemory(256, 64, 8)
+		s = NewSystem(m, testIO(&ioLog{}))
+		s.Start(1, 100, 10, 0, 0, false, 0)
+		s.Start(2, 200, 10, 0, 0, false, 0)
+		s.Touch(1, 10, time.Second)
+		s.Touch(2, 10, time.Second)
+		s.DropIdle(15, time.Second+IdleThreshold)
+		o.drop = [2]int{s.procs[1].resident(), s.procs[2].resident()}
+
+		// Retained code: images 100 and 200 both last used at 5s.
+		m = NewMemory(64, 8, 8)
+		s = NewSystem(m, testIO(&ioLog{}))
+		s.Start(1, 100, 20, 0, 0, false, 0)
+		s.Start(2, 200, 20, 0, 0, false, 0)
+		s.Exit(1, 5*time.Second)
+		s.Exit(2, 5*time.Second)
+		s.Start(3, 300, 30, 0, 0, false, 6*time.Second)
+		for i, f := range []uint64{100, 200} {
+			if r := s.retained[f]; r != nil {
+				o.retained[i] = r.pages
+			}
+		}
+		return o
+	}
+	want := outcome{evict: [2]int{10, 20}, drop: [2]int{5, 20}, retained: [2]int{6, 20}}
+	for i := 0; i < 200; i++ {
+		if got := run(); got != want {
+			t.Fatalf("system %d: pages left (pid 1, pid 2) evict %v, drop %v; retained (100, 200) %v; want %+v",
+				i, got.evict, got.drop, got.retained, want)
+		}
 	}
 }
