@@ -52,7 +52,7 @@ type WorkloadResult struct {
 }
 
 // RunWorkloadStudy contrasts the paper's 1991 mix with the two post-1991
-// generators (ROADMAP item 3): a media-streaming community whose large
+// generators (ROADMAP item 16): a media-streaming community whose large
 // sequential reads defeat whole-file caching, and a package-build farm
 // whose migration fan-out stresses the Table 6 "migrated" columns. Each
 // community runs on its own cluster with the same seed and horizon, so

@@ -6,7 +6,7 @@ import (
 )
 
 // Post-1991 application generators: the media-streaming client and the
-// package-build farm (ROADMAP item 3). Both are disabled at the default
+// package-build farm (ROADMAP item 16). Both are disabled at the default
 // parameters — their AppMix weights are zero and their populations empty —
 // so the paper's calibrated traces are untouched; StreamingParams and
 // BuildFarmParams turn them on.
