@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"slices"
 	"testing"
 
 	"spritefs/internal/sim"
@@ -110,6 +111,19 @@ func TestOwnerReturnEvictsMigrants(t *testing.T) {
 	if ev := p.SetOwnerActive(1, false); len(ev) != 0 {
 		t.Errorf("owner departure evicted %v", ev)
 	}
+
+	// Migrants added out of pid order, one removed from the middle, still
+	// come back in ascending order.
+	for _, pid := range []int32{205, 201, 209, 203, 207} {
+		p.AddMigrant(1, pid)
+	}
+	p.RemoveMigrant(1, 205)
+	if got := p.Migrants(1); !slices.Equal(got, []int32{201, 203, 207, 209}) {
+		t.Errorf("migrants = %v, want [201 203 207 209]", got)
+	}
+	if got := p.SetOwnerActive(1, true); !slices.Equal(got, []int32{201, 203, 207, 209}) {
+		t.Errorf("evicted = %v, want [201 203 207 209]", got)
+	}
 }
 
 func TestMigrantLifecycle(t *testing.T) {
@@ -130,12 +144,16 @@ func TestMigrantLifecycle(t *testing.T) {
 
 func TestAddMigrantUnknownHostPanics(t *testing.T) {
 	p := NewPool(hosts(2), 0.5, sim.NewRand(1))
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	p.AddMigrant(42, 1)
+	for _, host := range []int32{42, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddMigrant(%d, 1): no panic", host)
+				}
+			}()
+			p.AddMigrant(host, 1)
+		}()
+	}
 }
 
 func TestIdleHosts(t *testing.T) {
