@@ -13,18 +13,6 @@ import (
 // the single-digit seconds on commodity hardware.
 const benchHorizon = 15 * time.Minute
 
-// runRecycled runs one benchmark iteration, carrying the message free
-// lists from the previous iteration's engine into the next. A fresh
-// engine starts with empty pools, so without this every iteration
-// re-pays the warm-up allocations and allocs/op reports cold-start cost
-// instead of the steady state the pooling is there to provide.
-func runRecycled(cfg scale.Config, opts scale.RunOptions, pools [][]*scale.Message) [][]*scale.Message {
-	cfg.SeedMessages = pools
-	e := scale.MustNew(cfg)
-	e.Run(opts)
-	return e.DrainMessagePools()
-}
-
 // BenchmarkScaleEngine is the throughput-vs-shards macro benchmark: the
 // same 1000-client community run as one segment and as eight. The
 // clients=/shards= labels in the sub-benchmark name are what `make
@@ -41,9 +29,8 @@ func BenchmarkScaleEngine(b *testing.B) {
 				Shards: shards,
 			}
 			opts := scale.RunOptions{Horizon: benchHorizon, Parallel: shards > 1}
-			var pools [][]*scale.Message
 			for i := 0; i < b.N; i++ {
-				pools = runRecycled(cfg, opts, pools)
+				scale.MustNew(cfg).Run(opts)
 			}
 		})
 	}
@@ -65,9 +52,8 @@ func BenchmarkScaleWorkers(b *testing.B) {
 				Shards: 8,
 			}
 			opts := scale.RunOptions{Horizon: benchHorizon, Parallel: true, Workers: workers}
-			var pools [][]*scale.Message
 			for i := 0; i < b.N; i++ {
-				pools = runRecycled(cfg, opts, pools)
+				scale.MustNew(cfg).Run(opts)
 			}
 		})
 	}
@@ -89,9 +75,8 @@ func BenchmarkWANScale(b *testing.B) {
 				Sites:  sites,
 			}
 			opts := scale.RunOptions{Horizon: benchHorizon, Parallel: true}
-			var pools [][]*scale.Message
 			for i := 0; i < b.N; i++ {
-				pools = runRecycled(cfg, opts, pools)
+				scale.MustNew(cfg).Run(opts)
 			}
 		})
 	}
@@ -110,9 +95,8 @@ func BenchmarkWANScaleQuick(b *testing.B) {
 	cfg.Remote = scale.DefaultRemote()
 	cfg.Remote.OpsPerClientHour = 600 // one remote op per client every 6s
 	opts := scale.RunOptions{Horizon: 10 * time.Minute, Parallel: true}
-	var pools [][]*scale.Message
 	for i := 0; i < b.N; i++ {
-		pools = runRecycled(cfg, opts, pools)
+		scale.MustNew(cfg).Run(opts)
 	}
 }
 
@@ -128,8 +112,7 @@ func BenchmarkScaleBarrier(b *testing.B) {
 	cfg.Remote = scale.DefaultRemote()
 	cfg.Remote.OpsPerClientHour = 600 // one remote op per client every 6s
 	opts := scale.RunOptions{Horizon: 10 * time.Minute, Parallel: true}
-	var pools [][]*scale.Message
 	for i := 0; i < b.N; i++ {
-		pools = runRecycled(cfg, opts, pools)
+		scale.MustNew(cfg).Run(opts)
 	}
 }

@@ -36,8 +36,8 @@ type ExecStats struct {
 	// the executor no lookahead at all, the globally earliest shard is
 	// serialized one event forward to restore progress.
 	Rescues int64
-	// MsgAllocs counts cross-shard message allocations that missed the
-	// per-shard free lists (steady state recycles everything).
+	// MsgAllocs always reads 0. It remains only for the benchmark's
+	// scale.msg_allocs column; messages are no longer recycled.
 	MsgAllocs int64
 }
 
@@ -151,9 +151,6 @@ func New(cfg Config) (*Engine, error) {
 			rng: sim.NewRand(p.Seed ^ remoteSeedSalt),
 			eng: e,
 		}
-		if i < len(cfg.SeedMessages) {
-			sh.msgFree = cfg.SeedMessages[i]
-		}
 		e.Shards = append(e.Shards, sh)
 	}
 	e.Placement = buildPlacement(topo, e.Shards)
@@ -178,19 +175,6 @@ func (e *Engine) Clients() int {
 		n += len(sh.C.Clients)
 	}
 	return n
-}
-
-// DrainMessagePools removes and returns every shard's recycled-message
-// free list, entry i from shard i. Feeding the result to a subsequent
-// engine's Config.SeedMessages lets benchmarks measure the executor's
-// steady-state allocation behavior across engine lifetimes.
-func (e *Engine) DrainMessagePools() [][]*Message {
-	pools := make([][]*Message, len(e.Shards))
-	for i, sh := range e.Shards {
-		pools[i] = sh.msgFree
-		sh.msgFree = nil
-	}
-	return pools
 }
 
 // shardJob is one shard's piece of a dispatch: advance to the bound its
@@ -290,7 +274,6 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 	var events uint64
 	for _, sh := range e.Shards {
 		e.exec.Undelivered += int64(len(sh.inbox))
-		e.exec.MsgAllocs += sh.msgAllocs
 		events += sh.C.Sim.Fired()
 	}
 	return RunStats{Wall: time.Since(start), Busy: busy, Critical: critical, Serial: serial,
@@ -573,16 +556,6 @@ func (e *Engine) registerMetrics() {
 	ctr(e.Reg, "spritefs_scale_rescues_total", "rounds",
 		"Stall-breaker rounds serializing the earliest shard past a zero-lookahead link.",
 		&e.exec.Rescues)
-	e.Reg.Int(metrics.Desc{Name: "spritefs_scale_msg_allocs_total", Unit: "msgs",
-		Help: "Cross-shard message allocations that missed the per-shard free lists.",
-		Kind: metrics.Counter},
-		nil, func() int64 {
-			var total int64
-			for _, sh := range e.Shards {
-				total += sh.msgAllocs
-			}
-			return total
-		})
 	ctr(e.Reg, "spritefs_scale_undelivered_msgs_total", "msgs",
 		"Messages still in flight when the drain window closed.",
 		&e.exec.Undelivered)

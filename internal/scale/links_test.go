@@ -205,9 +205,7 @@ func TestExchangeNullAdvances(t *testing.T) {
 		e.initExecutor()
 		send = func(from, to int) {
 			sh := e.Shards[from]
-			m := sh.allocMsg()
-			*m = Message{To: to, Payload: ctrlBytes}
-			sh.send(m)
+			sh.send(&Message{To: to, Payload: ctrlBytes})
 		}
 		exchange = func(floors ...sim.Time) int64 {
 			copy(e.floor, floors)

@@ -11,7 +11,7 @@ import (
 )
 
 // poolConfig is a chatty little topology whose runs route thousands of
-// messages, so pooling behaviour is visible in the counters.
+// messages.
 func poolConfig() scale.Config {
 	p := workload.Default(7)
 	p.NumClients = 16
@@ -21,61 +21,6 @@ func poolConfig() scale.Config {
 	cfg.Remote = scale.DefaultRemote()
 	cfg.Remote.OpsPerClientHour = 600
 	return cfg
-}
-
-// TestMessagePoolSteadyState pins the recycling contract behind the
-// benchmarks' allocs/op numbers: a run seeded with the drained free
-// lists of an identical previous run allocates no new messages at all,
-// because every message the protocol needs already sits in some shard's
-// pool. Messages recycle into the consuming shard's pool rather than the
-// allocator's, so this also proves the warm pool distribution is
-// self-sustaining, not just large enough in aggregate.
-func TestMessagePoolSteadyState(t *testing.T) {
-	cfg := poolConfig()
-	opts := scale.RunOptions{Horizon: 10 * time.Minute, Parallel: true}
-
-	cold := scale.MustNew(cfg)
-	coldStats := cold.Run(opts)
-	if coldStats.Exec.MsgAllocs == 0 {
-		t.Fatal("cold run allocated no messages; the test exercises nothing")
-	}
-	if coldStats.Exec.Routed == 0 {
-		t.Fatal("cold run routed no messages; the test exercises nothing")
-	}
-
-	warmCfg := cfg
-	warmCfg.SeedMessages = cold.DrainMessagePools()
-	warm := scale.MustNew(warmCfg)
-	warmStats := warm.Run(opts)
-	if warmStats.Exec.MsgAllocs != 0 {
-		t.Errorf("warm run allocated %d messages (cold run: %d); free lists are not reaching steady state",
-			warmStats.Exec.MsgAllocs, coldStats.Exec.MsgAllocs)
-	}
-	if warmStats.Exec.Routed != coldStats.Exec.Routed {
-		t.Errorf("seeding the pools changed behaviour: cold routed %d, warm routed %d",
-			coldStats.Exec.Routed, warmStats.Exec.Routed)
-	}
-}
-
-// TestDrainMessagePoolsEmpties pins that a drain actually transfers
-// ownership: draining twice yields nothing the second time.
-func TestDrainMessagePoolsEmpties(t *testing.T) {
-	cfg := poolConfig()
-	e := scale.MustNew(cfg)
-	e.Run(scale.RunOptions{Horizon: 5 * time.Minute, Parallel: true})
-	first := e.DrainMessagePools()
-	var n int
-	for _, p := range first {
-		n += len(p)
-	}
-	if n == 0 {
-		t.Fatal("run left no messages in the pools; the test exercises nothing")
-	}
-	for i, p := range e.DrainMessagePools() {
-		if len(p) != 0 {
-			t.Errorf("second drain returned %d messages for shard %d; first drain should have emptied it", len(p), i)
-		}
-	}
 }
 
 // TestRoundPoolEndsWithRun: no goroutine a run starts outlives it. Parallel

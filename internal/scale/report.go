@@ -191,7 +191,6 @@ func (r *Report) ExecTable() *stats.Table {
 	t.AddRow("backbone bytes", fmt.Sprintf("%d", r.Exec.RoutedBytes))
 	t.AddRow("null advances", fmt.Sprintf("%d", r.Exec.NullAdvances))
 	t.AddRow("stall rescues", fmt.Sprintf("%d", r.Exec.Rescues))
-	t.AddRow("message allocs", fmt.Sprintf("%d", r.Exec.MsgAllocs))
 	t.AddRow("undelivered at end", fmt.Sprintf("%d", r.Exec.Undelivered))
 	t.AddRow("router utilization %", fmt.Sprintf("%.2f", r.RouterUtil*100))
 	t.AddRow("wan messages", fmt.Sprintf("%d", r.WANMsgs))

@@ -56,15 +56,9 @@ type Shard struct {
 
 	rng *sim.Rand // remote-access generator stream
 
-	inbox   []*Message // pending inbound, sorted by (Arrive, From, Seq)
-	outbox  []*Message // collected during the current round
-	msgFree []*Message // recycled messages (refilled after delivery)
-	seq     uint64
-	// msgAllocs counts allocMsg calls that found the free list empty and
-	// had to allocate. A pure function of the topology and seeds (the
-	// channel-clock protocol is deterministic), so it participates in the
-	// byte-identity guarantee.
-	msgAllocs int64
+	inbox  []*Message // pending inbound, sorted by (Arrive, From, Seq)
+	outbox []*Message // collected during the current round
+	seq    uint64
 	// ranTo is the last bound this shard advanced to (the executor's
 	// advance-width accounting).
 	ranTo sim.Time
@@ -79,24 +73,6 @@ type Shard struct {
 
 	eng *Engine // topology backref (placement, remote config, counters)
 }
-
-// allocMsg pops a recycled message (or allocates one). The caller
-// overwrites every field, so stale contents cannot leak. Each shard's
-// free list is touched only by the goroutine running that shard's round,
-// so no locking is needed; messages recycle into the free list of the
-// shard that consumed them, which may differ from the one that sent them.
-func (sh *Shard) allocMsg() *Message {
-	if n := len(sh.msgFree); n > 0 {
-		m := sh.msgFree[n-1]
-		sh.msgFree = sh.msgFree[:n-1]
-		return m
-	}
-	sh.msgAllocs++
-	return &Message{}
-}
-
-// freeMsg recycles a fully consumed message.
-func (sh *Shard) freeMsg(m *Message) { sh.msgFree = append(sh.msgFree, m) }
 
 // send stamps m with the shard's identity and sequence number and queues
 // it for routing at the next exchange.
@@ -163,8 +139,7 @@ func (sh *Shard) issueRemote() {
 	now := sh.C.Sim.Now()
 	client := int32(sh.rng.Intn(len(sh.C.Clients)))
 	bytes := int64(sh.rng.LogNormal(cfg.BytesMedian, cfg.BytesSigma)) + 1
-	m := sh.allocMsg()
-	*m = Message{
+	m := &Message{
 		Send:   now,
 		To:     pf.Shard,
 		Client: client,
@@ -193,9 +168,7 @@ func (sh *Shard) issueRemote() {
 	sh.send(m)
 }
 
-// deliver handles one inbound message at its arrival time. The message is
-// fully consumed by the handler, so it is recycled into this shard's free
-// list afterwards (serve copies every field it forwards into the reply).
+// deliver handles one inbound message at its arrival time.
 func (sh *Shard) deliver(m *Message) {
 	switch m.Kind {
 	case RemoteRead, RemoteWrite:
@@ -205,7 +178,6 @@ func (sh *Shard) deliver(m *Message) {
 	default:
 		panic(fmt.Sprintf("scale: shard %d received unknown message kind %v", sh.ID, m.Kind))
 	}
-	sh.freeMsg(m)
 }
 
 // serve answers a remote request against the shard's server group: the
@@ -232,8 +204,7 @@ func (sh *Shard) serve(m *Message) {
 	if m.Kind == RemoteRead {
 		payload = m.Bytes
 	}
-	reply := sh.allocMsg()
-	*reply = Message{
+	sh.send(&Message{
 		Send:    now + service,
 		To:      m.From,
 		Kind:    RemoteReply,
@@ -244,8 +215,7 @@ func (sh *Shard) serve(m *Message) {
 		Bytes:   m.Bytes,
 		Payload: payload,
 		Issued:  m.Issued,
-	}
-	sh.send(reply)
+	})
 }
 
 // complete finishes a remote operation at its requesting shard: the data

@@ -135,13 +135,6 @@ type Config struct {
 	// the defaults are applied (ablations on a sharded world). New then
 	// sets ExternalRegistry on every shard, so SamplePeriod must stay 0.
 	Tune func(shard int, cfg *cluster.Config)
-	// SeedMessages pre-populates the shards' message free lists, entry i
-	// going to shard i. Benchmarks drain a finished engine's pools with
-	// DrainMessagePools and seed the next iteration's engine so allocs/op
-	// reflects the executor's steady state rather than cold-start pool
-	// growth. Message contents are fully overwritten before use, so
-	// seeding never changes simulation output.
-	SeedMessages [][]*Message
 }
 
 // withDefaults fills the zero values.
