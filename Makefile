@@ -83,11 +83,10 @@ scalecheck:
 	$(GO) test -race -run 'TestParallelMatchesSequential|TestBackbonePricingPinned|TestDeterministicAcrossRuns|TestDetermFuzzSmoke|TestRegistration|TestRoundPool|TestSiteMinsOracle|TestExchangeNullAdvances|TestMinLinkLookahead' -count=1 ./internal/scale
 
 # The allocation-regression gates by name: every testing.AllocsPerRun pin
-# on a steady-state hot path (docs/PERFORMANCE.md lists them) and the scale
-# executor's message recycling. Not a `check` step: `make test` runs these.
+# on a steady-state hot path (docs/PERFORMANCE.md lists them). Not a
+# `check` step: `make test` runs these.
 allocscheck:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/server ./internal/metrics ./internal/cluster ./internal/workload ./internal/live
-	$(GO) test -run 'TestMessagePoolSteadyState|TestDrainMessagePoolsEmpties' -count=1 ./internal/scale
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/server ./internal/metrics ./internal/cluster ./internal/workload ./internal/live ./internal/migrate
 
 # The live-service gate by name: a 2-second in-package mini-soak under the
 # race detector, then a real 5-second `serve` run with a mid-soak /metrics

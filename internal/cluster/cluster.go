@@ -166,9 +166,9 @@ func New(cfg Config) *Cluster {
 	c := NewSystem(cfg)
 	p := cfg.Params
 	c.Registry = workload.Bootstrap(p, c.Servers, sim.NewRand(p.Seed^0x5eed))
-	hosts := make(map[int32]workload.Host, p.NumClients)
-	for i := 0; i < p.NumClients; i++ {
-		hosts[int32(i)] = c.AddClient(int32(i))
+	hosts := make([]workload.Host, p.NumClients)
+	for i := range hosts {
+		hosts[i] = c.AddClient(int32(i))
 	}
 	c.Engine = workload.NewEngine(c.Sim, p, c.Registry, hosts)
 	if !cfg.ExternalRegistry {

@@ -9,81 +9,66 @@ import (
 
 type hostState struct {
 	ownerActive bool
-	migrants    map[int32]bool
+	migrants    []int32 // ascending pids
 }
 
 // Pool tracks which workstations are idle and places migrated processes.
 type Pool struct {
 	rng       *sim.Rand
-	hosts     map[int32]*hostState
-	order     []int32 // deterministic iteration order
+	hosts     []hostState // indexed by workstation id
 	lastPick  int32
 	havePick  bool
 	reuseBias float64
 }
 
-// NewPool returns a pool over the given host ids. reuseBias in [0,1] is
+// NewPool returns a pool over workstations 0…n−1. reuseBias in [0,1] is
 // the probability that selection reuses the previous target when it is
 // still idle.
-func NewPool(hosts []int32, reuseBias float64, rng *sim.Rand) *Pool {
+func NewPool(n int, reuseBias float64, rng *sim.Rand) *Pool {
 	if rng == nil {
 		panic("migrate: nil rng")
 	}
 	if reuseBias < 0 || reuseBias > 1 {
 		panic(fmt.Sprintf("migrate: reuse bias %g out of range", reuseBias))
 	}
-	p := &Pool{
-		rng:       rng,
-		hosts:     make(map[int32]*hostState, len(hosts)),
-		reuseBias: reuseBias,
+	return &Pool{rng: rng, hosts: make([]hostState, n), reuseBias: reuseBias}
+}
+
+// host returns the state of workstation id, or nil when the pool does not
+// cover it.
+func (p *Pool) host(id int32) *hostState {
+	if id < 0 || int(id) >= len(p.hosts) {
+		return nil
 	}
-	for _, id := range hosts {
-		if _, dup := p.hosts[id]; dup {
-			panic(fmt.Sprintf("migrate: duplicate host %d", id))
-		}
-		p.hosts[id] = &hostState{migrants: make(map[int32]bool)}
-		p.order = append(p.order, id)
-	}
-	return p
+	return &p.hosts[id]
 }
 
 // IdleHosts returns the number of hosts currently eligible as targets.
 func (p *Pool) IdleHosts() int {
 	n := 0
-	for _, h := range p.hosts {
-		if !h.ownerActive {
+	for i := range p.hosts {
+		if !p.hosts[i].ownerActive {
 			n++
 		}
 	}
 	return n
 }
 
-// Migrants returns the pids currently migrated onto host.
+// Migrants returns the pids currently migrated onto host, ascending.
 func (p *Pool) Migrants(host int32) []int32 {
-	h := p.hosts[host]
+	h := p.host(host)
 	if h == nil {
 		return nil
 	}
-	return h.sortedMigrants()
-}
-
-// sortedMigrants returns the host's migrant pids in ascending order
-// (never map order: callers act on them one by one).
-func (h *hostState) sortedMigrants() []int32 {
-	out := make([]int32, 0, len(h.migrants))
-	for pid := range h.migrants {
-		out = append(out, pid)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Clone(h.migrants)
 }
 
 // SetOwnerActive marks the owner as present (active=true) or away. When an
 // owner returns to a host running migrated processes, those processes are
-// evicted: their pids are returned so the caller can flush their memory
-// and re-place or terminate them.
+// evicted: their pids are returned, ascending, so the caller can flush
+// their memory and re-place or terminate them.
 func (p *Pool) SetOwnerActive(host int32, active bool) []int32 {
-	h := p.hosts[host]
+	h := p.host(host)
 	if h == nil {
 		return nil
 	}
@@ -91,10 +76,8 @@ func (p *Pool) SetOwnerActive(host int32, active bool) []int32 {
 	if !active || len(h.migrants) == 0 {
 		return nil
 	}
-	evicted := h.sortedMigrants()
-	for _, pid := range evicted {
-		delete(h.migrants, pid)
-	}
+	evicted := h.migrants
+	h.migrants = nil
 	return evicted
 }
 
@@ -104,39 +87,48 @@ func (p *Pool) SetOwnerActive(host int32, active bool) []int32 {
 // ok is false when no idle host exists.
 func (p *Pool) Select(requester int32) (host int32, ok bool) {
 	if p.havePick && p.lastPick != requester && p.rng.Bool(p.reuseBias) {
-		if h := p.hosts[p.lastPick]; h != nil && !h.ownerActive {
+		if !p.hosts[p.lastPick].ownerActive {
 			return p.lastPick, true
 		}
 	}
-	var idle []int32
-	for _, id := range p.order {
-		if id == requester {
-			continue
-		}
-		if h := p.hosts[id]; !h.ownerActive {
-			idle = append(idle, id)
-		}
+	idle := p.IdleHosts()
+	if h := p.host(requester); h != nil && !h.ownerActive {
+		idle--
 	}
-	if len(idle) == 0 {
+	if idle == 0 {
 		return 0, false
 	}
-	pick := idle[p.rng.Intn(len(idle))]
-	p.lastPick, p.havePick = pick, true
-	return pick, true
+	k := p.rng.Intn(idle)
+	for i := range p.hosts {
+		if int32(i) == requester || p.hosts[i].ownerActive {
+			continue
+		}
+		if k == 0 {
+			p.lastPick, p.havePick = int32(i), true
+			return int32(i), true
+		}
+		k--
+	}
+	panic("migrate: idle count out of step with hosts")
 }
 
 // AddMigrant registers a migrated process on host.
 func (p *Pool) AddMigrant(host, pid int32) {
-	h := p.hosts[host]
+	h := p.host(host)
 	if h == nil {
 		panic(fmt.Sprintf("migrate: unknown host %d", host))
 	}
-	h.migrants[pid] = true
+	i, found := slices.BinarySearch(h.migrants, pid)
+	if !found {
+		h.migrants = slices.Insert(h.migrants, i, pid)
+	}
 }
 
 // RemoveMigrant unregisters a migrated process (it exited normally).
 func (p *Pool) RemoveMigrant(host, pid int32) {
-	if h := p.hosts[host]; h != nil {
-		delete(h.migrants, pid)
+	if h := p.host(host); h != nil {
+		if i, found := slices.BinarySearch(h.migrants, pid); found {
+			h.migrants = slices.Delete(h.migrants, i, i+1)
+		}
 	}
 }

@@ -7,21 +7,12 @@ import (
 	"spritefs/internal/sim"
 )
 
-func hosts(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
-}
-
 func TestNewPoolValidation(t *testing.T) {
 	rng := sim.NewRand(1)
 	for _, fn := range []func(){
-		func() { NewPool(hosts(3), 0.5, nil) },
-		func() { NewPool(hosts(3), -0.1, rng) },
-		func() { NewPool(hosts(3), 1.1, rng) },
-		func() { NewPool([]int32{1, 1}, 0.5, rng) },
+		func() { NewPool(3, 0.5, nil) },
+		func() { NewPool(3, -0.1, rng) },
+		func() { NewPool(3, 1.1, rng) },
 	} {
 		func() {
 			defer func() {
@@ -35,7 +26,7 @@ func TestNewPoolValidation(t *testing.T) {
 }
 
 func TestSelectNeverPicksRequesterOrActiveHost(t *testing.T) {
-	p := NewPool(hosts(4), 0.5, sim.NewRand(1))
+	p := NewPool(4, 0.5, sim.NewRand(1))
 	p.SetOwnerActive(1, true)
 	p.SetOwnerActive(2, true)
 	for i := 0; i < 100; i++ {
@@ -50,7 +41,7 @@ func TestSelectNeverPicksRequesterOrActiveHost(t *testing.T) {
 }
 
 func TestSelectNoIdleHosts(t *testing.T) {
-	p := NewPool(hosts(2), 0.5, sim.NewRand(1))
+	p := NewPool(2, 0.5, sim.NewRand(1))
 	p.SetOwnerActive(1, true)
 	if _, ok := p.Select(0); ok {
 		t.Error("selected a host with none idle")
@@ -60,7 +51,7 @@ func TestSelectNoIdleHosts(t *testing.T) {
 func TestReuseBias(t *testing.T) {
 	// With bias 1.0, once a host is picked it is always re-picked while
 	// idle — the locality that boosts migrated processes' hit ratios.
-	p := NewPool(hosts(10), 1.0, sim.NewRand(7))
+	p := NewPool(10, 1.0, sim.NewRand(7))
 	first, ok := p.Select(0)
 	if !ok {
 		t.Fatal("no pick")
@@ -80,7 +71,7 @@ func TestReuseBias(t *testing.T) {
 }
 
 func TestZeroBiasSpreadsLoad(t *testing.T) {
-	p := NewPool(hosts(8), 0, sim.NewRand(3))
+	p := NewPool(8, 0, sim.NewRand(3))
 	seen := map[int32]bool{}
 	for i := 0; i < 300; i++ {
 		h, _ := p.Select(-1)
@@ -92,7 +83,7 @@ func TestZeroBiasSpreadsLoad(t *testing.T) {
 }
 
 func TestOwnerReturnEvictsMigrants(t *testing.T) {
-	p := NewPool(hosts(3), 0.5, sim.NewRand(1))
+	p := NewPool(3, 0.5, sim.NewRand(1))
 	p.AddMigrant(1, 100)
 	p.AddMigrant(1, 101)
 	p.AddMigrant(2, 102)
@@ -127,7 +118,7 @@ func TestOwnerReturnEvictsMigrants(t *testing.T) {
 }
 
 func TestMigrantLifecycle(t *testing.T) {
-	p := NewPool(hosts(2), 0.5, sim.NewRand(1))
+	p := NewPool(2, 0.5, sim.NewRand(1))
 	p.AddMigrant(0, 7)
 	if got := p.Migrants(0); len(got) != 1 || got[0] != 7 {
 		t.Errorf("migrants after AddMigrant = %v", got)
@@ -143,7 +134,7 @@ func TestMigrantLifecycle(t *testing.T) {
 }
 
 func TestAddMigrantUnknownHostPanics(t *testing.T) {
-	p := NewPool(hosts(2), 0.5, sim.NewRand(1))
+	p := NewPool(2, 0.5, sim.NewRand(1))
 	for _, host := range []int32{42, -1} {
 		func() {
 			defer func() {
@@ -157,7 +148,7 @@ func TestAddMigrantUnknownHostPanics(t *testing.T) {
 }
 
 func TestIdleHosts(t *testing.T) {
-	p := NewPool(hosts(5), 0.5, sim.NewRand(1))
+	p := NewPool(5, 0.5, sim.NewRand(1))
 	if p.IdleHosts() != 5 {
 		t.Errorf("idle = %d", p.IdleHosts())
 	}
@@ -170,7 +161,7 @@ func TestIdleHosts(t *testing.T) {
 
 func TestDeterministicSelection(t *testing.T) {
 	run := func() []int32 {
-		p := NewPool(hosts(6), 0.6, sim.NewRand(42))
+		p := NewPool(6, 0.6, sim.NewRand(42))
 		var picks []int32
 		for i := 0; i < 40; i++ {
 			h, _ := p.Select(0)
@@ -183,5 +174,24 @@ func TestDeterministicSelection(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("selection not deterministic")
 		}
+	}
+}
+
+// TestSelectZeroAlloc: a warm Select over a 64-host pool, on both the
+// reuse and the uniform path, allocates nothing.
+func TestSelectZeroAlloc(t *testing.T) {
+	p := NewPool(64, 0.5, sim.NewRand(1))
+	for h := int32(0); h < 64; h += 3 {
+		p.SetOwnerActive(h, true)
+	}
+	requester := int32(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := p.Select(requester); !ok {
+			t.Fatal("no idle host")
+		}
+		requester = (requester + 1) % 64
+	})
+	if allocs != 0 {
+		t.Fatalf("Select allocated %.1f/op, want 0", allocs)
 	}
 }

@@ -54,7 +54,7 @@ type Engine struct {
 	reg  *Registry
 	pool *migrate.Pool
 
-	hosts map[int32]Host
+	hosts []Host // indexed by workstation id
 	users []*userState
 
 	// OnMigrate, if set, is invoked when a process is placed on a remote
@@ -84,26 +84,24 @@ type outKey struct {
 	app  AppKind
 }
 
-// NewEngine builds an engine over the given hosts. The hosts map must
-// contain an entry for every workstation id in [0, NumClients).
-func NewEngine(s *sim.Sim, p Params, reg *Registry, hosts map[int32]Host) *Engine {
+// NewEngine builds an engine over the given hosts, indexed by workstation
+// id: hosts[i] is workstation i, for every i in [0, NumClients).
+func NewEngine(s *sim.Sim, p Params, reg *Registry, hosts []Host) *Engine {
 	if len(hosts) < p.NumClients {
 		panic(fmt.Sprintf("workload: %d hosts for %d clients", len(hosts), p.NumClients))
 	}
-	rng := sim.NewRand(p.Seed)
-	hostIDs := make([]int32, 0, p.NumClients)
-	for i := 0; i < p.NumClients; i++ {
-		if hosts[int32(i)] == nil {
+	for i, h := range hosts[:p.NumClients] {
+		if h == nil {
 			panic(fmt.Sprintf("workload: missing host %d", i))
 		}
-		hostIDs = append(hostIDs, int32(i))
 	}
+	rng := sim.NewRand(p.Seed)
 	e := &Engine{
 		sim:        s,
 		rng:        rng,
 		p:          p,
 		reg:        reg,
-		pool:       migrate.NewPool(hostIDs, p.MigrationReuseBias, rng.Fork()),
+		pool:       migrate.NewPool(p.NumClients, p.MigrationReuseBias, rng.Fork()),
 		hosts:      hosts,
 		pidProg:    make(map[int32]*program),
 		prevOutput: make(map[outKey]uint64),

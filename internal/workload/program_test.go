@@ -15,9 +15,9 @@ func genRig(t *testing.T, seed int64) (*Engine, *userState) {
 	p.BigSimUsers = 1
 	srv := server.New(0)
 	s := sim.New(seed)
-	hosts := map[int32]Host{}
+	hosts := make([]Host, p.NumClients)
 	for i := 0; i < p.NumClients; i++ {
-		hosts[int32(i)] = newFakeHost(int32(i), srv, s)
+		hosts[i] = newFakeHost(int32(i), srv, s)
 	}
 	reg := Bootstrap(p, []*server.Server{srv}, sim.NewRand(seed+1))
 	e := NewEngine(s, p, reg, hosts)
@@ -175,12 +175,12 @@ func TestEngineHeavySharingStillBalanced(t *testing.T) {
 	}
 	srv := server.New(0)
 	s := sim.New(p.Seed)
-	hosts := map[int32]Host{}
+	hosts := make([]Host, p.NumClients)
 	fakes := []*fakeHost{}
 	for i := 0; i < p.NumClients; i++ {
 		fh := newFakeHost(int32(i), srv, s)
 		fakes = append(fakes, fh)
-		hosts[int32(i)] = fh
+		hosts[i] = fh
 	}
 	reg := Bootstrap(p, []*server.Server{srv}, sim.NewRand(p.Seed+1))
 	e := NewEngine(s, p, reg, hosts)

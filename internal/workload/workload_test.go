@@ -135,18 +135,18 @@ func smallParams(seed int64) Params {
 type rig struct {
 	s     *sim.Sim
 	srv   *server.Server
-	hosts map[int32]Host
+	hosts []Host
 	fakes []*fakeHost
 	eng   *Engine
 }
 
 func newRig(t *testing.T, p Params) *rig {
 	t.Helper()
-	r := &rig{s: sim.New(p.Seed), srv: server.New(0), hosts: map[int32]Host{}}
+	r := &rig{s: sim.New(p.Seed), srv: server.New(0), hosts: make([]Host, p.NumClients)}
 	for i := 0; i < p.NumClients; i++ {
 		fh := newFakeHost(int32(i), r.srv, r.s)
 		r.fakes = append(r.fakes, fh)
-		r.hosts[int32(i)] = fh
+		r.hosts[i] = fh
 	}
 	reg := Bootstrap(p, []*server.Server{r.srv}, sim.NewRand(p.Seed+1))
 	r.eng = NewEngine(r.s, p, reg, r.hosts)
@@ -354,9 +354,9 @@ func TestBSD1985Params(t *testing.T) {
 	p.DailyUsers, p.OccasionalUsers = 4, 2
 	srv := server.New(0)
 	s := sim.New(1)
-	hosts := map[int32]Host{}
+	hosts := make([]Host, p.NumClients)
 	for i := 0; i < p.NumClients; i++ {
-		hosts[int32(i)] = newFakeHost(int32(i), srv, s)
+		hosts[i] = newFakeHost(int32(i), srv, s)
 	}
 	reg := Bootstrap(p, []*server.Server{srv}, sim.NewRand(2))
 	e := NewEngine(s, p, reg, hosts)
