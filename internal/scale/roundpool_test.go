@@ -103,8 +103,16 @@ func TestRoundPool(t *testing.T) {
 				}
 			}
 			within(t, "stop", p.stop)
-			if n := runtime.NumGoroutine(); n > outside+1 { // this subtest's own goroutine
-				t.Fatalf("%d goroutines left after stop, want at most %d", n, outside+1)
+			// within's goroutine signals before it exits, so it may still
+			// be counted; wait for the count to settle. A helper that
+			// never exits keeps it high past the deadline.
+			want := outside + 1 // this subtest's own goroutine
+			deadline := time.Now().Add(5 * time.Second)
+			for n := runtime.NumGoroutine(); n > want; n = runtime.NumGoroutine() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines left after stop, want at most %d", n, want)
+				}
+				time.Sleep(time.Millisecond)
 			}
 		})
 	}
