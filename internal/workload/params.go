@@ -311,15 +311,22 @@ const seedStride = 0x3e3779b97f4a7c15
 // across shard assignments (TestSplitStreamInvariance). shards must be in
 // [1, NumClients]; Split panics otherwise.
 func Split(p Params, shards, shard int) Params {
-	if shards < 1 || shards > p.NumClients {
-		panic("workload: shard count out of range [1, NumClients]")
+	return split(p, shards, shard, seedStride, "shard")
+}
+
+// split returns part i of n near-equal shares of p's population (earlier
+// parts get the remainders), salting the seed with i*stride when n > 1.
+// noun names a part in the panic messages.
+func split(p Params, n, i int, stride int64, noun string) Params {
+	if n < 1 || n > p.NumClients {
+		panic("workload: " + noun + " count out of range [1, NumClients]")
 	}
-	if shard < 0 || shard >= shards {
-		panic("workload: shard index out of range")
+	if i < 0 || i >= n {
+		panic("workload: " + noun + " index out of range")
 	}
-	share := func(n int) int {
-		v := n / shards
-		if shard < n%shards {
+	share := func(total int) int {
+		v := total / n
+		if i < total%n {
 			v++
 		}
 		return v
@@ -328,8 +335,8 @@ func Split(p Params, shards, shard int) Params {
 	p.DailyUsers = share(p.DailyUsers)
 	p.OccasionalUsers = share(p.OccasionalUsers)
 	p.BigSimUsers = share(p.BigSimUsers)
-	if shards > 1 {
-		p.Seed += int64(shard) * seedStride
+	if n > 1 {
+		p.Seed += int64(i) * stride
 	}
 	return p
 }
@@ -352,27 +359,7 @@ const siteSeedStride = 0x5851f42d4c957f2d
 //
 // sites must be in [1, NumClients]; SplitSite panics otherwise.
 func SplitSite(p Params, sites, site int) Params {
-	if sites < 1 || sites > p.NumClients {
-		panic("workload: site count out of range [1, NumClients]")
-	}
-	if site < 0 || site >= sites {
-		panic("workload: site index out of range")
-	}
-	share := func(n int) int {
-		v := n / sites
-		if site < n%sites {
-			v++
-		}
-		return v
-	}
-	p.NumClients = share(p.NumClients)
-	p.DailyUsers = share(p.DailyUsers)
-	p.OccasionalUsers = share(p.OccasionalUsers)
-	p.BigSimUsers = share(p.BigSimUsers)
-	if sites > 1 {
-		p.Seed += int64(site) * siteSeedStride
-	}
-	return p
+	return split(p, sites, site, siteSeedStride, "site")
 }
 
 // BSD1985 returns a parameter set approximating the 1985 BSD study's
