@@ -36,8 +36,9 @@ type ExecStats struct {
 	// the executor no lookahead at all, the globally earliest shard is
 	// serialized one event forward to restore progress.
 	Rescues int64
-	// MsgAllocs always reads 0. It remains only for the benchmark's
-	// scale.msg_allocs column; messages are no longer recycled.
+	// MsgAllocs always reads 0: the executor keeps no message free list
+	// to miss. It stays for the benchmark's scale.msg_allocs column
+	// (docs/FIDELITY.md, BENCH-PINNED).
 	MsgAllocs int64
 }
 
