@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -27,6 +28,22 @@ type fakeHost struct {
 	file    map[uint64]uint64
 	opened  map[uint64]int
 	nextH   uint64
+	// log, when set, receives the host's process and handle calls.
+	log *[]hostCall
+}
+
+// hostCall is one process or handle call a fake host saw.
+type hostCall struct {
+	host   int32
+	what   string // "open", "close", "exec", "exit" or "evict"
+	pid    int32  // 0 for close
+	handle uint64 // open and close only
+}
+
+func (f *fakeHost) record(what string, pid int32, handle uint64) {
+	if f.log != nil {
+		*f.log = append(*f.log, hostCall{f.id, what, pid, handle})
+	}
 }
 
 func newFakeHost(id int32, srv *server.Server, s *sim.Sim) *fakeHost {
@@ -50,6 +67,7 @@ func (f *fakeHost) Open(user, proc int32, file uint64, read, write, migrated boo
 	h := f.nextH
 	f.pos[h] = 0
 	f.file[h] = file
+	f.record("open", proc, h)
 	return h, time.Millisecond, nil
 }
 
@@ -95,6 +113,7 @@ func (f *fakeHost) Close(h uint64) (time.Duration, error) {
 		return 0, nil
 	}
 	f.closes++
+	f.record("close", 0, h)
 	delete(f.file, h)
 	delete(f.pos, h)
 	return 0, nil
@@ -109,10 +128,16 @@ func (f *fakeHost) Truncate(user, proc int32, file uint64, migrated bool) {
 	f.srv.Truncate(file, f.s.Now())
 }
 
-func (f *fakeHost) ExecProcess(pid int32, execFile uint64, c, d, st int, m bool) { f.execs++ }
-func (f *fakeHost) TouchProcess(pid int32, grow int)                             {}
-func (f *fakeHost) ExitProcess(pid int32)                                        { f.exits++ }
-func (f *fakeHost) EvictMigrated(pid int32)                                      {}
+func (f *fakeHost) ExecProcess(pid int32, execFile uint64, c, d, st int, m bool) {
+	f.execs++
+	f.record("exec", pid, 0)
+}
+func (f *fakeHost) TouchProcess(pid int32, grow int) {}
+func (f *fakeHost) ExitProcess(pid int32) {
+	f.exits++
+	f.record("exit", pid, 0)
+}
+func (f *fakeHost) EvictMigrated(pid int32) { f.record("evict", pid, 0) }
 
 func (f *fakeHost) FileSize(file uint64) int64 {
 	if fl := f.srv.Lookup(file); fl != nil {
@@ -138,6 +163,7 @@ type rig struct {
 	hosts []Host
 	fakes []*fakeHost
 	eng   *Engine
+	calls []hostCall // every fake host's log, in call order
 }
 
 func newRig(t *testing.T, p Params) *rig {
@@ -145,6 +171,7 @@ func newRig(t *testing.T, p Params) *rig {
 	r := &rig{s: sim.New(p.Seed), srv: server.New(0), hosts: make([]Host, p.NumClients)}
 	for i := 0; i < p.NumClients; i++ {
 		fh := newFakeHost(int32(i), r.srv, r.s)
+		fh.log = &r.calls
 		r.fakes = append(r.fakes, fh)
 		r.hosts[i] = fh
 	}
@@ -243,6 +270,92 @@ func TestEngineOnMigrateCallback(t *testing.T) {
 	}
 	if int64(calls) != r.eng.Stats().Migrations {
 		t.Errorf("callback calls %d != migrations %d", calls, r.eng.Stats().Migrations)
+	}
+}
+
+// TestOwnerReturnEvictsMigrated pins eviction on owner return: the
+// owner's session start evicts exactly the migrated programs still running
+// on that workstation, in ascending pid order. Each closes its open handle
+// there, is evicted and exits there, and re-executes under the same pid on
+// its user's home; another workstation's migrant stays until its own
+// owner returns.
+func TestOwnerReturnEvictsMigrated(t *testing.T) {
+	p := smallParams(17)
+	p.AwaySessionProb = 0
+	r := newRig(t, p)
+	e := r.eng
+	const h, other = 5, 4 // the workstations of occasional users 5 and 4
+	if e.users[h].home != h || e.users[other].home != other {
+		t.Fatalf("homes %d, %d", e.users[h].home, e.users[other].home)
+	}
+	e.stopAt = 2 * time.Hour
+	file := e.reg.Small(0)[0]
+	prog := func(think time.Duration) []op {
+		b := e.newBuilder()
+		b.exec(e.reg.Binaries[0], 1)
+		b.open(staticFile(file), true, false)
+		b.think(think)
+		b.close(0)
+		return b.exit()
+	}
+	// Four migrants onto h from users 0 and 1; the second finishes after a
+	// second, leaving a gap in the middle of h's list.
+	var pids []int32
+	for i, think := range []time.Duration{time.Hour, time.Second, time.Hour, time.Hour} {
+		pids = append(pids, e.launch(e.users[i%2], AppPmake, r.hosts[h], prog(think), 0, true, func() {}).pid)
+	}
+	otherPid := e.launch(e.users[2], AppPmake, r.hosts[other], prog(time.Hour), 0, true, func() {}).pid
+	r.s.RunUntil(time.Minute)
+
+	handle := map[int32]uint64{}
+	for _, c := range r.calls {
+		if c.what == "open" {
+			handle[c.pid] = c.handle
+		}
+	}
+	n := len(r.calls)
+	e.startSession(e.users[h])
+	var want []hostCall
+	for _, i := range []int{0, 2, 3} {
+		pid := pids[i]
+		want = append(want,
+			hostCall{h, "close", 0, handle[pid]},
+			hostCall{h, "evict", pid, 0},
+			hostCall{h, "exit", pid, 0},
+			hostCall{e.users[i%2].home, "exec", pid, 0})
+	}
+	got := r.calls[n:]
+	if len(got) < len(want) || !slices.Equal(got[:len(want)], want) {
+		t.Fatalf("calls at owner return:\n got  %v\n want %v...", got, want)
+	}
+	for _, c := range got[len(want):] {
+		if c.what == "evict" || c.what == "close" {
+			t.Errorf("call after the evictions: %+v", c)
+		}
+	}
+	if ev := e.Stats().Evictions; ev != 3 {
+		t.Errorf("Evictions = %d, want 3", ev)
+	}
+	for _, i := range []int{0, 2, 3} {
+		if r.fakes[h].file[handle[pids[i]]] != 0 {
+			t.Errorf("pid %d's handle still open on %d", pids[i], h)
+		}
+	}
+
+	// The other workstation's migrant went nowhere; its owner's return
+	// evicts it alone.
+	for _, c := range got {
+		if c.pid == otherPid {
+			t.Errorf("migrant on %d disturbed: %+v", other, c)
+		}
+	}
+	n = len(r.calls)
+	e.startSession(e.users[other])
+	if ev := e.Stats().Evictions; ev != 4 {
+		t.Errorf("Evictions = %d after %d's owner returned, want 4", ev, other)
+	}
+	if got := r.calls[n:]; len(got) < 4 || got[1] != (hostCall{other, "evict", otherPid, 0}) {
+		t.Errorf("calls at %d's owner return: %v", other, got)
 	}
 }
 
