@@ -1,7 +1,6 @@
 package migrate
 
 import (
-	"slices"
 	"testing"
 
 	"spritefs/internal/sim"
@@ -79,71 +78,6 @@ func TestZeroBiasSpreadsLoad(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Errorf("zero bias used only %d hosts", len(seen))
-	}
-}
-
-func TestOwnerReturnEvictsMigrants(t *testing.T) {
-	p := NewPool(3, 0.5, sim.NewRand(1))
-	p.AddMigrant(1, 100)
-	p.AddMigrant(1, 101)
-	p.AddMigrant(2, 102)
-
-	evicted := p.SetOwnerActive(1, true)
-	if len(evicted) != 2 || evicted[0] != 100 || evicted[1] != 101 {
-		t.Errorf("evicted = %v", evicted)
-	}
-	if got := p.Migrants(1); len(got) != 0 {
-		t.Errorf("migrants after eviction = %v", got)
-	}
-	if got := p.Migrants(2); len(got) != 1 || got[0] != 102 {
-		t.Errorf("unrelated host disturbed: %v", got)
-	}
-	// Owner going away again evicts nothing.
-	if ev := p.SetOwnerActive(1, false); len(ev) != 0 {
-		t.Errorf("owner departure evicted %v", ev)
-	}
-
-	// Migrants added out of pid order, one removed from the middle, still
-	// come back in ascending order.
-	for _, pid := range []int32{205, 201, 209, 203, 207} {
-		p.AddMigrant(1, pid)
-	}
-	p.RemoveMigrant(1, 205)
-	if got := p.Migrants(1); !slices.Equal(got, []int32{201, 203, 207, 209}) {
-		t.Errorf("migrants = %v, want [201 203 207 209]", got)
-	}
-	if got := p.SetOwnerActive(1, true); !slices.Equal(got, []int32{201, 203, 207, 209}) {
-		t.Errorf("evicted = %v, want [201 203 207 209]", got)
-	}
-}
-
-func TestMigrantLifecycle(t *testing.T) {
-	p := NewPool(2, 0.5, sim.NewRand(1))
-	p.AddMigrant(0, 7)
-	if got := p.Migrants(0); len(got) != 1 || got[0] != 7 {
-		t.Errorf("migrants after AddMigrant = %v", got)
-	}
-	p.RemoveMigrant(0, 7)
-	if len(p.Migrants(0)) != 0 {
-		t.Error("migrant not removed")
-	}
-	p.RemoveMigrant(99, 7) // unknown host tolerated
-	if p.Migrants(99) != nil {
-		t.Error("unknown host has migrants")
-	}
-}
-
-func TestAddMigrantUnknownHostPanics(t *testing.T) {
-	p := NewPool(2, 0.5, sim.NewRand(1))
-	for _, host := range []int32{42, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AddMigrant(%d, 1): no panic", host)
-				}
-			}()
-			p.AddMigrant(host, 1)
-		}()
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"spritefs/internal/migrate"
@@ -62,11 +63,14 @@ type Engine struct {
 	OnMigrate func(user, pid, from, to int32)
 
 	nextPid int32
-	pidProg map[int32]*program
+	// migrants holds, per workstation id, the migrated programs running
+	// there in launch order, which is pid order: launch appends, teardown
+	// removes, and the owner's return evicts the list.
+	migrants [][]*program
 	// progFree recycles finished program objects (and their handle/file
-	// slot arrays and step closures); the engine launches hundreds of
-	// thousands of short programs per simulated hour, so per-launch
-	// allocation is a hot path.
+	// slot arrays and step closures). A 40-client cluster launches about
+	// 420 programs a simulated hour, so recycling pays only at scale
+	// populations, thousands of clients to a segment.
 	progFree []*program
 	// opsFree holds the op arrays of finished programs, emptied; newBuilder
 	// hands them to the next programs generated, so a steady-state launch
@@ -103,7 +107,7 @@ func NewEngine(s *sim.Sim, p Params, reg *Registry, hosts []Host) *Engine {
 		reg:        reg,
 		pool:       migrate.NewPool(p.NumClients, p.MigrationReuseBias, rng.Fork()),
 		hosts:      hosts,
-		pidProg:    make(map[int32]*program),
+		migrants:   make([][]*program, p.NumClients),
 		prevOutput: make(map[outKey]uint64),
 		nextPid:    1000,
 	}
@@ -192,8 +196,8 @@ func (e *Engine) startSession(u *userState) {
 			}
 		}
 	}
-	evicted := e.pool.SetOwnerActive(u.sessHost, true)
-	e.handleEvictions(evicted)
+	e.pool.SetOwnerActive(u.sessHost, true)
+	e.evict(u.sessHost)
 	dur := time.Duration(e.rng.LogNormal(float64(e.p.SessionMedian), e.p.SessionSigma))
 	end := e.sim.Now() + dur
 	if end > e.stopAt {
@@ -421,11 +425,10 @@ func (e *Engine) launch(u *userState, app AppKind, host Host, ops []op, rate flo
 	pr.files = resizeZero(pr.files, countFileSlots(ops))
 	pr.aborted = false
 	pr.done = done
-	e.pidProg[pr.pid] = pr
 	e.st.ProgramsRun++
 	e.st.RunsByApp[app]++
 	if migrated {
-		e.pool.AddMigrant(host.ID(), pr.pid)
+		e.migrants[host.ID()] = append(e.migrants[host.ID()], pr)
 		e.st.Migrations++
 		if e.OnMigrate != nil {
 			e.OnMigrate(u.id, pr.pid, u.sessHost, host.ID())
@@ -650,20 +653,28 @@ func (e *Engine) sizeOfHandleFile(pr *program, slot int) int64 {
 
 // teardown closes any handles leaked by an abort and exits the process.
 func (e *Engine) teardown(pr *program) {
+	closeHandles(pr)
+	pr.host.ExitProcess(pr.pid)
+	if pr.migrated {
+		// An evicted program runs on its home, on no list.
+		l := e.migrants[pr.host.ID()]
+		if i := slices.Index(l, pr); i >= 0 {
+			e.migrants[pr.host.ID()] = slices.Delete(l, i, i+1)
+		}
+	}
+}
+
+// closeHandles closes the program's open handles on its host.
+func closeHandles(pr *program) {
 	for i, hd := range pr.handles {
 		if hd != 0 {
 			pr.host.Close(hd)
 			pr.handles[i] = 0
 		}
 	}
-	pr.host.ExitProcess(pr.pid)
-	if pr.migrated {
-		e.pool.RemoveMigrant(pr.host.ID(), pr.pid)
-	}
 }
 
 func (e *Engine) finish(pr *program) {
-	delete(e.pidProg, pr.pid)
 	done := pr.done
 	pr.done = nil
 	if done != nil {
@@ -678,29 +689,20 @@ func (e *Engine) finish(pr *program) {
 	e.progFree = append(e.progFree, pr)
 }
 
-// handleEvictions relocates migrated processes whose host's owner
-// returned: their dirty pages flush on the old host (the paging burst of
-// Section 5.3) and the process re-executes on its owner's home machine.
-func (e *Engine) handleEvictions(pids []int32) {
-	for _, pid := range pids {
-		pr := e.pidProg[pid]
-		if pr == nil {
-			continue
-		}
+// evict relocates the migrated programs running on host, whose owner
+// returned: their dirty pages flush on host (the paging burst of Section
+// 5.3) and each re-executes on its user's home machine.
+func (e *Engine) evict(host int32) {
+	evicted := e.migrants[host]
+	e.migrants[host] = nil
+	for _, pr := range evicted {
 		e.st.Evictions++
-		old := pr.host
 		// Open files do not survive the relocation in this model: close
 		// them so the server's open state stays balanced.
-		for i, hd := range pr.handles {
-			if hd != 0 {
-				old.Close(hd)
-				pr.handles[i] = 0
-			}
-		}
-		old.EvictMigrated(pid)
-		old.ExitProcess(pid)
-		home := e.hosts[e.users[pr.user].home]
-		pr.host = home
-		home.ExecProcess(pid, pr.execFile, pr.codeP, pr.dataP, pr.stackP, pr.migrated)
+		closeHandles(pr)
+		pr.host.EvictMigrated(pr.pid)
+		pr.host.ExitProcess(pr.pid)
+		pr.host = e.hosts[e.users[pr.user].home]
+		pr.host.ExecProcess(pr.pid, pr.execFile, pr.codeP, pr.dataP, pr.stackP, pr.migrated)
 	}
 }

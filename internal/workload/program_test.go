@@ -258,8 +258,13 @@ func TestOpArraysReturnWithTheirPrograms(t *testing.T) {
 	r.eng.Run(2 * time.Hour)
 	r.s.RunUntil(3 * time.Hour)
 	e := r.eng
-	if e.st.ProgramsRun == 0 || len(e.pidProg) != 0 {
-		t.Fatalf("%d programs run, %d still live", e.st.ProgramsRun, len(e.pidProg))
+	if _, _, execs, exits := r.totals(); e.st.ProgramsRun == 0 || execs != exits {
+		t.Fatalf("%d programs run, %d execs, %d exits", e.st.ProgramsRun, execs, exits)
+	}
+	for host, l := range e.migrants {
+		if len(l) != 0 {
+			t.Errorf("%d programs still listed on workstation %d", len(l), host)
+		}
 	}
 	if len(e.opsFree) != len(e.progFree) {
 		t.Errorf("%d op arrays on the free list beside %d programs", len(e.opsFree), len(e.progFree))
