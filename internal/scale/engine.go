@@ -21,9 +21,10 @@ type ExecStats struct {
 	// Rounds is the number of channel-clock synchronization rounds: one
 	// bound computation, shard advance and message exchange each.
 	Rounds int64
-	// Routed is the number of cross-shard messages exchanged.
-	Routed int64
-	// RoutedBytes is their total backbone payload.
+	// Routed is the number of cross-shard messages exchanged and
+	// RoutedBytes their total backbone payload: the router's tier
+	// counters, summed once when the run ends.
+	Routed      int64
 	RoutedBytes int64
 	// Undelivered counts messages still in flight when the drain window
 	// closed (they arrive after the simulation's end and are dropped).
@@ -277,6 +278,10 @@ func (e *Engine) Run(opts RunOptions) RunStats {
 		e.exec.Undelivered += int64(len(sh.inbox))
 		events += sh.C.Sim.Fired()
 	}
+	for tier := range e.Router.tierMsgs {
+		e.exec.Routed += e.Router.tierMsgs[tier]
+		e.exec.RoutedBytes += e.Router.tierBytes[tier]
+	}
 	return RunStats{Wall: time.Since(start), Busy: busy, Critical: critical, Serial: serial,
 		Workers: workers, Events: events, Exec: e.exec}
 }
@@ -427,8 +432,6 @@ func (e *Engine) exchange() {
 				panic(fmt.Sprintf("scale: message to unknown shard %d", m.To))
 			}
 			e.Router.Route(m)
-			e.exec.Routed++
-			e.exec.RoutedBytes += m.Payload
 			batch := e.byDest[m.To]
 			if m.To != i && (len(batch) == 0 || batch[len(batch)-1].From != i) {
 				reached[e.Router.tier(i, m.To)]++
@@ -512,17 +515,6 @@ func (e *Engine) registerMetrics() {
 		}
 	}
 
-	// The router carries exactly the messages the exchange counts.
-	ctr(e.Reg, "spritefs_scale_router_msgs_total", "msgs",
-		"Messages carried by the inter-segment router.",
-		&e.exec.Routed)
-	ctr(e.Reg, "spritefs_scale_router_bytes_total", "bytes",
-		"Payload bytes carried by the inter-segment router.",
-		&e.exec.RoutedBytes)
-	e.Reg.SecondsVar(metrics.Desc{Name: "spritefs_scale_router_busy_seconds",
-		Help: "Cumulative backbone transmission time; against elapsed virtual time it gives backbone utilization.",
-		Kind: metrics.Counter},
-		nil, &e.Router.busy)
 	e.Reg.Int(metrics.Desc{Name: "spritefs_scale_sites", Unit: "sites",
 		Help: "Sites in the hierarchical topology (1 = flat single-site).",
 		Kind: metrics.Gauge},
@@ -545,12 +537,6 @@ func (e *Engine) registerMetrics() {
 	ctr(e.Reg, "spritefs_scale_rounds_total", "rounds",
 		"Channel-clock synchronization rounds the executor ran.",
 		&e.exec.Rounds)
-	ctr(e.Reg, "spritefs_scale_exchange_msgs_total", "msgs",
-		"Cross-shard messages exchanged at round boundaries.",
-		&e.exec.Routed)
-	ctr(e.Reg, "spritefs_scale_exchange_bytes_total", "bytes",
-		"Backbone payload bytes exchanged at round boundaries.",
-		&e.exec.RoutedBytes)
 	ctr(e.Reg, "spritefs_scale_null_advances_total", "advances",
 		"Per-link channel-clock advances that carried no payload message (null messages).",
 		&e.exec.NullAdvances)

@@ -73,7 +73,6 @@ type Router struct {
 	topo Topology
 	lat  [2]time.Duration // store-and-forward latency per tier
 	bw   [2]float64       // end-to-end bandwidth per tier
-	busy time.Duration    // transmission time over both tiers
 
 	// Per-tier accounting, indexed by tier: 0 = site tier (intra-site
 	// links, every link of a flat topology), 1 = WAN tier (cross-site).
@@ -114,7 +113,6 @@ func (r *Router) Route(m *Message) {
 	tier := r.tier(m.From, m.To)
 	xmit := time.Duration(float64(m.Payload) / r.bw[tier] * float64(time.Second))
 	m.Arrive = m.Send + r.lat[tier] + xmit
-	r.busy += xmit
 	r.tierMsgs[tier]++
 	r.tierBytes[tier] += m.Payload
 	r.tierBusy[tier] += xmit
@@ -122,7 +120,7 @@ func (r *Router) Route(m *Message) {
 
 // Busy returns cumulative backbone transmission time; against elapsed
 // virtual time it gives backbone utilization.
-func (r *Router) Busy() time.Duration { return r.busy }
+func (r *Router) Busy() time.Duration { return r.tierBusy[0] + r.tierBusy[1] }
 
 // TierTraffic returns one tier's accounting: messages, payload bytes and
 // cumulative transmission time. wan=false is the site tier (intra-site
