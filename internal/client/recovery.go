@@ -113,25 +113,14 @@ func (c *Client) RecoverServer(srv *server.Server) RecoveryResult {
 	}
 	now := c.sim.Now()
 
-	// Re-register open handles, aggregated per file the way the server
-	// tracks them: a write-mode handle registers as a writer, everything
-	// else as a reader (mirroring Open/Close).
-	counts := make(map[uint64][2]int)
-	for _, h := range c.handles {
-		if c.route(h.file) != srv {
-			continue
-		}
-		n := counts[h.file]
-		if h.write {
-			n[1]++
-		} else {
-			n[0]++
-		}
-		counts[h.file] = n
-	}
+	// Re-register the open handles of this server's files, aggregated per
+	// file the way the server tracks them.
+	counts := c.HandleCounts()
 	files := make([]uint64, 0, len(counts))
 	for f := range counts {
-		files = append(files, f)
+		if c.route(f) == srv {
+			files = append(files, f)
+		}
 	}
 	slices.Sort(files)
 
@@ -208,8 +197,9 @@ func (c *Client) Crash(now time.Duration) fscache.CrashLoss {
 }
 
 // HandleCounts returns the client's open handles per file — index 0
-// read-mode, index 1 write-mode — as the recovery protocol would
-// re-register them. The invariant checker compares this against the
+// read-mode, index 1 write-mode — as the recovery protocol re-registers
+// them: a write-mode handle as a writer, everything else as a reader
+// (mirroring Open/Close). The invariant checker compares this against the
 // server's open tables.
 func (c *Client) HandleCounts() map[uint64][2]int {
 	counts := make(map[uint64][2]int)

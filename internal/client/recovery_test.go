@@ -53,6 +53,39 @@ func TestRecoverServerReopensAndReplays(t *testing.T) {
 	}
 }
 
+// TestRecoverServerReregistersOnlyItsFiles: recovery against one server
+// re-registers the handles of that server's files alone. Another server's
+// open file costs it no RPC, and its dirty blocks stay in the cache rather
+// than being dropped as a file the restarted server does not know.
+func TestRecoverServerReregistersOnlyItsFiles(t *testing.T) {
+	r := newRig(t, 0)
+	other := server.New(1)
+	srvs := []*server.Server{r.srv, other}
+	c := New(DefaultConfig(0), r.sim, r.net, func(f uint64) *server.Server { return srvs[server.HomeOf(f)] }, r.srv, r)
+	c.SetCoordinator(r)
+
+	mine := c.Create(1, 100, false, false)
+	theirs := other.Create(false, r.sim.Now()).ID
+	for _, f := range []uint64{mine, theirs} {
+		h, _, err := c.Open(1, 100, f, false, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(h, 5000)
+	}
+	r.crashRestart()
+	res := c.RecoverServer(r.srv)
+	if res.Files != 1 || res.Reopened != 1 || res.ReplayedBytes != 5000 {
+		t.Fatalf("recovery = %+v, want 1 file / 1 handle / 5000 bytes", res)
+	}
+	if !c.Cache.FileDirty(theirs) {
+		t.Error("the other server's dirty blocks were dropped")
+	}
+	if _, w := other.Lookup(theirs).Registration(c.ID()); w != 1 {
+		t.Errorf("writer registration on the other server = %d, want 1", w)
+	}
+}
+
 func TestLazyDetectionOnOpen(t *testing.T) {
 	r := newRig(t, 1)
 	c := r.clients[0]
