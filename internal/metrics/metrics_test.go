@@ -173,3 +173,23 @@ func TestScopedRegistry(t *testing.T) {
 	}()
 	r.Scoped(L("shard", "0")).Int(d, Labels{L("client", "1")}, func() int64 { return 0 })
 }
+
+// TestDuplicateAcrossScopes: an instance's identity is its scope plus its
+// labels, whichever view registers it.
+func TestDuplicateAcrossScopes(t *testing.T) {
+	r := New()
+	d := Desc{Name: "w_total", Unit: "ops", Help: "h", Kind: Counter}
+	ls := Labels{L("client", "1")}
+	r.Scoped(L("shard", "0")).Int(d, ls, func() int64 { return 0 })
+	r.Scoped(L("shard", "1")).Int(d, ls, func() int64 { return 0 })
+	r.Int(d, ls, func() int64 { return 0 })
+	if got := r.Families()[0].Instances(); got != 3 {
+		t.Fatalf("instances = %d, want 3", got)
+	}
+	defer func() {
+		if got := recover(); got != `metrics: duplicate instance w_total{shard="1",client="1"}` {
+			t.Fatalf("panic = %v, want the duplicate instance", got)
+		}
+	}()
+	r.Scoped(L("shard", "1")).Int(d, ls, func() int64 { return 0 })
+}

@@ -119,3 +119,31 @@ func TestSamplerRowZeroAlloc(t *testing.T) {
 		t.Errorf("last row read the size of client 7 as %g, want %d", got, ops[7])
 	}
 }
+
+// TestSamplerColumnsSurviveFamilyGrowth: a column resolved before its
+// family grew past 512 further instances still reads its instance, and the
+// late columns read as missing before they existed.
+func TestSamplerColumnsSurviveFamilyGrowth(t *testing.T) {
+	r := New()
+	d := Desc{Name: "g_total", Unit: "ops", Help: "g", Kind: Counter}
+	a := int64(1)
+	r.IntVar(d, Labels{L("i", "a")}, &a)
+	s := NewSampler(r, nil)
+	s.Sample(time.Second)
+	late := make([]int64, 600)
+	for i := range late {
+		late[i] = int64(i)
+		r.IntVar(d, Labels{L("i", strconv.Itoa(i))}, &late[i])
+	}
+	a = 42
+	s.Sample(2 * time.Second)
+	if got := s.Get("g_total", `{i="a"}`).Values; got[0] != 1 || got[1] != 42 {
+		t.Fatalf("first column after growth = %v, want [1 42]", got)
+	}
+	for i := range late {
+		got := s.Get("g_total", `{i="`+strconv.Itoa(i)+`"}`).Values
+		if !math.IsNaN(got[0]) || got[1] != float64(i) {
+			t.Fatalf("late column %d = %v, want [NaN %d]", i, got, i)
+		}
+	}
+}
