@@ -118,7 +118,8 @@ FUZZTARGETS = \
 	internal/traceio:FuzzImportCSV internal/traceio:FuzzImportStrace \
 	internal/traceio:FuzzParseCSVMapping internal/traceio:FuzzParseProfile \
 	internal/faults:FuzzParseSchedule \
-	internal/live:FuzzDecodeRequest internal/live:FuzzDecodeResponse internal/live:FuzzReadFrame
+	internal/live:FuzzDecodeRequest internal/live:FuzzDecodeResponse internal/live:FuzzReadFrame \
+	internal/metrics:FuzzRegistry
 
 # One pass over the seed corpus of every native fuzz target, named as
 # `go test -fuzz` wants them (one target and one package per run). Not a
