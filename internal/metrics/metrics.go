@@ -129,15 +129,11 @@ type Desc struct {
 // the registry costs nothing per event) or a closure (for values that
 // must be computed at snapshot time).
 type metric struct {
-	labels Labels
-	key    string // rendered labels, the within-family identity
-
-	// Exactly one of the five is set, fixing the instance's value type.
-	intPtr *int64
-	durPtr *time.Duration
-	sumPtr *stats.Welford
-	intFn  func() int64
-	sumFn  func() stats.Welford
+	set *labelSet
+	// src is the registered *int64, *time.Duration, *stats.Welford,
+	// func() int64 or func() stats.Welford; its type is the instance's
+	// value type.
+	src any
 }
 
 // summaryScale multiplies summary sample values at export: every
@@ -146,35 +142,40 @@ type metric struct {
 // exports seconds.
 const summaryScale = 1e-9
 
-func (m *metric) isInt() bool { return m.intPtr != nil || m.intFn != nil }
-func (m *metric) isDur() bool { return m.durPtr != nil }
-
-func (m *metric) intVal() int64 {
-	if m.intPtr != nil {
-		return *m.intPtr
+func (m *metric) isInt() bool {
+	switch m.src.(type) {
+	case *int64, func() int64:
+		return true
 	}
-	return m.intFn()
+	return false
 }
 
-func (m *metric) durVal() time.Duration { return *m.durPtr }
+func (m *metric) isDur() bool {
+	_, ok := m.src.(*time.Duration)
+	return ok
+}
+
+func (m *metric) intVal() int64 {
+	if p, ok := m.src.(*int64); ok {
+		return *p
+	}
+	return m.src.(func() int64)()
+}
+
+func (m *metric) durVal() time.Duration { return *m.src.(*time.Duration) }
 
 func (m *metric) sumVal() stats.Welford {
-	if m.sumPtr != nil {
-		return *m.sumPtr
+	if p, ok := m.src.(*stats.Welford); ok {
+		return *p
 	}
-	return m.sumFn()
+	return m.src.(func() stats.Welford)()
 }
 
 // Family is one named metric with all its registered instances.
 type Family struct {
 	Desc      Desc
-	instances []*metric
-	// byKey indexes instances by their rendered label set. Registration
-	// must stay O(1) per instance: the scale-out topology registers one
-	// instance per client per family, so a linear duplicate scan would
-	// make constructing a million-client registry quadratic (hours of
-	// wall-clock before the first event runs).
-	byKey map[string]*metric
+	idx       int // position in the store's families, its bit in a labelSet's fams
+	instances []metric
 }
 
 // Instances returns the number of registered instances.
@@ -186,8 +187,8 @@ func (f *Family) LabelKeys() []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, m := range f.instances {
-		keys := make([]string, len(m.labels))
-		for i, l := range m.labels {
+		keys := make([]string, len(m.set.labels))
+		for i, l := range m.set.labels {
 			keys[i] = l.Key
 		}
 		k := strings.Join(keys, ",")
@@ -219,6 +220,10 @@ type Registry struct {
 type labelSet struct {
 	key    string
 	labels Labels
+	// fams has bit Family.idx set once the family has an instance with
+	// this set: the duplicate check, O(1) per registration so that a
+	// million-client registry is not quadratic to build.
+	fams []uint64
 }
 
 // store is the family set shared by a registry and all its scoped views.
@@ -228,12 +233,7 @@ type store struct {
 	// keys interns rendered label sets by their rendered form. Label keys
 	// are trusted identifiers (they are not escaped in the rendered form),
 	// so the rendered bytes identify the set.
-	keys map[string]*labelSet
-	// slab batches metric allocations: registration is the dominant
-	// allocation site when a scale-out topology builds thousands of
-	// per-client component stacks, and one bump-pointer chunk replaces
-	// hundreds of individual heap objects.
-	slab    []metric
+	keys    map[string]*labelSet
 	scratch []byte
 }
 
@@ -270,7 +270,7 @@ func (r *Registry) family(d Desc) *Family {
 		}
 		return f
 	}
-	f := &Family{Desc: d}
+	f := &Family{Desc: d, idx: len(r.s.fams)}
 	r.s.fams = append(r.s.fams, f)
 	r.s.byName[d.Name] = f
 	return f
@@ -289,30 +289,18 @@ func (s *store) intern(scope, ls Labels) *labelSet {
 	return set
 }
 
-func (s *store) newMetric() *metric {
-	if len(s.slab) == 0 {
-		s.slab = make([]metric, 512)
-	}
-	m := &s.slab[0]
-	s.slab = s.slab[1:]
-	return m
-}
-
-func (r *Registry) add(d Desc, ls Labels) *metric {
+func (r *Registry) add(d Desc, ls Labels, src any) {
 	f := r.family(d)
 	set := r.s.intern(r.scope, ls)
-	m := r.s.newMetric()
-	m.labels = set.labels
-	m.key = set.key
-	if f.byKey == nil {
-		f.byKey = make(map[string]*metric)
+	w, bit := f.idx/64, uint64(1)<<(f.idx%64)
+	for len(set.fams) <= w {
+		set.fams = append(set.fams, 0)
 	}
-	if f.byKey[m.key] != nil {
-		panic(fmt.Sprintf("metrics: duplicate instance %s%s", d.Name, m.key))
+	if set.fams[w]&bit != 0 {
+		panic(fmt.Sprintf("metrics: duplicate instance %s%s", d.Name, set.key))
 	}
-	f.byKey[m.key] = m
-	f.instances = append(f.instances, m)
-	return m
+	set.fams[w] |= bit
+	f.instances = append(f.instances, metric{set: set, src: src})
 }
 
 // Int registers an integer-valued instance (counter or gauge) whose value
@@ -321,7 +309,7 @@ func (r *Registry) Int(d Desc, ls Labels, fn func() int64) {
 	if d.Kind == Summary {
 		panic("metrics: Int registration with Summary kind")
 	}
-	r.add(d, ls).intFn = fn
+	r.add(d, ls, fn)
 }
 
 // IntVar registers an integer-valued instance read directly from *v at
@@ -331,7 +319,7 @@ func (r *Registry) IntVar(d Desc, ls Labels, v *int64) {
 	if d.Kind == Summary {
 		panic("metrics: IntVar registration with Summary kind")
 	}
-	r.add(d, ls).intPtr = v
+	r.add(d, ls, v)
 }
 
 // SecondsVar registers a duration-valued instance read directly from *v
@@ -343,7 +331,7 @@ func (r *Registry) SecondsVar(d Desc, ls Labels, v *time.Duration) {
 	if d.Unit == "" {
 		d.Unit = "seconds"
 	}
-	r.add(d, ls).durPtr = v
+	r.add(d, ls, v)
 }
 
 // HistSeconds registers a distribution whose Welford accumulator collected
@@ -354,7 +342,7 @@ func (r *Registry) HistSeconds(d Desc, ls Labels, fn func() stats.Welford) {
 	if d.Unit == "" {
 		d.Unit = "seconds"
 	}
-	r.add(d, ls).sumFn = fn
+	r.add(d, ls, fn)
 }
 
 // HistSecondsVar registers a nanosecond-sample distribution read directly
@@ -364,7 +352,7 @@ func (r *Registry) HistSecondsVar(d Desc, ls Labels, w *stats.Welford) {
 	if d.Unit == "" {
 		d.Unit = "seconds"
 	}
-	r.add(d, ls).sumPtr = w
+	r.add(d, ls, w)
 }
 
 // Families returns every family sorted by name (the documentation and
@@ -389,7 +377,7 @@ func (r *Registry) Len() int {
 func (m *metric) matches(sel []Label) bool {
 	for _, s := range sel {
 		found := false
-		for _, l := range m.labels {
+		for _, l := range m.set.labels {
 			if l.Key == s.Key && l.Value == s.Value {
 				found = true
 				break
@@ -485,9 +473,8 @@ func (p Point) Value() string {
 func (r *Registry) Snapshot() []Point {
 	var out []Point
 	for _, f := range r.Families() {
-		insts := make([]*metric, len(f.instances))
-		copy(insts, f.instances)
-		slices.SortFunc(insts, func(a, b *metric) int { return cmp.Compare(a.key, b.key) })
+		insts := slices.Clone(f.instances)
+		slices.SortFunc(insts, func(a, b metric) int { return cmp.Compare(a.set.key, b.set.key) })
 		for _, m := range insts {
 			out = append(out, m.points(f.Desc)...)
 		}
@@ -497,7 +484,7 @@ func (r *Registry) Snapshot() []Point {
 
 // points expands one instance into its exported points.
 func (m *metric) points(d Desc) []Point {
-	base := Point{Name: d.Name, Labels: m.key, Unit: d.Unit, Kind: d.Kind}
+	base := Point{Name: d.Name, Labels: m.set.key, Unit: d.Unit, Kind: d.Kind}
 	switch {
 	case m.isInt():
 		base.IsInt = true
@@ -509,7 +496,7 @@ func (m *metric) points(d Desc) []Point {
 	default:
 		w := m.sumVal()
 		mk := func(suffix, unit string, isInt bool, iv int64, fv float64) Point {
-			return Point{Name: d.Name + suffix, Labels: m.key, Unit: unit, Kind: d.Kind,
+			return Point{Name: d.Name + suffix, Labels: m.set.key, Unit: unit, Kind: d.Kind,
 				IsInt: isInt, Int: iv, Float: fv}
 		}
 		pts := []Point{
