@@ -16,7 +16,11 @@
 // fields (or, for values that must be computed, closures over them), read
 // only at snapshot time, so registration adds no bookkeeping to the hot
 // paths and the registry can never disagree with the authoritative
-// counters. Snapshots and exports are deterministic: metric
+// counters. An instance costs the registry one reference to its interned
+// label set and its value source, 24 bytes, and with the label sets, the
+// families and the duplicate check the registry keeps about 80 bytes per
+// instance at 5 000 workstations (TestRegistryBytesPerInstance holds it
+// to 100). Snapshots and exports are deterministic: metric
 // instances are emitted sorted by (name, labels), integers stay exact, and
 // floats render with strconv's shortest round-trip form, so identical
 // seeds produce byte-identical dumps regardless of registration order or
