@@ -86,7 +86,7 @@ scalecheck:
 # on a steady-state hot path (docs/PERFORMANCE.md lists them). Not a
 # `check` step: `make test` runs these.
 allocscheck:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/server ./internal/metrics ./internal/cluster ./internal/workload ./internal/live ./internal/migrate
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim ./internal/netsim ./internal/fscache ./internal/server ./internal/metrics ./internal/cluster ./internal/workload ./internal/live
 
 # The live-service gate by name: a 2-second in-package mini-soak under the
 # race detector, then a real 5-second `serve` run with a mid-soak /metrics

@@ -17,8 +17,8 @@
 //	internal/vm           virtual memory and FS/VM page trading
 //	internal/server       file servers and consistency state
 //	internal/netsim       the 10 Mbit/s Ethernet + RPC model
-//	internal/migrate      pmake-style process migration
-//	internal/workload     the parameterized user community
+//	internal/workload     the parameterized user community and its
+//	                      pmake-style process migration
 //	internal/trace        trace format, codecs, k-way merge
 //	internal/analysis     the Section 4 table/figure analyzers
 //	internal/consistency  the Section 5.5-5.6 simulators

@@ -149,7 +149,7 @@ func (e *Engine) farmDispatch(fr *farmRun) {
 		var target int32
 		var ok bool
 		if e.rng.Bool(0.7) {
-			target, ok = e.pool.Select(fr.u.sessHost)
+			target, ok = e.selectHost(fr.u.sessHost)
 		} else {
 			target, ok = e.selectSticky(fr.u)
 		}
