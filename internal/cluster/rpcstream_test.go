@@ -45,10 +45,10 @@ func (d *rpcDigest) Outcome(server int16, client int32, class netsim.Class, payl
 // to preserve event order must leave them alone; if one moves, find the
 // same-instant tie that moved it rather than regenerating.
 const (
-	rpcStreamBatch40      = 0xb602dccaf8e28d58
-	rpcStreamBatch40RPCs  = 57757
-	rpcStreamLateJoin     = 0xc942b446a950426e
-	rpcStreamLateJoinRPCs = 57799
+	rpcStreamBatch40      = 0xc233b3427a876498
+	rpcStreamBatch40RPCs  = 57752
+	rpcStreamLateJoin     = 0x62b35482b583ef0c
+	rpcStreamLateJoinRPCs = 57794
 )
 
 // TestRPCStreamPinned runs the paper's 40-workstation cluster for two
