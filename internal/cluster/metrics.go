@@ -9,17 +9,19 @@ import (
 	"spritefs/internal/sim"
 )
 
-// RegisterComponents registers a component stack into one registry.
-// NewSystem calls it for the simulator, network, servers and injector
-// (AddClient then registers each workstation as it is brought up), and the
-// scale engine calls it once per shard into its engine-wide registry, so
-// any run exposes the identical metric families for Report projections to
-// read.
+// RegisterComponents registers a component stack into one registry: the
+// simulator, the network, the server population and the injector, and the
+// client population over *clients when clients is not nil. The client
+// columns read the live slice, so a workstation AddClient brings up later
+// joins them without registering anything. NewSystem calls it for its own
+// registry, and the scale engine once per shard into its engine-wide
+// registry, so any run exposes the identical metric families for Report
+// projections to read.
 //
 // The simulation core's scheduler gauges (event-queue depth, event-pool
 // occupancy, armed recurring timers) register alongside, so profiling
 // runs can watch scheduler pressure next to the model metrics.
-func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Client, servers []*server.Server, net *netsim.Network, inj *faults.Injector) {
+func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients *[]*client.Client, servers []*server.Server, net *netsim.Network, inj *faults.Injector) {
 	r.Int(metrics.Desc{Name: "spritefs_sim_events_pending", Unit: "events",
 		Help: "Events currently scheduled on the simulator (one-shot events plus armed tickers).",
 		Kind: metrics.Gauge},
@@ -35,11 +37,9 @@ func RegisterComponents(r *metrics.Registry, sm *sim.Sim, clients []*client.Clie
 		Kind: metrics.Gauge},
 		nil, func() int64 { return int64(sm.WheelTimers()) })
 	net.RegisterMetrics(r)
-	for _, s := range servers {
-		s.RegisterMetrics(r)
-	}
-	for _, cl := range clients {
-		cl.RegisterMetrics(r)
+	server.RegisterMetrics(r, servers)
+	if clients != nil {
+		client.RegisterMetrics(r, clients)
 	}
 	if inj != nil {
 		inj.RegisterMetrics(r)

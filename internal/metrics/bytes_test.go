@@ -53,6 +53,44 @@ func (c *syntheticClient) register(r *Registry, id int) {
 	r.Int(Desc{Name: "syn_size_bytes", Unit: "bytes", Help: "h", Kind: Gauge}, ls, c.size)
 }
 
+// registerColumns registers the workstations cs, whose ids are ids, as one
+// column per counter over their population, the way
+// cluster.RegisterComponents registers a shard's workstations.
+func registerColumns(r *Registry, cs []*syntheticClient, ids []int64) {
+	p := &Population{Key: "client", Len: func() int { return len(cs) }, ID: func(i int) int64 { return ids[i] }}
+	for s, scope := range []string{"all", "migrated"} {
+		inner := Labels{L("scope", scope)}
+		for j := range cs[0].ops[s] {
+			r.IntColumn(Desc{Name: "syn_ops" + strconv.Itoa(j) + "_total", Unit: "ops", Help: "h", Kind: Counter}, p, inner,
+				func(i int) int64 { return cs[i].ops[s][j] })
+		}
+	}
+	for j, reason := range []string{"delay", "fsync", "recall", "vm", "evict", "recover"} {
+		inner := Labels{L("reason", reason)}
+		r.IntColumn(Desc{Name: "syn_cleaned_total", Unit: "blocks", Help: "h", Kind: Counter}, p, inner,
+			func(i int) int64 { return cs[i].cleaned[j] })
+		r.HistSecondsColumn(Desc{Name: "syn_clean_age_seconds", Help: "h"}, p, inner,
+			func(i int) stats.Welford { return cs[i].ages[j] })
+	}
+	for j, class := range []string{"code", "init-data", "heap", "stack"} {
+		inner := Labels{L("class", class)}
+		r.IntColumn(Desc{Name: "syn_paged_in_bytes_total", Unit: "bytes", Help: "h", Kind: Counter}, p, inner,
+			func(i int) int64 { return cs[i].paged[0][j] })
+		r.IntColumn(Desc{Name: "syn_paged_out_bytes_total", Unit: "bytes", Help: "h", Kind: Counter}, p, inner,
+			func(i int) int64 { return cs[i].paged[1][j] })
+	}
+	for j := range cs[0].ints {
+		r.IntColumn(Desc{Name: "syn_count" + strconv.Itoa(j) + "_total", Unit: "ops", Help: "h", Kind: Counter}, p, nil,
+			func(i int) int64 { return cs[i].ints[j] })
+	}
+	r.HistSecondsColumn(Desc{Name: "syn_replacement_age_seconds", Help: "h"}, p, nil,
+		func(i int) stats.Welford { return cs[i].ages[6] })
+	r.SecondsColumn(Desc{Name: "syn_max_age_seconds", Help: "h", Kind: Gauge}, p, nil,
+		func(i int) time.Duration { return cs[i].dur })
+	r.IntColumn(Desc{Name: "syn_size_bytes", Unit: "bytes", Help: "h", Kind: Gauge}, p, nil,
+		func(i int) int64 { return cs[i].size() })
+}
+
 // TestRegistryBytesPerInstance: the registry's own live heap, per
 // registered instance, over 5 000 workstations registered through 16 shard
 // scopes. The counters are allocated before the first reading; what is
@@ -79,6 +117,43 @@ func TestRegistryBytesPerInstance(t *testing.T) {
 	t.Logf("%d instances over %d clients: %.1f B of registry heap per instance", n, clients, per)
 	if per > limit {
 		t.Errorf("the registry keeps %.1f B per instance, want at most %d", per, limit)
+	}
+	runtime.KeepAlive(cs)
+	runtime.KeepAlive(r)
+}
+
+// TestRegistryBytesPerClient: the same 5 000 workstations registered as
+// population columns, one population per shard scope, keep the registry's
+// live heap within 100 B per workstation: its columns, families and label
+// sets do not grow with the population. The counters and each shard's
+// slices of workstations and ids are allocated before the first reading.
+// Registered one instance at a time, as TestRegistryBytesPerInstance does,
+// a workstation costs its ~67 instances about 80 B each.
+func TestRegistryBytesPerClient(t *testing.T) {
+	const clients, shards, limit = 5000, 16, 100
+	cs := make([]syntheticClient, clients)
+	members := make([][]*syntheticClient, shards)
+	ids := make([][]int64, shards)
+	for i := range cs {
+		members[i%shards] = append(members[i%shards], &cs[i])
+		ids[i%shards] = append(ids[i%shards], int64(i))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := New()
+	for s := range members {
+		registerColumns(r.Scoped(L("shard", strconv.Itoa(s))), members[s], ids[s])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / clients
+	t.Logf("%d instances over %d clients: %.1f B of registry heap per client", r.Len(), clients, per)
+	if n := r.Len(); n != 67*clients {
+		t.Errorf("%d instances, want %d", n, 67*clients)
+	}
+	if per > limit {
+		t.Errorf("the registry keeps %.1f B per client, want at most %d", per, limit)
 	}
 	runtime.KeepAlive(cs)
 	runtime.KeepAlive(r)

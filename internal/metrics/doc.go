@@ -16,15 +16,23 @@
 // fields (or, for values that must be computed, closures over them), read
 // only at snapshot time, so registration adds no bookkeeping to the hot
 // paths and the registry can never disagree with the authoritative
-// counters. An instance costs the registry one reference to its interned
-// label set and its value source, 24 bytes, and with the label sets, the
-// families and the duplicate check the registry keeps about 80 bytes per
-// instance at 5 000 workstations (TestRegistryBytesPerInstance holds it
-// to 100). Snapshots and exports are deterministic: metric
-// instances are emitted sorted by (name, labels), integers stay exact, and
-// floats render with strconv's shortest round-trip form, so identical
-// seeds produce byte-identical dumps regardless of registration order or
-// sweep worker count.
+// counters. Like components register as a population (a cluster's
+// workstations, its servers: a label key, a live length and each index's
+// id) once per family: a column is one family member over the population,
+// with fixed inner labels and a read func(i int) T, and member i renders
+// as the scope labels, key="id", the inner labels, byte for byte what one
+// instance per member would have rendered. A single instance is the column
+// of one member with no population label. Member label sets are rendered
+// only at export, so the registry keeps about 22 bytes per workstation at
+// 5 000 workstations in 16 shard scopes (TestRegistryBytesPerClient holds
+// it to 100), against about 92 per instance registered one at a time
+// (TestRegistryBytesPerInstance, also held to 100). Members are known by
+// id, not position, so a population may grow by inserting in the middle.
+// Snapshots and exports are deterministic: metric instances are emitted
+// sorted by (name, labels), integers stay exact, and floats render with
+// strconv's shortest round-trip form, so identical seeds produce
+// byte-identical dumps regardless of registration order or sweep worker
+// count.
 //
 // The Sampler turns the registry into time series: driven by the
 // simulation clock at a configurable interval, it appends one row of

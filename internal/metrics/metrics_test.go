@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -192,4 +194,98 @@ func TestDuplicateAcrossScopes(t *testing.T) {
 		}
 	}()
 	r.Scoped(L("shard", "1")).Int(d, ls, func() int64 { return 0 })
+}
+
+// testPop is a population over a slice of ids the test grows.
+func testPop(key string, ids *[]int64) *Population {
+	return &Population{Key: key, Len: func() int { return len(*ids) }, ID: func(i int) int64 { return (*ids)[i] }}
+}
+
+// TestColumnIsItsInstances: a column over a scoped population dumps,
+// counts and sums exactly as its members registered one by one, the
+// population label between the scope's and the inner labels.
+func TestColumnIsItsInstances(t *testing.T) {
+	ids := []int64{3, 10}
+	vals := map[int64]int64{3: 30, 10: 100, 7: 70}
+	d := Desc{Name: "v_total", Unit: "ops", Help: "h", Kind: Counter}
+	col := New()
+	col.Scoped(L("shard", "1")).IntColumn(d, testPop("client", &ids), Labels{L("scope", "all")},
+		func(i int) int64 { return vals[ids[i]] })
+	ids = append(ids[:1], 7, 10) // a member joins in the middle
+	one := New()
+	for _, id := range ids {
+		id := id
+		one.Scoped(L("shard", "1")).Int(d, Labels{L("client", strconv.FormatInt(id, 10)), L("scope", "all")},
+			func() int64 { return vals[id] })
+	}
+	var got, want strings.Builder
+	if err := col.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("column dump:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	if !strings.Contains(got.String(), `v_total{shard="1",client="7",scope="all"} 70`) {
+		t.Fatalf("member 7 missing or misrendered:\n%s", got.String())
+	}
+	if g, w := col.Len(), 3; g != w {
+		t.Errorf("Len = %d, want %d", g, w)
+	}
+	if keys := col.Families()[0].LabelKeys(); !slices.Equal(keys, []string{"shard,client,scope"}) {
+		t.Errorf("label keys = %v", keys)
+	}
+	for _, sel := range [][]Label{{L("client", "7")}, {L("client", "10"), L("scope", "all")}, {L("scope", "all")}, {L("client", "07")}} {
+		if g, w := col.SumInt("v_total", sel...), one.SumInt("v_total", sel...); g != w {
+			t.Errorf("SumInt(%v) = %d, want %d", sel, g, w)
+		}
+	}
+}
+
+// TestColumnDuplicatePanics: the duplicate check is per column (family,
+// scope, population key and inner labels), and a column member is as
+// much an instance as a single registration.
+func TestColumnDuplicatePanics(t *testing.T) {
+	d := Desc{Name: "u_total", Unit: "ops", Help: "h", Kind: Counter}
+	zero := func(int) int64 { return 0 }
+	ids, none := []int64{4, 8}, []int64(nil)
+	for _, tc := range []struct {
+		name string
+		reg  func(r *Registry)
+		want string
+	}{
+		{"the same column twice", func(r *Registry) {
+			r.IntColumn(d, testPop("client", &ids), Labels{L("scope", "all")}, zero)
+			r.IntColumn(d, testPop("client", &ids), Labels{L("scope", "all")}, zero)
+		}, `metrics: duplicate instance u_total{shard="0",client="4",scope="all"}`},
+		{"an empty column twice", func(r *Registry) {
+			r.IntColumn(d, testPop("client", &none), nil, zero)
+			r.IntColumn(d, testPop("client", &none), nil, zero)
+		}, `metrics: duplicate column u_total{shard="0",client=*}`},
+		{"an instance that is a member", func(r *Registry) {
+			r.IntColumn(d, testPop("client", &ids), Labels{L("scope", "all")}, zero)
+			r.Int(d, Labels{L("client", "8"), L("scope", "all")}, func() int64 { return 0 })
+		}, `metrics: duplicate instance u_total{shard="0",client="8",scope="all"}`},
+		{"a column with a member that is an instance", func(r *Registry) {
+			r.Int(d, Labels{L("client", "8")}, func() int64 { return 0 })
+			r.IntColumn(d, testPop("client", &ids), nil, zero)
+		}, `metrics: duplicate instance u_total{shard="0",client="8"}`},
+		{"columns apart by inner labels", func(r *Registry) {
+			r.IntColumn(d, testPop("client", &ids), Labels{L("scope", "all")}, zero)
+			r.IntColumn(d, testPop("client", &ids), Labels{L("scope", "migrated")}, zero)
+			r.IntColumn(d, testPop("client", &ids), nil, zero)
+			r.Int(d, Labels{L("client", "5")}, func() int64 { return 0 })
+		}, ""},
+	} {
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			tc.reg(New().Scoped(L("shard", "0")))
+			return nil
+		}()
+		if tc.want == "" && got != nil || tc.want != "" && got != tc.want {
+			t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+		}
+	}
 }

@@ -31,10 +31,12 @@ type Sampler struct {
 	cols   []seriesCol
 	colIdx map[string]int
 	rows   []row
-	// Families and instances are only ever appended: seen counts the
-	// families judged by match, a cursor's n its family's resolved instances.
+	// Families and their registrations are only ever appended: seen counts
+	// the families judged by match, a cursor's n its family's registrations
+	// followed.
 	seen int
 	fams []famCursor
+	regs []sampledReg
 }
 
 type famCursor struct {
@@ -42,14 +44,25 @@ type famCursor struct {
 	n int
 }
 
-// seriesCol is one sampled instance, f.instances[i]. It holds the index,
-// not a pointer: appending to a family moves its instances.
-type seriesCol struct {
-	f *Family
-	i int
+// sampledReg follows one registration, f.regs[k] (an index, not a
+// pointer: appending to a family moves its registrations). ids holds its
+// members' IDs in population order at the last row, cols each one's
+// column: a member keeps its column by ID when a population inserts
+// before it.
+type sampledReg struct {
+	f    *Family
+	k    int
+	ids  []int64
+	cols []int
 }
 
-func (c seriesCol) m() *metric { return &c.f.instances[c.i] }
+func (sr *sampledReg) m() *metric { return &sr.f.regs[sr.k] }
+
+// seriesCol is one sampled instance.
+type seriesCol struct {
+	f   *Family
+	key string
+}
 
 type row struct {
 	t time.Duration
@@ -63,10 +76,10 @@ func NewSampler(reg *Registry, match func(name string) bool) *Sampler {
 }
 
 // Sample reads every selected metric now and appends one row stamped with
-// the given virtual time. New metric instances (replay materializes
-// clients lazily) extend the column set; earlier rows read as NaN in the
-// missing columns. Once every instance has its column, a row allocates
-// only its value slice.
+// the given virtual time. New instances (replay materializes clients
+// lazily; a population may grow between rows) extend the column set;
+// earlier rows read as NaN in the missing columns. Once every instance has
+// its column, a row allocates only its value slice.
 func (s *Sampler) Sample(now time.Duration) {
 	for _, f := range s.reg.s.fams[s.seen:] {
 		if f.Desc.Kind != Summary && (s.match == nil || s.match(f.Desc.Name)) {
@@ -76,21 +89,68 @@ func (s *Sampler) Sample(now time.Duration) {
 	s.seen = len(s.reg.s.fams)
 	for i := range s.fams {
 		fc := &s.fams[i]
-		for j := fc.n; j < len(fc.f.instances); j++ {
-			s.colIdx[fc.f.Desc.Name+fc.f.instances[j].set.key] = len(s.cols)
-			s.cols = append(s.cols, seriesCol{fc.f, j})
+		for ; fc.n < len(fc.f.regs); fc.n++ {
+			s.regs = append(s.regs, sampledReg{f: fc.f, k: fc.n})
 		}
-		fc.n = len(fc.f.instances)
+	}
+	for i := range s.regs {
+		s.resolve(&s.regs[i])
 	}
 	vals := make([]float64, len(s.cols))
-	for i, c := range s.cols {
-		if m := c.m(); m.isInt() {
-			vals[i] = float64(m.intVal())
-		} else {
-			vals[i] = m.durVal().Seconds()
+	for _, sr := range s.regs {
+		m := sr.m()
+		for i, ci := range sr.cols {
+			if m.isInt() {
+				vals[ci] = float64(m.intVal(i))
+			} else {
+				vals[ci] = m.durVal(i).Seconds()
+			}
 		}
 	}
 	s.rows = append(s.rows, row{t: now, v: vals})
+}
+
+// resolve gives every current member of sr its column, by ID: a member
+// seen before keeps its column wherever the population now holds it.
+func (s *Sampler) resolve(sr *sampledReg) {
+	m := sr.m()
+	if m.pop == nil {
+		if len(sr.cols) == 0 {
+			sr.cols = append(sr.cols, s.newCol(sr.f, m.set.key))
+		}
+		return
+	}
+	n := m.pop.Len()
+	moved := n < len(sr.ids)
+	for i := 0; i < len(sr.ids) && !moved; i++ {
+		moved = m.pop.ID(i) != sr.ids[i]
+	}
+	if moved {
+		byID := make(map[int64]int, len(sr.ids))
+		for i, id := range sr.ids {
+			byID[id] = sr.cols[i]
+		}
+		sr.ids, sr.cols = sr.ids[:0], sr.cols[:0]
+		for i := 0; i < n; i++ {
+			id := m.pop.ID(i)
+			ci, ok := byID[id]
+			if !ok {
+				ci = s.newCol(sr.f, m.key(i))
+			}
+			sr.ids, sr.cols = append(sr.ids, id), append(sr.cols, ci)
+		}
+		return
+	}
+	for i := len(sr.ids); i < n; i++ {
+		sr.ids, sr.cols = append(sr.ids, m.pop.ID(i)), append(sr.cols, s.newCol(sr.f, m.key(i)))
+	}
+}
+
+// newCol adds the column of one instance and returns its index.
+func (s *Sampler) newCol(f *Family, key string) int {
+	s.colIdx[f.Desc.Name+key] = len(s.cols)
+	s.cols = append(s.cols, seriesCol{f, key})
+	return len(s.cols) - 1
 }
 
 // Len returns the number of sampled rows.
@@ -117,7 +177,7 @@ func (s *Sampler) sortedCols() []int {
 		if c := cmp.Compare(ca.f.Desc.Name, cb.f.Desc.Name); c != 0 {
 			return c
 		}
-		return cmp.Compare(ca.m().set.key, cb.m().set.key)
+		return cmp.Compare(ca.key, cb.key)
 	})
 	return idx
 }
@@ -134,7 +194,7 @@ func (s *Sampler) Get(name, labels string) Series {
 // series builds column ci's series over every row.
 func (s *Sampler) series(ci int) Series {
 	c := s.cols[ci]
-	ser := Series{Name: c.f.Desc.Name, Labels: c.m().set.key, Unit: c.f.Desc.Unit,
+	ser := Series{Name: c.f.Desc.Name, Labels: c.key, Unit: c.f.Desc.Unit,
 		Times: make([]time.Duration, len(s.rows)), Values: make([]float64, len(s.rows))}
 	for i, r := range s.rows {
 		ser.Times[i], ser.Values[i] = r.t, math.NaN()
@@ -155,7 +215,7 @@ func (s *Sampler) WriteTSV(w io.Writer) error {
 	for _, ci := range cols {
 		b.WriteByte('\t')
 		b.WriteString(s.cols[ci].f.Desc.Name)
-		b.WriteString(s.cols[ci].m().set.key)
+		b.WriteString(s.cols[ci].key)
 	}
 	b.WriteByte('\n')
 	for _, r := range s.rows {
@@ -184,7 +244,7 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 			}
 			c := s.cols[ci]
 			if _, err := fmt.Fprintf(w, "{\"t\":%s,\"name\":%q,\"labels\":%q,\"value\":%s}\n",
-				formatFloat(r.t.Seconds()), c.f.Desc.Name, c.m().set.key, formatFloat(r.v[ci])); err != nil {
+				formatFloat(r.t.Seconds()), c.f.Desc.Name, c.key, formatFloat(r.v[ci])); err != nil {
 				return err
 			}
 		}
@@ -203,7 +263,7 @@ func (s *Sampler) WritePrometheus(w io.Writer) error {
 				continue
 			}
 			if _, err := fmt.Fprintf(w, "%s%s %s %d\n",
-				c.f.Desc.Name, c.m().set.key, formatFloat(r.v[ci]), r.t.Milliseconds()); err != nil {
+				c.f.Desc.Name, c.key, formatFloat(r.v[ci]), r.t.Milliseconds()); err != nil {
 				return err
 			}
 		}

@@ -104,6 +104,15 @@ func TestSamplerRowZeroAlloc(t *testing.T) {
 		r.Int(Desc{Name: "spritefs_cache_size_bytes", Unit: "bytes", Help: "s", Kind: Gauge}, ls, func() int64 { return ops[i] })
 		r.SecondsVar(Desc{Name: "spritefs_client_busy_seconds", Help: "b", Kind: Counter}, ls, &busy[i])
 	}
+	// The same workstations as one column: a row reads its members in
+	// place, resolving nothing once their ids are unchanged.
+	ids := make([]int64, len(ops))
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	pop := &Population{Key: "client", Len: func() int { return len(ids) }, ID: func(i int) int64 { return ids[i] }}
+	r.IntColumn(Desc{Name: "spritefs_vm_evictions_total", Unit: "pages", Help: "e", Kind: Counter}, pop, nil,
+		func(i int) int64 { return ops[i] })
 	s := NewSampler(r, nil)
 	s.Sample(time.Minute) // resolves every column
 	s.rows = slices.Grow(s.rows, 200)
@@ -117,6 +126,9 @@ func TestSamplerRowZeroAlloc(t *testing.T) {
 	ser := s.Get("spritefs_cache_size_bytes", `{client="7"}`)
 	if got := ser.Values[len(ser.Values)-1]; got != float64(ops[7]) {
 		t.Errorf("last row read the size of client 7 as %g, want %d", got, ops[7])
+	}
+	if got := s.Get("spritefs_vm_evictions_total", `{client="7"}`).Values; got[len(got)-1] != float64(ops[7]) {
+		t.Errorf("last row read client 7's column member as %g, want %d", got[len(got)-1], ops[7])
 	}
 }
 

@@ -470,18 +470,21 @@ var (
 
 // registerMetrics builds the engine-wide registry, the only place a shard's
 // components register: per-shard component stacks under shard="N",
-// per-shard remote-traffic counters, and the router/executor families. With
-// LeanMetrics the per-client families are skipped — a million clients would
-// register tens of millions of metric instances nobody scrapes at that
-// scale — while everything aggregated (servers, networks, simulators, scale
-// families) still registers. The shards' workload engines never register.
+// per-shard remote-traffic counters, and the router/executor families. A
+// shard's workstations and servers register as populations, one column per
+// family over the live slice, so the registry's size does not grow with the
+// clients. With LeanMetrics the client columns are skipped, and with them
+// the per-client series a full export would render (about 67 a
+// workstation), while everything aggregated (servers, networks,
+// simulators, scale families) still registers. The shards' workload
+// engines never register.
 func (e *Engine) registerMetrics() {
 	ctr := func(r *metrics.Registry, name, unit, help string, v *int64) {
 		r.IntVar(metrics.Desc{Name: name, Unit: unit, Help: help, Kind: metrics.Counter}, nil, v)
 	}
 	for i, sh := range e.Shards {
 		scoped := e.Reg.Scoped(metrics.L("shard", strconv.Itoa(i)))
-		clients := sh.C.Clients
+		clients := &sh.C.Clients
 		if e.Cfg.LeanMetrics {
 			clients = nil
 		}
