@@ -28,11 +28,16 @@
 // it to 100), against about 92 per instance registered one at a time
 // (TestRegistryBytesPerInstance, also held to 100). Members are known by
 // id, not position, so a population may grow by inserting in the middle.
-// Snapshots and exports are deterministic: metric instances are emitted
-// sorted by (name, labels), integers stay exact, and floats render with
-// strconv's shortest round-trip form, so identical seeds produce
-// byte-identical dumps regardless of registration order or sweep worker
-// count.
+// Exports stream: they walk the families in name order and hold one
+// family's instances at a time, its members' labels rendered into one
+// reused arena, and they write their lines from one reused buffer in
+// chunks of 64 KB (TestExportBytesPerPoint holds a TSV export to 65 B and
+// 0.8 allocations a point). Only Snapshot, which collects that walk into
+// a []Point, holds every point at once. Snapshots and exports are
+// deterministic: metric instances are emitted sorted by (name, labels),
+// integers stay exact, and floats render with strconv's shortest
+// round-trip form, so identical seeds produce byte-identical dumps
+// regardless of registration order or sweep worker count.
 //
 // The Sampler turns the registry into time series: driven by the
 // simulation clock at a configurable interval, it appends one row of

@@ -430,10 +430,45 @@ func (m *refMetric) points(d Desc) []Point {
 	}
 }
 
+// refValue renders a point's value: an integer with %d, a float as the
+// shortest decimal that round-trips.
+func refValue(p Point) string {
+	if p.IsInt {
+		return fmt.Sprintf("%d", p.Int)
+	}
+	return formatFloat(p.Float)
+}
+
+func formatFloat(v float64) string {
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// refFamMeta is the per-family header a Prometheus dump needs, recovered
+// from a point (summaries expand to suffixed names that share a family).
+type refFamMeta struct{ name, help, promType string }
+
+func refFamilyOf(p Point) refFamMeta {
+	name := p.Name
+	if p.Kind == Summary {
+		for _, s := range []string{"_count", "_sum", "_mean", "_stddev", "_min", "_max"} {
+			if strings.HasSuffix(name, s) {
+				name = strings.TrimSuffix(name, s)
+				break
+			}
+		}
+		return refFamMeta{name: name, help: "(summary; see docs/METRICS.md)", promType: "untyped"}
+	}
+	t := "gauge"
+	if p.Kind == Counter {
+		t = "counter"
+	}
+	return refFamMeta{name: name, help: "(unit: " + p.Unit + "; see docs/METRICS.md)", promType: t}
+}
+
 func (r *referenceRegistry) WritePrometheus(w io.Writer) error {
 	var lastFam string
 	for _, p := range r.Snapshot() {
-		fam := familyOf(p)
+		fam := refFamilyOf(p)
 		if fam.name != lastFam {
 			lastFam = fam.name
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
@@ -441,7 +476,7 @@ func (r *referenceRegistry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", p.Name, p.Labels, p.Value()); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %s\n", p.Name, p.Labels, refValue(p)); err != nil {
 			return err
 		}
 	}
@@ -457,7 +492,7 @@ func (r *referenceRegistry) WriteTSV(w io.Writer) error {
 		if labels == "" {
 			labels = "-"
 		}
-		if _, err := fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", p.Name, labels, p.Unit, p.Value()); err != nil {
+		if _, err := fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", p.Name, labels, p.Unit, refValue(p)); err != nil {
 			return err
 		}
 	}
@@ -467,7 +502,7 @@ func (r *referenceRegistry) WriteTSV(w io.Writer) error {
 func (r *referenceRegistry) WriteJSONL(w io.Writer) error {
 	for _, p := range r.Snapshot() {
 		if _, err := fmt.Fprintf(w, "{\"name\":%q,\"labels\":%q,\"unit\":%q,\"value\":%s}\n",
-			p.Name, p.Labels, p.Unit, p.Value()); err != nil {
+			p.Name, p.Labels, p.Unit, refValue(p)); err != nil {
 			return err
 		}
 	}
