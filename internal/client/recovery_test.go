@@ -1,6 +1,7 @@
 package client
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -238,13 +239,31 @@ func TestClientCrashMeasuresLossAndDisconnects(t *testing.T) {
 
 // TestCrashKeepsPerModeState checks the state a client keeps only when it
 // needs it: the poll scheme's validation times exist under ConsistencyPoll
-// alone, before and after a crash, and the per-server epochs tell a
+// alone, before and after a crash; the open handles, the file versions and
+// the cache's file indexes exist only once used, and a crash returns the
+// workstation to that set-up footprint; and the per-server epochs tell a
 // restart from epoch 0 to epoch 1 apart from a server never contacted.
 func TestCrashKeepsPerModeState(t *testing.T) {
 	r := newRig(t, 1)
 	sprite := r.clients[0]
 	if sprite.validated != nil {
 		t.Fatal("Sprite-mode client has poll validation state")
+	}
+	// files is unexported in fscache; reflect reads whether it is nil.
+	setUp := func(c *Client) bool {
+		return c.handles == nil && c.versions == nil && reflect.ValueOf(c.Cache).Elem().FieldByName("files").IsNil()
+	}
+	if !setUp(sprite) {
+		t.Fatal("a new client made its handle, version or cache-file map before first use")
+	}
+	f := sprite.Create(1, 100, false, false)
+	open, _, err := sprite.Open(1, 100, f, false, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sprite.Write(open, 4096)
+	if setUp(sprite) {
+		t.Fatal("an open and a write left the client at its set-up footprint")
 	}
 
 	// A poll-mode client homed on server 2, so its epochs grow past 0.
@@ -266,6 +285,30 @@ func TestCrashKeepsPerModeState(t *testing.T) {
 	poll.Crash(r.sim.Now())
 	if sprite.validated != nil {
 		t.Error("Sprite-mode client gained poll validation state in Crash")
+	}
+	if !setUp(sprite) || !setUp(poll) {
+		t.Error("Crash kept a handle, version or cache-file map")
+	}
+	// The nil maps still answer: the handle open at the crash is gone.
+	if sprite.HasHandle(open) {
+		t.Error("HasHandle reports a handle opened before the crash")
+	}
+	if _, err := sprite.Close(open); err == nil {
+		t.Error("Close of a handle opened before the crash succeeded")
+	}
+	sprite.DisableFor(f)
+	r.srv.Disconnect(sprite.ID(), r.sim.Now())
+	// A fresh open, write and close after the crash.
+	h, _, err = sprite.Open(1, 100, f, true, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sprite.Write(h, 4096)
+	if _, err := sprite.Close(h); err != nil {
+		t.Fatal(err)
+	}
+	if sprite.HasHandle(h) || !sprite.Cache.Contains(f, 0) || sprite.versions[f] != r.srv.Lookup(f).Version {
+		t.Error("open, write and close after the crash: handle kept, block not cached or version not recorded")
 	}
 	if poll.validated == nil || len(poll.validated) != 0 {
 		t.Fatalf("poll-mode validation state after Crash = %v, want empty and usable", poll.validated)

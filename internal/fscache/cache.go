@@ -275,10 +275,12 @@ type Cache struct {
 	nodes []node
 	// The dirty nodes' write times by slot, grown to cover a slot when it
 	// first turns dirty: a cache that is only read never allocates any.
-	dtimes     []dirtyTimes
-	freeN      int32 // free-slot list head through next, -1 when empty
-	lruFront   int32 // most recently used, -1 when empty
-	lruBack    int32 // least recently used
+	dtimes   []dirtyTimes
+	freeN    int32 // free-slot list head through next, -1 when empty
+	lruFront int32 // most recently used, -1 when empty
+	lruBack  int32 // least recently used
+	// The resident files' indexes, made at the first insert: nil in a
+	// cache that has held no block, and again after DiscardAll.
 	files      map[uint64]*fileIndex
 	fiFree     []*fileIndex // recycled (emptied) file indexes
 	nblocks    int
@@ -350,7 +352,6 @@ func New(capacityBlocks int) *Cache {
 		lruBack:   -1,
 		scanEpoch: 1,
 		scanLast:  -1,
-		files:     make(map[uint64]*fileIndex),
 	}
 }
 
@@ -635,6 +636,9 @@ func (c *Cache) insert(fi *fileIndex, file uint64, idx, last int64, vh int16, no
 			c.fiFree = c.fiFree[:n-1]
 		} else {
 			fi = &fileIndex{}
+		}
+		if c.files == nil {
+			c.files = make(map[uint64]*fileIndex)
 		}
 		c.files[file] = fi
 	}

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -69,9 +71,18 @@ func (p *proc) resident() int {
 	return n
 }
 
+// retained is one program's sticky code pages.
 type retained struct {
-	pages   int
-	lastUse time.Duration
+	execFile uint64
+	pages    int
+	lastUse  time.Duration
+}
+
+// oldestFirst orders the retained pool as memory pressure consumes it:
+// the least recently used image first, and of images last used at the
+// same instant the lowest exec id.
+func oldestFirst(a, b retained) int {
+	return cmp.Or(cmp.Compare(a.lastUse, b.lastUse), cmp.Compare(a.execFile, b.execFile))
 }
 
 // System is one client's virtual memory system.
@@ -79,8 +90,13 @@ type System struct {
 	mem *Memory
 	io  IO
 
-	procs    map[int32]*proc
-	retained map[uint64]*retained // execFile -> sticky code pages
+	// The live processes, in no particular order: a workstation runs a
+	// handful, so a scan finds one, and every choice among them breaks
+	// ties by pid. Nil until the first exec.
+	procs []proc
+	// The retained code images in oldestFirst order, so the next page
+	// to drop is always at the front. Nil until code is first retained.
+	retained []retained
 	retPages int
 
 	st Stats
@@ -92,12 +108,7 @@ func NewSystem(mem *Memory, io IO) *System {
 	if io == nil {
 		panic("vm: nil IO")
 	}
-	return &System{
-		mem:      mem,
-		io:       io,
-		procs:    make(map[int32]*proc),
-		retained: make(map[uint64]*retained),
-	}
+	return &System{mem: mem, io: io}
 }
 
 // Stats returns a snapshot of the paging counters.
@@ -106,20 +117,44 @@ func (s *System) Stats() Stats { return s.st }
 // ResidentPages returns pages held by live processes plus retained code.
 func (s *System) ResidentPages() int {
 	n := s.retPages
-	for _, p := range s.procs {
-		n += p.resident()
+	for i := range s.procs {
+		n += s.procs[i].resident()
 	}
 	return n
+}
+
+// proc returns the live process pid, or nil. The pointer is valid until
+// the next Start or Exit.
+func (s *System) proc(pid int32) *proc {
+	for i := range s.procs {
+		if s.procs[i].pid == pid {
+			return &s.procs[i]
+		}
+	}
+	return nil
+}
+
+// image returns the index of execFile's retained code in s.retained, or -1.
+func (s *System) image(execFile uint64) int {
+	for i := range s.retained {
+		if s.retained[i].execFile == execFile {
+			return i
+		}
+	}
+	return -1
 }
 
 // acquire obtains n physical pages from the arbiter for pid, evicting
 // colder pages when memory is exhausted. The file-cache squeeze implied by
 // AcquireVM is observed by the client glue through the Memory shares.
-func (s *System) acquire(pid int32, n int, now time.Duration) {
+func (s *System) acquire(pid int32, n int) {
 	for granted := 0; granted < n; {
 		g, _ := s.mem.AcquireVM(n - granted)
 		if g == 0 {
-			if !s.evictOne(pid, now) {
+			// Dropped one at a time, each page would be released and
+			// granted straight back; a batch does the same while the VM
+			// share covers it, since ReleaseVM clamps at that share.
+			if s.evict(pid, min(n-granted, max(s.mem.VMPages(), 1))) == 0 {
 				// Nothing evictable: run overcommitted rather than
 				// deadlock; the real system would thrash.
 				return
@@ -135,32 +170,30 @@ func (s *System) acquire(pid int32, n int, now time.Duration) {
 // program ran recently — "Sprite keeps code pages in memory even after
 // processes exit"), and stack pages are allocated zero-fill with no I/O.
 func (s *System) Start(pid int32, execFile uint64, codePages, dataPages, stackPages int, migrated bool, now time.Duration) {
-	if _, dup := s.procs[pid]; dup {
+	if s.proc(pid) != nil {
 		panic(fmt.Sprintf("vm: duplicate pid %d", pid))
 	}
 	if codePages < 0 || dataPages < 0 || stackPages < 0 {
 		panic("vm: negative page counts")
 	}
-	p := &proc{pid: pid, execFile: execFile, migrated: migrated, lastRef: now}
-	s.procs[pid] = p
+	s.procs = append(s.procs, proc{pid: pid, execFile: execFile, migrated: migrated, lastRef: now})
+	p := &s.procs[len(s.procs)-1]
 
 	// Code: reuse the retained pool when possible. Reused pages are
 	// already VM-owned, so only the faulted remainder is acquired.
 	reuse := 0
-	if r := s.retained[execFile]; r != nil {
-		reuse = r.pages
-		if reuse > codePages {
-			reuse = codePages
-		}
+	if i := s.image(execFile); i >= 0 {
+		r := &s.retained[i]
+		reuse = min(r.pages, codePages)
 		s.retPages -= reuse
 		r.pages -= reuse
 		if r.pages == 0 {
-			delete(s.retained, execFile)
+			s.retained = slices.Delete(s.retained, i, i+1)
 		}
 		s.st.CodeReuse += int64(reuse)
 	}
 	faultCode := codePages - reuse
-	s.acquire(pid, faultCode, now)
+	s.acquire(pid, faultCode)
 	p.pages[PageCode] = codePages
 	if faultCode > 0 {
 		bytes := int64(faultCode) * PageSize
@@ -169,7 +202,7 @@ func (s *System) Start(pid int32, execFile uint64, codePages, dataPages, stackPa
 	}
 
 	// Initialized data: copied from the file cache on first reference.
-	s.acquire(pid, dataPages, now)
+	s.acquire(pid, dataPages)
 	p.pages[PageInitData] = dataPages
 	if dataPages > 0 {
 		bytes := int64(dataPages) * PageSize
@@ -178,99 +211,86 @@ func (s *System) Start(pid int32, execFile uint64, codePages, dataPages, stackPa
 	}
 
 	// Stack: zero-fill, no I/O.
-	s.acquire(pid, stackPages, now)
+	s.acquire(pid, stackPages)
 	p.pages[PageStack] = stackPages
 }
 
-// evictOne evicts one cold page: retained code first (dropped, no I/O),
-// then the LRU process's pages — clean classes dropped (code/init-data can
-// be re-faulted through the file cache), dirty heap/stack written to the
-// backing file. Returns false if nothing is evictable.
-func (s *System) evictOne(exceptPid int32, now time.Duration) bool {
-	if s.dropOneRetained(func(*retained) bool { return true }) {
-		s.mem.ReleaseVM(1)
-		s.st.Evictions++
-		return true
-	}
-	var victim *proc
-	for _, p := range s.procs {
-		if p.pid == exceptPid {
-			continue
+// evict frees up to n cold pages and returns how many it freed, 0 if
+// nothing is evictable: retained code first (dropped, no I/O), then the
+// LRU process's pages — clean classes dropped (code/init-data can be
+// re-faulted through the file cache), dirty heap/stack written to the
+// backing file one page at a time.
+func (s *System) evict(exceptPid int32, n int) int {
+	k := 0
+	if len(s.retained) > 0 {
+		k = s.dropRetained(n)
+	} else {
+		var victim *proc
+		for i := range s.procs {
+			if p := &s.procs[i]; p.pid != exceptPid && colder(p, victim) {
+				victim = p
+			}
 		}
-		if colder(p, victim) {
-			victim = p
+		if victim == nil {
+			return 0
 		}
+		k = s.stealPages(victim, n)
 	}
-	if victim == nil || !s.stealPage(victim) {
-		return false
-	}
-	s.mem.ReleaseVM(1)
-	s.st.Evictions++
-	return true
+	s.mem.ReleaseVM(k)
+	s.st.Evictions += int64(k)
+	return k
 }
 
 // colder reports whether p is a better eviction victim than the current
 // one, v (nil if none yet): the least recently referenced process, and of
 // processes referenced at the same instant the lowest pid, so the choice
-// never rests on map iteration order.
+// never rests on slice order.
 func colder(p, v *proc) bool {
 	return v == nil || p.lastRef < v.lastRef || p.lastRef == v.lastRef && p.pid < v.pid
 }
 
-// dropOneRetained removes one retained code page matching the predicate
-// (oldest first; of images last used at the same instant, the lowest exec
-// id) and reports whether one was found.
-func (s *System) dropOneRetained(ok func(*retained) bool) bool {
-	var oldestExec uint64
-	var oldest *retained
-	for f, r := range s.retained {
-		if !ok(r) {
-			continue
-		}
-		if oldest == nil || r.lastUse < oldest.lastUse || r.lastUse == oldest.lastUse && f < oldestExec {
-			oldest, oldestExec = r, f
-		}
+// dropRetained drops up to n pages of the oldest retained image, which
+// must exist, and returns how many it dropped.
+func (s *System) dropRetained(n int) int {
+	r := &s.retained[0]
+	k := min(n, r.pages)
+	r.pages -= k
+	s.retPages -= k
+	if r.pages == 0 {
+		s.retained = slices.Delete(s.retained, 0, 1)
 	}
-	if oldest == nil {
-		return false
-	}
-	oldest.pages--
-	s.retPages--
-	if oldest.pages == 0 {
-		delete(s.retained, oldestExec)
-	}
-	return true
+	return k
 }
 
-// stealPage removes one page from victim, paging dirty classes out to the
-// backing file. It reports whether a page was taken.
-func (s *System) stealPage(victim *proc) bool {
-	switch {
-	case victim.pages[PageCode] > 0:
-		victim.pages[PageCode]--
-	case victim.pages[PageInitData] > 0:
-		victim.pages[PageInitData]--
-	case victim.pages[PageHeap] > 0:
-		victim.pages[PageHeap]--
-		victim.pagedOut++
-		s.io.BackingOut(PageSize, victim.migrated)
-		s.st.BytesOut[PageHeap] += PageSize
-	case victim.pages[PageStack] > 0:
-		victim.pages[PageStack]--
-		victim.pagedOut++
-		s.io.BackingOut(PageSize, victim.migrated)
-		s.st.BytesOut[PageStack] += PageSize
-	default:
-		return false
+// stealPages takes pages from victim and returns how many it took, 0 if
+// victim holds none: up to n code pages or, once those are gone, up to n
+// initialized-data pages, dropped without I/O; failing both, one heap or
+// stack page, paged out to the backing file — each page-out is its own
+// paging RPC.
+func (s *System) stealPages(victim *proc, n int) int {
+	for _, c := range [...]PageClass{PageCode, PageInitData} {
+		if k := min(n, victim.pages[c]); k > 0 {
+			victim.pages[c] -= k
+			return k
+		}
 	}
-	return true
+	for _, c := range [...]PageClass{PageHeap, PageStack} {
+		if victim.pages[c] > 0 {
+			victim.pages[c]--
+			victim.pagedOut++
+			s.io.BackingOut(PageSize, victim.migrated)
+			s.st.BytesOut[c] += PageSize
+			return 1
+		}
+	}
+	return 0
 }
 
 // Touch marks a process active: its pages are referenced, any paged-out
 // pages fault back in from the backing file, and growHeap new heap pages
 // are allocated (dirty). Unknown pids are ignored (the process exited).
 func (s *System) Touch(pid int32, growHeap int, now time.Duration) {
-	p := s.procs[pid]
+	p := s.proc(pid)
 	if p == nil {
 		return
 	}
@@ -278,7 +298,7 @@ func (s *System) Touch(pid int32, growHeap int, now time.Duration) {
 	if p.pagedOut > 0 {
 		n := p.pagedOut
 		p.pagedOut = 0
-		s.acquire(pid, n, now)
+		s.acquire(pid, n)
 		p.pages[PageHeap] += n
 		bytes := int64(n) * PageSize
 		s.io.BackingIn(bytes, p.migrated)
@@ -286,7 +306,7 @@ func (s *System) Touch(pid int32, growHeap int, now time.Duration) {
 		s.st.Refaults += int64(n)
 	}
 	if growHeap > 0 {
-		s.acquire(pid, growHeap, now)
+		s.acquire(pid, growHeap)
 		p.pages[PageHeap] += growHeap
 	}
 }
@@ -296,7 +316,7 @@ func (s *System) Touch(pid int32, growHeap int, now time.Duration) {
 // pressure); they fault back in on the next Touch. It returns the number
 // paged out.
 func (s *System) PageOut(pid int32, n int, now time.Duration) int {
-	p := s.procs[pid]
+	p := s.proc(pid)
 	if p == nil || n <= 0 {
 		return 0
 	}
@@ -319,7 +339,7 @@ func (s *System) PageOut(pid int32, n int, now time.Duration) int {
 // Free releases up to n of pid's heap pages back to the free pool (the
 // process freed memory); no I/O results. It returns the number released.
 func (s *System) Free(pid int32, n int, now time.Duration) int {
-	p := s.procs[pid]
+	p := s.proc(pid)
 	if p == nil || n <= 0 {
 		return 0
 	}
@@ -338,23 +358,30 @@ func (s *System) Free(pid int32, n int, now time.Duration) int {
 // pages return to the free pool (except retained code, which stays
 // VM-owned).
 func (s *System) Exit(pid int32, now time.Duration) {
-	p := s.procs[pid]
+	p := s.proc(pid)
 	if p == nil {
 		return
 	}
-	delete(s.procs, pid)
-	code := p.pages[PageCode]
+	code, rest := p.pages[PageCode], p.resident()-p.pages[PageCode]
 	if code > 0 {
-		r := s.retained[p.execFile]
-		if r == nil {
-			r = &retained{}
-			s.retained[p.execFile] = r
-		}
-		r.pages += code
-		r.lastUse = now
-		s.retPages += code
+		s.retain(p.execFile, code, now)
 	}
-	s.mem.ReleaseVM(p.resident() - code)
+	*p = s.procs[len(s.procs)-1]
+	s.procs = s.procs[:len(s.procs)-1]
+	s.mem.ReleaseVM(rest)
+}
+
+// retain adds pages to execFile's retained code, last used now, and moves
+// the image to its place in oldestFirst order.
+func (s *System) retain(execFile uint64, pages int, now time.Duration) {
+	s.retPages += pages
+	if i := s.image(execFile); i >= 0 {
+		pages += s.retained[i].pages
+		s.retained = slices.Delete(s.retained, i, i+1)
+	}
+	r := retained{execFile: execFile, pages: pages, lastUse: now}
+	i, _ := slices.BinarySearchFunc(s.retained, r, oldestFirst)
+	s.retained = slices.Insert(s.retained, i, r)
 }
 
 // EvictProcess forcibly evicts a migrated process's memory (the paper's
@@ -363,7 +390,7 @@ func (s *System) Exit(pid int32, now time.Duration) {
 // backing file and all physical pages are released; the pages fault back
 // in if the process is touched again.
 func (s *System) EvictProcess(pid int32, now time.Duration) {
-	p := s.procs[pid]
+	p := s.proc(pid)
 	if p == nil {
 		return
 	}
@@ -386,12 +413,13 @@ func (s *System) EvictProcess(pid int32, now time.Duration) {
 func (s *System) IdlePages(now time.Duration) int {
 	n := 0
 	for _, r := range s.retained {
-		if now-r.lastUse >= IdleThreshold {
-			n += r.pages
+		if now-r.lastUse < IdleThreshold {
+			break // the rest were used later still
 		}
+		n += r.pages
 	}
-	for _, p := range s.procs {
-		if now-p.lastRef >= IdleThreshold {
+	for i := range s.procs {
+		if p := &s.procs[i]; now-p.lastRef >= IdleThreshold {
 			n += p.resident()
 		}
 	}
@@ -405,23 +433,25 @@ func (s *System) IdlePages(now time.Duration) int {
 func (s *System) DropIdle(n int, now time.Duration) int {
 	dropped := 0
 	for dropped < n {
-		if s.dropOneRetained(func(r *retained) bool { return now-r.lastUse >= IdleThreshold }) {
-			dropped++
+		// The pool is oldest first: if its front is not idle, no image is.
+		if len(s.retained) > 0 && now-s.retained[0].lastUse >= IdleThreshold {
+			dropped += s.dropRetained(n - dropped)
 			continue
 		}
 		var victim *proc
-		for _, p := range s.procs {
-			if now-p.lastRef < IdleThreshold {
-				continue
-			}
-			if colder(p, victim) {
+		for i := range s.procs {
+			if p := &s.procs[i]; now-p.lastRef >= IdleThreshold && colder(p, victim) {
 				victim = p
 			}
 		}
-		if victim == nil || !s.stealPage(victim) {
+		if victim == nil {
 			break
 		}
-		dropped++
+		k := s.stealPages(victim, n-dropped)
+		if k == 0 {
+			break
+		}
+		dropped += k
 	}
 	return dropped
 }

@@ -426,7 +426,7 @@ func TestEqualAgeVictimsAreDeterministic(t *testing.T) {
 		s.Touch(1, 10, time.Second)
 		s.Touch(2, 10, time.Second)
 		s.Start(3, 300, 26, 0, 0, false, 2*time.Second)
-		o.evict = [2]int{s.procs[1].resident(), s.procs[2].resident()}
+		o.evict = [2]int{s.proc(1).resident(), s.proc(2).resident()}
 
 		// DropIdle: the same two processes, both idle since 1s.
 		m = NewMemory(256, 64, 8)
@@ -436,7 +436,7 @@ func TestEqualAgeVictimsAreDeterministic(t *testing.T) {
 		s.Touch(1, 10, time.Second)
 		s.Touch(2, 10, time.Second)
 		s.DropIdle(15, time.Second+IdleThreshold)
-		o.drop = [2]int{s.procs[1].resident(), s.procs[2].resident()}
+		o.drop = [2]int{s.proc(1).resident(), s.proc(2).resident()}
 
 		// Retained code: images 100 and 200 both last used at 5s.
 		m = NewMemory(64, 8, 8)
@@ -447,8 +447,8 @@ func TestEqualAgeVictimsAreDeterministic(t *testing.T) {
 		s.Exit(2, 5*time.Second)
 		s.Start(3, 300, 30, 0, 0, false, 6*time.Second)
 		for i, f := range []uint64{100, 200} {
-			if r := s.retained[f]; r != nil {
-				o.retained[i] = r.pages
+			if j := s.image(f); j >= 0 {
+				o.retained[i] = s.retained[j].pages
 			}
 		}
 		return o
@@ -459,5 +459,33 @@ func TestEqualAgeVictimsAreDeterministic(t *testing.T) {
 			t.Fatalf("system %d: pages left (pid 1, pid 2) evict %v, drop %v; retained (100, 200) %v; want %+v",
 				i, got.evict, got.drop, got.retained, want)
 		}
+	}
+}
+
+// TestSystemStartExitZeroAlloc: once the process table and the retained
+// pool have reached their high-water marks, a steady exec/touch/exit cycle
+// under memory pressure — retained code dropped, pages stolen and paged
+// out — allocates nothing.
+func TestSystemStartExitZeroAlloc(t *testing.T) {
+	s, _, _ := newSys(64)
+	now := time.Duration(0)
+	cycle := func() {
+		for pid := int32(1); pid <= 4; pid++ {
+			s.Start(pid, uint64(pid%3)+1, 10, 3, 2, false, now)
+			s.Touch(pid, 4, now)
+		}
+		for pid := int32(1); pid <= 4; pid++ {
+			s.Exit(pid, now)
+		}
+		now += time.Second
+	}
+	cycle()
+	before := s.Stats()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("exec/touch/exit cycle allocates %.1f times, want 0", allocs)
+	}
+	if st := s.Stats(); st.Evictions == before.Evictions || st.BytesOut[PageHeap] == before.BytesOut[PageHeap] {
+		t.Errorf("the cycle ran without memory pressure (evictions %d → %d, heap paged out %d → %d bytes)",
+			before.Evictions, st.Evictions, before.BytesOut[PageHeap], st.BytesOut[PageHeap])
 	}
 }
