@@ -92,6 +92,7 @@ func (a *ConsistencyActions) Observe(r *trace.Record) {
 
 func openers(f *actionFile) int {
 	n := len(f.readers)
+	// order-free: counts writers not also reading.
 	for c := range f.writers {
 		if f.readers[c] == 0 {
 			n++

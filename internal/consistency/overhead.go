@@ -71,6 +71,7 @@ func newClientCache() *clientCache {
 // RPC per block, and returns how many blocks were flushed.
 func (c *clientCache) flush(o *Overhead, alg int) int {
 	n := 0
+	// order-free: every dirty block is written; the charges are integer sums.
 	for b := range c.dirtyAt {
 		delete(c.dirtyAt, b)
 		o.Bytes[alg] += BlockSize
@@ -82,6 +83,7 @@ func (c *clientCache) flush(o *Overhead, alg int) int {
 
 // expire writes back blocks dirty longer than the delayed-write interval.
 func (c *clientCache) expire(now time.Duration, o *Overhead, alg int) {
+	// order-free: each block is judged alone; the charges are integer sums.
 	for b, at := range c.dirtyAt {
 		if now-at >= writebackDelay {
 			delete(c.dirtyAt, b)
@@ -124,6 +126,7 @@ func newFileSim() *fileSim {
 
 func (f *fileSim) openers() int {
 	n := len(f.readers)
+	// order-free: counts writers not also reading.
 	for c := range f.writers {
 		if f.readers[c] == 0 {
 			n++
@@ -177,9 +180,11 @@ func SimulateOverhead(st SharedTrace) Overhead {
 	for _, ev := range st.Events {
 		f := get(ev.File)
 		// Expire delayed writes that have come due.
+		// order-free: each client's cache expires alone; the charges are integer sums.
 		for _, c := range f.mod {
 			c.expire(ev.Time, &o, AlgModified)
 		}
+		// order-free: each client's cache expires alone; the charges are integer sums.
 		for _, c := range f.tok {
 			c.expire(ev.Time, &o, AlgToken)
 		}
@@ -226,10 +231,13 @@ func SimulateOverhead(st SharedTrace) Overhead {
 		}
 	}
 	// Final flush: data dirty at trace end would be written eventually.
+	// order-free: every file is flushed; the charges are integer sums.
 	for _, f := range files {
+		// order-free: every cache is flushed; the charges are integer sums.
 		for _, c := range f.mod {
 			c.flush(&o, AlgModified)
 		}
+		// order-free: every cache is flushed; the charges are integer sums.
 		for _, c := range f.tok {
 			c.flush(&o, AlgToken)
 		}
@@ -246,6 +254,7 @@ func simModified(f *fileSim, o *Overhead, ev Event, isWrite bool) {
 		o.Bytes[AlgModified] += ev.Bytes
 		o.RPCs[AlgModified]++
 		if isWrite {
+			// order-free: every cache is flushed and invalidated; the charges are integer sums.
 			for _, c := range f.mod {
 				c.flush(o, AlgModified)
 				c.invalidate()
@@ -257,6 +266,7 @@ func simModified(f *fileSim, o *Overhead, ev Event, isWrite bool) {
 	if isWrite {
 		// Other clients' copies of the written blocks are now stale.
 		first, last := blockRange(ev.Offset, ev.Bytes)
+		// order-free: drops the written blocks from every other cache.
 		for cl, c := range f.mod {
 			if cl == ev.Client {
 				continue
@@ -281,6 +291,7 @@ func simToken(f *fileSim, o *Overhead, ev Event, isWrite bool) {
 				o.RPCs[AlgToken]++
 				f.tokCache(f.writeTok).flush(o, AlgToken)
 			}
+			// order-free: every token is recalled; the charges are integer sums.
 			for r := range f.readTok {
 				if r != cl {
 					o.RPCs[AlgToken]++
@@ -288,6 +299,7 @@ func simToken(f *fileSim, o *Overhead, ev Event, isWrite bool) {
 				delete(f.readTok, r)
 			}
 			// Everyone else's cache is stale once this client writes.
+			// order-free: invalidates every other cache.
 			for other, c := range f.tok {
 				if other != cl {
 					c.invalidate()

@@ -64,6 +64,7 @@ func (c *Cache) Clean(now time.Duration) []Writeback {
 	// stay dirty, taken from their bounds as this sweep leaves them.
 	oldest := time.Duration(math.MaxInt64)
 	ids := c.dirtyIDScratch[:0]
+	// order-free: due ids are collected, then sorted; the bound is a minimum.
 	for id, fi := range c.dirtyFiles {
 		if now-fi.oldestDirty >= delay {
 			ids = append(ids, id)
@@ -111,6 +112,7 @@ func (c *Cache) fileNodes(fi *fileIndex) []int32 {
 	}
 	if len(fi.sparse) > 0 {
 		start := len(buf)
+		// order-free: collected, then sorted by block index.
 		for _, s := range fi.sparse {
 			buf = append(buf, s)
 		}

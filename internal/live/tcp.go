@@ -160,6 +160,7 @@ func (s *TCPServer) Close() error {
 	}
 	s.closed = true
 	conns := make([]net.Conn, 0, len(s.conns))
+	// order-free: every connection is closed.
 	for c := range s.conns {
 		conns = append(conns, c)
 	}

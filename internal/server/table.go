@@ -205,6 +205,7 @@ func (t *fileTable) growIndex(seq uint64) {
 	grown := make([]int32, max(seq+1, 2*uint64(len(t.index)), fileChunk))
 	copy(grown, t.index)
 	t.index = grown
+	// order-free: each id moves to its own index slot.
 	for id, s := range t.far {
 		if seq, ok := t.indexed(id); ok {
 			t.index[seq] = s + 1
@@ -217,6 +218,7 @@ func (t *fileTable) growIndex(seq uint64) {
 // dormant ones. fn must not add, remove or wake files.
 func (t *fileTable) each(fn func(*File)) {
 	far := make([]uint64, 0, len(t.far))
+	// order-free: collected, then sorted.
 	for id := range t.far {
 		far = append(far, id)
 	}

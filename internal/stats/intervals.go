@@ -68,6 +68,7 @@ type Summary struct {
 func (a *IntervalAgg) Summarize() Summary {
 	var s Summary
 	idxs := make([]int64, 0, len(a.cells))
+	// order-free: collected, then sorted.
 	for idx := range a.cells {
 		idxs = append(idxs, idx)
 	}
@@ -75,6 +76,7 @@ func (a *IntervalAgg) Summarize() Summary {
 	for _, idx := range idxs {
 		m := a.cells[idx]
 		keys := make([]int, 0, len(m))
+		// order-free: collected, then sorted.
 		for k := range m {
 			keys = append(keys, k)
 		}

@@ -225,6 +225,7 @@ func (b *builder) build(events []event) ([]trace.Record, error) {
 	// final timestamp, in deterministic (client, proc, file) order.
 	last := events[len(events)-1].time
 	states := make([]*openState, 0, len(b.open))
+	// order-free: collected, then sorted.
 	for _, st := range b.open {
 		states = append(states, st)
 	}
@@ -382,6 +383,7 @@ func (b *builder) emit(ev *event) {
 			// Unlink-while-open has no counterpart in the Sprite model:
 			// close every live bracket on the file first, deterministically.
 			var stale []*openState
+			// order-free: collected, then sorted.
 			for _, st := range b.open {
 				if st.key.file == file {
 					stale = append(stale, st)
