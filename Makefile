@@ -115,6 +115,7 @@ FUZZTARGETS = \
 	internal/sim:FuzzScheduler internal/fscache:FuzzCache \
 	internal/server:FuzzNameSpace \
 	internal/trace:FuzzAutoReader internal/consistency:FuzzSharedCollector \
+	internal/consistency:FuzzOverhead \
 	internal/traceio:FuzzImportCSV internal/traceio:FuzzImportStrace \
 	internal/traceio:FuzzParseCSVMapping internal/traceio:FuzzParseProfile \
 	internal/faults:FuzzParseSchedule \

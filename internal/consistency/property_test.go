@@ -15,7 +15,11 @@ func randomSharedTrace(seed int64, nEvents int) SharedTrace {
 	return CollectShared(randomRecords(seed, nEvents))
 }
 
-// randomRecords builds the raw trace records behind randomSharedTrace.
+// randomRecords builds the raw trace records behind randomSharedTrace. A
+// client may open a file it already holds open, up to three times, in
+// either mode, and any of its opens may close first. Time moves in whole
+// tenths of a second, so events often fall exactly on a delayed write's
+// 30-second deadline.
 func randomRecords(seed int64, nEvents int) []trace.Record {
 	rng := rand.New(rand.NewSource(seed))
 	var recs []trace.Record
@@ -23,47 +27,49 @@ func randomRecords(seed int64, nEvents int) []trace.Record {
 		handle uint64
 		write  bool
 	}
-	open := map[[2]int64]*openState{} // (client,file) -> state
+	open := map[[2]int64][]openState{} // (client,file) -> its opens
 	var handle uint64
 	now := time.Duration(0)
 	for i := 0; i < nEvents; i++ {
-		now += time.Duration(rng.Intn(5000)) * time.Millisecond
+		now += time.Duration(rng.Intn(50)) * 100 * time.Millisecond
 		client := int32(rng.Intn(4))
 		file := uint64(rng.Intn(3) + 1)
 		key := [2]int64{int64(client), int64(file)}
-		st := open[key]
-		switch {
-		case st == nil:
+		opens := open[key]
+		r := trace.Record{Time: now, Client: client, User: client + 10, File: file}
+		switch n := rng.Intn(8); {
+		case len(opens) == 0 || n == 0 && len(opens) < 3: // open
 			handle++
-			write := rng.Intn(2) == 0
-			st = &openState{handle: handle, write: write}
-			open[key] = st
-			flags := uint8(trace.FlagReadMode)
-			if write {
-				flags |= trace.FlagWriteMode
-			}
-			recs = append(recs, trace.Record{Time: now, Kind: trace.KindOpen,
-				Client: client, User: client + 10, File: file, Handle: st.handle, Flags: flags})
-		case rng.Intn(4) == 0: // close
-			flags := uint8(trace.FlagReadMode)
-			if st.write {
-				flags |= trace.FlagWriteMode
-			}
-			recs = append(recs, trace.Record{Time: now, Kind: trace.KindClose,
-				Client: client, User: client + 10, File: file, Handle: st.handle, Flags: flags})
-			delete(open, key)
+			st := openState{handle: handle, write: rng.Intn(2) == 0}
+			open[key] = append(opens, st)
+			r.Kind, r.Handle, r.Flags = trace.KindOpen, st.handle, modeFlags(st.write)
+		case n <= 2: // close
+			j := rng.Intn(len(opens))
+			st := opens[j]
+			open[key] = append(opens[:j], opens[j+1:]...)
+			r.Kind, r.Handle, r.Flags = trace.KindClose, st.handle, modeFlags(st.write)
 		default: // read or write
-			kind := trace.KindRead
+			st := opens[rng.Intn(len(opens))]
+			r.Kind = trace.KindRead
 			if st.write && rng.Intn(2) == 0 {
-				kind = trace.KindWrite
+				r.Kind = trace.KindWrite
 			}
-			recs = append(recs, trace.Record{Time: now, Kind: kind,
-				Client: client, User: client + 10, File: file, Handle: st.handle,
-				Flags:  trace.FlagShared, // mark as CWS-window ops for the overhead sim
-				Offset: int64(rng.Intn(64 * 1024)), Length: int64(rng.Intn(8000) + 1)})
+			r.Handle = st.handle
+			r.Flags = trace.FlagShared // mark as CWS-window ops for the overhead sim
+			r.Offset, r.Length = int64(rng.Intn(64*1024)), int64(rng.Intn(8000)+1)
 		}
+		recs = append(recs, r)
 	}
 	return recs
+}
+
+// modeFlags returns the open-mode flags of an open for reading, or for
+// reading and writing.
+func modeFlags(write bool) uint8 {
+	if write {
+		return trace.FlagReadMode | trace.FlagWriteMode
+	}
+	return trace.FlagReadMode
 }
 
 // Property: the Sprite algorithm moves exactly the application bytes and
