@@ -19,8 +19,7 @@ type ConsistencyActions struct {
 }
 
 type actionFile struct {
-	readers    map[int32]int
-	writers    map[int32]int
+	open       OpenTable
 	lastWriter int32
 	sharing    bool
 }
@@ -33,11 +32,7 @@ func NewConsistencyActions() *ConsistencyActions {
 func (a *ConsistencyActions) file(id uint64) *actionFile {
 	f := a.files[id]
 	if f == nil {
-		f = &actionFile{
-			readers:    make(map[int32]int),
-			writers:    make(map[int32]int),
-			lastWriter: -1,
-		}
+		f = &actionFile{lastWriter: -1}
 		a.files[id] = f
 	}
 	return f
@@ -56,49 +51,24 @@ func (a *ConsistencyActions) Observe(r *trace.Record) {
 			a.Recalls++
 			f.lastWriter = -1
 		}
-		write := r.Flags&trace.FlagWriteMode != 0
-		if write {
-			f.writers[r.Client]++
-		} else {
-			f.readers[r.Client]++
-		}
-		if !f.sharing && openers(f) >= 2 && len(f.writers) >= 1 {
+		f.open.Open(r.Client, r.Flags&trace.FlagWriteMode != 0)
+		if !f.sharing && f.open.WriteShared() {
 			f.sharing = true
 			a.CWS++
 		}
 	case trace.KindClose:
 		f := a.file(r.File)
 		write := r.Flags&trace.FlagWriteMode != 0
-		m := f.readers
-		if write {
-			m = f.writers
-		}
-		if m[r.Client] > 0 {
-			m[r.Client]--
-			if m[r.Client] == 0 {
-				delete(m, r.Client)
-			}
-		}
+		f.open.Close(r.Client, write)
 		if write {
 			f.lastWriter = r.Client
 		}
-		if f.sharing && openers(f) == 0 {
+		if f.sharing && f.open.Openers() == 0 {
 			f.sharing = false
 		}
 	case trace.KindDelete, trace.KindTruncate:
 		delete(a.files, r.File)
 	}
-}
-
-func openers(f *actionFile) int {
-	n := len(f.readers)
-	// order-free: counts writers not also reading.
-	for c := range f.writers {
-		if f.readers[c] == 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Finish implements Sink.

@@ -1,6 +1,10 @@
 package consistency
 
-import "time"
+import (
+	"time"
+
+	"spritefs/internal/analysis"
+)
 
 // Algorithms compared by the Section 5.6 simulator.
 const (
@@ -59,103 +63,77 @@ func blockRange(off, n int64) (first, last int64) {
 
 // clientCache is the simulator's infinitely large per-(client,file) cache.
 type clientCache struct {
-	valid   map[int64]bool
-	dirtyAt map[int64]time.Duration
+	valid map[int64]bool // made at the first access
+	dirty []dirtyBlock   // in the order the blocks became dirty
 }
 
-func newClientCache() *clientCache {
-	return &clientCache{valid: make(map[int64]bool), dirtyAt: make(map[int64]time.Duration)}
+// dirtyBlock is a block written since the cache last wrote it back.
+type dirtyBlock struct {
+	block int64
+	at    time.Duration // when it became dirty
 }
 
 // flush writes all dirty blocks back, charging bytes and one piggy-backed
-// RPC per block, and returns how many blocks were flushed.
-func (c *clientCache) flush(o *Overhead, alg int) int {
-	n := 0
-	// order-free: every dirty block is written; the charges are integer sums.
-	for b := range c.dirtyAt {
-		delete(c.dirtyAt, b)
-		o.Bytes[alg] += BlockSize
-		o.RPCs[alg]++
-		n++
-	}
-	return n
+// RPC per block.
+func (c *clientCache) flush(o *Overhead, alg int) {
+	o.Bytes[alg] += BlockSize * int64(len(c.dirty))
+	o.RPCs[alg] += int64(len(c.dirty))
+	c.dirty = c.dirty[:0]
 }
 
 // expire writes back blocks dirty longer than the delayed-write interval.
 func (c *clientCache) expire(now time.Duration, o *Overhead, alg int) {
-	// order-free: each block is judged alone; the charges are integer sums.
-	for b, at := range c.dirtyAt {
-		if now-at >= writebackDelay {
-			delete(c.dirtyAt, b)
+	kept := c.dirty[:0]
+	for _, d := range c.dirty {
+		if now-d.at >= writebackDelay {
 			o.Bytes[alg] += BlockSize
 			o.RPCs[alg]++
+		} else {
+			kept = append(kept, d)
 		}
 	}
+	c.dirty = kept
+}
+
+// isDirty reports whether block b is dirty.
+func (c *clientCache) isDirty(b int64) bool {
+	for _, d := range c.dirty {
+		if d.block == b {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *clientCache) invalidate() {
-	c.valid = make(map[int64]bool)
+	clear(c.valid)
 	// Dirty blocks are flushed by the caller before invalidation.
 }
 
 // fileSim carries per-file state for the modified-Sprite and token schemes.
 type fileSim struct {
-	// open bookkeeping (shared by all algorithms).
-	readers map[int32]int
-	writers map[int32]int
-
-	// modified-Sprite caches, keyed by client.
-	mod map[int32]*clientCache
-
-	// token state.
-	tok      map[int32]*clientCache
-	writeTok int32 // client holding the write token, or -1
-	readTok  map[int32]bool
+	open     analysis.OpenTable // shared by all algorithms
+	clients  []simClient        // every client that read or wrote during sharing
+	writeTok int                // index in clients of the write-token holder, or -1
 }
 
-func newFileSim() *fileSim {
-	return &fileSim{
-		readers:  make(map[int32]int),
-		writers:  make(map[int32]int),
-		mod:      make(map[int32]*clientCache),
-		tok:      make(map[int32]*clientCache),
-		writeTok: -1,
-		readTok:  make(map[int32]bool),
-	}
+// simClient is one client's caches of a file and its read token.
+type simClient struct {
+	id       int32
+	mod, tok clientCache // the modified-Sprite and token schemes' caches
+	readTok  bool
 }
 
-func (f *fileSim) openers() int {
-	n := len(f.readers)
-	// order-free: counts writers not also reading.
-	for c := range f.writers {
-		if f.readers[c] == 0 {
-			n++
+// client returns the index in f.clients of client id, adding it first if
+// it is not there.
+func (f *fileSim) client(id int32) int {
+	for i := range f.clients {
+		if f.clients[i].id == id {
+			return i
 		}
 	}
-	return n
-}
-
-// cwsActive reports instantaneous concurrent write-sharing.
-func (f *fileSim) cwsActive() bool {
-	return f.openers() >= 2 && len(f.writers) >= 1
-}
-
-func (f *fileSim) modCache(client int32) *clientCache {
-	c := f.mod[client]
-	if c == nil {
-		c = newClientCache()
-		f.mod[client] = c
-	}
-	return c
-}
-
-func (f *fileSim) tokCache(client int32) *clientCache {
-	c := f.tok[client]
-	if c == nil {
-		c = newClientCache()
-		f.tok[client] = c
-	}
-	return c
+	f.clients = append(f.clients, simClient{id: id})
+	return len(f.clients) - 1
 }
 
 // SimulateOverhead replays the write-shared accesses under the three
@@ -167,47 +145,28 @@ func (f *fileSim) tokCache(client int32) *clientCache {
 // blocks leave them only through consistency actions, per the paper.
 func SimulateOverhead(st SharedTrace) Overhead {
 	var o Overhead
-	files := make(map[uint64]*fileSim)
-	get := func(id uint64) *fileSim {
-		f := files[id]
-		if f == nil {
-			f = newFileSim()
-			files[id] = f
-		}
-		return f
-	}
-
+	var files []fileSim // in the order the trace first touches them
+	index := make(map[uint64]int)
 	for _, ev := range st.Events {
-		f := get(ev.File)
-		// Expire delayed writes that have come due.
-		// order-free: each client's cache expires alone; the charges are integer sums.
-		for _, c := range f.mod {
-			c.expire(ev.Time, &o, AlgModified)
+		i, ok := index[ev.File]
+		if !ok {
+			i = len(files)
+			index[ev.File] = i
+			files = append(files, fileSim{writeTok: -1})
 		}
-		// order-free: each client's cache expires alone; the charges are integer sums.
-		for _, c := range f.tok {
-			c.expire(ev.Time, &o, AlgToken)
+		f := &files[i]
+		// Expire delayed writes that have come due.
+		for j := range f.clients {
+			f.clients[j].mod.expire(ev.Time, &o, AlgModified)
+			f.clients[j].tok.expire(ev.Time, &o, AlgToken)
 		}
 
 		switch ev.Kind {
 		case EvOpen:
-			if ev.Write {
-				f.writers[ev.Client]++
-			} else {
-				f.readers[ev.Client]++
-			}
+			f.open.Open(ev.Client, ev.Write)
 		case EvClose:
-			m := f.readers
-			if ev.Write {
-				m = f.writers
-			}
-			if m[ev.Client] > 0 {
-				m[ev.Client]--
-				if m[ev.Client] == 0 {
-					delete(m, ev.Client)
-				}
-			}
-		case EvRead:
+			f.open.Close(ev.Client, ev.Write)
+		case EvRead, EvWrite:
 			if !ev.Shared {
 				continue
 			}
@@ -216,121 +175,104 @@ func SimulateOverhead(st SharedTrace) Overhead {
 			// Sprite: pass-through.
 			o.Bytes[AlgSprite] += ev.Bytes
 			o.RPCs[AlgSprite]++
-			simModified(f, &o, ev, false)
-			simToken(f, &o, ev, false)
-		case EvWrite:
-			if !ev.Shared {
-				continue
-			}
-			o.AppBytes += ev.Bytes
-			o.AppOps++
-			o.Bytes[AlgSprite] += ev.Bytes
-			o.RPCs[AlgSprite]++
-			simModified(f, &o, ev, true)
-			simToken(f, &o, ev, true)
+			c := f.client(ev.Client)
+			simModified(f, c, &o, ev)
+			simToken(f, c, &o, ev)
 		}
 	}
 	// Final flush: data dirty at trace end would be written eventually.
-	// order-free: every file is flushed; the charges are integer sums.
-	for _, f := range files {
-		// order-free: every cache is flushed; the charges are integer sums.
-		for _, c := range f.mod {
-			c.flush(&o, AlgModified)
-		}
-		// order-free: every cache is flushed; the charges are integer sums.
-		for _, c := range f.tok {
-			c.flush(&o, AlgToken)
+	for i := range files {
+		for j := range files[i].clients {
+			files[i].clients[j].mod.flush(&o, AlgModified)
+			files[i].clients[j].tok.flush(&o, AlgToken)
 		}
 	}
 	return o
 }
 
 // simModified: like Sprite, but the file is cacheable whenever concurrent
-// write-sharing is not *instantaneously* active.
-func simModified(f *fileSim, o *Overhead, ev Event, isWrite bool) {
-	if f.cwsActive() {
+// write-sharing is not *instantaneously* active. c is the index of the
+// event's client.
+func simModified(f *fileSim, c int, o *Overhead, ev Event) {
+	isWrite := ev.Kind == EvWrite
+	if f.open.WriteShared() {
 		// Pass-through, and every client's cached copy becomes stale on a
 		// write (flush dirty first, then invalidate).
 		o.Bytes[AlgModified] += ev.Bytes
 		o.RPCs[AlgModified]++
 		if isWrite {
-			// order-free: every cache is flushed and invalidated; the charges are integer sums.
-			for _, c := range f.mod {
-				c.flush(o, AlgModified)
-				c.invalidate()
+			for j := range f.clients {
+				f.clients[j].mod.flush(o, AlgModified)
+				f.clients[j].mod.invalidate()
 			}
 		}
 		return
 	}
-	cacheOp(f.modCache(ev.Client), o, AlgModified, ev, isWrite)
+	cacheOp(&f.clients[c].mod, o, AlgModified, ev)
 	if isWrite {
 		// Other clients' copies of the written blocks are now stale.
 		first, last := blockRange(ev.Offset, ev.Bytes)
-		// order-free: drops the written blocks from every other cache.
-		for cl, c := range f.mod {
-			if cl == ev.Client {
+		for j := range f.clients {
+			if j == c {
 				continue
 			}
 			for b := first; b <= last; b++ {
-				delete(c.valid, b)
+				delete(f.clients[j].mod.valid, b)
 			}
 		}
 	}
 }
 
-// simToken: read/write tokens with piggy-backed recalls.
-func simToken(f *fileSim, o *Overhead, ev Event, isWrite bool) {
-	cl := ev.Client
-	if isWrite {
-		if f.writeTok != cl {
+// simToken: read/write tokens with piggy-backed recalls. c is the index of
+// the event's client.
+func simToken(f *fileSim, c int, o *Overhead, ev Event) {
+	if ev.Kind == EvWrite {
+		if f.writeTok != c {
 			// Acquire the write token: one request RPC; recalls are
 			// piggy-backed onto it, but each recalled client costs one
 			// callback RPC (carrying its dirty data when any).
 			o.RPCs[AlgToken]++
 			if f.writeTok >= 0 {
 				o.RPCs[AlgToken]++
-				f.tokCache(f.writeTok).flush(o, AlgToken)
+				f.clients[f.writeTok].tok.flush(o, AlgToken)
 			}
-			// order-free: every token is recalled; the charges are integer sums.
-			for r := range f.readTok {
-				if r != cl {
+			for j := range f.clients {
+				other := &f.clients[j]
+				if other.readTok && j != c {
 					o.RPCs[AlgToken]++
 				}
-				delete(f.readTok, r)
-			}
-			// Everyone else's cache is stale once this client writes.
-			// order-free: invalidates every other cache.
-			for other, c := range f.tok {
-				if other != cl {
-					c.invalidate()
+				other.readTok = false
+				// Everyone else's cache is stale once this client writes.
+				if j != c {
+					other.tok.invalidate()
 				}
 			}
-			f.writeTok = cl
+			f.writeTok = c
 		}
-	} else {
-		hasToken := f.writeTok == cl || f.readTok[cl]
-		if !hasToken {
-			o.RPCs[AlgToken]++ // token request
-			if f.writeTok >= 0 && f.writeTok != cl {
-				// Recall the write token: holder flushes and downgrades.
-				o.RPCs[AlgToken]++
-				f.tokCache(f.writeTok).flush(o, AlgToken)
-				f.readTok[f.writeTok] = true
-				f.writeTok = -1
-			}
-			f.readTok[cl] = true
+	} else if f.writeTok != c && !f.clients[c].readTok {
+		o.RPCs[AlgToken]++ // token request
+		if f.writeTok >= 0 {
+			// Recall the write token: holder flushes and downgrades.
+			o.RPCs[AlgToken]++
+			f.clients[f.writeTok].tok.flush(o, AlgToken)
+			f.clients[f.writeTok].readTok = true
+			f.writeTok = -1
 		}
+		f.clients[c].readTok = true
 	}
-	cacheOp(f.tokCache(cl), o, AlgToken, ev, isWrite)
+	cacheOp(&f.clients[c].tok, o, AlgToken, ev)
 }
 
 // cacheOp applies a read or write to a simulated cache, charging block
 // fetches for misses and write fetches for partial writes of non-resident
 // blocks; writes dirty blocks under the 30-second delayed-write policy.
-func cacheOp(c *clientCache, o *Overhead, alg int, ev Event, isWrite bool) {
+func cacheOp(c *clientCache, o *Overhead, alg int, ev Event) {
+	if c.valid == nil {
+		c.valid = make(map[int64]bool)
+	}
 	first, last := blockRange(ev.Offset, ev.Bytes)
 	for b := first; b <= last; b++ {
-		if isWrite {
+		if ev.Kind == EvWrite {
 			blockStart := b * BlockSize
 			lo := ev.Offset - blockStart
 			if lo < 0 {
@@ -347,8 +289,8 @@ func cacheOp(c *clientCache, o *Overhead, alg int, ev Event, isWrite bool) {
 				o.RPCs[alg]++
 			}
 			c.valid[b] = true
-			if _, dirty := c.dirtyAt[b]; !dirty {
-				c.dirtyAt[b] = ev.Time
+			if !c.isDirty(b) {
+				c.dirty = append(c.dirty, dirtyBlock{b, ev.Time})
 			}
 		} else {
 			if !c.valid[b] {
