@@ -143,6 +143,32 @@ func TestSimulateStaleWriterSeesOwnData(t *testing.T) {
 	}
 }
 
+// A client that opens a file twice and closes the first open still reads
+// through the second: a stale read there is an error of that open.
+func TestSimulateStaleCreditsTheReadingOpen(t *testing.T) {
+	recs := []trace.Record{
+		rec(0, trace.KindOpen, 0, 1, trace.FlagWriteMode, 0, 0, 1),
+		rec(1*time.Second, trace.KindWrite, 0, 1, 0, 0, 4096, 1),
+		// Client 1 reads version 1 through its first open, opens the file
+		// again (migrated) and closes the first open.
+		rec(10*time.Second, trace.KindOpen, 1, 1, trace.FlagReadMode, 0, 0, 2),
+		rec(11*time.Second, trace.KindRead, 1, 1, 0, 0, 4096, 2),
+		rec(12*time.Second, trace.KindOpen, 1, 1, trace.FlagReadMode|trace.FlagMigrated, 0, 0, 3),
+		rec(13*time.Second, trace.KindClose, 1, 1, trace.FlagReadMode, 0, 0, 2),
+		// Client 0 writes version 2; client 1 reads version 1 through its
+		// second open, inside a 60-second window.
+		rec(14*time.Second, trace.KindWrite, 0, 1, 0, 0, 4096, 1),
+		rec(15*time.Second, trace.KindRead, 1, 1, trace.FlagMigrated, 0, 4096, 3),
+		rec(16*time.Second, trace.KindClose, 1, 1, trace.FlagReadMode|trace.FlagMigrated, 0, 0, 3),
+		rec(17*time.Second, trace.KindClose, 0, 1, trace.FlagWriteMode, 0, 0, 1),
+	}
+	res := SimulateStale(CollectShared(recs), 60*time.Second)
+	if res.Errors != 1 || res.OpensWithError != 1 || res.MigratedOpensWithError != 1 {
+		t.Errorf("errors %d, opens with error %d, migrated opens with error %d; want 1, 1, 1",
+			res.Errors, res.OpensWithError, res.MigratedOpensWithError)
+	}
+}
+
 // cwsEpisode builds a concurrent write-sharing episode: clients 0 and 1
 // both have the file open, client 1 writing, with ops flagged Shared.
 func cwsEpisode(opBytes int64, nOps int) SharedTrace {

@@ -72,19 +72,15 @@ func SimulateStale(st SharedTrace, interval time.Duration) StaleResult {
 	cache := make(map[cacheKey]cacheEntry)
 	affected := make(map[int32]bool)
 	erroredOpens := make(map[uint64]bool) // handles that saw >= 1 error
-	type openInfo struct {
-		handle   uint64
-		migrated bool
-	}
-	curOpen := make(map[cacheKey]openInfo)
+	open := make(map[uint64]bool)         // handles still open -> migrated
 
 	for _, ev := range st.Events {
 		key := cacheKey{ev.Client, ev.File}
 		switch ev.Kind {
 		case EvOpen:
-			curOpen[key] = openInfo{handle: ev.Handle, migrated: ev.Migrated}
+			open[ev.Handle] = ev.Migrated
 		case EvClose:
-			delete(curOpen, key)
+			delete(open, ev.Handle)
 		case EvWrite:
 			// Write-through: the server's version advances and the writer
 			// revalidates its own copy.
@@ -98,10 +94,10 @@ func SimulateStale(st SharedTrace, interval time.Duration) StaleResult {
 				if e.version != cur {
 					res.Errors++
 					affected[ev.User] = true
-					if oi, open := curOpen[key]; open && !erroredOpens[oi.handle] {
-						erroredOpens[oi.handle] = true
+					if migrated, isOpen := open[ev.Handle]; isOpen && !erroredOpens[ev.Handle] {
+						erroredOpens[ev.Handle] = true
 						res.OpensWithError++
-						if oi.migrated {
+						if migrated {
 							res.MigratedOpensWithError++
 						}
 					}
