@@ -48,7 +48,6 @@ func TestMetricsDocCoversReportCounters(t *testing.T) {
 		"spritefs_server_file_opens_total",
 		"spritefs_server_cws_events_total",
 		"spritefs_server_recalls_total",
-		"spritefs_consistency_bytes_total",
 		"spritefs_client_stale_reads_total",
 		// Recovery.
 		"spritefs_client_recoveries_total",
