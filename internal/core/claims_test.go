@@ -10,8 +10,9 @@ import (
 // TestClaimsQuick pins the claims table at two simulated hours on the full
 // community, byte for byte, and requires every claim to hold there: the
 // verdicts are the ablation checks (prefetch, cache size, writeback delay,
-// live polling) the model must keep passing. Regenerate with -update only
-// for an intended change to what the claims print.
+// live polling) the model must keep passing. Regenerate with
+// -update-golden (`make golden`) only for an intended change to what the
+// claims print.
 func TestClaimsQuick(t *testing.T) {
 	r, err := RunClaims(2, 1, 0)
 	if err != nil {
@@ -19,7 +20,7 @@ func TestClaimsQuick(t *testing.T) {
 	}
 	got := ClaimTables(r)
 	path := filepath.Join("testdata", "claims_quick.golden")
-	if *update {
+	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -91,12 +91,13 @@ func TestRunCounterStudy(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/report_quick.golden and claims_quick.golden from this run")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/report_quick.golden and claims_quick.golden from this run")
 
 // TestReportsRenderAllTables pins TraceReport of one quick trace followed
 // by CounterTables of a small counter study byte for byte: every label,
-// format and paper value the two reports print. Regenerate with -update
-// only for an intended change to what the reports print.
+// format and paper value the two reports print. Regenerate with
+// -update-golden (`make golden`) only for an intended change to what the
+// reports print.
 func TestReportsRenderAllTables(t *testing.T) {
 	r, err := RunTrace(1, quickOpts)
 	if err != nil {
@@ -104,7 +105,7 @@ func TestReportsRenderAllTables(t *testing.T) {
 	}
 	got := TraceReport([]*TraceResult{r}) + CounterTables(RunCounterStudy(CounterOptions{Days: 0.05, Scale: 0.15}))
 	path := filepath.Join("testdata", "report_quick.golden")
-	if *update {
+	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
