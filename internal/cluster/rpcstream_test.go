@@ -40,15 +40,15 @@ func (d *rpcDigest) Outcome(server int16, client int32, class netsim.Class, payl
 	return netsim.Outcome{}
 }
 
-// The digests below were committed on the per-workstation cleaner tickers,
-// before the cleaner moved to one daemon per phase. A change that claims
-// to preserve event order must leave them alone; if one moves, find the
-// same-instant tie that moved it rather than regenerating.
+// The digests below were last re-pinned when pmake's link began reading
+// and deleting its targets' objects, a change of the workload. A change
+// that claims to preserve event order must leave them alone; if one moves,
+// find the same-instant tie that moved it rather than regenerating.
 const (
-	rpcStreamBatch40      = 0xc233b3427a876498
-	rpcStreamBatch40RPCs  = 57752
-	rpcStreamLateJoin     = 0x62b35482b583ef0c
-	rpcStreamLateJoinRPCs = 57794
+	rpcStreamBatch40      = 0x4eb0f431ef29e1d9
+	rpcStreamBatch40RPCs  = 51153
+	rpcStreamLateJoin     = 0x407a2191e31ce70d
+	rpcStreamLateJoinRPCs = 51195
 )
 
 // TestRPCStreamPinned runs the paper's 40-workstation cluster for two

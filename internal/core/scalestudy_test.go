@@ -24,13 +24,13 @@ const shardsSweepGolden = `Throughput vs shards and sites: 80 clients, 0.10h hor
 shards  sites   hit%  opens/s  recalls/h  maxnet%  maxdisk%  router%  wan%  remote-ops  xsite-ops  rlat-ms  wanlat-ms
 ---------------------------------------------------------------------------------------------------------------------
 1           1   7.14     0.93       30.0     15.2       6.0     0.00  0.00           0          0     0.00       0.00
-2           1  17.30     2.79       40.0     13.2       7.6     0.01  0.00          39          0    30.81       0.00
+2           1  14.82     2.67      560.0     13.8       9.5     0.01  0.00          39          0    30.17       0.00
 
 Executor wall-clock
 shards  sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup  busy/wall  busy/critical  serial/wall  build  heap-MB  KB/client
 ----------------------------------------------------------------------------------------------------------------------------------------------------------
 1           1        0       2         0        0     0    2279  30ms     13164    1.00x       0.90           1.00         0.10  0.25s      4.0      51.20
-2           1        2     121       162        0    78    5345  20ms      3742    1.50x       1.50           1.50         0.25  0.50s      6.0      76.80
+2           1        2     121       162        0    78    5268  20ms      3797    1.50x       1.50           1.50         0.25  0.50s      6.0      76.80
 
 Wall-clock, ns/event, speedup, build (seconds to construct the engine),
 heap-MB (heap in use when the run returned, before any collection) and
@@ -52,14 +52,14 @@ between rounds (floors, bounds, exchange), which no worker count shrinks.
 const sitesSweepGolden = `Throughput vs shards and sites: 80 clients, 0.10h horizon
 shards  sites   hit%  opens/s  recalls/h  maxnet%  maxdisk%  router%  wan%  remote-ops  xsite-ops  rlat-ms  wanlat-ms
 ---------------------------------------------------------------------------------------------------------------------
-2           1  17.30     2.79       40.0     13.2       7.6     0.01  0.00          39          0    30.81       0.00
-2           2  16.45     2.71       20.0     12.7       7.0     0.06  0.06          36         36   112.59     112.59
+2           1  14.82     2.67      560.0     13.8       9.5     0.01  0.00          39          0    30.17       0.00
+2           2  14.50     2.85      560.0     13.8       9.5     0.06  0.06          36         36   112.59     112.59
 
 Executor wall-clock
 shards  sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup  busy/wall  busy/critical  serial/wall  build  heap-MB  KB/client
 ----------------------------------------------------------------------------------------------------------------------------------------------------------
-2           1        2     121       162        0    78    5345  30ms      5613    1.00x       0.90           1.00         0.10  0.25s      4.0      51.20
-2           2        2     112       150        0    72    5313  20ms      3764    1.50x       1.50           1.50         0.25  0.50s      6.0      76.80
+2           1        2     121       162        0    78    5268  30ms      5695    1.00x       0.90           1.00         0.10  0.25s      4.0      51.20
+2           2        2     112       150        0    72    5582  20ms      3583    1.50x       1.50           1.50         0.25  0.50s      6.0      76.80
 
 Wall-clock, ns/event, speedup, build (seconds to construct the engine),
 heap-MB (heap in use when the run returned, before any collection) and

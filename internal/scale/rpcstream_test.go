@@ -35,17 +35,18 @@ func (d *rpcDigest) Outcome(server int16, client int32, class netsim.Class, payl
 }
 
 // rpcStreamShards are the per-shard digests and RPC counts of the run
-// below, committed on the per-workstation cleaner tickers before the
-// cleaner moved to one daemon per phase. If one moves, find the
-// same-instant tie that moved it rather than regenerating.
+// below, last re-pinned when pmake's link began reading and deleting its
+// targets' objects, a change of the workload. If one moves without such a
+// change, find the same-instant tie that moved it rather than
+// regenerating.
 var rpcStreamShards = [4]struct {
 	digest uint64
 	rpcs   int
 }{
 	{0x8d59c3990164b191, 5189},
-	{0x713947af328ab21a, 7944},
-	{0x1439520025d29caf, 10179},
-	{0xa22f59792275a9f3, 5354},
+	{0x5ef2a9ebfc1a55c8, 4956},
+	{0x48c8ed7b6bfef556, 13596},
+	{0xb39202546101eb44, 5450},
 }
 
 // TestShardRPCStreamsPinned runs a sequential 4-shard topology (gateway

@@ -104,16 +104,15 @@ func (e *Engine) genEdit(u *userState) ([]op, float64) {
 	return b.exit(), e.p.EditRate
 }
 
-// genCompile models one compiler invocation: read sources whole, write an
-// object temporary per source, then (link) read the objects back, write a
-// binary, and delete the temporaries.
-func (e *Engine) genCompile(u *userState, link bool) ([]op, float64) {
+// genCompile models one compiler invocation: read sources whole and
+// write an object temporary per source. With link it then links them
+// together with objs, the objects other processes left (a build run's
+// targets). It returns the objects it leaves unlinked.
+func (e *Engine) genCompile(u *userState, link bool, objs []fileRef) ([]op, float64, []fileRef) {
 	b := e.newBuilder()
 	bin := e.reg.RandomBinary(e.rng)
 	b.exec(bin, e.p.StackPages)
 	nSrc := 1 + e.rng.Intn(4)
-	var objs []int
-	var objSizes []int64
 	for i := 0; i < nSrc; i++ {
 		src, ok := e.reg.RandomSmall(e.rng, u.id)
 		if !ok {
@@ -154,45 +153,51 @@ func (e *Engine) genCompile(u *userState, link bool) ([]op, float64) {
 		b.writeSeq(ho, objSize)
 		b.close(ho)
 		b.deleteFile(slotFile(asm))
-		objs = append(objs, obj)
-		objSizes = append(objSizes, objSize)
+		objs = append(objs, slotFile(obj))
 	}
 	if link && len(objs) > 0 {
-		// The OS group links multi-megabyte kernel images; everyone else
-		// links ordinary binaries.
-		b.think(e.rng.ExpDur(2 * time.Second))
-		for i, obj := range objs {
-			hr := b.open(slotFile(obj), true, false)
-			b.readSeq(hr, objSizes[i])
-			b.close(hr)
-		}
-		// The previous build's binary is replaced (deleted) now — its
-		// bytes lived from one build to the next, which is what keeps the
-		// byte-weighted lifetime distribution long-tailed.
-		b.deletePrev()
-		binSize := int64(e.rng.BoundedPareto(e.p.BinMin, e.p.BinMax, e.p.BinAlpha))
-		out := b.create(false)
-		hb := b.open(slotFile(out), false, true)
-		b.writeSeq(hb, binSize)
-		if e.rng.Bool(0.25) {
-			b.fsync(hb)
-		}
-		b.close(hb)
-		b.register(out)
-		// Object temporaries die young.
-		for _, obj := range objs {
-			b.deleteFile(slotFile(obj))
-		}
-		// The produced binary is read back (installed, executed, nm'd)
-		// once or twice.
-		if e.rng.Bool(0.6) {
-			ht := b.open(slotFile(out), true, false)
-			b.readSeq(ht, binSize)
-			b.close(ht)
-		}
-		e.logAppend(b, u)
+		e.link(b, u, objs)
+		objs = nil
 	}
-	return b.exit(), e.p.CompileRate
+	return b.exit(), e.p.CompileRate, objs
+}
+
+// link is a build's last step: read every object back, replace the
+// previous build's binary, and delete the objects. genCompile emits it,
+// for a compile-and-link program and for the build runner's link over its
+// targets' objects alike.
+func (e *Engine) link(b *progBuilder, u *userState, objs []fileRef) {
+	b.think(e.rng.ExpDur(2 * time.Second))
+	for _, o := range objs {
+		h := b.open(o, true, false)
+		b.readAll(h)
+		b.close(h)
+	}
+	// The previous build's binary is replaced (deleted) now — its
+	// bytes lived from one build to the next, which is what keeps the
+	// byte-weighted lifetime distribution long-tailed.
+	b.deletePrev()
+	binSize := int64(e.rng.BoundedPareto(e.p.BinMin, e.p.BinMax, e.p.BinAlpha))
+	out := b.create(false)
+	hb := b.open(slotFile(out), false, true)
+	b.writeSeq(hb, binSize)
+	if e.rng.Bool(0.25) {
+		b.fsync(hb)
+	}
+	b.close(hb)
+	b.register(out)
+	// Object temporaries die young.
+	for _, o := range objs {
+		b.deleteFile(o)
+	}
+	// The produced binary is read back (installed, executed, nm'd)
+	// once or twice.
+	if e.rng.Bool(0.6) {
+		ht := b.open(slotFile(out), true, false)
+		b.readSeq(ht, binSize)
+		b.close(ht)
+	}
+	e.logAppend(b, u)
 }
 
 // genKernelRead models the OS group inspecting kernel images (nm, gdb):

@@ -88,8 +88,8 @@ func TestGeneratorsProduceWellFormedPrograms(t *testing.T) {
 	sharedFile, _ := e.reg.RandomShared(e.rng, u.group)
 	gens := map[string]func() ([]op, float64){
 		"edit":       func() ([]op, float64) { return e.genEdit(u) },
-		"compile":    func() ([]op, float64) { return e.genCompile(u, true) },
-		"compileNL":  func() ([]op, float64) { return e.genCompile(u, false) },
+		"compile":    func() ([]op, float64) { ops, rate, _ := e.genCompile(u, true, nil); return ops, rate },
+		"compileNL":  func() ([]op, float64) { ops, rate, _ := e.genCompile(u, false, nil); return ops, rate },
 		"kernelread": func() ([]op, float64) { return e.genKernelRead(u) },
 		"mail":       func() ([]op, float64) { return e.genMail(u) },
 		"doc":        func() ([]op, float64) { return e.genDoc(u) },
@@ -212,8 +212,8 @@ func TestOpArrayRecycledZeroAlloc(t *testing.T) {
 	}
 	gens := map[string]func() []op{
 		"edit":         func() []op { ops, _ := e.genEdit(u); return ops },
-		"compile":      func() []op { ops, _ := e.genCompile(u, false); return ops },
-		"compile+link": func() []op { ops, _ := e.genCompile(u, true); return ops },
+		"compile":      func() []op { ops, _, _ := e.genCompile(u, false, nil); return ops },
+		"compile+link": func() []op { ops, _, _ := e.genCompile(u, true, nil); return ops },
 		"kernel-read":  func() []op { ops, _ := e.genKernelRead(u); return ops },
 		"mail":         func() []op { ops, _ := e.genMail(u); return ops },
 		"doc":          func() []op { ops, _ := e.genDoc(u); return ops },
@@ -225,7 +225,10 @@ func TestOpArrayRecycledZeroAlloc(t *testing.T) {
 		"shared-write": func() []op { ops, _ := e.genSharedLogWrite(u, shared); return ops },
 		"shared-read":  func() []op { ops, _ := e.genSharedRead(u, shared); return ops },
 		"stream":       func() []op { ops, _ := e.genStream(u); return ops },
-		"farm-build":   func() []op { ops, _, _ := e.genFarmBuild(u, e.reg.Media[:2]); return ops },
+		"farm-build": func() []op {
+			ops, _, _ := e.genFarmBuild(u, []fileRef{staticFile(e.reg.Media[0]), staticFile(e.reg.Media[1])})
+			return ops
+		},
 	}
 	for name, gen := range gens {
 		e.opsFree = nil
