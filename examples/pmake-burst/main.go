@@ -5,7 +5,10 @@
 //
 // The example runs the same community twice — once with migration-heavy
 // pmake users, once with migration disabled — and compares Table 2's
-// burst metrics and Table 6's migrated-column hit ratios.
+// burst metrics and Table 6's migrated-column hit ratios. pmake's link
+// runs at home and reads every object its migrated targets wrote; those
+// reads miss the home cache, which raises the all-traffic miss ratio
+// beside the migrated one, so part of the gap it prints is the link's.
 //
 //	go run ./examples/pmake-burst
 package main
