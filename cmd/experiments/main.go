@@ -35,9 +35,9 @@ import (
 // memprofile) apply everywhere.
 var flagScope = map[string][]string{
 	"traces":  {"all", "section4"},
-	"hours":   {"all", "section4", "claims", "scale", "workloads"},
+	"hours":   {"all", "section4", "claims", "scale"},
 	"days":    {"all", "section5"},
-	"scale":   {"all", "section4", "section5", "claims", "workloads"},
+	"scale":   {"all", "section4", "section5", "claims"},
 	"cdfdir":  {"all", "section4"},
 	"shards":  {"scale"},
 	"clients": {"scale"},
@@ -55,7 +55,7 @@ var nonNegative = []string{"clients", "hours", "days", "scale", "workers"}
 // and ±Inf would become a nonsense horizon or community.
 var finite = []string{"hours", "days", "scale"}
 
-var validExps = []string{"all", "section4", "section5", "claims", "scale", "workloads"}
+var validExps = []string{"all", "section4", "section5", "claims", "scale"}
 
 // validateFlags fails fast on unknown -exp names, on flags the experiment
 // would ignore and on out-of-range numbers instead of silently running the
@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment: all (section4 and section5), section4, section5, claims, scale, workloads")
+		exp     = fs.String("exp", "all", "experiment: all (section4 and section5), section4, section5, claims, scale")
 		traces  = fs.String("traces", "1,2,3,4,5,6,7,8", "comma-separated trace numbers for section4")
 		hours   = fs.Float64("hours", 24, "simulated hours per trace, or per point of -exp claims")
 		days    = fs.Float64("days", 14, "simulated days for the counter study")
@@ -194,8 +194,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	defer guard.Close()
 	guard.Add(func() { pp.Stop() })
 
-	// The scale and workload studies have their own short default horizon,
-	// not the trace studies' 24h; 0 selects it.
+	// The scale study has its own short default horizon, not the trace
+	// studies' 24h; 0 selects it.
 	studyHours := *hours
 	if !setFlags["hours"] {
 		studyHours = 0
@@ -248,18 +248,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 		fmt.Fprintln(stdout, core.ScaleTables(r))
-	}
-
-	if *exp == "workloads" {
-		if studyHours == 0 {
-			studyHours = core.DefaultWorkloadHours
-		}
-		fmt.Fprintf(stderr, "running workload study (%.1fh per community, scale %.2f)...\n",
-			studyHours, *scale)
-		r := core.RunWorkloadStudy(core.WorkloadOptions{
-			Hours: studyHours, Scale: *scale, Seed: *seed,
-		})
-		fmt.Fprintln(stdout, core.WorkloadTables(r))
 	}
 
 	return nil

@@ -148,22 +148,6 @@ func TestScaleStudyInvocation(t *testing.T) {
 	}
 }
 
-// TestWorkloadStudyInvocation drives `-exp workloads` end to end without
-// -hours: the progress line states the horizon the study defaults to, the
-// one its table then reports.
-func TestWorkloadStudyInvocation(t *testing.T) {
-	stdout, stderr, err := runTool("-exp", "workloads", "-scale", "0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stderr, "running workload study (2.0h per community, scale 0.05)") {
-		t.Errorf("progress line does not state the default horizon:\n%s", stderr)
-	}
-	if !strings.Contains(stdout, "(2.0h per community)") {
-		t.Errorf("table does not report a 2.0h horizon:\n%s", stdout)
-	}
-}
-
 // TestClaimsInvocation drives `-exp claims` end to end at a short horizon:
 // every claim prints with a verdict, and the flags the claims do not read
 // are usage errors before anything runs.
@@ -228,7 +212,8 @@ func TestErrorsKeepTheirExitCodes(t *testing.T) {
 		{"retired segments flag", []string{"-segments", "8"}, true, "-segments"},
 		// -hours and -scale keep each retired invocation short on a tree
 		// where it still ran.
-		{"retired timeseries study", []string{"-exp", "timeseries", "-hours", "0.01", "-scale", "0.1"}, true, "unknown experiment \"timeseries\" (want one of all, section4, section5, claims, scale, workloads)"},
+		{"retired timeseries study", []string{"-exp", "timeseries", "-hours", "0.01", "-scale", "0.1"}, true, "unknown experiment \"timeseries\" (want one of all, section4, section5, claims, scale)"},
+		{"retired workloads study", []string{"-exp", "workloads", "-hours", "0.01", "-scale", "0.05"}, true, "unknown experiment \"workloads\""},
 		{"retired metrics out flag", []string{"-exp", "timeseries", "-hours", "0.01", "-scale", "0.1", "-metrics-out", os.DevNull}, true, "not defined: -metrics-out"},
 		{"retired metrics format flag", []string{"-exp", "timeseries", "-hours", "0.01", "-scale", "0.1", "-metrics-format", "prom"}, true, "not defined: -metrics-format"},
 		{"retired metrics sample flag", []string{"-exp", "timeseries", "-hours", "0.01", "-scale", "0.1", "-metrics-sample", "1m"}, true, "not defined: -metrics-sample"},

@@ -259,11 +259,8 @@ func (e *Engine) nextApp(u *userState, end time.Duration) {
 	switch app {
 	case AppPmake:
 		if u.migrates {
-			// pmake dispatches all its compile targets at once, most to
-			// the user's usual (cache-warm) host and the rest spread for
-			// parallelism, and links their objects at home.
 			n := e.p.PmakeTargetsMin + e.rng.Intn(e.p.PmakeTargetsMax-e.p.PmakeTargetsMin+1)
-			e.runBuild(&buildRun{u: u, app: AppPmake, deps: make([][]int, n), workers: n, stickyP: 0.6, cont: cont})
+			e.runPmake(u, n, cont)
 			return
 		}
 		app = AppCompile
@@ -308,11 +305,6 @@ func (e *Engine) nextApp(u *userState, end time.Duration) {
 		e.launch(u, AppGrep, e.hosts[u.sessHost], ops, rate, false, cont)
 	case AppSharedLog:
 		e.runSharedLog(u, cont)
-	case AppStream:
-		ops, rate := e.genStream(u)
-		e.launch(u, AppStream, e.hosts[u.sessHost], ops, rate, false, cont)
-	case AppBuildFarm:
-		e.runBuildFarm(u, cont)
 	default:
 		cont()
 	}
@@ -413,63 +405,20 @@ func (e *Engine) runSharedLog(u *userState, cont func()) {
 	}
 }
 
-// buildRun is one run of the build runner, which serves pmake and the
-// package-build farm: a DAG of targets, each dispatched by process
-// migration to an idle host once the targets it depends on are built, and
-// one link at home that consumes every target's objects when the last
-// target finishes.
-type buildRun struct {
-	u       *userState
-	app     AppKind
-	deps    [][]int // deps[i] lists the targets i depends on (all < i)
-	workers int     // targets in flight at once
-	// stickyP is the chance a target goes to the user's sticky host
-	// rather than to any idle one.
-	stickyP   float64
-	objs      [][]fileRef // the objects target i left, once built
-	built     []bool
-	started   []bool
-	inflight  int
-	remaining int
-	cont      func()
-}
-
-func (br *buildRun) ready(i int) bool {
-	for _, d := range br.deps[i] {
-		if !br.built[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// runBuild sizes br's bookkeeping to its DAG and starts dispatching.
-func (e *Engine) runBuild(br *buildRun) {
-	n := len(br.deps)
-	br.objs = make([][]fileRef, n)
-	br.built = make([]bool, n)
-	br.started = make([]bool, n)
-	br.remaining = n
-	e.buildDispatch(br)
-}
-
-// buildDispatch launches every ready target while worker slots remain. A
-// pmake target is genCompile's compile half; a farm target is
-// genFarmBuild over its dependencies' objects. Each completion records the
-// objects, frees the slot and re-dispatches; the link runs when the whole
-// DAG is built.
-func (e *Engine) buildDispatch(br *buildRun) {
-	u := br.u
-	for i := 0; i < len(br.deps) && br.inflight < br.workers; i++ {
-		if br.started[i] || !br.ready(i) {
-			continue
-		}
-		br.started[i] = true
-		br.inflight++
+// runPmake runs one pmake of n compile targets. It dispatches every
+// target at once by process migration, most to the user's usual
+// (cache-warm) host and the rest to any idle host for parallelism; each
+// target is genCompile's compile half. When the last target finishes, the
+// link runs at home after a last compile of its own (pmake's local job)
+// and links every target's objects, in target order.
+func (e *Engine) runPmake(u *userState, n int, cont func()) {
+	objs := make([][]fileRef, n)
+	remaining := n
+	for i := range objs {
 		host, migrated := e.hosts[u.sessHost], false
 		var target int32
 		var ok bool
-		if e.rng.Bool(br.stickyP) {
+		if e.rng.Bool(0.6) {
 			target, ok = e.selectSticky(u)
 		} else {
 			target, ok = e.selectHost(u.sessHost)
@@ -477,38 +426,19 @@ func (e *Engine) buildDispatch(br *buildRun) {
 		if ok {
 			host, migrated = e.hosts[target], true
 		}
-		var ops []op
-		var rate float64
-		var made []fileRef
-		if br.app == AppPmake {
-			ops, rate, made = e.genCompile(u, false, nil)
-		} else {
-			var deps []fileRef
-			for _, d := range br.deps[i] {
-				deps = append(deps, br.objs[d]...)
-			}
-			ops, rate, made = e.genFarmBuild(u, deps)
-		}
+		ops, rate, made := e.genCompile(u, false, nil)
 		var pr *program
-		done := func() {
+		pr = e.launch(u, AppPmake, host, ops, rate, migrated, func() {
 			for _, o := range made {
 				if id := pr.resolve(o); id != 0 {
-					br.objs[i] = append(br.objs[i], staticFile(id))
+					objs[i] = append(objs[i], staticFile(id))
 				}
 			}
-			br.built[i] = true
-			br.inflight--
-			br.remaining--
-			if br.remaining == 0 {
-				// The link runs at home after a last compile of its own
-				// (pmake's local job) and links every target's objects.
-				ops, rate, _ := e.genCompile(u, true, slices.Concat(br.objs...))
-				e.launch(u, br.app, e.hosts[u.sessHost], ops, rate, false, br.cont)
-				return
+			if remaining--; remaining == 0 {
+				ops, rate, _ := e.genCompile(u, true, slices.Concat(objs...))
+				e.launch(u, AppPmake, e.hosts[u.sessHost], ops, rate, false, cont)
 			}
-			e.buildDispatch(br)
-		}
-		pr = e.launch(u, br.app, host, ops, rate, migrated, done)
+		})
 	}
 }
 

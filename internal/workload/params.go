@@ -53,20 +53,12 @@ const (
 	// that open dozens of small files in a second or two — the source of
 	// the traces' enormous open counts at tiny byte volumes.
 	AppGrep
-	// AppStream is a media-streaming client (post-1991 workload): large
-	// sequential ReadAt playback at a paced bitrate, with seek bursts
-	// when the viewer scrubs. Disabled unless Params.MediaFiles > 0.
-	AppStream
-	// AppBuildFarm is a package-build farm (post-1991 workload): a worker
-	// pool over a seeded dependency DAG, pmake-style, each package build
-	// migrated to an idle host. Disabled unless Params.FarmPackages > 0.
-	AppBuildFarm
 	NumApps
 )
 
 var appNames = [NumApps]string{
 	"edit", "compile", "pmake", "mail", "doc", "sim", "bigsim",
-	"randomdb", "dirlist", "sharedlog", "grep", "stream", "buildfarm",
+	"randomdb", "dirlist", "sharedlog", "grep",
 }
 
 // String returns the application name.
@@ -152,20 +144,6 @@ type Params struct {
 	// Backup noise: nightly backup reads flagged FlagSelfTrace, which the
 	// merger must scrub (exercises the paper's merge step).
 	EmitBackupNoise bool
-
-	// Media streaming (AppStream). All zero by default: the paper's
-	// community predates streaming, and zero keeps both the bootstrap
-	// population and the calibrated RNG sequences untouched.
-	MediaFiles       int     // media library size (0 disables the app)
-	MediaFileMB      float64 // mean media object size, MB
-	MediaBitrate     float64 // playback consumption rate, bytes/second
-	StreamSeekBurstP float64 // chance of a scrub (seek burst) between playback segments
-	StreamRandomP    float64 // chance an entire session is random-access scrubbing
-
-	// Package build farm (AppBuildFarm). Zero FarmPackages disables it.
-	FarmPackages int // dependency-DAG size per farm run
-	FarmFaninMax int // max dependencies per package
-	FarmWorkers  int // concurrent package builds farmed to idle hosts
 }
 
 // Default returns the baseline parameter set (traces 1-2 and 5-6 use it
@@ -400,42 +378,6 @@ func BSD1985(seed int64) Params {
 	p.ThinkMean *= 3
 	for g := Group(0); g < NumGroups; g++ {
 		p.AppMix[g][AppPmake] = 0
-	}
-	return p
-}
-
-// StreamingParams returns a media-streaming-heavy community: the 1991
-// population plus a shared media library, with every group spending most
-// of its time in playback sessions. The "does the Sprite cache model hold
-// on a workload its designers never saw?" configuration — single-open,
-// huge sequential reads, near-zero writes.
-func StreamingParams(seed int64) Params {
-	p := Default(seed)
-	p.MediaFiles = 36
-	p.MediaFileMB = 48
-	p.MediaBitrate = 1.5 * (1 << 20) // ~12 Mbit/s video
-	p.StreamSeekBurstP = 0.25
-	p.StreamRandomP = 0.15
-	for g := Group(0); g < NumGroups; g++ {
-		// Streaming dominates but the background community stays on, so
-		// the caches still see metadata and small-file traffic.
-		p.AppMix[g][AppStream] = 150
-	}
-	return p
-}
-
-// BuildFarmParams returns a package-build-farm-heavy community: most
-// daily users run pmake-style farm builds over seeded dependency DAGs,
-// fanned out to idle workstations through process migration — the
-// heaviest migration load any configuration generates.
-func BuildFarmParams(seed int64) Params {
-	p := Default(seed)
-	p.FarmPackages = 24
-	p.FarmFaninMax = 3
-	p.FarmWorkers = 8
-	p.MigrationUserFrac = 0.9
-	for g := Group(0); g < NumGroups; g++ {
-		p.AppMix[g][AppBuildFarm] = 80
 	}
 	return p
 }

@@ -201,7 +201,7 @@ func TestEngineHeavySharingStillBalanced(t *testing.T) {
 // hands its array back) and the same program generated again from the same
 // random stream; the second must sit in the first one's array.
 func TestOpArrayRecycledZeroAlloc(t *testing.T) {
-	p := shrink(StreamingParams(5))
+	p := smallParams(5)
 	p.BigSimUsers = 1
 	r := newRig(t, p)
 	e := r.eng
@@ -224,11 +224,6 @@ func TestOpArrayRecycledZeroAlloc(t *testing.T) {
 		"grep":         func() []op { ops, _ := e.genGrep(u); return ops },
 		"shared-write": func() []op { ops, _ := e.genSharedLogWrite(u, shared); return ops },
 		"shared-read":  func() []op { ops, _ := e.genSharedRead(u, shared); return ops },
-		"stream":       func() []op { ops, _ := e.genStream(u); return ops },
-		"farm-build": func() []op {
-			ops, _, _ := e.genFarmBuild(u, []fileRef{staticFile(e.reg.Media[0]), staticFile(e.reg.Media[1])})
-			return ops
-		},
 	}
 	for name, gen := range gens {
 		e.opsFree = nil
@@ -255,12 +250,22 @@ func TestOpArrayRecycledZeroAlloc(t *testing.T) {
 
 // TestOpArraysReturnWithTheirPrograms: over a community run every op array
 // generated is launched and every one launched comes back, so at
-// quiescence the two free lists are the same length.
+// quiescence the two free lists are the same length. Every daily user
+// migrates pmake targets and simulations, so programs are placed remotely
+// and evicted when their workstation's owner returns.
 func TestOpArraysReturnWithTheirPrograms(t *testing.T) {
-	r := newRig(t, shrink(BuildFarmParams(8)))
+	p := smallParams(8)
+	p.MigrationUserFrac = 1
+	for g := range p.AppMix {
+		p.AppMix[g] = [NumApps]float64{AppPmake: 1, AppSim: 1}
+	}
+	r := newRig(t, p)
 	r.eng.Run(2 * time.Hour)
 	r.s.RunUntil(3 * time.Hour)
 	e := r.eng
+	if e.st.Migrations == 0 || e.st.Evictions == 0 {
+		t.Fatalf("%d migrations, %d evictions: want both", e.st.Migrations, e.st.Evictions)
+	}
 	if _, _, execs, exits := r.totals(); e.st.ProgramsRun == 0 || execs != exits {
 		t.Fatalf("%d programs run, %d execs, %d exits", e.st.ProgramsRun, execs, exits)
 	}

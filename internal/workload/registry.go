@@ -41,10 +41,6 @@ type Registry struct {
 
 	// BigInputs[i] are the input files of big-sim user i (20 MB class).
 	BigInputs [][]uint64
-
-	// Media is the streaming library (post-1991 workload); empty unless
-	// Params.MediaFiles > 0.
-	Media []uint64
 }
 
 // Bootstrap creates the initial file population spread across the servers,
@@ -119,13 +115,6 @@ func Bootstrap(p Params, servers []*server.Server, rng *sim.Rand) *Registry {
 		}
 		r.BigInputs = append(r.BigInputs, inputs)
 	}
-
-	// Streaming media library, built last and only when enabled, so the
-	// 1991 population (and its RNG draws) is byte-identical when off.
-	for i := 0; i < p.MediaFiles; i++ {
-		size := int64(rng.Range(0.3, 2.2) * p.MediaFileMB * (1 << 20))
-		r.Media = append(r.Media, mk(size))
-	}
 	return r
 }
 
@@ -177,8 +166,8 @@ func (r *Registry) Dir(u int32) uint64 {
 
 // EachFile calls fn on every regular file of the population, in the
 // order Bootstrap created them: binaries, kernel images, each user's
-// small files, mailbox and data files, the groups' shared files, the
-// big-sim inputs, and the media library. Directories are not listed.
+// small files, mailbox and data files, the groups' shared files and the
+// big-sim inputs. Directories are not listed.
 // The nightly backup pass reads the files in this order.
 func (r *Registry) EachFile(fn func(id uint64)) {
 	for _, b := range r.Binaries {
@@ -196,7 +185,6 @@ func (r *Registry) EachFile(fn func(id uint64)) {
 	for _, files := range r.BigInputs {
 		eachID(files, fn)
 	}
-	eachID(r.Media, fn)
 }
 
 func eachID(ids []uint64, fn func(uint64)) {
@@ -221,20 +209,6 @@ func (r *Registry) RandomSmall(rng *sim.Rand, user int32) (uint64, bool) {
 		return 0, false
 	}
 	return files[rng.Intn(len(files))], true
-}
-
-// RandomMedia picks a streaming library object with the usual popularity
-// skew: most plays go to the hot quarter of the catalog, which is what
-// gives server caches something to work with even against media-sized
-// objects.
-func (r *Registry) RandomMedia(rng *sim.Rand) (uint64, bool) {
-	if len(r.Media) == 0 {
-		return 0, false
-	}
-	if hot := len(r.Media) / 4; hot > 0 && rng.Bool(0.8) {
-		return r.Media[rng.Intn(hot)], true
-	}
-	return r.Media[rng.Intn(len(r.Media))], true
 }
 
 // RandomShared picks one of the group's shared files.

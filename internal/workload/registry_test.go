@@ -11,12 +11,11 @@ import (
 // TestRegistryFilesInCreationOrder checks, on a single server, that the
 // registry lists every regular file it made and nothing else, in the order
 // it made them: the server hands out ids in ascending order, so that order
-// is the server's non-directory ids sorted. Big-sim inputs and the media
-// library are on, so every kind of file is covered.
+// is the server's non-directory ids sorted. Big-sim inputs are on, so
+// every kind of file is covered.
 func TestRegistryFilesInCreationOrder(t *testing.T) {
 	p := smallParams(5)
 	p.BigSimUsers = 2
-	p.MediaFiles = 3
 	srv := server.New(0)
 	reg := Bootstrap(p, []*server.Server{srv}, sim.NewRand(11))
 
