@@ -65,19 +65,16 @@ func syntheticCSV() string {
 	return b.String()
 }
 
-// importedModernized is the pipeline under test: CSV import followed by a
-// modernize pass that exercises every knob.
-func importedModernized(t *testing.T) []trace.Record {
+// imported is the pipeline under test: the synthetic CSV dump imported
+// into native records.
+func imported(t *testing.T) []trace.Record {
 	t.Helper()
 	recs, _, err := traceio.ImportCSV(strings.NewReader(syntheticCSV()),
 		traceio.DefaultCSVMapping(), traceio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := traceio.Modernize(recs, traceio.Profile{
-		SizeScale: 4, RateScale: 2, ClientScale: 2, FileScale: 2,
-	})
-	return out
+	return recs
 }
 
 // TestImportGolden pins the text rendering of the imported handwritten
@@ -131,10 +128,10 @@ const goldenSampleCSV = `# time,client,op,path,offset,length
 `
 
 // TestImportedTraceWorkerInvariant is the acceptance criterion: an
-// imported-then-modernized trace replayed under a config sweep produces
+// imported trace replayed under a config sweep produces
 // byte-identical reports at 1, 2, 4 and 8 workers.
 func TestImportedTraceWorkerInvariant(t *testing.T) {
-	recs := importedModernized(t)
+	recs := imported(t)
 	if len(recs) == 0 {
 		t.Fatal("pipeline produced no records")
 	}
@@ -170,9 +167,10 @@ func TestImportedTraceWorkerInvariant(t *testing.T) {
 
 // TestImportedTraceReplays sanity-checks that the imported stream
 // actually drives the cluster: records apply, files bootstrap, no
-// unknown handles (the importer's whole job).
+// unknown handles (the importer's whole job), and the interleaved
+// sessions reach the servers' consistency actions.
 func TestImportedTraceReplays(t *testing.T) {
-	recs := importedModernized(t)
+	recs := imported(t)
 	res, err := replay.Run(replay.Config{Name: "smoke", AsFastAsPossible: true},
 		trace.NewSliceStream(recs))
 	if err != nil {
@@ -186,5 +184,8 @@ func TestImportedTraceReplays(t *testing.T) {
 	}
 	if res.Stats.Errors != 0 {
 		t.Fatalf("replay errors = %d, want 0", res.Stats.Errors)
+	}
+	if t10 := res.Report.Table10; t10.CWSPct <= 0 || t10.RecallPct <= 0 {
+		t.Fatalf("Table 10 cws %.2f%%, recall %.2f%%; want both above zero", t10.CWSPct, t10.RecallPct)
 	}
 }
