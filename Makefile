@@ -96,10 +96,10 @@ soaksmoke:
 	$(GO) test -run TestSoakSmoke -count=1 ./cmd/serve
 
 # The trace-import gate by name: the golden import, worker-invariant replay
-# of imported-then-modernized traces, and importer determinism. Not a
-# `check` step: `make test` runs these.
+# of imported traces, and importer determinism. Not a `check` step:
+# `make test` runs these.
 importcheck:
-	$(GO) test -run 'TestImportGolden|TestImportedTrace|TestImportCSVDeterministic|TestModernizeDeterministic' -count=1 ./internal/traceio
+	$(GO) test -run 'TestImportGolden|TestImportedTrace|TestImportCSVDeterministic' -count=1 ./internal/traceio
 	@echo "importcheck: ok"
 
 # Every program under examples/ runs to completion (about a second each).
@@ -117,7 +117,7 @@ FUZZTARGETS = \
 	internal/trace:FuzzAutoReader internal/consistency:FuzzSharedCollector \
 	internal/consistency:FuzzOverhead \
 	internal/traceio:FuzzImportCSV internal/traceio:FuzzImportStrace \
-	internal/traceio:FuzzParseCSVMapping internal/traceio:FuzzParseProfile \
+	internal/traceio:FuzzParseCSVMapping \
 	internal/faults:FuzzParseSchedule \
 	internal/live:FuzzDecodeRequest internal/live:FuzzDecodeResponse internal/live:FuzzReadFrame \
 	internal/metrics:FuzzRegistry internal/vm:FuzzVM

@@ -1,6 +1,5 @@
-// Command tracefmt converts traces between the binary and text formats,
-// imports foreign trace dumps into the native format, and rescales traces
-// with the modernize transform.
+// Command tracefmt converts traces between the binary and text formats
+// and imports foreign trace dumps into the native format.
 //
 // Usage:
 //
@@ -11,13 +10,9 @@
 //	tracefmt -import csv -map 'time=0,client=1,op=2,path=3,offset=4,length=5,unit=ms' dump.csv > t.bin
 //	tracefmt -import strace strace.log > imported.bin
 //
-//	tracefmt -modernize 'size=8,rate=4,clients=4,files=2' trace.bin > scaled.bin
-//	tracefmt -import csv -modernize 'size=8,rate=4' dump.csv > scaled.bin
-//
-// Imports and modernized traces are written as binary at the derived-trace
-// header version; the import and rescale reports go to stderr. -import and
-// -modernize compose in one invocation, and a plain conversion preserves
-// the input's header version.
+// Imports are written as binary at the derived-trace header version, with
+// the import report on stderr; a plain conversion preserves the input's
+// header version.
 package main
 
 import (
@@ -59,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		encode    = fs.Bool("encode", false, "encode text input back to binary")
 		importFmt = fs.String("import", "", "import a foreign dump: csv | strace")
 		mapSpec   = fs.String("map", "", "column mapping for -import csv, e.g. 'time=0,op=2,path=3,unit=ms'")
-		modSpec   = fs.String("modernize", "", "rescale the trace, e.g. 'size=8,rate=4,clients=4,files=2,skew=5ms'")
 		servers   = fs.Int("servers", 4, "server count for -import file placement (1..32768)")
 		clients   = fs.Int("clients", 0, "client-id space for -import (0 = importer default)")
 	)
@@ -73,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case fs.NArg() != 1:
-		return usageError{errors.New("usage: tracefmt [-encode] [-import csv|strace [-map spec] [-servers n] [-clients n]] [-modernize spec] tracefile")}
+		return usageError{errors.New("usage: tracefmt [-encode] [-import csv|strace [-map spec] [-servers n] [-clients n]] tracefile")}
 	case *encode && *importFmt != "":
 		return usageError{errors.New("-encode and -import are mutually exclusive")}
 	case *mapSpec != "" && *importFmt != "csv":
@@ -92,43 +86,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	defer f.Close()
 
-	var recs []trace.Record
-	switch {
-	case *importFmt != "":
-		src := traceio.Source{Format: *importFmt, Map: *mapSpec, Options: traceio.Options{NumServers: *servers, Clients: *clients}}
-		var rep *traceio.ImportReport
-		if recs, rep, err = src.Import(f); err != nil {
-			return err
-		}
-		fmt.Fprint(stderr, rep.String())
-	case *modSpec != "":
-		// Modernizing a native trace: read it whole, in either encoding.
-		src, err := trace.NewAutoReader(f)
-		if err != nil {
-			return err
-		}
-		if recs, err = trace.Collect(src); err != nil {
-			return err
-		}
-	default:
+	if *importFmt == "" {
 		return convert(f, stdout, *encode)
 	}
-	if *modSpec != "" {
-		prof, err := traceio.ParseProfile(*modSpec)
-		if err != nil {
-			return err
-		}
-		var rep *traceio.ModernizeReport
-		recs, rep = traceio.Modernize(recs, prof)
-		fmt.Fprint(stderr, rep.String())
+	src := traceio.Source{Format: *importFmt, Map: *mapSpec, Options: traceio.Options{NumServers: *servers, Clients: *clients}}
+	recs, rep, err := src.Import(f)
+	if err != nil {
+		return err
 	}
-	return writeBinary(stdout, recs, traceio.ImportVersion)
+	fmt.Fprint(stderr, rep.String())
+	return writeBinary(stdout, recs)
 }
 
-// writeBinary writes records as a binary trace at the given header version.
-func writeBinary(out io.Writer, recs []trace.Record, ver uint16) error {
+// writeBinary writes imported records as a binary trace at the
+// derived-trace header version.
+func writeBinary(out io.Writer, recs []trace.Record) error {
 	bw := bufio.NewWriter(out)
-	w, err := trace.NewWriterVersion(bw, ver)
+	w, err := trace.NewWriterVersion(bw, traceio.ImportVersion)
 	if err != nil {
 		return err
 	}

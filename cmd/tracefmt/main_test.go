@@ -131,14 +131,21 @@ func TestConvertRejectsWrongFormat(t *testing.T) {
 	}
 }
 
+// writeDump writes a three-row CSV dump into dir and returns its path.
+func writeDump(t *testing.T, dir string) string {
+	t.Helper()
+	csv := filepath.Join(dir, "dump.csv")
+	if err := os.WriteFile(csv, []byte("0.0,ws1,open,/a,,\n0.1,ws1,read,/a,0,10\n0.2,ws1,close,/a,,\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return csv
+}
+
 // TestFlagValidation pins that tracefmt refuses the flag values it used to
 // rewrite or ignore without a word (each bad row below once exited 0), and
 // still accepts the edges of the valid range.
 func TestFlagValidation(t *testing.T) {
-	csv := filepath.Join(t.TempDir(), "dump.csv")
-	if err := os.WriteFile(csv, []byte("0.0,ws1,open,/a,,\n0.1,ws1,read,/a,0,10\n0.2,ws1,close,/a,,\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	csv := writeDump(t, t.TempDir())
 	cases := []struct {
 		args []string
 		want string // "" = accepted; otherwise a substring of the usage error
@@ -149,6 +156,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-import", "csv", "-clients", "-2", csv}, "-clients -2 is negative"},
 		{[]string{"-servers", "9", csv}, "only apply to -import"},
 		{[]string{"-clients", "3", csv}, "only apply to -import"},
+		{[]string{"-modernize", "size=2", csv}, "flag provided but not defined"},
 		{[]string{"-import", "csv", "-servers", "1", "-clients", "0", csv}, ""},
 		{[]string{"-import", "csv", "-servers", "32768", csv}, ""},
 	}
@@ -169,5 +177,52 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("err = %v, want a usage error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestImportKeepsDerivedVersion pins the header version through the CLI:
+// -import writes a version-2 binary trace, converting it to text keeps v2
+// in the header, and encoding that text reproduces the import's bytes.
+func TestImportKeepsDerivedVersion(t *testing.T) {
+	dir := t.TempDir()
+	csv := writeDump(t, dir)
+	var bin bytes.Buffer
+	if err := run([]string{"-import", "csv", csv}, &bin, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(bytes.NewReader(bin.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Version() != 2 {
+		t.Fatalf("-import wrote header version %d, want 2", r.Version())
+	}
+
+	binFile := filepath.Join(dir, "imported.bin")
+	if err := os.WriteFile(binFile, bin.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := run([]string{binFile}, &text, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.NewTextReader(bytes.NewReader(text.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Version() != 2 {
+		t.Fatalf("text conversion wrote header version %d, want 2", tr.Version())
+	}
+
+	textFile := filepath.Join(dir, "imported.txt")
+	if err := os.WriteFile(textFile, text.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var bin2 bytes.Buffer
+	if err := run([]string{"-encode", textFile}, &bin2, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bin.Bytes(), bin2.Bytes()) {
+		t.Fatal("-encode of the text conversion is not byte-identical to the import")
 	}
 }

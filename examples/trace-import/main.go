@@ -1,13 +1,13 @@
 // trace-import demonstrates the foreign-trace pipeline end to end:
-// import a CSV activity dump into the native trace format, rescale it
-// with the modernize transform, and replay the result under a cache
-// sweep — twice, at different worker counts, to show that the imported
-// trace replays byte-identically regardless of parallelism.
+// import a CSV activity dump into the native trace format and replay the
+// result under a cache sweep — twice, at different worker counts, to show
+// that the imported trace replays byte-identically regardless of
+// parallelism.
 //
 // The same pipeline is available from the command line:
 //
-//	tracefmt -import csv -modernize 'size=4,rate=2,clients=2' dump.csv > t.bin
-//	replay -trace t.bin -speed 0 -sweep cache=256,1024
+//	tracefmt -import csv dump.csv > t.bin
+//	replay -trace t.bin -speed 0 -sweep cache=16,256,1024
 //
 //	go run ./examples/trace-import
 package main
@@ -48,23 +48,13 @@ func main() {
 	}
 	fmt.Print(irep.String())
 
-	// Modernize: 1991-era sizes and rates scaled toward a modern
-	// workload — 4x larger transfers, 2x the request rate, twice the
-	// client population.
-	prof, err := traceio.ParseProfile("size=4,rate=2,clients=2,files=2")
-	if err != nil {
-		log.Fatal(err)
-	}
-	recs, mrep := traceio.Modernize(recs, prof)
-	fmt.Print(mrep.String())
-
-	// Replay the modernized trace under a cache sweep, once sequentially
-	// and once with 4 workers; the channel-clock executor guarantees the
-	// reports are identical.
+	// Replay the imported trace under a cache sweep, once sequentially and
+	// once with 4 workers; each configuration runs on its own hermetic
+	// engine, so the reports are identical.
 	cfgs := []replay.Config{
+		{Name: "cache=16", AsFastAsPossible: true, FixedCachePages: 16},
 		{Name: "cache=256", AsFastAsPossible: true, FixedCachePages: 256},
 		{Name: "cache=1024", AsFastAsPossible: true, FixedCachePages: 1024},
-		{Name: "nocache", AsFastAsPossible: true, FixedCachePages: -1},
 	}
 	seq, err := replay.RunSweep(recs, cfgs, 1)
 	if err != nil {

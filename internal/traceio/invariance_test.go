@@ -138,7 +138,7 @@ func TestImportedTraceWorkerInvariant(t *testing.T) {
 	cfgs := []replay.Config{
 		{Name: "base", AsFastAsPossible: true},
 		{Name: "bigcache", AsFastAsPossible: true, FixedCachePages: 4096},
-		{Name: "nocache", AsFastAsPossible: true, FixedCachePages: -1},
+		{Name: "cache=16", AsFastAsPossible: true, FixedCachePages: 16},
 		{Name: "prefetch", AsFastAsPossible: true, PrefetchBlocks: 2},
 	}
 	ref, err := replay.RunSweep(recs, cfgs, 1)

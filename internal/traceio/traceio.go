@@ -17,11 +17,6 @@
 // and normalizes timestamps to a zero-based virtual timebase. Imported
 // streams are stamped with trace header version 2 so trace.Merge refuses
 // to interleave them with native captures.
-//
-// The Modernize transform rescales an imported (or native) trace's
-// request sizes, rates, file populations and client counts toward
-// present-day profiles, TraceTracker-style, and reports exactly what it
-// scaled.
 package traceio
 
 import (

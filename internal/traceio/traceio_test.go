@@ -1,7 +1,6 @@
 package traceio
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -377,34 +376,5 @@ func FuzzParseCSVMapping(f *testing.F) {
 			}
 		}
 		ImportCSV(strings.NewReader(sampleCSV), m, Options{}) // must not panic; errors are fine
-	})
-}
-
-// FuzzParseProfile holds the -modernize grammar to its contract: it never
-// panics, and a profile it accepts is already normalized — finite positive
-// scales, at least one clone and one file copy, a positive skew.
-func FuzzParseProfile(f *testing.F) {
-	f.Add("")
-	f.Add("size=8,rate=4,clients=4,files=2,skew=5ms")
-	f.Add(" RATE = 0.5 ,, size=-1,clients=0")
-	f.Add("size")          // rejected: not key=value
-	f.Add("size=nan")      // rejected: not a number
-	f.Add("rate=+Inf")     // rejected: not finite
-	f.Add("clients=2.5")   // rejected: not an integer
-	f.Add("skew=soon")     // rejected: not a duration
-	f.Add("entropy=9")     // rejected: unknown key
-	f.Add("files=1e99999") // rejected: out of range
-	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := ParseProfile(spec)
-		if err != nil {
-			return
-		}
-		finite := func(v float64) bool { return v > 0 && !math.IsInf(v, 0) }
-		if !finite(p.SizeScale) || !finite(p.RateScale) || p.ClientScale < 1 || p.FileScale < 1 || p.CloneSkew <= 0 {
-			t.Fatalf("accepted profile %+v", p)
-		}
-		if p.Normalize() != p {
-			t.Fatalf("accepted profile is not normalized: %+v", p)
-		}
 	})
 }
