@@ -222,22 +222,24 @@ func (c *Client) CleanTick(now time.Duration) {
 	c.ship(c.Cache.Clean(now))
 }
 
-// ship transfers dirty blocks to their servers.
-func (c *Client) ship(wbs []fscache.Writeback) {
+// ship sends runs of dirty blocks to their servers and returns the RPC
+// latency. On the wire each block is one write RPC, as in Sprite, and the
+// latency is theirs summed; the server takes each run in one call. Every
+// WriteBack in the system flows through here, so bytesWrittenBack is
+// exact.
+func (c *Client) ship(wbs []fscache.Writeback) time.Duration {
+	var lat time.Duration
+	now := c.sim.Now()
 	for _, wb := range wbs {
-		c.shipOne(c.route(wb.File), wb, c.sim.Now())
-	}
-}
-
-// shipOne sends one writeback block to its server and returns the RPC
-// latency. Every WriteBack in the system flows through here, so
-// bytesWrittenBack is exact.
-func (c *Client) shipOne(srv *server.Server, wb fscache.Writeback, now time.Duration) time.Duration {
-	lat := c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.FileWrite, wb.Bytes)
-	srv.WriteBack(wb.File, c.cfg.ID, wb.Block, wb.Bytes, now)
-	c.bytesWrittenBack += wb.Bytes
-	if f := srv.Lookup(wb.File); f != nil {
-		c.noteVersion(wb.File, f.Version)
+		srv := c.route(wb.File)
+		for i := range wb.N {
+			lat += c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.FileWrite, wb.BlockBytes(i))
+		}
+		srv.WriteBack(wb.File, c.cfg.ID, fscache.Run{First: wb.Block, N: wb.N}, wb.Bytes, now)
+		c.bytesWrittenBack += wb.Bytes
+		if f := srv.Lookup(wb.File); f != nil {
+			c.noteVersion(wb.File, f.Version)
+		}
 	}
 	return lat
 }
@@ -553,9 +555,7 @@ func (c *Client) Write(hid uint64, n int64) time.Duration {
 		if c.cfg.Consistency == ConsistencyPoll {
 			// "New data is written through to the server almost
 			// immediately in order to make it available to other clients."
-			for _, wb := range c.Cache.Fsync(h.file, now) {
-				lat += c.shipOne(srv, wb, now)
-			}
+			lat += c.ship(c.Cache.Fsync(h.file, now))
 			if cur := srv.Lookup(h.file); cur != nil {
 				c.noteVersion(h.file, cur.Version)
 			}
@@ -610,12 +610,7 @@ func (c *Client) Fsync(hid uint64) time.Duration {
 	if h == nil {
 		return 0
 	}
-	wbs := c.Cache.Fsync(h.file, c.sim.Now())
-	var lat time.Duration
-	for _, wb := range wbs {
-		lat += c.shipOne(c.route(wb.File), wb, c.sim.Now())
-	}
-	return lat
+	return c.ship(c.Cache.Fsync(h.file, c.sim.Now()))
 }
 
 // HasHandle reports whether hid names a live open-instance on this
@@ -727,10 +722,7 @@ func (c *Client) Truncate(user, proc int32, file uint64, migrated bool) {
 // FlushForRecall writes all dirty data for file back to the server (the
 // server recalled it for another client's open).
 func (c *Client) FlushForRecall(file uint64) {
-	wbs := c.Cache.Recall(file, c.sim.Now())
-	for _, wb := range wbs {
-		c.shipOne(c.route(wb.File), wb, c.sim.Now())
-	}
+	c.ship(c.Cache.Recall(file, c.sim.Now()))
 }
 
 // DisableFor flushes and drops cached data for file and marks any local

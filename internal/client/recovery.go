@@ -165,10 +165,11 @@ func (c *Client) RecoverServer(srv *server.Server) RecoveryResult {
 		if c.route(file) != srv {
 			continue
 		}
-		for _, wb := range c.Cache.RecoverFlush(file, now) {
-			r.Latency += c.shipOne(srv, wb, now)
+		wbs := c.Cache.RecoverFlush(file, now)
+		for _, wb := range wbs {
 			r.ReplayedBytes += wb.Bytes
 		}
+		r.Latency += c.ship(wbs)
 	}
 
 	c.noteEpoch(sid, epoch)

@@ -211,3 +211,32 @@ func TestIdleCohortTickZeroAlloc(t *testing.T) {
 		t.Errorf("an idle cleaner period allocated %.1f times, want 0", allocs)
 	}
 }
+
+// TestCleanerShipsZeroAlloc: in steady state, a cleaner period that ships
+// a multi-block dirty file, as one run, into its server's store allocates
+// nothing (`make allocscheck`): not the cache's sweep, not the per-block
+// write RPCs, not the server's version bump, not the store's Write.
+func TestCleanerShipsZeroAlloc(t *testing.T) {
+	const blocks = 8
+	c := idleCluster(5)
+	cl := c.ClientByID(3)
+	file := cl.Create(cl.ID(), 1, false, false)
+	srv := c.Servers[0]
+	cycle := func() {
+		shipped, stored := cl.BytesWrittenBack(), srv.Store.Stats().WriteBlocks
+		cl.Cache.Write(file, 0, blocks*fscache.BlockSize, blocks*fscache.BlockSize, fscache.Attr{}, c.Sim.Now())
+		c.Sim.RunUntil(c.Sim.Now() + fscache.WritebackDelay + fscache.CleanerPeriod)
+		if got := cl.BytesWrittenBack() - shipped; got != blocks*fscache.BlockSize {
+			t.Fatalf("the daemon shipped %d bytes, want the file's %d", got, blocks*fscache.BlockSize)
+		}
+		if got := srv.Store.Stats().WriteBlocks - stored; got != blocks {
+			t.Fatalf("the store took %d blocks, want %d", got, blocks)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("a cleaner period shipping a dirty file allocated %.1f times, want 0", allocs)
+	}
+}

@@ -66,12 +66,18 @@ func CollectShared(recs []trace.Record) SharedTrace {
 // Whether a file is shared is known only at the end of the trace, so every
 // candidate event is kept with its file's use record, and Finish keeps the
 // events of the files that turned out shared.
+//
+// A pass sees about twice as many candidates as it keeps, so they are held
+// in fixed-size chunks that are filled and never copied, each event beside
+// the index of its file's use record; nothing there holds a pointer for the
+// collector to scan. Finish sizes the kept events exactly.
 type SharedCollector struct {
 	// SharedTrace is complete once Finish has run.
 	SharedTrace
 
-	uses  map[uint64]*fileUse
-	useOf []*fileUse // useOf[i] is the use record of Events[i]'s file
+	uses   map[uint64]int32 // index of each file's record in useRec
+	useRec []fileUse
+	chunks []*candidates // full but for the last
 }
 
 // fileUse is what decides whether one file is shared.
@@ -81,11 +87,22 @@ type fileUse struct {
 	written bool  // some client has written it or opened it for writing
 }
 
+// chunkLen is how many candidate events one chunk holds.
+const chunkLen = 4096
+
+// candidates is one chunk of candidate events: ev[i] is an access to the
+// file whose use record is useRec[use[i]].
+type candidates struct {
+	n   int
+	ev  [chunkLen]Event
+	use [chunkLen]int32
+}
+
 // NewSharedCollector returns an empty collector.
 func NewSharedCollector() *SharedCollector {
 	return &SharedCollector{
 		SharedTrace: SharedTrace{Users: make(map[int32]bool)},
-		uses:        make(map[uint64]*fileUse),
+		uses:        make(map[uint64]int32),
 	}
 }
 
@@ -116,17 +133,21 @@ func (c *SharedCollector) Observe(r *trace.Record) {
 		return
 	}
 	writeMode := r.Flags&trace.FlagWriteMode != 0
-	u := c.uses[r.File]
-	if u == nil {
-		u = &fileUse{client: r.Client}
-		c.uses[r.File] = u
-	} else if r.Client != u.client {
+	ui, seen := c.uses[r.File]
+	if !seen {
+		ui = int32(len(c.useRec))
+		c.useRec = append(c.useRec, fileUse{client: r.Client})
+		c.uses[r.File] = ui
+	}
+	u := &c.useRec[ui]
+	if r.Client != u.client {
 		u.several = true
 	}
 	if kind == EvWrite || (kind == EvOpen && writeMode) {
 		u.written = true
 	}
-	c.Events = append(c.Events, Event{
+	ch := c.tail()
+	ch.ev[ch.n] = Event{
 		Time:     r.Time,
 		Kind:     kind,
 		Client:   r.Client,
@@ -138,20 +159,48 @@ func (c *SharedCollector) Observe(r *trace.Record) {
 		Write:    (kind == EvOpen || kind == EvClose) && writeMode,
 		Migrated: r.IsMigrated(),
 		Shared:   r.Flags&trace.FlagShared != 0,
-	})
-	c.useOf = append(c.useOf, u)
+	}
+	ch.use[ch.n] = ui
+	ch.n++
 }
 
-// Finish drops the events of the files that are not shared.
+// tail returns the chunk the next candidate goes into, starting a new one
+// when the last is full.
+func (c *SharedCollector) tail() *candidates {
+	if n := len(c.chunks); n > 0 && c.chunks[n-1].n < chunkLen {
+		return c.chunks[n-1]
+	}
+	ch := new(candidates)
+	c.chunks = append(c.chunks, ch)
+	return ch
+}
+
+// shared reports whether the file of use record i turned out shared.
+func (c *SharedCollector) shared(i int32) bool {
+	u := &c.useRec[i]
+	return u.several && u.written
+}
+
+// Finish keeps the events of the files that are shared.
 func (c *SharedCollector) Finish() {
-	kept := c.Events[:0]
-	for i, ev := range c.Events {
-		if u := c.useOf[i]; u.several && u.written {
-			kept = append(kept, ev)
+	n := 0
+	for _, ch := range c.chunks {
+		for _, ui := range ch.use[:ch.n] {
+			if c.shared(ui) {
+				n++
+			}
 		}
 	}
-	if len(kept) == 0 {
-		kept = nil
+	var kept []Event
+	if n > 0 {
+		kept = make([]Event, 0, n)
+		for _, ch := range c.chunks {
+			for i, ui := range ch.use[:ch.n] {
+				if c.shared(ui) {
+					kept = append(kept, ch.ev[i])
+				}
+			}
+		}
 	}
-	c.Events, c.useOf, c.uses = kept, nil, nil
+	c.Events, c.chunks, c.uses, c.useRec = kept, nil, nil, nil
 }

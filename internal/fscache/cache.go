@@ -48,13 +48,42 @@ type Attr struct {
 	Migrated bool
 }
 
-// Writeback describes one dirty block the caller must ship to the server.
+// Writeback describes a run of dirty blocks of one file the caller must
+// ship to the server: blocks Block through Block+N-1, all written back for
+// one reason and all last written at the same instant. Every block of the
+// run but the last is whole; Bytes totals the run, the last block counting
+// from its start through its high-water mark. Per block, a run is exactly
+// the N one-block writebacks it stands for, in ascending index.
 type Writeback struct {
 	File   uint64
-	Block  int64 // block index within the file
-	Bytes  int64 // bytes to transfer (block start through high-water mark)
+	Block  int64 // first block index within the file
+	N      int64 // blocks in the run, at least one
+	Bytes  int64 // bytes to transfer: N-1 whole blocks and the last one's prefix
 	Reason CleanReason
-	Age    time.Duration // time since the block was last written
+	Age    time.Duration // time since the blocks were last written
+}
+
+// BlockBytes returns the bytes block Block+i of the run transfers.
+func (wb Writeback) BlockBytes(i int64) int64 {
+	if i < wb.N-1 {
+		return BlockSize
+	}
+	return wb.Bytes - (wb.N-1)*BlockSize
+}
+
+// appendWriteback adds wb to out, extending the last run when wb continues
+// it: the same file, reason and age, the next block, and the last run's
+// blocks all whole.
+func appendWriteback(out []Writeback, wb Writeback) []Writeback {
+	if n := len(out); n > 0 {
+		r := &out[n-1]
+		if r.File == wb.File && r.Block+r.N == wb.Block && r.Bytes == r.N*BlockSize && r.Reason == wb.Reason && r.Age == wb.Age {
+			r.N += wb.N
+			r.Bytes += wb.Bytes
+			return out
+		}
+	}
+	return append(out, wb)
 }
 
 // Run is a stretch of consecutive block indexes of one file: First,
@@ -135,25 +164,34 @@ type Stats struct {
 // blocks of one file that sit next to each other in the LRU order,
 // ascending toward the front: block first is the one nearest the tail,
 // first+n-1 the one nearest the front, and all of them were last
-// referenced at lastRef. A node is either one dirty block, or clean blocks
-// that are all fully valid but the front-most, whose watermark it keeps.
+// referenced at lastRef. Every block of a node is fully valid but the
+// front-most, whose watermark it keeps. A clean node's blocks are all
+// clean; a dirty node (an extent of dirty blocks) is fully dirty but the
+// front-most, whose dirty watermark it keeps, and all its blocks turned
+// dirty at one instant and were last written at one instant, which its
+// dirtyTimes hold.
 //
 // That is the whole of the per-block state, held once per stretch, and
 // every operation keeps its per-block meaning. A read's blocks at one
 // instant become one node at the front or extend the front node (see
-// joinsFront); a touch or a write inside a node splits it into at most
-// three; eviction takes one block at a time from the tail end of the tail
-// node, so every victim, age and count is the one a list of blocks gives.
-// A client cache is overwhelmingly clean stretches — a program's pages,
-// read at boot in one call and left alone until the tail takes them — so a
-// resident block costs its index entry, 4 bytes, and little more.
+// joinsFront), and so do a write's (see joinsDirtyFront); a touch, a
+// rewrite or a truncate inside a node splits or shortens it; eviction
+// takes one block at a time from the tail end of the tail node, and the
+// cleaner turns a dirty node clean whole, where it sits — so every victim,
+// age and count is the one a list of blocks gives. A client cache is
+// overwhelmingly clean stretches — a program's pages, read at boot in one
+// call and left alone until the tail takes them — so a resident block
+// costs its index entry, 4 bytes, and little more; a server cache takes
+// each writeback run as one extent.
 //
 // Nodes live by value in Cache.nodes and are referred to by int32 slots
 // everywhere: the LRU list is intrusive (prev/next slot links, front =
 // most recent), the per-file index maps each resident block to the slot of
 // its node, and a free list recycles slots, so steady-state Read and Write
 // perform zero allocations. The slice grows by appending, which may move
-// it: a *node is valid only until the next allocNode.
+// it: a *node is valid only until the next allocNode. A node names its
+// file's index by slot too (Cache.fis), so a block leaving the cache
+// reaches the index without a map lookup.
 type node struct {
 	file    uint64
 	first   int64         // the block nearest the LRU tail
@@ -164,12 +202,12 @@ type node struct {
 	// passed == Cache.scanEpoch marks a node of the dirty run at the LRU
 	// tail that the victim scan has already walked past (see evictOne).
 	passed  uint32
+	fi      int32 // the slot of the file's index in Cache.fis
 	validHi int16 // valid bytes of the front-most block from its start (watermark)
-	dirtyHi int16 // dirty bytes of the one block from its start (writeback size); the node is dirty iff nonzero
+	dirtyHi int16 // dirty bytes of the front-most block from its start; the node is dirty iff nonzero
 }
 
-// dirty reports whether the node is a block holding bytes awaiting
-// writeback.
+// dirty reports whether the node's blocks hold bytes awaiting writeback.
 func (x *node) dirty() bool { return x.dirtyHi != 0 }
 
 // last returns the node's front-most block.
@@ -183,13 +221,30 @@ func (x *node) valid(idx int64) int16 {
 	return BlockSize
 }
 
+// dirtyTo returns the dirty watermark of block idx of the node.
+func (x *node) dirtyTo(idx int64) int16 {
+	if idx == x.last() || !x.dirty() {
+		return x.dirtyHi
+	}
+	return BlockSize
+}
+
+// dirtyBytes returns the bytes of the first k blocks of the node, which is
+// dirty, that await writeback.
+func (x *node) dirtyBytes(k int32) int64 {
+	if k == x.n {
+		return int64(k-1)*BlockSize + int64(x.dirtyHi)
+	}
+	return int64(k) * BlockSize
+}
+
 // dirtyTimes is the state of a dirty node that a clean one does without.
 // It is written whole when a node turns dirty and means nothing while the
-// node is clean: a slot's next tenant, or the same block dirtied again,
+// node is clean: a slot's next tenant, or the same blocks dirtied again,
 // never reads what was left there.
 type dirtyTimes struct {
-	dirtyAt time.Duration // when the block first became dirty
-	lastWr  time.Duration // when the block was last written
+	dirtyAt time.Duration // when the blocks first became dirty
+	lastWr  time.Duration // when the blocks were last written
 }
 
 // fiDenseMax bounds the dense per-file index: files up to 32k blocks
@@ -203,6 +258,7 @@ type fileIndex struct {
 	sparse map[int64]int32 // slots for block indices >= fiDenseMax
 	n      int             // resident blocks of this file
 	dirty  int             // dirty resident blocks of this file
+	id     int32           // its slot in Cache.fis
 
 	// oldestDirty is a lower bound on dirtyAt over the file's dirty blocks
 	// (meaningful while dirty > 0): the minimum over every dirtying since
@@ -282,6 +338,7 @@ type Cache struct {
 	// The resident files' indexes, made at the first insert: nil in a
 	// cache that has held no block, and again after DiscardAll.
 	files      map[uint64]*fileIndex
+	fis        []*fileIndex // every index handed out, resident or free, by id
 	fiFree     []*fileIndex // recycled (emptied) file indexes
 	nblocks    int
 	ndirty     int
@@ -361,14 +418,13 @@ func (c *Cache) nd(s int32) *node { return &c.nodes[s] }
 // dt returns the write times of the dirty node at slot s.
 func (c *Cache) dt(s int32) *dirtyTimes { return &c.dtimes[s] }
 
-// startDirty starts the write times of the node at slot s, which is
-// turning dirty at now, growing them to cover every slot handed out when s
-// is past their end.
-func (c *Cache) startDirty(s int32, now time.Duration) {
+// setTimes sets the write times of the dirty node at slot s, growing them
+// to cover every slot handed out when s is past their end.
+func (c *Cache) setTimes(s int32, t dirtyTimes) {
 	if int(s) >= len(c.dtimes) {
 		c.dtimes = slices.Grow(c.dtimes, cap(c.nodes)-len(c.dtimes))[:cap(c.nodes)]
 	}
-	c.dtimes[s] = dirtyTimes{dirtyAt: now, lastWr: now}
+	c.dtimes[s] = t
 }
 
 // slot returns the slot of the node holding the given block, or -1 if it
@@ -465,12 +521,12 @@ func (c *Cache) lruLinkBeside(s, at int32, behind bool) {
 }
 
 // leaveRun takes node s, about to be unlinked, out of the run of dirty
-// nodes the victim scan has passed: the run closes over the gap, one
-// shorter.
+// nodes the victim scan has passed: the run closes over the gap, its
+// blocks fewer.
 func (c *Cache) leaveRun(s int32) {
 	x := c.nd(s)
 	x.passed = 0
-	c.scanCount--
+	c.scanCount -= x.n
 	if c.scanLast == s {
 		c.scanLast = x.next // the passed node next nearer the tail, if any
 	}
@@ -504,9 +560,9 @@ func (c *Cache) Contains(file uint64, index int64) bool {
 // touch makes block idx, held by node s of fi's file, the most recently
 // used block, referenced at now, and returns the slot of the front node,
 // whose front-most block it now is. A clean block extends the front node
-// where that is exact (joinsFront) unless alone is set: a block about to
-// be written must be a node of its own.
-func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration, alone bool) int32 {
+// where that is exact (joinsFront); a dirty one keeps its write state in a
+// node of its own.
+func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration) int32 {
 	x := c.nd(s)
 	if x.n == 1 {
 		// The node moves whole, or its one block joins the front node.
@@ -515,7 +571,7 @@ func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration, alon
 				c.leaveRun(s)
 			}
 			c.lruUnlink(s)
-			if !alone && !x.dirty() && c.joinsFront(x.file, idx, now) {
+			if !x.dirty() && c.joinsFront(x.file, idx, now) {
 				f := c.extendFront(fi, idx, x.validHi)
 				c.freeNode(s)
 				return f
@@ -525,27 +581,36 @@ func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration, alon
 		x.lastRef = now
 		return s
 	}
-	if s == c.lruFront && idx == x.last() && x.lastRef == now && !alone {
+	if s == c.lruFront && idx == x.last() && x.lastRef == now {
 		return s // already the front-most block, referenced now
 	}
 	// Taking the block out of its node does not change whether it may join
 	// the front node (the one case where it would returned just above), so
 	// that is asked first.
-	join := !alone && c.joinsFront(x.file, idx, now)
-	file, vh := x.file, x.valid(idx)
+	join := !x.dirty() && c.joinsFront(x.file, idx, now)
+	file, fiID, vh, dh := x.file, x.fi, x.valid(idx), x.dirtyTo(idx)
 	c.cut(fi, s, idx)
 	if join {
 		return c.extendFront(fi, idx, vh)
 	}
-	return c.pushNew(fi, file, idx, vh, now)
+	t := c.pushNew(fi, file, fiID, idx, vh, now)
+	if dh != 0 {
+		c.nd(t).dirtyHi = dh
+		c.setTimes(t, c.dtimes[s])
+	}
+	return t
 }
 
 // cut takes block idx out of node s of fi's file, which holds others too.
 // The rest of the node stays where it sits: one block shorter at an end,
 // or split in two around idx. The block's own index entry is the caller's
-// to rewrite.
+// to rewrite, and so is its share of the dirty counts. A block cut from the
+// victim scan's run leaves it.
 func (c *Cache) cut(fi *fileIndex, s int32, idx int64) {
 	x := c.nd(s)
+	if x.passed == c.scanEpoch {
+		c.scanCount--
+	}
 	switch {
 	case idx == x.first:
 		x.first++
@@ -553,25 +618,38 @@ func (c *Cache) cut(fi *fileIndex, s int32, idx int64) {
 	case idx == x.last():
 		x.n--
 		x.validHi = BlockSize
+		if x.dirty() {
+			x.dirtyHi = BlockSize
+		}
 	default:
 		c.split(fi, s, idx)
 	}
 }
 
-// split cuts clean node s of fi's file in two around block idx, inside it.
-// The side with fewer blocks moves to a new slot, its index entries
-// relabelled, and is linked beside s so that no block changes place.
+// split cuts node s of fi's file in two around block idx, inside it. The
+// side with fewer blocks moves to a new slot, its index entries relabelled,
+// and is linked beside s so that no block changes place; a dirty node's
+// new side takes its write times, and a node of the victim scan's run
+// stays in it, both sides.
 func (c *Cache) split(fi *fileIndex, s int32, idx int64) {
 	u := c.allocNode()
 	x, y := c.nd(s), c.nd(u)
-	y.file, y.lastRef, y.passed, y.dirtyHi = x.file, x.lastRef, 0, 0
+	full := int16(0) // the dirty watermark of a block inside the node
+	if x.dirty() {
+		full = BlockSize
+		c.setTimes(u, c.dtimes[s])
+	}
+	y.file, y.fi, y.lastRef, y.passed = x.file, x.fi, x.lastRef, x.passed
 	behind, ahead := idx-x.first, x.last()-idx
 	if behind <= ahead {
-		y.first, y.n, y.validHi = x.first, int32(behind), BlockSize
+		y.first, y.n, y.validHi, y.dirtyHi = x.first, int32(behind), BlockSize, full
 		x.first, x.n = idx+1, int32(ahead)
 	} else {
-		y.first, y.n, y.validHi = idx+1, int32(ahead), x.validHi
-		x.n, x.validHi = int32(behind), BlockSize
+		y.first, y.n, y.validHi, y.dirtyHi = idx+1, int32(ahead), x.validHi, x.dirtyHi
+		x.n, x.validHi, x.dirtyHi = int32(behind), BlockSize, full
+		if c.scanLast == s {
+			c.scanLast = u // the run's node furthest from the tail is now u
+		}
 	}
 	c.lruLinkBeside(u, s, behind <= ahead)
 	for j := y.first; j < y.first+int64(y.n); j++ {
@@ -580,27 +658,31 @@ func (c *Cache) split(fi *fileIndex, s int32, idx int64) {
 }
 
 // extendFront makes block idx of the front node's file, with watermark vh,
-// the front node's new front-most block (joinsFront said it may be), and
-// returns the front node's slot.
+// the front node's new front-most block (joinsFront or joinsDirtyFront said
+// it may be), and returns the front node's slot. A front node in the victim
+// scan's run (the whole list is dirty) takes the block into the run.
 func (c *Cache) extendFront(fi *fileIndex, idx int64, vh int16) int32 {
 	f := c.lruFront
 	x := c.nd(f)
 	x.n++
 	x.validHi = vh
+	if x.passed == c.scanEpoch {
+		c.scanCount++
+	}
 	fi.dense[idx] = f + 1
 	return f
 }
 
-// pushNew puts block idx of file, with watermark vh, at the front of the
-// LRU list as a new node of its own, referenced at now, and returns its
-// slot.
-func (c *Cache) pushNew(fi *fileIndex, file uint64, idx int64, vh int16, now time.Duration) int32 {
+// pushNew puts block idx of file, whose index is fis[fiID], with watermark
+// vh, at the front of the LRU list as a clean node of its own, referenced
+// at now, and returns its slot.
+func (c *Cache) pushNew(fi *fileIndex, file uint64, fiID int32, idx int64, vh int16, now time.Duration) int32 {
 	t := c.allocNode()
 	// Field by field: a composite literal is built on the stack and copied
 	// in wide loads that stall on the narrow stores just made.
 	x := c.nd(t)
 	x.file, x.first, x.n, x.lastRef = file, idx, 1, now
-	x.passed, x.validHi, x.dirtyHi = 0, vh, 0
+	x.passed, x.fi, x.validHi, x.dirtyHi = 0, fiID, vh, 0
 	fi.put(idx, t)
 	c.lruPushFront(t)
 	return t
@@ -618,15 +700,29 @@ func (c *Cache) joinsFront(file uint64, idx int64, now time.Duration) bool {
 	return f.lastRef == now && f.file == file && f.last()+1 == idx && f.validHi == BlockSize && !f.dirty()
 }
 
-// insert adds block idx of file, with watermark vh, as a new resident block
-// at the front, referenced at now: a node of its own, or, with join, an
-// extension of the front node where that is exact. It returns the slot of
-// the node holding it and the file's index. fi is the index the caller
-// resolved for the file (nil if it had none); the request inserts blocks
-// up to last, which the index reserves room for. An index whose count fell
-// to zero was released by the eviction that made room — it took the
-// file's last resident block — and is replaced, recycled or new.
-func (c *Cache) insert(fi *fileIndex, file uint64, idx, last int64, vh int16, now time.Duration, join bool) (int32, *fileIndex) {
+// joinsDirtyFront reports whether block idx of file, written at now and
+// dirty since dirtyAt, extends the front node exactly: the node is dirty
+// since the same instant and was last written and referenced now, and its
+// front-most block is the one before idx, fully dirty (so fully valid).
+func (c *Cache) joinsDirtyFront(file uint64, idx int64, dirtyAt, now time.Duration) bool {
+	if c.lruFront < 0 || idx >= fiDenseMax {
+		return false
+	}
+	f := c.nd(c.lruFront)
+	if f.lastRef != now || f.file != file || f.last()+1 != idx || f.dirtyHi != BlockSize {
+		return false
+	}
+	t := &c.dtimes[c.lruFront]
+	return t.dirtyAt == dirtyAt && t.lastWr == now
+}
+
+// admit counts a new resident block of file, of a request that inserts
+// blocks up to last, and returns the file's index, with room reserved up
+// to last. fi is the index the caller resolved for the file (nil if it had
+// none). An index whose count fell to zero was released by the eviction
+// that made room — it took the file's last resident block — and is
+// replaced, recycled or new.
+func (c *Cache) admit(fi *fileIndex, file uint64, last int64) *fileIndex {
 	if fi == nil || fi.n == 0 {
 		if n := len(c.fiFree); n > 0 {
 			// Recycled indexes were emptied before release, so the dense
@@ -635,7 +731,8 @@ func (c *Cache) insert(fi *fileIndex, file uint64, idx, last int64, vh int16, no
 			fi = c.fiFree[n-1]
 			c.fiFree = c.fiFree[:n-1]
 		} else {
-			fi = &fileIndex{}
+			fi = &fileIndex{id: int32(len(c.fis))}
+			c.fis = append(c.fis, fi)
 		}
 		if c.files == nil {
 			c.files = make(map[uint64]*fileIndex)
@@ -645,10 +742,20 @@ func (c *Cache) insert(fi *fileIndex, file uint64, idx, last int64, vh int16, no
 	fi.reserve(last)
 	fi.n++
 	c.nblocks++
-	if join && c.joinsFront(file, idx, now) {
-		return c.extendFront(fi, idx, vh), fi
+	return fi
+}
+
+// insert adds block idx of file, with watermark vh, as a new clean resident
+// block at the front, referenced at now: an extension of the front node
+// where that is exact, else a node of its own. fi and last are admit's.
+func (c *Cache) insert(fi *fileIndex, file uint64, idx, last int64, vh int16, now time.Duration) *fileIndex {
+	fi = c.admit(fi, file, last)
+	if c.joinsFront(file, idx, now) {
+		c.extendFront(fi, idx, vh)
+	} else {
+		c.pushNew(fi, file, fi.id, idx, vh, now)
 	}
-	return c.pushNew(fi, file, idx, vh, now), fi
+	return fi
 }
 
 // dropNode unlinks node s and all its blocks from every structure and
@@ -659,16 +766,15 @@ func (c *Cache) dropNode(s int32) {
 		c.leaveRun(s)
 	}
 	c.lruUnlink(s)
-	fi := c.files[x.file]
+	fi := c.fis[x.fi]
 	for j := x.first; j <= x.last(); j++ {
 		fi.del(j)
 	}
 	fi.n -= int(x.n)
 	c.nblocks -= int(x.n)
 	if x.dirty() {
-		c.ndirty--
-		c.dirtyBytes -= int64(x.dirtyHi)
-		c.noteCleaned(fi, x.file)
+		c.dirtyBytes -= x.dirtyBytes(x.n)
+		c.noteCleaned(fi, x.file, x.n)
 	}
 	if fi.n == 0 {
 		delete(c.files, x.file)
@@ -678,11 +784,20 @@ func (c *Cache) dropNode(s int32) {
 }
 
 // dropFirst removes the tail-end block of node x, which holds others too.
+// Dirty accounting is adjusted for a dirty node, whose tail-end block is
+// whole.
 func (c *Cache) dropFirst(x *node) {
-	fi := c.files[x.file]
+	fi := c.fis[x.fi]
 	fi.del(x.first)
 	fi.n--
 	c.nblocks--
+	if x.dirty() {
+		c.dirtyBytes -= BlockSize
+		c.noteCleaned(fi, x.file, 1)
+	}
+	if x.passed == c.scanEpoch {
+		c.scanCount--
+	}
 	x.first++
 	x.n--
 }
@@ -707,9 +822,11 @@ func (c *Cache) noteDirtied(fi *fileIndex, file uint64, now time.Duration) {
 	}
 }
 
-// noteCleaned records a dirty->clean block transition on fi (file's index).
-func (c *Cache) noteCleaned(fi *fileIndex, file uint64) {
-	fi.dirty--
+// noteCleaned records k dirty->clean block transitions on fi (file's
+// index).
+func (c *Cache) noteCleaned(fi *fileIndex, file uint64, k int32) {
+	fi.dirty -= int(k)
+	c.ndirty -= int(k)
 	if fi.dirty == 0 {
 		delete(c.dirtyFiles, file)
 	}
@@ -754,16 +871,18 @@ func (c *Cache) cleanedInPlace(x *node) {
 // vmTake marks the eviction as a page handoff to the VM system rather than
 // replacement by file data.
 //
-// A dirty node is one block, so the scan walks nodes and still counts
-// blocks, and the first clean node it meets holds the victim at its tail
+// The scan walks nodes and counts blocks: the first clean node it meets
+// before it has passed cleanScanDepth blocks holds the victim at its tail
 // end. The scan is resumable. The dirty nodes it walks past are marked and
-// counted, and the next eviction starts behind them at the depth the last
-// one reached instead of re-walking the run. That is exact because nothing
-// can enter the run — inserts and touches go to the front of the list, and
-// a split links its new node beside a clean one — so only two things
-// disturb it: a passed node is unlinked (leaveRun shortens the run) or
-// turns clean where it sits (cleanedInPlace voids the progress, as
-// DiscardAll does).
+// their blocks counted, and the next eviction starts behind them at the
+// depth the last one reached instead of re-walking the run. That is exact
+// because nothing enters the run but dirty blocks at its front end —
+// inserts and touches go to the front of the list, which is in the run
+// only when the whole list is, and a split links its new node beside the
+// one it splits — so only two things disturb it: blocks leave it (touched,
+// dropped or truncated away; the run closes over the gap, shorter) or a
+// passed node turns clean where it sits (cleanedInPlace voids the
+// progress, as DiscardAll does).
 func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 	s := c.lruBack
 	if s < 0 {
@@ -781,7 +900,7 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 		}
 		x.passed = c.scanEpoch
 		c.scanLast = cand
-		c.scanCount++
+		c.scanCount += x.n
 		cand = x.prev
 	}
 	// s is the clean node found, or the tail when none is in reach.
@@ -799,7 +918,7 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 		if vmTake {
 			reason = CleanVM
 		}
-		wb = c.makeWriteback(s, reason, now)
+		wb = c.makeWriteback(s, 1, reason, now)
 	}
 	if x.n == 1 {
 		c.dropNode(s)
@@ -809,14 +928,18 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 	return wb, dirty
 }
 
-// makeWriteback accounts for shipping dirty node s's block to the server.
-func (c *Cache) makeWriteback(s int32, reason CleanReason, now time.Duration) Writeback {
+// makeWriteback counts the shipping of the first k blocks of dirty node s
+// to the server and describes them. The dirty counts are the caller's.
+func (c *Cache) makeWriteback(s int32, k int32, reason CleanReason, now time.Duration) Writeback {
 	x := c.nd(s)
 	age := now - c.dt(s).lastWr
-	c.st.Cleaned[reason]++
-	c.st.CleanAge[reason].Add(float64(age))
-	c.st.BytesWrittenBack += int64(x.dirtyHi)
-	return Writeback{File: x.file, Block: x.first, Bytes: int64(x.dirtyHi), Reason: reason, Age: age}
+	bytes := x.dirtyBytes(k)
+	c.st.Cleaned[reason] += int64(k)
+	for range k {
+		c.st.CleanAge[reason].Add(float64(age))
+	}
+	c.st.BytesWrittenBack += bytes
+	return Writeback{File: x.file, Block: x.first, N: int64(k), Bytes: bytes, Reason: reason, Age: age}
 }
 
 // ensureRoom evicts until a new block can be inserted, appending any dirty
@@ -825,7 +948,7 @@ func (c *Cache) ensureRoom(now time.Duration, out *[]Writeback) {
 	for c.nblocks >= c.capacity {
 		wb, dirty := c.evictOne(now, false)
 		if dirty {
-			*out = append(*out, wb)
+			*out = appendWriteback(*out, wb)
 		}
 		if c.lruBack < 0 && c.nblocks >= c.capacity {
 			return // capacity zero-ish; nothing more to do
@@ -867,7 +990,7 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			s = fi.get(idx)
 		}
 		if s >= 0 && c.covers(s, idx, offset, length) {
-			c.touch(fi, s, idx, now, false)
+			c.touch(fi, s, idx, now)
 			continue
 		}
 		// Miss: fetch the valid portion of the block from the server. A
@@ -878,10 +1001,10 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		fetch := validEnd
 		if s < 0 {
 			c.ensureRoom(now, &res.Evicted)
-			_, fi = c.insert(fi, file, idx, last, int16(validEnd), now, true)
+			fi = c.insert(fi, file, idx, last, int16(validEnd), now)
 		} else {
 			vh := c.nd(s).valid(idx)
-			x := c.nd(c.touch(fi, s, idx, now, false))
+			x := c.nd(c.touch(fi, s, idx, now))
 			fetch = max(validEnd-int64(vh), 0)
 			x.validHi = max(vh, int16(validEnd))
 		}
@@ -896,7 +1019,7 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			}
 			c.ensureRoom(now, &res.Evicted)
 			end := min(fileSize-pi*BlockSize, BlockSize)
-			_, fi = c.insert(fi, file, pi, pi, int16(end), now, true)
+			fi = c.insert(fi, file, pi, pi, int16(end), now)
 			res.MissBytes += end
 			res.MissBlocks++
 			res.MissRuns = appendBlock(res.MissRuns, pi)
@@ -945,15 +1068,46 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 		if fi != nil {
 			s = fi.get(idx)
 		}
+		h := int16(hi) // at least 1: the write leaves the block dirty
+		if s >= 0 && s == c.lruFront && c.nd(s).n == 1 {
+			// The block is the front node already: it is written in place.
+			x := c.nd(s)
+			if x.dirty() {
+				c.dtimes[s].lastWr = now
+			} else {
+				c.setTimes(s, dirtyTimes{dirtyAt: now, lastWr: now})
+				c.noteDirtied(fi, file, now)
+			}
+			c.dirtyBytes += int64(max(x.dirtyHi, h) - x.dirtyHi)
+			x.lastRef, x.validHi, x.dirtyHi = now, max(x.validHi, h), max(x.dirtyHi, h)
+			continue
+		}
+		// The block's state before the write, taken out of its node if it
+		// is resident; spare is its node's slot when it was a node alone.
+		var vh, dh int16
+		times := dirtyTimes{dirtyAt: now}
+		spare := int32(-1)
 		if s >= 0 {
-			s = c.touch(fi, s, idx, now, true)
+			x := c.nd(s)
+			vh, dh = x.valid(idx), x.dirtyTo(idx)
+			if dh != 0 {
+				times = c.dtimes[s]
+			}
+			if x.n == 1 {
+				if x.passed == c.scanEpoch {
+					c.leaveRun(s)
+				}
+				c.lruUnlink(s)
+				spare = s
+			} else {
+				c.cut(fi, s, idx)
+			}
 		} else {
 			// Write fetch: the block exists on the server (it holds bytes
 			// below fileSizeBefore), the write is partial, and the block is
 			// not resident — it must be fetched before modification.
 			existingEnd := min(fileSizeBefore-blockStart, BlockSize)
 			partial := lo > 0 || (hi < BlockSize && blockStart+hi < fileSizeBefore)
-			var vh int16
 			if partial && existingEnd > 0 && lo < existingEnd {
 				c.st.All.WriteFetches++
 				if attr.Migrated {
@@ -965,23 +1119,29 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				vh = int16(existingEnd)
 			}
 			c.ensureRoom(now, &res.Evicted)
-			s, fi = c.insert(fi, file, idx, last, vh, now, false)
+			fi = c.admit(fi, file, last)
 		}
-		x := c.nd(s)
-		if x.dirty() {
-			c.dt(s).lastWr = now
-		} else {
-			c.startDirty(s, now)
+		if dh == 0 {
 			c.noteDirtied(fi, file, now)
 		}
-		h := int16(hi) // at least 1: the write leaves the block dirty
-		if h > x.validHi {
-			x.validHi = h
+		times.lastWr = now
+		c.dirtyBytes += int64(max(dh, h) - dh)
+		vh, dh = max(vh, h), max(dh, h)
+		if c.joinsDirtyFront(file, idx, times.dirtyAt, now) {
+			c.nd(c.extendFront(fi, idx, vh)).dirtyHi = dh
+			if spare >= 0 {
+				c.freeNode(spare)
+			}
+			continue
 		}
-		if h > x.dirtyHi {
-			c.dirtyBytes += int64(h - x.dirtyHi)
-			x.dirtyHi = h
+		if spare < 0 {
+			spare = c.pushNew(fi, file, fi.id, idx, vh, now)
+		} else {
+			c.lruPushFront(spare)
 		}
+		x := c.nd(spare)
+		x.lastRef, x.validHi, x.dirtyHi = now, vh, dh
+		c.setTimes(spare, times)
 	}
 	c.st.All.BytesWritten += length
 	if attr.Migrated {

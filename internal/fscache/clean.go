@@ -123,7 +123,7 @@ func (c *Cache) fileNodes(fi *fileIndex) []int32 {
 }
 
 // oldestDirtyBlock scans fi's nodes for a block that has been dirty for
-// delay at now. It stops at the first (due is true); otherwise it has seen
+// delay at now (a dirty node's blocks turned dirty together). It stops at the first (due is true); otherwise it has seen
 // every dirty block of the file and oldest is the earliest dirtyAt among
 // them.
 func (c *Cache) oldestDirtyBlock(fi *fileIndex, now, delay time.Duration) (oldest time.Duration, due bool) {
@@ -141,15 +141,16 @@ func (c *Cache) oldestDirtyBlock(fi *fileIndex, now, delay time.Duration) (oldes
 }
 
 // cleanFile writes back every dirty block of fi's file, in ascending
-// index, appending the writebacks to out. The blocks stay resident, clean.
+// index, appending the writebacks to out. The blocks stay resident, clean:
+// a dirty node turns clean whole, where it sits, and is already the clean
+// node its blocks make — fully valid but the front-most.
 func (c *Cache) cleanFile(fi *fileIndex, reason CleanReason, now time.Duration, out []Writeback) []Writeback {
 	for _, s := range c.fileNodes(fi) {
 		if x := c.nd(s); x.dirty() {
-			out = append(out, c.makeWriteback(s, reason, now))
-			c.ndirty--
-			c.dirtyBytes -= int64(x.dirtyHi)
+			out = appendWriteback(out, c.makeWriteback(s, x.n, reason, now))
+			c.dirtyBytes -= x.dirtyBytes(x.n)
 			x.dirtyHi = 0
-			c.noteCleaned(fi, x.file)
+			c.noteCleaned(fi, x.file, x.n)
 			c.cleanedInPlace(x)
 		}
 	}
@@ -214,7 +215,9 @@ func (c *Cache) Delete(file uint64) int64 {
 }
 
 // Truncate drops blocks at or beyond newSize and trims the boundary block.
-// Dirty bytes above the cut are counted as saved, like Delete.
+// Dirty bytes above the cut are counted as saved, like Delete. A node the
+// cut falls inside loses its blocks from the cut on and keeps the rest
+// where it sits.
 func (c *Cache) Truncate(file uint64, newSize int64) int64 {
 	fi := c.files[file]
 	if fi == nil {
@@ -227,19 +230,33 @@ func (c *Cache) Truncate(file uint64, newSize int64) int64 {
 	for _, s := range c.fileNodes(fi) {
 		x := c.nd(s)
 		if x.first >= keep {
-			saved += int64(x.dirtyHi)
+			if x.dirty() {
+				saved += x.dirtyBytes(x.n)
+			}
 			c.dropNode(s)
 			continue
 		}
 		if x.last() >= keep {
-			// The cut is inside a clean node: its blocks from keep on go,
-			// and the new front-most block was a fully valid one.
+			// The cut is inside the node: its blocks from keep on go, and
+			// the new front-most block was a fully valid one, and fully
+			// dirty if the node is.
+			gone := int32(x.last() - keep + 1)
 			for j := keep; j <= x.last(); j++ {
 				fi.del(j)
 			}
-			fi.n -= int(x.last() - keep + 1)
-			c.nblocks -= int(x.last() - keep + 1)
-			x.n = int32(keep - x.first)
+			fi.n -= int(gone)
+			c.nblocks -= int(gone)
+			if x.dirty() {
+				lost := x.dirtyBytes(x.n) - int64(x.n-gone)*BlockSize
+				saved += lost
+				c.dirtyBytes -= lost
+				c.noteCleaned(fi, x.file, gone)
+				x.dirtyHi = BlockSize
+			}
+			if x.passed == c.scanEpoch {
+				c.scanCount -= gone
+			}
+			x.n -= gone
 			x.validHi = BlockSize
 		}
 		if cut != 0 && x.last() == cutBlock {

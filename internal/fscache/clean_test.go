@@ -130,8 +130,7 @@ func TestRecycledIndexServesASmallFile(t *testing.T) {
 	}
 	want := results{
 		cleaned: []Writeback{
-			{File: 1, Block: 0, Bytes: BlockSize, Reason: CleanDelay, Age: sec(39)},
-			{File: 1, Block: 1, Bytes: 10, Reason: CleanDelay, Age: sec(39)},
+			{File: 1, Block: 0, N: 2, Bytes: BlockSize + 10, Reason: CleanDelay, Age: sec(39)},
 		},
 		saved:       BlockSize, // block 2, dirty; block 1 was clean
 		truncBlocks: 2,
@@ -141,5 +140,60 @@ func TestRecycledIndexServesASmallFile(t *testing.T) {
 		if got := run(recycled); !reflect.DeepEqual(got, want) {
 			t.Errorf("recycled index %v: got %+v\nwant %+v", recycled, got, want)
 		}
+	}
+}
+
+// nodeCount returns how many nodes the LRU list holds.
+func nodeCount(c *Cache) int {
+	n := 0
+	for s := c.lruFront; s >= 0; s = c.nd(s).next {
+		n++
+	}
+	return n
+}
+
+// TestWriteBurstIsOneNode pins the write path's counts for a burst: the
+// blocks one write dirties at one instant are one node, the cleaner ships
+// them as one run with every per-block count intact, and a server store
+// that takes the run, as server.Storage.AcceptWrite does (one Write from
+// the run's first byte, the file's known bytes ending there), holds it as
+// one node too.
+func TestWriteBurstIsOneNode(t *testing.T) {
+	const blocks = 64
+	c := New(4 * blocks)
+	c.Write(1, 0, blocks*BlockSize-100, 0, noAttr, sec(1))
+	if n := nodeCount(c); n != 1 || c.NumBlocks() != blocks {
+		t.Fatalf("a %d-block write at one instant left %d blocks in %d nodes, want one node", blocks, c.NumBlocks(), n)
+	}
+	wbs := c.Clean(sec(31))
+	want := Writeback{File: 1, Block: 0, N: blocks, Bytes: blocks*BlockSize - 100, Reason: CleanDelay, Age: sec(30)}
+	if len(wbs) != 1 || wbs[0] != want {
+		t.Fatalf("the cleaner shipped %+v, want the one run %+v", wbs, want)
+	}
+	st := c.Stats()
+	if st.Cleaned[CleanDelay] != blocks || st.CleanAge[CleanDelay].N() != blocks || st.BytesWrittenBack != want.Bytes {
+		t.Fatalf("cleaning the run counted %d blocks, %d age samples and %d bytes, want %d, %d and %d",
+			st.Cleaned[CleanDelay], st.CleanAge[CleanDelay].N(), st.BytesWrittenBack, blocks, blocks, want.Bytes)
+	}
+	if n := nodeCount(c); n != 1 || c.DirtyBytes() != 0 {
+		t.Fatalf("the cleaned burst is %d nodes with %d bytes dirty, want one clean node", n, c.DirtyBytes())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	store := New(4 * blocks)
+	wb := wbs[0]
+	off := wb.Block * BlockSize
+	store.Write(wb.File, off, wb.Bytes, off, Attr{}, sec(31))
+	if n := nodeCount(store); n != 1 || store.NumBlocks() != blocks || store.DirtyBytes() != wb.Bytes {
+		t.Fatalf("the store holds %d blocks in %d nodes, %d bytes dirty; want the run as one node, %d bytes dirty",
+			store.NumBlocks(), n, store.DirtyBytes(), wb.Bytes)
+	}
+	if st := store.Stats(); st.All.WriteOps != blocks || st.All.WriteFetches != 0 {
+		t.Fatalf("the store counted %d write ops and %d write fetches, want %d and none", st.All.WriteOps, st.All.WriteFetches, blocks)
+	}
+	if err := store.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -37,8 +37,8 @@ func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 		x := c.nd(s)
 		loss.Blocks += int(x.n)
 		if x.dirty() {
-			loss.DirtyBlocks++
-			loss.DirtyBytes += int64(x.dirtyHi)
+			loss.DirtyBlocks += int(x.n)
+			loss.DirtyBytes += x.dirtyBytes(x.n)
 			if age := now - c.dt(s).dirtyAt; age > loss.MaxDirtyAge {
 				loss.MaxDirtyAge = age
 			}
@@ -54,8 +54,16 @@ func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 	c.lruBack = -1
 	c.forgetScan()
 	// The file indexes still in the map hold stale slots; drop them. (The
-	// fiFree pool holds only emptied, all-zero indexes and stays usable.)
+	// fiFree pool holds only emptied, all-zero indexes and stays usable:
+	// they are every index handed out now.)
 	c.files = nil
+	fis := c.fis[:0]
+	for i, fi := range c.fiFree {
+		fi.id = int32(i)
+		fis = append(fis, fi)
+	}
+	clear(c.fis[len(fis):])
+	c.fis = fis
 	clear(c.dirtyFiles)
 	c.nblocks = 0
 	c.ndirty = 0
@@ -88,7 +96,7 @@ func (c *Cache) RecoverFlush(file uint64, now time.Duration) []Writeback {
 // dirty counts and dirty bytes must match a full recount, every resident
 // block must be indexed to the node that holds it and the LRU list must
 // hold exactly the indexed blocks, every slot handed out must be resident
-// or free, each node must be one dirty block or clean blocks with ordered
+// or free, each node must name its file's index and have ordered
 // watermarks, no dirty block may predate the age bounds the cleaner skips
 // by, and the victim scan's remembered progress must describe the LRU tail
 // as it is. It returns the first inconsistency found, or nil. The fault
@@ -113,6 +121,9 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("fscache: node (%#x,%d) watermarks valid %d dirty %d", x.file, x.first, x.validHi, x.dirtyHi)
 		}
 		fi := c.files[x.file]
+		if fi == nil || x.fi < 0 || int(x.fi) >= len(c.fis) || c.fis[x.fi] != fi || fi.id != x.fi {
+			return fmt.Errorf("fscache: node at slot %d names index %d, not its file %#x's", s, x.fi, x.file)
+		}
 		for j := x.first; j <= x.last(); j++ {
 			if fi == nil || fi.get(j) != s {
 				return fmt.Errorf("fscache: block (%#x,%d) of the node at slot %d is not indexed to it", x.file, j, s)
@@ -120,11 +131,8 @@ func (c *Cache) CheckInvariants() error {
 		}
 		lruBlocks += int(x.n)
 		if x.dirty() {
-			if x.n != 1 {
-				return fmt.Errorf("fscache: dirty node (%#x,%d) holds %d blocks", x.file, x.first, x.n)
-			}
-			ndirty++
-			dirtyBytes += int64(x.dirtyHi)
+			ndirty += int(x.n)
+			dirtyBytes += x.dirtyBytes(x.n)
 			if int(s) >= len(c.dtimes) {
 				return fmt.Errorf("fscache: dirty block (%#x,%d) at slot %d has no write times", x.file, x.first, s)
 			}
@@ -134,7 +142,7 @@ func (c *Cache) CheckInvariants() error {
 			}
 		}
 		if x.passed == c.scanEpoch {
-			passed++
+			passed += int(x.n)
 		}
 		prev, s = s, x.next
 	}
@@ -157,6 +165,9 @@ func (c *Cache) CheckInvariants() error {
 			fn++
 			if c.nd(s).dirty() {
 				fd++
+			}
+			if c.nd(s).fi != fi.id {
+				return fmt.Errorf("fscache: file %#x's index %d holds slot %d of index %d", f, fi.id, s, c.nd(s).fi)
 			}
 			return nil
 		}
@@ -216,17 +227,19 @@ func (c *Cache) CheckInvariants() error {
 	if nfree+lruLen != len(c.nodes) {
 		return fmt.Errorf("fscache: %d slots handed out, %d in the lru and %d free", len(c.nodes), lruLen, nfree)
 	}
-	// The victim scan's progress: exactly the scanCount nodes nearest the
-	// tail carry the current epoch, all are dirty, scanLast is the deepest.
-	if passed != int(c.scanCount) || c.scanCount > cleanScanDepth {
-		return fmt.Errorf("fscache: %d nodes marked passed, scan count %d", passed, c.scanCount)
+	// The victim scan's progress: the nodes nearest the tail that hold the
+	// scanCount blocks it passed carry the current epoch, and no others;
+	// all are dirty, and scanLast is the deepest.
+	if passed != int(c.scanCount) {
+		return fmt.Errorf("fscache: %d blocks marked passed, scan count %d", passed, c.scanCount)
 	}
 	last := int32(-1)
-	for s, n := c.lruBack, int32(0); n < c.scanCount; n++ {
+	for s, n := c.lruBack, int32(0); n < c.scanCount; {
 		x := c.nd(s)
 		if !x.dirty() || x.passed != c.scanEpoch {
-			return fmt.Errorf("fscache: node %d from the tail (dirty %v) breaks the passed run of %d", n, x.dirty(), c.scanCount)
+			return fmt.Errorf("fscache: block %d from the tail (dirty %v) breaks the passed run of %d", n, x.dirty(), c.scanCount)
 		}
+		n += x.n
 		last, s = s, x.prev
 	}
 	if last != c.scanLast {

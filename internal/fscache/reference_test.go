@@ -91,7 +91,7 @@ func (r *refCache) writeback(b *refBlock, reason CleanReason, now time.Duration)
 	r.st.Cleaned[reason]++
 	r.st.CleanAge[reason].Add(float64(age))
 	r.st.BytesWrittenBack += b.dirtyHi
-	return Writeback{File: b.key.file, Block: b.key.index, Bytes: b.dirtyHi, Reason: reason, Age: age}
+	return Writeback{File: b.key.file, Block: b.key.index, N: 1, Bytes: b.dirtyHi, Reason: reason, Age: age}
 }
 
 // evict replaces one block by the literal rule.
@@ -477,8 +477,20 @@ func (d *lockstep) failf(format string, args ...any) {
 	}
 }
 
+// sameWritebacks compares the cache's runs, each expanded to the one-block
+// writebacks it stands for, with the reference's writebacks, which are one
+// block each.
 func (d *lockstep) sameWritebacks(name string, got, want []Writeback) {
-	if !slices.Equal(got, want) {
+	var blocks []Writeback
+	for _, wb := range got {
+		if wb.N < 1 || wb.BlockBytes(wb.N-1) < 1 || wb.BlockBytes(wb.N-1) > BlockSize {
+			d.failf("%s: malformed run %+v", name, wb)
+		}
+		for i := int64(0); i < wb.N; i++ {
+			blocks = append(blocks, Writeback{File: wb.File, Block: wb.Block + i, N: 1, Bytes: wb.BlockBytes(i), Reason: wb.Reason, Age: wb.Age})
+		}
+	}
+	if !slices.Equal(blocks, want) {
 		d.failf("%s\n  cache: %+v\n  ref:   %+v", name, got, want)
 	}
 }
@@ -527,20 +539,29 @@ func (d *lockstep) scan() {
 // The stretch-shaped ops. A stretch is consecutive blocks of one file
 // referenced at one instant: they sit side by side in the LRU list,
 // ascending toward the front. These ops make one, grow one across calls,
-// or cut into one.
+// or cut into one. The burst ops do the same to a dirty stretch: blocks
+// written at one instant.
 const (
-	bootPair     = iota // a program's code, then its data right after it, cold, at one instant, then both again
-	midReread           // a sub-range in the middle of a scanned file read again
-	midWrite            // one byte written into the middle of a scan
-	midTruncate         // a scanned file cut off in its middle, and its new last block read
-	appendAcross        // an append past a partially valid last block, then a read across it
-	frontHit            // a scan's front-most block read again at a later instant
+	bootPair      = iota // a program's code, then its data right after it, cold, at one instant, then both again
+	midReread            // a sub-range in the middle of a scanned file read again
+	midWrite             // one byte written into the middle of a scan
+	midTruncate          // a scanned file cut off in its middle, and its new last block read
+	appendAcross         // an append past a partially valid last block, then a read across it
+	frontHit             // a scan's front-most block read again at a later instant
+	burstWrite           // a multi-block write at one instant, then its last block written again
+	burstRewrite         // a write inside a write burst, at the same instant or later
+	burstHit             // a read hit inside a write burst, at a later instant
+	burstTruncate        // a write burst cut off in its middle, then appended to at the same instant
+	burstFlush           // a write burst fsynced or recalled, then written inside
+	burstAtDepth         // two write bursts at the LRU tail, the second straddling cleanScanDepth
 	numStretchOps
 )
 
 var stretchOpNames = [numStretchOps]string{
 	"boot's pair", "a mid-scan re-read", "a mid-scan write", "a mid-scan truncate",
 	"an append across a partial block", "a later hit on a scan's front",
+	"a write burst", "a rewrite inside a burst", "a read hit inside a burst",
+	"a truncate inside a burst", "a burst's fsync or recall", "a burst straddling the scan depth",
 }
 
 // scanned returns the file the last scan, boot pair or append read, and its
@@ -557,6 +578,22 @@ func (d *lockstep) scanned() (uint64, int64) {
 func (d *lockstep) inside(size int64) int64 {
 	blocks := (size + BlockSize - 1) / BlockSize
 	return (1+int64(d.byte())%(blocks-2))*BlockSize + refWithin[int(d.byte())%len(refWithin)]
+}
+
+// burst writes three to eighteen blocks of one file at one instant: a fresh
+// file from its start, or, one time in two, the last scanned file over its
+// clean blocks from inside its first one. It returns the file and its size.
+func (d *lockstep) burst() (uint64, int64) {
+	if d.byte()&1 == 0 {
+		file, size := d.scanned()
+		offset := refWithin[int(d.byte())%len(refWithin)]
+		d.write(file, offset, size-offset, d.attr())
+		return file, size
+	}
+	d.next++
+	size := (3+int64(d.byte()%16))*BlockSize - refWithin[int(d.byte())%len(refWithin)]
+	d.write(d.next, 0, size, d.attr())
+	return d.next, size
 }
 
 // stretch decodes and applies one stretch-shaped op.
@@ -609,6 +646,64 @@ func (d *lockstep) stretch() {
 		d.now += refSteps[2+d.byte()%6]
 		last := (size - 1) / BlockSize * BlockSize
 		d.read(file, last, size-last, d.attr())
+	case burstWrite:
+		// The last block again, at the same instant or later: in place, or
+		// cut from the front of the burst.
+		file, size := d.burst()
+		d.now += refSteps[d.byte()%8]
+		last := (size - 1) / BlockSize * BlockSize
+		d.write(file, last, size-last+int64(d.byte()%2), d.attr())
+	case burstRewrite:
+		file, size := d.burst()
+		d.now += refSteps[d.byte()%8]
+		d.write(file, d.inside(size), refLengths[int(d.byte())%3], d.attr())
+	case burstHit:
+		file, size := d.burst()
+		d.now += refSteps[2+d.byte()%6]
+		offset := d.inside(size)
+		d.read(file, offset, min(refLengths[int(d.byte())%len(refLengths)], size-offset), d.attr())
+	case burstTruncate:
+		// A cut on a block boundary leaves the burst's new last block whole,
+		// so that the append, dirty since the same instant, may join it.
+		file, size := d.burst()
+		cut := d.inside(size)
+		if d.byte()&1 == 0 {
+			cut = cut / BlockSize * BlockSize
+		}
+		d.truncate(file, cut)
+		d.write(file, d.size[file], refLengths[int(d.byte())%len(refLengths)], d.attr())
+	case burstFlush:
+		file, size := d.burst()
+		d.now += refSteps[d.byte()%8]
+		if d.byte()&1 == 0 {
+			d.what = fmt.Sprintf("Fsync(%d, now %d)", file, d.now)
+			d.sameWritebacks("writebacks", d.c.Fsync(file, d.now), d.r.Fsync(file, d.now))
+		} else {
+			d.what = fmt.Sprintf("Recall(%d, now %d)", file, d.now)
+			d.sameWritebacks("writebacks", d.c.Recall(file, d.now), d.r.Recall(file, d.now))
+		}
+		d.write(file, d.inside(size), refLengths[int(d.byte())%len(refLengths)], d.attr())
+	case burstAtDepth:
+		// Two bursts of one file at two instants, the first just short of
+		// the scan depth and the second across it. The cache shrinks to
+		// hold only them, which leaves them at the LRU tail, and a fresh
+		// file read into it must find its victims beyond them.
+		d.next++
+		first := cleanScanDepth - 8 - int64(d.byte()%16)
+		second := 16 + int64(d.byte()%32)
+		d.write(d.next, 0, first*BlockSize, Attr{})
+		d.now += refSteps[1+d.byte()%7]
+		d.write(d.next, first*BlockSize, second*BlockSize, Attr{})
+		held, capacity := min(int(first+second), d.r.NumBlocks()), d.r.Capacity()
+		d.what = fmt.Sprintf("SetCapacity(%d, false, now %d)", held, d.now)
+		d.sameWritebacks("writebacks", d.c.SetCapacity(held, false, d.now), d.r.SetCapacity(held, false, d.now))
+		d.sameState()
+		d.next++
+		d.read(d.next, 0, (8+int64(d.byte()%64))*BlockSize, Attr{})
+		if capacity > held {
+			d.c.GrowBy(capacity - held)
+			d.r.GrowBy(capacity - held)
+		}
 	}
 }
 

@@ -184,18 +184,14 @@ func (s *Server) ServeSpan(id uint64, offset, length int64, now time.Duration) t
 	return s.ServeRuns(id, []fscache.Run{{First: first, N: last - first + 1}}, now)
 }
 
-// AcceptSpan takes a pass-through write into the server cache.
+// AcceptSpan takes a pass-through write into the server cache: the blocks
+// the byte range touches, as one run, each from its start.
 func (s *Server) AcceptSpan(id uint64, offset, length int64, now time.Duration) {
 	if s.Store == nil || length <= 0 {
 		return
 	}
-	for b := offset / 4096; b <= (offset+length-1)/4096; b++ {
-		end := offset + length - b*4096
-		if end > 4096 {
-			end = 4096
-		}
-		s.Store.AcceptWrite(id, b, end, now)
-	}
+	first, last := offset/fscache.BlockSize, (offset+length-1)/fscache.BlockSize
+	s.Store.AcceptWrite(id, fscache.Run{First: first, N: last - first + 1}, offset+length-first*fscache.BlockSize, now)
 }
 
 // A file id holds its home server's id in the top 16 bits and a sequence
@@ -436,12 +432,14 @@ func (s *Server) Write(id uint64, client int32, offset, length int64, through bo
 	}
 }
 
-// WriteBack records a delayed writeback block arriving from a client's
-// cache. It does not clear last-writer state: the server does not track
-// whether the client has finished flushing (the paper's upper-bound
-// caveat). The block lands in the server cache (when storage is attached)
-// and reaches the disk after the server's own 30-second delay.
-func (s *Server) WriteBack(id uint64, client int32, block, bytes int64, now time.Duration) {
+// WriteBack records a run of delayed writeback blocks arriving from a
+// client's cache, bytes in all (fscache.Writeback's shape); each block is
+// one write, a new version of the file. It does not clear last-writer
+// state: the server does not track whether the client has finished
+// flushing (the paper's upper-bound caveat). The blocks land in the server
+// cache (when storage is attached) and reach the disk after the server's
+// own 30-second delay.
+func (s *Server) WriteBack(id uint64, client int32, run fscache.Run, bytes int64, now time.Duration) {
 	// Count before the deleted-file early-out: the client counted these
 	// bytes as shipped, and the conservation invariant the fault harness
 	// checks compares exactly these two counters.
@@ -450,10 +448,10 @@ func (s *Server) WriteBack(id uint64, client int32, block, bytes int64, now time
 	if f == nil {
 		return
 	}
-	f.Version++
+	f.Version += uint64(run.N)
 	f.LastWrite = now
 	if s.Store != nil {
-		s.Store.AcceptWrite(id, block, bytes, now)
+		s.Store.AcceptWrite(id, run, bytes, now)
 	}
 }
 

@@ -3,6 +3,8 @@ package server
 import (
 	"testing"
 	"time"
+
+	"spritefs/internal/fscache"
 	"unsafe"
 )
 
@@ -108,7 +110,7 @@ func TestRecallIsUpperBound(t *testing.T) {
 	f := s.Create(false, 0)
 	s.Open(f.ID, 1, true, 0)
 	s.Close(f.ID, 1, true, true, time.Second)
-	s.WriteBack(f.ID, 1, 0, 4096, 2*time.Second) // daemon flushes
+	s.WriteBack(f.ID, 1, fscache.Run{First: 0, N: 1}, 4096, 2*time.Second) // daemon flushes
 	r, _ := s.Open(f.ID, 2, false, 40*time.Second)
 	if r.RecallFrom != 1 {
 		t.Error("recall skipped after writeback; server should not track flushes")

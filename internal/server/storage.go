@@ -80,24 +80,34 @@ func (s *Storage) ServeRun(file uint64, run fscache.Run, fileSize int64, now tim
 	return read + s.toDisk(res.Evicted)
 }
 
-// AcceptWrite takes one writeback block into the server cache; the block
-// becomes dirty and goes to disk when Clean runs after the server's own
-// 30-second delay, or sooner if it has to make room first.
-func (s *Storage) AcceptWrite(file uint64, block int64, bytes int64, now time.Duration) {
+// AcceptWrite takes a run of writeback blocks into the server cache, bytes
+// in all: every block but the last whole, the last from its start. The
+// blocks become dirty and go to disk when Clean runs after the server's
+// own 30-second delay, or sooner if they have to make room first.
+//
+// One server-cache Write covers the run, and it does exactly what one
+// Write per block did: no block is write-fetched (the write starts at the
+// run's first byte, which is where the file's known bytes end), and the
+// cache walks the blocks in the same order at the same instant.
+func (s *Storage) AcceptWrite(file uint64, run fscache.Run, bytes int64, now time.Duration) {
 	if bytes <= 0 {
 		return
 	}
-	s.st.WriteBlocks++
-	off := block * fscache.BlockSize
+	s.st.WriteBlocks += run.N
+	off := run.First * fscache.BlockSize
 	s.toDisk(s.cache.Write(file, off, bytes, off, fscache.Attr{}, now).Evicted)
 }
 
-// toDisk counts each server-cache writeback — a block the cleaner retired,
-// or a dirty block forced out to make room — as one disk write, and returns
-// the disk time they took.
+// toDisk counts each block of the server-cache writebacks — blocks the
+// cleaner retired, or dirty blocks forced out to make room — as one disk
+// write, and returns the disk time they took.
 func (s *Storage) toDisk(wbs []fscache.Writeback) time.Duration {
-	d := time.Duration(len(wbs)) * s.DiskAccess
-	s.st.DiskWrites += int64(len(wbs))
+	var blocks int64
+	for _, wb := range wbs {
+		blocks += wb.N
+	}
+	d := time.Duration(blocks) * s.DiskAccess
+	s.st.DiskWrites += blocks
 	s.st.DiskBusy += d
 	return d
 }

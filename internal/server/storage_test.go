@@ -35,7 +35,7 @@ func TestStorageReadBeyondFileSize(t *testing.T) {
 
 func TestStorageWriteThenCleanReachesDisk(t *testing.T) {
 	st := NewStorage(128)
-	st.AcceptWrite(1, 0, 4096, 0)
+	st.AcceptWrite(1, fscache.Run{First: 0, N: 1}, 4096, 0)
 	if busy := st.Clean(10 * time.Second); busy != 0 {
 		t.Errorf("clean before the 30s server delay wrote to disk")
 	}
@@ -54,7 +54,7 @@ func TestStorageWriteThenCleanReachesDisk(t *testing.T) {
 
 func TestStorageDropPreventsDiskWrite(t *testing.T) {
 	st := NewStorage(128)
-	st.AcceptWrite(1, 0, 4096, 0)
+	st.AcceptWrite(1, fscache.Run{First: 0, N: 1}, 4096, 0)
 	st.Drop(1)
 	if busy := st.Clean(time.Minute); busy != 0 {
 		t.Errorf("deleted file's dirty block reached the disk")
@@ -68,7 +68,7 @@ func TestServerStorageIntegration(t *testing.T) {
 	s.Grow(f.ID, 8192, 0)
 
 	// Writeback populates the server cache.
-	s.WriteBack(f.ID, 1, 0, 4096, time.Second)
+	s.WriteBack(f.ID, 1, fscache.Run{First: 0, N: 1}, 4096, time.Second)
 	if d := s.ServeRuns(f.ID, []fscache.Run{{First: 0, N: 1}}, 2*time.Second); d != 0 {
 		t.Errorf("cached block cost disk time %v", d)
 	}
@@ -90,7 +90,7 @@ func TestServerStorageIntegration(t *testing.T) {
 		t.Error("storage-less server cost disk time")
 	}
 	bare.AcceptSpan(f.ID, 0, 100, 0)
-	bare.WriteBack(f.ID, 1, 0, 100, 0)
+	bare.WriteBack(f.ID, 1, fscache.Run{First: 0, N: 1}, 100, 0)
 }
 
 // A dirty server-cache block forced out to make room goes to the disk then,
@@ -99,7 +99,7 @@ func TestServerStorageIntegration(t *testing.T) {
 func TestStorageDirtyVictimsReachTheDisk(t *testing.T) {
 	st := NewStorage(4)
 	for b := int64(0); b < 5; b++ {
-		st.AcceptWrite(1, b, fscache.BlockSize, 0)
+		st.AcceptWrite(1, fscache.Run{First: b, N: 1}, fscache.BlockSize, 0)
 	}
 	if got := st.Stats().DiskWrites; got != 1 {
 		t.Errorf("the fifth dirty block forced %d disk writes, want 1", got)
@@ -164,7 +164,7 @@ func TestStoragePinnedMix(t *testing.T) {
 			disk += serveFetch(st, f, blocks, sizes[f], now)
 		case r < 9:
 			b, bytes := rng.Int63n(nblocks+1), 1+rng.Int63n(fscache.BlockSize)
-			st.AcceptWrite(f, b, bytes, now)
+			st.AcceptWrite(f, fscache.Run{First: b, N: 1}, bytes, now)
 			sizes[f] = max(sizes[f], b*fscache.BlockSize+bytes)
 		default:
 			disk += st.Clean(now)
