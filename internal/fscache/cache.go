@@ -980,8 +980,8 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	res.MissRuns = c.runScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
-	// The file's index is resolved once per call; insert replaces it when
-	// the eviction that made room released it.
+	// The file's index is resolved once per call; insert (admit) replaces
+	// it when the eviction that made room released it.
 	fi := c.files[file]
 	for idx := first; idx <= last; idx++ {
 		c.countRead(attr)
@@ -1042,7 +1042,10 @@ func (c *Cache) covers(s int32, idx, offset, length int64) bool {
 // size before the write is fileSizeBefore. A partial write to a
 // non-resident block that already exists on the server requires a write
 // fetch (the returned FetchBytes). Blocks become dirty; the 30-second
-// delayed-write clock starts at the first dirtying write.
+// delayed-write clock starts at the first dirtying write. Each written
+// block goes to the front of the LRU list, extending the front node where
+// that is exact (joinsDirtyFront), so the blocks one write dirties at one
+// instant are one node.
 func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr Attr, now time.Duration) WriteResult {
 	var res WriteResult
 	if length <= 0 {
@@ -1054,7 +1057,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 	res.FetchRuns = c.runScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
-	fi := c.files[file] // replaced by insert when released, as in Read
+	fi := c.files[file] // replaced by admit when released, as in Read
 	for idx := first; idx <= last; idx++ {
 		c.st.All.WriteOps++
 		if attr.Migrated {
@@ -1069,19 +1072,6 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 			s = fi.get(idx)
 		}
 		h := int16(hi) // at least 1: the write leaves the block dirty
-		if s >= 0 && s == c.lruFront && c.nd(s).n == 1 {
-			// The block is the front node already: it is written in place.
-			x := c.nd(s)
-			if x.dirty() {
-				c.dtimes[s].lastWr = now
-			} else {
-				c.setTimes(s, dirtyTimes{dirtyAt: now, lastWr: now})
-				c.noteDirtied(fi, file, now)
-			}
-			c.dirtyBytes += int64(max(x.dirtyHi, h) - x.dirtyHi)
-			x.lastRef, x.validHi, x.dirtyHi = now, max(x.validHi, h), max(x.dirtyHi, h)
-			continue
-		}
 		// The block's state before the write, taken out of its node if it
 		// is resident; spare is its node's slot when it was a node alone.
 		var vh, dh int16

@@ -123,9 +123,9 @@ func (c *Cache) fileNodes(fi *fileIndex) []int32 {
 }
 
 // oldestDirtyBlock scans fi's nodes for a block that has been dirty for
-// delay at now (a dirty node's blocks turned dirty together). It stops at the first (due is true); otherwise it has seen
-// every dirty block of the file and oldest is the earliest dirtyAt among
-// them.
+// delay at now; a dirty node's blocks all turned dirty together. It stops
+// at the first (due is true); otherwise it has seen every dirty block of
+// the file and oldest is the earliest dirtyAt among them.
 func (c *Cache) oldestDirtyBlock(fi *fileIndex, now, delay time.Duration) (oldest time.Duration, due bool) {
 	oldest = math.MaxInt64
 	for _, s := range c.fileNodes(fi) {
