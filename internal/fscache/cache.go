@@ -588,12 +588,12 @@ func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration) int3
 	// the front node (the one case where it would returned just above), so
 	// that is asked first.
 	join := !x.dirty() && c.joinsFront(x.file, idx, now)
-	file, fiID, vh, dh := x.file, x.fi, x.valid(idx), x.dirtyTo(idx)
+	file, vh, dh := x.file, x.valid(idx), x.dirtyTo(idx)
 	c.cut(fi, s, idx)
 	if join {
 		return c.extendFront(fi, idx, vh)
 	}
-	t := c.pushNew(fi, file, fiID, idx, vh, now)
+	t := c.pushNew(fi, file, idx, vh, now)
 	if dh != 0 {
 		c.nd(t).dirtyHi = dh
 		c.setTimes(t, c.dtimes[s])
@@ -673,16 +673,16 @@ func (c *Cache) extendFront(fi *fileIndex, idx int64, vh int16) int32 {
 	return f
 }
 
-// pushNew puts block idx of file, whose index is fis[fiID], with watermark
-// vh, at the front of the LRU list as a clean node of its own, referenced
-// at now, and returns its slot.
-func (c *Cache) pushNew(fi *fileIndex, file uint64, fiID int32, idx int64, vh int16, now time.Duration) int32 {
+// pushNew puts block idx of file, whose index is fi, with watermark vh, at
+// the front of the LRU list as a clean node of its own, referenced at now,
+// and returns its slot.
+func (c *Cache) pushNew(fi *fileIndex, file uint64, idx int64, vh int16, now time.Duration) int32 {
 	t := c.allocNode()
 	// Field by field: a composite literal is built on the stack and copied
 	// in wide loads that stall on the narrow stores just made.
 	x := c.nd(t)
 	x.file, x.first, x.n, x.lastRef = file, idx, 1, now
-	x.passed, x.fi, x.validHi, x.dirtyHi = 0, fiID, vh, 0
+	x.passed, x.fi, x.validHi, x.dirtyHi = 0, fi.id, vh, 0
 	fi.put(idx, t)
 	c.lruPushFront(t)
 	return t
@@ -753,7 +753,7 @@ func (c *Cache) insert(fi *fileIndex, file uint64, idx, last int64, vh int16, no
 	if c.joinsFront(file, idx, now) {
 		c.extendFront(fi, idx, vh)
 	} else {
-		c.pushNew(fi, file, fi.id, idx, vh, now)
+		c.pushNew(fi, file, idx, vh, now)
 	}
 	return fi
 }
@@ -1125,7 +1125,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 			continue
 		}
 		if spare < 0 {
-			spare = c.pushNew(fi, file, fi.id, idx, vh, now)
+			spare = c.pushNew(fi, file, idx, vh, now)
 		} else {
 			c.lruPushFront(spare)
 		}
