@@ -259,6 +259,9 @@ type fileIndex struct {
 	n      int             // resident blocks of this file
 	dirty  int             // dirty resident blocks of this file
 	id     int32           // its slot in Cache.fis
+	// 1 + the id of the next recycled index, while this one is recycled
+	// (0 ends the chain).
+	nextFree int32
 
 	// oldestDirty is a lower bound on dirtyAt over the file's dirty blocks
 	// (meaningful while dirty > 0): the minimum over every dirtying since
@@ -337,9 +340,11 @@ type Cache struct {
 	lruBack  int32 // least recently used
 	// The resident files' indexes, made at the first insert: nil in a
 	// cache that has held no block, and again after DiscardAll.
-	files      map[uint64]*fileIndex
-	fis        []*fileIndex // every index handed out, resident or free, by id
-	fiFree     []*fileIndex // recycled (emptied) file indexes
+	files map[uint64]*fileIndex
+	// Every index handed out, by id: resident, or recycled (emptied) and
+	// chained from fiFree, 1 + the id of the first (0 when none).
+	fis        []*fileIndex
+	fiFree     int32
 	nblocks    int
 	ndirty     int
 	dirtyBytes int64
@@ -724,12 +729,12 @@ func (c *Cache) joinsDirtyFront(file uint64, idx int64, dirtyAt, now time.Durati
 // replaced, recycled or new.
 func (c *Cache) admit(fi *fileIndex, file uint64, last int64) *fileIndex {
 	if fi == nil || fi.n == 0 {
-		if n := len(c.fiFree); n > 0 {
+		if c.fiFree != 0 {
 			// Recycled indexes were emptied before release, so the dense
 			// slice is all zeros (= all absent) at whatever length it
 			// reached; it can be reused as-is.
-			fi = c.fiFree[n-1]
-			c.fiFree = c.fiFree[:n-1]
+			fi = c.fis[c.fiFree-1]
+			c.fiFree = fi.nextFree
 		} else {
 			fi = &fileIndex{id: int32(len(c.fis))}
 			c.fis = append(c.fis, fi)
@@ -778,7 +783,7 @@ func (c *Cache) dropNode(s int32) {
 	}
 	if fi.n == 0 {
 		delete(c.files, x.file)
-		c.fiFree = append(c.fiFree, fi)
+		fi.nextFree, c.fiFree = c.fiFree, fi.id+1
 	}
 	c.freeNode(s)
 }

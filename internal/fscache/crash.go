@@ -54,16 +54,23 @@ func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 	c.lruBack = -1
 	c.forgetScan()
 	// The file indexes still in the map hold stale slots; drop them. (The
-	// fiFree pool holds only emptied, all-zero indexes and stays usable:
-	// they are every index handed out now.)
+	// recycled ones hold only emptied, all-zero indexes and stay usable:
+	// they become every index handed out, chained in id order.)
 	c.files = nil
-	fis := c.fis[:0]
-	for i, fi := range c.fiFree {
-		fi.id = int32(i)
-		fis = append(fis, fi)
+	kept := 0
+	for _, fi := range c.fis {
+		if fi.n == 0 {
+			fi.id = int32(kept)
+			c.fis[kept] = fi
+			kept++
+		}
 	}
-	clear(c.fis[len(fis):])
-	c.fis = fis
+	clear(c.fis[kept:])
+	c.fis = c.fis[:kept]
+	c.fiFree = 0
+	for i := kept - 1; i >= 0; i-- {
+		c.fis[i].nextFree, c.fiFree = c.fiFree, int32(i)+1
+	}
 	clear(c.dirtyFiles)
 	c.nblocks = 0
 	c.ndirty = 0
@@ -96,10 +103,10 @@ func (c *Cache) RecoverFlush(file uint64, now time.Duration) []Writeback {
 // dirty counts and dirty bytes must match a full recount, every resident
 // block must be indexed to the node that holds it and the LRU list must
 // hold exactly the indexed blocks, every slot handed out must be resident
-// or free, each node must name its file's index and have ordered
-// watermarks, no dirty block may predate the age bounds the cleaner skips
-// by, and the victim scan's remembered progress must describe the LRU tail
-// as it is. It returns the first inconsistency found, or nil. The fault
+// or free (and every file index resident or recycled), each node must
+// name its file's index and have ordered watermarks, no dirty block may
+// predate the age bounds the cleaner skips by, and the victim scan's
+// remembered progress must describe the LRU tail as it is. It returns the first inconsistency found, or nil. The fault
 // harness calls it after every injected fault sequence.
 func (c *Cache) CheckInvariants() error {
 	var ndirty, ndirtyFiles int
@@ -206,6 +213,17 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if indexed != c.nblocks {
 		return fmt.Errorf("fscache: index holds %d blocks, nblocks %d", indexed, c.nblocks)
+	}
+	// Every file index handed out is resident or recycled, and a recycled
+	// one is empty.
+	recycled := 0
+	for f := c.fiFree; f != 0; f = c.fis[f-1].nextFree {
+		if recycled++; recycled > len(c.fis) || c.fis[f-1].n != 0 || c.fis[f-1].id != f-1 {
+			return fmt.Errorf("fscache: recycled file index %d is in use, misnamed or on a loop", f-1)
+		}
+	}
+	if recycled+len(c.files) != len(c.fis) {
+		return fmt.Errorf("fscache: %d file indexes handed out, %d resident and %d recycled", len(c.fis), len(c.files), recycled)
 	}
 	if ndirtyFiles != len(c.dirtyFiles) {
 		return fmt.Errorf("fscache: dirty-file set holds %d entries, recount %d", len(c.dirtyFiles), ndirtyFiles)
