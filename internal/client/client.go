@@ -235,7 +235,7 @@ func (c *Client) ship(wbs []fscache.Writeback) time.Duration {
 		for i := range wb.N {
 			lat += c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.FileWrite, wb.BlockBytes(i))
 		}
-		srv.WriteBack(wb.File, c.cfg.ID, fscache.Run{First: wb.Block, N: wb.N}, wb.Bytes, now)
+		srv.WriteBack(wb.File, c.cfg.ID, fscache.Run{First: wb.Block, N: int64(wb.N)}, wb.Bytes, now)
 		c.bytesWrittenBack += wb.Bytes
 		if f := srv.Lookup(wb.File); f != nil {
 			c.noteVersion(wb.File, f.Version)

@@ -56,19 +56,19 @@ type Attr struct {
 // the N one-block writebacks it stands for, in ascending index.
 type Writeback struct {
 	File   uint64
-	Block  int64 // first block index within the file
-	N      int64 // blocks in the run, at least one
-	Bytes  int64 // bytes to transfer: N-1 whole blocks and the last one's prefix
-	Reason CleanReason
+	Block  int64         // first block index within the file
+	Bytes  int64         // bytes to transfer: N-1 whole blocks and the last one's prefix
 	Age    time.Duration // time since the blocks were last written
+	N      int32         // blocks in the run, at least one (a node's count)
+	Reason CleanReason
 }
 
 // BlockBytes returns the bytes block Block+i of the run transfers.
-func (wb Writeback) BlockBytes(i int64) int64 {
+func (wb Writeback) BlockBytes(i int32) int64 {
 	if i < wb.N-1 {
 		return BlockSize
 	}
-	return wb.Bytes - (wb.N-1)*BlockSize
+	return wb.Bytes - int64(wb.N-1)*BlockSize
 }
 
 // appendWriteback adds wb to out, extending the last run when wb continues
@@ -77,7 +77,7 @@ func (wb Writeback) BlockBytes(i int64) int64 {
 func appendWriteback(out []Writeback, wb Writeback) []Writeback {
 	if n := len(out); n > 0 {
 		r := &out[n-1]
-		if r.File == wb.File && r.Block+r.N == wb.Block && r.Bytes == r.N*BlockSize && r.Reason == wb.Reason && r.Age == wb.Age {
+		if r.File == wb.File && r.Block+int64(r.N) == wb.Block && r.Bytes == int64(r.N)*BlockSize && r.Reason == wb.Reason && r.Age == wb.Age {
 			r.N += wb.N
 			r.Bytes += wb.Bytes
 			return out
@@ -944,7 +944,7 @@ func (c *Cache) makeWriteback(s int32, k int32, reason CleanReason, now time.Dur
 		c.st.CleanAge[reason].Add(float64(age))
 	}
 	c.st.BytesWrittenBack += bytes
-	return Writeback{File: x.file, Block: x.first, N: int64(k), Bytes: bytes, Reason: reason, Age: age}
+	return Writeback{File: x.file, Block: x.first, Bytes: bytes, Age: age, N: k, Reason: reason}
 }
 
 // ensureRoom evicts until a new block can be inserted, appending any dirty

@@ -486,8 +486,8 @@ func (d *lockstep) sameWritebacks(name string, got, want []Writeback) {
 		if wb.N < 1 || wb.BlockBytes(wb.N-1) < 1 || wb.BlockBytes(wb.N-1) > BlockSize {
 			d.failf("%s: malformed run %+v", name, wb)
 		}
-		for i := int64(0); i < wb.N; i++ {
-			blocks = append(blocks, Writeback{File: wb.File, Block: wb.Block + i, N: 1, Bytes: wb.BlockBytes(i), Reason: wb.Reason, Age: wb.Age})
+		for i := range wb.N {
+			blocks = append(blocks, Writeback{File: wb.File, Block: wb.Block + int64(i), N: 1, Bytes: wb.BlockBytes(i), Reason: wb.Reason, Age: wb.Age})
 		}
 	}
 	if !slices.Equal(blocks, want) {

@@ -104,7 +104,7 @@ func (s *Storage) AcceptWrite(file uint64, run fscache.Run, bytes int64, now tim
 func (s *Storage) toDisk(wbs []fscache.Writeback) time.Duration {
 	var blocks int64
 	for _, wb := range wbs {
-		blocks += wb.N
+		blocks += int64(wb.N)
 	}
 	d := time.Duration(blocks) * s.DiskAccess
 	s.st.DiskWrites += blocks
