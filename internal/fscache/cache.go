@@ -71,21 +71,6 @@ func (wb Writeback) BlockBytes(i int32) int64 {
 	return wb.Bytes - int64(wb.N-1)*BlockSize
 }
 
-// appendWriteback adds wb to out, extending the last run when wb continues
-// it: the same file, reason and age, the next block, and the last run's
-// blocks all whole.
-func appendWriteback(out []Writeback, wb Writeback) []Writeback {
-	if n := len(out); n > 0 {
-		r := &out[n-1]
-		if r.File == wb.File && r.Block+int64(r.N) == wb.Block && r.Bytes == int64(r.N)*BlockSize && r.Reason == wb.Reason && r.Age == wb.Age {
-			r.N += wb.N
-			r.Bytes += wb.Bytes
-			return out
-		}
-	}
-	return append(out, wb)
-}
-
 // Run is a stretch of consecutive block indexes of one file: First,
 // First+1, ..., First+N-1.
 type Run struct {
@@ -953,7 +938,7 @@ func (c *Cache) ensureRoom(now time.Duration, out *[]Writeback) {
 	for c.nblocks >= c.capacity {
 		wb, dirty := c.evictOne(now, false)
 		if dirty {
-			*out = appendWriteback(*out, wb)
+			*out = append(*out, wb)
 		}
 		if c.lruBack < 0 && c.nblocks >= c.capacity {
 			return // capacity zero-ish; nothing more to do

@@ -147,7 +147,7 @@ func (c *Cache) oldestDirtyBlock(fi *fileIndex, now, delay time.Duration) (oldes
 func (c *Cache) cleanFile(fi *fileIndex, reason CleanReason, now time.Duration, out []Writeback) []Writeback {
 	for _, s := range c.fileNodes(fi) {
 		if x := c.nd(s); x.dirty() {
-			out = appendWriteback(out, c.makeWriteback(s, x.n, reason, now))
+			out = append(out, c.makeWriteback(s, x.n, reason, now))
 			c.dirtyBytes -= x.dirtyBytes(x.n)
 			x.dirtyHi = 0
 			c.noteCleaned(fi, x.file, x.n)
