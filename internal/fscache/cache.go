@@ -549,9 +549,9 @@ func (c *Cache) Contains(file uint64, index int64) bool {
 
 // touch makes block idx, held by node s of fi's file, the most recently
 // used block, referenced at now, and returns the slot of the front node,
-// whose front-most block it now is. A clean block extends the front node
-// where that is exact (joinsFront); a dirty one keeps its write state in a
-// node of its own.
+// whose front-most block it now is. The block extends the front node where
+// that is exact (joins), or else becomes a node of its own, keeping its
+// write state if it is dirty.
 func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration) int32 {
 	x := c.nd(s)
 	if x.n == 1 {
@@ -561,8 +561,8 @@ func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration) int3
 				c.leaveRun(s)
 			}
 			c.lruUnlink(s)
-			if !x.dirty() && c.joinsFront(x.file, idx, now) {
-				f := c.extendFront(fi, idx, x.validHi)
+			if c.joins(s, idx, now) {
+				f := c.extendFront(fi, idx, x.validHi, x.dirtyHi)
 				c.freeNode(s)
 				return f
 			}
@@ -577,11 +577,11 @@ func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration) int3
 	// Taking the block out of its node does not change whether it may join
 	// the front node (the one case where it would returned just above), so
 	// that is asked first.
-	join := !x.dirty() && c.joinsFront(x.file, idx, now)
+	join := c.joins(s, idx, now)
 	file, vh, dh := x.file, x.valid(idx), x.dirtyTo(idx)
 	c.cut(fi, s, idx)
 	if join {
-		return c.extendFront(fi, idx, vh)
+		return c.extendFront(fi, idx, vh, dh)
 	}
 	t := c.pushNew(fi, file, idx, vh, now)
 	if dh != 0 {
@@ -647,15 +647,16 @@ func (c *Cache) split(fi *fileIndex, s int32, idx int64) {
 	}
 }
 
-// extendFront makes block idx of the front node's file, with watermark vh,
-// the front node's new front-most block (joinsFront or joinsDirtyFront said
-// it may be), and returns the front node's slot. A front node in the victim
-// scan's run (the whole list is dirty) takes the block into the run.
-func (c *Cache) extendFront(fi *fileIndex, idx int64, vh int16) int32 {
+// extendFront makes block idx of the front node's file, with watermarks vh
+// and dh, the front node's new front-most block (joinsFront or
+// joinsDirtyFront said it may be), and returns the front node's slot. A
+// front node in the victim scan's run (the whole list is dirty) takes the
+// block into the run.
+func (c *Cache) extendFront(fi *fileIndex, idx int64, vh, dh int16) int32 {
 	f := c.lruFront
 	x := c.nd(f)
 	x.n++
-	x.validHi = vh
+	x.validHi, x.dirtyHi = vh, dh
 	if x.passed == c.scanEpoch {
 		c.scanCount++
 	}
@@ -690,20 +691,27 @@ func (c *Cache) joinsFront(file uint64, idx int64, now time.Duration) bool {
 	return f.lastRef == now && f.file == file && f.last()+1 == idx && f.validHi == BlockSize && !f.dirty()
 }
 
-// joinsDirtyFront reports whether block idx of file, written at now and
-// dirty since dirtyAt, extends the front node exactly: the node is dirty
-// since the same instant and was last written and referenced now, and its
-// front-most block is the one before idx, fully dirty (so fully valid).
-func (c *Cache) joinsDirtyFront(file uint64, idx int64, dirtyAt, now time.Duration) bool {
+// joinsDirtyFront reports whether dirty block idx of file, with write times
+// t, referenced at now, extends the front node exactly: the node is dirty
+// with the same write times and was referenced at the same instant, and
+// its front-most block is the one before idx, fully dirty (so fully
+// valid). A block past the dense index stays a node of its own.
+func (c *Cache) joinsDirtyFront(file uint64, idx int64, t dirtyTimes, now time.Duration) bool {
 	if c.lruFront < 0 || idx >= fiDenseMax {
 		return false
 	}
 	f := c.nd(c.lruFront)
-	if f.lastRef != now || f.file != file || f.last()+1 != idx || f.dirtyHi != BlockSize {
-		return false
+	return f.lastRef == now && f.file == file && f.last()+1 == idx && f.dirtyHi == BlockSize && c.dtimes[c.lruFront] == t
+}
+
+// joins reports whether block idx of node s, referenced at now, extends the
+// front node exactly (joinsFront, or joinsDirtyFront for a dirty block).
+func (c *Cache) joins(s int32, idx int64, now time.Duration) bool {
+	x := c.nd(s)
+	if x.dirty() {
+		return c.joinsDirtyFront(x.file, idx, c.dtimes[s], now)
 	}
-	t := &c.dtimes[c.lruFront]
-	return t.dirtyAt == dirtyAt && t.lastWr == now
+	return c.joinsFront(x.file, idx, now)
 }
 
 // admit counts a new resident block of file, of a request that inserts
@@ -741,7 +749,7 @@ func (c *Cache) admit(fi *fileIndex, file uint64, last int64) *fileIndex {
 func (c *Cache) insert(fi *fileIndex, file uint64, idx, last int64, vh int16, now time.Duration) *fileIndex {
 	fi = c.admit(fi, file, last)
 	if c.joinsFront(file, idx, now) {
-		c.extendFront(fi, idx, vh)
+		c.extendFront(fi, idx, vh, 0)
 	} else {
 		c.pushNew(fi, file, idx, vh, now)
 	}
@@ -1107,8 +1115,8 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 		times.lastWr = now
 		c.dirtyBytes += int64(max(dh, h) - dh)
 		vh, dh = max(vh, h), max(dh, h)
-		if c.joinsDirtyFront(file, idx, times.dirtyAt, now) {
-			c.nd(c.extendFront(fi, idx, vh)).dirtyHi = dh
+		if c.joinsDirtyFront(file, idx, times, now) {
+			c.extendFront(fi, idx, vh, dh)
 			if spare >= 0 {
 				c.freeNode(spare)
 			}

@@ -106,8 +106,9 @@ func (c *Cache) RecoverFlush(file uint64, now time.Duration) []Writeback {
 // or free (and every file index resident or recycled), each node must
 // name its file's index and have ordered watermarks, no dirty block may
 // predate the age bounds the cleaner skips by, and the victim scan's
-// remembered progress must describe the LRU tail as it is. It returns the first inconsistency found, or nil. The fault
-// harness calls it after every injected fault sequence.
+// remembered progress must describe the LRU tail as it is. It returns the
+// first inconsistency found, or nil. The fault harness calls it after
+// every injected fault sequence.
 func (c *Cache) CheckInvariants() error {
 	var ndirty, ndirtyFiles int
 	var dirtyBytes int64
@@ -218,8 +219,8 @@ func (c *Cache) CheckInvariants() error {
 	// one is empty.
 	recycled := 0
 	for f := c.fiFree; f != 0; f = c.fis[f-1].nextFree {
-		if recycled++; recycled > len(c.fis) || c.fis[f-1].n != 0 || c.fis[f-1].id != f-1 {
-			return fmt.Errorf("fscache: recycled file index %d is in use, misnamed or on a loop", f-1)
+		if recycled++; recycled > len(c.fis) || f < 0 || int(f) > len(c.fis) || c.fis[f-1].n != 0 || c.fis[f-1].id != f-1 {
+			return fmt.Errorf("fscache: recycled file index %d is out of range, in use, misnamed or on a loop", f-1)
 		}
 	}
 	if recycled+len(c.files) != len(c.fis) {
