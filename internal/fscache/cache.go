@@ -158,12 +158,12 @@ type Stats struct {
 //
 // That is the whole of the per-block state, held once per stretch, and
 // every operation keeps its per-block meaning. A read's blocks at one
-// instant become one node at the front or extend the front node (see
-// joinsFront), and so do a write's (see joinsDirtyFront); a touch, a
-// rewrite or a truncate inside a node splits or shortens it; eviction
-// takes one block at a time from the tail end of the tail node, and the
-// cleaner turns a dirty node clean whole, where it sits — so every victim,
-// age and count is the one a list of blocks gives. A client cache is
+// instant become one node at the front or extend the front node, and so
+// do a write's (see joinsFront and joinsDirtyFront); a touch, a rewrite or
+// a truncate inside a node splits or shortens it; eviction takes one block
+// at a time from the tail end of the tail node, and the cleaner turns a
+// dirty node clean whole, where it sits — so every victim, age and count
+// is the one a list of blocks gives. A client cache is
 // overwhelmingly clean stretches — a program's pages, read at boot in one
 // call and left alone until the tail takes them — so a resident block
 // costs its index entry, 4 bytes, and little more; a server cache takes
