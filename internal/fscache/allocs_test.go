@@ -192,3 +192,44 @@ func TestExtentSplitZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteCycleZeroAlloc pins the write paths in steady state: a burst
+// written at one instant, an append at that instant that extends its
+// extent, a rewrite of a resident dirty block inside it at a later one,
+// Fsync, a truncate to zero, and a second file written and deleted. Once
+// the nodes, indexes and scratch buffers reach their high-water marks, a
+// cycle of them allocates nothing.
+func TestWriteCycleZeroAlloc(t *testing.T) {
+	const blocks = 4
+	c := New(64)
+	now := time.Duration(0)
+	cycle := func() {
+		now += time.Second
+		c.Write(1, 0, blocks*BlockSize, 0, noAttr, now)
+		c.Write(1, blocks*BlockSize, BlockSize, blocks*BlockSize, noAttr, now)
+		if x := c.nd(c.lruFront); x.n != blocks+1 || !x.dirty() {
+			t.Fatalf("the append left a front node of %d blocks (dirty %v), want one extent of %d", x.n, x.dirty(), blocks+1)
+		}
+		now += time.Millisecond
+		c.Write(1, 2*BlockSize+10, 1, (blocks+1)*BlockSize, noAttr, now)
+		if wbs := c.Fsync(1, now); len(wbs) != 3 {
+			t.Fatalf("fsync of the extent split by the rewrite returned %d runs, want 3", len(wbs))
+		}
+		if c.Truncate(1, 0); c.Contains(1, 0) {
+			t.Fatal("a truncate to zero left block 0 resident")
+		}
+		c.Write(2, 0, blocks*BlockSize, 0, noAttr, now)
+		if saved := c.Delete(2); saved != blocks*BlockSize {
+			t.Fatalf("delete saved %d bytes, want %d", saved, blocks*BlockSize)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("the write cycle allocated %.1f/op in steady state, want 0", allocs)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
