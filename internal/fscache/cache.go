@@ -157,13 +157,16 @@ type Stats struct {
 // dirtyTimes hold.
 //
 // That is the whole of the per-block state, held once per stretch, and
-// every operation keeps its per-block meaning. A read's blocks at one
-// instant become one node at the front or extend the front node, and so
-// do a write's (see joinsFront and joinsDirtyFront); a touch, a rewrite or
-// a truncate inside a node splits or shortens it; eviction takes one block
-// at a time from the tail end of the tail node, and the cleaner turns a
-// dirty node clean whole, where it sits — so every victim, age and count
-// is the one a list of blocks gives. A client cache is
+// every operation keeps its per-block meaning. Nodes change in three ways.
+// A block reaches the LRU front by place, which extends the front node
+// where joinsFront says that is exact — a read's or a write's blocks at one
+// instant become one node — and otherwise makes the block a node of its
+// own; a resident block is first taken out of its node by lift, which cuts
+// the node around it. Blocks leave the cache by drop, from one end of a
+// node or with the whole node: eviction takes one at a time from the tail
+// end of the tail node, a truncate the blocks past the cut. The cleaner
+// turns a dirty node clean whole, where it sits. So every victim, age and
+// count is the one a list of blocks gives. A client cache is
 // overwhelmingly clean stretches — a program's pages, read at boot in one
 // call and left alone until the tail takes them — so a resident block
 // costs its index entry, 4 bytes, and little more; a server cache takes
@@ -547,72 +550,140 @@ func (c *Cache) Contains(file uint64, index int64) bool {
 	return c.slot(file, index) >= 0
 }
 
+// blockState is a block out of its node, between lift and place: its file,
+// index and watermarks, its write times if it is dirty, and spare, the slot
+// of the node it was alone in (-1 when it shared one, or is new).
+type blockState struct {
+	file   uint64
+	idx    int64
+	times  dirtyTimes // meaningful while dh is nonzero
+	spare  int32
+	vh, dh int16
+}
+
 // touch makes block idx, held by node s of fi's file, the most recently
 // used block, referenced at now, and returns the slot of the front node,
-// whose front-most block it now is. The block extends the front node where
-// that is exact (joins), or else becomes a node of its own, keeping its
-// write state if it is dirty.
+// whose front-most block it now is. The front node's own front-most block
+// stays where it is: lifted, a lone front node could join the node behind
+// it, which would be exact per block but a different node.
 func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration) int32 {
-	x := c.nd(s)
-	if x.n == 1 {
-		// The node moves whole, or its one block joins the front node.
-		if s != c.lruFront {
-			if x.passed == c.scanEpoch {
-				c.leaveRun(s)
-			}
-			c.lruUnlink(s)
-			if c.joins(s, idx, now) {
-				f := c.extendFront(fi, idx, x.validHi, x.dirtyHi)
-				c.freeNode(s)
-				return f
-			}
-			c.lruPushFront(s)
-		}
+	if x := c.nd(s); s == c.lruFront && idx == x.last() && (x.n == 1 || x.lastRef == now) {
 		x.lastRef = now
 		return s
 	}
-	if s == c.lruFront && idx == x.last() && x.lastRef == now {
-		return s // already the front-most block, referenced now
+	return c.place(fi, c.lift(fi, s, idx), now)
+}
+
+// lift takes block idx out of node s of fi's file and returns its state. A
+// block alone in its node leaves the LRU list with it, and the slot is the
+// state's spare; otherwise the node is cut around the block. The block
+// keeps its index entry, which place rewrites, and its share of the counts.
+func (c *Cache) lift(fi *fileIndex, s int32, idx int64) blockState {
+	x := c.nd(s)
+	b := blockState{file: x.file, idx: idx, spare: -1, vh: x.valid(idx), dh: x.dirtyTo(idx)}
+	if b.dh != 0 {
+		b.times = c.dtimes[s]
 	}
-	// Taking the block out of its node does not change whether it may join
-	// the front node (the one case where it would returned just above), so
-	// that is asked first.
-	join := c.joins(s, idx, now)
-	file, vh, dh := x.file, x.valid(idx), x.dirtyTo(idx)
-	c.cut(fi, s, idx)
-	if join {
-		return c.extendFront(fi, idx, vh, dh)
+	if x.n > 1 {
+		c.cut(fi, s, idx)
+		return b
 	}
-	t := c.pushNew(fi, file, idx, vh, now)
-	if dh != 0 {
-		c.nd(t).dirtyHi = dh
-		c.setTimes(t, c.dtimes[s])
+	if x.passed == c.scanEpoch {
+		c.leaveRun(s)
 	}
+	c.lruUnlink(s)
+	b.spare = s
+	return b
+}
+
+// place puts block b of fi's file at the LRU front, referenced at now, and
+// returns the slot of its node: the front node, one block longer, where
+// joinsFront says that is exact, else a node of its own, in b's spare slot
+// or a new one. A front node in the victim scan's run (the whole list is
+// dirty) takes the block into the run.
+func (c *Cache) place(fi *fileIndex, b blockState, now time.Duration) int32 {
+	if c.joinsFront(b, now) {
+		f := c.lruFront
+		x := c.nd(f)
+		x.n++
+		x.validHi, x.dirtyHi = b.vh, b.dh
+		if x.passed == c.scanEpoch {
+			c.scanCount++
+		}
+		fi.dense[b.idx] = f + 1
+		if b.spare >= 0 {
+			c.freeNode(b.spare)
+		}
+		return f
+	}
+	t := b.spare
+	if t < 0 {
+		t = c.allocNode()
+	}
+	// Field by field: a composite literal is built on the stack and copied
+	// in wide loads that stall on the narrow stores just made.
+	x := c.nd(t)
+	x.file, x.first, x.n, x.lastRef = b.file, b.idx, 1, now
+	x.passed, x.fi, x.validHi, x.dirtyHi = 0, fi.id, b.vh, b.dh
+	if b.dh != 0 {
+		c.setTimes(t, b.times)
+	}
+	fi.put(b.idx, t)
+	c.lruPushFront(t)
 	return t
+}
+
+// joinsFront reports whether block b, referenced at now, extends the front
+// node exactly: the node's front-most block is the one before b, fully
+// valid, and was referenced at the same instant, and the node is clean if b
+// is, or else dirty with b's write times and its front-most block fully
+// dirty. A block past the dense index stays a node of its own.
+func (c *Cache) joinsFront(b blockState, now time.Duration) bool {
+	if c.lruFront < 0 || b.idx >= fiDenseMax {
+		return false
+	}
+	f := c.nd(c.lruFront)
+	if f.lastRef != now || f.file != b.file || f.last()+1 != b.idx || f.validHi != BlockSize {
+		return false
+	}
+	if b.dh == 0 {
+		return !f.dirty()
+	}
+	return f.dirtyHi == BlockSize && c.dtimes[c.lruFront] == b.times
 }
 
 // cut takes block idx out of node s of fi's file, which holds others too.
 // The rest of the node stays where it sits: one block shorter at an end,
 // or split in two around idx. The block's own index entry is the caller's
-// to rewrite, and so is its share of the dirty counts. A block cut from the
-// victim scan's run leaves it.
+// to rewrite, and so is its share of the dirty counts.
 func (c *Cache) cut(fi *fileIndex, s int32, idx int64) {
-	x := c.nd(s)
-	if x.passed == c.scanEpoch {
-		c.scanCount--
-	}
-	switch {
-	case idx == x.first:
-		x.first++
-		x.n--
-	case idx == x.last():
-		x.n--
-		x.validHi = BlockSize
-		if x.dirty() {
-			x.dirtyHi = BlockSize
-		}
+	switch x := c.nd(s); idx {
+	case x.first:
+		c.shorten(s, 1, false)
+	case x.last():
+		c.shorten(s, 1, true)
 	default:
 		c.split(fi, s, idx)
+	}
+}
+
+// shorten takes k blocks off node s, which holds more: its front-most ones
+// when front is set, else its tail-end ones. The new front-most block was
+// inside the node, so fully valid, and fully dirty if the node is. A node of
+// the victim scan's run stays in it, with fewer blocks.
+func (c *Cache) shorten(s int32, k int32, front bool) {
+	x := c.nd(s)
+	if x.passed == c.scanEpoch {
+		c.scanCount -= k
+	}
+	x.n -= k
+	if !front {
+		x.first += int64(k)
+		return
+	}
+	x.validHi = BlockSize
+	if x.dirty() {
+		x.dirtyHi = BlockSize
 	}
 }
 
@@ -620,10 +691,13 @@ func (c *Cache) cut(fi *fileIndex, s int32, idx int64) {
 // side with fewer blocks moves to a new slot, its index entries relabelled,
 // and is linked beside s so that no block changes place; a dirty node's
 // new side takes its write times, and a node of the victim scan's run
-// stays in it, both sides.
+// stays in it, both sides, without idx.
 func (c *Cache) split(fi *fileIndex, s int32, idx int64) {
 	u := c.allocNode()
 	x, y := c.nd(s), c.nd(u)
+	if x.passed == c.scanEpoch {
+		c.scanCount--
+	}
 	full := int16(0) // the dirty watermark of a block inside the node
 	if x.dirty() {
 		full = BlockSize
@@ -645,73 +719,6 @@ func (c *Cache) split(fi *fileIndex, s int32, idx int64) {
 	for j := y.first; j < y.first+int64(y.n); j++ {
 		fi.dense[j] = u + 1
 	}
-}
-
-// extendFront makes block idx of the front node's file, with watermarks vh
-// and dh, the front node's new front-most block (joinsFront or
-// joinsDirtyFront said it may be), and returns the front node's slot. A
-// front node in the victim scan's run (the whole list is dirty) takes the
-// block into the run.
-func (c *Cache) extendFront(fi *fileIndex, idx int64, vh, dh int16) int32 {
-	f := c.lruFront
-	x := c.nd(f)
-	x.n++
-	x.validHi, x.dirtyHi = vh, dh
-	if x.passed == c.scanEpoch {
-		c.scanCount++
-	}
-	fi.dense[idx] = f + 1
-	return f
-}
-
-// pushNew puts block idx of file, whose index is fi, with watermark vh, at
-// the front of the LRU list as a clean node of its own, referenced at now,
-// and returns its slot.
-func (c *Cache) pushNew(fi *fileIndex, file uint64, idx int64, vh int16, now time.Duration) int32 {
-	t := c.allocNode()
-	// Field by field: a composite literal is built on the stack and copied
-	// in wide loads that stall on the narrow stores just made.
-	x := c.nd(t)
-	x.file, x.first, x.n, x.lastRef = file, idx, 1, now
-	x.passed, x.fi, x.validHi, x.dirtyHi = 0, fi.id, vh, 0
-	fi.put(idx, t)
-	c.lruPushFront(t)
-	return t
-}
-
-// joinsFront reports whether clean block idx of file, referenced at now,
-// extends the front node exactly: the node is clean, its front-most block
-// is the one before idx, fully valid, and was referenced at the same
-// instant. A block past the dense index stays a node of its own.
-func (c *Cache) joinsFront(file uint64, idx int64, now time.Duration) bool {
-	if c.lruFront < 0 || idx >= fiDenseMax {
-		return false
-	}
-	f := c.nd(c.lruFront)
-	return f.lastRef == now && f.file == file && f.last()+1 == idx && f.validHi == BlockSize && !f.dirty()
-}
-
-// joinsDirtyFront reports whether dirty block idx of file, with write times
-// t, referenced at now, extends the front node exactly: the node is dirty
-// with the same write times and was referenced at the same instant, and
-// its front-most block is the one before idx, fully dirty (so fully
-// valid). A block past the dense index stays a node of its own.
-func (c *Cache) joinsDirtyFront(file uint64, idx int64, t dirtyTimes, now time.Duration) bool {
-	if c.lruFront < 0 || idx >= fiDenseMax {
-		return false
-	}
-	f := c.nd(c.lruFront)
-	return f.lastRef == now && f.file == file && f.last()+1 == idx && f.dirtyHi == BlockSize && c.dtimes[c.lruFront] == t
-}
-
-// joins reports whether block idx of node s, referenced at now, extends the
-// front node exactly (joinsFront, or joinsDirtyFront for a dirty block).
-func (c *Cache) joins(s int32, idx int64, now time.Duration) bool {
-	x := c.nd(s)
-	if x.dirty() {
-		return c.joinsDirtyFront(x.file, idx, c.dtimes[s], now)
-	}
-	return c.joinsFront(x.file, idx, now)
 }
 
 // admit counts a new resident block of file, of a request that inserts
@@ -743,81 +750,75 @@ func (c *Cache) admit(fi *fileIndex, file uint64, last int64) *fileIndex {
 	return fi
 }
 
-// insert adds block idx of file, with watermark vh, as a new clean resident
-// block at the front, referenced at now: an extension of the front node
-// where that is exact, else a node of its own. fi and last are admit's.
-func (c *Cache) insert(fi *fileIndex, file uint64, idx, last int64, vh int16, now time.Duration) *fileIndex {
-	fi = c.admit(fi, file, last)
-	if c.joinsFront(file, idx, now) {
-		c.extendFront(fi, idx, vh, 0)
-	} else {
-		c.pushNew(fi, file, idx, vh, now)
-	}
-	return fi
-}
-
-// dropNode unlinks node s and all its blocks from every structure and
-// recycles the slot. Dirty accounting is adjusted for a dirty node.
-func (c *Cache) dropNode(s int32) {
+// drop removes k blocks from node s, and their index entries and their
+// share of the counts: its k front-most blocks when front is set, else its
+// k tail-end ones, and the node itself when k is all it holds. A file
+// index left empty is released. It returns the dirty bytes the blocks
+// held, which never reach the server.
+func (c *Cache) drop(s int32, k int32, front bool) int64 {
 	x := c.nd(s)
+	fi := c.fis[x.fi]
+	from := x.first
+	if front {
+		from = x.last() - int64(k) + 1
+	}
+	for j := from; j < from+int64(k); j++ {
+		fi.del(j)
+	}
+	fi.n -= int(k)
+	c.nblocks -= int(k)
+	var lost int64
+	if x.dirty() {
+		// The front-most block holds dirtyHi bytes, the others whole ones.
+		lost = int64(k) * BlockSize
+		if front || k == x.n {
+			lost += int64(x.dirtyHi) - BlockSize
+		}
+		c.dirtyBytes -= lost
+		c.noteCleaned(fi, x.file, k)
+	}
+	if k < x.n {
+		c.shorten(s, k, front)
+		return lost
+	}
 	if x.passed == c.scanEpoch {
 		c.leaveRun(s)
 	}
 	c.lruUnlink(s)
-	fi := c.fis[x.fi]
-	for j := x.first; j <= x.last(); j++ {
-		fi.del(j)
-	}
-	fi.n -= int(x.n)
-	c.nblocks -= int(x.n)
-	if x.dirty() {
-		c.dirtyBytes -= x.dirtyBytes(x.n)
-		c.noteCleaned(fi, x.file, x.n)
-	}
 	if fi.n == 0 {
 		delete(c.files, x.file)
 		fi.nextFree, c.fiFree = c.fiFree, fi.id+1
 	}
 	c.freeNode(s)
+	return lost
 }
 
-// dropFirst removes the tail-end block of node x, which holds others too.
-// Dirty accounting is adjusted for a dirty node, whose tail-end block is
-// whole.
-func (c *Cache) dropFirst(x *node) {
-	fi := c.fis[x.fi]
-	fi.del(x.first)
-	fi.n--
-	c.nblocks--
-	if x.dirty() {
-		c.dirtyBytes -= BlockSize
-		c.noteCleaned(fi, x.file, 1)
-	}
-	if x.passed == c.scanEpoch {
-		c.scanCount--
-	}
-	x.first++
-	x.n--
-}
-
-// noteDirtied records a clean->dirty block transition at now on fi
-// (file's index), keeping the dirty-file set and the two age bounds in
-// step. The bounds are true minima: now need not be monotone.
-func (c *Cache) noteDirtied(fi *fileIndex, file uint64, now time.Duration) {
-	fi.dirty++
-	if fi.dirty == 1 {
-		if c.dirtyFiles == nil {
-			c.dirtyFiles = make(map[uint64]*fileIndex)
+// noteWrite records a write of block b's bytes up to h, at now, in b's
+// state and the dirty counts of fi (file's index), keeping the dirty-file
+// set and the two age bounds in step: the block's delayed-write clock
+// starts if it was clean. The bounds are true minima: now need not be
+// monotone.
+func (c *Cache) noteWrite(fi *fileIndex, b *blockState, h int16, now time.Duration) {
+	if b.dh == 0 {
+		b.times.dirtyAt = now
+		fi.dirty++
+		if fi.dirty == 1 {
+			if c.dirtyFiles == nil {
+				c.dirtyFiles = make(map[uint64]*fileIndex)
+			}
+			c.dirtyFiles[b.file] = fi
+			fi.oldestDirty = now
+		} else if now < fi.oldestDirty {
+			fi.oldestDirty = now
 		}
-		c.dirtyFiles[file] = fi
-		fi.oldestDirty = now
-	} else if now < fi.oldestDirty {
-		fi.oldestDirty = now
+		c.ndirty++
+		if c.ndirty == 1 || now < c.oldestDirty {
+			c.oldestDirty = now
+		}
 	}
-	c.ndirty++
-	if c.ndirty == 1 || now < c.oldestDirty {
-		c.oldestDirty = now
-	}
+	b.times.lastWr = now
+	c.dirtyBytes += int64(max(b.dh, h) - b.dh)
+	b.vh, b.dh = max(b.vh, h), max(b.dh, h)
 }
 
 // noteCleaned records k dirty->clean block transitions on fi (file's
@@ -875,10 +876,10 @@ func (c *Cache) cleanedInPlace(x *node) {
 // their blocks counted, and the next eviction starts behind them at the
 // depth the last one reached instead of re-walking the run. That is exact
 // because nothing enters the run but dirty blocks at its front end —
-// inserts and touches go to the front of the list, which is in the run
+// blocks are placed at the front of the list, which is in the run
 // only when the whole list is, and a split links its new node beside the
-// one it splits — so only two things disturb it: blocks leave it (touched,
-// dropped or truncated away; the run closes over the gap, shorter) or a
+// one it splits — so only two things disturb it: blocks leave it (lifted
+// or dropped; the run closes over the gap, shorter) or a
 // passed node turns clean where it sits (cleanedInPlace voids the
 // progress, as DiscardAll does).
 func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
@@ -918,11 +919,7 @@ func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 		}
 		wb = c.makeWriteback(s, 1, reason, now)
 	}
-	if x.n == 1 {
-		c.dropNode(s)
-	} else {
-		c.dropFirst(x)
-	}
+	c.drop(s, 1, false)
 	return wb, dirty
 }
 
@@ -978,8 +975,8 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	res.MissRuns = c.runScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
-	// The file's index is resolved once per call; insert (admit) replaces
-	// it when the eviction that made room released it.
+	// The file's index is resolved once per call; admit replaces it when
+	// the eviction that made room released it.
 	fi := c.files[file]
 	for idx := first; idx <= last; idx++ {
 		c.countRead(attr)
@@ -999,7 +996,8 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		fetch := validEnd
 		if s < 0 {
 			c.ensureRoom(now, &res.Evicted)
-			fi = c.insert(fi, file, idx, last, int16(validEnd), now)
+			fi = c.admit(fi, file, last)
+			c.place(fi, blockState{file: file, idx: idx, spare: -1, vh: int16(validEnd)}, now)
 		} else {
 			vh := c.nd(s).valid(idx)
 			x := c.nd(c.touch(fi, s, idx, now))
@@ -1017,7 +1015,8 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			}
 			c.ensureRoom(now, &res.Evicted)
 			end := min(fileSize-pi*BlockSize, BlockSize)
-			fi = c.insert(fi, file, pi, pi, int16(end), now)
+			fi = c.admit(fi, file, pi)
+			c.place(fi, blockState{file: file, idx: pi, spare: -1, vh: int16(end)}, now)
 			res.MissBytes += end
 			res.MissBlocks++
 			res.MissRuns = appendBlock(res.MissRuns, pi)
@@ -1042,7 +1041,7 @@ func (c *Cache) covers(s int32, idx, offset, length int64) bool {
 // fetch (the returned FetchBytes). Blocks become dirty; the 30-second
 // delayed-write clock starts at the first dirtying write. Each written
 // block goes to the front of the LRU list, extending the front node where
-// that is exact (joinsDirtyFront), so the blocks one write dirties at one
+// that is exact (joinsFront), so the blocks one write dirties at one
 // instant are one node.
 func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr Attr, now time.Duration) WriteResult {
 	var res WriteResult
@@ -1069,28 +1068,11 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 		if fi != nil {
 			s = fi.get(idx)
 		}
-		h := int16(hi) // at least 1: the write leaves the block dirty
-		// The block's state before the write, taken out of its node if it
-		// is resident; spare is its node's slot when it was a node alone.
-		var vh, dh int16
-		times := dirtyTimes{dirtyAt: now}
-		spare := int32(-1)
+		var b blockState
 		if s >= 0 {
-			x := c.nd(s)
-			vh, dh = x.valid(idx), x.dirtyTo(idx)
-			if dh != 0 {
-				times = c.dtimes[s]
-			}
-			if x.n == 1 {
-				if x.passed == c.scanEpoch {
-					c.leaveRun(s)
-				}
-				c.lruUnlink(s)
-				spare = s
-			} else {
-				c.cut(fi, s, idx)
-			}
+			b = c.lift(fi, s, idx)
 		} else {
+			b = blockState{file: file, idx: idx, spare: -1}
 			// Write fetch: the block exists on the server (it holds bytes
 			// below fileSizeBefore), the write is partial, and the block is
 			// not resident — it must be fetched before modification.
@@ -1104,32 +1086,13 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				res.FetchBytes += existingEnd
 				res.FetchBlocks++
 				res.FetchRuns = appendBlock(res.FetchRuns, idx)
-				vh = int16(existingEnd)
+				b.vh = int16(existingEnd)
 			}
 			c.ensureRoom(now, &res.Evicted)
 			fi = c.admit(fi, file, last)
 		}
-		if dh == 0 {
-			c.noteDirtied(fi, file, now)
-		}
-		times.lastWr = now
-		c.dirtyBytes += int64(max(dh, h) - dh)
-		vh, dh = max(vh, h), max(dh, h)
-		if c.joinsDirtyFront(file, idx, times, now) {
-			c.extendFront(fi, idx, vh, dh)
-			if spare >= 0 {
-				c.freeNode(spare)
-			}
-			continue
-		}
-		if spare < 0 {
-			spare = c.pushNew(fi, file, idx, vh, now)
-		} else {
-			c.lruPushFront(spare)
-		}
-		x := c.nd(spare)
-		x.lastRef, x.validHi, x.dirtyHi = now, vh, dh
-		c.setTimes(spare, times)
+		c.noteWrite(fi, &b, int16(hi), now) // hi is at least 1: the block is left dirty
+		c.place(fi, b, now)
 	}
 	c.st.All.BytesWritten += length
 	if attr.Migrated {

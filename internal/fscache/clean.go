@@ -194,7 +194,7 @@ func (c *Cache) Invalidate(file uint64) int {
 	}
 	n := fi.n
 	for _, s := range c.fileNodes(fi) {
-		c.dropNode(s)
+		c.drop(s, c.nd(s).n, false)
 	}
 	return n
 }
@@ -230,48 +230,30 @@ func (c *Cache) Truncate(file uint64, newSize int64) int64 {
 	for _, s := range c.fileNodes(fi) {
 		x := c.nd(s)
 		if x.first >= keep {
-			if x.dirty() {
-				saved += x.dirtyBytes(x.n)
-			}
-			c.dropNode(s)
+			saved += c.drop(s, x.n, false)
 			continue
 		}
 		if x.last() >= keep {
-			// The cut is inside the node: its blocks from keep on go, and
-			// the new front-most block was a fully valid one, and fully
-			// dirty if the node is.
-			gone := int32(x.last() - keep + 1)
-			for j := keep; j <= x.last(); j++ {
-				fi.del(j)
-			}
-			fi.n -= int(gone)
-			c.nblocks -= int(gone)
-			if x.dirty() {
-				lost := x.dirtyBytes(x.n) - int64(x.n-gone)*BlockSize
-				saved += lost
-				c.dirtyBytes -= lost
-				c.noteCleaned(fi, x.file, gone)
-				x.dirtyHi = BlockSize
-			}
-			if x.passed == c.scanEpoch {
-				c.scanCount -= gone
-			}
-			x.n -= gone
-			x.validHi = BlockSize
+			// The cut is inside the node: its blocks from keep on go.
+			saved += c.drop(s, int32(x.last()-keep+1), true)
 		}
 		if cut != 0 && x.last() == cutBlock {
-			// The cut is inside the node's front-most block: what it keeps
-			// is not empty, and a dirty block stays dirty.
-			x.validHi = min(x.validHi, cut)
-			if x.dirtyHi > cut {
-				saved += int64(x.dirtyHi - cut)
-				c.dirtyBytes -= int64(x.dirtyHi - cut)
-				x.dirtyHi = cut
-			}
+			saved += c.trim(x, cut)
 		}
 	}
 	c.st.BytesSavedByDelete += saved
 	return saved
+}
+
+// trim cuts node x's front-most block, the file's new last one, at byte
+// cut inside it, and returns the dirty bytes that lie beyond. What the block
+// keeps is not empty, and a dirty block stays dirty.
+func (c *Cache) trim(x *node, cut int16) int64 {
+	x.validHi = min(x.validHi, cut)
+	lost := max(x.dirtyHi-cut, 0)
+	x.dirtyHi -= lost
+	c.dirtyBytes -= int64(lost)
+	return int64(lost)
 }
 
 // GrowBy raises the cache capacity by n blocks (pages granted by the VM

@@ -19,11 +19,14 @@
 // holds for dirty data: the blocks one write dirties at one instant are
 // one dirty extent, with one set of write times kept apart (allocated only
 // by a cache that is written to), and the cleaner turns an extent clean
-// whole, where it sits, and hands it back as one Writeback run. A touch, a
-// write or a truncate inside a stretch splits or shortens it, and eviction
-// shortens the tail stretch a block at a time, so victims, ages and counts
-// are the per-block ones: a run's Cleaned count and CleanAge samples are
-// its blocks'. Replacement's search for a clean victim counts the blocks
+// whole, where it sits, and hands it back as one Writeback run. Every
+// change to the list is one of three: a block is lifted out of its stretch
+// (splitting or shortening it), a block is placed at the front (extending
+// the front stretch where that is exact), or blocks are dropped from one
+// end of a stretch or with all of it — eviction a block at a time from the
+// tail, a truncate past its cut. So victims, ages and counts are the
+// per-block ones: a run's Cleaned count and CleanAge samples are its
+// blocks'. Replacement's search for a clean victim counts the blocks
 // of the dirty run at the LRU tail it has already walked past and resumes
 // behind it; a cleaner tick returns at once while the oldest dirty block
 // cannot be due and otherwise scans only the files whose oldest dirty
