@@ -317,15 +317,24 @@ func (c *Client) pageInViaCache(file uint64, offset, n int64, migrated bool) {
 	if n <= 0 {
 		return
 	}
+	c.readCached(srv, file, f, offset, n, fscache.Attr{Paging: true, Migrated: migrated}, netsim.PagingRead, c.sim.Now())
+}
+
+// readCached reads [offset, offset+n) of file, which f describes at its
+// server srv, through the cache. It ships the writebacks of the blocks the
+// read evicts, fetches the missed bytes in one RPC of class (the access's
+// kind: a file read or a paging read) and has the server's store serve
+// them. It returns the missed bytes and the fetch's latency.
+func (c *Client) readCached(srv *server.Server, file uint64, f *server.File, offset, n int64, attr fscache.Attr, class netsim.Class, now time.Duration) (int64, time.Duration) {
 	c.maybeGrow()
-	attr := fscache.Attr{Paging: true, Migrated: migrated}
-	res := c.Cache.Read(file, offset, n, f.Size, attr, c.sim.Now())
+	res := c.Cache.Read(file, offset, n, f.Size, attr, now)
 	c.ship(res.Evicted)
-	if res.MissBytes > 0 {
-		c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.PagingRead, res.MissBytes)
-		c.Cache.AddMissBytes(attr, res.MissBytes)
-		srv.ServeRuns(file, res.MissRuns, c.sim.Now())
+	if res.MissBytes == 0 {
+		return 0, 0
 	}
+	lat := c.net.RPCTo(srv.ID(), c.cfg.ID, class, res.MissBytes)
+	c.Cache.AddMissBytes(attr, res.MissBytes)
+	return res.MissBytes, lat + srv.ServeRuns(file, res.MissRuns, now)
 }
 
 func (c *Client) emit(kind trace.Kind, h *handle, file uint64, flags uint8, offset, length, size int64, user, proc int32) {
@@ -472,20 +481,13 @@ func (c *Client) Read(hid uint64, n int64) (int64, time.Duration) {
 		if c.cfg.Consistency == ConsistencyPoll {
 			lat += c.pollValidate(h.file, f, now)
 		}
-		c.maybeGrow()
-		attr := fscache.Attr{Migrated: h.migrated}
-		res := c.Cache.Read(h.file, h.pos, n, f.Size, attr, now)
-		c.ship(res.Evicted)
-		if res.MissBytes > 0 {
-			lat += c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.FileRead, res.MissBytes)
-			c.Cache.AddMissBytes(attr, res.MissBytes)
-			lat += srv.ServeRuns(h.file, res.MissRuns, now)
-		}
+		missed, fetch := c.readCached(srv, h.file, f, h.pos, n, fscache.Attr{Migrated: h.migrated}, netsim.FileRead, now)
+		lat += fetch
 		// Omniscient stale accounting: under the polling scheme, bytes
 		// served from the cache while another client's newer version sits
 		// at the server are exactly the errors Table 11 estimates.
 		if c.cfg.Consistency == ConsistencyPoll && c.versions[h.file] != f.Version {
-			if served := n - res.MissBytes; served > 0 {
+			if served := n - missed; served > 0 {
 				c.staleReads++
 				c.staleBytes += served
 			}
@@ -539,7 +541,7 @@ func (c *Client) Write(hid uint64, n int64) time.Duration {
 		lat = c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.SharedWrite, n)
 		srv.AcceptSpan(h.file, h.pos, n, now)
 		c.sharedWriteBytes += n
-		srv.Write(h.file, c.cfg.ID, h.pos, n, true, now)
+		srv.Write(h.file, c.cfg.ID, h.pos, n, now)
 		c.noteVersion(h.file, f.Version)
 		c.emit(trace.KindWrite, h, h.file, flags|trace.FlagShared, h.pos, n, f.Size, h.user, h.proc)
 	} else {

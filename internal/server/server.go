@@ -413,10 +413,11 @@ func (s *Server) Close(id uint64, client int32, write, dirty bool, now time.Dura
 	return nil
 }
 
-// Write applies a write's metadata at the server: size growth and version
-// bump. through reports a pass-through (uncacheable) write as opposed to a
-// delayed writeback.
-func (s *Server) Write(id uint64, client int32, offset, length int64, through bool, now time.Duration) {
+// Write applies a pass-through write's metadata at the server (a client
+// writing a file whose caching is disabled): size growth, a version bump,
+// and no last writer left holding dirty data. Delayed writes arrive
+// through WriteBack.
+func (s *Server) Write(id uint64, client int32, offset, length int64, now time.Duration) {
 	f := s.files.lookup(id)
 	if f == nil {
 		return
@@ -426,10 +427,8 @@ func (s *Server) Write(id uint64, client int32, offset, length int64, through bo
 	}
 	f.Version++
 	f.LastWrite = now
-	if through {
-		s.st.CacheOffOps++
-		f.lastWriter = NoClient
-	}
+	s.st.CacheOffOps++
+	f.lastWriter = NoClient
 }
 
 // WriteBack records a run of delayed writeback blocks arriving from a

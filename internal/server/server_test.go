@@ -208,7 +208,7 @@ func TestWriteGrowsAndBumpsVersion(t *testing.T) {
 	s := New(0)
 	f := s.Create(false, 0)
 	v0 := f.Version
-	s.Write(f.ID, 1, 0, 5000, true, time.Second)
+	s.Write(f.ID, 1, 0, 5000, time.Second)
 	if f.Size != 5000 {
 		t.Errorf("size = %d", f.Size)
 	}
@@ -219,9 +219,12 @@ func TestWriteGrowsAndBumpsVersion(t *testing.T) {
 		t.Errorf("pass-through ops = %d", s.Stats().CacheOffOps)
 	}
 	// Overwrite inside the file does not shrink it.
-	s.Write(f.ID, 1, 0, 100, false, 2*time.Second)
+	s.Write(f.ID, 1, 0, 100, 2*time.Second)
 	if f.Size != 5000 {
 		t.Errorf("size shrank to %d", f.Size)
+	}
+	if s.Stats().CacheOffOps != 2 {
+		t.Errorf("pass-through ops = %d after the overwrite", s.Stats().CacheOffOps)
 	}
 	s.Grow(f.ID, 8000, 3*time.Second)
 	if f.Size != 8000 {
@@ -236,7 +239,7 @@ func TestWriteGrowsAndBumpsVersion(t *testing.T) {
 func TestDeleteAndTruncate(t *testing.T) {
 	s := New(0)
 	f := s.Create(false, time.Second)
-	s.Write(f.ID, 1, 0, 1000, true, 2*time.Second)
+	s.Write(f.ID, 1, 0, 1000, 2*time.Second)
 	got := s.Delete(f.ID, 10*time.Second)
 	if got == nil || got.ID != f.ID {
 		t.Fatal("delete returned wrong file")
@@ -249,7 +252,7 @@ func TestDeleteAndTruncate(t *testing.T) {
 	}
 
 	g := s.Create(false, 0)
-	s.Write(g.ID, 1, 0, 500, true, time.Second)
+	s.Write(g.ID, 1, 0, 500, time.Second)
 	tr := s.Truncate(g.ID, 5*time.Second)
 	if tr == nil || tr.Size != 0 {
 		t.Errorf("truncate: %+v", tr)
