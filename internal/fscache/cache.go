@@ -552,13 +552,15 @@ func (c *Cache) Contains(file uint64, index int64) bool {
 
 // blockState is a block out of its node, between lift and place: its file,
 // index and watermarks, its write times if it is dirty, and spare, the slot
-// of the node it was alone in (-1 when it shared one, or is new).
+// of the node it was alone in (-1 when it shared one, or is new). The
+// watermarks are wider than a node's: two int16s side by side, stored one
+// at a time, are read back in one wide load that stalls on the stores.
 type blockState struct {
 	file   uint64
 	idx    int64
 	times  dirtyTimes // meaningful while dh is nonzero
 	spare  int32
-	vh, dh int16
+	vh, dh int32
 }
 
 // touch makes block idx, held by node s of fi's file, the most recently
@@ -571,29 +573,33 @@ func (c *Cache) touch(fi *fileIndex, s int32, idx int64, now time.Duration) int3
 		x.lastRef = now
 		return s
 	}
-	return c.place(fi, c.lift(fi, s, idx), now)
+	var b blockState
+	c.lift(fi, s, idx, &b)
+	return c.place(fi, &b, now)
 }
 
-// lift takes block idx out of node s of fi's file and returns its state. A
-// block alone in its node leaves the LRU list with it, and the slot is the
-// state's spare; otherwise the node is cut around the block. The block
+// lift takes block idx out of node s of fi's file and writes its state to
+// b. A block alone in its node leaves the LRU list with it, and the slot is
+// the state's spare; otherwise the node is cut around the block. The block
 // keeps its index entry, which place rewrites, and its share of the counts.
-func (c *Cache) lift(fi *fileIndex, s int32, idx int64) blockState {
+// (The state goes by pointer: a struct of narrow fields passed by value is
+// built on the stack and copied in wide loads that stall on the narrow
+// stores just made.)
+func (c *Cache) lift(fi *fileIndex, s int32, idx int64, b *blockState) {
 	x := c.nd(s)
-	b := blockState{file: x.file, idx: idx, spare: -1, vh: x.valid(idx), dh: x.dirtyTo(idx)}
+	b.file, b.idx, b.spare, b.vh, b.dh = x.file, idx, -1, int32(x.valid(idx)), int32(x.dirtyTo(idx))
 	if b.dh != 0 {
 		b.times = c.dtimes[s]
 	}
 	if x.n > 1 {
 		c.cut(fi, s, idx)
-		return b
+		return
 	}
 	if x.passed == c.scanEpoch {
 		c.leaveRun(s)
 	}
 	c.lruUnlink(s)
 	b.spare = s
-	return b
 }
 
 // place puts block b of fi's file at the LRU front, referenced at now, and
@@ -601,12 +607,12 @@ func (c *Cache) lift(fi *fileIndex, s int32, idx int64) blockState {
 // joinsFront says that is exact, else a node of its own, in b's spare slot
 // or a new one. A front node in the victim scan's run (the whole list is
 // dirty) takes the block into the run.
-func (c *Cache) place(fi *fileIndex, b blockState, now time.Duration) int32 {
+func (c *Cache) place(fi *fileIndex, b *blockState, now time.Duration) int32 {
 	if c.joinsFront(b, now) {
 		f := c.lruFront
 		x := c.nd(f)
 		x.n++
-		x.validHi, x.dirtyHi = b.vh, b.dh
+		x.validHi, x.dirtyHi = int16(b.vh), int16(b.dh)
 		if x.passed == c.scanEpoch {
 			c.scanCount++
 		}
@@ -624,7 +630,7 @@ func (c *Cache) place(fi *fileIndex, b blockState, now time.Duration) int32 {
 	// in wide loads that stall on the narrow stores just made.
 	x := c.nd(t)
 	x.file, x.first, x.n, x.lastRef = b.file, b.idx, 1, now
-	x.passed, x.fi, x.validHi, x.dirtyHi = 0, fi.id, b.vh, b.dh
+	x.passed, x.fi, x.validHi, x.dirtyHi = 0, fi.id, int16(b.vh), int16(b.dh)
 	if b.dh != 0 {
 		c.setTimes(t, b.times)
 	}
@@ -638,16 +644,16 @@ func (c *Cache) place(fi *fileIndex, b blockState, now time.Duration) int32 {
 // valid, and was referenced at the same instant, and the node is clean if b
 // is, or else dirty with b's write times and its front-most block fully
 // dirty. A block past the dense index stays a node of its own.
-func (c *Cache) joinsFront(b blockState, now time.Duration) bool {
+func (c *Cache) joinsFront(b *blockState, now time.Duration) bool {
 	if c.lruFront < 0 || b.idx >= fiDenseMax {
 		return false
 	}
 	f := c.nd(c.lruFront)
-	if f.lastRef != now || f.file != b.file || f.last()+1 != b.idx || f.validHi != BlockSize {
+	if f.lastRef != now || f.file != b.file || f.first+int64(f.n) != b.idx || f.validHi != BlockSize {
 		return false
 	}
 	if b.dh == 0 {
-		return !f.dirty()
+		return f.dirtyHi == 0
 	}
 	return f.dirtyHi == BlockSize && c.dtimes[c.lruFront] == b.times
 }
@@ -798,7 +804,7 @@ func (c *Cache) drop(s int32, k int32, front bool) int64 {
 // set and the two age bounds in step: the block's delayed-write clock
 // starts if it was clean. The bounds are true minima: now need not be
 // monotone.
-func (c *Cache) noteWrite(fi *fileIndex, b *blockState, h int16, now time.Duration) {
+func (c *Cache) noteWrite(fi *fileIndex, b *blockState, h int32, now time.Duration) {
 	if b.dh == 0 {
 		b.times.dirtyAt = now
 		fi.dirty++
@@ -976,8 +982,10 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
 	// The file's index is resolved once per call; admit replaces it when
-	// the eviction that made room released it.
+	// the eviction that made room released it. A missing block goes to the
+	// front as nb, clean.
 	fi := c.files[file]
+	nb := blockState{file: file, spare: -1}
 	for idx := first; idx <= last; idx++ {
 		c.countRead(attr)
 		s := int32(-1)
@@ -997,7 +1005,8 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		if s < 0 {
 			c.ensureRoom(now, &res.Evicted)
 			fi = c.admit(fi, file, last)
-			c.place(fi, blockState{file: file, idx: idx, spare: -1, vh: int16(validEnd)}, now)
+			nb.idx, nb.vh = idx, int32(validEnd)
+			c.place(fi, &nb, now)
 		} else {
 			vh := c.nd(s).valid(idx)
 			x := c.nd(c.touch(fi, s, idx, now))
@@ -1016,7 +1025,8 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			c.ensureRoom(now, &res.Evicted)
 			end := min(fileSize-pi*BlockSize, BlockSize)
 			fi = c.admit(fi, file, pi)
-			c.place(fi, blockState{file: file, idx: pi, spare: -1, vh: int16(end)}, now)
+			nb.idx, nb.vh = pi, int32(end)
+			c.place(fi, &nb, now)
 			res.MissBytes += end
 			res.MissBlocks++
 			res.MissRuns = appendBlock(res.MissRuns, pi)
@@ -1054,7 +1064,8 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 	res.FetchRuns = c.runScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
-	fi := c.files[file] // replaced by admit when released, as in Read
+	fi := c.files[file]         // replaced by admit when released, as in Read
+	b := blockState{file: file} // each block in turn; noteWrite sets a clean one's times
 	for idx := first; idx <= last; idx++ {
 		c.st.All.WriteOps++
 		if attr.Migrated {
@@ -1068,11 +1079,10 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 		if fi != nil {
 			s = fi.get(idx)
 		}
-		var b blockState
 		if s >= 0 {
-			b = c.lift(fi, s, idx)
+			c.lift(fi, s, idx, &b)
 		} else {
-			b = blockState{file: file, idx: idx, spare: -1}
+			b.idx, b.spare, b.vh, b.dh = idx, -1, 0, 0
 			// Write fetch: the block exists on the server (it holds bytes
 			// below fileSizeBefore), the write is partial, and the block is
 			// not resident — it must be fetched before modification.
@@ -1086,13 +1096,13 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				res.FetchBytes += existingEnd
 				res.FetchBlocks++
 				res.FetchRuns = appendBlock(res.FetchRuns, idx)
-				b.vh = int16(existingEnd)
+				b.vh = int32(existingEnd)
 			}
 			c.ensureRoom(now, &res.Evicted)
 			fi = c.admit(fi, file, last)
 		}
-		c.noteWrite(fi, &b, int16(hi), now) // hi is at least 1: the block is left dirty
-		c.place(fi, b, now)
+		c.noteWrite(fi, &b, int32(hi), now) // hi is at least 1: the block is left dirty
+		c.place(fi, &b, now)
 	}
 	c.st.All.BytesWritten += length
 	if attr.Migrated {
