@@ -542,6 +542,23 @@ func (d *lockstep) truncate(file uint64, size int64) {
 	d.size[file] = min(d.size[file], size)
 }
 
+func (d *lockstep) invalidate(file uint64) {
+	d.what = fmt.Sprintf("Invalidate(%d)", file)
+	d.noteDrops(file, 0)
+	if got, want := d.c.Invalidate(file), d.r.Invalidate(file); got != want {
+		d.failf("dropped %d blocks, reference %d", got, want)
+	}
+}
+
+func (d *lockstep) delete(file uint64) {
+	d.what = fmt.Sprintf("Delete(%d)", file)
+	d.noteDrops(file, 0)
+	if got, want := d.c.Delete(file), d.r.Delete(file); got != want {
+		d.failf("saved %d bytes, reference %d", got, want)
+	}
+	d.size[file] = 0
+}
+
 // The ways an op meets the run of dirty nodes at the LRU tail that the
 // victim scan has walked past: a block leaving a node of the run, or
 // joining one, must keep the run's block count and its far end right.
@@ -802,11 +819,7 @@ func (d *lockstep) passedRun() {
 	capacity := d.r.Capacity()
 	d.setCapacity(1)
 	if len(d.r.lru) > 0 {
-		file := d.r.lru[0].key.file
-		d.what = fmt.Sprintf("Invalidate(%d)", file)
-		if got, want := d.c.Invalidate(file), d.r.Invalidate(file); got != want {
-			d.failf("dropped %d blocks, reference %d", got, want)
-		}
+		d.invalidate(d.r.lru[0].key.file)
 	}
 	lone := 2 + int(d.byte()%4)
 	at := int(d.byte()) % (lone + 1) // the burst's place among the lone nodes
@@ -836,22 +849,13 @@ func (d *lockstep) passedRun() {
 		d.write(lones[i], refWithin[int(d.byte())%len(refWithin)], 1, d.attr())
 	}
 	gone := lones[(i+1+int(d.byte())%(lone-1))%lone]
-	switch p := d.byte(); p % 3 {
+	switch d.byte() % 3 {
 	case 0:
 		d.truncate(gone, 0)
 	case 1:
-		d.what = fmt.Sprintf("Delete(%d)", gone)
-		d.noteDrops(gone, 0)
-		if got, want := d.c.Delete(gone), d.r.Delete(gone); got != want {
-			d.failf("saved %d bytes, reference %d", got, want)
-		}
-		d.size[gone] = 0
+		d.delete(gone)
 	default:
-		d.what = fmt.Sprintf("Invalidate(%d)", gone)
-		d.noteDrops(gone, 0)
-		if got, want := d.c.Invalidate(gone), d.r.Invalidate(gone); got != want {
-			d.failf("dropped %d blocks, reference %d", got, want)
-		}
+		d.invalidate(gone)
 	}
 	d.sameState()
 	d.truncate(burst, d.inside(d.size[burst]))
@@ -959,18 +963,9 @@ func (d *lockstep) run() {
 			d.what = fmt.Sprintf("RecoverFlush(%d, now %d)", file, d.now)
 			d.sameWritebacks("writebacks", d.c.RecoverFlush(file, d.now), d.r.RecoverFlush(file, d.now))
 		case c == 17:
-			file := d.file()
-			d.what = fmt.Sprintf("Invalidate(%d)", file)
-			if got, want := d.c.Invalidate(file), d.r.Invalidate(file); got != want {
-				d.failf("dropped %d blocks, reference %d", got, want)
-			}
+			d.invalidate(d.file())
 		case c == 18:
-			file := d.file()
-			d.what = fmt.Sprintf("Delete(%d)", file)
-			if got, want := d.c.Delete(file), d.r.Delete(file); got != want {
-				d.failf("saved %d bytes, reference %d", got, want)
-			}
-			d.size[file] = 0
+			d.delete(d.file())
 		case c == 19:
 			// Cut a little off the end (where appends left the freshest
 			// blocks) or, one time in four, anywhere at all.
