@@ -187,12 +187,9 @@ type node struct {
 	n       int32         // blocks, at least one
 	prev    int32         // LRU link toward the front (more recent)
 	next    int32         // LRU link toward the back; doubles as the free-list link
-	// passed == Cache.scanEpoch marks a node of the dirty run at the LRU
-	// tail that the victim scan has already walked past (see evictOne).
-	passed  uint32
-	fi      int32 // the slot of the file's index in Cache.fis
-	validHi int16 // valid bytes of the front-most block from its start (watermark)
-	dirtyHi int16 // dirty bytes of the front-most block from its start; the node is dirty iff nonzero
+	fi      int32         // the slot of the file's index in Cache.fis
+	validHi int16         // valid bytes of the front-most block from its start (watermark)
+	dirtyHi int16         // dirty bytes of the front-most block from its start; the node is dirty iff nonzero
 }
 
 // dirty reports whether the node's blocks hold bytes awaiting writeback.
@@ -250,13 +247,6 @@ type fileIndex struct {
 	// 1 + the id of the next recycled index, while this one is recycled
 	// (0 ends the chain).
 	nextFree int32
-
-	// oldestDirty is a lower bound on dirtyAt over the file's dirty blocks
-	// (meaningful while dirty > 0): the minimum over every dirtying since
-	// the file last had none. A dirty block that leaves does not raise it,
-	// so it can be stale-low; Clean uses it only to skip the file and
-	// tightens it whenever it scans the blocks anyway.
-	oldestDirty time.Duration
 }
 
 // get returns the slot of the node holding block idx, or -1.
@@ -339,14 +329,6 @@ type Cache struct {
 	wbDelay    time.Duration // 0 = default WritebackDelay
 	prefetch   int           // extra sequential blocks fetched per miss
 
-	// Progress of the victim scan (see evictOne): the scanCount nodes
-	// nearest the LRU tail are dirty and carry passed == scanEpoch, and
-	// scanLast is the one of them furthest from the tail (-1 when there
-	// is none). No other node carries the current epoch.
-	scanEpoch uint32
-	scanLast  int32
-	scanCount int32
-
 	// dirtyFiles holds every file with at least one dirty resident block,
 	// maintained incrementally at the dirty/clean transitions. The cleaner
 	// sweep iterates this set instead of scanning every resident file,
@@ -355,8 +337,10 @@ type Cache struct {
 	// that is only read.
 	dirtyFiles map[uint64]*fileIndex
 	// oldestDirty is a lower bound on dirtyAt over all dirty blocks
-	// (meaningful while ndirty > 0), kept like fileIndex.oldestDirty: no
-	// cleaner tick before oldestDirty + delay has anything to do.
+	// (meaningful while ndirty > 0): the minimum over every dirtying since
+	// the last cleaner sweep, which leaves it exact. A dirty block that
+	// leaves does not raise it, so it can be stale-low; no cleaner tick
+	// before oldestDirty + delay has anything to do.
 	oldestDirty time.Duration
 
 	// Reusable result buffers for the hot Read/Write paths. The slices in
@@ -396,12 +380,10 @@ func New(capacityBlocks int) *Cache {
 		panic("fscache: non-positive capacity")
 	}
 	return &Cache{
-		capacity:  capacityBlocks,
-		freeN:     -1,
-		lruFront:  -1,
-		lruBack:   -1,
-		scanEpoch: 1,
-		scanLast:  -1,
+		capacity: capacityBlocks,
+		freeN:    -1,
+		lruFront: -1,
+		lruBack:  -1,
 	}
 }
 
@@ -474,8 +456,7 @@ func (c *Cache) lruPushFront(s int32) {
 	}
 }
 
-// lruUnlink removes node s from the LRU list. Its callers first take a node
-// the victim scan has passed out of the scan's run (leaveRun).
+// lruUnlink removes node s from the LRU list.
 func (c *Cache) lruUnlink(s int32) {
 	x := c.nd(s)
 	if x.prev >= 0 {
@@ -511,18 +492,6 @@ func (c *Cache) lruLinkBeside(s, at int32, behind bool) {
 		c.lruFront = s
 	}
 	a.prev = s
-}
-
-// leaveRun takes node s, about to be unlinked, out of the run of dirty
-// nodes the victim scan has passed: the run closes over the gap, its
-// blocks fewer.
-func (c *Cache) leaveRun(s int32) {
-	x := c.nd(s)
-	x.passed = 0
-	c.scanCount -= x.n
-	if c.scanLast == s {
-		c.scanLast = x.next // the passed node next nearer the tail, if any
-	}
 }
 
 // Capacity returns the current capacity in blocks.
@@ -595,9 +564,6 @@ func (c *Cache) lift(fi *fileIndex, s int32, idx int64, b *blockState) {
 		c.cut(fi, s, idx)
 		return
 	}
-	if x.passed == c.scanEpoch {
-		c.leaveRun(s)
-	}
 	c.lruUnlink(s)
 	b.spare = s
 }
@@ -605,17 +571,13 @@ func (c *Cache) lift(fi *fileIndex, s int32, idx int64, b *blockState) {
 // place puts block b of fi's file at the LRU front, referenced at now, and
 // returns the slot of its node: the front node, one block longer, where
 // joinsFront says that is exact, else a node of its own, in b's spare slot
-// or a new one. A front node in the victim scan's run (the whole list is
-// dirty) takes the block into the run.
+// or a new one.
 func (c *Cache) place(fi *fileIndex, b *blockState, now time.Duration) int32 {
 	if c.joinsFront(b, now) {
 		f := c.lruFront
 		x := c.nd(f)
 		x.n++
 		x.validHi, x.dirtyHi = int16(b.vh), int16(b.dh)
-		if x.passed == c.scanEpoch {
-			c.scanCount++
-		}
 		fi.dense[b.idx] = f + 1
 		if b.spare >= 0 {
 			c.freeNode(b.spare)
@@ -630,7 +592,7 @@ func (c *Cache) place(fi *fileIndex, b *blockState, now time.Duration) int32 {
 	// in wide loads that stall on the narrow stores just made.
 	x := c.nd(t)
 	x.file, x.first, x.n, x.lastRef = b.file, b.idx, 1, now
-	x.passed, x.fi, x.validHi, x.dirtyHi = 0, fi.id, int16(b.vh), int16(b.dh)
+	x.fi, x.validHi, x.dirtyHi = fi.id, int16(b.vh), int16(b.dh)
 	if b.dh != 0 {
 		c.setTimes(t, b.times)
 	}
@@ -675,13 +637,9 @@ func (c *Cache) cut(fi *fileIndex, s int32, idx int64) {
 
 // shorten takes k blocks off node s, which holds more: its front-most ones
 // when front is set, else its tail-end ones. The new front-most block was
-// inside the node, so fully valid, and fully dirty if the node is. A node of
-// the victim scan's run stays in it, with fewer blocks.
+// inside the node, so fully valid, and fully dirty if the node is.
 func (c *Cache) shorten(s int32, k int32, front bool) {
 	x := c.nd(s)
-	if x.passed == c.scanEpoch {
-		c.scanCount -= k
-	}
 	x.n -= k
 	if !front {
 		x.first += int64(k)
@@ -696,20 +654,16 @@ func (c *Cache) shorten(s int32, k int32, front bool) {
 // split cuts node s of fi's file in two around block idx, inside it. The
 // side with fewer blocks moves to a new slot, its index entries relabelled,
 // and is linked beside s so that no block changes place; a dirty node's
-// new side takes its write times, and a node of the victim scan's run
-// stays in it, both sides, without idx.
+// new side takes its write times.
 func (c *Cache) split(fi *fileIndex, s int32, idx int64) {
 	u := c.allocNode()
 	x, y := c.nd(s), c.nd(u)
-	if x.passed == c.scanEpoch {
-		c.scanCount--
-	}
 	full := int16(0) // the dirty watermark of a block inside the node
 	if x.dirty() {
 		full = BlockSize
 		c.setTimes(u, c.dtimes[s])
 	}
-	y.file, y.fi, y.lastRef, y.passed = x.file, x.fi, x.lastRef, x.passed
+	y.file, y.fi, y.lastRef = x.file, x.fi, x.lastRef
 	behind, ahead := idx-x.first, x.last()-idx
 	if behind <= ahead {
 		y.first, y.n, y.validHi, y.dirtyHi = x.first, int32(behind), BlockSize, full
@@ -717,9 +671,6 @@ func (c *Cache) split(fi *fileIndex, s int32, idx int64) {
 	} else {
 		y.first, y.n, y.validHi, y.dirtyHi = idx+1, int32(ahead), x.validHi, x.dirtyHi
 		x.n, x.validHi, x.dirtyHi = int32(behind), BlockSize, full
-		if c.scanLast == s {
-			c.scanLast = u // the run's node furthest from the tail is now u
-		}
 	}
 	c.lruLinkBeside(u, s, behind <= ahead)
 	for j := y.first; j < y.first+int64(y.n); j++ {
@@ -787,9 +738,6 @@ func (c *Cache) drop(s int32, k int32, front bool) int64 {
 		c.shorten(s, k, front)
 		return lost
 	}
-	if x.passed == c.scanEpoch {
-		c.leaveRun(s)
-	}
 	c.lruUnlink(s)
 	if fi.n == 0 {
 		delete(c.files, x.file)
@@ -801,8 +749,8 @@ func (c *Cache) drop(s int32, k int32, front bool) int64 {
 
 // noteWrite records a write of block b's bytes up to h, at now, in b's
 // state and the dirty counts of fi (file's index), keeping the dirty-file
-// set and the two age bounds in step: the block's delayed-write clock
-// starts if it was clean. The bounds are true minima: now need not be
+// set and the cache's age bound in step: the block's delayed-write clock
+// starts if it was clean. The bound is a true minimum: now need not be
 // monotone.
 func (c *Cache) noteWrite(fi *fileIndex, b *blockState, h int32, now time.Duration) {
 	if b.dh == 0 {
@@ -813,9 +761,6 @@ func (c *Cache) noteWrite(fi *fileIndex, b *blockState, h int32, now time.Durati
 				c.dirtyFiles = make(map[uint64]*fileIndex)
 			}
 			c.dirtyFiles[b.file] = fi
-			fi.oldestDirty = now
-		} else if now < fi.oldestDirty {
-			fi.oldestDirty = now
 		}
 		c.ndirty++
 		if c.ndirty == 1 || now < c.oldestDirty {
@@ -841,32 +786,6 @@ func (c *Cache) noteCleaned(fi *fileIndex, file uint64, k int32) {
 // looks for a clean victim before giving up and evicting a dirty block.
 const cleanScanDepth = 512
 
-// forgetScan drops the victim scan's progress: the next eviction walks
-// from the tail again. Bumping the epoch unmarks every passed node at
-// once. When the 32-bit epoch wraps, marks left by the scan 2^32 resets
-// ago would read as current, so that one reset clears every mark instead —
-// a walk over the nodes once in four billion resets.
-func (c *Cache) forgetScan() {
-	c.scanEpoch++
-	if c.scanEpoch == 0 {
-		for i := range c.nodes {
-			c.nodes[i].passed = 0
-		}
-		c.scanEpoch = 1 // zero is what a fresh node carries
-	}
-	c.scanLast = -1
-	c.scanCount = 0
-}
-
-// cleanedInPlace is called when node x turned clean without leaving the
-// LRU list. If the victim scan had passed it, there is now a clean block
-// inside the run the scan believes dirty, and its progress is void.
-func (c *Cache) cleanedInPlace(x *node) {
-	if x.passed == c.scanEpoch {
-		c.forgetScan()
-	}
-}
-
 // evictOne removes the least-recently-used block to make room, returning a
 // writeback if it was dirty. Clean blocks near the LRU tail are preferred
 // — Sprite's cleaner normally retires dirty data long before it reaches
@@ -876,36 +795,24 @@ func (c *Cache) cleanedInPlace(x *node) {
 // vmTake marks the eviction as a page handoff to the VM system rather than
 // replacement by file data.
 //
-// The scan walks nodes and counts blocks: the first clean node it meets
-// before it has passed cleanScanDepth blocks holds the victim at its tail
-// end. The scan is resumable. The dirty nodes it walks past are marked and
-// their blocks counted, and the next eviction starts behind them at the
-// depth the last one reached instead of re-walking the run. That is exact
-// because nothing enters the run but dirty blocks at its front end —
-// blocks are placed at the front of the list, which is in the run
-// only when the whole list is, and a split links its new node beside the
-// one it splits — so only two things disturb it: blocks leave it (lifted
-// or dropped; the run closes over the gap, shorter) or a
-// passed node turns clean where it sits (cleanedInPlace voids the
-// progress, as DiscardAll does).
+// The walk starts at the tail on every eviction, walks nodes and counts
+// blocks: the first clean node it meets before it has passed
+// cleanScanDepth blocks holds the victim at its tail end. Dirty blocks
+// come in extents — the blocks one write dirtied at one instant are one
+// node — so the walk passes few nodes, and it keeps nothing for the next
+// eviction.
 func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 	s := c.lruBack
 	if s < 0 {
 		return Writeback{}, false
 	}
-	cand := s
-	if c.scanCount > 0 {
-		cand = c.nd(c.scanLast).prev
-	}
-	for cand >= 0 && c.scanCount < cleanScanDepth {
+	for cand, depth := s, int32(0); cand >= 0 && depth < cleanScanDepth; {
 		x := c.nd(cand)
 		if !x.dirty() {
 			s = cand
 			break
 		}
-		x.passed = c.scanEpoch
-		c.scanLast = cand
-		c.scanCount += x.n
+		depth += x.n
 		cand = x.prev
 	}
 	// s is the clean node found, or the tail when none is in reach.

@@ -39,15 +39,14 @@ func (c *Cache) WriteDelay() time.Duration {
 // for a file are written to the server if any block in the file has been
 // dirty for 30 seconds". Returned blocks become clean.
 //
-// A tick costs what it has to look at, which is bounded by age. Nothing
-// is touched while the cache's oldest dirty block cannot be due
-// (Cache.oldestDirty); otherwise only the dirty-file set is visited, and
-// of it only the files whose own bound (fileIndex.oldestDirty) is due get
-// their blocks scanned. The bounds only ever excuse work: a due bound is
-// never taken as proof, the block scan decides — and, having seen every
-// dirty block of a file it does not flush, leaves the file's bound exact.
+// Nothing is touched while the cache's oldest dirty block cannot be due
+// (Cache.oldestDirty). Past that bound, every file of the dirty-file set
+// has its nodes scanned, and the scan decides: a file with a due block is
+// flushed whole, and the earliest dirtying among the files it leaves dirty
+// becomes the cache's bound, exact again. The bound only ever excuses
+// work; a due bound is never taken as proof.
 //
-// Due files are swept in ascending id and their blocks in ascending index
+// Files are swept in ascending id and their blocks in ascending index
 // (never map iteration order): the age summaries accumulate floating-point
 // samples whose sum depends on ordering, and metric dumps are required to
 // be byte-identical across runs.
@@ -60,26 +59,19 @@ func (c *Cache) Clean(now time.Duration) []Writeback {
 	if c.ndirty == 0 || now-c.oldestDirty < delay {
 		return out
 	}
-	// oldest becomes the cache's bound: the minimum over the files that
-	// stay dirty, taken from their bounds as this sweep leaves them.
+	// oldest becomes the cache's bound: the earliest dirtying among the
+	// files that stay dirty.
 	oldest := time.Duration(math.MaxInt64)
 	ids := c.dirtyIDScratch[:0]
-	// order-free: due ids are collected, then sorted; the bound is a minimum.
-	for id, fi := range c.dirtyFiles {
-		if now-fi.oldestDirty >= delay {
-			ids = append(ids, id)
-		} else if fi.oldestDirty < oldest {
-			oldest = fi.oldestDirty
-		}
+	// order-free: the ids are collected, then sorted.
+	for id := range c.dirtyFiles {
+		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	for _, file := range ids {
 		fi := c.dirtyFiles[file]
 		if fileOldest, due := c.oldestDirtyBlock(fi, now, delay); !due {
-			fi.oldestDirty = fileOldest
-			if fileOldest < oldest {
-				oldest = fileOldest
-			}
+			oldest = min(oldest, fileOldest)
 			continue
 		}
 		out = c.cleanFile(fi, CleanDelay, now, out)
@@ -151,7 +143,6 @@ func (c *Cache) cleanFile(fi *fileIndex, reason CleanReason, now time.Duration, 
 			c.dirtyBytes -= x.dirtyBytes(x.n)
 			x.dirtyHi = 0
 			c.noteCleaned(fi, x.file, x.n)
-			c.cleanedInPlace(x)
 		}
 	}
 	return out

@@ -52,7 +52,6 @@ func (c *Cache) DiscardAll(now time.Duration) CrashLoss {
 	c.freeN = -1
 	c.lruFront = -1
 	c.lruBack = -1
-	c.forgetScan()
 	// The file indexes still in the map hold stale slots; drop them. (The
 	// recycled ones hold only emptied, all-zero indexes and stay usable:
 	// they become every index handed out, chained in id order.)
@@ -104,15 +103,14 @@ func (c *Cache) RecoverFlush(file uint64, now time.Duration) []Writeback {
 // block must be indexed to the node that holds it and the LRU list must
 // hold exactly the indexed blocks, every slot handed out must be resident
 // or free (and every file index resident or recycled), each node must
-// name its file's index and have ordered watermarks, no dirty block may
-// predate the age bounds the cleaner skips by, and the victim scan's
-// remembered progress must describe the LRU tail as it is. It returns the
-// first inconsistency found, or nil. The fault harness calls it after
+// name its file's index and have ordered watermarks, and no dirty block may
+// predate the age bound the cleaner skips by. It returns the first
+// inconsistency found, or nil. The fault harness calls it after
 // every injected fault sequence.
 func (c *Cache) CheckInvariants() error {
 	var ndirty, ndirtyFiles int
 	var dirtyBytes int64
-	lruLen, lruBlocks, passed := 0, 0, 0
+	lruLen, lruBlocks := 0, 0
 	prev := int32(-1)
 	for s := c.lruFront; s >= 0; {
 		x := c.nd(s)
@@ -144,13 +142,10 @@ func (c *Cache) CheckInvariants() error {
 			if int(s) >= len(c.dtimes) {
 				return fmt.Errorf("fscache: dirty block (%#x,%d) at slot %d has no write times", x.file, x.first, s)
 			}
-			if dirtyAt := c.dt(s).dirtyAt; dirtyAt < fi.oldestDirty || dirtyAt < c.oldestDirty {
-				return fmt.Errorf("fscache: block (%#x,%d) dirty since %v, before its file's bound %v or the cache's %v",
-					x.file, x.first, dirtyAt, fi.oldestDirty, c.oldestDirty)
+			if dirtyAt := c.dt(s).dirtyAt; dirtyAt < c.oldestDirty {
+				return fmt.Errorf("fscache: block (%#x,%d) dirty since %v, before the cache's bound %v",
+					x.file, x.first, dirtyAt, c.oldestDirty)
 			}
-		}
-		if x.passed == c.scanEpoch {
-			passed += int(x.n)
 		}
 		prev, s = s, x.next
 	}
@@ -245,24 +240,6 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if nfree+lruLen != len(c.nodes) {
 		return fmt.Errorf("fscache: %d slots handed out, %d in the lru and %d free", len(c.nodes), lruLen, nfree)
-	}
-	// The victim scan's progress: the nodes nearest the tail that hold the
-	// scanCount blocks it passed carry the current epoch, and no others;
-	// all are dirty, and scanLast is the deepest.
-	if passed != int(c.scanCount) {
-		return fmt.Errorf("fscache: %d blocks marked passed, scan count %d", passed, c.scanCount)
-	}
-	last := int32(-1)
-	for s, n := c.lruBack, int32(0); n < c.scanCount; {
-		x := c.nd(s)
-		if !x.dirty() || x.passed != c.scanEpoch {
-			return fmt.Errorf("fscache: block %d from the tail (dirty %v) breaks the passed run of %d", n, x.dirty(), c.scanCount)
-		}
-		n += x.n
-		last, s = s, x.prev
-	}
-	if last != c.scanLast {
-		return fmt.Errorf("fscache: passed run ends at slot %d, scan remembers %d", last, c.scanLast)
 	}
 	return nil
 }

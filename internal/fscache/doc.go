@@ -26,12 +26,13 @@
 // end of a stretch or with all of it — eviction a block at a time from the
 // tail, a truncate past its cut. So victims, ages and counts are the
 // per-block ones: a run's Cleaned count and CleanAge samples are its
-// blocks'. Replacement's search for a clean victim counts the blocks
-// of the dirty run at the LRU tail it has already walked past and resumes
-// behind it; a cleaner tick returns at once while the oldest dirty block
-// cannot be due and otherwise scans only the files whose oldest dirty
-// block can be; Read and Write look the file's index up once per call, and
-// a block leaving the cache reaches it through its node. None of this is
+// blocks'. Replacement walks from the LRU tail for a clean victim, a node
+// at a time, and stops within cleanScanDepth blocks; a cleaner tick
+// returns at once while the cache's oldest dirty block cannot be due and
+// otherwise scans every dirty file's nodes, which leaves that bound exact.
+// Neither keeps state from one call to the next. Read and Write look the
+// file's index up once per call, and a block leaving the cache reaches it
+// through its node. None of this is
 // visible from outside but as runs: reference_test.go drives the cache
 // side by side with a map-and-slice reference that does everything the
 // slow way, a block at a time, and requires identical results after every

@@ -410,11 +410,8 @@ type lockstep struct {
 	what string // the op being applied, for the failure message
 	diff string // first difference found
 
-	// How often each of the stretch-shaped ops was applied, and how often
-	// the ops met the victim scan's run in each of the ways runCaseNames
-	// lists (coverage).
-	reached  [numStretchOps]int
-	runCases [numRunCases]int
+	// How often each of the stretch-shaped ops was applied (coverage).
+	reached [numStretchOps]int
 }
 
 // Capacities from a single block to beyond two scan depths: under the big
@@ -503,7 +500,6 @@ func (d *lockstep) sameWritebacks(name string, got, want []Writeback) {
 func (d *lockstep) read(file uint64, offset, length int64, attr Attr) {
 	// The file holds at least what is read of it.
 	d.size[file] = max(d.size[file], offset+length)
-	d.noteLifts(file, offset, length)
 	d.what = fmt.Sprintf("Read(%d, %d, %d, size %d, %+v, now %d)", file, offset, length, d.size[file], attr, d.now)
 	got := d.c.Read(file, offset, length, d.size[file], attr, d.now)
 	want := d.r.Read(file, offset, length, d.size[file], attr, d.now)
@@ -518,14 +514,8 @@ func (d *lockstep) read(file uint64, offset, length int64, attr Attr) {
 func (d *lockstep) write(file uint64, offset, length int64, attr Attr) {
 	before := d.size[file]
 	d.what = fmt.Sprintf("Write(%d, %d, %d, size %d, %+v, now %d)", file, offset, length, before, attr, d.now)
-	d.noteLifts(file, offset, length)
 	got := d.c.Write(file, offset, length, before, attr, d.now)
 	want := d.r.Write(file, offset, length, before, attr, d.now)
-	// The last block written went to the front last: it joined the front
-	// node if that is in the run now, since a node of its own starts out of it.
-	if f := d.c.lruFront; length > 0 && f >= 0 && d.c.nd(f).passed == d.c.scanEpoch {
-		d.runCases[placedInRun]++
-	}
 	if got.FetchBytes != want.FetchBytes || got.FetchBlocks != want.FetchBlocks || !d.sameRuns(got.FetchRuns, want.FetchRuns) {
 		d.failf("result\n  cache: %+v\n  ref:   %+v", got, want)
 	}
@@ -535,7 +525,6 @@ func (d *lockstep) write(file uint64, offset, length int64, attr Attr) {
 
 func (d *lockstep) truncate(file uint64, size int64) {
 	d.what = fmt.Sprintf("Truncate(%d, %d)", file, size)
-	d.noteDrops(file, size)
 	if got, want := d.c.Truncate(file, size), d.r.Truncate(file, size); got != want {
 		d.failf("saved %d bytes, reference %d", got, want)
 	}
@@ -544,7 +533,6 @@ func (d *lockstep) truncate(file uint64, size int64) {
 
 func (d *lockstep) invalidate(file uint64) {
 	d.what = fmt.Sprintf("Invalidate(%d)", file)
-	d.noteDrops(file, 0)
 	if got, want := d.c.Invalidate(file), d.r.Invalidate(file); got != want {
 		d.failf("dropped %d blocks, reference %d", got, want)
 	}
@@ -552,72 +540,10 @@ func (d *lockstep) invalidate(file uint64) {
 
 func (d *lockstep) delete(file uint64) {
 	d.what = fmt.Sprintf("Delete(%d)", file)
-	d.noteDrops(file, 0)
 	if got, want := d.c.Delete(file), d.r.Delete(file); got != want {
 		d.failf("saved %d bytes, reference %d", got, want)
 	}
 	d.size[file] = 0
-}
-
-// The ways an op meets the run of dirty nodes at the LRU tail that the
-// victim scan has walked past: a block leaving a node of the run, or
-// joining one, must keep the run's block count and its far end right.
-const (
-	passedLifted    = iota // a lone node of the run touched or rewritten: it leaves the run whole
-	passedDropped          // a node of the run dropped whole by Truncate, Delete or Invalidate
-	passedShortened        // a node of the run shortened from its front end by Truncate
-	placedInRun            // a block written onto the front node while the whole list is in the run
-	numRunCases
-)
-
-var runCaseNames = [numRunCases]string{
-	"a passed lone node lifted", "a passed node dropped whole",
-	"a passed node shortened by a truncate", "a block placed onto a passed front node",
-}
-
-// passed reports whether node s is in the victim scan's run.
-func (d *lockstep) passed(s int32) bool { return d.c.nd(s).passed == d.c.scanEpoch }
-
-// noteLifts counts a read or write of file that will take a lone node of
-// the run out of the LRU list. Up to the first block that is not resident
-// nothing is evicted, so those blocks are each lifted in turn; a lone node
-// other than the front one moves to the front.
-func (d *lockstep) noteLifts(file uint64, offset, length int64) {
-	if length <= 0 {
-		return
-	}
-	first, last := blockSpan(offset, length)
-	for idx := first; idx <= last; idx++ {
-		s := d.c.slot(file, idx)
-		if s < 0 {
-			return
-		}
-		if d.c.nd(s).n == 1 && s != d.c.lruFront && d.passed(s) {
-			d.runCases[passedLifted]++
-			return
-		}
-	}
-}
-
-// noteDrops counts a truncate of file to size (zero for Delete and
-// Invalidate) that drops a node of the run whole or shortens one.
-func (d *lockstep) noteDrops(file uint64, size int64) {
-	keep := (size + BlockSize - 1) / BlockSize
-	var dropped, shortened bool
-	for s := d.c.lruFront; s >= 0; s = d.c.nd(s).next {
-		x := d.c.nd(s)
-		if x.file != file || !d.passed(s) {
-			continue
-		}
-		dropped = dropped || x.first >= keep
-		shortened = shortened || (x.first < keep && x.last() >= keep)
-	}
-	if dropped {
-		d.runCases[passedDropped]++
-	}
-	if shortened {
-		d.runCases[passedShortened]++
-	}
 }
 
 // scan makes one pass over a file nobody has touched before, which pushes
@@ -645,7 +571,7 @@ const (
 	burstTruncate        // a write burst cut off in its middle, then appended to at the same instant
 	burstFlush           // a write burst fsynced or recalled, then written inside
 	burstAtDepth         // two write bursts at the LRU tail, the second straddling cleanScanDepth
-	passedRun            // nodes of a run the victim scan has walked past lifted, dropped and shortened
+	dirtyTailRun         // nodes of a dirty run at the LRU tail lifted, dropped and shortened between evictions
 	numStretchOps
 )
 
@@ -654,7 +580,7 @@ var stretchOpNames = [numStretchOps]string{
 	"an append across a partial block", "a later hit on a scan's front",
 	"a write burst", "a rewrite inside a burst", "a read hit inside a burst",
 	"a truncate inside a burst", "a burst's fsync or recall", "a burst straddling the scan depth",
-	"a passed run edited",
+	"a dirty tail run edited",
 }
 
 // scanned returns the file the last scan, boot pair or append read, and its
@@ -797,8 +723,8 @@ func (d *lockstep) stretch() {
 			d.c.GrowBy(capacity - held)
 			d.r.GrowBy(capacity - held)
 		}
-	case passedRun:
-		d.passedRun()
+	case dirtyTailRun:
+		d.dirtyTailRun()
 	}
 }
 
@@ -809,13 +735,13 @@ func (d *lockstep) setCapacity(blocks int) {
 	d.sameState()
 }
 
-// passedRun empties the cache and fills it, tail first, with a run of dirty
-// nodes — lone blocks of fresh files, and a burst of one among them — and
-// one clean block. A fresh block read then makes the victim scan walk past
+// dirtyTailRun empties the cache and fills it, tail first, with a run of
+// dirty nodes — lone blocks of fresh files, and a burst of one among them —
+// and one clean block. A fresh block read then makes the victim walk pass
 // the run to the clean block. One lone node of the run is read or
 // rewritten, another is dropped whole, the burst is cut off inside, and a
-// second fresh block read resumes the scan over what is left of the run.
-func (d *lockstep) passedRun() {
+// second fresh block read walks what is left of the run.
+func (d *lockstep) dirtyTailRun() {
 	capacity := d.r.Capacity()
 	d.setCapacity(1)
 	if len(d.r.lru) > 0 {
@@ -1052,7 +978,6 @@ type seedRun struct {
 	diff                             string
 	ops, dirtyVictims, cappedVictims int
 	reached                          [numStretchOps]int
-	runCases                         [numRunCases]int
 	arena                            uint64
 }
 
@@ -1066,7 +991,7 @@ func runSeeds(n int) []seedRun {
 		d := diffCaches(seededCacheOps(int64(seed)))
 		seedRuns = append(seedRuns, seedRun{
 			diff: d.diff, ops: d.op, dirtyVictims: d.r.dirtyVictims, cappedVictims: d.r.cappedVictims,
-			reached: d.reached, runCases: d.runCases, arena: arenaHash(d.c),
+			reached: d.reached, arena: arenaHash(d.c),
 		})
 	}
 	return seedRuns[:n]
@@ -1107,7 +1032,6 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 	var ops, dirtyVictims, cappedVictims int
 	var reached [numStretchOps]int
-	var runCases [numRunCases]int
 	for i, run := range runSeeds(seeds) {
 		if run.diff != "" {
 			t.Fatalf("seed %d: Cache and the reference cache differ at %s", i+1, run.diff)
@@ -1118,13 +1042,10 @@ func TestCacheMatchesReference(t *testing.T) {
 		for i, n := range run.reached {
 			reached[i] += n
 		}
-		for i, n := range run.runCases {
-			runCases[i] += n
-		}
 	}
 	// The streams must reach the hard cases, or the comparison is empty.
-	t.Logf("%d ops, %d dirty victims, %d of them under the depth cap; stretch ops %v; scan-run cases %v",
-		ops, dirtyVictims, cappedVictims, reached, runCases)
+	t.Logf("%d ops, %d dirty victims, %d of them under the depth cap; stretch ops %v",
+		ops, dirtyVictims, cappedVictims, reached)
 	if ops < seeds*100 || dirtyVictims < seeds || cappedVictims < seeds {
 		t.Fatalf("%d ops, %d dirty victims, %d capped over %d seeds; the op streams exercise too little",
 			ops, dirtyVictims, cappedVictims, seeds)
@@ -1132,11 +1053,6 @@ func TestCacheMatchesReference(t *testing.T) {
 	for i, n := range reached {
 		if n < seeds {
 			t.Fatalf("%s reached %d times over %d seeds; the op streams exercise too little", stretchOpNames[i], n, seeds)
-		}
-	}
-	for i, n := range runCases {
-		if n < seeds {
-			t.Fatalf("%s reached %d times over %d seeds; the op streams exercise too little", runCaseNames[i], n, seeds)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package fscache
 
 import (
-	"math"
 	"testing"
 	"time"
 	"unsafe"
@@ -171,32 +170,5 @@ func TestVictimAfterDiscardAll(t *testing.T) {
 func TestBlockSizeUnchanged(t *testing.T) {
 	if got := unsafe.Sizeof(node{}); got != 48 {
 		t.Fatalf("node is %d bytes, want 48", got)
-	}
-}
-
-// TestScanEpochWrap takes the scan's 32-bit epoch across its wrap with
-// marks of the epoch it wraps to still in the arena: they must not read
-// as current afterwards.
-func TestScanEpochWrap(t *testing.T) {
-	c := dirtyRunThenClean(514, -1)
-	wantVictim(t, c, forceEviction(t, c, 0), 0)
-	wantVictim(t, c, forceEviction(t, c, 1), 1)
-	if c.scanEpoch != 1 || c.scanCount != cleanScanDepth-1 {
-		t.Fatalf("epoch %d, %d blocks passed; the set-up assumes the first epoch and a full-depth run", c.scanEpoch, c.scanCount)
-	}
-	// 511 nodes now carry mark 1. Forget them, and stand where 2^32-2
-	// further resets would have left the epoch.
-	c.forgetScan()
-	c.scanEpoch = math.MaxUint32
-	c.forgetScan()
-	if c.scanEpoch != 1 {
-		t.Fatalf("epoch after the wrap is %d, want 1 (zero is a fresh block's mark)", c.scanEpoch)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	wantVictim(t, c, forceEviction(t, c, 2), 2)
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
