@@ -235,7 +235,7 @@ func (c *Client) ship(wbs []fscache.Writeback) time.Duration {
 		for i := range wb.N {
 			lat += c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.FileWrite, wb.BlockBytes(i))
 		}
-		srv.WriteBack(wb.File, c.cfg.ID, fscache.Run{First: wb.Block, N: int64(wb.N)}, wb.Bytes, now)
+		srv.WriteBack(wb.File, fscache.Run{First: wb.Block, N: int64(wb.N)}, wb.Bytes, now)
 		c.bytesWrittenBack += wb.Bytes
 		if f := srv.Lookup(wb.File); f != nil {
 			c.noteVersion(wb.File, f.Version)
@@ -541,7 +541,7 @@ func (c *Client) Write(hid uint64, n int64) time.Duration {
 		lat = c.net.RPCTo(srv.ID(), c.cfg.ID, netsim.SharedWrite, n)
 		srv.AcceptSpan(h.file, h.pos, n, now)
 		c.sharedWriteBytes += n
-		srv.Write(h.file, c.cfg.ID, h.pos, n, now)
+		srv.Write(h.file, h.pos, n, now)
 		c.noteVersion(h.file, f.Version)
 		c.emit(trace.KindWrite, h, h.file, flags|trace.FlagShared, h.pos, n, f.Size, h.user, h.proc)
 	} else {

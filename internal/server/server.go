@@ -417,7 +417,7 @@ func (s *Server) Close(id uint64, client int32, write, dirty bool, now time.Dura
 // writing a file whose caching is disabled): size growth, a version bump,
 // and no last writer left holding dirty data. Delayed writes arrive
 // through WriteBack.
-func (s *Server) Write(id uint64, client int32, offset, length int64, now time.Duration) {
+func (s *Server) Write(id uint64, offset, length int64, now time.Duration) {
 	f := s.files.lookup(id)
 	if f == nil {
 		return
@@ -438,7 +438,7 @@ func (s *Server) Write(id uint64, client int32, offset, length int64, now time.D
 // flushing (the paper's upper-bound caveat). The blocks land in the server
 // cache (when storage is attached) and reach the disk after the server's
 // own 30-second delay.
-func (s *Server) WriteBack(id uint64, client int32, run fscache.Run, bytes int64, now time.Duration) {
+func (s *Server) WriteBack(id uint64, run fscache.Run, bytes int64, now time.Duration) {
 	// Count before the deleted-file early-out: the client counted these
 	// bytes as shipped, and the conservation invariant the fault harness
 	// checks compares exactly these two counters.

@@ -201,11 +201,11 @@ func TestDisconnectPurgesClient(t *testing.T) {
 func TestWriteBackBytesCountsDeletedFiles(t *testing.T) {
 	s := New(0)
 	f := s.Create(false, 0)
-	s.WriteBack(f.ID, 1, fscache.Run{First: 0, N: 1}, 500, time.Second)
+	s.WriteBack(f.ID, fscache.Run{First: 0, N: 1}, 500, time.Second)
 	s.Delete(f.ID, 2*time.Second)
 	// The client already counted these bytes as shipped; the server must
 	// too, or the conservation invariant breaks on every delete-while-dirty.
-	s.WriteBack(f.ID, 1, fscache.Run{First: 1, N: 1}, 300, 3*time.Second)
+	s.WriteBack(f.ID, fscache.Run{First: 1, N: 1}, 300, 3*time.Second)
 	if got := s.Stats().WriteBackBytes; got != 800 {
 		t.Errorf("WriteBackBytes = %d, want 800", got)
 	}

@@ -110,7 +110,7 @@ func TestRecallIsUpperBound(t *testing.T) {
 	f := s.Create(false, 0)
 	s.Open(f.ID, 1, true, 0)
 	s.Close(f.ID, 1, true, true, time.Second)
-	s.WriteBack(f.ID, 1, fscache.Run{First: 0, N: 1}, 4096, 2*time.Second) // daemon flushes
+	s.WriteBack(f.ID, fscache.Run{First: 0, N: 1}, 4096, 2*time.Second) // daemon flushes
 	r, _ := s.Open(f.ID, 2, false, 40*time.Second)
 	if r.RecallFrom != 1 {
 		t.Error("recall skipped after writeback; server should not track flushes")
@@ -208,7 +208,7 @@ func TestWriteGrowsAndBumpsVersion(t *testing.T) {
 	s := New(0)
 	f := s.Create(false, 0)
 	v0 := f.Version
-	s.Write(f.ID, 1, 0, 5000, time.Second)
+	s.Write(f.ID, 0, 5000, time.Second)
 	if f.Size != 5000 {
 		t.Errorf("size = %d", f.Size)
 	}
@@ -219,7 +219,7 @@ func TestWriteGrowsAndBumpsVersion(t *testing.T) {
 		t.Errorf("pass-through ops = %d", s.Stats().CacheOffOps)
 	}
 	// Overwrite inside the file does not shrink it.
-	s.Write(f.ID, 1, 0, 100, 2*time.Second)
+	s.Write(f.ID, 0, 100, 2*time.Second)
 	if f.Size != 5000 {
 		t.Errorf("size shrank to %d", f.Size)
 	}
@@ -239,7 +239,7 @@ func TestWriteGrowsAndBumpsVersion(t *testing.T) {
 func TestDeleteAndTruncate(t *testing.T) {
 	s := New(0)
 	f := s.Create(false, time.Second)
-	s.Write(f.ID, 1, 0, 1000, 2*time.Second)
+	s.Write(f.ID, 0, 1000, 2*time.Second)
 	got := s.Delete(f.ID, 10*time.Second)
 	if got == nil || got.ID != f.ID {
 		t.Fatal("delete returned wrong file")
@@ -252,7 +252,7 @@ func TestDeleteAndTruncate(t *testing.T) {
 	}
 
 	g := s.Create(false, 0)
-	s.Write(g.ID, 1, 0, 500, time.Second)
+	s.Write(g.ID, 0, 500, time.Second)
 	tr := s.Truncate(g.ID, 5*time.Second)
 	if tr == nil || tr.Size != 0 {
 		t.Errorf("truncate: %+v", tr)

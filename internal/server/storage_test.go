@@ -68,7 +68,7 @@ func TestServerStorageIntegration(t *testing.T) {
 	s.Grow(f.ID, 8192, 0)
 
 	// Writeback populates the server cache.
-	s.WriteBack(f.ID, 1, fscache.Run{First: 0, N: 1}, 4096, time.Second)
+	s.WriteBack(f.ID, fscache.Run{First: 0, N: 1}, 4096, time.Second)
 	if d := s.ServeRuns(f.ID, []fscache.Run{{First: 0, N: 1}}, 2*time.Second); d != 0 {
 		t.Errorf("cached block cost disk time %v", d)
 	}
@@ -90,7 +90,7 @@ func TestServerStorageIntegration(t *testing.T) {
 		t.Error("storage-less server cost disk time")
 	}
 	bare.AcceptSpan(f.ID, 0, 100, 0)
-	bare.WriteBack(f.ID, 1, fscache.Run{First: 0, N: 1}, 100, 0)
+	bare.WriteBack(f.ID, fscache.Run{First: 0, N: 1}, 100, 0)
 }
 
 // A dirty server-cache block forced out to make room goes to the disk then,
