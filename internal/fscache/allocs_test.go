@@ -13,27 +13,34 @@ import (
 
 func TestCleanSweepZeroAllocSteadyState(t *testing.T) {
 	const nfiles = 16
+	const young = nfiles + 1 // written a second before each sweep: dirty, not due
 	c := New(256)
 	now := time.Duration(0)
-	dirtyAll := func() {
+	// cycle dirties every file, lets the writeback delay pass with the young
+	// file written a second before its end, and sweeps. The sweep sorts every
+	// dirty file id, the young one's too, and must flush the due files alone.
+	cycle := func() {
+		now += time.Second
 		for f := uint64(1); f <= nfiles; f++ {
 			c.Write(f, 0, 2*BlockSize, 0, noAttr, now)
 		}
-	}
-	// Warm-up: populate every index and scratch buffer once, then drain.
-	dirtyAll()
-	now += WritebackDelay
-	c.Clean(now)
-
-	allocs := testing.AllocsPerRun(100, func() {
+		now += WritebackDelay - time.Second
+		c.Write(young, 0, BlockSize, 0, noAttr, now)
 		now += time.Second
-		dirtyAll()
-		now += WritebackDelay
 		// Each file's two blocks, written at one instant, are one run.
-		if wbs := c.Clean(now); len(wbs) != nfiles || wbs[0].N != 2 {
-			t.Fatalf("swept %d writebacks (the first of %d blocks), want %d of 2", len(wbs), wbs[0].N, nfiles)
+		if wbs := c.Clean(now); len(wbs) != nfiles || wbs[0].N != 2 || wbs[nfiles-1].File != nfiles {
+			t.Fatalf("swept %d writebacks (the first of %d blocks), want the %d due files' runs of 2", len(wbs), wbs[0].N, nfiles)
 		}
-	})
+		if !c.FileDirty(young) {
+			t.Fatal("the sweep flushed a file dirty for one second")
+		}
+		// Flushed here, the young file turns dirty afresh next cycle.
+		c.Fsync(young, now)
+	}
+	// Warm-up: populate every index and scratch buffer once.
+	cycle()
+
+	allocs := testing.AllocsPerRun(100, cycle)
 	if allocs != 0 {
 		t.Fatalf("dirty+Clean cycle allocated %.1f/op in steady state, want 0", allocs)
 	}
