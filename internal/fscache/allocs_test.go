@@ -28,8 +28,12 @@ func TestCleanSweepZeroAllocSteadyState(t *testing.T) {
 		c.Write(young, 0, BlockSize, 0, noAttr, now)
 		now += time.Second
 		// Each file's two blocks, written at one instant, are one run.
-		if wbs := c.Clean(now); len(wbs) != nfiles || wbs[0].N != 2 || wbs[nfiles-1].File != nfiles {
-			t.Fatalf("swept %d writebacks (the first of %d blocks), want the %d due files' runs of 2", len(wbs), wbs[0].N, nfiles)
+		wbs := c.Clean(now)
+		if len(wbs) != nfiles {
+			t.Fatalf("swept %d writebacks, want the %d due files' runs", len(wbs), nfiles)
+		}
+		if wbs[0].N != 2 || wbs[nfiles-1].File != nfiles {
+			t.Fatalf("swept %+v, want one run of 2 blocks per due file", wbs)
 		}
 		if !c.FileDirty(young) {
 			t.Fatal("the sweep flushed a file dirty for one second")
