@@ -338,8 +338,8 @@ type Cache struct {
 	dirtyFiles map[uint64]*fileIndex
 	// oldestDirty is a lower bound on dirtyAt over all dirty blocks
 	// (meaningful while ndirty > 0): the minimum over every dirtying since
-	// the last cleaner sweep, which leaves it exact. A dirty block that
-	// leaves does not raise it, so it can be stale-low; no cleaner tick
+	// the last sweep that got past it, which left it exact. A dirty block
+	// that leaves does not raise it, so it can be stale-low; no cleaner tick
 	// before oldestDirty + delay has anything to do.
 	oldestDirty time.Duration
 
@@ -795,12 +795,10 @@ const cleanScanDepth = 512
 // vmTake marks the eviction as a page handoff to the VM system rather than
 // replacement by file data.
 //
-// The walk starts at the tail on every eviction, walks nodes and counts
-// blocks: the first clean node it meets before it has passed
-// cleanScanDepth blocks holds the victim at its tail end. Dirty blocks
-// come in extents — the blocks one write dirtied at one instant are one
-// node — so the walk passes few nodes, and it keeps nothing for the next
-// eviction.
+// The walk starts at the tail, walks nodes and counts blocks: the first
+// clean node it meets before it has passed cleanScanDepth blocks holds the
+// victim at its tail end. Dirty blocks come in extents — the blocks one
+// write dirtied at one instant are one node — so the walk passes few nodes.
 func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 	s := c.lruBack
 	if s < 0 {

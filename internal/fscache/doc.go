@@ -29,10 +29,9 @@
 // blocks'. Replacement walks from the LRU tail for a clean victim, a node
 // at a time, and stops within cleanScanDepth blocks; a cleaner tick
 // returns at once while the cache's oldest dirty block cannot be due and
-// otherwise scans every dirty file's nodes, which leaves that bound exact.
-// Neither keeps state from one call to the next. Read and Write look the
-// file's index up once per call, and a block leaving the cache reaches it
-// through its node. None of this is
+// otherwise scans every dirty file's nodes, which leaves that bound exact;
+// Read and Write look the file's index up once per call, and a block
+// leaving the cache reaches it through its node. None of this is
 // visible from outside but as runs: reference_test.go drives the cache
 // side by side with a map-and-slice reference that does everything the
 // slow way, a block at a time, and requires identical results after every

@@ -935,7 +935,7 @@ func (d *lockstep) run() {
 			d.r.SetPrefetch(n)
 		case c < 27:
 			// A write burst: hundreds of blocks of one file dirtied at one
-			// instant, more than the victim scan will walk past.
+			// instant, more than the victim walk will pass.
 			p := d.byte()
 			d.write(7+uint64(p&1), 0, (cleanScanDepth-12+int64(p))*BlockSize, Attr{})
 		case c < 31:

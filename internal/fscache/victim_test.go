@@ -142,8 +142,8 @@ func TestVictimAfterTheDirtyRunChanges(t *testing.T) {
 }
 
 func TestVictimAfterDiscardAll(t *testing.T) {
-	// A crash between two evictions: whatever the first one learned about
-	// the old population must not steer the second.
+	// A crash between two evictions: the second finds its victim among
+	// the blocks written since.
 	c := dirtyRunThenClean(cleanScanDepth+2, -1)
 	wantVictim(t, c, forceEviction(t, c, 0), 0)
 	if loss := c.DiscardAll(11 * time.Hour); loss.Blocks != cleanScanDepth+3 || loss.DirtyBlocks != cleanScanDepth+1 {
