@@ -244,3 +244,48 @@ func TestWriteCycleZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadRunZeroAlloc pins the two shapes of read run in steady state: a
+// resident 64-block node read again at a later instant, and a cold 64-block
+// read into a full 4096-block cache, which evicts the LRU file's 64 blocks
+// to make room. Each read allocates nothing once the nodes, the recycled
+// file indexes and the scratch buffers reach their high-water marks.
+func TestReadRunZeroAlloc(t *testing.T) {
+	const blocks, capacity = 64, 4096
+	const size = blocks * BlockSize
+	c := New(capacity)
+	now, file := time.Duration(0), uint64(0)
+	cold := func() {
+		now += time.Millisecond
+		file++
+		res := c.Read(file, 0, size, size, noAttr, now)
+		if res.MissBlocks != blocks || c.NumBlocks() > capacity {
+			t.Fatalf("cold read of file %d missed %d blocks and left %d resident", file, res.MissBlocks, c.NumBlocks())
+		}
+	}
+	reread := func() {
+		now += time.Millisecond
+		if res := c.Read(file, 0, size, size, noAttr, now); res.MissBlocks != 0 {
+			t.Fatalf("re-read of file %d missed %d blocks", file, res.MissBlocks)
+		}
+		if x := c.nd(c.lruFront); x.file != file || x.n != blocks {
+			t.Fatalf("the re-read left a front node of %d blocks of file %d, want all %d of file %d", x.n, x.file, blocks, file)
+		}
+	}
+	for i := 0; i < 2*capacity/blocks; i++ {
+		cold()
+		reread()
+	}
+	if c.NumBlocks() != capacity {
+		t.Fatalf("warm-up left %d blocks resident, want a full cache of %d", c.NumBlocks(), capacity)
+	}
+	if allocs := testing.AllocsPerRun(100, reread); allocs != 0 {
+		t.Fatalf("a resident node read again allocated %.1f/op in steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, cold); allocs != 0 {
+		t.Fatalf("a cold run evicting in a full cache allocated %.1f/op in steady state, want 0", allocs)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -407,11 +407,15 @@ type lockstep struct {
 	size map[uint64]int64 // what the driver says each file holds on the server
 	next uint64           // id of the next never-seen file
 	op   int
-	what string // the op being applied, for the failure message
-	diff string // first difference found
+	// Whether the stream decodes the read-run ops too.
+	runOps bool
+	what   string // the op being applied, for the failure message
+	diff   string // first difference found
 
-	// How often each of the stretch-shaped ops was applied (coverage).
+	// How often each of the stretch-shaped ops was applied, and each shape
+	// of read run met (coverage).
 	reached [numStretchOps]int
+	runs    [numReadRuns]int
 }
 
 // Capacities from a single block to beyond two scan depths: under the big
@@ -500,6 +504,7 @@ func (d *lockstep) sameWritebacks(name string, got, want []Writeback) {
 func (d *lockstep) read(file uint64, offset, length int64, attr Attr) {
 	// The file holds at least what is read of it.
 	d.size[file] = max(d.size[file], offset+length)
+	d.classifyRead(file, offset, length)
 	d.what = fmt.Sprintf("Read(%d, %d, %d, size %d, %+v, now %d)", file, offset, length, d.size[file], attr, d.now)
 	got := d.c.Read(file, offset, length, d.size[file], attr, d.now)
 	want := d.r.Read(file, offset, length, d.size[file], attr, d.now)
@@ -615,9 +620,24 @@ func (d *lockstep) burst() (uint64, int64) {
 	return d.next, size
 }
 
-// stretch decodes and applies one stretch-shaped op.
+// The read-run ops, decoded only by the read-run streams (runOps): the
+// streams of diffCaches, and the arena TestNodeArenaPinned hashes from
+// them, stay as they were. Each reads a fresh file in runs of blocks.
+const (
+	nodeReread  = iota // a file read whole, again at a later instant, then inside, then on past the inside
+	callsAtOnce        // a file read cold in two or three calls at one instant, each joining the last
+	numRunOps
+)
+
+// stretch decodes and applies one stretch-shaped op; in a read-run stream,
+// a read-run op three times in four.
 func (d *lockstep) stretch() {
-	op := int(d.byte()) % numStretchOps
+	op := int(d.byte())
+	if d.runOps && op >= 64 {
+		d.runOp(op % numRunOps)
+		return
+	}
+	op %= numStretchOps
 	d.reached[op]++
 	switch op {
 	case bootPair:
@@ -725,6 +745,125 @@ func (d *lockstep) stretch() {
 		}
 	case dirtyTailRun:
 		d.dirtyTailRun()
+	}
+}
+
+// The shapes of read run the streams must reach (coverage). A run is two or
+// more consecutive blocks of one request that are all absent, or all
+// resident in one node and covered; Read moves each in one step.
+const (
+	wholeNodeRun = iota // a whole resident node read at a later instant
+	midNodeRun          // a sub-range strictly inside a node, which splits it
+	frontJoinRun        // a request's first run, whose first block joins the front node
+	tightColdRun        // a cold run that needs evictions with capacity-k < cleanScanDepth
+	roomyColdRun        // a cold run that needs evictions with capacity-k >= cleanScanDepth
+	numReadRuns
+)
+
+var readRunNames = [numReadRuns]string{
+	"a whole node read again", "a sub-range inside a node read again", "a run joining the front node",
+	"a cold run evicting with capacity-k < cleanScanDepth", "a cold run evicting with capacity-k >= cleanScanDepth",
+}
+
+// classifyRead counts the shapes of run a read of [offset, offset+length)
+// of file takes, classified from the cache as it stands before the read:
+// blocks a run of the request evicts are not seen to go, and the blocks
+// the earlier runs add count toward a later run's evictions.
+func (d *lockstep) classifyRead(file uint64, offset, length int64) {
+	c := d.c
+	if length <= 0 || c.prefetch > 0 {
+		return
+	}
+	first, last := blockSpan(offset, length)
+	fi := c.files[file]
+	held := c.nblocks
+	for idx := first; idx <= last; {
+		s := int32(-1)
+		if fi != nil {
+			s = fi.get(idx)
+		}
+		end := idx
+		switch {
+		case s < 0:
+			for end < last && end+1 < fiDenseMax && (fi == nil || fi.get(end+1) < 0) {
+				end++
+			}
+			k := int(end - idx + 1)
+			if k > 1 && held+k > c.capacity {
+				if c.capacity-k < cleanScanDepth {
+					d.runs[tightColdRun]++
+				} else {
+					d.runs[roomyColdRun]++
+				}
+			}
+			held = min(held+k, c.capacity)
+			if k > 1 && idx == first && c.joinsFront(&blockState{file: file, idx: idx, spare: -1, vh: BlockSize}, d.now) {
+				d.runs[frontJoinRun]++
+			}
+		case c.covers(s, idx, offset, length):
+			x := c.nd(s)
+			end = min(last, x.last())
+			if end == x.last() && !c.covers(s, end, offset, length) {
+				end--
+			}
+			if end == idx {
+				break
+			}
+			if idx == x.first && end == x.last() && x.lastRef != d.now {
+				d.runs[wholeNodeRun]++
+			}
+			if idx > x.first && end < x.last() {
+				d.runs[midNodeRun]++
+			}
+			b := blockState{file: file, idx: idx, spare: -1, vh: BlockSize, dh: int32(x.dirtyTo(idx))}
+			if b.dh != 0 {
+				b.times = *c.dt(s)
+			}
+			if idx == first && c.joinsFront(&b, d.now) {
+				d.runs[frontJoinRun]++
+			}
+		}
+		idx = end + 1
+	}
+}
+
+// runOp applies read-run op op.
+func (d *lockstep) runOp(op int) {
+	d.next++
+	file := d.next
+	switch op {
+	case nodeReread:
+		// Four blocks or more, and no more than the cache holds, so that the
+		// file is one resident node when it is read again.
+		blocks := min(4+int64(d.byte()%32), int64(d.r.Capacity()))
+		size := blocks*BlockSize - refWithin[int(d.byte())%len(refWithin)]
+		d.read(file, 0, size, d.attr())
+		d.now += refSteps[2+d.byte()%6]
+		d.read(file, 0, size, d.attr())
+		if blocks < 4 {
+			return
+		}
+		// Blocks lo to lo+n-1, two or more, neither the first nor the last.
+		d.now += refSteps[2+d.byte()%6]
+		lo := 1 + int64(d.byte())%(blocks-3)
+		n := 2 + int64(d.byte())%(blocks-2-lo)
+		offset := lo*BlockSize + refWithin[int(d.byte())%len(refWithin)]
+		end := (lo+n)*BlockSize - refWithin[int(d.byte())%len(refWithin)]
+		d.read(file, offset, end-offset, d.attr())
+		// On past the inside at the same instant: its first block joins it.
+		d.read(file, (lo+n)*BlockSize, size-(lo+n)*BlockSize, d.attr())
+	case callsAtOnce:
+		blocks := 4 + int64(d.byte()%32)
+		size := blocks*BlockSize - refWithin[int(d.byte())%len(refWithin)]
+		cut := 1 + int64(d.byte())%(blocks-2)
+		d.read(file, 0, cut*BlockSize, Attr{Paging: true})
+		if d.byte()&1 == 0 {
+			d.read(file, cut*BlockSize, size-cut*BlockSize, Attr{Paging: true})
+			return
+		}
+		more := cut + 1 + int64(d.byte())%(blocks-1-cut)
+		d.read(file, cut*BlockSize, (more-cut)*BlockSize, Attr{Paging: true})
+		d.read(file, more*BlockSize, size-more*BlockSize, Attr{Paging: true})
 	}
 }
 
@@ -960,6 +1099,14 @@ func diffCaches(in []byte) *lockstep {
 	return d
 }
 
+// diffRunCaches is diffCaches on a read-run stream: one that decodes the
+// read-run ops too.
+func diffRunCaches(in []byte) *lockstep {
+	d := &lockstep{in: in, runOps: true}
+	d.run()
+	return d
+}
+
 // seededCacheOps returns the op stream for one seed.
 func seededCacheOps(seed int64) []byte {
 	in := make([]byte, 640)
@@ -978,6 +1125,7 @@ type seedRun struct {
 	diff                             string
 	ops, dirtyVictims, cappedVictims int
 	reached                          [numStretchOps]int
+	runs                             [numReadRuns]int
 	arena                            uint64
 }
 
@@ -991,7 +1139,7 @@ func runSeeds(n int) []seedRun {
 		d := diffCaches(seededCacheOps(int64(seed)))
 		seedRuns = append(seedRuns, seedRun{
 			diff: d.diff, ops: d.op, dirtyVictims: d.r.dirtyVictims, cappedVictims: d.r.cappedVictims,
-			reached: d.reached, arena: arenaHash(d.c),
+			reached: d.reached, runs: d.runs, arena: arenaHash(d.c),
 		})
 	}
 	return seedRuns[:n]
@@ -1032,6 +1180,7 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 	var ops, dirtyVictims, cappedVictims int
 	var reached [numStretchOps]int
+	var runs [numReadRuns]int
 	for i, run := range runSeeds(seeds) {
 		if run.diff != "" {
 			t.Fatalf("seed %d: Cache and the reference cache differ at %s", i+1, run.diff)
@@ -1042,10 +1191,24 @@ func TestCacheMatchesReference(t *testing.T) {
 		for i, n := range run.reached {
 			reached[i] += n
 		}
+		for i, n := range run.runs {
+			runs[i] += n
+		}
+	}
+	// The read-run streams of the same seeds.
+	for seed := 1; seed <= seeds; seed++ {
+		d := diffRunCaches(seededCacheOps(int64(seed)))
+		if d.diff != "" {
+			t.Fatalf("seed %d, read-run stream: Cache and the reference cache differ at %s", seed, d.diff)
+		}
+		ops += d.op
+		for i, n := range d.runs {
+			runs[i] += n
+		}
 	}
 	// The streams must reach the hard cases, or the comparison is empty.
-	t.Logf("%d ops, %d dirty victims, %d of them under the depth cap; stretch ops %v",
-		ops, dirtyVictims, cappedVictims, reached)
+	t.Logf("%d ops, %d dirty victims, %d of them under the depth cap; stretch ops %v; read runs %v",
+		ops, dirtyVictims, cappedVictims, reached, runs)
 	if ops < seeds*100 || dirtyVictims < seeds || cappedVictims < seeds {
 		t.Fatalf("%d ops, %d dirty victims, %d capped over %d seeds; the op streams exercise too little",
 			ops, dirtyVictims, cappedVictims, seeds)
@@ -1053,6 +1216,11 @@ func TestCacheMatchesReference(t *testing.T) {
 	for i, n := range reached {
 		if n < seeds {
 			t.Fatalf("%s reached %d times over %d seeds; the op streams exercise too little", stretchOpNames[i], n, seeds)
+		}
+	}
+	for i, n := range runs {
+		if n < seeds {
+			t.Fatalf("%s met %d times over %d seeds; the op streams exercise too little", readRunNames[i], n, seeds)
 		}
 	}
 }
@@ -1096,7 +1264,7 @@ func FuzzCache(f *testing.F) {
 		if len(in) > 1024 {
 			in = in[:1024]
 		}
-		if d := diffCaches(in); d.diff != "" {
+		if d := diffRunCaches(in); d.diff != "" {
 			t.Fatalf("Cache and the reference cache differ at %s", d.diff)
 		}
 	})
