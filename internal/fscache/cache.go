@@ -78,14 +78,14 @@ type Run struct {
 	N     int64
 }
 
-// appendBlock adds block idx to runs, extending the last run when idx
-// follows it.
-func appendBlock(runs []Run, idx int64) []Run {
+// appendRun adds the k blocks from idx to runs, extending the last run when
+// they follow it.
+func appendRun(runs []Run, idx, k int64) []Run {
 	if n := len(runs); n > 0 && runs[n-1].First+runs[n-1].N == idx {
-		runs[n-1].N++
+		runs[n-1].N += k
 		return runs
 	}
-	return append(runs, Run{First: idx, N: 1})
+	return append(runs, Run{First: idx, N: k})
 }
 
 // ReadResult reports the server traffic a read implies. The MissRuns and
@@ -848,15 +848,15 @@ func (c *Cache) makeWriteback(s int32, k int32, reason CleanReason, now time.Dur
 	return Writeback{File: x.file, Block: x.first, Bytes: bytes, Age: age, N: k, Reason: reason}
 }
 
-// ensureRoom evicts until a new block can be inserted, appending any dirty
+// ensureRoom evicts until n new blocks can be inserted, appending any dirty
 // writebacks to out.
-func (c *Cache) ensureRoom(now time.Duration, out *[]Writeback) {
-	for c.nblocks >= c.capacity {
+func (c *Cache) ensureRoom(n int, now time.Duration, out *[]Writeback) {
+	for c.nblocks+n > c.capacity {
 		wb, dirty := c.evictOne(now, false)
 		if dirty {
 			*out = append(*out, wb)
 		}
-		if c.lruBack < 0 && c.nblocks >= c.capacity {
+		if c.lruBack < 0 && c.nblocks+n > c.capacity {
 			return // capacity zero-ish; nothing more to do
 		}
 	}
@@ -875,6 +875,12 @@ func blockSpan(offset, length int64) (first, last int64) {
 // MissBytes must be transferred from the server) and installed. Reads
 // beyond fileSize are a programming error and panic; the client layer
 // clamps application reads to the file size first.
+//
+// The request goes as runs of blocks, each in one step: resident blocks of
+// one node that hold the bytes asked of them (hitRun), or absent blocks
+// (missRun). The first block of a run goes through the per-block step —
+// touch, or ensureRoom, admit and place — and the others extend the node it
+// lands in, which is what place does with each of them in turn.
 func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now time.Duration) ReadResult {
 	var res ReadResult
 	if length <= 0 {
@@ -888,59 +894,159 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	first, last := blockSpan(offset, length)
 	// The file's index is resolved once per call; admit replaces it when
 	// the eviction that made room released it. A missing block goes to the
-	// front as nb, clean.
+	// front as nb, clean. Blocks idx through absent are known not resident:
+	// nothing but the run that takes them puts them back.
 	fi := c.files[file]
 	nb := blockState{file: file, spare: -1}
-	for idx := first; idx <= last; idx++ {
-		c.countRead(attr)
+	absent := first - 1
+	for idx := first; idx <= last; {
 		s := int32(-1)
 		if fi != nil {
 			s = fi.get(idx)
 		}
 		if s >= 0 && c.covers(s, idx, offset, length) {
-			c.touch(fi, s, idx, now)
+			k := c.hitRun(fi, s, idx, last, offset, length, now)
+			c.countRead(attr, k)
+			idx += k
 			continue
 		}
-		// Miss: fetch the valid portion of the block from the server. A
-		// partially valid block is refreshed in full for simplicity;
-		// fetching the tail only is what Sprite did and what we model.
-		c.countReadMiss(attr)
+		// Miss: fetch from the server the bytes the file holds in the block
+		// past its watermark — all of them when it is absent, the rest when
+		// it is partially valid.
+		k := int64(1)
 		validEnd := min(fileSize-idx*BlockSize, BlockSize)
 		fetch := validEnd
 		if s < 0 {
-			c.ensureRoom(now, &res.Evicted)
+			if absent < idx {
+				absent = c.absentTo(fi, idx, last)
+			}
+			k = c.missRun(idx, absent)
+			c.ensureRoom(1, now, &res.Evicted)
 			fi = c.admit(fi, file, last)
 			nb.idx, nb.vh = idx, int32(validEnd)
-			c.place(fi, &nb, now)
+			f := c.place(fi, &nb, now)
+			if k > 1 {
+				// Every block of the run but its last is whole.
+				end := idx + k - 1
+				c.ensureRoom(int(k-1), now, &res.Evicted)
+				validEnd = min(fileSize-end*BlockSize, BlockSize)
+				c.extend(fi, f, idx+1, int32(k-1), int16(validEnd), 0)
+				fi.n += int(k - 1)
+				c.nblocks += int(k - 1)
+				fetch = (k-1)*BlockSize + validEnd
+			}
 		} else {
 			vh := c.nd(s).valid(idx)
 			x := c.nd(c.touch(fi, s, idx, now))
 			fetch = max(validEnd-int64(vh), 0)
 			x.validHi = max(vh, int16(validEnd))
 		}
+		c.countRead(attr, k)
+		c.countReadMiss(attr, k)
 		res.MissBytes += fetch
-		res.MissBlocks++
-		res.MissRuns = appendBlock(res.MissRuns, idx)
-		// Sequential prefetch (ablation): pull the following blocks too.
+		res.MissBlocks += int(k)
+		res.MissRuns = appendRun(res.MissRuns, idx, k)
+		// Sequential prefetch (ablation): pull the following blocks too. A
+		// miss is one block long here (missRun).
 		for p := int64(1); p <= int64(c.prefetch); p++ {
 			pi := idx + p
 			if pi*BlockSize >= fileSize || fi.get(pi) >= 0 {
 				break
 			}
-			c.ensureRoom(now, &res.Evicted)
+			c.ensureRoom(1, now, &res.Evicted)
 			end := min(fileSize-pi*BlockSize, BlockSize)
 			fi = c.admit(fi, file, pi)
 			nb.idx, nb.vh = pi, int32(end)
 			c.place(fi, &nb, now)
 			res.MissBytes += end
 			res.MissBlocks++
-			res.MissRuns = appendBlock(res.MissRuns, pi)
+			res.MissRuns = appendRun(res.MissRuns, pi, 1)
 		}
+		idx += k
 	}
 	c.addBytesRead(attr, length)
 	c.runScratch = res.MissRuns[:0]
 	c.wbScratch = res.Evicted[:0]
 	return res
+}
+
+// hitRun makes a run of resident blocks the most recently used, referenced
+// at now, and returns its length: the blocks of node s from idx, which the
+// request covers, through the request's last block or the node's
+// front-most, less that one if the request wants bytes of it that are not
+// valid. idx goes through touch. Each block after it would then be lifted
+// from the tail end of the node holding it, whole and with that node's
+// dirty state and write times, and joined to the front node, where idx
+// landed: so in one step the front node takes them, and the node they were
+// in is shortened by them, or freed when they are all it holds.
+func (c *Cache) hitRun(fi *fileIndex, s int32, idx, last, offset, length int64, now time.Duration) int64 {
+	end := min(last, c.nd(s).last())
+	if end > idx && !c.covers(s, end, offset, length) {
+		end--
+	}
+	f := c.touch(fi, s, idx, now)
+	if end == idx {
+		return 1
+	}
+	// A node of two blocks or more lies in the dense index.
+	k := int32(end - idx)
+	from := fi.dense[idx+1] - 1
+	y := c.nd(from)
+	vh, dh := y.valid(end), y.dirtyTo(end)
+	if k == y.n {
+		c.lruUnlink(from)
+		c.freeNode(from)
+	} else {
+		c.shorten(from, k, false)
+	}
+	c.extend(fi, f, idx+1, k, vh, dh)
+	return int64(k) + 1
+}
+
+// absentTo returns the last block of the stretch from idx, which is not
+// resident, through the request's last block, that holds no resident block
+// and lies in the dense index. Under the prefetch ablation it is idx: the
+// fetch of idx makes the blocks after it resident.
+func (c *Cache) absentTo(fi *fileIndex, idx, last int64) int64 {
+	if c.prefetch > 0 || idx >= fiDenseMax {
+		return idx
+	}
+	end := min(last, fiDenseMax-1)
+	if fi != nil {
+		for j := idx + 1; j <= min(end, int64(len(fi.dense))-1); j++ {
+			if fi.dense[j] != 0 {
+				return j - 1
+			}
+		}
+	}
+	return end
+}
+
+// missRun returns how many of the absent blocks idx through end go in one
+// step: all of them, or one when they need evictions and the victim walk
+// could reach the run's own blocks. Evicting the victims of the blocks
+// after idx up front, before they are placed, takes the victims that
+// alternating takes only while at least cleanScanDepth other blocks remain
+// at every eviction. A run taken one block at a time shortens until that
+// holds.
+func (c *Cache) missRun(idx, end int64) int64 {
+	k := end - idx + 1
+	if c.nblocks+int(k) > c.capacity && k > int64(c.capacity-cleanScanDepth) {
+		return 1
+	}
+	return k
+}
+
+// extend joins the k blocks from idx, which follow node f's front-most, to
+// f, the front node, as place joins each: their watermarks are the last
+// one's, vh and dh, the others being whole. Their counts are the caller's.
+func (c *Cache) extend(fi *fileIndex, f int32, idx int64, k int32, vh, dh int16) {
+	x := c.nd(f)
+	x.n += k
+	x.validHi, x.dirtyHi = vh, dh
+	for j := idx; j < idx+int64(k); j++ {
+		fi.dense[j] = f + 1
+	}
 }
 
 // covers reports whether block idx, held by node s, holds all bytes of the
@@ -1000,10 +1106,10 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				}
 				res.FetchBytes += existingEnd
 				res.FetchBlocks++
-				res.FetchRuns = appendBlock(res.FetchRuns, idx)
+				res.FetchRuns = appendRun(res.FetchRuns, idx, 1)
 				b.vh = int32(existingEnd)
 			}
-			c.ensureRoom(now, &res.Evicted)
+			c.ensureRoom(1, now, &res.Evicted)
 			fi = c.admit(fi, file, last)
 		}
 		c.noteWrite(fi, &b, int32(hi), now) // hi is at least 1: the block is left dirty
@@ -1018,28 +1124,30 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 	return res
 }
 
-func (c *Cache) countRead(attr Attr) {
-	c.st.All.ReadOps++
+// countRead counts k block reads.
+func (c *Cache) countRead(attr Attr, k int64) {
+	c.st.All.ReadOps += k
 	if attr.Paging {
-		c.st.All.PagingReadOps++
+		c.st.All.PagingReadOps += k
 	}
 	if attr.Migrated {
-		c.st.Migrated.ReadOps++
+		c.st.Migrated.ReadOps += k
 		if attr.Paging {
-			c.st.Migrated.PagingReadOps++
+			c.st.Migrated.PagingReadOps += k
 		}
 	}
 }
 
-func (c *Cache) countReadMiss(attr Attr) {
-	c.st.All.ReadMisses++
+// countReadMiss counts k block read misses.
+func (c *Cache) countReadMiss(attr Attr, k int64) {
+	c.st.All.ReadMisses += k
 	if attr.Paging {
-		c.st.All.PagingReadMiss++
+		c.st.All.PagingReadMiss += k
 	}
 	if attr.Migrated {
-		c.st.Migrated.ReadMisses++
+		c.st.Migrated.ReadMisses += k
 		if attr.Paging {
-			c.st.Migrated.PagingReadMiss++
+			c.st.Migrated.PagingReadMiss += k
 		}
 	}
 }
