@@ -1,6 +1,7 @@
 package fscache
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -23,6 +24,30 @@ func BenchmarkReadMissCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		off := int64(i%512) * BlockSize
 		c.Read(1, off, BlockSize, fileSize, Attr{}, time.Duration(i))
+	}
+}
+
+// BenchmarkReadRunEvict reads a fresh 64-block file per op into a full
+// cache, evicting the LRU file's 64 blocks: in a 4096-block cache the
+// victims are evicted up front and the run placed in one step; in a
+// 256-block cache the victim walk could reach the run's own blocks, so it
+// goes one block at a time.
+func BenchmarkReadRunEvict(b *testing.B) {
+	const blocks = 64
+	const size = blocks * BlockSize
+	for _, capacity := range []int{4096, 256} {
+		b.Run(fmt.Sprintf("cache-%d", capacity), func(b *testing.B) {
+			c := New(capacity)
+			file := uint64(0)
+			for ; file < uint64(capacity/blocks); file++ {
+				c.Read(file, 0, size, size, Attr{}, time.Duration(file))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				file++
+				c.Read(file, 0, size, size, Attr{}, time.Duration(file))
+			}
+		})
 	}
 }
 
