@@ -162,15 +162,19 @@ type Stats struct {
 // where joinsFront says that is exact — a read's or a write's blocks at one
 // instant become one node — and otherwise makes the block a node of its
 // own; a resident block is first taken out of its node by lift, which cuts
-// the node around it. Blocks leave the cache by drop, from one end of a
-// node or with the whole node: eviction takes one at a time from the tail
-// end of the tail node, a truncate the blocks past the cut. The cleaner
-// turns a dirty node clean whole, where it sits. So every victim, age and
-// count is the one a list of blocks gives. A client cache is
-// overwhelmingly clean stretches — a program's pages, read at boot in one
-// call and left alone until the tail takes them — so a resident block
-// costs its index entry, 4 bytes, and little more; a server cache takes
-// each writeback run as one extent.
+// the node around it. A read's blocks reach the front as runs: once a run's
+// first block is placed, the rest of it — whole blocks, resident ones taken
+// from one node's tail end with that node's dirty state — extends the node
+// the first landed in, in one step (extend), which is what placing each
+// would do. Blocks leave the cache by drop, from one end of a node or with
+// the whole node: eviction takes one at a time from the tail end of the
+// tail node, a truncate the blocks past the cut. The cleaner turns a dirty
+// node clean whole, where it sits. So every victim, age and count is the
+// one a list of blocks gives. A client cache is overwhelmingly clean
+// stretches — a program's pages, read at boot in one call and left alone
+// until the tail takes them — so a resident block costs its index entry, 4
+// bytes, and little more; a server cache takes each writeback run as one
+// extent.
 //
 // Nodes live by value in Cache.nodes and are referred to by int32 slots
 // everywhere: the LRU list is intrusive (prev/next slot links, front =
@@ -894,8 +898,8 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	first, last := blockSpan(offset, length)
 	// The file's index is resolved once per call; admit replaces it when
 	// the eviction that made room released it. A missing block goes to the
-	// front as nb, clean. Blocks idx through absent are known not resident:
-	// nothing but the run that takes them puts them back.
+	// front as nb, clean. Blocks idx through absent are known to be absent:
+	// only the runs that take them make them resident.
 	fi := c.files[file]
 	nb := blockState{file: file, spare: -1}
 	absent := first - 1
@@ -917,10 +921,12 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		validEnd := min(fileSize-idx*BlockSize, BlockSize)
 		fetch := validEnd
 		if s < 0 {
-			if absent < idx {
-				absent = c.absentTo(fi, idx, last)
+			if idx < last {
+				if absent < idx {
+					absent = c.absentTo(fi, idx, last)
+				}
+				k = c.missRun(idx, absent)
 			}
-			k = c.missRun(idx, absent)
 			c.ensureRoom(1, now, &res.Evicted)
 			fi = c.admit(fi, file, last)
 			nb.idx, nb.vh = idx, int32(validEnd)
