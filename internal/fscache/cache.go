@@ -932,14 +932,7 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			nb.idx, nb.vh = idx, int32(validEnd)
 			f := c.place(fi, &nb, now)
 			if k > 1 {
-				// Every block of the run but its last is whole.
-				end := idx + k - 1
-				c.ensureRoom(int(k-1), now, &res.Evicted)
-				validEnd = min(fileSize-end*BlockSize, BlockSize)
-				c.extend(fi, f, idx+1, int32(k-1), int16(validEnd), 0)
-				fi.n += int(k - 1)
-				c.nblocks += int(k - 1)
-				fetch = (k-1)*BlockSize + validEnd
+				fetch = c.fillRun(fi, f, idx+1, k-1, fileSize, now, &res.Evicted)
 			}
 		} else {
 			vh := c.nd(s).valid(idx)
@@ -1041,6 +1034,19 @@ func (c *Cache) missRun(idx, end int64) int64 {
 		return 1
 	}
 	return k
+}
+
+// fillRun installs the k absent blocks from idx after the one before them,
+// which landed in front node f, evicting their victims first, and returns
+// the bytes the run fetches: every block of it but its last is whole.
+func (c *Cache) fillRun(fi *fileIndex, f int32, idx, k, fileSize int64, now time.Duration, out *[]Writeback) int64 {
+	end := idx + k - 1
+	c.ensureRoom(int(k), now, out)
+	validEnd := min(fileSize-end*BlockSize, BlockSize)
+	c.extend(fi, f, idx, int32(k), int16(validEnd), 0)
+	fi.n += int(k)
+	c.nblocks += int(k)
+	return k*BlockSize + validEnd
 }
 
 // extend joins the k blocks from idx, which follow node f's front-most, to
