@@ -932,7 +932,7 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 			nb.idx, nb.vh = idx, int32(validEnd)
 			f := c.place(fi, &nb, now)
 			if k > 1 {
-				fetch = c.fillRun(fi, f, idx+1, k-1, fileSize, now, &res.Evicted)
+				fetch += c.fillRun(fi, f, idx+1, k-1, fileSize, now, &res.Evicted)
 			}
 		} else {
 			vh := c.nd(s).valid(idx)
@@ -1025,12 +1025,17 @@ func (c *Cache) absentTo(fi *fileIndex, idx, last int64) int64 {
 // step: all of them, or one when they need evictions and the victim walk
 // could reach the run's own blocks. Evicting the victims of the blocks
 // after idx up front, before they are placed, takes the victims that
-// alternating takes only while at least cleanScanDepth other blocks remain
-// at every eviction. A run taken one block at a time shortens until that
+// alternating takes while every victim is an older block: while at least
+// cleanScanDepth older blocks remain at every eviction, more than the walk
+// passes, or while the older blocks hold a clean one for every eviction and
+// fewer than cleanScanDepth dirty ones, so that the walk stops at a clean
+// older block. The first holds when capacity-k is at least cleanScanDepth,
+// the second when it is at least the dirty blocks held and they are fewer
+// than cleanScanDepth. A run taken one block at a time shortens until one
 // holds.
 func (c *Cache) missRun(idx, end int64) int64 {
 	k := end - idx + 1
-	if c.nblocks+int(k) > c.capacity && k > int64(c.capacity-cleanScanDepth) {
+	if c.nblocks+int(k) > c.capacity && int64(c.capacity)-k < int64(min(cleanScanDepth, c.ndirty)) {
 		return 1
 	}
 	return k
@@ -1038,7 +1043,7 @@ func (c *Cache) missRun(idx, end int64) int64 {
 
 // fillRun installs the k absent blocks from idx after the one before them,
 // which landed in front node f, evicting their victims first, and returns
-// the bytes the run fetches: every block of it but its last is whole.
+// the bytes they fetch: every one of them but the last is whole.
 func (c *Cache) fillRun(fi *fileIndex, f int32, idx, k, fileSize int64, now time.Duration, out *[]Writeback) int64 {
 	end := idx + k - 1
 	c.ensureRoom(int(k), now, out)
@@ -1046,7 +1051,7 @@ func (c *Cache) fillRun(fi *fileIndex, f int32, idx, k, fileSize int64, now time
 	c.extend(fi, f, idx, int32(k), int16(validEnd), 0)
 	fi.n += int(k)
 	c.nblocks += int(k)
-	return k*BlockSize + validEnd
+	return (k-1)*BlockSize + validEnd
 }
 
 // extend joins the k blocks from idx, which follow node f's front-most, to

@@ -757,12 +757,15 @@ const (
 	frontJoinRun        // a request's first run, whose first block joins the front node
 	tightColdRun        // a cold run that needs evictions with capacity-k < cleanScanDepth
 	roomyColdRun        // a cold run that needs evictions with capacity-k >= cleanScanDepth
+	cleanColdRun        // a tight cold run with capacity-k >= the dirty blocks held: one step
+	reachColdRun        // a tight cold run with capacity-k < the dirty blocks held: a block at a time
 	numReadRuns
 )
 
 var readRunNames = [numReadRuns]string{
 	"a whole node read again", "a sub-range inside a node read again", "a run joining the front node",
 	"a cold run evicting with capacity-k < cleanScanDepth", "a cold run evicting with capacity-k >= cleanScanDepth",
+	"a tight cold run evicting with capacity-k >= the dirty blocks", "a tight cold run evicting with capacity-k < the dirty blocks",
 }
 
 // classifyRead counts the shapes of run a read of [offset, offset+length)
@@ -792,6 +795,11 @@ func (d *lockstep) classifyRead(file uint64, offset, length int64) {
 			if k > 1 && held+k > c.capacity {
 				if c.capacity-k < cleanScanDepth {
 					d.runs[tightColdRun]++
+					if c.capacity-k >= c.ndirty {
+						d.runs[cleanColdRun]++
+					} else {
+						d.runs[reachColdRun]++
+					}
 				} else {
 					d.runs[roomyColdRun]++
 				}
