@@ -1,7 +1,6 @@
 package fscache
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -28,18 +27,25 @@ func BenchmarkReadMissCycle(b *testing.B) {
 }
 
 // BenchmarkReadRunEvict reads a fresh 64-block file per op into a full
-// cache, evicting the LRU file's 64 blocks: in a 4096-block cache the
-// victims are evicted up front and the run placed in one step; in a
-// 256-block cache the victim walk could reach the run's own blocks, so it
-// goes one block at a time.
+// cache, evicting 64 older blocks. In a clean 4096- or 256-block cache the
+// victims are evicted up front and the run placed in one step. In a
+// 256-block cache whose 200 oldest blocks are dirty, the victim walk
+// passes them and could reach the run's own blocks: the run's first 8
+// blocks go one at a time, and the 56 that then fit beside the dirty ones
+// in one step.
 func BenchmarkReadRunEvict(b *testing.B) {
 	const blocks = 64
 	const size = blocks * BlockSize
-	for _, capacity := range []int{4096, 256} {
-		b.Run(fmt.Sprintf("cache-%d", capacity), func(b *testing.B) {
-			c := New(capacity)
-			file := uint64(0)
-			for ; file < uint64(capacity/blocks); file++ {
+	for _, bc := range []struct {
+		name            string
+		capacity, dirty int
+	}{{"cache-4096", 4096, 0}, {"cache-256", 256, 0}, {"cache-256-dirty", 256, 200}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(bc.capacity)
+			file := uint64(1)
+			c.Write(file, 0, int64(bc.dirty)*BlockSize, 0, Attr{}, 0)
+			for c.NumBlocks() < bc.capacity {
+				file++
 				c.Read(file, 0, size, size, Attr{}, time.Duration(file))
 			}
 			b.ResetTimer()

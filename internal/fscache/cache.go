@@ -1022,17 +1022,15 @@ func (c *Cache) absentTo(fi *fileIndex, idx, last int64) int64 {
 }
 
 // missRun returns how many of the absent blocks idx through end go in one
-// step: all of them, or one when they need evictions and the victim walk
-// could reach the run's own blocks. Evicting the victims of the blocks
-// after idx up front, before they are placed, takes the victims that
-// alternating takes while every victim is an older block: while at least
-// cleanScanDepth older blocks remain at every eviction, more than the walk
-// passes, or while the older blocks hold a clean one for every eviction and
-// fewer than cleanScanDepth dirty ones, so that the walk stops at a clean
-// older block. The first holds when capacity-k is at least cleanScanDepth,
-// the second when it is at least the dirty blocks held and they are fewer
-// than cleanScanDepth. A run taken one block at a time shortens until one
-// holds.
+// step: all of them, unless they need evictions and the victim walk could
+// reach the run's own blocks, then one. Evicting the victims up front,
+// before the blocks after idx are placed, takes the victims alternating
+// would while every victim is an older block: while capacity-k is at least
+// cleanScanDepth, for the walk passes fewer blocks than the older ones that
+// remain, or at least the dirty blocks held, for the older blocks then hold
+// a clean one for every eviction, which the walk reaches first when the
+// dirty ones are fewer than cleanScanDepth. A run taken a block at a time
+// shortens until one holds.
 func (c *Cache) missRun(idx, end int64) int64 {
 	k := end - idx + 1
 	if c.nblocks+int(k) > c.capacity && int64(c.capacity)-k < int64(min(cleanScanDepth, c.ndirty)) {
