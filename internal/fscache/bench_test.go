@@ -27,12 +27,13 @@ func BenchmarkReadMissCycle(b *testing.B) {
 }
 
 // BenchmarkReadRunEvict reads a fresh 64-block file per op into a full
-// cache, evicting 64 older blocks. In a clean 4096- or 256-block cache the
-// victims are evicted up front and the run placed in one step. In a
-// 256-block cache whose 200 oldest blocks are dirty, the victim walk
-// passes them and could reach the run's own blocks: the run's first 8
-// blocks go one at a time, and the 56 that then fit beside the dirty ones
-// in one step.
+// cache, evicting 64 blocks. The cache is full, so fill places each block
+// of the run after one eviction, and the block joins the run's node: one
+// victim walk, admit and place per block. In a clean 4096- or 256-block
+// cache the victims are the older file's blocks at the tail. In a
+// 256-block cache whose 200 oldest blocks are dirty, the walk passes them
+// to the clean blocks behind: the older run's 56, then the run's own
+// first 8.
 func BenchmarkReadRunEvict(b *testing.B) {
 	const blocks = 64
 	const size = blocks * BlockSize

@@ -162,19 +162,20 @@ type Stats struct {
 // where joinsFront says that is exact — a read's or a write's blocks at one
 // instant become one node — and otherwise makes the block a node of its
 // own; a resident block is first taken out of its node by lift, which cuts
-// the node around it. A read's blocks reach the front as runs: once a run's
-// first block is placed, the rest of it — whole blocks, resident ones taken
-// from one node's tail end with that node's dirty state — extends the node
-// the first landed in, in one step (extend), which is what placing each
-// would do. Blocks leave the cache by drop, from one end of a node or with
-// the whole node: eviction takes one at a time from the tail end of the
-// tail node, a truncate the blocks past the cut. The cleaner turns a dirty
-// node clean whole, where it sits. So every victim, age and count is the
-// one a list of blocks gives. A client cache is overwhelmingly clean
-// stretches — a program's pages, read at boot in one call and left alone
-// until the tail takes them — so a resident block costs its index entry, 4
-// bytes, and little more; a server cache takes each writeback run as one
-// extent.
+// the node around it. A read's blocks reach the front as runs, and a block
+// that placing would join to the node before it extends that node instead
+// (extend), which is the same: a resident run's blocks after its first,
+// taken from one node's tail end with that node's dirty state, in one step;
+// an absent run's, which fill places one at a time where the cache is full
+// and extends by the whole blocks that fit after each. Blocks leave the
+// cache by drop, from one end of a node or with the whole node: eviction
+// takes one at a time from the tail end of the tail node, a truncate the
+// blocks past the cut. The cleaner turns a dirty node clean whole, where
+// it sits. So every victim, age and count is the one a list of blocks
+// gives. A client cache is overwhelmingly clean stretches — a program's
+// pages, read at boot in one call and left alone until the tail takes them
+// — so a resident block costs its index entry, 4 bytes, and little more; a
+// server cache takes each writeback run as one extent.
 //
 // Nodes live by value in Cache.nodes and are referred to by int32 slots
 // everywhere: the LRU list is intrusive (prev/next slot links, front =
@@ -790,14 +791,14 @@ func (c *Cache) noteCleaned(fi *fileIndex, file uint64, k int32) {
 // looks for a clean victim before giving up and evicting a dirty block.
 const cleanScanDepth = 512
 
-// evictOne removes the least-recently-used block to make room, returning a
-// writeback if it was dirty. Clean blocks near the LRU tail are preferred
-// — Sprite's cleaner normally retires dirty data long before it reaches
-// the tail, so dirty evictions are the rare forced case the paper notes
-// ("usually only clean blocks are replaced"): the victim is the first
-// clean block within cleanScanDepth positions of the tail, else the tail.
-// vmTake marks the eviction as a page handoff to the VM system rather than
-// replacement by file data.
+// evictOne removes the least-recently-used block of a cache that holds
+// one, to make room, returning a writeback if it was dirty. Clean blocks
+// near the LRU tail are preferred — Sprite's cleaner normally retires
+// dirty data long before it reaches the tail, so dirty evictions are the
+// rare forced case the paper notes ("usually only clean blocks are
+// replaced"): the victim is the first clean block within cleanScanDepth
+// positions of the tail, else the tail. vmTake marks the eviction as a
+// page handoff to the VM system rather than replacement by file data.
 //
 // The walk starts at the tail, walks nodes and counts blocks: the first
 // clean node it meets before it has passed cleanScanDepth blocks holds the
@@ -805,9 +806,6 @@ const cleanScanDepth = 512
 // write dirtied at one instant are one node — so the walk passes few nodes.
 func (c *Cache) evictOne(now time.Duration, vmTake bool) (Writeback, bool) {
 	s := c.lruBack
-	if s < 0 {
-		return Writeback{}, false
-	}
 	for cand, depth := s, int32(0); cand >= 0 && depth < cleanScanDepth; {
 		x := c.nd(cand)
 		if !x.dirty() {
@@ -852,16 +850,13 @@ func (c *Cache) makeWriteback(s int32, k int32, reason CleanReason, now time.Dur
 	return Writeback{File: x.file, Block: x.first, Bytes: bytes, Age: age, N: k, Reason: reason}
 }
 
-// ensureRoom evicts until n new blocks can be inserted, appending any dirty
-// writebacks to out.
-func (c *Cache) ensureRoom(n int, now time.Duration, out *[]Writeback) {
-	for c.nblocks+n > c.capacity {
-		wb, dirty := c.evictOne(now, false)
-		if dirty {
+// evictTo evicts LRU victims until at most limit blocks are resident,
+// appending the dirty ones' writebacks to out. A miss evicts to capacity-1,
+// which is only ever one victim: no cache holds more than its capacity.
+func (c *Cache) evictTo(limit int, vmTake bool, now time.Duration, out *[]Writeback) {
+	for c.nblocks > limit {
+		if wb, dirty := c.evictOne(now, vmTake); dirty {
 			*out = append(*out, wb)
-		}
-		if c.lruBack < 0 && c.nblocks+n > c.capacity {
-			return // capacity zero-ish; nothing more to do
 		}
 	}
 }
@@ -880,11 +875,11 @@ func blockSpan(offset, length int64) (first, last int64) {
 // beyond fileSize are a programming error and panic; the client layer
 // clamps application reads to the file size first.
 //
-// The request goes as runs of blocks, each in one step: resident blocks of
-// one node that hold the bytes asked of them (hitRun), or absent blocks
-// (missRun). The first block of a run goes through the per-block step —
-// touch, or ensureRoom, admit and place — and the others extend the node it
-// lands in, which is what place does with each of them in turn.
+// The request goes as runs of blocks: resident blocks of one node that hold
+// the bytes asked of them (hitRun), whose first block is touched and the
+// rest of which extend the node it lands in, in one step; or absent blocks
+// (absentTo), which fill installs as per-block placement would, a stretch
+// of them at a time between evictions.
 func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now time.Duration) ReadResult {
 	var res ReadResult
 	if length <= 0 {
@@ -896,13 +891,9 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 	res.MissRuns = c.runScratch[:0]
 	res.Evicted = c.wbScratch[:0]
 	first, last := blockSpan(offset, length)
-	// The file's index is resolved once per call; admit replaces it when
-	// the eviction that made room released it. A missing block goes to the
-	// front as nb, clean. Blocks idx through absent are known to be absent:
-	// only the runs that take them make them resident.
+	// The file's index is resolved once per call; fill replaces it when the
+	// eviction that made room released it.
 	fi := c.files[file]
-	nb := blockState{file: file, spare: -1}
-	absent := first - 1
 	for idx := first; idx <= last; {
 		s := int32(-1)
 		if fi != nil {
@@ -918,23 +909,13 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		// past its watermark — all of them when it is absent, the rest when
 		// it is partially valid.
 		k := int64(1)
-		validEnd := min(fileSize-idx*BlockSize, BlockSize)
-		fetch := validEnd
+		var fetch int64
 		if s < 0 {
-			if idx < last {
-				if absent < idx {
-					absent = c.absentTo(fi, idx, last)
-				}
-				k = c.missRun(idx, absent)
-			}
-			c.ensureRoom(1, now, &res.Evicted)
-			fi = c.admit(fi, file, last)
-			nb.idx, nb.vh = idx, int32(validEnd)
-			f := c.place(fi, &nb, now)
-			if k > 1 {
-				fetch += c.fillRun(fi, f, idx+1, k-1, fileSize, now, &res.Evicted)
-			}
+			end := c.absentTo(fi, idx, last)
+			fi, fetch = c.fill(fi, file, idx, end, last, fileSize, now, &res.Evicted)
+			k = end - idx + 1
 		} else {
+			validEnd := min(fileSize-idx*BlockSize, BlockSize)
 			vh := c.nd(s).valid(idx)
 			x := c.nd(c.touch(fi, s, idx, now))
 			fetch = max(validEnd-int64(vh), 0)
@@ -945,19 +926,15 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		res.MissBytes += fetch
 		res.MissBlocks += int(k)
 		res.MissRuns = appendRun(res.MissRuns, idx, k)
-		// Sequential prefetch (ablation): pull the following blocks too. A
-		// miss is one block long here (missRun).
+		// Sequential prefetch (ablation): pull the following blocks too, a
+		// block at a time. A miss is one block long here (absentTo).
 		for p := int64(1); p <= int64(c.prefetch); p++ {
 			pi := idx + p
 			if pi*BlockSize >= fileSize || fi.get(pi) >= 0 {
 				break
 			}
-			c.ensureRoom(1, now, &res.Evicted)
-			end := min(fileSize-pi*BlockSize, BlockSize)
-			fi = c.admit(fi, file, pi)
-			nb.idx, nb.vh = pi, int32(end)
-			c.place(fi, &nb, now)
-			res.MissBytes += end
+			fi, fetch = c.fill(fi, file, pi, pi, pi, fileSize, now, &res.Evicted)
+			res.MissBytes += fetch
 			res.MissBlocks++
 			res.MissRuns = appendRun(res.MissRuns, pi, 1)
 		}
@@ -1021,35 +998,38 @@ func (c *Cache) absentTo(fi *fileIndex, idx, last int64) int64 {
 	return end
 }
 
-// missRun returns how many of the absent blocks idx through end go in one
-// step: all of them, unless they need evictions and the victim walk could
-// reach the run's own blocks, then one. Evicting the victims up front,
-// before the blocks after idx are placed, takes the victims alternating
-// would while every victim is an older block: while capacity-k is at least
-// cleanScanDepth, for the walk passes fewer blocks than the older ones that
-// remain, or at least the dirty blocks held, for the older blocks then hold
-// a clean one for every eviction, which the walk reaches first when the
-// dirty ones are fewer than cleanScanDepth. A run taken a block at a time
-// shortens until one holds.
-func (c *Cache) missRun(idx, end int64) int64 {
-	k := end - idx + 1
-	if c.nblocks+int(k) > c.capacity && int64(c.capacity)-k < int64(min(cleanScanDepth, c.ndirty)) {
-		return 1
-	}
-	return k
-}
-
-// fillRun installs the k absent blocks from idx after the one before them,
-// which landed in front node f, evicting their victims first, and returns
-// the bytes they fetch: every one of them but the last is whole.
-func (c *Cache) fillRun(fi *fileIndex, f int32, idx, k, fileSize int64, now time.Duration, out *[]Writeback) int64 {
-	end := idx + k - 1
-	c.ensureRoom(int(k), now, out)
+// fill installs the absent blocks idx through end of fi's file, of a
+// request that inserts blocks up to last, as placing each in turn does: a
+// block evicts only when the cache is full, is admitted and placed, and the
+// blocks after it that then fit without an eviction extend its node at
+// once. So every eviction falls where the per-block step makes it, and the
+// victims, ages, counts and node slots are its own. Every block but end is
+// whole. It returns the file's index, which admit may replace, and the
+// bytes the blocks fetch.
+func (c *Cache) fill(fi *fileIndex, file uint64, idx, end, last, fileSize int64, now time.Duration, out *[]Writeback) (*fileIndex, int64) {
 	validEnd := min(fileSize-end*BlockSize, BlockSize)
-	c.extend(fi, f, idx, int32(k), int16(validEnd), 0)
-	fi.n += int(k)
-	c.nblocks += int(k)
-	return (k-1)*BlockSize + validEnd
+	b := blockState{file: file, spare: -1, vh: BlockSize}
+	for j := idx; j <= end; {
+		c.evictTo(c.capacity-1, false, now, out)
+		fi = c.admit(fi, file, last)
+		if j == end {
+			b.vh = int32(validEnd)
+		}
+		b.idx = j
+		f := c.place(fi, &b, now)
+		j++
+		if k := min(end-j+1, int64(c.capacity-c.nblocks)); k > 0 {
+			vh := int16(BlockSize)
+			if j+k > end {
+				vh = int16(validEnd)
+			}
+			c.extend(fi, f, j, int32(k), vh, 0)
+			fi.n += int(k)
+			c.nblocks += int(k)
+			j += k
+		}
+	}
+	return fi, (end-idx)*BlockSize + validEnd
 }
 
 // extend joins the k blocks from idx, which follow node f's front-most, to
@@ -1124,7 +1104,7 @@ func (c *Cache) Write(file uint64, offset, length, fileSizeBefore int64, attr At
 				res.FetchRuns = appendRun(res.FetchRuns, idx, 1)
 				b.vh = int32(existingEnd)
 			}
-			c.ensureRoom(1, now, &res.Evicted)
+			c.evictTo(c.capacity-1, false, now, &res.Evicted)
 			fi = c.admit(fi, file, last)
 		}
 		c.noteWrite(fi, &b, int32(hi), now) // hi is at least 1: the block is left dirty

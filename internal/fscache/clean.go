@@ -266,11 +266,6 @@ func (c *Cache) SetCapacity(blocks int, vmTake bool, now time.Duration) []Writeb
 	}
 	c.capacity = blocks
 	var out []Writeback
-	for c.nblocks > c.capacity {
-		wb, dirty := c.evictOne(now, vmTake)
-		if dirty {
-			out = append(out, wb)
-		}
-	}
+	c.evictTo(blocks, vmTake, now, &out)
 	return out
 }

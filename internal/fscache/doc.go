@@ -24,11 +24,13 @@
 // (splitting or shortening it), a block is placed at the front (extending
 // the front stretch where that is exact), or blocks are dropped from one
 // end of a stretch or with all of it — eviction a block at a time from the
-// tail, a truncate past its cut. A read's blocks reach the front as runs,
-// absent blocks or resident blocks of one stretch: the first of a run is
-// placed and the rest extend the stretch it landed in, in one step. So
-// victims, ages and counts are the per-block ones: a run's Cleaned count
-// and CleanAge samples are its blocks'. Replacement walks from the LRU tail for a clean victim, a node
+// tail, a truncate past its cut. A read's blocks reach the front as runs:
+// resident blocks of one stretch go in one step, the first placed and the
+// rest extending the stretch it landed in; absent blocks are placed one at
+// a time where each needs an eviction, and the ones that fit without one
+// extend the stretch at once. So victims, ages and counts are the
+// per-block ones: a run's Cleaned count and CleanAge samples are its
+// blocks'. Replacement walks from the LRU tail for a clean victim, a node
 // at a time, and stops within cleanScanDepth blocks; a cleaner tick
 // returns at once while the cache's oldest dirty block cannot be due and
 // otherwise scans every dirty file's nodes, which leaves that bound exact;
