@@ -245,11 +245,13 @@ func TestWriteCycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReadRunZeroAlloc pins the two shapes of read run in steady state: a
-// resident 64-block node read again at a later instant, and a cold 64-block
+// TestReadRunZeroAlloc pins the shapes of read run in steady state: a
+// resident 64-block node read again at a later instant; a cold 64-block
 // read into a full 4096-block cache, which evicts the LRU file's 64 blocks
-// to make room. Each read allocates nothing once the nodes, the recycled
-// file indexes and the scratch buffers reach their high-water marks.
+// to make room; and a cold 64-block read into a full 256-block cache whose
+// 200 oldest blocks are dirty, whose later blocks evict its own earlier
+// ones. Each read allocates nothing once the nodes, the recycled file
+// indexes and the scratch buffers reach their high-water marks.
 func TestReadRunZeroAlloc(t *testing.T) {
 	const blocks, capacity = 64, 4096
 	const size = blocks * BlockSize
@@ -286,6 +288,32 @@ func TestReadRunZeroAlloc(t *testing.T) {
 		t.Fatalf("a cold run evicting in a full cache allocated %.1f/op in steady state, want 0", allocs)
 	}
 	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The victim walk passes the 200 dirty blocks at the tail, so a run's
+	// first 56 blocks take the clean ones behind them, the last run's, and
+	// its last 8 take its own first 8.
+	const small, dirty = 256, 200
+	d := New(small)
+	d.Write(0, 0, dirty*BlockSize, 0, noAttr, now)
+	pastDirty := func() {
+		now += time.Millisecond
+		file++
+		res := d.Read(file, 0, size, size, noAttr, now)
+		if res.MissBlocks != blocks || len(res.Evicted) != 0 || d.NumBlocks() != small {
+			t.Fatalf("cold read of file %d missed %d blocks, wrote back %d and left %d resident",
+				file, res.MissBlocks, len(res.Evicted), d.NumBlocks())
+		}
+		if d.Contains(file, 7) || !d.Contains(file, 8) || d.DirtyBytes() != dirty*BlockSize {
+			t.Fatalf("cold read of file %d did not evict its own first 8 blocks alone", file)
+		}
+	}
+	pastDirty()
+	if allocs := testing.AllocsPerRun(100, pastDirty); allocs != 0 {
+		t.Fatalf("a cold run evicting its own blocks past dirty ones allocated %.1f/op in steady state, want 0", allocs)
+	}
+	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

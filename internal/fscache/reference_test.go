@@ -504,7 +504,7 @@ func (d *lockstep) sameWritebacks(name string, got, want []Writeback) {
 func (d *lockstep) read(file uint64, offset, length int64, attr Attr) {
 	// The file holds at least what is read of it.
 	d.size[file] = max(d.size[file], offset+length)
-	d.classifyRead(file, offset, length)
+	lo, hi := d.classifyRead(file, offset, length)
 	d.what = fmt.Sprintf("Read(%d, %d, %d, size %d, %+v, now %d)", file, offset, length, d.size[file], attr, d.now)
 	got := d.c.Read(file, offset, length, d.size[file], attr, d.now)
 	want := d.r.Read(file, offset, length, d.size[file], attr, d.now)
@@ -512,6 +512,7 @@ func (d *lockstep) read(file uint64, offset, length int64, attr Attr) {
 		d.failf("result\n  cache: %+v\n  ref:   %+v", got, want)
 	}
 	d.sameWritebacks("evicted", got.Evicted, want.Evicted)
+	d.selfEvicted(file, lo, hi)
 	d.c.AddMissBytes(attr, got.MissBytes)
 	d.r.AddMissBytes(attr, want.MissBytes)
 }
@@ -750,32 +751,33 @@ func (d *lockstep) stretch() {
 
 // The shapes of read run the streams must reach (coverage). A run is two or
 // more consecutive blocks of one request that are all absent, or all
-// resident in one node and covered; Read moves each in one step.
+// resident in one node and covered; Read moves each in one step, or, when
+// absent blocks need evictions, a stretch of them at a time (fill).
 const (
 	wholeNodeRun = iota // a whole resident node read at a later instant
 	midNodeRun          // a sub-range strictly inside a node, which splits it
 	frontJoinRun        // a request's first run, whose first block joins the front node
-	tightColdRun        // a cold run that needs evictions with capacity-k < cleanScanDepth
-	roomyColdRun        // a cold run that needs evictions with capacity-k >= cleanScanDepth
-	cleanColdRun        // a tight cold run with capacity-k >= the dirty blocks held: one step
-	reachColdRun        // a tight cold run with capacity-k < the dirty blocks held: a block at a time
+	partColdRun         // a cold run that fills the cache part-way: a stretch in one step, then a block at a time
+	selfColdRun         // a cold run the cache could hold whose later blocks evict its own earlier ones
 	numReadRuns
 )
 
 var readRunNames = [numReadRuns]string{
 	"a whole node read again", "a sub-range inside a node read again", "a run joining the front node",
-	"a cold run evicting with capacity-k < cleanScanDepth", "a cold run evicting with capacity-k >= cleanScanDepth",
-	"a tight cold run evicting with capacity-k >= the dirty blocks", "a tight cold run evicting with capacity-k < the dirty blocks",
+	"a cold run filling the cache part-way", "a cold run evicting its own blocks past dirty ones",
 }
 
 // classifyRead counts the shapes of run a read of [offset, offset+length)
 // of file takes, classified from the cache as it stands before the read:
 // blocks a run of the request evicts are not seen to go, and the blocks
-// the earlier runs add count toward a later run's evictions.
-func (d *lockstep) classifyRead(file uint64, offset, length int64) {
+// the earlier runs add count toward a later run's evictions. It returns the
+// request's last absent stretch, lo through hi, for selfEvicted (hi < lo
+// when there is none).
+func (d *lockstep) classifyRead(file uint64, offset, length int64) (lo, hi int64) {
 	c := d.c
+	lo, hi = 0, -1
 	if length <= 0 || c.prefetch > 0 {
-		return
+		return lo, hi
 	}
 	first, last := blockSpan(offset, length)
 	fi := c.files[file]
@@ -791,18 +793,10 @@ func (d *lockstep) classifyRead(file uint64, offset, length int64) {
 			for end < last && end+1 < fiDenseMax && (fi == nil || fi.get(end+1) < 0) {
 				end++
 			}
+			lo, hi = idx, end
 			k := int(end - idx + 1)
-			if k > 1 && held+k > c.capacity {
-				if c.capacity-k < cleanScanDepth {
-					d.runs[tightColdRun]++
-					if c.capacity-k >= c.ndirty {
-						d.runs[cleanColdRun]++
-					} else {
-						d.runs[reachColdRun]++
-					}
-				} else {
-					d.runs[roomyColdRun]++
-				}
+			if k > 1 && held+1 < c.capacity && held+k > c.capacity {
+				d.runs[partColdRun]++
 			}
 			held = min(held+k, c.capacity)
 			if k > 1 && idx == first && c.joinsFront(&blockState{file: file, idx: idx, spare: -1, vh: BlockSize}, d.now) {
@@ -832,6 +826,21 @@ func (d *lockstep) classifyRead(file uint64, offset, length int64) {
 			}
 		}
 		idx = end + 1
+	}
+	return lo, hi
+}
+
+// selfEvicted counts the request's last absent stretch, lo through hi, of
+// file, read just now, as a run that evicted its own blocks when it is two
+// blocks or more, the cache could hold it whole, and one of them is gone:
+// nothing after the last stretch evicts, so the victim walk passed dirty
+// blocks to take it.
+func (d *lockstep) selfEvicted(file uint64, lo, hi int64) {
+	for j := lo; j <= hi && hi > lo && hi-lo < int64(d.r.capacity); j++ {
+		if !d.r.Contains(file, j) {
+			d.runs[selfColdRun]++
+			return
+		}
 	}
 }
 
@@ -1182,10 +1191,7 @@ func arenaHash(c *Cache) uint64 {
 }
 
 func TestCacheMatchesReference(t *testing.T) {
-	seeds := 300
-	if testing.Short() {
-		seeds = 50
-	}
+	const seeds = 300
 	var ops, dirtyVictims, cappedVictims int
 	var reached [numStretchOps]int
 	var runs [numReadRuns]int
