@@ -14,11 +14,11 @@ import (
 // The burst walks the bootstrap registry, so a change to how the registry
 // stores or lists its files must leave this sequence where it is.
 func TestBackupRecordsPinned(t *testing.T) {
-	c := runShort(t, 1, time.Hour)
+	_, recs := runSunk(t, 1, time.Hour, 2)
 	h := fnv.New64a()
 	var buf [8 + 8 + 2]byte
 	n := 0
-	for _, r := range c.Trace() {
+	for _, r := range recs {
 		if r.Flags&trace.FlagSelfTrace == 0 {
 			continue
 		}

@@ -33,9 +33,29 @@ func runShort(t *testing.T, seed int64, d time.Duration) *Cluster {
 	return c
 }
 
+// runSunk is runShort at the given server count, with a TraceSink that
+// keeps every record the cluster emits, in emission order.
+func runSunk(t *testing.T, seed int64, d time.Duration, servers int) (*Cluster, []trace.Record) {
+	t.Helper()
+	var recs []trace.Record
+	cfg := DefaultConfig(shortParams(seed))
+	cfg.NumServers = servers
+	cfg.TraceSink = func(r trace.Record) { recs = append(recs, r) }
+	c := New(cfg)
+	c.Run(d)
+	return c, recs
+}
+
 func TestClusterEndToEnd(t *testing.T) {
 	c := runShort(t, 1, 2*time.Hour)
-	recs := c.Trace()
+	var recs []trace.Record
+	for _, s := range c.PerServerStreams() {
+		part, err := trace.Collect(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, part...)
+	}
 	if len(recs) < 500 {
 		t.Fatalf("only %d trace records", len(recs))
 	}
@@ -182,9 +202,9 @@ func TestClusterCountersProduceSection5Tables(t *testing.T) {
 
 func TestClusterDeterminism(t *testing.T) {
 	runOnce := func() (int, int64) {
-		c := runShort(t, 4, time.Hour)
+		c, recs := runSunk(t, 4, time.Hour, 2)
 		total := c.Net.Total()
-		return len(c.Trace()), total.TotalBytes()
+		return len(recs), total.TotalBytes()
 	}
 	n1, b1 := runOnce()
 	n2, b2 := runOnce()
@@ -218,8 +238,38 @@ func TestTraceSinkReceivesRecords(t *testing.T) {
 	if n == 0 {
 		t.Error("sink received nothing")
 	}
-	if len(c.Trace()) != 0 {
-		t.Error("records buffered despite sink")
+	for i, s := range c.PerServerStreams() {
+		if recs, err := trace.Collect(s); err != nil || len(recs) != 0 {
+			t.Errorf("server %d: %d records buffered despite sink (%v)", i, len(recs), err)
+		}
+	}
+}
+
+// TestEmittedRecordsNameAServer: every record a traced cluster emits names
+// one of its servers — a client op its file's, the backup noise its
+// file's, a migration marker server 0 — at every server count, so a
+// per-server trace file needs no rule for a record that names none.
+func TestEmittedRecordsNameAServer(t *testing.T) {
+	for _, servers := range []int{1, 2, 4} {
+		_, recs := runSunk(t, 3, 3*time.Hour, servers)
+		var ops, backup, migrate int
+		for i, r := range recs {
+			if r.Server < 0 || int(r.Server) >= servers {
+				t.Fatalf("%d servers: record %d names server %d: %+v", servers, i, r.Server, r)
+			}
+			switch {
+			case r.Kind == trace.KindMigrate:
+				migrate++
+			case r.Flags&trace.FlagSelfTrace != 0:
+				backup++
+			default:
+				ops++
+			}
+		}
+		if ops == 0 || backup == 0 || migrate == 0 {
+			t.Errorf("%d servers: %d client ops, %d backup reads, %d migration markers; want some of each",
+				servers, ops, backup, migrate)
+		}
 	}
 }
 

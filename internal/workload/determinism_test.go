@@ -18,15 +18,17 @@ import (
 	"spritefs/internal/workload"
 )
 
-// runTrace runs a small community and returns its collected trace.
+// runTrace runs a small community and returns its trace in emission order.
 func runTrace(t *testing.T, p workload.Params, hours float64) []trace.Record {
 	t.Helper()
+	var recs []trace.Record
 	cfg := cluster.DefaultConfig(p)
 	cfg.SamplePeriod = 0
 	cfg.NumServers = 2
+	cfg.TraceSink = func(r trace.Record) { recs = append(recs, r) }
 	c := cluster.New(cfg)
 	c.Run(time.Duration(hours * float64(time.Hour)))
-	return c.Trace()
+	return recs
 }
 
 func smallParams(seed int64) workload.Params {
