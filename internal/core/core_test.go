@@ -161,7 +161,8 @@ func TestAnalyzeTraceIsRunTracesAnalysisHalf(t *testing.T) {
 // BenchmarkAnalyzeTrace times the Section 4 pipeline, every analyzer and
 // the consistency simulations, over one captured two-hour trace of a
 // ten-workstation community, the way the paper's post-processing scanned
-// its trace files.
+// its trace files: merged from the per-server streams, backup noise
+// scrubbed, which is the stream the pipeline sees.
 func BenchmarkAnalyzeTrace(b *testing.B) {
 	p := workload.Default(2)
 	p.NumClients, p.DailyUsers, p.OccasionalUsers = 10, 8, 8
@@ -169,7 +170,10 @@ func BenchmarkAnalyzeTrace(b *testing.B) {
 	cfg.NumServers = 2
 	c := cluster.New(cfg)
 	c.Run(2 * time.Hour)
-	recs := c.Trace()
+	recs, err := trace.Collect(trace.Merge(c.PerServerStreams()...))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := AnalyzeTrace(0, 2, trace.NewSliceStream(recs)); err != nil {
