@@ -60,7 +60,8 @@ func run(traceNum int, hours float64, out string, servers int, stdout io.Writer)
 	cfg.NumServers = servers
 	cfg.SamplePeriod = 0
 
-	// One writer per server, fed through the trace sink.
+	// One writer per server, fed through the trace sink: every record
+	// names the server whose file it goes to.
 	files := make([]*os.File, servers)
 	writers := make([]*trace.Writer, servers)
 	for i := range writers {
@@ -77,11 +78,7 @@ func run(traceNum int, hours float64, out string, servers int, stdout io.Writer)
 		files[i], writers[i] = f, w
 	}
 	cfg.TraceSink = func(rec trace.Record) {
-		idx := int(rec.Server)
-		if idx < 0 || idx >= servers {
-			idx = 0
-		}
-		if err := writers[idx].Write(&rec); err != nil {
+		if err := writers[rec.Server].Write(&rec); err != nil {
 			fmt.Fprintln(os.Stderr, "tracegen: write:", err)
 			os.Exit(1)
 		}

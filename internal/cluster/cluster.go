@@ -38,9 +38,10 @@ type Config struct {
 	// CollectTrace enables trace-record collection (Section 4 study).
 	CollectTrace bool
 	// TraceSink, when set with CollectTrace, receives records instead of
-	// the in-memory buffer, in emission order (time order), backup noise
+	// the per-server buffers, in emission order (time order), backup noise
 	// included: cmd/tracegen writes per-server files, and core's traced
 	// runs stream the records to their analysis while the cluster runs.
+	// Every record names one of the cluster's servers.
 	TraceSink func(trace.Record)
 	// SamplePeriod is the counter-sampling interval on the virtual clock
 	// (zero disables): the paper's user-level process read the counters
@@ -107,9 +108,11 @@ type Cluster struct {
 	// route is ServerFor bound once, so every client shares one func value.
 	route func(uint64) *server.Server
 
-	recs    []trace.Record
-	sink    func(trace.Record)
-	tracing bool
+	// emit takes each record while tracing is on (nil when it is off):
+	// Cfg.TraceSink, or a filing into traces, one buffer per server, which
+	// PerServerStreams reads.
+	emit   func(trace.Record)
+	traces [][]trace.Record
 
 	tickers []*sim.Ticker
 	// running is set between StartDaemons and Finish: a workstation added
@@ -135,8 +138,14 @@ func NewSystem(cfg Config) *Cluster {
 		Net: netsim.New(netsim.DefaultConfig()),
 	}
 	c.route = c.ServerFor
-	c.tracing = cfg.CollectTrace
-	c.sink = cfg.TraceSink
+	c.traces = make([][]trace.Record, cfg.NumServers)
+	switch {
+	case !cfg.CollectTrace:
+	case cfg.TraceSink != nil:
+		c.emit = cfg.TraceSink
+	default:
+		c.emit = func(r trace.Record) { c.traces[r.Server] = append(c.traces[r.Server], r) }
+	}
 	for i := 0; i < cfg.NumServers; i++ {
 		srv := server.New(int16(i))
 		// The main server (a Sun 4 with 128 MB) carries most traffic; the
@@ -287,17 +296,12 @@ func (c *Cluster) ClientByID(id int32) *client.Client {
 	return nil
 }
 
-// Emit implements client.Tracer: records flow to the sink or buffer while
-// tracing is enabled.
+// Emit implements client.Tracer: while tracing is enabled, a record goes
+// to the sink, or to the buffer of the server it names.
 func (c *Cluster) Emit(rec trace.Record) {
-	if !c.tracing {
-		return
+	if c.emit != nil {
+		c.emit(rec)
 	}
-	if c.sink != nil {
-		c.sink(rec)
-		return
-	}
-	c.recs = append(c.recs, rec)
 }
 
 // RecallFrom implements client.Coordinator.
@@ -328,9 +332,6 @@ func (c *Cluster) FileServers() []*server.Server { return c.Servers }
 // Workstations implements faults.System.
 func (c *Cluster) Workstations() []*client.Client { return c.Clients }
 
-// Trace returns the collected records (empty when a sink was used).
-func (c *Cluster) Trace() []trace.Record { return c.recs }
-
 // Run executes the experiment for the given duration: cleaner daemons and
 // the sampler start, the community runs, and the clock advances
 // past the horizon until all activity drains.
@@ -352,7 +353,7 @@ const DrainTime = 10 * time.Minute
 // scale-out executor) pair it with Finish; Run wraps the whole sequence.
 func (c *Cluster) Start(duration time.Duration) {
 	c.StartDaemons()
-	if c.Cfg.Params.EmitBackupNoise && c.tracing {
+	if c.Cfg.Params.EmitBackupNoise && c.emit != nil {
 		c.scheduleBackups(duration)
 	}
 	c.Engine.Run(duration)
@@ -468,7 +469,7 @@ func (c *Cluster) scheduleBackups(duration time.Duration) {
 					Time:   now,
 					Kind:   trace.KindRead,
 					Flags:  trace.FlagSelfTrace,
-					Server: server.HomeOf(f),
+					Server: c.ServerFor(f).ID(),
 					Client: -1,
 					User:   -1,
 					File:   f,
@@ -479,33 +480,13 @@ func (c *Cluster) scheduleBackups(duration time.Duration) {
 	}
 }
 
-// PerServerStreams splits the collected trace by logging server, modelling
-// the paper's per-server trace files; merging them back with trace.Merge
-// reconstructs the analysis input.
+// PerServerStreams returns the buffered trace of each server, modelling
+// the paper's per-server trace files (empty when a sink was used); merging
+// them with trace.Merge reconstructs the analysis input.
 func (c *Cluster) PerServerStreams() []trace.Stream {
-	// Records naming a server this cluster does not have go to server 0's
-	// file. Count first, so each bucket is allocated once at its size.
-	bucket := func(r *trace.Record) int {
-		if idx := int(r.Server); idx >= 0 && idx < len(c.Servers) {
-			return idx
-		}
-		return 0
-	}
-	counts := make([]int, len(c.Servers))
-	for i := range c.recs {
-		counts[bucket(&c.recs[i])]++
-	}
-	buckets := make([][]trace.Record, len(c.Servers))
-	for i, n := range counts {
-		buckets[i] = make([]trace.Record, 0, n)
-	}
-	for i := range c.recs {
-		idx := bucket(&c.recs[i])
-		buckets[idx] = append(buckets[idx], c.recs[i])
-	}
-	out := make([]trace.Stream, len(buckets))
-	for i, b := range buckets {
-		out[i] = trace.NewSliceStream(b)
+	out := make([]trace.Stream, len(c.traces))
+	for i, recs := range c.traces {
+		out[i] = trace.NewSliceStream(recs)
 	}
 	return out
 }

@@ -21,17 +21,17 @@ const traceQueue = 8
 // capture streams a running cluster's trace, as its TraceSink, to an
 // analysis on another goroutine, in exactly the order
 // trace.Merge(cl.PerServerStreams()...) would yield it. The cluster emits
-// records in time order, and Merge's output is a stable sort of that by
-// (time, server bucket), backup noise scrubbed; so the capture scrubs, and
-// reorders each instant's records by server before they leave. A batch
+// records in time order, each naming one of its servers, and Merge's
+// output is a stable sort of that by (time, server), backup noise
+// scrubbed; so the capture scrubs, and reorders each instant's records by
+// server before they leave. A batch
 // ends only where the time changes. Batches are recycled through a free
 // list, so a long run allocates none in its steady state.
 //
 // The producer side (emit, and start's goroutine) and the consumer side
 // (Next, stop) each keep their own fields; they share only the channels.
 type capture struct {
-	servers int
-	batch   int
+	batch int
 
 	full chan []trace.Record // filled batches in order; closed when the run ends
 	free chan []trace.Record // emptied batches back to the producer
@@ -52,28 +52,16 @@ type capture struct {
 // the panic itself.
 var errRunPanicked = errors.New("core: the traced run panicked")
 
-// newCapture returns a capture for a cluster of servers file servers,
-// handing records over batch at a time.
-func newCapture(servers, batch int) *capture {
+// newCapture returns a capture that hands records over batch at a time.
+func newCapture(batch int) *capture {
 	return &capture{
-		servers: servers,
-		batch:   batch,
-		full:    make(chan []trace.Record, traceQueue),
+		batch: batch,
+		full:  make(chan []trace.Record, traceQueue),
 		// Room for every batch in circulation: the queued ones, the one
 		// being filled and the one being read.
 		free: make(chan []trace.Record, traceQueue+2),
 		cur:  make([]trace.Record, 0, batch),
 	}
-}
-
-// bucket is the per-server trace file a record lands in: its server, or
-// server 0's for a server the cluster does not have (PerServerStreams'
-// rule).
-func (c *capture) bucket(r *trace.Record) int {
-	if idx := int(r.Server); idx >= 0 && idx < c.servers {
-		return idx
-	}
-	return 0
 }
 
 // emit is the cluster's TraceSink.
@@ -100,7 +88,7 @@ func (c *capture) emit(r trace.Record) {
 func (c *capture) endInstant() {
 	if run := c.cur[c.instant:]; len(run) > 1 {
 		slices.SortStableFunc(run, func(a, b trace.Record) int {
-			return cmp.Compare(c.bucket(&a), c.bucket(&b))
+			return cmp.Compare(a.Server, b.Server)
 		})
 	}
 }

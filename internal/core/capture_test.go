@@ -12,8 +12,7 @@ import (
 	"spritefs/internal/workload"
 )
 
-// captureAll runs run on a capture of a servers-server cluster, batch
-// records at a time, and returns what the capture streamed.
+// captureAll runs run on a capture and returns what the capture streamed.
 func captureAll(t *testing.T, c *capture, run func()) []trace.Record {
 	t.Helper()
 	c.start(run)
@@ -64,7 +63,7 @@ func TestCaptureIsMerge(t *testing.T) {
 		}
 
 		var emitted []trace.Record
-		c := newCapture(cfg.NumServers, traceBatch)
+		c := newCapture(traceBatch)
 		cfg.TraceSink = func(r trace.Record) {
 			emitted = append(emitted, r)
 			c.emit(r)
@@ -74,7 +73,7 @@ func TestCaptureIsMerge(t *testing.T) {
 		if i := firstDiff(got, want); i >= 0 {
 			t.Errorf("trace %d: the capture's %d records first differ from Merge's %d at record %d", n, len(got), len(want), i)
 		}
-		one := newCapture(cfg.NumServers, 1)
+		one := newCapture(1)
 		got = captureAll(t, one, func() {
 			for _, r := range emitted {
 				one.emit(r)
@@ -87,14 +86,14 @@ func TestCaptureIsMerge(t *testing.T) {
 		// Count what the capture had to undo: scrubbed records, and
 		// records emitted after a later server's at the same instant.
 		var at time.Duration
-		top := 0 // the highest server bucket emitted at instant at
+		var top int16 // the highest server emitted at instant at
 		for i := range emitted {
 			r := &emitted[i]
 			if r.Flags&trace.FlagSelfTrace != 0 {
 				scrubbed++
 				continue
 			}
-			b := c.bucket(r)
+			b := r.Server
 			switch {
 			case r.Time != at:
 				at, top = r.Time, b
@@ -148,7 +147,7 @@ func TestStreamingLeavesNoGoroutine(t *testing.T) {
 // TestCaptureRecyclesBatches: however long the run, no more batches
 // circulate than the queue, the producer and the consumer hold at once.
 func TestCaptureRecyclesBatches(t *testing.T) {
-	c := newCapture(1, 4)
+	c := newCapture(4)
 	c.start(func() {
 		for i := 0; i < 10000; i++ {
 			c.emit(trace.Record{Time: time.Duration(i)})
@@ -173,7 +172,7 @@ func TestCaptureRecyclesBatches(t *testing.T) {
 // run finish, discarding the rest of its records; stop waits for it.
 func TestCaptureStopsEarly(t *testing.T) {
 	before := runtime.NumGoroutine()
-	c := newCapture(2, 1)
+	c := newCapture(1)
 	emitted := 0
 	c.start(func() {
 		for i := 0; i < 10*traceQueue; i++ {
@@ -204,7 +203,7 @@ func TestCaptureReraisesRunPanic(t *testing.T) {
 			c.emit(trace.Record{Time: 1})
 		},
 	} {
-		c := newCapture(1, traceBatch)
+		c := newCapture(traceBatch)
 		c.start(func() { run(c) })
 		if _, err := trace.Collect(c); !errors.Is(err, errRunPanicked) {
 			t.Errorf("%s: stream error = %v, want errRunPanicked", name, err)

@@ -94,7 +94,7 @@ func RunTrace(n int, opts TraceOptions) (*TraceResult, error) {
 // of the per-server trace files, and the scan after it, as one pass that
 // overlaps the run. It returns once run has.
 func streamTrace(cfg cluster.Config, n int, hours float64, run func(*cluster.Cluster)) (*TraceResult, error) {
-	c := newCapture(cfg.NumServers, traceBatch)
+	c := newCapture(traceBatch)
 	cfg.CollectTrace, cfg.TraceSink = true, c.emit
 	cl := cluster.New(cfg)
 	c.start(func() { run(cl) })

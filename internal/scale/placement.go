@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"spritefs/internal/server"
 	"spritefs/internal/sim"
 	"spritefs/internal/workload"
 )
@@ -111,10 +110,9 @@ const segSalt = 0xa24baed4963ee407
 
 // PlacedFile is one cross-segment visible artifact and its home.
 type PlacedFile struct {
-	Shard  int
-	Server int16
-	File   uint64
-	Size   int64
+	Shard int
+	File  uint64
+	Size  int64
 }
 
 // Placement maps the artifact catalog onto the topology by consistent
@@ -172,16 +170,12 @@ func buildPlacement(topo Topology, shards []*Shard) *Placement {
 			files := reg.GroupShared[k.group]
 			f = files[int(k.index)%len(files)]
 		}
-		srvIdx := int(server.HomeOf(f))
-		if srvIdx < 0 || srvIdx >= len(sh.C.Servers) {
-			srvIdx = 0
-		}
 		var size int64
-		if fl := sh.C.Servers[srvIdx].Lookup(f); fl != nil {
+		if fl := sh.C.ServerFor(f).Lookup(f); fl != nil {
 			size = fl.Size
 		}
 		p.bySite[site] = append(p.bySite[site], int32(len(p.homes)))
-		p.homes = append(p.homes, PlacedFile{Shard: shard, Server: int16(srvIdx), File: f, Size: size})
+		p.homes = append(p.homes, PlacedFile{Shard: shard, File: f, Size: size})
 	}
 	return p
 }

@@ -47,8 +47,6 @@ type Message struct {
 	Client int32
 	// File is the placed file operated on (destination shard's id space).
 	File uint64
-	// Server is the destination server within the target shard.
-	Server int16
 	// Bytes is the logical operation size (bytes read or written).
 	Bytes int64
 	// Payload is what this particular message carries across the

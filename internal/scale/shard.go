@@ -144,7 +144,6 @@ func (sh *Shard) issueRemote() {
 		To:     pf.Shard,
 		Client: client,
 		File:   pf.File,
-		Server: pf.Server,
 		Issued: now,
 	}
 	if sh.rng.Bool(cfg.ReadFrac) {
@@ -186,11 +185,7 @@ func (sh *Shard) deliver(m *Message) {
 // backbone after the service time has elapsed.
 func (sh *Shard) serve(m *Message) {
 	now := sh.C.Sim.Now()
-	srvIdx := int(m.Server)
-	if srvIdx < 0 || srvIdx >= len(sh.C.Servers) {
-		srvIdx = 0
-	}
-	srv := sh.C.Servers[srvIdx]
+	srv := sh.C.ServerFor(m.File)
 	var service time.Duration
 	if m.Kind == RemoteRead {
 		service += srv.ServeSpan(m.File, 0, m.Bytes, now)
@@ -211,7 +206,6 @@ func (sh *Shard) serve(m *Message) {
 		Op:      m.Kind,
 		Client:  m.Client,
 		File:    m.File,
-		Server:  m.Server,
 		Bytes:   m.Bytes,
 		Payload: payload,
 		Issued:  m.Issued,
