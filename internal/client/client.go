@@ -557,7 +557,7 @@ func (c *Client) Write(hid uint64, n int64) time.Duration {
 		if c.cfg.Consistency == ConsistencyPoll {
 			// "New data is written through to the server almost
 			// immediately in order to make it available to other clients."
-			lat += c.ship(c.Cache.Fsync(h.file, now))
+			lat += c.ship(c.Cache.Flush(h.file, fscache.CleanFsync, now))
 			if cur := srv.Lookup(h.file); cur != nil {
 				c.noteVersion(h.file, cur.Version)
 			}
@@ -612,7 +612,7 @@ func (c *Client) Fsync(hid uint64) time.Duration {
 	if h == nil {
 		return 0
 	}
-	return c.ship(c.Cache.Fsync(h.file, c.sim.Now()))
+	return c.ship(c.Cache.Flush(h.file, fscache.CleanFsync, c.sim.Now()))
 }
 
 // HasHandle reports whether hid names a live open-instance on this
@@ -724,7 +724,7 @@ func (c *Client) Truncate(user, proc int32, file uint64, migrated bool) {
 // FlushForRecall writes all dirty data for file back to the server (the
 // server recalled it for another client's open).
 func (c *Client) FlushForRecall(file uint64) {
-	c.ship(c.Cache.Recall(file, c.sim.Now()))
+	c.ship(c.Cache.Flush(file, fscache.CleanRecall, c.sim.Now()))
 }
 
 // DisableFor flushes and drops cached data for file and marks any local

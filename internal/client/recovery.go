@@ -165,7 +165,7 @@ func (c *Client) RecoverServer(srv *server.Server) RecoveryResult {
 		if c.route(file) != srv {
 			continue
 		}
-		wbs := c.Cache.RecoverFlush(file, now)
+		wbs := c.Cache.Flush(file, fscache.CleanRecover, now)
 		for _, wb := range wbs {
 			r.ReplayedBytes += wb.Bytes
 		}

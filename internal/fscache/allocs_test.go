@@ -39,7 +39,7 @@ func TestCleanSweepZeroAllocSteadyState(t *testing.T) {
 			t.Fatal("the sweep flushed a file dirty for one second")
 		}
 		// Flushed here, the young file turns dirty afresh next cycle.
-		c.Fsync(young, now)
+		c.Flush(young, CleanFsync, now)
 	}
 	// Warm-up: populate every index and scratch buffer once.
 	cycle()
@@ -51,17 +51,17 @@ func TestCleanSweepZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestFlushFileZeroAllocSteadyState pins the same property for the
-// synchronous flush paths (Fsync/Recall share flushFile).
+// synchronous flush path (Flush, whatever the reason).
 func TestFlushFileZeroAllocSteadyState(t *testing.T) {
 	c := New(64)
 	now := time.Duration(0)
 	c.Write(7, 0, BlockSize, 0, noAttr, now)
-	c.Fsync(7, now)
+	c.Flush(7, CleanFsync, now)
 
 	allocs := testing.AllocsPerRun(100, func() {
 		now += time.Second
 		c.Write(7, 0, BlockSize, 0, noAttr, now)
-		if wbs := c.Fsync(7, now); len(wbs) != 1 {
+		if wbs := c.Flush(7, CleanFsync, now); len(wbs) != 1 {
 			t.Fatalf("fsync returned %d writebacks, want 1", len(wbs))
 		}
 	})
@@ -223,7 +223,7 @@ func TestWriteCycleZeroAlloc(t *testing.T) {
 		}
 		now += time.Millisecond
 		c.Write(1, 2*BlockSize+10, 1, (blocks+1)*BlockSize, noAttr, now)
-		if wbs := c.Fsync(1, now); len(wbs) != 3 {
+		if wbs := c.Flush(1, CleanFsync, now); len(wbs) != 3 {
 			t.Fatalf("fsync of the extent split by the rewrite returned %d runs, want 3", len(wbs))
 		}
 		if c.Truncate(1, 0); c.Contains(1, 0) {

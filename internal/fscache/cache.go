@@ -356,7 +356,7 @@ type Cache struct {
 	wbScratch  []Writeback
 
 	// Reusable buffers for the cleaner-family paths. The slice returned by
-	// Clean/Fsync/Recall/RecoverFlush aliases cleanScratch and is valid
+	// Clean or Flush aliases cleanScratch and is valid
 	// until the next such call on this cache; every caller consumes (or
 	// ships) the batch before triggering another flush, which is what keeps
 	// steady-state sweeps allocation-free.

@@ -242,12 +242,12 @@ func TestTruncate(t *testing.T) {
 func TestFsyncAndRecall(t *testing.T) {
 	c := New(10)
 	c.Write(1, 0, 4096, 0, noAttr, sec(0))
-	wbs := c.Fsync(1, sec(1))
+	wbs := c.Flush(1, CleanFsync, sec(1))
 	if len(wbs) != 1 || wbs[0].Reason != CleanFsync {
 		t.Errorf("fsync: %+v", wbs)
 	}
 	c.Write(2, 0, 4096, 0, noAttr, sec(2))
-	wbs = c.Recall(2, sec(3))
+	wbs = c.Flush(2, CleanRecall, sec(3))
 	if len(wbs) != 1 || wbs[0].Reason != CleanRecall {
 		t.Errorf("recall: %+v", wbs)
 	}
@@ -259,7 +259,7 @@ func TestFsyncAndRecall(t *testing.T) {
 		t.Errorf("cleaned counters: %+v", st.Cleaned)
 	}
 	// Fsync of a clean file is a no-op.
-	if wbs := c.Fsync(1, sec(5)); len(wbs) != 0 {
+	if wbs := c.Flush(1, CleanFsync, sec(5)); len(wbs) != 0 {
 		t.Errorf("fsync of clean file: %v", wbs)
 	}
 }

@@ -52,7 +52,7 @@ func (c *Cache) WriteDelay() time.Duration {
 // be byte-identical across runs.
 //
 // The returned slice aliases a per-cache scratch buffer: it is valid
-// until the next Clean/Fsync/Recall/RecoverFlush on this cache.
+// until the next Clean or Flush on this cache.
 func (c *Cache) Clean(now time.Duration) []Writeback {
 	out := c.cleanScratch[:0]
 	delay := c.WriteDelay()
@@ -148,21 +148,14 @@ func (c *Cache) cleanFile(fi *fileIndex, reason CleanReason, now time.Duration, 
 	return out
 }
 
-// Fsync returns all dirty blocks of file for synchronous writeback
-// (the application invoked the fsync kernel call).
-func (c *Cache) Fsync(file uint64, now time.Duration) []Writeback {
-	return c.flushFile(file, CleanFsync, now)
-}
-
-// Recall returns all dirty blocks of file for immediate writeback because
-// the server needs the most recent data to supply to another client.
-func (c *Cache) Recall(file uint64, now time.Duration) []Writeback {
-	return c.flushFile(file, CleanRecall, now)
-}
-
-// flushFile cleans every dirty block of file. Like Clean, the returned
-// slice aliases the per-cache scratch buffer.
-func (c *Cache) flushFile(file uint64, reason CleanReason, now time.Duration) []Writeback {
+// Flush returns every dirty block of file for immediate writeback, for
+// reason: CleanFsync when the application invoked the fsync kernel call,
+// CleanRecall when the server needs the most recent data to supply to
+// another client, CleanRecover when the blocks are replayed to a restarted
+// server (the client half of Sprite's recovery protocol). The blocks stay
+// resident, clean. Like Clean, the returned slice aliases the per-cache
+// scratch buffer.
+func (c *Cache) Flush(file uint64, reason CleanReason, now time.Duration) []Writeback {
 	fi := c.files[file]
 	if fi == nil || fi.dirty == 0 {
 		return nil

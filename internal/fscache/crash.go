@@ -3,8 +3,8 @@
 // a workstation or server crash discards every resident block, and dirty
 // bytes that never reached stable storage are the "data at risk" the
 // paper's 30-second delayed-write policy bounds. DiscardAll measures that
-// loss; RecoverFlush is the client half of the Sprite recovery protocol
-// (replay dirty blocks to a restarted server); CheckInvariants is the
+// loss; Flush with CleanRecover is the client half of the Sprite recovery
+// protocol (replay dirty blocks to a restarted server); CheckInvariants is the
 // structural self-audit the fault-schedule harness runs after every
 // injected fault sequence.
 
@@ -88,14 +88,6 @@ func (c *Cache) DirtyFiles() []uint64 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// RecoverFlush returns all dirty blocks of file for replay to a restarted
-// server (the client half of Sprite's recovery protocol). Blocks become
-// clean; the writebacks are tagged CleanRecover so recovery traffic is
-// distinguishable from ordinary delayed writes in Table 9.
-func (c *Cache) RecoverFlush(file uint64, now time.Duration) []Writeback {
-	return c.flushFile(file, CleanRecover, now)
 }
 
 // CheckInvariants audits the cache's internal accounting: block counts,

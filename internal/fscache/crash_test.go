@@ -44,9 +44,9 @@ func TestDirtyFilesSortedAndRecoverFlush(t *testing.T) {
 	if len(got) != 2 || got[0] != 2 || got[1] != 9 {
 		t.Fatalf("DirtyFiles = %v, want [2 9]", got)
 	}
-	wbs := c.RecoverFlush(9, time.Second)
+	wbs := c.Flush(9, CleanRecover, time.Second)
 	if len(wbs) != 1 || wbs[0].Reason != CleanRecover || wbs[0].Bytes != 100 {
-		t.Fatalf("RecoverFlush = %+v", wbs)
+		t.Fatalf("Flush(CleanRecover) = %+v", wbs)
 	}
 	if c.FileDirty(9) {
 		t.Error("file 9 still dirty after recovery flush")

@@ -122,7 +122,7 @@ func TestReadRefreshesPartiallyValidBlock(t *testing.T) {
 	// fetch its tail when a read wants more of it.
 	c := New(16)
 	c.Write(1, 0, 1000, 0, Attr{}, 0) // block 0 valid to 1000
-	c.Fsync(1, 0)                     // clean it
+	c.Flush(1, CleanFsync, 0)         // clean it
 	// The file has grown to 3000 bytes at the server meanwhile.
 	res := c.Read(1, 0, 3000, 3000, Attr{}, sec(1))
 	if res.MissBytes != 2000 {

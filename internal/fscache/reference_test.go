@@ -20,8 +20,7 @@ import (
 //   - the cleaner looks at every resident block and, for each file (in
 //     ascending id) that has a block dirty for the writeback delay or
 //     longer, writes back all of that file's dirty blocks in ascending
-//     index; Fsync, Recall and RecoverFlush do the same for one file
-//     unconditionally;
+//     index; Flush does the same for one file unconditionally;
 //   - a block's delayed-write clock starts when it turns dirty and is not
 //     restarted by later writes; Delete, Invalidate, Truncate and a crash
 //     drop blocks without writeback.
@@ -278,16 +277,8 @@ func (r *refCache) Clean(now time.Duration) []Writeback {
 	return out
 }
 
-func (r *refCache) Fsync(file uint64, now time.Duration) []Writeback {
-	return r.flush(file, CleanFsync, now, nil)
-}
-
-func (r *refCache) Recall(file uint64, now time.Duration) []Writeback {
-	return r.flush(file, CleanRecall, now, nil)
-}
-
-func (r *refCache) RecoverFlush(file uint64, now time.Duration) []Writeback {
-	return r.flush(file, CleanRecover, now, nil)
+func (r *refCache) Flush(file uint64, reason CleanReason, now time.Duration) []Writeback {
+	return r.flush(file, reason, now, nil)
 }
 
 func (r *refCache) Invalidate(file uint64) int {
@@ -537,6 +528,11 @@ func (d *lockstep) truncate(file uint64, size int64) {
 	d.size[file] = min(d.size[file], size)
 }
 
+func (d *lockstep) flush(file uint64, reason CleanReason) {
+	d.what = fmt.Sprintf("Flush(%d, %v, now %d)", file, reason, d.now)
+	d.sameWritebacks("writebacks", d.c.Flush(file, reason, d.now), d.r.Flush(file, reason, d.now))
+}
+
 func (d *lockstep) invalidate(file uint64) {
 	d.what = fmt.Sprintf("Invalidate(%d)", file)
 	if got, want := d.c.Invalidate(file), d.r.Invalidate(file); got != want {
@@ -716,11 +712,9 @@ func (d *lockstep) stretch() {
 		file, size := d.burst()
 		d.now += refSteps[d.byte()%8]
 		if d.byte()&1 == 0 {
-			d.what = fmt.Sprintf("Fsync(%d, now %d)", file, d.now)
-			d.sameWritebacks("writebacks", d.c.Fsync(file, d.now), d.r.Fsync(file, d.now))
+			d.flush(file, CleanFsync)
 		} else {
-			d.what = fmt.Sprintf("Recall(%d, now %d)", file, d.now)
-			d.sameWritebacks("writebacks", d.c.Recall(file, d.now), d.r.Recall(file, d.now))
+			d.flush(file, CleanRecall)
 		}
 		d.write(file, d.inside(size), refLengths[int(d.byte())%len(refLengths)], d.attr())
 	case burstAtDepth:
@@ -1033,17 +1027,11 @@ func (d *lockstep) run() {
 			d.what = fmt.Sprintf("Clean(now %d)", d.now)
 			d.sameWritebacks("writebacks", d.c.Clean(d.now), d.r.Clean(d.now))
 		case c == 14:
-			file := d.file()
-			d.what = fmt.Sprintf("Fsync(%d, now %d)", file, d.now)
-			d.sameWritebacks("writebacks", d.c.Fsync(file, d.now), d.r.Fsync(file, d.now))
+			d.flush(d.file(), CleanFsync)
 		case c == 15:
-			file := d.file()
-			d.what = fmt.Sprintf("Recall(%d, now %d)", file, d.now)
-			d.sameWritebacks("writebacks", d.c.Recall(file, d.now), d.r.Recall(file, d.now))
+			d.flush(d.file(), CleanRecall)
 		case c == 16:
-			file := d.file()
-			d.what = fmt.Sprintf("RecoverFlush(%d, now %d)", file, d.now)
-			d.sameWritebacks("writebacks", d.c.RecoverFlush(file, d.now), d.r.RecoverFlush(file, d.now))
+			d.flush(d.file(), CleanRecover)
 		case c == 17:
 			d.invalidate(d.file())
 		case c == 18:

@@ -113,9 +113,9 @@ func TestVictimAfterTheDirtyRunChanges(t *testing.T) {
 		{"block invalidated", func(c *Cache) { c.Invalidate(runFile + 5) }, -1},
 		{"block truncated to nothing", func(c *Cache) { c.Truncate(runFile+5, 0) }, -1},
 		{"block trimmed", func(c *Cache) { c.Truncate(runFile+5, 100) }, 2}, // still dirty, still in place
-		{"block fsynced", func(c *Cache) { c.Fsync(runFile+7, 11*time.Hour) }, 7},
-		{"block recalled", func(c *Cache) { c.Recall(runFile+7, 11*time.Hour) }, 7},
-		{"tail fsynced", func(c *Cache) { c.Fsync(runFile+2, 11*time.Hour) }, 2},
+		{"block fsynced", func(c *Cache) { c.Flush(runFile+7, CleanFsync, 11*time.Hour) }, 7},
+		{"block recalled", func(c *Cache) { c.Flush(runFile+7, CleanRecall, 11*time.Hour) }, 7},
+		{"tail fsynced", func(c *Cache) { c.Flush(runFile+2, CleanFsync, 11*time.Hour) }, 2},
 		{"block cleaned by the daemon", func(c *Cache) {
 			// Run block 7 alone is due.
 			if wbs := c.Clean(WritebackDelay); len(wbs) != 1 || wbs[0].File != runFile+7 {
