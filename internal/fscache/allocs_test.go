@@ -94,6 +94,41 @@ func TestEvictDirtyTailZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDirtyShrinkZeroAlloc pins the virtual memory system's claim on a
+// cache that holds only dirty blocks: every shrink writes back the dirty
+// blocks it evicts, and in steady state hands them over in the cache's
+// writeback buffer, as Clean and Flush do, without allocating.
+func TestDirtyShrinkZeroAlloc(t *testing.T) {
+	const files, blocks = 9, 8 // eight files of eight blocks fill the cache
+	c := New((files - 1) * blocks)
+	now, k := time.Duration(0), uint64(0)
+	// cycle lends the cache a file's worth of pages, writes the file the
+	// last shrink evicted, and takes the pages back for the VM system: the
+	// shrink evicts the oldest file, dirty, from the tail.
+	cycle := func() {
+		now += time.Second
+		c.GrowBy(blocks)
+		c.Write(k%files+1, 0, blocks*BlockSize, 0, noAttr, now)
+		k++
+		var n int32
+		for _, wb := range c.SetCapacity(c.Capacity()-blocks, true, now) {
+			if wb.Reason != CleanVM {
+				t.Fatalf("shrink wrote back %+v, want reason %v", wb, CleanVM)
+			}
+			n += wb.N
+		}
+		if k > files-1 && n != blocks {
+			t.Fatalf("shrink %d wrote back %d blocks, want %d", k, n, blocks)
+		}
+	}
+	for range 2 * files {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("dirty shrink allocated %.1f/op in steady state, want 0", allocs)
+	}
+}
+
 // TestCleanFillDirtyStateZeroAlloc pins what a block that is never written
 // costs: a cache filled from cold by reads alone allocates no write times,
 // no dirty-file set and no more than coldFillBudget bytes per resident

@@ -348,21 +348,21 @@ type Cache struct {
 	// before oldestDirty + delay has anything to do.
 	oldestDirty time.Duration
 
-	// Reusable result buffers for the hot Read/Write paths. The slices in
-	// a returned ReadResult/WriteResult alias these and are valid until
-	// the next Read or Write on this cache. A miss extends the last run, so
-	// runScratch is as long as a request's stretches of misses are many.
+	// Reusable result buffers. The runs of a returned ReadResult or
+	// WriteResult alias runScratch and are valid until the next Read or
+	// Write on this cache; a miss extends the last run, so runScratch is as
+	// long as a request's stretches of misses are many. Every []Writeback
+	// a cache returns (Read's and Write's Evicted, Clean's, Flush's and
+	// SetCapacity's) aliases wbScratch and is valid until the next call on
+	// this cache that returns writebacks. Every caller ships (or consumes)
+	// one batch before such a call, which is what keeps the steady state
+	// allocation-free.
 	runScratch []Run
 	wbScratch  []Writeback
 
-	// Reusable buffers for the cleaner-family paths. The slice returned by
-	// Clean or Flush aliases cleanScratch and is valid
-	// until the next such call on this cache; every caller consumes (or
-	// ships) the batch before triggering another flush, which is what keeps
-	// steady-state sweeps allocation-free.
+	// Reusable buffers for the cleaner's walk.
 	dirtyIDScratch []uint64
 	slotScratch    []int32
-	cleanScratch   []Writeback
 
 	st Stats
 }

@@ -51,10 +51,10 @@ func (c *Cache) WriteDelay() time.Duration {
 // samples whose sum depends on ordering, and metric dumps are required to
 // be byte-identical across runs.
 //
-// The returned slice aliases a per-cache scratch buffer: it is valid
-// until the next Clean or Flush on this cache.
+// The returned slice aliases the cache's writeback buffer: it is valid
+// until the next call on this cache that returns writebacks.
 func (c *Cache) Clean(now time.Duration) []Writeback {
-	out := c.cleanScratch[:0]
+	out := c.wbScratch[:0]
 	delay := c.WriteDelay()
 	if c.ndirty == 0 || now-c.oldestDirty < delay {
 		return out
@@ -78,7 +78,7 @@ func (c *Cache) Clean(now time.Duration) []Writeback {
 	}
 	c.oldestDirty = oldest
 	c.dirtyIDScratch = ids[:0]
-	c.cleanScratch = out[:0]
+	c.wbScratch = out[:0]
 	return out
 }
 
@@ -153,15 +153,15 @@ func (c *Cache) cleanFile(fi *fileIndex, reason CleanReason, now time.Duration, 
 // CleanRecall when the server needs the most recent data to supply to
 // another client, CleanRecover when the blocks are replayed to a restarted
 // server (the client half of Sprite's recovery protocol). The blocks stay
-// resident, clean. Like Clean, the returned slice aliases the per-cache
-// scratch buffer.
+// resident, clean. Like Clean's, the returned slice aliases the cache's
+// writeback buffer.
 func (c *Cache) Flush(file uint64, reason CleanReason, now time.Duration) []Writeback {
 	fi := c.files[file]
 	if fi == nil || fi.dirty == 0 {
 		return nil
 	}
-	out := c.cleanFile(fi, reason, now, c.cleanScratch[:0])
-	c.cleanScratch = out[:0]
+	out := c.cleanFile(fi, reason, now, c.wbScratch[:0])
+	c.wbScratch = out[:0]
 	return out
 }
 
@@ -252,13 +252,15 @@ func (c *Cache) GrowBy(n int) {
 // With vmTake the virtual memory system is claiming the pages: replacement
 // is attributed to VM (Table 8's "virtual memory page" row) and dirty
 // victims are cleaned for reason CleanVM. The capacity stays shrunk until
-// GrowBy restores it. It returns any dirty writebacks.
+// GrowBy restores it. It returns any dirty writebacks, in the cache's
+// writeback buffer as Clean does.
 func (c *Cache) SetCapacity(blocks int, vmTake bool, now time.Duration) []Writeback {
 	if blocks < 1 {
 		blocks = 1
 	}
 	c.capacity = blocks
-	var out []Writeback
+	out := c.wbScratch[:0]
 	c.evictTo(blocks, vmTake, now, &out)
+	c.wbScratch = out[:0]
 	return out
 }
