@@ -333,7 +333,6 @@ func (c *Client) readCached(srv *server.Server, file uint64, f *server.File, off
 		return 0, 0
 	}
 	lat := c.net.RPCTo(srv.ID(), c.cfg.ID, class, res.MissBytes)
-	c.Cache.AddMissBytes(attr, res.MissBytes)
 	return res.MissBytes, lat + srv.ServeRuns(file, res.MissRuns, now)
 }
 

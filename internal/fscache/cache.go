@@ -116,7 +116,7 @@ type OpStats struct {
 	ReadOps         int64 // block-granularity cache read operations
 	ReadMisses      int64
 	BytesRead       int64 // bytes requested by applications
-	BytesReadMissed int64 // bytes fetched from the server to satisfy reads
+	BytesReadMissed int64 // bytes fetched to satisfy reads (the reads' MissBytes)
 	WriteOps        int64
 	WriteFetches    int64
 	BytesWritten    int64 // bytes written into the cache by applications
@@ -940,7 +940,7 @@ func (c *Cache) Read(file uint64, offset, length, fileSize int64, attr Attr, now
 		}
 		idx += k
 	}
-	c.addBytesRead(attr, length)
+	c.addBytesRead(attr, length, res.MissBytes)
 	c.runScratch = res.MissRuns[:0]
 	c.wbScratch = res.Evicted[:0]
 	return res
@@ -1147,33 +1147,21 @@ func (c *Cache) countReadMiss(attr Attr, k int64) {
 	}
 }
 
-func (c *Cache) addBytesRead(attr Attr, n int64) {
+// addBytesRead counts a read of n bytes, missed of which the cache
+// fetched (the read's MissBytes).
+func (c *Cache) addBytesRead(attr Attr, n, missed int64) {
 	c.st.All.BytesRead += n
+	c.st.All.BytesReadMissed += missed
 	if attr.Paging {
 		c.st.All.PagingBytesRead += n
+		c.st.All.PagingBytesMiss += missed
 	}
 	if attr.Migrated {
 		c.st.Migrated.BytesRead += n
+		c.st.Migrated.BytesReadMissed += missed
 		if attr.Paging {
 			c.st.Migrated.PagingBytesRead += n
-		}
-	}
-}
-
-// note: BytesReadMissed is accumulated by the client after the RPC, via
-// AddMissBytes, so that clamping at the server (e.g. concurrent truncate)
-// can be reflected; in the current simulator the two always agree.
-
-// AddMissBytes records n bytes fetched from the server to satisfy reads.
-func (c *Cache) AddMissBytes(attr Attr, n int64) {
-	c.st.All.BytesReadMissed += n
-	if attr.Paging {
-		c.st.All.PagingBytesMiss += n
-	}
-	if attr.Migrated {
-		c.st.Migrated.BytesReadMissed += n
-		if attr.Paging {
-			c.st.Migrated.PagingBytesMiss += n
+			c.st.Migrated.PagingBytesMiss += missed
 		}
 	}
 }

@@ -35,8 +35,8 @@ func TestReadMissThenHit(t *testing.T) {
 	if st.All.ReadOps != 4 || st.All.ReadMisses != 2 {
 		t.Errorf("ops=%d misses=%d, want 4/2", st.All.ReadOps, st.All.ReadMisses)
 	}
-	if st.All.BytesRead != 16384 {
-		t.Errorf("BytesRead = %d", st.All.BytesRead)
+	if st.All.BytesRead != 16384 || st.All.BytesReadMissed != 8192 {
+		t.Errorf("BytesRead = %d, BytesReadMissed = %d, want 16384/8192 (the reads' MissBytes)", st.All.BytesRead, st.All.BytesReadMissed)
 	}
 }
 

@@ -184,17 +184,12 @@ func (r *refCache) Read(file uint64, offset, length, fileSize int64, attr Attr, 
 		}
 	}
 	r.count(attr, &r.st.All.BytesRead, &r.st.Migrated.BytesRead, length)
+	r.count(attr, &r.st.All.BytesReadMissed, &r.st.Migrated.BytesReadMissed, res.MissBytes)
 	if attr.Paging {
 		r.count(attr, &r.st.All.PagingBytesRead, &r.st.Migrated.PagingBytesRead, length)
+		r.count(attr, &r.st.All.PagingBytesMiss, &r.st.Migrated.PagingBytesMiss, res.MissBytes)
 	}
 	return res
-}
-
-func (r *refCache) AddMissBytes(attr Attr, n int64) {
-	r.count(attr, &r.st.All.BytesReadMissed, &r.st.Migrated.BytesReadMissed, n)
-	if attr.Paging {
-		r.count(attr, &r.st.All.PagingBytesMiss, &r.st.Migrated.PagingBytesMiss, n)
-	}
 }
 
 func (r *refCache) Write(file uint64, offset, length, sizeBefore int64, attr Attr, now time.Duration) WriteResult {
@@ -504,8 +499,6 @@ func (d *lockstep) read(file uint64, offset, length int64, attr Attr) {
 	}
 	d.sameWritebacks("evicted", got.Evicted, want.Evicted)
 	d.selfEvicted(file, lo, hi)
-	d.c.AddMissBytes(attr, got.MissBytes)
-	d.r.AddMissBytes(attr, want.MissBytes)
 }
 
 func (d *lockstep) write(file uint64, offset, length int64, attr Attr) {
