@@ -339,3 +339,88 @@ func TestCrashKeepsPerModeState(t *testing.T) {
 		t.Errorf("Recoveries = %d after a restart from epoch 0 to 1, want 1", got)
 	}
 }
+
+// newModeRig is newRig with one client under the given consistency scheme.
+func newModeRig(t *testing.T, mode ConsistencyMode) *testRig {
+	t.Helper()
+	r := newRig(t, 0)
+	cfg := DefaultConfig(0)
+	cfg.Consistency = mode
+	c := New(cfg, r.sim, r.net, func(uint64) *server.Server { return r.srv }, r.srv, r)
+	c.SetCoordinator(r)
+	r.clients = append(r.clients, c)
+	return r
+}
+
+// TestOpenVersionCheckIsSpriteOnly: an open checks the cached copy's
+// version only under Sprite's scheme; the polling scheme leaves a copy
+// whose version moved at the server in the cache until an access
+// revalidates it.
+func TestOpenVersionCheckIsSpriteOnly(t *testing.T) {
+	for _, mode := range []ConsistencyMode{ConsistencySprite, ConsistencyPoll} {
+		r := newModeRig(t, mode)
+		c := r.clients[0]
+		file := c.Create(1, 100, false, false)
+		h, _, err := c.Open(1, 100, file, false, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(h, 4096)
+		c.Fsync(h)
+		c.Close(h)
+		cached := c.Cache.NumBlocks()
+		if cached == 0 {
+			t.Fatalf("mode %d: the write left nothing cached", mode)
+		}
+		// Another client's pass-through write moves the server's version.
+		r.srv.Write(file, 0, 1, r.sim.Now())
+		if _, _, err := c.Open(1, 100, file, true, false, false); err != nil {
+			t.Fatal(err)
+		}
+		wantBlocks, wantInvalids := 0, int64(1)
+		if mode == ConsistencyPoll {
+			wantBlocks, wantInvalids = cached, 0
+		}
+		if got := c.Cache.NumBlocks(); got != wantBlocks {
+			t.Errorf("mode %d: %d blocks cached after the open, want %d", mode, got, wantBlocks)
+		}
+		if got := r.srv.Stats().Invalids; got != wantInvalids {
+			t.Errorf("mode %d: Invalids = %d, want %d", mode, got, wantInvalids)
+		}
+	}
+}
+
+// TestRecoverServerInvalidatesMovedVersion: under either scheme, recovery
+// drops a cached copy whose version moved while the client's registration
+// was lost, and counts the invalidation at the server.
+func TestRecoverServerInvalidatesMovedVersion(t *testing.T) {
+	for _, mode := range []ConsistencyMode{ConsistencySprite, ConsistencyPoll} {
+		r := newModeRig(t, mode)
+		c := r.clients[0]
+		file := c.Create(1, 100, false, false)
+		h, _, err := c.Open(1, 100, file, true, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(h, 4096)
+		c.Fsync(h)
+		if c.Cache.NumBlocks() == 0 {
+			t.Fatalf("mode %d: the write left nothing cached", mode)
+		}
+		r.crashRestart()
+		// The version moves before this client re-registers.
+		r.srv.Write(file, 0, 1, r.sim.Now())
+		if res := c.RecoverServer(r.srv); res.Files != 1 {
+			t.Fatalf("mode %d: recovery = %+v, want 1 file", mode, res)
+		}
+		if got := c.Cache.NumBlocks(); got != 0 {
+			t.Errorf("mode %d: %d blocks still cached after recovery, want 0", mode, got)
+		}
+		if got := r.srv.Stats().Invalids; got != 1 {
+			t.Errorf("mode %d: Invalids = %d, want 1", mode, got)
+		}
+		if _, err := c.Close(h); err != nil {
+			t.Errorf("mode %d: close after recovery: %v", mode, err)
+		}
+	}
+}

@@ -19,6 +19,15 @@ import (
 // The check after each op reads the table through peek, which wakes
 // nothing, so a dormant bootstrap file stays dormant until an op looks it
 // up, and the ops in between (Crash, Disconnect, Create) run on it.
+//
+// The model also states Section 5's consistency rules from the paper, not
+// from the server's code: each file's version, last writer and
+// write-sharing flag. An open by another client than the last writer
+// recalls its dirty data and makes a new version; write-sharing starts
+// when the file is open on two or more clients, one of them writing, and
+// disables caching on the other openers, in ascending order; caching comes
+// back on exactly when a Close, a Disconnect or a Crash leaves no opener.
+// Every Open and Recover reply and the counters are checked against it.
 
 type nsFile struct {
 	ptr     *File // the File first handed out: it must never move
@@ -26,6 +35,61 @@ type nsFile struct {
 	dir     bool
 	dormant bool              // bootstrapped and not yet looked up
 	regs    [nsClients][2]int // per client: open-for-read and open-for-write counts
+	version uint64
+	writer  int32 // the last writer, which may hold dirty data, or NoClient
+	shared  bool  // under concurrent write-sharing: caching disabled
+}
+
+func newNSFile(size int64, dir bool) *nsFile {
+	return &nsFile{size: size, dir: dir, writer: NoClient}
+}
+
+// openers returns the clients with the file open, ascending, and how many
+// of them have it open for writing.
+func (f *nsFile) openers() (clients []int32, writers int) {
+	for c, r := range f.regs {
+		if r[0]+r[1] > 0 {
+			clients = append(clients, int32(c))
+		}
+		if r[1] > 0 {
+			writers++
+		}
+	}
+	return clients, writers
+}
+
+// held returns the k-th (modulo their number) of the file's open
+// registrations as a client and a mode, or client and write if it has none.
+func (f *nsFile) held(k int, client int32, write bool) (int32, bool) {
+	type reg struct {
+		client int32
+		write  bool
+	}
+	var regs []reg
+	for c, r := range f.regs {
+		for mode, n := range r {
+			if n > 0 {
+				regs = append(regs, reg{int32(c), mode == 1})
+			}
+		}
+	}
+	if len(regs) == 0 {
+		return client, write
+	}
+	r := regs[k%len(regs)]
+	return r.client, r.write
+}
+
+// nsStats is the part of Stats the model predicts beyond Creates.
+type nsStats struct {
+	FileOpens, DirOpens, Recalls, CWSEvents, RecoveryOpens, RecoveryCWS int64
+}
+
+// nsReached counts the rare transitions a run reached, so a test can
+// require that its op streams exercise them.
+type nsReached struct {
+	recalls, openCWS, recoverCWS   int
+	closeOn, disconnectOn, crashOn int
 }
 
 const nsClients = 4
@@ -41,7 +105,10 @@ type nsDriver struct {
 	op      int
 	what    string
 	diff    string
-	other   int16 // a home that is not this server's
+	other   int16  // a home that is not this server's
+	recent  uint64 // the live id pick returned last
+	st      nsStats
+	reached nsReached
 }
 
 func (d *nsDriver) byte() byte {
@@ -61,17 +128,23 @@ func (d *nsDriver) failf(format string, args ...any) {
 
 func (d *nsDriver) id(srv int16, seq uint64) uint64 { return FileID(srv, seq) }
 
-// pick decodes an id: usually a live one, sometimes one deleted earlier.
+// pick decodes an id: usually a live one, sometimes one deleted earlier,
+// and in a quarter of the picks the id picked last, so that opens and
+// closes gather on a file as they do on a busy one.
 func (d *nsDriver) pick() uint64 {
 	b := d.byte()
-	if b&7 == 0 && len(d.gone) > 0 {
+	switch {
+	case b&7 == 0 && len(d.gone) > 0:
 		return d.gone[int(b>>3)%len(d.gone)]
+	case b&3 == 1 && d.recent != 0:
+		return d.recent
 	}
 	live := d.liveIDs()
 	if len(live) == 0 {
 		return d.id(d.s.ID(), 1)
 	}
-	return live[int(b>>3)%len(live)]
+	d.recent = live[int(b>>3)%len(live)]
+	return d.recent
 }
 
 // sameFile compares a File the server handed back with the model's entry.
@@ -113,7 +186,9 @@ func (d *nsDriver) create(dir bool) {
 		d.failf("created {ID %#x Size %d Dir %v openers %d lastWriter %d version %d}, want a fresh file %#x",
 			f.ID, f.Size, f.Directory, f.Openers(), f.lastWriter, f.Version, want)
 	}
-	d.m[want] = &nsFile{ptr: f, dir: dir}
+	nf := newNSFile(0, dir)
+	nf.ptr = f
+	d.m[want] = nf
 }
 
 // bootstrap files a regular file of at most math.MaxInt32 bytes dormant,
@@ -124,7 +199,9 @@ func (d *nsDriver) bootstrap(size int64, dir bool) {
 	if got := d.s.BootstrapFile(size, dir); got != want {
 		d.failf("returned id %#x, want %#x", got, want)
 	}
-	d.m[want] = &nsFile{size: size, dir: dir, dormant: !dir && size <= math.MaxInt32}
+	nf := newNSFile(size, dir)
+	nf.dormant = !dir && size <= math.MaxInt32
+	d.m[want] = nf
 }
 
 // lookup checks that the first lookup of a dormant file wakes it as
@@ -166,7 +243,9 @@ func (d *nsDriver) install(id uint64, size int64, dir bool) {
 		d.sameFile("Install", id, f, old)
 		return
 	}
-	d.m[id] = &nsFile{ptr: f, size: size, dir: dir}
+	nf := newNSFile(size, dir)
+	nf.ptr = f
+	d.m[id] = nf
 	d.sameFile("Install", id, f, d.m[id])
 }
 
@@ -179,6 +258,155 @@ func (d *nsDriver) delete(id uint64) {
 	}
 }
 
+// open applies Open to the model and checks the reply against it.
+func (d *nsDriver) open(id uint64, client int32, write bool) {
+	d.what = fmt.Sprintf("Open(%#x, %d, write %v)", id, client, write)
+	reply, err := d.s.Open(id, client, write, d.now)
+	d.wake(id)
+	f := d.m[id]
+	if (err != nil) != (f == nil) {
+		d.failf("err = %v, model has file: %v", err, f != nil)
+	}
+	if f == nil {
+		return
+	}
+	want := OpenReply{RecallFrom: NoClient}
+	if f.dir {
+		d.st.DirOpens++
+	} else {
+		d.st.FileOpens++
+		if f.writer != NoClient && f.writer != client {
+			want.RecallFrom = f.writer
+			f.writer = NoClient
+			f.version++
+			d.st.Recalls++
+			d.reached.recalls++
+		}
+	}
+	f.regs[client][b2i(write)]++
+	if d.share(f, client, &want) {
+		d.st.CWSEvents++
+		d.reached.openCWS++
+	}
+	d.sameReply(reply, want)
+}
+
+// recover applies a recovery re-registration to the model: the client's
+// counts are set, not added, and its reply is an open's without a recall.
+func (d *nsDriver) recover(id uint64, client int32, reads, writes int) {
+	d.what = fmt.Sprintf("Recover(%#x, %d, %d/%d)", id, client, reads, writes)
+	reply, err := d.s.Recover(id, client, reads, writes, d.now)
+	d.wake(id)
+	f := d.m[id]
+	if (err != nil) != (f == nil) {
+		d.failf("err = %v, model has file: %v", err, f != nil)
+	}
+	if f == nil {
+		return
+	}
+	d.st.RecoveryOpens++
+	f.regs[client] = [2]int{reads, writes}
+	want := OpenReply{RecallFrom: NoClient}
+	if d.share(f, client, &want) {
+		d.st.RecoveryCWS++
+		d.reached.recoverCWS++
+	}
+	d.sameReply(reply, want)
+}
+
+// share fills in want's version, size and caching decision after client's
+// registration changed, starting write-sharing when the file is open on
+// two or more clients, one of them writing. It reports a start.
+// Directories are never cached and never write-shared.
+func (d *nsDriver) share(f *nsFile, client int32, want *OpenReply) bool {
+	want.Version, want.Size = f.version, f.size
+	if f.dir {
+		return false
+	}
+	clients, writers := f.openers()
+	started := !f.shared && len(clients) >= 2 && writers >= 1
+	if started {
+		f.shared = true
+		want.StartedCWS = true
+		want.DisableOn = slices.DeleteFunc(clients, func(c int32) bool { return c == client })
+	}
+	want.Cacheable = !f.shared
+	return started
+}
+
+func (d *nsDriver) sameReply(got, want OpenReply) {
+	if got.Version != want.Version || got.Size != want.Size || got.Cacheable != want.Cacheable ||
+		got.RecallFrom != want.RecallFrom || got.StartedCWS != want.StartedCWS || !slices.Equal(got.DisableOn, want.DisableOn) {
+		d.failf("reply %+v, model %+v", got, want)
+	}
+}
+
+// reenable turns caching back on when the file has no opener left, and
+// counts it in *n.
+func (d *nsDriver) reenable(f *nsFile, n *int) {
+	if clients, _ := f.openers(); f.shared && len(clients) == 0 {
+		f.shared = false
+		*n++
+	}
+}
+
+func (d *nsDriver) close(id uint64, client int32, write, dirty bool) {
+	d.what = fmt.Sprintf("Close(%#x, %d, write %v, dirty %v)", id, client, write, dirty)
+	err := d.s.Close(id, client, write, dirty, d.now)
+	d.wake(id)
+	f := d.m[id]
+	// Closing a deleted file is tolerated; closing without an open is an
+	// error and changes nothing.
+	wantErr := f != nil && f.regs[client][b2i(write)] == 0
+	if (err != nil) != wantErr {
+		d.failf("err = %v, want error %v", err, wantErr)
+	}
+	if f == nil || wantErr {
+		return
+	}
+	f.regs[client][b2i(write)]--
+	// Dirty data left on a write-shared file went through to the server.
+	if write && dirty && !f.shared {
+		f.writer = client
+	}
+	d.reenable(f, &d.reached.closeOn)
+}
+
+func (d *nsDriver) crash() {
+	d.what = "Crash+Restart"
+	want := 0
+	for _, f := range d.m {
+		for _, r := range f.regs {
+			want += r[0] + r[1]
+		}
+		if f.shared {
+			d.reached.crashOn++
+		}
+		f.regs = [nsClients][2]int{}
+		f.writer, f.shared = NoClient, false
+	}
+	if got := d.s.Crash(d.now).OpensDropped; got != want {
+		d.failf("dropped %d registrations, model %d", got, want)
+	}
+	d.s.Restart(d.now)
+}
+
+func (d *nsDriver) disconnect(client int32) {
+	d.what = fmt.Sprintf("Disconnect(%d)", client)
+	want := 0
+	for _, f := range d.m {
+		want += f.regs[client][0] + f.regs[client][1]
+		f.regs[client] = [2]int{}
+		if f.writer == client {
+			f.writer = NoClient
+		}
+		d.reenable(f, &d.reached.disconnectOn)
+	}
+	if got := d.s.Disconnect(client, d.now); got != want {
+		d.failf("dropped %d registrations, model %d", got, want)
+	}
+}
+
 func (d *nsDriver) run() int {
 	d.s = New(int16(d.byte() % 3))
 	d.other = d.s.ID() + 1 + int16(d.byte()%8)
@@ -187,7 +415,7 @@ func (d *nsDriver) run() int {
 	for ; len(d.in) > 0 && d.diff == ""; d.op++ {
 		b := d.byte()
 		d.now += time.Duration(b>>4) * time.Millisecond
-		switch b % 19 {
+		switch b % 21 {
 		case 0, 1, 2:
 			d.create(b&16 != 0)
 		case 3:
@@ -215,6 +443,7 @@ func (d *nsDriver) run() int {
 			d.wake(id)
 			if f := d.m[id]; f != nil {
 				f.size = 0
+				f.version++
 			}
 			d.sameFile("Truncate", id, d.s.Truncate(id, d.now), d.m[id])
 		case 9:
@@ -227,51 +456,21 @@ func (d *nsDriver) run() int {
 			}
 		case 10, 11:
 			id, c, write := d.pick(), d.byte(), b&16 != 0
-			client := int32(c % nsClients)
-			d.what = fmt.Sprintf("Open(%#x, %d, write %v)", id, client, write)
-			_, err := d.s.Open(id, client, write, d.now)
-			d.wake(id)
-			f := d.m[id]
-			if (err != nil) != (f == nil) {
-				d.failf("err = %v, model has file: %v", err, f != nil)
+			d.open(id, int32(c%nsClients), write)
+		case 12, 19:
+			// The client byte's third bit says whether the close leaves
+			// dirty data behind; its fourth makes it close one of the
+			// file's opens, so that files come to have no opener.
+			id, c := d.pick(), d.byte()
+			client, write := int32(c%nsClients), b&16 != 0
+			if f := d.m[id]; f != nil && c&8 != 0 {
+				client, write = f.held(int(c>>4), client, write)
 			}
-			if f != nil {
-				f.regs[client][b2i(write)]++
-			}
-		case 12:
-			id, c, write := d.pick(), d.byte(), b&16 != 0
-			client := int32(c % nsClients)
-			d.what = fmt.Sprintf("Close(%#x, %d, write %v)", id, client, write)
-			err := d.s.Close(id, client, write, false, d.now)
-			d.wake(id)
-			f := d.m[id]
-			// Closing a deleted file is tolerated; closing without an open
-			// is an error.
-			wantErr := f != nil && f.regs[client][b2i(write)] == 0
-			if (err != nil) != wantErr {
-				d.failf("err = %v, want error %v", err, wantErr)
-			}
-			if f != nil && !wantErr {
-				f.regs[client][b2i(write)]--
-			}
+			d.close(id, client, write, c&4 != 0)
 		case 13:
-			d.what = "Crash+Restart"
-			d.s.Crash(d.now)
-			d.s.Restart(d.now)
-			for _, f := range d.m {
-				f.regs = [nsClients][2]int{}
-			}
+			d.crash()
 		case 14:
-			client := int32(d.byte() % nsClients)
-			d.what = fmt.Sprintf("Disconnect(%d)", client)
-			want := 0
-			for _, f := range d.m {
-				want += f.regs[client][0] + f.regs[client][1]
-				f.regs[client] = [2]int{}
-			}
-			if got := d.s.Disconnect(client, d.now); got != want {
-				d.failf("dropped %d registrations, model %d", got, want)
-			}
+			d.disconnect(int32(d.byte() % nsClients))
 		case 15, 16:
 			// One size in 64 is just past what a dormant entry holds, one
 			// is the largest it holds.
@@ -286,6 +485,9 @@ func (d *nsDriver) run() int {
 			d.bootstrap(size, b&16 != 0)
 		case 17:
 			d.lookup(d.pick())
+		case 18:
+			id, c := d.pick(), d.byte()
+			d.recover(id, int32(c%nsClients), int(c>>2)&3, int(c>>4)&3)
 		default:
 			d.what = "probe"
 			for _, id := range []uint64{d.id(d.s.ID(), 1<<47), d.id(d.other+8, 1), d.id(d.s.ID(), 0)} {
@@ -322,8 +524,12 @@ func (d *nsDriver) check() {
 	if got, want := d.s.NumFiles(), len(d.m); got != want {
 		d.failf("NumFiles = %d, model %d", got, want)
 	}
-	if got := d.s.Stats().Creates; got != d.creates {
-		d.failf("Creates = %d, model %d", got, d.creates)
+	st := d.s.Stats()
+	if st.Creates != d.creates {
+		d.failf("Creates = %d, model %d", st.Creates, d.creates)
+	}
+	if got := (nsStats{st.FileOpens, st.DirOpens, st.Recalls, st.CWSEvents, st.RecoveryOpens, st.RecoveryCWS}); got != d.st {
+		d.failf("Stats %+v, model %+v", got, d.st)
 	}
 	want := d.liveIDs()
 	if got := d.s.files.ids(); !slices.Equal(got, want) {
@@ -352,6 +558,10 @@ func (d *nsDriver) check() {
 			return
 		}
 		d.sameFile("peek", id, got, f)
+		if got.Version != f.version || got.lastWriter != f.writer || got.Uncacheable() != f.shared {
+			d.failf("%#x has version %d, last writer %d, uncacheable %v; model %d, %d, %v",
+				id, got.Version, got.lastWriter, got.Uncacheable(), f.version, f.writer, f.shared)
+		}
 		for c := int32(0); c < nsClients; c++ {
 			if r, w := got.Registration(c); r != f.regs[c][0] || w != f.regs[c][1] {
 				d.failf("Registration(%#x, %d) = %d/%d, model %d/%d", id, c, r, w, f.regs[c][0], f.regs[c][1])
@@ -385,16 +595,29 @@ func seededNameSpaceOps(seed int64) []byte {
 
 func TestNameSpaceMatchesModel(t *testing.T) {
 	var ops int
+	var reached nsReached
 	for seed := int64(1); seed <= 250; seed++ {
-		n, diff := diffNameSpace(seededNameSpaceOps(seed))
-		if diff != "" {
-			t.Fatalf("seed %d: server and model differ at %s", seed, diff)
+		d := &nsDriver{in: seededNameSpaceOps(seed)}
+		ops += d.run()
+		if d.diff != "" {
+			t.Fatalf("seed %d: server and model differ at %s", seed, d.diff)
 		}
-		ops += n
+		r := d.reached
+		reached.recalls += r.recalls
+		reached.openCWS += r.openCWS
+		reached.recoverCWS += r.recoverCWS
+		reached.closeOn += r.closeOn
+		reached.disconnectOn += r.disconnectOn
+		reached.crashOn += r.crashOn
 	}
 	if ops < 250*200 {
 		t.Fatalf("%d ops over 250 seeds: the streams exercise too little", ops)
 	}
+	r := reached
+	if r.recalls == 0 || r.openCWS == 0 || r.recoverCWS == 0 || r.closeOn == 0 || r.disconnectOn == 0 || r.crashOn == 0 {
+		t.Fatalf("over 250 seeds the streams reached %+v: each consistency transition must occur", r)
+	}
+	t.Logf("%d ops; reached %+v", ops, r)
 }
 
 func FuzzNameSpace(f *testing.F) {
