@@ -9,8 +9,10 @@ import (
 
 // The name space's and the block service's steady state allocate nothing:
 // a Create that lands in a chunk already made and inside the index, a
-// dormant BootstrapFile inside the index, and a warm server cache serving a
-// run of hits. `make allocscheck` runs these.
+// dormant BootstrapFile inside the index, a warm server cache serving a
+// run of hits, and the open table's open, close and recovery
+// re-registration once it has held a file's openers. `make allocscheck`
+// runs these.
 
 func TestCreateZeroAlloc(t *testing.T) {
 	s := New(0)
@@ -52,5 +54,45 @@ func TestServeRunsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a warm run of hits allocated %.1f/op, want 0", allocs)
+	}
+}
+
+func TestOpenCloseZeroAlloc(t *testing.T) {
+	s := New(0)
+	f := s.Create(false, 0)
+	// One cycle: a writer closes with dirty data, and a reader's open
+	// recalls it. The first cycle gives the table its storage.
+	cycle := func() {
+		if _, err := s.Open(f.ID, 1, true, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(f.ID, 1, true, true, 0); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := s.Open(f.ID, 2, false, 0); err != nil || r.RecallFrom != 1 {
+			t.Fatalf("reader's open = %+v, %v; want a recall from client 1", r, err)
+		}
+		if err := s.Close(f.ID, 2, false, false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("an open/close cycle allocated %.1f/op, want 0", allocs)
+	}
+
+	// A re-registration after a restart, and its withdrawal.
+	s.Crash(0)
+	s.Restart(0)
+	reregister := func() {
+		if _, err := s.Recover(f.ID, 1, 1, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Recover(f.ID, 1, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, reregister); allocs != 0 {
+		t.Fatalf("a recovery re-registration allocated %.1f/op, want 0", allocs)
 	}
 }
