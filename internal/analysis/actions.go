@@ -19,7 +19,7 @@ type ConsistencyActions struct {
 }
 
 type actionFile struct {
-	open       OpenTable
+	open       trace.OpenTable
 	lastWriter int32
 	sharing    bool
 }

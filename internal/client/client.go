@@ -398,20 +398,10 @@ func (c *Client) Open(user, proc int32, file uint64, read, write, migrated bool)
 			reply.Size = f.Size
 		}
 	}
-	// Consistency action: write-sharing began; other clients flush+bypass.
-	if c.cfg.Consistency == ConsistencySprite && len(reply.DisableOn) > 0 && c.coord != nil {
-		c.coord.DisableCaching(reply.DisableOn, file)
-	}
-
-	// Version check: flush stale cached data (Sprite only — the polling
-	// scheme revalidates lazily on access instead).
+	// Version check and write-sharing (Sprite only — the polling scheme
+	// revalidates lazily on access instead).
 	if c.cfg.Consistency == ConsistencySprite {
-		if v, ok := c.versions[file]; ok && v != reply.Version {
-			if c.Cache.Invalidate(file) > 0 {
-				srv.NoteInvalidation()
-			}
-		}
-		c.noteVersion(file, reply.Version)
+		c.takeReply(srv, file, reply)
 	}
 
 	c.nextHandle++
@@ -731,6 +721,28 @@ func (c *Client) FlushForRecall(file uint64) {
 func (c *Client) DisableFor(file uint64) {
 	c.FlushForRecall(file)
 	c.Cache.Invalidate(file)
+	c.markShared(file)
+}
+
+// takeReply applies the consistency actions of an open or recovery reply
+// for file: a cached copy whose version the server has moved past is
+// dropped and the invalidation counted, and under Sprite's scheme the
+// clients the reply names flush and bypass their caches, as write-sharing
+// began.
+func (c *Client) takeReply(srv *server.Server, file uint64, reply server.OpenReply) {
+	if v, ok := c.versions[file]; ok && v != reply.Version {
+		if c.Cache.Invalidate(file) > 0 {
+			srv.NoteInvalidation()
+		}
+	}
+	c.noteVersion(file, reply.Version)
+	if c.cfg.Consistency == ConsistencySprite && len(reply.DisableOn) > 0 && c.coord != nil {
+		c.coord.DisableCaching(reply.DisableOn, file)
+	}
+}
+
+// markShared makes every local handle on file bypass the cache.
+func (c *Client) markShared(file uint64) {
 	// order-free: marks every handle on the file.
 	for _, h := range c.handles {
 		if h.file == file {

@@ -138,22 +138,9 @@ func (c *Client) RecoverServer(srv *server.Server) RecoveryResult {
 		}
 		r.Files++
 		r.Reopened += n[0] + n[1]
-		if v, ok := c.versions[file]; ok && v != reply.Version {
-			if c.Cache.Invalidate(file) > 0 {
-				srv.NoteInvalidation()
-			}
-		}
-		c.noteVersion(file, reply.Version)
-		if c.cfg.Consistency == ConsistencySprite && len(reply.DisableOn) > 0 && c.coord != nil {
-			c.coord.DisableCaching(reply.DisableOn, file)
-		}
+		c.takeReply(srv, file, reply)
 		if !reply.Cacheable {
-			// order-free: marks every handle on the file.
-			for _, h := range c.handles {
-				if h.file == file {
-					h.shared = true
-				}
-			}
+			c.markShared(file)
 		}
 	}
 

@@ -3,7 +3,7 @@ package consistency
 import (
 	"time"
 
-	"spritefs/internal/analysis"
+	"spritefs/internal/trace"
 )
 
 // Algorithms compared by the Section 5.6 simulator.
@@ -112,9 +112,9 @@ func (c *clientCache) invalidate() {
 
 // fileSim carries per-file state for the modified-Sprite and token schemes.
 type fileSim struct {
-	open     analysis.OpenTable // shared by all algorithms
-	clients  []simClient        // every client that read or wrote during sharing
-	writeTok int                // index in clients of the write-token holder, or -1
+	open     trace.OpenTable // shared by all algorithms
+	clients  []simClient     // every client that read or wrote during sharing
+	writeTok int             // index in clients of the write-token holder, or -1
 }
 
 // simClient is one client's caches of a file and its read token.

@@ -12,7 +12,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -34,10 +33,7 @@ type CrashOutcome struct {
 func (s *Server) Crash(now time.Duration) CrashOutcome {
 	var out CrashOutcome
 	s.files.each(func(f *File) {
-		for i := range f.openers {
-			out.OpensDropped += int(f.openers[i].reads) + int(f.openers[i].writes)
-		}
-		f.openers = f.openers[:0]
+		out.OpensDropped += f.opens.Clear()
 		f.lastWriter = NoClient
 		f.uncacheable = false
 	})
@@ -73,10 +69,7 @@ func (s *Server) Epoch() uint64 { return s.epoch }
 func (s *Server) Disconnect(client int32, now time.Duration) int {
 	dropped := 0
 	s.files.each(func(f *File) {
-		if o := f.opener(client); o != nil {
-			dropped += int(o.reads) + int(o.writes)
-			f.removeOpener(client)
-		}
+		dropped += f.opens.Set(client, 0, 0)
 		if f.lastWriter == client {
 			f.lastWriter = NoClient
 		}
@@ -103,61 +96,13 @@ func (s *Server) Recover(id uint64, client int32, readCount, writeCount int, now
 		// Deleted while the client was cut off; the client drops the handle.
 		return OpenReply{}, fmt.Errorf("server %d: recover of unknown file %#x", s.id, id)
 	}
-	if readCount > 0 || writeCount > 0 {
-		o := f.opener(client)
-		if o == nil {
-			f.openers = append(f.openers, opener{client: client})
-			o = &f.openers[len(f.openers)-1]
-		}
-		o.reads = int32(readCount)
-		o.writes = int32(writeCount)
-	} else {
-		f.removeOpener(client)
-	}
+	f.opens.Set(client, readCount, writeCount)
 	s.st.RecoveryOpens++
-
-	reply := OpenReply{Version: f.Version, Size: f.Size, Cacheable: true, RecallFrom: NoClient}
-	if f.Directory {
-		reply.Cacheable = false
-		return reply, nil
-	}
-	if !f.uncacheable && f.Openers() >= 2 && f.WriterCount() >= 1 {
-		f.uncacheable = true
-		reply.StartedCWS = true
-		reply.DisableOn = f.disableList(client)
+	reply := f.reply(client)
+	if reply.StartedCWS {
 		s.st.RecoveryCWS++
 	}
-	if f.uncacheable {
-		reply.Cacheable = false
-	}
 	return reply, nil
-}
-
-// disableList returns the clients other than except that cache the file
-// and must flush and bypass when write-sharing starts, sorted so the
-// disable sequence is deterministic.
-func (f *File) disableList(except int32) []int32 {
-	// Every openers entry has a positive read or write count, so the list
-	// is simply every opening client but the initiator (the same set the
-	// old reader/writer maps produced: readers plus writers-only clients).
-	var out []int32
-	for i := range f.openers {
-		if c := f.openers[i].client; c != except {
-			out = append(out, c)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Registration returns the server's open registration counts for one
-// client on this file (the server half of what the invariant checker
-// compares against client handle tables).
-func (f *File) Registration(client int32) (readers, writers int) {
-	if o := f.opener(client); o != nil {
-		return int(o.reads), int(o.writes)
-	}
-	return 0, 0
 }
 
 // EachFile calls fn on every woken file in ascending id order. It skips

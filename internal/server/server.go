@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"spritefs/internal/fscache"
+	"spritefs/internal/trace"
 )
 
 // NoClient marks the absence of a client in last-writer tracking.
@@ -31,13 +32,9 @@ type File struct {
 	OldestByte time.Duration // creation time of current oldest byte (for lifetime accounting)
 	LastWrite  time.Duration
 
-	// openers holds one entry per client with the file open, in arrival
-	// order (consumers that need a deterministic order sort explicitly).
-	// Entries with zero counts are removed, so len(openers) is the number
-	// of opening clients. A compact slice replaces the previous pair of
-	// count maps: nearly every file has zero or one opener, and two map
-	// allocations per Create dominated the server's allocation profile.
-	openers []opener
+	// opens holds the clients with the file open and their read and write
+	// counts.
+	opens trace.OpenTable
 
 	// lastWriter is the client that most recently wrote the file and may
 	// still hold dirty data in its cache. The server does not know whether
@@ -54,47 +51,14 @@ type File struct {
 	Directory bool
 }
 
-// opener is one client's open registration on a file.
-type opener struct {
-	client int32
-	reads  int32 // open-for-read count
-	writes int32 // open-for-write count
-}
-
-// opener returns the registration entry for client, or nil.
-func (f *File) opener(client int32) *opener {
-	for i := range f.openers {
-		if f.openers[i].client == client {
-			return &f.openers[i]
-		}
-	}
-	return nil
-}
-
-// removeOpener drops client's (zeroed) registration entry.
-func (f *File) removeOpener(client int32) {
-	for i := range f.openers {
-		if f.openers[i].client == client {
-			last := len(f.openers) - 1
-			f.openers[i] = f.openers[last]
-			f.openers = f.openers[:last]
-			return
-		}
-	}
-}
-
 // Openers returns the number of clients with the file open.
-func (f *File) Openers() int { return len(f.openers) }
+func (f *File) Openers() int { return f.opens.Openers() }
 
-// WriterCount returns the number of clients with the file open for writing.
-func (f *File) WriterCount() int {
-	n := 0
-	for i := range f.openers {
-		if f.openers[i].writes > 0 {
-			n++
-		}
-	}
-	return n
+// Registration returns the server's open registration counts for one
+// client on this file (the server half of what the invariant checker
+// compares against client handle tables).
+func (f *File) Registration(client int32) (readers, writers int) {
+	return f.opens.Registration(client)
 }
 
 // Uncacheable reports whether client caching is currently disabled.
@@ -327,57 +291,47 @@ func (s *Server) Open(id uint64, client int32, write bool, now time.Duration) (O
 	if f == nil {
 		return OpenReply{}, fmt.Errorf("server %d: open of unknown file %#x", s.id, id)
 	}
-	reply := OpenReply{Version: f.Version, Size: f.Size, Cacheable: true, RecallFrom: NoClient}
+	recall := NoClient
 	if f.Directory {
 		s.st.DirOpens++
-		// Directories are never cached on clients (Sprite avoids the
-		// consistency problem entirely).
-		reply.Cacheable = false
-		f.addOpen(client, write)
-		return reply, nil
+	} else {
+		s.st.FileOpens++
+		// Dirty-data recall: another client may hold newer data than we do.
+		if f.lastWriter != NoClient && f.lastWriter != client {
+			recall = f.lastWriter
+			f.lastWriter = NoClient
+			f.Version++ // recalled data becomes the new authoritative version
+			s.st.Recalls++
+		}
 	}
-	s.st.FileOpens++
-
-	// Dirty-data recall: another client may hold newer data than we do.
-	if f.lastWriter != NoClient && f.lastWriter != client {
-		reply.RecallFrom = f.lastWriter
-		f.lastWriter = NoClient
-		f.Version++ // recalled data becomes the new authoritative version
-		reply.Version = f.Version
-		s.st.Recalls++
-	}
-
-	wasShared := f.uncacheable
-	f.addOpen(client, write)
-
-	// Concurrent write-sharing: open on >=2 clients with >=1 writer.
-	if !wasShared && f.Openers() >= 2 && f.WriterCount() >= 1 {
-		f.uncacheable = true
-		reply.StartedCWS = true
+	f.opens.Open(client, write)
+	reply := f.reply(client)
+	reply.RecallFrom = recall
+	if reply.StartedCWS {
 		s.st.CWSEvents++
-		// disableList sorts: map iteration order is randomized, and the
-		// flush/disable sequence — and therefore every downstream counter —
-		// must be a pure function of the seed (the repo's bit-for-bit
-		// determinism claim).
-		reply.DisableOn = f.disableList(client)
-	}
-	if f.uncacheable {
-		reply.Cacheable = false
 	}
 	return reply, nil
 }
 
-func (f *File) addOpen(client int32, write bool) {
-	o := f.opener(client)
-	if o == nil {
-		f.openers = append(f.openers, opener{client: client})
-		o = &f.openers[len(f.openers)-1]
+// reply builds the reply to client's open or recovery re-registration once
+// the open table holds it. Directories are never cached on clients (Sprite
+// avoids the consistency problem entirely). A regular file that the table
+// shows write-shared and that was not already starts concurrent
+// write-sharing: caching goes off, and the other openers, in ascending
+// order so the flush/disable sequence is a function of the seed alone,
+// must flush and bypass.
+func (f *File) reply(client int32) OpenReply {
+	reply := OpenReply{Version: f.Version, Size: f.Size, RecallFrom: NoClient}
+	if f.Directory {
+		return reply
 	}
-	if write {
-		o.writes++
-	} else {
-		o.reads++
+	if !f.uncacheable && f.opens.WriteShared() {
+		f.uncacheable = true
+		reply.StartedCWS = true
+		reply.DisableOn = f.opens.Others(client)
 	}
+	reply.Cacheable = !f.uncacheable
+	return reply
 }
 
 // Close unregisters an open. dirty reports whether the client holds dirty
@@ -392,17 +346,8 @@ func (s *Server) Close(id uint64, client int32, write, dirty bool, now time.Dura
 		// The file was deleted while open; Sprite allows this.
 		return nil
 	}
-	o := f.opener(client)
-	if o == nil || (write && o.writes <= 0) || (!write && o.reads <= 0) {
+	if !f.opens.Close(client, write) {
 		return fmt.Errorf("server %d: close without open (file %#x client %d write %v)", s.id, id, client, write)
-	}
-	if write {
-		o.writes--
-	} else {
-		o.reads--
-	}
-	if o.reads == 0 && o.writes == 0 {
-		f.removeOpener(client)
 	}
 	if write && dirty && !f.uncacheable {
 		f.lastWriter = client

@@ -103,9 +103,9 @@ func TestRecoverIsIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, w := f.Registration(1)
-		if f.Openers() != 1 || f.WriterCount() != 1 || w != 1 {
+		if f.Openers() != 1 || f.opens.Writers() != 1 || w != 1 {
 			t.Fatalf("after recover #%d: openers=%d writers=%d count=%d",
-				i+1, f.Openers(), f.WriterCount(), w)
+				i+1, f.Openers(), f.opens.Writers(), w)
 		}
 	}
 	if got := s.Stats().RecoveryOpens; got != 2 {
@@ -181,8 +181,8 @@ func TestDisconnectPurgesClient(t *testing.T) {
 	if dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
-	if f.Openers() != 1 || f.WriterCount() != 0 {
-		t.Errorf("f after disconnect: openers=%d writers=%d", f.Openers(), f.WriterCount())
+	if f.Openers() != 1 || f.opens.Writers() != 0 {
+		t.Errorf("f after disconnect: openers=%d writers=%d", f.Openers(), f.opens.Writers())
 	}
 	// Sole remaining opener is a reader — but uncacheable only clears at
 	// zero openers (matching Close semantics).

@@ -278,8 +278,8 @@ func TestOpenersCountsDistinctClients(t *testing.T) {
 	if got := f.Openers(); got != 2 {
 		t.Errorf("Openers = %d, want 2", got)
 	}
-	if got := f.WriterCount(); got != 2 {
-		t.Errorf("WriterCount = %d, want 2", got)
+	if got := f.opens.Writers(); got != 2 {
+		t.Errorf("Writers = %d, want 2", got)
 	}
 }
 

@@ -149,10 +149,12 @@ func (t *fileTable) setIndex(id uint64, v int32) bool {
 }
 
 // reset returns slot s's File reset to the zero state with lastWriter
-// cleared and ID set, keeping the openers slice's storage.
+// cleared and ID set, keeping the open table's storage.
 func (t *fileTable) reset(s int32, id uint64) *File {
 	f := t.at(s)
-	*f = File{ID: id, openers: f.openers[:0], lastWriter: NoClient}
+	opens := f.opens
+	opens.Clear()
+	*f = File{ID: id, opens: opens, lastWriter: NoClient}
 	return f
 }
 
