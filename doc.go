@@ -19,7 +19,8 @@
 //	internal/netsim       the 10 Mbit/s Ethernet + RPC model
 //	internal/workload     the parameterized user community and its
 //	                      pmake-style process migration
-//	internal/trace        trace format, codecs, k-way merge
+//	internal/trace        trace format, codecs, k-way merge, the per-file
+//	                      open table the server and analyzers share
 //	internal/analysis     the Section 4 table/figure analyzers
 //	internal/consistency  the Section 5.5-5.6 simulators
 //	internal/sim          discrete-event engine + deterministic RNG

@@ -98,11 +98,7 @@ func (s *Server) Recover(id uint64, client int32, readCount, writeCount int, now
 	}
 	f.opens.Set(client, readCount, writeCount)
 	s.st.RecoveryOpens++
-	reply := f.reply(client)
-	if reply.StartedCWS {
-		s.st.RecoveryCWS++
-	}
-	return reply, nil
+	return f.reply(client, NoClient, &s.st.RecoveryCWS), nil
 }
 
 // EachFile calls fn on every woken file in ascending id order. It skips

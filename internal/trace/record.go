@@ -10,6 +10,11 @@
 // Each open is stamped with a unique Handle that subsequent operations
 // reference, which removes the small timing uncertainty the paper notes
 // without changing any of the analyses.
+//
+// OpenTable, one file's open registrations per client, lives here so that
+// the file server and the trace analyzers keep the same table: the server
+// decides recalls and write-sharing from it, and Tables 10 and 12 rebuild
+// it from the open and close records.
 package trace
 
 import (
