@@ -52,7 +52,7 @@ func descsFor(prefix string) *cacheDescs {
 			ctr("_read_ops_total", "ops", "Block-granularity cache read operations."),
 			ctr("_read_misses_total", "ops", "Read operations not satisfied in the cache (Table 6 miss ratio numerator)."),
 			ctr("_read_bytes_total", "bytes", "Bytes requested from the cache by applications (Table 5 file-read traffic)."),
-			ctr("_read_miss_bytes_total", "bytes", "Bytes fetched from servers to satisfy reads (Table 6 miss traffic)."),
+			ctr("_read_miss_bytes_total", "bytes", "Bytes fetched to satisfy reads that missed: from servers for a client cache, from disk for a server cache (Table 6 miss traffic)."),
 			ctr("_write_ops_total", "ops", "Block-granularity cache write operations."),
 			ctr("_write_fetches_total", "ops", "Partial writes of non-resident blocks that forced a fetch (Table 6 write-fetch row)."),
 			ctr("_write_bytes_total", "bytes", "Bytes written into the cache by applications (Table 5 file-write traffic)."),
