@@ -2,8 +2,8 @@
 // community multiplied to 400 clients on four Ethernet segments, but
 // the segments grouped into two sites joined by a WAN trunk instead of
 // a flat campus backbone. Remote artifacts (binaries, kernels,
-// group-shared files) are homed by consistent hashing at site
-// granularity; client site affinity keeps most remote traffic on the
+// group-shared files) are homed by one hash over the four segments;
+// client site affinity keeps most remote traffic on the
 // cheap intra-site tier, and the report breaks out what crossed the
 // WAN and what it cost in latency. The hierarchical run preserves the
 // flat run's guarantee — sequential and parallel executors are

@@ -12,8 +12,8 @@ import (
 // counts exactly so — so the test overwrites Stats.Wall (which fixes
 // ns/event too), Stats.Busy, Stats.Critical, Stats.Serial, Build and
 // HeapBytes with fixed values, having checked that the sweep took them, and
-// compares whole renderings byte for byte. Every deterministic cell is as pinned when the
-// sites axis was a study of its own.
+// compares whole renderings byte for byte. The two-site row follows the
+// artifact placement: its remote mix moves whenever a key's home does.
 
 var (
 	shardsSweep = ScaleOptions{Clients: 80, Shards: []int{1, 2}, Hours: 0.1}
@@ -53,13 +53,13 @@ const sitesSweepGolden = `Throughput vs shards and sites: 80 clients, 0.10h hori
 shards  sites   hit%  opens/s  recalls/h  maxnet%  maxdisk%  router%  wan%  remote-ops  xsite-ops  rlat-ms  wanlat-ms
 ---------------------------------------------------------------------------------------------------------------------
 2           1  14.82     2.67      560.0     13.8       9.5     0.01  0.00          39          0    30.17       0.00
-2           2  14.50     2.85      560.0     13.8       9.5     0.06  0.06          36         36   112.59     112.59
+2           2  14.50     2.85      560.0     13.8       9.5     0.06  0.06          40         40   103.23     103.23
 
 Executor wall-clock
 shards  sites  workers  rounds  null-adv  rescues  msgs  events  wall  ns/event  speedup  busy/wall  busy/critical  serial/wall  build  heap-MB  KB/client
 ----------------------------------------------------------------------------------------------------------------------------------------------------------
 2           1        2     121       162        0    78    5268  30ms      5695    1.00x       0.90           1.00         0.10  0.25s      4.0      51.20
-2           2        2     112       150        0    72    5582  20ms      3583    1.50x       1.50           1.50         0.25  0.50s      6.0      76.80
+2           2        2     122       162        0    80    5594  20ms      3575    1.50x       1.50           1.50         0.25  0.50s      6.0      76.80
 
 Wall-clock, ns/event, speedup, build (seconds to construct the engine),
 heap-MB (heap in use when the run returned, before any collection) and

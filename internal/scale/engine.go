@@ -126,7 +126,7 @@ type Engine struct {
 // paper's population, split site-major across the shard grid (SplitSite
 // then Split, so a segment's community is a pure function of the base
 // seed, its site and its index), and each segment gets a hermetic
-// cluster. The placement ring and tiered router are built, and every
+// cluster. The artifact placement and tiered router are built, and every
 // component registers into the engine-wide metric registry.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()

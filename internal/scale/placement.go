@@ -1,25 +1,19 @@
 package scale
 
 import (
-	"cmp"
-	"slices"
-	"sort"
-
 	"spritefs/internal/sim"
 	"spritefs/internal/workload"
 )
 
 // The placement layer decides where the cross-segment visible artifacts
 // — system binaries, kernel images, group shared files — live in the
-// topology. Homes are assigned by consistent hashing over sites: each
-// artifact key hashes onto a ring of site virtual nodes, then onto one
-// segment within the winning site. Memory is O(catalog × ring), both
-// constants of the artifact classes and the site count — nothing scales
-// with the client population, which is what keeps a million-client
-// topology's placement at a few kilobytes. Adding or removing a site
-// remaps only the ~1/sites of keys whose ring arcs changed hands; every
-// other artifact keeps its home (the property that would make data
-// migration incremental in a real deployment).
+// topology. Each artifact key hashes, salted, onto one shard of the whole
+// Sites × SegsPerSite grid; its site is that shard's site. With one site
+// this is the flat segment hash. Memory is O(catalog), a constant of the
+// artifact classes — nothing scales with the client population, which is
+// what keeps a million-client topology's placement at a few kilobytes.
+// Homes are fixed for the life of an engine: no site joins or leaves a
+// built topology, so placement needs no remapping property.
 
 // artifactClass tags the cross-segment visible file classes.
 type artifactClass uint8
@@ -31,7 +25,7 @@ const (
 )
 
 // hash64 is the splitmix64 finalizer: a cheap, well-distributed stateless
-// hash used for ring points and catalog keys. It is fixed for all time —
+// hash used for catalog keys and their homes. It is fixed for all time —
 // placement homes are part of the deterministic simulation output.
 func hash64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -57,55 +51,9 @@ func (k catalogKey) hash() uint64 {
 	return hash64(uint64(k.class)<<48 | uint64(uint16(k.group))<<32 | uint64(uint32(k.index)))
 }
 
-// ringVnodes is how many virtual nodes each site contributes to the hash
-// ring. 64 keeps the per-site share within a few percent of uniform while
-// the whole ring for a thousand sites still fits in one L2 cache line
-// sweep.
-const ringVnodes = 64
-
-type ringPoint struct {
-	point uint64
-	site  int32
-}
-
-// hashRing is a consistent-hash ring over sites: sorted virtual-node
-// points, each owning the arc that ends at it.
-type hashRing struct {
-	points []ringPoint
-}
-
-// newRing builds the ring for a site count. Point positions depend only
-// on (site, vnode), so growing the ring from n to n+1 sites inserts the
-// new site's points without moving anyone else's — the stability property
-// the placement tests pin.
-func newRing(sites int) hashRing {
-	pts := make([]ringPoint, 0, sites*ringVnodes)
-	for s := 0; s < sites; s++ {
-		for v := 0; v < ringVnodes; v++ {
-			pts = append(pts, ringPoint{point: hash64(uint64(s)<<20 | uint64(v)), site: int32(s)})
-		}
-	}
-	slices.SortFunc(pts, func(a, b ringPoint) int {
-		if c := cmp.Compare(a.point, b.point); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.site, b.site) // 64-bit collisions are ~impossible; break ties anyway
-	})
-	return hashRing{points: pts}
-}
-
-// lookup returns the site owning the first ring point at or after h,
-// wrapping at the top of the ring.
-func (r hashRing) lookup(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].point >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return int(r.points[i].site)
-}
-
-// segSalt decorrelates the within-site segment choice from the site
-// choice, so a key's segment is not a function of its ring position.
+// segSalt salts a key's hash before it picks a shard. Its value is fixed
+// by the flat topologies' pinned digests: with one site the pick is the
+// segment hash those digests were recorded under.
 const segSalt = 0xa24baed4963ee407
 
 // PlacedFile is one cross-segment visible artifact and its home.
@@ -115,13 +63,14 @@ type PlacedFile struct {
 	Size  int64
 }
 
-// Placement maps the artifact catalog onto the topology by consistent
-// hashing. It is built once after bootstrap, before the executor starts,
+// Placement maps the artifact catalog onto the shard grid by one hash per
+// artifact. It is built once after bootstrap, before the executor starts,
 // and never mutated — shards read it concurrently without
 // synchronization.
 type Placement struct {
 	topo   Topology
 	homes  []PlacedFile
+	all    []int32   // every catalog index, ascending
 	bySite [][]int32 // catalog indices homed in each site
 }
 
@@ -129,9 +78,8 @@ type Placement struct {
 // catalog shape (class counts) is taken from shard 0's registry — binary
 // and kernel counts are bootstrap constants, group-shared counts vary a
 // little per shard, and a key landing on a shard with fewer artifacts in
-// its class wraps by modulo. Each key's home is its ring site, then a
-// hash-chosen segment within that site, then whichever server the home
-// segment's bootstrap put the artifact on.
+// its class wraps by modulo. Each key's home is its hash-chosen shard,
+// then whichever server that segment's bootstrap put the artifact on.
 func buildPlacement(topo Topology, shards []*Shard) *Placement {
 	canon := shards[0].C.Registry
 	var keys []catalogKey
@@ -147,17 +95,14 @@ func buildPlacement(topo Topology, shards []*Shard) *Placement {
 		}
 	}
 
-	ring := newRing(topo.Sites)
 	p := &Placement{
 		topo:   topo,
 		homes:  make([]PlacedFile, 0, len(keys)),
+		all:    make([]int32, 0, len(keys)),
 		bySite: make([][]int32, topo.Sites),
 	}
 	for _, k := range keys {
-		h := k.hash()
-		site := ring.lookup(h)
-		seg := int(hash64(h^segSalt) % uint64(topo.SegsPerSite))
-		shard := site*topo.SegsPerSite + seg
+		shard := int(hash64(k.hash()^segSalt) % uint64(topo.Sites*topo.SegsPerSite))
 		sh := shards[shard]
 		reg := sh.C.Registry
 		var f uint64
@@ -174,6 +119,8 @@ func buildPlacement(topo Topology, shards []*Shard) *Placement {
 		if fl := sh.C.ServerFor(f).Lookup(f); fl != nil {
 			size = fl.Size
 		}
+		site := topo.SiteOf(shard)
+		p.all = append(p.all, int32(len(p.homes)))
 		p.bySite[site] = append(p.bySite[site], int32(len(p.homes)))
 		p.homes = append(p.homes, PlacedFile{Shard: shard, File: f, Size: size})
 	}
@@ -224,24 +171,5 @@ func (p *Placement) PickRemote(rng *sim.Rand, from int, affinity float64) (Place
 			return pf, true
 		}
 	}
-	return p.pickAll(rng, from)
-}
-
-// pickAll draws from the whole catalog, rejecting the caller's shard.
-func (p *Placement) pickAll(rng *sim.Rand, from int) (PlacedFile, bool) {
-	n := len(p.homes)
-	for try := 0; try < 4; try++ {
-		pf := p.homes[rng.Intn(n)]
-		if pf.Shard != from {
-			return pf, true
-		}
-	}
-	start := rng.Intn(n)
-	for i := 0; i < n; i++ {
-		pf := p.homes[(start+i)%n]
-		if pf.Shard != from {
-			return pf, true
-		}
-	}
-	return PlacedFile{}, false
+	return p.pickExcluding(rng, p.all, from)
 }

@@ -17,59 +17,32 @@ func placementBase(clients int, seed int64) workload.Params {
 	return p
 }
 
-// TestRingStabilityUnderSiteChange pins the consistent-hash property the
-// placement layer exists for: growing the ring from n to n+1 sites moves
-// only the keys the new site captured — every moved key lands on the new
-// site, and the moved fraction stays near 1/(n+1).
-func TestRingStabilityUnderSiteChange(t *testing.T) {
-	const keys = 8192
-	for _, n := range []int{2, 4, 8, 16} {
-		before := newRing(n)
-		after := newRing(n + 1)
-		moved := 0
-		for i := 0; i < keys; i++ {
-			h := hash64(uint64(i) * 0x9e3779b97f4a7c15)
-			a, b := before.lookup(h), after.lookup(h)
-			if a == b {
-				continue
+// TestPlacementSpreadsTheCatalog homes the real artifact catalog on the
+// benchmark grids (16×4 and 40×4) and two corners (8×2, 8×8): every site
+// must home at least one system binary. Every client reads the binaries,
+// so a site that homes none of them sees only WAN traffic for them, and a
+// site that homes all of them carries the whole grid's binary load.
+func TestPlacementSpreadsTheCatalog(t *testing.T) {
+	for _, g := range []struct{ shards, sites int }{{16, 4}, {40, 4}, {8, 2}, {8, 8}} {
+		e := MustNew(Config{Base: placementBase(2*g.shards, 5), Shards: g.shards, Sites: g.sites})
+		p := e.Placement
+		binaries := make([]int, g.sites)
+		for i := range e.Shards[0].C.Registry.Binaries {
+			binaries[p.topo.SiteOf(p.homes[i].Shard)]++
+		}
+		for s, n := range binaries {
+			if n == 0 {
+				t.Errorf("%d shards × %d sites: site %d homes no system binary (per site %v)", g.shards, g.sites, s, binaries)
+				break
 			}
-			moved++
-			if b != n {
-				t.Fatalf("sites %d->%d: key %d moved %d->%d, not to the new site %d", n, n+1, i, a, b, n)
-			}
-		}
-		if moved == 0 {
-			t.Fatalf("sites %d->%d: no keys moved to the new site", n, n+1)
-		}
-		frac := float64(moved) / keys
-		want := 1.0 / float64(n+1)
-		if frac > 3*want {
-			t.Errorf("sites %d->%d: %.1f%% of keys moved, want about %.1f%%", n, n+1, frac*100, want*100)
-		}
-	}
-}
-
-// TestRingBalance checks the virtual nodes spread keys across sites
-// within a reasonable factor of fair share.
-func TestRingBalance(t *testing.T) {
-	const sites, keys = 8, 65536
-	r := newRing(sites)
-	counts := make([]int, sites)
-	for i := 0; i < keys; i++ {
-		counts[r.lookup(hash64(uint64(i)*0x9e3779b97f4a7c15))]++
-	}
-	fair := float64(keys) / sites
-	for s, c := range counts {
-		if float64(c) < 0.4*fair || float64(c) > 2.0*fair {
-			t.Errorf("site %d owns %d of %d keys (fair share %.0f): ring imbalanced", s, c, keys, fair)
 		}
 	}
 }
 
 // TestPlacementMemoryIndependentOfClients pins the O(1)-at-1M-clients
 // property: the catalog size is a function of the artifact classes, not
-// the client population, and the ring is a function of the site count
-// alone. Growing the community must not grow placement state.
+// the client population. Growing the community must not grow placement
+// state.
 func TestPlacementMemoryIndependentOfClients(t *testing.T) {
 	build := func(clients int) *Engine {
 		return MustNew(Config{
@@ -92,9 +65,6 @@ func TestPlacementMemoryIndependentOfClients(t *testing.T) {
 		if n := e.Placement.Len(); n < lo || n > hi {
 			t.Errorf("catalog size %d outside the class-constant band [%d, %d]", n, lo, hi)
 		}
-	}
-	if got, want := len(newRing(2).points), 2*ringVnodes; got != want {
-		t.Errorf("ring points = %d, want %d (sites × vnodes, independent of clients)", got, want)
 	}
 }
 
