@@ -147,6 +147,20 @@ func (d *nsDriver) pick() uint64 {
 	return d.recent
 }
 
+// pickOpen decodes the file of an open, a close or a recovery: in three
+// picks of four one of the two lowest live ids, otherwise what pick
+// decodes from the next byte. A Sprite file recalls, starts write-sharing
+// and comes back to caching only when several clients keep coming back to
+// it, so these ops gather on a busy few.
+func (d *nsDriver) pickOpen() uint64 {
+	b := d.byte()
+	live := d.liveIDs()
+	if b&3 == 0 || len(live) == 0 {
+		return d.pick()
+	}
+	return live[int(b>>2)%min(len(live), 2)]
+}
+
 // sameFile compares a File the server handed back with the model's entry.
 func (d *nsDriver) sameFile(name string, id uint64, got *File, want *nsFile) {
 	switch {
@@ -455,15 +469,16 @@ func (d *nsDriver) run() int {
 				f.size = max(f.size, size)
 			}
 		case 10, 11:
-			id, c, write := d.pick(), d.byte(), b&16 != 0
+			id, c, write := d.pickOpen(), d.byte(), b&16 != 0
 			d.open(id, int32(c%nsClients), write)
 		case 12, 19:
 			// The client byte's third bit says whether the close leaves
-			// dirty data behind; its fourth makes it close one of the
-			// file's opens, so that files come to have no opener.
-			id, c := d.pick(), d.byte()
+			// dirty data behind; its fourth or fifth (three closes in
+			// four) makes it close one of the file's opens, so that files
+			// come to have no opener.
+			id, c := d.pickOpen(), d.byte()
 			client, write := int32(c%nsClients), b&16 != 0
-			if f := d.m[id]; f != nil && c&8 != 0 {
+			if f := d.m[id]; f != nil && c&24 != 0 {
 				client, write = f.held(int(c>>4), client, write)
 			}
 			d.close(id, client, write, c&4 != 0)
@@ -486,7 +501,7 @@ func (d *nsDriver) run() int {
 		case 17:
 			d.lookup(d.pick())
 		case 18:
-			id, c := d.pick(), d.byte()
+			id, c := d.pickOpen(), d.byte()
 			d.recover(id, int32(c%nsClients), int(c>>2)&3, int(c>>4)&3)
 		default:
 			d.what = "probe"
@@ -613,9 +628,13 @@ func TestNameSpaceMatchesModel(t *testing.T) {
 	if ops < 250*200 {
 		t.Fatalf("%d ops over 250 seeds: the streams exercise too little", ops)
 	}
+	// Each transition is counted well above the floor (the least, a
+	// re-enable by Disconnect, about 40 times), so a change to the decoding
+	// that thins one out fails here before it drops to none.
+	const floor = 25
 	r := reached
-	if r.recalls == 0 || r.openCWS == 0 || r.recoverCWS == 0 || r.closeOn == 0 || r.disconnectOn == 0 || r.crashOn == 0 {
-		t.Fatalf("over 250 seeds the streams reached %+v: each consistency transition must occur", r)
+	if min(r.recalls, r.openCWS, r.recoverCWS, r.closeOn, r.disconnectOn, r.crashOn) < floor {
+		t.Fatalf("over 250 seeds the streams reached %+v: each consistency transition must occur at least %d times", r, floor)
 	}
 	t.Logf("%d ops; reached %+v", ops, r)
 }
