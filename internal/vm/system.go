@@ -225,12 +225,7 @@ func (s *System) evict(exceptPid int32, n int) int {
 	if len(s.retained) > 0 {
 		k = s.dropRetained(n)
 	} else {
-		var victim *proc
-		for i := range s.procs {
-			if p := &s.procs[i]; p.pid != exceptPid && colder(p, victim) {
-				victim = p
-			}
-		}
+		victim := s.coldest(func(p *proc) bool { return p.pid != exceptPid })
 		if victim == nil {
 			return 0
 		}
@@ -241,12 +236,19 @@ func (s *System) evict(exceptPid int32, n int) int {
 	return k
 }
 
-// colder reports whether p is a better eviction victim than the current
-// one, v (nil if none yet): the least recently referenced process, and of
-// processes referenced at the same instant the lowest pid, so the choice
-// never rests on slice order.
-func colder(p, v *proc) bool {
-	return v == nil || p.lastRef < v.lastRef || p.lastRef == v.lastRef && p.pid < v.pid
+// coldest returns the eviction victim among the processes eligible
+// accepts, or nil if it accepts none: the least recently referenced, and
+// of processes referenced at the same instant the lowest pid, so the
+// choice never rests on slice order.
+func (s *System) coldest(eligible func(*proc) bool) *proc {
+	var victim *proc
+	for i := range s.procs {
+		p := &s.procs[i]
+		if eligible(p) && (victim == nil || p.lastRef < victim.lastRef || p.lastRef == victim.lastRef && p.pid < victim.pid) {
+			victim = p
+		}
+	}
+	return victim
 }
 
 // dropRetained drops up to n pages of the oldest retained image, which
@@ -438,12 +440,7 @@ func (s *System) DropIdle(n int, now time.Duration) int {
 			dropped += s.dropRetained(n - dropped)
 			continue
 		}
-		var victim *proc
-		for i := range s.procs {
-			if p := &s.procs[i]; now-p.lastRef >= IdleThreshold && colder(p, victim) {
-				victim = p
-			}
-		}
+		victim := s.coldest(func(p *proc) bool { return now-p.lastRef >= IdleThreshold })
 		if victim == nil {
 			break
 		}
