@@ -163,9 +163,6 @@ func (p *Placement) pickExcluding(rng *sim.Rand, idxs []int32, from int) (Placed
 // nothing remote to offer. ok is false when every artifact is homed on
 // the calling shard (pathological: a tiny catalog on a tiny topology).
 func (p *Placement) PickRemote(rng *sim.Rand, from int, affinity float64) (PlacedFile, bool) {
-	if len(p.homes) == 0 {
-		return PlacedFile{}, false
-	}
 	if p.topo.Sites > 1 && affinity > 0 && rng.Bool(affinity) {
 		if pf, ok := p.pickExcluding(rng, p.bySite[p.topo.SiteOf(from)], from); ok {
 			return pf, true
